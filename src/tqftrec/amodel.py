@@ -1,33 +1,30 @@
 """Counting recursions for decorated cell graphs.
 
-Three families of counts live here, all computed by cut-and-join style
-recursions on the distinguished (largest) boundary length:
+Two families of counts, each a set of kernels for the cut-and-join engine
+in ``tqftrec.cutjoin``; their scalar versions are the trivial-algebra case:
 
-- ``catalan``: generalized Catalan numbers ``C_{g,n}(mu)``, the number of
-  arrowed cell graphs with vertex degrees ``mu``.
-- ``twisted_catalan`` / ``twisted_dessin``: the same recursion with each
-  boundary carrying a Frobenius-algebra decoration; edge joins multiply the
-  decorations, loop and split terms route them through the coproduct.
+- ``catalan`` / ``twisted_catalan``: generalized Catalan numbers
+  ``C_{g,n}(mu)``, the number of arrowed cell graphs with vertex degrees
+  ``mu``, with a Frobenius-algebra decoration on each boundary;
+  ``twisted_dessin`` divides them by the degrees.
 - ``lattice_twisted``: the decorated lattice-point count ``N_{g,n}`` of
-  metric ribbon graphs with integer edge lengths, driven by the same
-  surgeries but weighted by the ways of cutting an integer length.
+  metric ribbon graphs with integer edge lengths, weighted by the ways of
+  cutting an integer length and resting on a caller-supplied table of
+  unstable base cases.
 
-All values are exact rationals.  Tables memoize on the sorted profile,
-which is justified by the permutation symmetry of the counts; a debug flag
-turns canonicalization off so that symmetry can be tested honestly.
+Both vanish on odd total degree.  All values are exact rationals.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .cellgraph import count_arrowed_graphs
-from .frobenius import AlgebraElement, FrobeniusAlgebra
+from .cutjoin import CutJoinTable, check_decorations
+from .frobenius import AlgebraElement, FrobeniusAlgebra, pairing
 
 Rational = Fraction
 
@@ -43,6 +40,8 @@ __all__ = [
     "default_lattice_bases",
     "D02_CONVENTION",
 ]
+
+CACHE_SCHEMA = 1
 
 
 class MissingBaseCaseError(LookupError):
@@ -70,294 +69,86 @@ def _validate_profile(g: int, n: int, mu: Sequence[int]) -> Tuple[int, ...]:
     return mu
 
 
-def _distinguish(pairs):
-    """Rotate the pair with the largest degree to the front (ties: lowest index)."""
-    k = max(range(len(pairs)), key=lambda i: (pairs[i][0], -i))
-    return pairs[k], pairs[:k] + pairs[k + 1 :]
+def _digest(body: Mapping) -> str:
+    import hashlib  # only cache files need it; it costs the CLI's start-up 5 ms
+
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _basis_expansions(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement]):
-    """Check decorations against the algebra and return their coefficient rows."""
-    rows = []
-    for v in vs:
-        if not isinstance(v, AlgebraElement):
-            raise TypeError("decorations must be algebra elements, got %r" % (v,))
-        if v.algebra != algebra:
-            raise ValueError("decoration does not belong to the given algebra")
-        rows.append(v.coeffs)
-    return rows
-
-
-def _decorated_sum(rows, term):
-    """Multilinear expansion: sum term(idx tuple) over basis index tuples."""
-    total = Fraction(0)
-
-    def rec(pos, coeff, idxs):
-        nonlocal total
-        if coeff == 0:
-            return
-        if pos == len(rows):
-            total += coeff * term(tuple(idxs))
-            return
-        for i, c in enumerate(rows[pos]):
-            if c != 0:
-                rec(pos + 1, coeff * c, idxs + [i])
-
-    rec(0, Fraction(1), [])
-    return total
-
-
-class CatalanTable:
+class CatalanTable(CutJoinTable):
     """Memoized generalized Catalan numbers, optionally algebra-decorated.
 
-    With ``algebra=None`` the table holds the scalar counts ``C_{g,n}(mu)``;
-    with an algebra it holds the decorated counts keyed by basis index
-    tuples.  Entries are immutable once written.
+    Built without an algebra, the table holds the scalar counts
+    ``C_{g,n}(mu)`` (``untwisted``); with one, the decorated counts
+    (``twisted``).
     """
 
-    def __init__(self, algebra: Optional[FrobeniusAlgebra] = None, *, canonicalize: bool = True):
-        self.algebra = algebra
-        self.canonicalize = canonicalize
-        self._memo = {}
-        self._tensors = {}
-        if algebra is not None:
-            dim = algebra.dim
-            # sparse views of the structure constants, indexed for the
-            # direction the recursion consumes them in
-            prod_by_k = [[] for _ in range(dim)]
-            for i1 in range(dim):
-                for ij in range(dim):
-                    for k, c in enumerate(algebra.product_tensor[i1][ij]):
-                        if c != 0:
-                            prod_by_k[k].append((i1, ij, c))
-            delta_by_ab = {}
-            for i1 in range(dim):
-                for a in range(dim):
-                    for b in range(dim):
-                        w = algebra.coproduct_tensor[i1][a][b]
-                        if w != 0:
-                            delta_by_ab.setdefault((a, b), []).append((i1, w))
-            self._prod_by_k = prod_by_k
-            self._delta_by_ab = delta_by_ab
+    def _validate(self, g, mu):
+        return _validate_profile(g, len(mu), mu)
 
-    # -- scalar counts ----------------------------------------------------
+    def _vanishes(self, g, mu):
+        return sum(mu) % 2 == 1
 
-    def untwisted(self, g: int, mu: Sequence[int]) -> Rational:
-        mu = _validate_profile(g, len(mu), mu)
-        return self._scalar(g, mu)
+    def _base_case(self, g, mu):
+        if 0 not in mu:
+            return None
+        if (g, mu) == (0, (0,)):
+            return self._sparse(1, lambda i: self.algebra.counit[i])
+        return {}
 
-    def _scalar(self, g: int, mu: Tuple[int, ...]) -> Rational:
-        if g < 0:
-            return Fraction(0)
-        if len(mu) == 1 and mu[0] == 0:
-            return Fraction(1) if g == 0 else Fraction(0)
-        if 0 in mu:
-            return Fraction(0)
-        key = (g, tuple(sorted(mu)) if self.canonicalize else mu)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        (m1, _), rest = _distinguish([(m, None) for m in mu])
-        rest = tuple(m for m, _ in rest)
-        total = Fraction(0)
-        for j, mj in enumerate(rest):
-            others = rest[:j] + rest[j + 1 :]
-            total += mj * self._scalar(g, (m1 + mj - 2,) + others)
-        for a in range(m1 - 1):
-            b = m1 - 2 - a
-            if g >= 1:
-                total += self._scalar(g - 1, (a, b) + rest)
-            idxs = range(len(rest))
-            for g1 in range(g + 1):
-                for r in range(len(rest) + 1):
-                    for I in combinations(idxs, r):
-                        mu_i = tuple(rest[k] for k in I)
-                        mu_j = tuple(rest[k] for k in idxs if k not in I)
-                        total += self._scalar(g1, (a,) + mu_i) * self._scalar(
-                            g - g1, (b,) + mu_j
-                        )
-        self._memo[key] = total
-        return total
+    def _joins(self, m1, mj):
+        return ((m1 + mj - 2, mj),)
 
-    # -- decorated counts -------------------------------------------------
+    def _cuts(self, m1):
+        return [(a, m1 - 2 - a, 1) for a in range(m1 - 1)]
 
-    def twisted(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement]) -> Rational:
-        if self.algebra is None:
-            raise ValueError("this table was built without an algebra")
-        mu = _validate_profile(g, len(mu), mu)
-        if len(vs) != len(mu):
-            raise ValueError("need one decoration per boundary")
-        rows = _basis_expansions(self.algebra, vs)
-        total = Fraction(0)
-        for idx, val in self._child(g, mu).items():
-            w = Fraction(1)
-            for p, i in enumerate(idx):
-                c = rows[p][i]
-                if c == 0:
-                    w = 0
-                    break
-                w = w * c
-            if w:
-                total += w * val
-        return total
-
-    def _tc(self, g: int, pairs: Tuple[Tuple[int, int], ...]) -> Rational:
-        """Decorated count at a single basis tuple; a view into the tensors."""
-        mu = tuple(m for m, _ in pairs)
-        idx = tuple(i for _, i in pairs)
-        return self._child(g, mu).get(idx, Fraction(0))
-
-    def _child(self, g: int, mu: Tuple[int, ...]):
-        """Tensor for the profile in the requested boundary order."""
-        if not self.canonicalize:
-            return self._tensor(g, mu)
-        canon = tuple(sorted(mu, reverse=True))
-        T = self._tensor(g, canon)
-        if canon == mu or not T:
-            return T
-        # realign the canonical tensor to the requested order: send each
-        # position to an unused canonical slot of the same degree
-        avail = {}
-        for pos, m in enumerate(canon):
-            avail.setdefault(m, []).append(pos)
-        cursor = dict.fromkeys(avail, 0)
-        pi = []
-        for m in mu:
-            pi.append(avail[m][cursor[m]])
-            cursor[m] += 1
-        return {tuple(cidx[p] for p in pi): v for cidx, v in T.items()}
-
-    def _tensor(self, g: int, mu: Tuple[int, ...]):
-        """Sparse map from basis index tuples to decorated counts."""
-        key = (g, mu)
-        hit = self._tensors.get(key)
-        if hit is not None:
-            return hit
-        A = self.algebra
-        n = len(mu)
-        if g < 0 or (0 in mu and not (n == 1 and mu[0] == 0)):
-            out = {}
-        elif n == 1 and mu[0] == 0:
-            out = (
-                {(i,): c for i, c in enumerate(A.counit) if c != 0}
-                if g == 0
-                else {}
-            )
-        else:
-            out = self._tensor_rec(g, mu)
-        self._tensors[key] = out
-        return out
-
-    def _tensor_rec(self, g: int, mu: Tuple[int, ...]):
-        d = max(range(len(mu)), key=lambda i: (mu[i], -i))
-        m1 = mu[d]
-        rest = mu[:d] + mu[d + 1 :]
-        zero = Fraction(0)
-        out = {}
-
-        def put(i1, rest_idx):
-            return rest_idx[:d] + (i1,) + rest_idx[d:]
-
-        # Edge join: boundary j is absorbed, decorations multiply.
-        for j, mj in enumerate(rest):
-            others = rest[:j] + rest[j + 1 :]
-            C = self._child(g, (m1 + mj - 2,) + others)
-            for cidx, val in C.items():
-                k = cidx[0]
-                oidx = cidx[1:]
-                base = mj * val
-                for i1, ij, c in self._prod_by_k[k]:
-                    key2 = put(i1, oidx[:j] + (ij,) + oidx[j:])
-                    out[key2] = out.get(key2, zero) + c * base
-        # Loop terms: the distinguished decoration passes through the coproduct.
-        delta_by_ab = self._delta_by_ab
-        idxs = range(len(rest))
-        for alpha in range(m1 - 1):
-            beta = m1 - 2 - alpha
-            if g >= 1:
-                D = self._child(g - 1, (alpha, beta) + rest)
-                for cidx, val in D.items():
-                    rest_idx = cidx[2:]
-                    for i1, w in delta_by_ab.get((cidx[0], cidx[1]), ()):
-                        key2 = put(i1, rest_idx)
-                        out[key2] = out.get(key2, zero) + w * val
-            for g1 in range(g + 1):
-                for r in range(len(rest) + 1):
-                    for I in combinations(idxs, r):
-                        J = [t for t in idxs if t not in I]
-                        T1 = self._child(g1, (alpha,) + tuple(rest[t] for t in I))
-                        if not T1:
-                            continue
-                        T2 = self._child(
-                            g - g1, (beta,) + tuple(rest[t] for t in J)
-                        )
-                        if not T2:
-                            continue
-                        for idx1, v1 in T1.items():
-                            a = idx1[0]
-                            for idx2, v2 in T2.items():
-                                lst = delta_by_ab.get((a, idx2[0]))
-                                if lst is None:
-                                    continue
-                                merged = [0] * len(rest)
-                                for p, t in enumerate(I):
-                                    merged[t] = idx1[1 + p]
-                                for p, t in enumerate(J):
-                                    merged[t] = idx2[1 + p]
-                                merged = tuple(merged)
-                                vv = v1 * v2
-                                for i1, w in lst:
-                                    key2 = put(i1, merged)
-                                    out[key2] = out.get(key2, zero) + w * vv
-        return {k2: v for k2, v in out.items() if v != 0}
-
-    # -- export -----------------------------------------------------------
-
-    def rows(self):
-        """Yield (g, mu, decor, value) for every memoized entry, sorted."""
-        out = []
-        for key, value in self._memo.items():
-            g, prof = key
-            if prof and isinstance(prof[0], tuple):
-                mu = tuple(m for m, _ in prof)
-                decor = tuple(i for _, i in prof)
-            else:
-                mu = prof
-                decor = ()
-            out.append((g, mu, decor, value))
-        for (g, mu), tensor in self._tensors.items():
-            for decor, value in tensor.items():
-                out.append((g, mu, decor, value))
-        out.sort()
-        return out
+    # -- cache files ------------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = [
-            {"g": g, "mu": list(mu), "decor": list(decor), "value": str(v)}
-            for g, mu, decor, v in self.rows()
-        ]
-        return {"canonicalize": self.canonicalize, "entries": entries}
+        """The memoized entries, with the schema version, algebra and
+        canonicalize flag they belong to and a SHA-256 digest of it all."""
+        body = {
+            "schema": CACHE_SCHEMA,
+            "algebra": self.algebra.to_json(),
+            "canonicalize": self.canonicalize,
+            "entries": [
+                {"g": g, "mu": list(mu), "decor": list(decor), "value": str(v)}
+                for g, mu, decor, v in self.rows()
+            ],
+        }
+        return dict(body, sha256=_digest(body))
 
-    def load_scalar_entries(self, data: Mapping) -> int:
-        """Restore untwisted entries from a ``to_json`` dump; returns count."""
-        loaded = 0
-        for entry in data.get("entries", ()):
-            if entry.get("decor"):
-                continue
-            key = (int(entry["g"]), tuple(int(m) for m in entry["mu"]))
-            self._memo.setdefault(key, Fraction(entry["value"]))
-            loaded += 1
-        return loaded
+    def load_json(self, data: Mapping) -> int:
+        """Fill the table from a ``to_json`` dump; returns the entry count.
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["g", "n", "mu", "decor", "value"])
-        for g, mu, decor, v in self.rows():
-            writer.writerow(
-                [g, len(mu), " ".join(map(str, mu)), " ".join(map(str, decor)), str(v)]
-            )
-        return buf.getvalue()
+        Raises, and leaves the table untouched, unless the digest matches,
+        the dump was written for this schema, algebra and canonicalize flag,
+        and every entry is well formed.
+        """
+        body = dict(data)
+        if body.pop("sha256", None) != _digest(body):
+            raise ValueError("cache digest does not match its contents")
+        if (body.get("schema"), body.get("algebra"), body.get("canonicalize")) != (
+            CACHE_SCHEMA, self.algebra.to_json(), self.canonicalize
+        ):
+            raise ValueError("cache was written for another table")
+        tensors = {}
+        for e in body["entries"]:
+            g, mu, decor = e["g"], tuple(e["mu"]), tuple(e["decor"])
+            # a table built without an algebra exports empty decorations
+            idx = decor if self.decorated else (0,) * len(mu) + decor
+            if not (
+                isinstance(g, int) and g >= 0 and mu and len(idx) == len(mu)
+                and all(isinstance(x, int) and x >= 0 for x in mu + idx)
+                and max(idx) < self.algebra.dim and isinstance(e["value"], str)
+                and (not self.canonicalize or list(mu) == sorted(mu, reverse=True))
+            ):
+                raise ValueError("malformed cache entry %r" % (e,))
+            tensors.setdefault((g, mu), {})[idx] = Fraction(e["value"])
+        for key, tensor in tensors.items():
+            self._tensors.setdefault(key, tensor)
+        return len(body["entries"])
 
 
 _SCALAR_TABLE = CatalanTable()
@@ -424,17 +215,12 @@ def twisted_dessin(
     """
     mu = _validate_profile(g, n, mu)
     if (g, n) == (0, 2):
-        rows = _basis_expansions(algebra, vs)
-        eta = algebra.pairing
-        weight = _decorated_sum(rows, lambda idxs: eta[idxs[0]][idxs[1]])
-        return dessin_02(mu[0], mu[1]) * weight
+        check_decorations(algebra, vs, 2)
+        return dessin_02(mu[0], mu[1]) * pairing(vs[0], vs[1])
     if any(m < 1 for m in mu):
         raise ValueError("dessin counts need positive degrees, got %s" % list(mu))
     value = twisted_catalan(g, n, mu, algebra, vs, canonicalize=canonicalize)
-    denom = 1
-    for m in mu:
-        denom *= m
-    return value / denom
+    return value / math.prod(mu)
 
 
 # -- lattice-point recursion ----------------------------------------------
@@ -450,13 +236,15 @@ def default_lattice_bases() -> Mapping:
     return {(0, 2): _shipped_02}
 
 
-class LatticeTable:
+class LatticeTable(CutJoinTable):
     """Memoized decorated lattice-point counts driven by the cut recursion.
 
     Unstable profiles are delegated to a caller-supplied base-case table
     mapping (g, n) to a function of the degree tuple; the decoration weight
     on a base profile is the counit (n = 1) or the pairing (n = 2).
     """
+
+    stable_splits = True
 
     def __init__(
         self,
@@ -465,96 +253,47 @@ class LatticeTable:
         *,
         canonicalize: bool = True,
     ):
-        self.algebra = algebra
+        super().__init__(algebra, canonicalize=canonicalize)
         self.base_cases = dict(default_lattice_bases())
         if base_cases is not None:
             self.base_cases.update(base_cases)
-        self.canonicalize = canonicalize
-        self._memo = {}
 
     def value(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement]) -> Rational:
-        mu = _validate_profile(g, len(mu), mu)
-        if len(vs) != len(mu):
-            raise ValueError("need one decoration per boundary")
-        rows = _basis_expansions(self.algebra, vs)
-        return _decorated_sum(rows, lambda idxs: self._nl(g, tuple(zip(mu, idxs))))
+        return self.twisted(g, mu, vs)
 
-    def _base(self, g: int, pairs) -> Rational:
-        A = self.algebra
-        mu = tuple(m for m, _ in pairs)
-        fn = self.base_cases.get((g, len(pairs)))
+    _validate = CatalanTable._validate
+    _vanishes = CatalanTable._vanishes
+
+    def _base_case(self, g, mu):
+        n = len(mu)
+        if 2 * g - 2 + n > 0:
+            return None if any(mu) else {}
+        fn = self.base_cases.get((g, n))
         if fn is None:
-            raise MissingBaseCaseError(g, len(pairs), mu)
+            raise MissingBaseCaseError(g, n, mu)
         scalar = Fraction(fn(mu))
-        if len(pairs) == 1:
-            return scalar * A.counit[pairs[0][1]]
-        if len(pairs) == 2:
-            return scalar * A.pairing[pairs[0][1]][pairs[1][1]]
-        raise MissingBaseCaseError(g, len(pairs), mu)
-
-    def _nl(self, g: int, pairs: Tuple[Tuple[int, int], ...]) -> Rational:
         A = self.algebra
-        n = len(pairs)
-        if g < 0:
-            return Fraction(0)
-        if 2 * g - 2 + n <= 0:
-            return self._base(g, pairs)
-        key = (g, tuple(sorted(pairs)) if self.canonicalize else pairs)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        (m1, i1), rest = _distinguish(list(pairs))
-        rest = tuple(rest)
-        if m1 == 0:
-            self._memo[key] = Fraction(0)
-            return Fraction(0)
-        total = Fraction(0)
-        # Boundary join: three cut ranges gated by the degree comparison.
-        for j, (mj, ij) in enumerate(rest):
-            others = rest[:j] + rest[j + 1 :]
-            prod = A.product_tensor[i1][ij]
-            for k, ck in enumerate(prod):
-                if ck == 0:
-                    continue
-                s = Fraction(0)
-                for span, sign in (
-                    (m1 + mj, 1),
-                    (m1 - mj if m1 > mj else 0, 1),
-                    (mj - m1 if mj > m1 else 0, -1),
-                ):
-                    for q in range(1, span):
-                        s += sign * q * (span - q) * self._nl(g, ((q, k),) + others)
-                total += Fraction(1, 2) * ck * s
-        # Loop terms: two cuts on the distinguished boundary.
-        delta = A.coproduct_tensor[i1]
-        idxs = range(len(rest))
-        for q1 in range(1, m1):
-            for q2 in range(1, m1 - q1):
-                w = Fraction(q1 * q2 * (m1 - q1 - q2), 2)
-                if w == 0:
-                    continue
-                for a in range(A.dim):
-                    for b in range(A.dim):
-                        d = delta[a][b]
-                        if d == 0:
-                            continue
-                        if g >= 1:
-                            total += w * d * self._nl(g - 1, ((q1, a), (q2, b)) + rest)
-                        for g1 in range(g + 1):
-                            for r in range(len(rest) + 1):
-                                for I in combinations(idxs, r):
-                                    p_i = tuple(rest[t] for t in I)
-                                    p_j = tuple(rest[t] for t in idxs if t not in I)
-                                    if 2 * g1 - 2 + len(p_i) + 1 <= 0:
-                                        continue
-                                    if 2 * (g - g1) - 2 + len(p_j) + 1 <= 0:
-                                        continue
-                                    total += w * d * self._nl(
-                                        g1, ((q1, a),) + p_i
-                                    ) * self._nl(g - g1, ((q2, b),) + p_j)
-        result = total / m1
-        self._memo[key] = result
-        return result
+        if n == 1:
+            return self._sparse(1, lambda i: scalar * A.counit[i])
+        return self._sparse(2, lambda i, j: scalar * A.pairing[i][j])
+
+    def _joins(self, m1, mj):
+        # three cut ranges; the last two are empty unless one length is longer
+        return [
+            (q, Fraction(sign * q * (span - q), 2))
+            for span, sign in ((m1 + mj, 1), (m1 - mj, 1), (mj - m1, -1))
+            for q in range(1, span)
+        ]
+
+    def _cuts(self, m1):
+        return [
+            (q1, q2, Fraction(q1 * q2 * (m1 - q1 - q2), 2))
+            for q1 in range(1, m1)
+            for q2 in range(1, m1 - q1)
+        ]
+
+    def _scale(self, m1):
+        return Fraction(1, m1)
 
 
 def lattice_twisted(
@@ -571,8 +310,3 @@ def lattice_twisted(
     mu = _validate_profile(g, n, mu)
     table = LatticeTable(algebra, base_cases, canonicalize=canonicalize)
     return table.value(g, mu, vs)
-
-
-def export_table_json(table: CatalanTable) -> str:
-    """Stable JSON dump of a memoized table."""
-    return json.dumps(table.to_json(), sort_keys=True, indent=2) + "\n"

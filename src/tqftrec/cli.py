@@ -132,8 +132,7 @@ def parse_decoration(token: str, algebra: FrobeniusAlgebra):
     )
 
 
-def _decorations(args, algebra: FrobeniusAlgebra, n: int):
-    tokens = args.decor or []
+def _decorations(tokens, algebra: FrobeniusAlgebra, n: int):
     if not tokens:
         return [algebra.unit_element()] * n
     if len(tokens) == 1 and n > 1:
@@ -176,12 +175,16 @@ def cmd_omega(args) -> dict:
     G = _load_group_arg(args.group)
     cd = groups.conjugacy(G)
     A = groups.orbifold_frobenius(G, cd)
-    vs = _decorations(args, A, args.n)
+    # one token stands for every boundary, for both methods
+    tokens = list(args.decor or [])
+    if len(tokens) == 1:
+        tokens *= args.n
+    vs = _decorations(tokens, A, args.n)
     report = {
         "group": args.group,
         "g": args.g,
         "n": args.n,
-        "decor": list(args.decor or ["[1]"] * args.n),
+        "decor": tokens or ["[1]"] * args.n,
     }
     if args.method in ("formula", "both"):
         report["formula"] = omega_tqft(A, args.g, args.n, vs)
@@ -207,11 +210,10 @@ def _catalan_common(args, dessin: bool) -> dict:
     if len(mu) != args.n:
         raise UsageError("profile length %d does not match n=%d" % (len(mu), args.n))
     A = _algebra_from_args(args)
-    vs = _decorations(args, A, args.n)
-    table = amodel.CatalanTable(A)
+    vs = _decorations(args.decor, A, args.n)
+    table = amodel.CatalanTable(A if args.group else None)
     if args.cache and os.path.exists(args.cache):
-        with open(args.cache) as fh:
-            table.load_scalar_entries(json.load(fh))
+        _load_cache(table, args.cache)
     if dessin:
         value = amodel.twisted_dessin(args.g, args.n, mu, A, vs)
     elif args.group:
@@ -219,9 +221,33 @@ def _catalan_common(args, dessin: bool) -> dict:
     else:
         value = table.untwisted(args.g, mu)
     if args.cache:
-        with open(args.cache, "w") as fh:
-            json.dump(table.to_json(), fh, indent=2, sort_keys=True)
+        _save_cache(table, args.cache)
     return {"value": value}
+
+
+def _load_cache(table, path: str) -> None:
+    """Fill the table from a cache file.  A file that cannot be read or
+    fails any check of ``load_json`` is ignored, and later rewritten."""
+    try:
+        with open(path) as fh:
+            table.load_json(json.load(fh))
+    except (OSError, ValueError, TypeError, KeyError, RecursionError, ZeroDivisionError) as exc:
+        sys.stderr.write("ignoring cache file %s: %s\n" % (path, exc))
+
+
+def _save_cache(table, path: str) -> None:
+    """Write the table to a temporary file beside ``path``, then move it
+    into place, so a reader never sees a partly written cache."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(table.to_json(), fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise UsageError("cannot write cache file %s: %s" % (path, exc))
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def cmd_catalan(args) -> dict:
@@ -257,7 +283,7 @@ def cmd_correlator(args) -> dict:
         raise UsageError("exponent length %d does not match n=%d" % (len(k), args.n))
     if args.group:
         A = groups.orbifold_frobenius(_load_group_arg(args.group))
-        vs = _decorations(args, A, args.n)
+        vs = _decorations(args.decor, A, args.n)
         return {"value": intersect.twisted_correlator(args.g, args.n, k, A, vs)}
     return {"value": intersect.correlator(args.g, args.n, k)}
 

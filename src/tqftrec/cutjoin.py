@@ -1,0 +1,225 @@
+"""One memoized cut-and-join engine for the counting recursions.
+
+Each count is a multilinear functional of Frobenius-algebra decorations,
+one per boundary, stored as a sparse tensor from basis index tuples to
+exact rationals.  A profile (g, mu) is reduced on its distinguished
+boundary, the largest degree (ties: lowest position).  Join terms absorb
+another boundary and multiply the two decorations through the product
+tensor; loop terms (genus g - 1) and split terms (genera g1 + g2 = g) cut
+it in two and route its decoration through the coproduct.  The scalar
+counts are the same recursion over the one-dimensional trivial algebra.
+
+Tensors are memoized on the profile sorted in decreasing order and
+realigned to the order a caller asks for, which the permutation symmetry
+of the counts justifies; ``canonicalize=False`` turns that off so the
+symmetry can be tested honestly.  An entry is stored only when complete.
+"""
+
+from __future__ import annotations
+
+import copy
+import csv
+import io
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
+from typing import Optional, Sequence, Tuple
+
+from .exact import BudgetError
+from .frobenius import AlgebraElement, FrobeniusAlgebra, trivial_algebra
+
+TRIVIAL = trivial_algebra()
+
+
+def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n: int):
+    """Check n decorations against the algebra and return their coefficient rows."""
+    if len(vs) != n:
+        raise ValueError("need one decoration per boundary: %d for %d" % (len(vs), n))
+    for v in vs:
+        if not isinstance(v, AlgebraElement):
+            raise TypeError("decorations must be algebra elements, got %r" % (v,))
+        if v.algebra != algebra:
+            raise ValueError("decoration does not belong to the given algebra")
+    return [v.coeffs for v in vs]
+
+
+@lru_cache(maxsize=None)
+def _splits(r: int):
+    """Ways to share r boundaries between two halves: (I, J, slots of I + J)."""
+    halves = [
+        (I, tuple(t for t in range(r) if t not in I))
+        for size in range(r + 1)
+        for I in combinations(range(r), size)
+    ]
+    return [(I, J, tuple((I + J).index(t) for t in range(r))) for I, J in halves]
+
+
+class CutJoinTable:
+    """Memoized sparse decorated counts, reduced by cut and join.
+
+    A family subclass supplies ``_validate(g, mu)``, returning the checked
+    profile; ``_vanishes(g, mu)``, a symmetric rule checked before the memo
+    so that zero profiles are never stored; ``_base_case(g, mu)``, the
+    tensor of a profile that is not reduced, else None; ``_joins(m1, mj)``,
+    the (child degree, weight) pairs for absorbing a boundary of degree mj
+    into the distinguished one; and ``_cuts(m1)``, the (degree a, degree b,
+    weight) triples for cutting the distinguished boundary.  It may
+    override ``_scale`` (a factor on the reduced tensor) and ``stable_splits``.
+    """
+
+    degree_column = "mu"
+    stable_splits = False  # do split terms skip children with 2g - 2 + n <= 0?
+
+    def __init__(self, algebra: Optional[FrobeniusAlgebra] = None, *, canonicalize: bool = True):
+        self.decorated = algebra is not None
+        self.algebra = algebra if algebra is not None else TRIVIAL
+        self.canonicalize = canonicalize
+        self._tensors = {}
+        self._scalar = None
+        A = self.algebra
+        dims = range(A.dim)
+        # sparse views of the structure constants, indexed for the
+        # direction the recursion consumes them in
+        self._prod_by_k = [
+            [(i, j, A.product_tensor[i][j][k]) for i in dims for j in dims
+             if A.product_tensor[i][j][k]]
+            for k in dims
+        ]
+        self._delta_by_ab = {}
+        for i, a, b in product(dims, repeat=3):
+            w = A.coproduct_tensor[i][a][b]
+            if w:
+                self._delta_by_ab.setdefault((a, b), []).append((i, w))
+
+    def _scale(self, m1: int):
+        return None
+
+    def _sparse(self, n: int, fn):
+        """The tensor of fn on all basis index tuples, zeros dropped."""
+        return {
+            idx: v for idx in product(range(self.algebra.dim), repeat=n) if (v := fn(*idx))
+        }
+
+    # -- evaluation ------------------------------------------------------------
+
+    def twisted(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement]) -> Fraction:
+        """The count with decoration vs[i] on boundary i."""
+        if not self.decorated:
+            raise ValueError("this table was built without an algebra")
+        mu = self._validate(g, mu)
+        rows = check_decorations(self.algebra, vs, len(mu))
+        total = Fraction(0)
+        for idx, val in self._lookup(g, mu).items():
+            for row, i in zip(rows, idx):
+                if not row[i]:
+                    break
+                val = val * row[i]
+            else:
+                total += val
+        return total
+
+    def untwisted(self, g: int, mu: Sequence[int]) -> Fraction:
+        """The scalar count: the recursion over the trivial algebra."""
+        if self.algebra != TRIVIAL:
+            if self._scalar is None:  # same family and options, trivial algebra
+                self._scalar = copy.copy(self)
+                CutJoinTable.__init__(self._scalar, canonicalize=self.canonicalize)
+            return self._scalar.untwisted(g, mu)
+        mu = self._validate(g, mu)
+        return self._lookup(g, mu).get((0,) * len(mu), Fraction(0))
+
+    def _lookup(self, g: int, mu: Tuple[int, ...]):
+        try:
+            return self._tensor(g, mu)
+        except RecursionError:
+            msg = "recursion too deep for profile g=%d, mu=%s" % (g, list(mu))
+            raise BudgetError(msg) from None
+
+    def _tensor(self, g: int, mu: Tuple[int, ...]):
+        """The tensor of (g, mu) with its slots in the order of mu.
+
+        The cut-and-join step on the distinguished boundary is written
+        inline, so that each level of the recursion costs one Python frame.
+        """
+        if g < 0 or self._vanishes(g, mu):
+            return {}
+        canon = tuple(sorted(mu, reverse=True)) if self.canonicalize else mu
+        key = (g, canon)
+        out = self._tensors.get(key)
+        if out is None and (out := self._base_case(g, canon)) is not None:
+            self._tensors[key] = out
+        if out is None:
+            d = max(range(len(canon)), key=lambda i: (canon[i], -i))
+            m1 = canon[d]
+            rest = canon[:d] + canon[d + 1 :]
+            delta = self._delta_by_ab
+            acc = {}
+
+            def add(i1, ridx, w):
+                k = ridx[:d] + (i1,) + ridx[d:]
+                acc[k] = acc.get(k, 0) + w
+
+            # joins: boundary j is absorbed, the decorations multiply
+            for j, mj in enumerate(rest):
+                others = rest[:j] + rest[j + 1 :]
+                for c, w in self._joins(m1, mj):
+                    for cidx, val in self._tensor(g, (c,) + others).items():
+                        val = w * val
+                        head, tail = cidx[1 : j + 1], cidx[j + 1 :]
+                        for i1, ij, p in self._prod_by_k[cidx[0]]:
+                            add(i1, head + (ij,) + tail, p * val)
+            # loops and splits: the distinguished decoration is coproduced
+            for a, b, w in self._cuts(m1):
+                for cidx, val in self._tensor(g - 1, (a, b) + rest).items():
+                    for i1, c in delta.get(cidx[:2], ()):
+                        add(i1, cidx[2:], w * c * val)
+                for g1 in range(g + 1):
+                    for I, J, inv in _splits(len(rest)):
+                        if self.stable_splits and min(2 * g1 + len(I), 2 * (g - g1) + len(J)) < 2:
+                            continue
+                        T1 = self._tensor(g1, (a,) + tuple(rest[t] for t in I))
+                        if not T1:
+                            continue
+                        T2 = self._tensor(g - g1, (b,) + tuple(rest[t] for t in J))
+                        for idx1, v1 in T1.items():
+                            for idx2, v2 in T2.items():
+                                lst = delta.get((idx1[0], idx2[0]))
+                                if lst is None:
+                                    continue
+                                both = idx1[1:] + idx2[1:]
+                                ridx = tuple(both[p] for p in inv)
+                                vv = w * v1 * v2
+                                for i1, c in lst:
+                                    add(i1, ridx, c * vv)
+            scale = self._scale(m1)
+            out = {k: v if scale is None else v * scale for k, v in acc.items() if v}
+            self._tensors[key] = out
+        if canon == mu or not out:
+            return out
+        # send each requested position to an unused canonical slot of its degree
+        slots = {}
+        for pos, m in enumerate(canon):
+            slots.setdefault(m, []).append(pos)
+        pi = [slots[m].pop(0) for m in mu]
+        return {tuple(cidx[p] for p in pi): v for cidx, v in out.items()}
+
+    # -- export ----------------------------------------------------------------
+
+    def rows(self):
+        """(g, mu, decor, value) for every memoized nonzero entry, sorted;
+        decor is empty for a table built without an algebra."""
+        return sorted(
+            (g, mu, idx if self.decorated else (), v)
+            for (g, mu), T in self._tensors.items()
+            for idx, v in T.items()
+        )
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["g", "n", self.degree_column, "decor", "value"])
+        for g, mu, decor, v in self.rows():
+            writer.writerow(
+                [g, len(mu), " ".join(map(str, mu)), " ".join(map(str, decor)), str(v)]
+            )
+        return buf.getvalue()

@@ -75,6 +75,8 @@ class FrobeniusAlgebra:
         self._derive(check)
         if check:
             self._verify()
+        # the tensors are immutable tuples, so the hash is fixed
+        self._hash = hash((self.dim, self.product_tensor, self.pairing))
 
     # -- construction ------------------------------------------------------
 
@@ -247,7 +249,7 @@ class FrobeniusAlgebra:
         )
 
     def __hash__(self):
-        return hash((self.dim, self.product_tensor, self.pairing))
+        return self._hash
 
     def __repr__(self):
         return f"FrobeniusAlgebra(dim={self.dim}, labels={self.labels})"
@@ -302,7 +304,7 @@ class AlgebraElement:
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.coeffs))
+        return hash((self.algebra, self.coeffs))
 
     def __repr__(self):
         terms = [

@@ -1,11 +1,10 @@
 """Psi-class correlators via the DVV recursion and its decorated variant.
 
-The recursion reduces the distinguished (largest) exponent: pair terms
-merge two insertions with a double-factorial weight, loop and split terms
-cut the distinguished insertion in two.  The decorated variant threads a
-Frobenius algebra through the same skeleton: pair terms multiply the two
-decorations, loop and split terms route the distinguished decoration
-through the coproduct.
+Both run as kernels of the cut-and-join engine in ``tqftrec.cutjoin``; the
+scalar correlators are the trivial-algebra case.  Pair terms merge two
+insertions with a double-factorial weight, loop and split terms cut the
+distinguished insertion in two, and the bases are the three-point tensor
+at (0,3) and 1/24 times the pairing of the coproduct at (1,1).
 
 Double-factorial convention: the recursion here divides the pair term by
 (2 k1 + 1)!!.  The variant dividing by (2 k1 - 1)!! is selectable with
@@ -17,13 +16,11 @@ contributes zero.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
-from .frobenius import AlgebraElement, FrobeniusAlgebra
+from .cutjoin import CutJoinTable
+from .frobenius import AlgebraElement, FrobeniusAlgebra, omega_tqft
 
 Rational = Fraction
 
@@ -58,204 +55,50 @@ def _validate(g: int, n: int, k: Sequence[int]) -> Tuple[int, ...]:
     return k
 
 
-def _distinguish(pairs):
-    i = max(range(len(pairs)), key=lambda j: (pairs[j][0], -j))
-    return pairs[i], pairs[:i] + pairs[i + 1 :]
-
-
-class CorrelatorTable:
+class CorrelatorTable(CutJoinTable):
     """Memoized correlators, optionally decorated by a Frobenius algebra."""
+
+    degree_column = "k"
 
     def __init__(self, algebra: FrobeniusAlgebra = None, *, convention: str = "fixed"):
         if convention not in ("fixed", "printed"):
             raise ValueError("convention must be 'fixed' or 'printed'")
-        self.algebra = algebra
+        super().__init__(algebra)
         self.convention = convention
-        self._memo: Dict = {}
 
-    def _pair_weight(self, k1: int, kj: int) -> Fraction:
+    def _validate(self, g, k):
+        return _validate(g, len(k), k)
+
+    def _vanishes(self, g, k):
+        return min(k) < 0 or sum(k) != 3 * g - 3 + len(k)
+
+    def _base_case(self, g, k):
+        A = self.algebra
+        if (g, len(k)) == (0, 3):
+            return self._sparse(3, lambda i, j, l: A.three_point[i][j][l])
+        if (g, len(k)) == (1, 1):
+            # the one-handle weight: the pairing of the coproduct
+            D, eta, r = A.coproduct_tensor, A.pairing, range(A.dim)
+            return self._sparse(
+                1, lambda i: Fraction(1, 24) * sum(D[i][a][b] * eta[a][b] for a in r for b in r)
+            )
+        return None
+
+    def _joins(self, k1, kj):
         denom_k1 = 2 * k1 + 1 if self.convention == "fixed" else 2 * k1 - 1
-        return Fraction(
+        weight = Fraction(
             double_factorial(2 * k1 + 2 * kj - 1),
             double_factorial(denom_k1) * double_factorial(2 * kj - 1),
         )
+        return ((k1 + kj - 1, weight),)
 
-    def _cut_weight(self, k1: int, l: int, m: int) -> Fraction:
-        return Fraction(
-            double_factorial(2 * l + 1) * double_factorial(2 * m + 1),
-            double_factorial(2 * k1 + 1),
-        )
-
-    # -- scalar ------------------------------------------------------------
-
-    def untwisted(self, g: int, k: Sequence[int]) -> Rational:
-        k = _validate(g, len(k), k)
-        if any(x < 0 for x in k):
-            return Fraction(0)
-        if sum(k) != 3 * g - 3 + len(k):
-            return Fraction(0)
-        return self._corr(g, k)
-
-    def _corr(self, g: int, k: Tuple[int, ...]) -> Rational:
-        n = len(k)
-        if g < 0 or any(x < 0 for x in k):
-            return Fraction(0)
-        if sum(k) != 3 * g - 3 + n:
-            return Fraction(0)
-        if (g, n) == (0, 3):
-            return Fraction(1)
-        if (g, n) == (1, 1):
-            return Fraction(1, 24)
-        if 2 * g - 2 + n <= 0:
-            return Fraction(0)
-        key = (g, tuple(sorted(k)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        (k1, _), rest = _distinguish([(x, None) for x in k])
-        rest = tuple(x for x, _ in rest)
-        total = Fraction(0)
-        for j, kj in enumerate(rest):
-            others = rest[:j] + rest[j + 1 :]
-            if k1 + kj - 1 < 0:
-                continue
-            total += self._pair_weight(k1, kj) * self._corr(
-                g, (k1 + kj - 1,) + others
-            )
-        idxs = list(range(len(rest)))
-        for l in range(k1 - 1):
-            m = k1 - 2 - l
-            w = Fraction(1, 2) * self._cut_weight(k1, l, m)
-            total += w * self._corr(g - 1, (l, m) + rest)
-            for g1 in range(g + 1):
-                for r in range(len(rest) + 1):
-                    for I in combinations(idxs, r):
-                        ki = tuple(rest[t] for t in I)
-                        kj_ = tuple(rest[t] for t in idxs if t not in I)
-                        if 2 * g1 - 2 + len(ki) + 1 <= 0:
-                            continue
-                        if 2 * (g - g1) - 2 + len(kj_) + 1 <= 0:
-                            continue
-                        total += w * self._corr(g1, (l,) + ki) * self._corr(
-                            g - g1, (m,) + kj_
-                        )
-        self._memo[key] = total
-        return total
-
-    # -- decorated ----------------------------------------------------------
-
-    def twisted(self, g: int, k: Sequence[int], vs: Sequence[AlgebraElement]) -> Rational:
-        if self.algebra is None:
-            raise ValueError("this table was built without an algebra")
-        k = _validate(g, len(k), k)
-        if len(vs) != len(k):
-            raise ValueError("need one decoration per insertion")
-        rows = []
-        for v in vs:
-            if not isinstance(v, AlgebraElement):
-                raise TypeError("decorations must be algebra elements")
-            if v.algebra != self.algebra:
-                raise ValueError("decoration does not belong to the given algebra")
-            rows.append(v.coeffs)
-        total = Fraction(0)
-
-        def rec(pos, coeff, idxs):
-            nonlocal total
-            if coeff == 0:
-                return
-            if pos == len(rows):
-                total += coeff * self._tcorr(g, tuple(zip(k, idxs)))
-                return
-            for i, c in enumerate(rows[pos]):
-                if c != 0:
-                    rec(pos + 1, coeff * c, idxs + [i])
-
-        rec(0, Fraction(1), [])
-        return total
-
-    def _omega11(self, i: int) -> Rational:
-        """Pairing of the coproduct of a basis vector: the one-handle weight."""
-        A = self.algebra
-        return sum(
-            A.coproduct_tensor[i][a][b] * A.pairing[a][b]
-            for a in range(A.dim)
-            for b in range(A.dim)
-        )
-
-    def _tcorr(self, g: int, pairs) -> Rational:
-        A = self.algebra
-        n = len(pairs)
-        k = tuple(x for x, _ in pairs)
-        if g < 0 or any(x < 0 for x in k):
-            return Fraction(0)
-        if sum(k) != 3 * g - 3 + n:
-            return Fraction(0)
-        if (g, n) == (0, 3):
-            i, j, l = (idx for _, idx in pairs)
-            return A.three_point[i][j][l]
-        if (g, n) == (1, 1):
-            return Fraction(1, 24) * self._omega11(pairs[0][1])
-        if 2 * g - 2 + n <= 0:
-            return Fraction(0)
-        key = (g, tuple(sorted(pairs)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        (k1, i1), rest = _distinguish(list(pairs))
-        rest = tuple(rest)
-        total = Fraction(0)
-        for j, (kj, ij) in enumerate(rest):
-            others = rest[:j] + rest[j + 1 :]
-            if k1 + kj - 1 < 0:
-                continue
-            w = self._pair_weight(k1, kj)
-            for idx, c in enumerate(A.product_tensor[i1][ij]):
-                if c != 0:
-                    total += w * c * self._tcorr(g, ((k1 + kj - 1, idx),) + others)
-        delta = A.coproduct_tensor[i1]
-        idxs = list(range(len(rest)))
-        for l in range(k1 - 1):
-            m = k1 - 2 - l
-            w = Fraction(1, 2) * self._cut_weight(k1, l, m)
-            for a in range(A.dim):
-                for b in range(A.dim):
-                    d = delta[a][b]
-                    if d == 0:
-                        continue
-                    total += w * d * self._tcorr(g - 1, ((l, a), (m, b)) + rest)
-                    for g1 in range(g + 1):
-                        for r in range(len(rest) + 1):
-                            for I in combinations(idxs, r):
-                                pi = tuple(rest[t] for t in I)
-                                pj = tuple(rest[t] for t in idxs if t not in I)
-                                if 2 * g1 - 2 + len(pi) + 1 <= 0:
-                                    continue
-                                if 2 * (g - g1) - 2 + len(pj) + 1 <= 0:
-                                    continue
-                                total += w * d * self._tcorr(
-                                    g1, ((l, a),) + pi
-                                ) * self._tcorr(g - g1, ((m, b),) + pj)
-        self._memo[key] = total
-        return total
-
-    # -- export --------------------------------------------------------------
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["g", "n", "k", "decor", "value"])
-        for key in sorted(self._memo):
-            g, prof = key
-            if prof and isinstance(prof[0], tuple):
-                ks = tuple(x for x, _ in prof)
-                decor = tuple(i for _, i in prof)
-            else:
-                ks, decor = prof, ()
-            writer.writerow(
-                [g, len(ks), " ".join(map(str, ks)), " ".join(map(str, decor)),
-                 str(self._memo[key])]
-            )
-        return buf.getvalue()
+    def _cuts(self, k1):
+        return [
+            (l, m, Fraction(double_factorial(2 * l + 1) * double_factorial(2 * m + 1),
+                            2 * double_factorial(2 * k1 + 1)))
+            for l in range(k1 - 1)
+            for m in (k1 - 2 - l,)
+        ]
 
 
 _SCALAR = CorrelatorTable()
@@ -294,8 +137,6 @@ def check_tauG(
     vs: Sequence[AlgebraElement],
 ) -> dict:
     """Compare the decorated recursion with correlator times the surface amplitude."""
-    from .frobenius import omega_tqft
-
     k = _validate(g, n, k)
     lhs = twisted_correlator(g, n, k, algebra, vs)
     rhs = correlator(g, n, k) * omega_tqft(algebra, g, n, vs)

@@ -1,5 +1,6 @@
 """Unit tests for the Catalan, dessin, and lattice recursions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -124,12 +125,27 @@ def test_lattice_pinned_values():
 
 
 def test_lattice_matches_catalog():
+    # odd perimeters vanish; the (0,3) profiles whose longest boundary
+    # exceeds the other two together are a known disagreement
     A = trivial_algebra()
     v = A.basis(0)
-    for mu in ((2,), (4,), (6,), (8,)):
-        assert lattice_twisted(1, 1, mu, A, [v]) == count_lattice_points(1, 1, mu)
-    for mu in ((1, 1, 2), (2, 2, 2), (1, 2, 3)):
-        assert lattice_twisted(0, 3, mu, A, [v] * 3) == count_lattice_points(0, 3, mu)
+    for b in range(1, 13):
+        assert lattice_twisted(1, 1, (b,), A, [v]) == count_lattice_points(1, 1, (b,)), b
+    for mu in itertools.product(range(1, 6), repeat=3):
+        if 2 * max(mu) <= sum(mu):
+            assert lattice_twisted(0, 3, mu, A, [v] * 3) == count_lattice_points(0, 3, mu), mu
+
+
+def test_lattice_long_boundary_values():
+    # Norbury's closed forms for N_{1,2} and N_{0,4}, on profiles whose
+    # split terms meet (0,2) children, which the recursion must skip
+    A = trivial_algebra()
+    v = A.basis(0)
+    assert lattice_twisted(1, 2, (1, 5), A, [v] * 2) == 1
+    assert lattice_twisted(1, 2, (2, 4), A, [v] * 2) == Fraction(1, 2)
+    assert lattice_twisted(0, 4, (2, 2, 2, 2), A, [v] * 4) == 3
+    # the recursion's value; the catalog gives 1 (a known disagreement)
+    assert lattice_twisted(0, 3, (1, 1, 4), A, [v] * 3) == Fraction(3, 2)
 
 
 def test_lattice_missing_base_case():
@@ -152,7 +168,15 @@ def test_table_export_round_trip():
     table.untwisted(0, (4,))
     data = table.to_json()
     fresh = CatalanTable()
-    assert fresh.load_scalar_entries(data) >= 1
+    assert fresh.load_json(data) >= 1
     assert fresh.untwisted(0, (4,)) == 2
+    # a dump for another table, or an edited one, is refused whole
+    with pytest.raises(ValueError):
+        CatalanTable(z2_algebra()).load_json(data)
+    data["entries"][-1]["value"] = "999"
+    with pytest.raises(ValueError):
+        CatalanTable().load_json(data)
+    # a decorated table still answers scalar queries
+    assert CatalanTable(z2_algebra()).untwisted(0, (4,)) == 2
     csv_text = table.to_csv()
     assert csv_text.splitlines()[0] == "g,n,mu,decor,value"

@@ -6,7 +6,7 @@ import contextlib
 
 import pytest
 
-from tqftrec import cli
+from tqftrec import amodel, cli
 
 
 def run_cli(*argv):
@@ -32,6 +32,19 @@ def test_omega_both_methods_agree():
     data = json.loads(out)
     assert data["formula"] == "2"
     assert data["brute"] == "2"
+    assert data["match"] is True
+
+
+def test_omega_single_decoration_covers_every_boundary():
+    code, out = run_cli(
+        "--format", "json",
+        "omega", "--group", "builtin:S3", "--g", "1", "--n", "2",
+        "--decor", "[(1 2)]", "--method", "both",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["decor"] == ["[(1 2)]", "[(1 2)]"]
+    assert data["formula"] == data["brute"] == "18"
     assert data["match"] is True
 
 
@@ -131,14 +144,48 @@ def test_verify_quick_passes():
     assert data["all_passed"] is True
 
 
-def test_cache_round_trip(tmp_path):
+def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "catalan.json"
     code1, out1 = run_cli(
         "catalan", "--g", "1", "--n", "1", "--mu", "4", "--cache", str(cache)
     )
     assert code1 == 0 and cache.exists()
+    capsys.readouterr()
     code2, out2 = run_cli(
         "catalan", "--g", "1", "--n", "1", "--mu", "4", "--cache", str(cache)
     )
     assert code2 == 0
     assert out1 == out2
+    # the file it wrote passes every check on reading
+    assert capsys.readouterr().err == ""
+
+
+def test_edited_cache_cannot_change_the_answer(tmp_path):
+    cache = tmp_path / "catalan.json"
+    argv = ("catalan", "--g", "0", "--n", "1", "--mu", "4", "--cache", str(cache))
+    assert run_cli(*argv) == (0, "2\n")
+    data = json.loads(cache.read_text())
+    for entry in data["entries"]:
+        if entry["mu"] == [4]:
+            entry["value"] = "999"
+    cache.write_text(json.dumps(data))
+    assert run_cli(*argv) == (0, "2\n")
+    # the refused file was rewritten with the recomputed value
+    rewritten = json.loads(cache.read_text())
+    assert {"g": 0, "mu": [4], "decor": [], "value": "2"} in rewritten["entries"]
+    cache.write_text("{not json")
+    assert run_cli(*argv) == (0, "2\n")
+    # a zero denominator under a valid digest, and nesting too deep to parse
+    body = json.loads(cache.read_text())
+    del body["sha256"]
+    body["entries"][-1]["value"] = "1/0"
+    cache.write_text(json.dumps(dict(body, sha256=amodel._digest(body))))
+    assert run_cli(*argv) == (0, "2\n")
+    cache.write_text("[" * 100000)
+    assert run_cli(*argv) == (0, "2\n")
+
+
+def test_deep_input_is_a_budget_error():
+    code, out = run_cli("catalan", "--g", "0", "--n", "1", "--mu", "3000")
+    assert code == cli.EXIT_BUDGET
+    assert out == ""

@@ -133,3 +133,11 @@ def test_to_json_has_stable_fields():
     data = A.to_json()
     assert data["dim"] == 2
     assert list(data["labels"]) == list(A.labels)
+
+
+def test_hash_agrees_with_equality():
+    A, B = z2_algebra(), z2_algebra()
+    assert A is not B and A == B and hash(A) == hash(B)
+    assert A.basis(1) == B.basis(1)
+    assert len({A.basis(1), B.basis(1)}) == 1
+    assert len({A.basis(0), B.basis(1)}) == 2

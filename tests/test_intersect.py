@@ -40,6 +40,14 @@ def test_pinned_higher_values():
     assert correlator(1, 2, (0, 2)) == Fraction(1, 24)
 
 
+def test_one_point_closed_form():
+    # <tau_{3g-2}>_{g,1} = 1 / (24^g g!)
+    factorial = 1
+    for g in range(1, 7):
+        factorial *= g
+        assert correlator(g, 1, (3 * g - 2,)) == Fraction(1, 24**g * factorial), g
+
+
 def test_string_equation_sample():
     # <tau_0 prod tau_k> = sum_j <... tau_{k_j - 1} ...>
     for (g, k) in [(0, (0, 0, 1)), (1, (1, 1)), (1, (2,)), (2, (4,))]:
@@ -106,6 +114,13 @@ def test_table_requires_algebra_for_twisted():
     table = CorrelatorTable()
     with pytest.raises(ValueError):
         table.twisted(1, (1,), [trivial_algebra().basis(0)])
+
+
+def test_decorated_table_answers_scalar_queries():
+    z2 = orbifold_frobenius(load_group("Z2"))
+    assert CorrelatorTable(z2).untwisted(2, (4,)) == correlator(2, 1, (4,))
+    printed = CorrelatorTable(z2, convention="printed")
+    assert printed.untwisted(0, (1, 0, 0, 0)) == correlator(0, 4, (1, 0, 0, 0), convention="printed")
 
 
 def test_bad_convention_rejected():
