@@ -155,12 +155,12 @@ _SCALAR_TABLE = CatalanTable()
 _TWISTED_TABLES = {}
 
 
-def _table_for(algebra: FrobeniusAlgebra, canonicalize: bool) -> CatalanTable:
-    key = (algebra, canonicalize)
+def _table_for(algebra: FrobeniusAlgebra, canonicalize: bool, family=CatalanTable):
+    """The shared table of a family over an algebra, built on first use."""
+    key = (family, algebra, canonicalize)
     table = _TWISTED_TABLES.get(key)
     if table is None:
-        table = CatalanTable(algebra, canonicalize=canonicalize)
-        _TWISTED_TABLES[key] = table
+        table = _TWISTED_TABLES[key] = family(algebra, canonicalize=canonicalize)
     return table
 
 
@@ -306,7 +306,14 @@ def lattice_twisted(
     base_cases: Optional[Mapping] = None,
     canonicalize: bool = True,
 ) -> Rational:
-    """Decorated lattice-point count of metric ribbon graphs."""
+    """Decorated lattice-point count of metric ribbon graphs.
+
+    Calls with the default base cases share one table per algebra and
+    ``canonicalize``; caller-supplied ``base_cases`` get a fresh table.
+    """
     mu = _validate_profile(g, n, mu)
-    table = LatticeTable(algebra, base_cases, canonicalize=canonicalize)
+    if base_cases is None:
+        table = _table_for(algebra, canonicalize, LatticeTable)
+    else:
+        table = LatticeTable(algebra, base_cases, canonicalize=canonicalize)
     return table.value(g, mu, vs)

@@ -4,14 +4,16 @@ The curve is x = z + 1/z, y = -z, written in the coordinate
 t = (z+1)/(z-1).  The stable coefficient functions w_{g,n}(t_1..t_n)
 (differential frame dt_1...dt_n implicit) satisfy a residue recursion:
 the kernel times a bracket of lower differentials, summed over the poles
-t = +-t_i.  An assembled derivative form of the same recursion is used as
-the production path wherever the bracket's pair partners are stable.
+t = +-t_i.  The recursion is written once, over a Frobenius algebra: the
+bracket is contracted through the coproduct, and the scalar w_{g,n} is
+the one-dimensional trivial algebra.
 
-The one exception is (0,3): there both pair partners are the unstable
-(0,2) differential, whose poles at t = +-t_2, +-t_3 the assembled
-derivative form does not capture.  For (0,3) the residue evaluation is
-authoritative; the two paths are proved equal for every other computed
-case and the discrepancy is documented in the repository notes.
+Every w_{g,n} is kept as a sparse Laurent map {exponent tuple: Fraction}
+per index tuple.  Since every stable w is a Laurent polynomial, the
+integrand's only poles besides +-t_i are t = 0 and t = oo, so the residue
+sum is minus the residues there: the t^-1 coefficients of two truncated
+expansions.  No rational-function arithmetic runs on the recursion; sympy
+only wraps its results.
 
 The inverse Laplace transform back to the counting side expands each
 variable at x_i = infinity; the contract is that the coefficient of
@@ -22,10 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import sympy as sp
 
+from .cutjoin import TRIVIAL
 from .exact import BudgetError, MultiRatFun, Rational, symbol
 from .frobenius import FrobeniusAlgebra
 
@@ -57,11 +60,9 @@ def _t(i: int) -> sp.Symbol:
     return symbol("t%d" % i)
 
 
-_TV = symbol("t_int")  # integration variable of the recursion contour
-
-
-def _stable(g: int, n: int) -> bool:
-    return 2 * g - 2 + n > 0
+def _require_stable(g: int, n: int) -> None:
+    if not (g >= 0 and n >= 1 and 2 * g - 2 + n > 0):
+        raise ValueError("w_{%d,%d} is unstable; w02() gives (0,2)" % (g, n))
 
 
 # -- spectral curve ---------------------------------------------------------
@@ -171,176 +172,201 @@ def verify_kernel_integral() -> bool:
     return sp.cancel(sp.Rational(1, 2) * numerator / denominator - closed) == 0
 
 
-# -- residue machinery ------------------------------------------------------
+# -- the recursion on sparse Laurent maps -----------------------------------
+
+# Monomial products one call of wgn/twisted_wgn may spend on types not yet
+# memoized.  From cold: twisted w_{0,5} over Z2 needs 50048, the most any
+# test, README example or benchmark query needs; w_{0,6} 39556, w_{1,5}
+# 159322, w_{0,7} 442556.
+WGN_WORK_BUDGET = 100000
+
+_CUBE = {0: -1, 2: 3, 4: -3, 6: 1}  # (t^2-1)^3 by degree in t
 
 
-def _rat_residue(f, var, point):
-    """Residue of a rational function at a finite point, by polynomial division."""
-    num, den = sp.fraction(sp.cancel(sp.together(f)))
-    den = sp.Poly(den, var)
-    order = 0
-    d = den
-    while True:
-        q, r = sp.div(d.as_expr(), var - point, var)
-        if sp.simplify(r) != 0:
-            break
-        order += 1
-        d = sp.Poly(sp.cancel(q), var)
-    if order == 0:
-        return sp.Integer(0)
-    regular = sp.cancel(num / d.as_expr())
-    return sp.cancel(
-        (sp.diff(regular, var, order - 1) / sp.factorial(order - 1)).subs(var, point)
-    )
+def _add_into(acc: Dict, terms: Dict, scale=1) -> None:
+    for e, c in terms.items():
+        acc[e] = acc.get(e, 0) + scale * c
 
 
-def _kernel_sum_expr(t1):
-    """The kernel with its 1/2 * 1/32 prefactor pulled into the residue sum."""
-    return (1 / (_TV + t1) + 1 / (_TV - t1)) * (_TV**2 - 1) ** 3 / _TV**2
+def _mul(a: Dict, b: Dict) -> Dict:
+    """Product of two Laurent maps {exponent tuple: Fraction}."""
+    out: Dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple([x + y for x, y in zip(ea, eb)])
+            out[e] = out.get(e, 0) + ca * cb
+    return out
 
 
-def _residue_transform(bracket, n) -> sp.Expr:
-    """Minus 1/64 times the residues of K * bracket at every +-t_i."""
-    f = sp.cancel(sp.together(_kernel_sum_expr(_t(1)) * bracket))
-    total = sp.Integer(0)
-    for i in range(1, n + 1):
-        total += _rat_residue(f, _TV, _t(i)) + _rat_residue(f, _TV, -_t(i))
-    return sp.cancel(sp.together(-sp.Rational(1, 64) * total))
+def _place(terms: Dict, dest, n: int) -> Dict:
+    """The Laurent map in n slots: source slot k goes to slot dest[k][0],
+    its variable times the sign dest[k][1]."""
+    out: Dict = {}
+    for e, c in terms.items():
+        key = [0] * n
+        for (slot, sign), x in zip(dest, e):
+            key[slot] += x
+            c = -c if sign < 0 and x % 2 else c
+        key = tuple(key)
+        out[key] = out.get(key, 0) + c
+    return out
 
 
-def _subs_slots(expr, n_from: int, args) -> sp.Expr:
-    """Substitute t1..t<n_from> in expr by the given expressions, simultaneously."""
-    return expr.subs(
-        [(_t(i + 1), a) for i, a in enumerate(args)], simultaneous=True
-    )
+def _pole(s: int, j: int, n: int, terms: Dict, at_infinity: bool) -> Dict:
+    """1/(s t + t_j)^2 to as many terms as ``terms`` can meet in a degree the
+    kernel keeps: sum (l+1)(-s)^l t^l t_j^(-l-2) at t = 0, keeping t^m with
+    m <= 0, and the same with t and t_j swapped at t = oo, keeping m >= 2."""
+    degrees = [e[0] for e in terms] or [0]
+    out = {}
+    for l in range(max(degrees) - 3 if at_infinity else 1 - min(degrees)):
+        e = [0] * n
+        e[0], e[j] = (-l - 2, l) if at_infinity else (l, -l - 2)
+        out[tuple(e)] = Fraction((l + 1) * (-s) ** l)
+    return out
 
 
-_WGN_CACHE: Dict[Tuple[int, int], sp.Expr] = {}
+class _Recursion:
+    """The recursion over one algebra, memoized by (g, n).
 
-
-def _eval_piece(g: int, n: int, args) -> sp.Expr:
-    """A lower differential evaluated at the given argument expressions."""
-    if (g, n) == (0, 2):
-        return 1 / (args[0] + args[1]) ** 2
-    return _subs_slots(_wgn_expr(g, n), n, args)
-
-
-def _geo_bracket(g: int, n: int) -> sp.Expr:
-    """The recursion bracket at (g,n): loop term plus all splits except (0,1).
-
-    The loop term at coincident arguments (t,-t) of a (0,2) piece uses the
-    regularized value 1/(4t^2).
+    w_{g,n} is kept as {index tuple: Laurent map}, zero entries left out.
+    A bracket term is a Laurent map in (t, t2..tn), exponent slot 0 being
+    the integration variable t, times the (0,2) pole factors 1/(s t + t_j)^2
+    its split carries, listed as (s, j); the residue evaluation turns slot 0
+    into t1.
     """
-    rest = [_t(i) for i in range(2, n + 1)]
-    bracket = sp.Integer(0)
-    if g >= 1:
-        if (g - 1, n + 1) == (0, 2):
-            bracket += 1 / (4 * _TV**2)
-        else:
-            bracket += _eval_piece(g - 1, n + 1, [_TV, -_TV] + rest)
-    idxs = list(range(len(rest)))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for r in range(len(rest) + 1):
-            for I in combinations(idxs, r):
-                J = [k for k in idxs if k not in I]
-                if g1 == 0 and not I:
-                    continue
-                if g2 == 0 and not J:
-                    continue
-                bracket += _eval_piece(
-                    g1, len(I) + 1, [_TV] + [rest[k] for k in I]
-                ) * _eval_piece(g2, len(J) + 1, [-_TV] + [rest[k] for k in J])
-    return bracket
 
+    def __init__(self, algebra: FrobeniusAlgebra):
+        self.algebra = algebra
+        self.memo: Dict[Tuple[int, int], Dict] = {}
+        self.work, self.request = 0, (0, 0)
 
-def _wgn_expr(g: int, n: int) -> sp.Expr:
-    if not _stable(g, n):
-        raise ValueError(
-            "w_{%d,%d} is unstable; use w02() or the (0,1) closed form" % (g, n)
-        )
-    key = (g, n)
-    hit = _WGN_CACHE.get(key)
-    if hit is not None:
+    def _product(self, a: Dict, b: Dict) -> Dict:
+        self.work += len(a) * len(b)
+        if self.work > WGN_WORK_BUDGET:
+            raise BudgetError("w_{%d,%d} exceeds the budget of %d monomial products"
+                              % (self.request + (WGN_WORK_BUDGET,)))
+        return _mul(a, b)
+
+    def tensor(self, g: int, n: int) -> Dict:
+        hit = self.memo.get((g, n))
+        if hit is None:
+            hit = self.memo[(g, n)] = self._evaluate(n, self._bracket(g, n))
         return hit
-    if (g, n) == (0, 3):
-        # Both pair partners are unstable (0,2) pieces here; the assembled
-        # derivative form misses their poles, so evaluate the residues.
-        expr = _residue_transform(_geo_bracket(0, 3), 3)
-    else:
-        expr = _assembled_expr(g, n)
-    _WGN_CACHE[key] = expr
-    return expr
 
+    def _placed(self, g: int, slots: Tuple[int, ...], sign: int, n: int):
+        """(a, indices, poles, Laurent map) for w_{g,1+len(slots)} at
+        (sign*t, t_slots), written in the n slots of a bracket."""
+        A = self.algebra
+        if (g, len(slots)) == (0, 1):
+            return [(a, (i,), ((sign, slots[0]),), {(0,) * n: A.pairing[a][i]})
+                    for a, i in iproduct(range(A.dim), repeat=2) if A.pairing[a][i]]
+        dest = [(0, sign)] + [(j, 1) for j in slots]
+        return [(idx[0], idx[1:], (), _place(terms, dest, n))
+                for idx, terms in self.tensor(g, 1 + len(slots)).items()]
 
-def _assembled_expr(g: int, n: int) -> sp.Expr:
-    """The derivative form of the recursion, valid when pair partners are stable."""
-    t1 = _t(1)
-    total = sp.Integer(0)
-    for j in range(2, n + 1):
-        tj = _t(j)
-        rest = [_t(k) for k in range(2, n + 1) if k != j]
-        at_tj = _eval_piece(g, n - 1, [tj] + rest)
-        total += -sp.diff((tj**2 - 1) ** 3 / (16 * tj * (tj**2 - t1**2)) * at_tj, tj)
-        at_t1 = _eval_piece(g, n - 1, [t1] + rest)
-        total += (
-            -((t1**2 - 1) ** 3)
-            * (t1**2 + tj**2)
-            / (16 * t1**2 * (t1**2 - tj**2) ** 2)
-            * at_t1
-        )
-    rest = [_t(k) for k in range(2, n + 1)]
-    bracket = sp.Integer(0)
-    if g >= 1:
-        if (g - 1, n + 1) == (0, 2):
-            bracket += 1 / (4 * t1**2)
-        else:
-            bracket += _eval_piece(g - 1, n + 1, [t1, t1] + rest)
-    idxs = list(range(len(rest)))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for r in range(len(rest) + 1):
-            for I in combinations(idxs, r):
-                J = [k for k in idxs if k not in I]
-                if not _stable(g1, len(I) + 1) or not _stable(g2, len(J) + 1):
+    def _bracket(self, g: int, n: int) -> Dict:
+        """{(index tuple, poles): Laurent map}: the loop term and every split
+        but those with a (0,1) part, each contracted through the coproduct."""
+        A = self.algebra
+        out: Dict = {}
+
+        def put(rest, a, b, poles, terms):
+            for i1, delta in enumerate(A.coproduct_tensor):
+                if delta[a][b]:
+                    _add_into(out.setdefault(((i1,) + rest, poles), {}), terms, delta[a][b])
+
+        if (g, n) == (1, 1):  # the (0,2) loop term at (t,-t), regularized
+            for a, b in iproduct(range(A.dim), repeat=2):
+                put((), a, b, (), {(-2,): A.pairing[a][b] / 4})
+        elif g >= 1:
+            dest = [(0, 1), (0, -1)] + [(j, 1) for j in range(1, n)]
+            for idx, terms in self.tensor(g - 1, n + 1).items():
+                put(idx[2:], idx[0], idx[1], (), _place(terms, dest, n))
+        slots = range(1, n)
+        for g1, r in iproduct(range(g + 1), range(n)):
+            for I in combinations(slots, r):
+                J = tuple(j for j in slots if j not in I)
+                if (g1, r) == (0, 0) or (g - g1, len(J)) == (0, 0):
                     continue
-                bracket += _eval_piece(
-                    g1, len(I) + 1, [t1] + [rest[k] for k in I]
-                ) * _eval_piece(g2, len(J) + 1, [t1] + [rest[k] for k in J])
-    total += -((t1**2 - 1) ** 3) / (32 * t1**2) * bracket
-    return sp.cancel(sp.together(total))
+                right = self._placed(g - g1, J, -1, n)
+                for a, ia, pa, la in self._placed(g1, I, 1, n):
+                    for b, ib, pb, lb in right:
+                        rest = tuple(x for _, x in sorted(zip(I + J, ia + ib)))
+                        put(rest, a, b, pa + pb, self._product(la, lb))
+        return out
+
+    def _evaluate(self, n: int, bracket: Dict) -> Dict:
+        """Minus 1/64 times the residues of K * bracket at every t = +-t_i.
+
+        Every stable w is a Laurent polynomial, so the integrand's only other
+        poles are t = 0 and t = oo, and the residue sum is -(Res_0 + Res_oo).
+        K/64 = (t^2-1)^3 / (32 t (t^2-t1^2)), and 1/(t(t^2-t1^2)) is
+        -sum t^(2k-1) t1^(-2k-2) at 0 and sum t1^(2k) t^(-2k-3) at oo.  So a
+        bracket term times (t^2-1)^3/32 and its poles gives -t1^(m-2) times
+        each even t^m coefficient: from its expansion at 0 when m <= 0, and
+        from its expansion at oo when m >= 2.
+        """
+        cube = {(d,) + (0,) * (n - 1): Fraction(c, 32) for d, c in _CUBE.items()}
+        out: Dict = {}
+        for (idx, poles), terms in bracket.items():
+            base, acc = self._product(terms, cube), out.setdefault(idx, {})
+            for at_infinity in (False, True):
+                keep = (lambda m: m >= 2) if at_infinity else (lambda m: m <= 0)
+                expansion = {e: c for e, c in base.items() if keep(e[0])}
+                for s, j in poles:
+                    factor = _pole(s, j, n, expansion, at_infinity)
+                    expansion = {e: c for e, c in self._product(expansion, factor).items() if keep(e[0])}
+                for e, c in expansion.items():
+                    if e[0] % 2 == 0:
+                        key = (e[0] - 2,) + e[1:]
+                        acc[key] = acc.get(key, 0) - c
+        out = {idx: {e: c for e, c in acc.items() if c} for idx, acc in out.items()}
+        return {idx: acc for idx, acc in out.items() if acc}
+
+
+_RECURSIONS: Dict[FrobeniusAlgebra, _Recursion] = {}
+
+
+def _laurent_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> Dict:
+    """w_{g,n} over the algebra as {index tuple: Laurent map}."""
+    rec = _RECURSIONS.get(algebra)
+    if rec is None:
+        rec = _RECURSIONS[algebra] = _Recursion(algebra)
+    rec.work, rec.request = 0, (g, n)
+    return rec.tensor(g, n)
 
 
 def wgn(g: int, n: int) -> MultiRatFun:
-    """The stable coefficient function w_{g,n}(t1..tn)."""
-    return MultiRatFun(_wgn_expr(g, n), tvars(n))
+    """The stable coefficient function w_{g,n}(t1..tn): the recursion over
+    the trivial algebra."""
+    _require_stable(g, n)
+    return MultiRatFun._from_laurent(_laurent_wgn(g, n, TRIVIAL).get((0,) * n, {}), tvars(n))
 
 
 def residue_check(g: int, n: int) -> dict:
-    """Recompute w_{g,n} by residue extraction and compare with production.
+    """Recompute w_{g,n} with sympy's residue routine and compare with production.
 
-    Only (1,1) and (0,3) are in budget.  The check uses sympy's own residue
-    routine on the full recursion bracket, independent of the polynomial
-    division extractor used in production.
+    Only (1,1) and (0,3) are in budget.  Their brackets involve only w_{0,2}
+    and are written here directly, so the check shares no code with the
+    recursion.
     """
     if (g, n) not in ((1, 1), (0, 3)):
         return {"g": g, "n": n, "in_budget": False, "equal": None}
-    bracket = _geo_bracket(g, n)
-    f = sp.cancel(sp.together(_kernel_sum_expr(_t(1)) * bracket))
+    t, t1, t2, t3 = symbol("t_int"), _t(1), _t(2), _t(3)
+    if n == 1:
+        bracket = 1 / (4 * t**2)
+    else:
+        bracket = 1 / ((t + t2) ** 2 * (-t + t3) ** 2) + 1 / ((t + t3) ** 2 * (-t + t2) ** 2)
+    kernel = (1 / (t + t1) + 1 / (t - t1)) * (t**2 - 1) ** 3 / t**2
+    f = sp.cancel(sp.together(kernel * bracket))
     total = sp.Integer(0)
     for i in range(1, n + 1):
-        total += sp.residue(f, _TV, _t(i)) + sp.residue(f, _TV, -_t(i))
+        total += sp.residue(f, t, _t(i)) + sp.residue(f, t, -_t(i))
     independent = sp.cancel(sp.together(-sp.Rational(1, 64) * total))
-    production = _wgn_expr(g, n)
-    equal = sp.cancel(independent - production) == 0
-    return {
-        "g": g,
-        "n": n,
-        "in_budget": True,
-        "production": MultiRatFun(production, tvars(n)),
-        "residue": MultiRatFun(independent, tvars(n)),
-        "equal": equal,
-    }
+    production = wgn(g, n)
+    equal = sp.cancel(independent - production.expr) == 0
+    return {"g": g, "n": n, "in_budget": True, "production": production,
+            "residue": MultiRatFun(independent, tvars(n)), "equal": equal}
 
 
 # -- twisted differentials --------------------------------------------------
@@ -366,161 +392,15 @@ class TwistedDifferential:
         )
 
 
-_SKELETON_CACHE: Dict = {}
-_TENSOR_CACHE: Dict = {}
-
-
-def _term_skeleton(g: int, n: int):
-    """Structural terms of the recursion at (g,n), with their function parts.
-
-    Each entry is (tag, resfun): the tag records how the term was built
-    (loop over a lower term, or an ordered split of two lower terms), the
-    resfun is the residue-transformed rational-function factor.  The
-    function side is independent of the algebra and shared across all
-    decorated evaluations; the matching tensor side is built per algebra
-    by _term_tensors, walking the same term order.
-    """
-    key = (g, n)
-    hit = _SKELETON_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if (g, n) == (0, 2):
-        terms = [(("w02",), 1 / (_t(1) + _t(2)) ** 2)]
-        _SKELETON_CACHE[key] = terms
-        return terms
-    if not _stable(g, n):
-        raise ValueError("no twisted differential for unstable (%d,%d)" % (g, n))
-    rest_syms = [_t(i) for i in range(2, n + 1)]
-    collected = []
-    if g >= 1:
-        for pos, (tag, fn) in enumerate(_term_skeleton(g - 1, n + 1)):
-            if (g - 1, n + 1) == (0, 2):
-                fn_loop = sp.Rational(1, 4) / _TV**2
-            else:
-                fn_loop = _subs_slots(fn, n + 1, [_TV, -_TV] + rest_syms)
-            collected.append((("loop", pos), fn_loop))
-    idxs = list(range(n - 1))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for r in range(n):
-            for I in combinations(idxs, r):
-                J = tuple(k for k in idxs if k not in I)
-                if g1 == 0 and not I:
-                    continue
-                if g2 == 0 and not J:
-                    continue
-                left = _term_skeleton(g1, len(I) + 1)
-                right = _term_skeleton(g2, len(J) + 1)
-                for p1, (_, f1) in enumerate(left):
-                    for p2, (_, f2) in enumerate(right):
-                        fn = _subs_slots(
-                            f1, len(I) + 1, [_TV] + [rest_syms[k] for k in I]
-                        ) * _subs_slots(
-                            f2, len(J) + 1, [-_TV] + [rest_syms[k] for k in J]
-                        )
-                        collected.append(
-                            (("split", g1, I, J, p1, p2), fn)
-                        )
-    terms = [(tag, _residue_transform(fn, n)) for tag, fn in collected]
-    _SKELETON_CACHE[key] = terms
-    return terms
-
-
-def _term_tensors(algebra: FrobeniusAlgebra, g: int, n: int):
-    """Tensor factors aligned index-by-index with _term_skeleton(g, n).
-
-    The tensors carry the genuine coproduct contractions of the recursion;
-    nothing here assumes the result factors through a single tensor.
-    """
-    key = (algebra, g, n)
-    hit = _TENSOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    dim = algebra.dim
-    if (g, n) == (0, 2):
-        eta = {
-            (i, j): algebra.pairing[i][j]
-            for i in range(dim)
-            for j in range(dim)
-            if algebra.pairing[i][j] != 0
-        }
-        tensors = [eta]
-        _TENSOR_CACHE[key] = tensors
-        return tensors
-    delta = algebra.coproduct_tensor
-
-    def contract_one(tensor):
-        out = {}
-        for idx, c in tensor.items():
-            a, b = idx[0], idx[1]
-            rest_idx = idx[2:]
-            for i1 in range(dim):
-                d = delta[i1][a][b]
-                if d == 0:
-                    continue
-                k = (i1,) + rest_idx
-                out[k] = out.get(k, Fraction(0)) + d * c
-        return {k: v for k, v in out.items() if v != 0}
-
-    def contract_two(tensor1, tensor2, I, J):
-        out = {}
-        order = list(I) + list(J)
-        perm = [0] + [1 + order.index(k) for k in range(n - 1)]
-        for idx1, c1 in tensor1.items():
-            for idx2, c2 in tensor2.items():
-                a, b = idx1[0], idx2[0]
-                rest_idx = idx1[1:] + idx2[1:]
-                for i1 in range(dim):
-                    d = delta[i1][a][b]
-                    if d == 0:
-                        continue
-                    raw = (i1,) + rest_idx
-                    k = tuple(raw[p] for p in perm)
-                    out[k] = out.get(k, Fraction(0)) + d * c1 * c2
-        return {k: v for k, v in out.items() if v != 0}
-
-    tensors = []
-    for tag, _ in _term_skeleton(g, n):
-        if tag[0] == "loop":
-            lower = _term_tensors(algebra, g - 1, n + 1)
-            tensors.append(contract_one(lower[tag[1]]))
-        else:
-            _, g1, I, J, p1, p2 = tag
-            left = _term_tensors(algebra, g1, len(I) + 1)
-            right = _term_tensors(algebra, g - g1, len(J) + 1)
-            tensors.append(contract_two(left[p1], right[p2], I, J))
-    _TENSOR_CACHE[key] = tensors
-    return tensors
-
-
-def _twisted_pure_terms(algebra: FrobeniusAlgebra, g: int, n: int):
-    """w_{g,n} as aligned (tensor, rational function) pure terms."""
-    skeleton = _term_skeleton(g, n)
-    tensors = _term_tensors(algebra, g, n)
-    return [
-        (tensor, fn)
-        for tensor, (_, fn) in zip(tensors, skeleton)
-        if tensor and fn != 0
-    ]
-
-
 def twisted_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> TwistedDifferential:
-    """The decorated differential, computed through genuine coproduct contractions."""
-    if not _stable(g, n):
-        raise ValueError(
-            "twisted w_{%d,%d} is unstable; use w02(algebra)" % (g, n)
-        )
-    terms = _twisted_pure_terms(algebra, g, n)
-    dim = algebra.dim
-    values = {}
-    vars_ = tvars(n)
-    for idx in iproduct(range(dim), repeat=n):
-        expr = sp.Integer(0)
-        for tensor, fn in terms:
-            c = tensor.get(idx)
-            if c:
-                expr += sp.Rational(c.numerator, c.denominator) * fn
-        values[idx] = MultiRatFun(sp.cancel(sp.together(expr)), vars_)
+    """The decorated differential: the recursion with its bracket contracted
+    through the algebra's coproduct, one value for every index tuple."""
+    _require_stable(g, n)
+    tensor = _laurent_wgn(g, n, algebra)
+    values = {
+        idx: MultiRatFun._from_laurent(tensor.get(idx, {}), tvars(n))
+        for idx in iproduct(range(algebra.dim), repeat=n)
+    }
     return TwistedDifferential(g, n, algebra, values)
 
 
@@ -544,14 +424,6 @@ def _series_tables(order: int):
                     r[k] = r.get(k, Fraction(0)) + ca * cb
         return {k: v for k, v in r.items() if v}
 
-    def sadd(a, b):
-        r = dict(a)
-        for k, v in b.items():
-            r[k] = r.get(k, Fraction(0)) + v
-            if r[k] == 0:
-                del r[k]
-        return r
-
     def sinv(a):
         c0 = a[0]
         r = {0: Fraction(1) / c0}
@@ -570,7 +442,8 @@ def _series_tables(order: int):
     zu = {0: Fraction(1)}
     for m in range(1, order // 2 + 1):
         zu[2 * m] = Fraction(-cat[m - 1])
-    t_series = smul(sadd(zu, {1: Fraction(1)}), sinv(sadd(zu, {1: Fraction(-1)})))
+    # zu has only even degrees, so z/x -+ u just sets the degree-1 term
+    t_series = smul({**zu, 1: Fraction(1)}, sinv({**zu, 1: Fraction(-1)}))
     powers = {0: {0: Fraction(1)}, 1: t_series}
     t_inverse = sinv(t_series)
 
@@ -669,41 +542,21 @@ def inverse_laplace_coeffs(g: int, n: int, mu_max: int) -> Dict[Tuple[int, ...],
         )
     if (g, n) == (0, 2):
         return _ilt_02(mu_max)
-    expr = _wgn_expr(g, n)
-    ts = [_t(i) for i in range(1, n + 1)]
-    full = sp.cancel(
-        expr * sp.prod([(ti**2 - 1) ** 2 / (8 * ti) for ti in ts])
-    )
-    num, den = sp.fraction(sp.together(full))
-    pnum = sp.Poly(num, *ts)
-    pden = sp.Poly(den, *ts)
-    if len(pden.terms()) != 1:
-        raise AssertionError("x-frame numerator over non-monomial denominator")
-    dmon, dcoef = pden.terms()[0]
+    _require_stable(g, n)
+    # the x frame: times (t_i^2-1)^2 / (8 t_i) in every variable
+    terms = _laurent_wgn(g, n, TRIVIAL).get((0,) * n, {})
+    jacobian = {(3,): Fraction(1, 8), (1,): Fraction(-1, 4), (-1,): Fraction(1, 8)}
+    for i in range(n):
+        terms = _mul(terms, _place(jacobian, [(i, 1)], n))
     tpow = _series_tables(order)
     out: Dict[Tuple[int, ...], Fraction] = {}
-    for mon, c in pnum.terms():
-        q = sp.Rational(c) / sp.Rational(dcoef)
-        term = {(): Fraction(int(q.p), int(q.q))}
-        for i in range(n):
-            series = tpow(mon[i] - dmon[i])
-            grown = {}
-            for key, cv in term.items():
-                for k, sv in series.items():
-                    kk = key + (k,)
-                    grown[kk] = grown.get(kk, Fraction(0)) + cv * sv
-            term = {k: v for k, v in grown.items() if v}
-        for k, v in term.items():
-            out[k] = out.get(k, Fraction(0)) + v
-    coeffs = {}
-    for key, v in out.items():
-        if v == 0:
-            continue
-        if all(1 <= e <= mu_max + 1 for e in key):
-            mu = tuple(e - 1 for e in key)
-            if all(m >= 1 for m in mu):
-                coeffs[mu] = v
-    return coeffs
+    for mon, c in terms.items():
+        term = {(0,) * n: c}
+        for i, e in enumerate(mon):  # mu_i = k - 1 must be at least 1
+            series = {(k,): v for k, v in tpow(e).items() if 2 <= k <= order}
+            term = _mul(term, _place(series, [(i, 1)], n))
+        _add_into(out, term)
+    return {tuple(k - 1 for k in key): v for key, v in out.items() if v}
 
 
 # -- coordinate frames ------------------------------------------------------

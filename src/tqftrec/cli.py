@@ -80,7 +80,7 @@ def emit(report: dict, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         rows = report.get("rows")
         if isinstance(rows, list) and rows and isinstance(rows[0], dict):
-            header = list(rows[0].keys())
+            header = list(dict.fromkeys(k for row in rows for k in row))
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_render_flat(row.get(h)) for h in header])
@@ -395,14 +395,17 @@ def cmd_verify(args) -> dict:
     rows = []
     ok = True
     for name, suite in VERIFY_SUITES:
+        error = None
         try:
             passed = bool(suite(full))
         except BudgetError:
             raise
-        except Exception:
-            passed = False
+        except Exception as exc:  # a crashing suite fails, and says why
+            passed, error = False, "%s: %s" % (type(exc).__name__, exc)
         ok &= passed
         rows.append({"suite": name, "result": "pass" if passed else "FAIL"})
+        if error is not None:
+            rows[-1]["error"] = error
     return {"level": args.level, "all_passed": ok, "rows": rows}
 
 

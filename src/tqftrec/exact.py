@@ -125,6 +125,24 @@ class MultiRatFun:
             raise UnknownVariableError(f"{name!r} not among {vars}")
         return cls(symbol(name), vars)
 
+    @classmethod
+    def _from_laurent(cls, terms: Mapping[tuple, Scalar], vars: Sequence[str]) -> "MultiRatFun":
+        """A Laurent polynomial {exponent tuple: coefficient}, built in
+        canonical form without cancelling: the denominator is the monomial
+        clearing every negative exponent, and the numerator then has a
+        monomial free of each variable that monomial contains."""
+        syms = [symbol(v) for v in vars]
+        terms = {e: c for e, c in terms.items() if c}
+        low = [min([0] + [e[i] for e in terms]) for i in range(len(syms))]
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", tuple(vars))
+        object.__setattr__(self, "num", sp.Poly.from_dict(
+            {tuple(x - l for x, l in zip(e, low)): _frac_to_sym(c) for e, c in terms.items()},
+            *syms, domain="QQ"))
+        object.__setattr__(self, "den", sp.Poly.from_dict(
+            {tuple(-l for l in low): 1}, *syms, domain="QQ"))
+        return self
+
     # -- basic views -----------------------------------------------------
 
     @property

@@ -148,6 +148,16 @@ def test_lattice_long_boundary_values():
     assert lattice_twisted(0, 3, (1, 1, 4), A, [v] * 3) == Fraction(3, 2)
 
 
+def test_lattice_base_cases_get_their_own_table():
+    # default calls share one table; caller-supplied base cases must not
+    # read from it or write to it
+    A = trivial_algebra()
+    v = A.basis(0)
+    assert lattice_twisted(1, 1, (4,), A, [v]) == Fraction(1, 4)
+    assert lattice_twisted(1, 1, (4,), A, [v], base_cases={(0, 2): lambda mu: 0}) == 0
+    assert lattice_twisted(1, 1, (4,), A, [v]) == Fraction(1, 4)
+
+
 def test_lattice_missing_base_case():
     A = trivial_algebra()
     table = LatticeTable(A, base_cases={}, canonicalize=True)

@@ -1,5 +1,6 @@
 """Unit tests for the spectral-curve differentials."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -105,16 +106,36 @@ def test_twisted_wgn_z2_pinned():
     assert (tw.values[(0,)].expr - 2 * wgn(1, 1).expr).equals(0)
 
 
+@pytest.mark.parametrize("g, n", [(2, 2), (0, 5)])
+def test_twisted_wgn_z2_factorizes_past_acceptance(g, n):
+    A = orbifold_frobenius(load_group("builtin:Z2"))
+    tw = twisted_wgn(g, n, A)
+    scalar = wgn(g, n)
+    scaled = {}
+    assert len(tw.values) == A.dim**n
+    for idx, value in tw.values.items():
+        om = omega_tqft(A, g, n, [A.basis(i) for i in idx])
+        if om not in scaled:
+            scaled[om] = scalar * om
+        assert value == scaled[om], idx
+
+
 def test_inverse_laplace_budget_gate():
     with pytest.raises(BudgetError):
         inverse_laplace_coeffs(1, 1, 40)
 
 
 def test_inverse_laplace_matches_catalan_spot():
-    coeffs = inverse_laplace_coeffs(1, 1, 6)
-    for mu1 in range(1, 7):
-        expected = -catalan(1, 1, (mu1,))
-        assert coeffs.get((mu1,), Fraction(0)) == expected
+    for g, n, mu_max in [(1, 1, 6), (2, 1, 10), (2, 2, 6), (1, 3, 4), (0, 5, 2)]:
+        coeffs = inverse_laplace_coeffs(g, n, mu_max)
+        profiles = list(itertools.product(range(1, mu_max + 1), repeat=n))
+        assert set(coeffs) <= set(profiles)
+        nonzero = 0
+        for mu in profiles:
+            expected = (-1) ** n * catalan(g, n, mu)
+            assert coeffs.get(mu, Fraction(0)) == expected, (g, n, mu)
+            nonzero += expected != 0
+        assert nonzero, (g, n)
 
 
 def test_inverse_laplace_02_matches_counts():

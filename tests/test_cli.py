@@ -3,10 +3,14 @@
 import io
 import json
 import contextlib
+import pathlib
+import shlex
 
 import pytest
 
-from tqftrec import amodel, cli
+from tqftrec import amodel, bmodel, cli
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -189,3 +193,43 @@ def test_deep_input_is_a_budget_error():
     code, out = run_cli("catalan", "--g", "0", "--n", "1", "--mu", "3000")
     assert code == cli.EXIT_BUDGET
     assert out == ""
+
+
+def test_wgn_budget_exits_3_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(bmodel, "WGN_WORK_BUDGET", 50)
+    monkeypatch.setattr(bmodel, "_RECURSIONS", {})
+    assert cli.main(["wgn", "--g", "0", "--n", "5"]) == cli.EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("budget exceeded: w_{0,5}") and "Traceback" not in err
+    assert cli.main(["wgn", "--g", "0", "--n", "6", "--group", "builtin:Z2"]) == cli.EXIT_BUDGET
+
+
+def test_verify_names_the_exception(monkeypatch):
+    def crashes(full):
+        raise ZeroDivisionError("no inverse")
+
+    suites = [("fine", lambda full: True), ("crashes", crashes)]
+    monkeypatch.setattr(cli, "VERIFY_SUITES", suites)
+    code, out = run_cli("--format", "json", "verify")
+    assert code == cli.EXIT_INTERNAL
+    assert json.loads(out)["rows"] == [
+        {"suite": "fine", "result": "pass"},
+        {"suite": "crashes", "result": "FAIL", "error": "ZeroDivisionError: no inverse"},
+    ]
+    code, out = run_cli("--format", "csv", "verify")
+    assert out.splitlines() == [
+        "suite,result,error", "fine,pass,", "crashes,FAIL,ZeroDivisionError: no inverse"
+    ]
+
+
+def _readme_commands():
+    block = README.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("tqft ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_examples_run(argv):
+    code, out = run_cli(*argv)
+    assert code == 0 and out

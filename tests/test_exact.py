@@ -48,6 +48,21 @@ def test_canonical_form_is_deterministic():
     assert f.to_json() == g.to_json()
 
 
+def test_laurent_constructor_is_canonical():
+    x, y = symbol("x"), symbol("y")
+    cases = [
+        ({}, 0),
+        ({(0, 0): Fraction(3, 2), (-1, 0): Fraction(0)}, Fraction(3, 2)),
+        ({(2, 1): Fraction(1), (0, 3): Fraction(-1, 4)}, x**2 * y - y**3 / 4),
+        ({(-2, 1): Fraction(2), (1, -3): Fraction(1, 3), (0, 0): Fraction(-1)},
+         2 * y / x**2 + x / (3 * y**3) - 1),
+    ]
+    for terms, expr in cases:
+        f = MultiRatFun._from_laurent(terms, ["x", "y"])
+        g = MultiRatFun(expr, ["x", "y"])
+        assert f == g and hash(f) == hash(g) and f.to_json() == g.to_json()
+
+
 def test_arithmetic_matches_fraction_evaluation():
     x = symbol("x")
     f = MultiRatFun((x**2 - 1) / (x + 2), ["x"])
