@@ -1,35 +1,63 @@
 """Cell graphs (ribbon graphs with labeled vertices) and their amplitudes.
 
 A cell graph is stored as per-vertex cyclic lists of half-edges plus a
-perfect matching.  The genus comes from face tracing and the Euler
-formula.  ``eca_evaluate`` computes the TQFT amplitude of a decorated
-graph by repeated edge contraction: contracting an edge between distinct
-vertices multiplies their decorations; contracting a loop applies the
-coproduct to the vertex decoration, splitting its cyclic order in two,
-with a product of component amplitudes when the loop disconnects the
-graph.  The module also houses two brute-force enumerators used as
-oracles: arrowed-graph counts by perfect-matching enumeration and a small
-catalog-based lattice-point count.
+perfect matching; its genus comes from tracing the faces and the Euler
+formula.
+
+``eca_functional_all_orders`` is the one edge-contraction walk.  It
+contracts the edges in every order on decoration-free states (the cyclic
+orders and the matching), memoized on the state, and maps every basis
+decoration tuple to the set of values reached.  Contracting an edge
+between distinct vertices multiplies their decorations through the
+product; contracting a loop splits the cyclic order of its vertex in two
+and routes the decoration through the coproduct, with a product of
+component amplitudes when the loop disconnects the graph.
+``eca_evaluate`` contracts that map with the decorations.
+
+``_matchings`` is the one perfect-matching enumerator, behind both
+``count_matchings_by_genus`` and ``all_matchings``.  It counts the faces
+while gluing.  The faces are the cycles of phi = rotation o matching, an
+unmatched half-edge being fixed by the matching; gluing a to b swaps
+phi[a] and phi[b], which splits their cycle in two when a and b lie on
+one cycle and merges their two cycles otherwise.  A union-find without
+path compression, whose one assignment per gluing is undone on
+backtrack, counts the components.  No complete matching is traced again.
+
+The module also holds a small catalog-based lattice-point oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Mapping, Sequence
 
 from .exact import BudgetError, Rational
-from .frobenius import AlgebraElement, FrobeniusAlgebra, counit, product
+from .frobenius import AlgebraElement, FrobeniusAlgebra
 
 DEFAULT_HALF_EDGE_BUDGET = 16
 
-try:  # the jitted enumerator is optional; the pure fallback is authoritative
-    import numpy as _np
-    from numba import njit as _njit
 
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
+def _components(cycles, partner) -> list:
+    """The vertex lists of the connected components of the graph whose
+    vertex v holds the half-edges ``cycles[v]``, half-edge h being matched
+    with ``partner[h]``."""
+    owner = {h: v for v, cyc in enumerate(cycles) for h in cyc}
+    parent = list(range(len(cycles)))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for h, v in owner.items():
+        a, b = root(v), root(owner[partner[h]])
+        if a != b:
+            parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for v in range(len(cycles)):
+        groups.setdefault(root(v), []).append(v)
+    return list(groups.values())
 
 
 class CellGraph:
@@ -80,6 +108,11 @@ class CellGraph:
             raise ValueError(f"slot {h} out of range at vertex {v}")
         return self._offsets[v - 1] + h
 
+    def _cycles(self) -> tuple:
+        """The half-edge ids at each vertex, in cyclic order."""
+        off = self._offsets
+        return tuple(tuple(range(off[v], off[v + 1])) for v in range(self.n))
+
     def vertex_of(self, gid: int) -> int:
         for v in range(self.n):
             if gid < self._offsets[v + 1]:
@@ -111,24 +144,7 @@ class CellGraph:
         return count
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        total = sum(self.degrees)
-        for h in range(total):
-            a = find(self.vertex_of(h))
-            b = find(self.vertex_of(self.partner[h]))
-            if a != b:
-                parent[a] = b
-        root = find(0)
-        return all(find(v) == root for v in range(self.n))
+        return len(_components(self._cycles(), self.partner)) == 1
 
     def genus(self) -> int:
         chi = self.n - self.edges + self.faces()
@@ -169,281 +185,129 @@ def genus(graph: CellGraph) -> int:
 
 # -- edge-contraction evaluation ----------------------------------------------
 
-# internal state: verts = tuple of (coeffs tuple, cycle tuple of tokens),
-# partner = mapping token -> token
+# A state is a tuple of per-vertex cycles of half-edge tokens and a dict
+# matching token to token; decorations never enter it.
 
 
-def _initial_state(graph: CellGraph, vs: Sequence[AlgebraElement]):
-    verts = []
-    for v in range(graph.n):
-        off = graph._offsets[v]
-        cyc = tuple(range(off, off + graph.degrees[v]))
-        verts.append((vs[v].coeffs, cyc))
-    partner = {h: graph.partner[h] for h in range(sum(graph.degrees))}
-    return tuple(verts), partner
+def _contract_edge(cycles, partner, vi, idx):
+    """Contract the edge at half-edge ``cycles[vi][idx]``.
 
-
-def _components(verts, partner):
-    pos = {}
-    for vi, (_, cyc) in enumerate(verts):
-        for tok in cyc:
-            pos[tok] = vi
-    parent = list(range(len(verts)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in partner.items():
-        ra, rb = find(pos[a]), find(pos[b])
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for vi in range(len(verts)):
-        groups.setdefault(find(vi), []).append(vi)
-    return list(groups.values())
-
-
-def _contract_edge(verts, partner, vi, p_idx):
-    """Contract the edge whose one half-edge sits at vertex vi, slot p_idx.
-
-    Returns ("join", new_verts, new_partner) for an edge between distinct
-    vertices (decoration of the merged vertex left as a placeholder pair),
-    or ("loop", new_verts, new_partner, piece_positions) for a loop, where
-    the split vertex occupies two consecutive positions.
+    Returns the contracted (cycles, partner) and the other end vj.  An edge
+    to another vertex merges vi and vj at position min(vi, vj); for a loop
+    vj is None and the two pieces of vi take positions vi and vi + 1.
     """
-    coeffs_i, cyc_i = verts[vi]
-    h = cyc_i[p_idx]
+    cyc_i = cycles[vi]
+    h = cyc_i[idx]
     p = partner[h]
-    new_partner = {k: w for k, w in partner.items() if k not in (h, p)}
+    left = {k: w for k, w in partner.items() if k not in (h, p)}
     if p in cyc_i:
-        q_idx = cyc_i.index(p)
-        a, b = sorted((p_idx, q_idx))
-        cycle1 = cyc_i[a + 1:b]
-        cycle2 = cyc_i[b + 1:] + cyc_i[:a]
-        new_verts = (
-            verts[:vi]
-            + ((None, cycle1), (None, cycle2))
-            + verts[vi + 1:]
-        )
-        return "loop", new_verts, new_partner, (vi, vi + 1)
-    # edge between distinct vertices
-    vj = None
-    for w, (_, cyc) in enumerate(verts):
-        if p in cyc:
-            vj = w
-            break
-    cyc_j = verts[vj][1]
-    q_idx = cyc_j.index(p)
-    merged = (
-        cyc_i[:p_idx]
-        + cyc_j[q_idx + 1:]
-        + cyc_j[:q_idx]
-        + cyc_i[p_idx + 1:]
-    )
-    lo, hi = min(vi, vj), max(vi, vj)
-    new_verts = (
-        verts[:lo]
-        + (((vi, vj), merged),)
-        + verts[lo + 1:hi]
-        + verts[hi + 1:]
-    )
-    return "join", new_verts, new_partner, (vi, vj, lo)
+        a, b = sorted((idx, cyc_i.index(p)))
+        pieces = (cyc_i[a + 1:b], cyc_i[b + 1:] + cyc_i[:a])
+        return cycles[:vi] + pieces + cycles[vi + 1:], left, None
+    vj = next(w for w, cyc in enumerate(cycles) if p in cyc)
+    cyc_j = cycles[vj]
+    q = cyc_j.index(p)
+    merged = cyc_i[:idx] + cyc_j[q + 1:] + cyc_j[:q] + cyc_i[idx + 1:]
+    lo, hi = sorted((vi, vj))
+    return cycles[:lo] + (merged,) + cycles[lo + 1:hi] + cycles[hi + 1:], left, vj
 
 
-def _eval_state(A: FrobeniusAlgebra, verts, partner, choose_all: bool,
-                memo=None):
-    """Evaluate a connected decorated state.  With choose_all, return the
-    set of values over every admissible contraction order; otherwise a
-    single value using the fixed rule (first half-edge at the lowest
-    vertex).  Orders reconverge on common intermediate states, so the
-    all-orders walk memoizes on the state itself."""
-    if memo is not None:
-        # hash coefficients as integer pairs; Fraction.__hash__ is costly
-        state_key = (
-            tuple(
-                (tuple((c.numerator, c.denominator) for c in coeffs), cyc)
-                for coeffs, cyc in verts
-            ),
-            tuple(sorted(partner.items())),
-        )
-        hit = memo.get(state_key)
-        if hit is not None:
-            return hit
-    live = [vi for vi, (_, cyc) in enumerate(verts) if cyc]
-    if not live:
-        if len(verts) != 1:
+def _walk(A: FrobeniusAlgebra, cycles, partner, memo) -> dict:
+    """{basis index tuple: set of values over every contraction order} of a
+    connected state.  Orders reconverge on common states, so the walk is
+    memoized on the state."""
+    key = (cycles, tuple(sorted(partner.items())))
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if not partner:
+        if len(cycles) != 1:
             raise ValueError("disconnected state reached terminal evaluation")
-        val = sum(
-            (c * e for c, e in zip(verts[0][0], A.counit)), Fraction(0))
-        return {val} if choose_all else val
-
-    if choose_all:
-        choices = []
-        seen_edges = set()
-        for vi in live:
-            cyc = verts[vi][1]
-            for idx, tok in enumerate(cyc):
-                edge = frozenset((tok, partner[tok]))
-                if edge in seen_edges:
+        out = {(i,): {A.counit[i]} for i in range(A.dim)}
+    else:
+        out = {}
+        seen = set()
+        for vi, cyc in enumerate(cycles):
+            for idx, h in enumerate(cyc):
+                if partner[h] in seen:  # the edge was taken from its other end
                     continue
-                seen_edges.add(edge)
-                choices.append((vi, idx))
-        results = set()
-        for vi, idx in choices:
-            results |= _eval_choice(A, verts, partner, vi, idx, True, memo)
-        if memo is not None:
-            memo[state_key] = results
-        return results
-    vi = live[0]
-    return _eval_choice(A, verts, partner, vi, 0, False)
+                seen.add(h)
+                for d, vals in _contract(A, cycles, partner, vi, idx, memo).items():
+                    out.setdefault(d, set()).update(vals)
+    memo[key] = out
+    return out
 
 
-def _eval_choice(A, verts, partner, vi, idx, choose_all, memo=None):
-    kind, new_verts, new_partner, info = _contract_edge(verts, partner, vi, idx)
-    s = A.dim
-    if kind == "join":
-        _, _, lo = info
-        cu = verts[info[0]][0]
-        cw = verts[info[1]][0]
-        merged = [Fraction(0)] * s
+def _contract(A: FrobeniusAlgebra, cycles, partner, vi, idx, memo) -> dict:
+    """The values of every order that contracts ``cycles[vi][idx]`` first."""
+    new_cycles, new_partner, vj = _contract_edge(cycles, partner, vi, idx)
+    n, basis = len(cycles), range(A.dim)
+    if vj is not None:  # the decorations of vi and vj multiply
+        lo = min(vi, vj)
+        T = _walk(A, new_cycles, new_partner, memo)
         pt = A.product_tensor
-        for i, ci in enumerate(cu):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(cw):
-                if cj == 0:
-                    continue
-                cij = ci * cj
-                for k, c in enumerate(pt[i][j]):
-                    if c != 0:
-                        merged[k] += cij * c
-        merged_coeffs = tuple(merged)
-        new_verts = (
-            new_verts[:lo]
-            + ((merged_coeffs, new_verts[lo][1]),)
-            + new_verts[lo + 1:]
-        )
-        return _eval_state(A, new_verts, new_partner, choose_all, memo)
-    # loop: coproduct of the decoration, distributed over the two pieces
-    pos1, pos2 = info
-    coeffs = verts[vi][0]
-    W = [
-        [
-            sum((coeffs[i] * A.coproduct_tensor[i][a][b] for i in range(s)),
-                Fraction(0))
-            for b in range(s)
-        ]
-        for a in range(s)
-    ]
-    comps = _components(new_verts, new_partner)
-    comp_of = {}
-    for comp in comps:
-        for v in comp:
-            comp_of[v] = tuple(comp)
-    connected = comp_of[pos1] == comp_of[pos2] and len(comps) == 1
 
-    def with_basis(vts, pos, a):
-        e = [Fraction(0)] * s
-        e[a] = Fraction(1)
-        return vts[:pos] + ((tuple(e), vts[pos][1]),) + vts[pos + 1:]
+        def terms(d):
+            rest = [d[p] for p in range(n) if p != vi and p != vj]
+            return [(c, T[tuple(rest[:lo] + [k] + rest[lo:])])
+                    for k, c in enumerate(pt[d[vi]][d[vj]]) if c]
+    else:  # the decoration of vi is coproduced onto the two pieces
+        comps = _components(new_cycles, new_partner)
+        if len(comps) == 1:
+            sub = _walk(A, new_cycles, new_partner, memo).__getitem__
+        else:  # the loop separated the graph: evaluate the two parts apart
+            if len(comps) != 2:
+                raise ValueError("unexpected component structure after loop split")
+            parts = []
+            for comp in comps:
+                toks = {h for v in comp for h in new_cycles[v]}
+                part = {h: w for h, w in new_partner.items() if h in toks}
+                parts.append((comp, _walk(A, tuple(new_cycles[v] for v in comp), part, memo)))
+            (c1, T1), (c2, T2) = parts
 
-    if connected:
-        if choose_all:
-            acc = None
-            for a in range(s):
-                for b in range(s):
-                    if W[a][b] == 0:
-                        continue
-                    sub = _eval_state(
-                        A, with_basis(with_basis(new_verts, pos1, a), pos2, b),
-                        new_partner, True, memo)
-                    term = {W[a][b] * x for x in sub}
-                    acc = term if acc is None else {
-                        x + y for x in acc for y in term}
-            return acc if acc is not None else {Fraction(0)}
-        total = Fraction(0)
-        for a in range(s):
-            for b in range(s):
-                if W[a][b] == 0:
-                    continue
-                total += W[a][b] * _eval_state(
-                    A, with_basis(with_basis(new_verts, pos1, a), pos2, b),
-                    new_partner, False)
-        return total
-    # the loop separated the graph: evaluate the two components apart
-    comp1 = comp_of[pos1]
-    comp2 = comp_of[pos2]
-    if set(comp1) | set(comp2) != set(range(len(new_verts))) or comp1 == comp2:
-        raise ValueError("unexpected component structure after loop split")
+            def sub(full):
+                return {x * y for x in T1[tuple(full[p] for p in c1)]
+                        for y in T2[tuple(full[p] for p in c2)]}
+        delta = A.coproduct_tensor
 
-    def restrict(vts, comp):
-        sub = tuple(vts[v] for v in comp)
-        toks = {tok for v in comp for tok in vts[v][1]}
-        subp = {k: w for k, w in new_partner.items() if k in toks}
-        return sub, subp
-
-    if choose_all:
+        def terms(d):
+            return [(w, sub(d[:vi] + (a, b) + d[vi + 1:]))
+                    for a in basis for b in basis if (w := delta[d[vi]][a][b])]
+    out = {}
+    for d in product(basis, repeat=n):
         acc = None
-        for a in range(s):
-            for b in range(s):
-                if W[a][b] == 0:
-                    continue
-                v1, p1 = restrict(with_basis(new_verts, pos1, a), comp1)
-                v2, p2 = restrict(with_basis(new_verts, pos2, b), comp2)
-                s1 = _eval_state(A, v1, p1, True, memo)
-                s2 = _eval_state(A, v2, p2, True, memo)
-                term = {W[a][b] * x * y for x in s1 for y in s2}
-                acc = term if acc is None else {
-                    x + y for x in acc for y in term}
-        return acc if acc is not None else {Fraction(0)}
-    total = Fraction(0)
-    for a in range(s):
-        for b in range(s):
-            if W[a][b] == 0:
-                continue
-            v1, p1 = restrict(with_basis(new_verts, pos1, a), comp1)
-            v2, p2 = restrict(with_basis(new_verts, pos2, b), comp2)
-            total += W[a][b] * _eval_state(A, v1, p1, False) \
-                * _eval_state(A, v2, p2, False)
-    return total
+        for w, vals in terms(d):
+            term = {w * y for y in vals}
+            acc = term if acc is None else {x + y for x in acc for y in term}
+        out[d] = {Fraction(0)} if acc is None else acc
+    return out
 
 
 def eca_evaluate(graph: CellGraph, A: FrobeniusAlgebra,
                  vs: Sequence[AlgebraElement]) -> Rational:
-    """Amplitude of the decorated graph by edge contraction, using the
-    fixed order: always the slot-0 half-edge at the lowest live vertex."""
+    """Amplitude of the decorated graph by edge contraction: the map of
+    ``eca_functional_all_orders`` contracted with the decorations.  Raises
+    ValueError if contraction orders disagree on a basis tuple that the
+    decorations reach."""
     if len(vs) != graph.n:
         raise ValueError("need one decoration per vertex")
-    if not graph.is_connected():
-        raise ValueError("graph must be connected")
-    verts, partner = _initial_state(graph, vs)
-    return _eval_state(A, verts, partner, False)
-
-
-def eca_evaluate_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
-                            vs: Sequence[AlgebraElement],
-                            memo: dict = None) -> set:
-    """All values reachable over every contraction order; a singleton set
-    certifies order independence for this graph and decoration.
-
-    A state fully determines its value set, so a caller sweeping many
-    graphs or decorations over one algebra may pass a shared ``memo``
-    dict to reuse work across calls."""
-    if len(vs) != graph.n:
-        raise ValueError("need one decoration per vertex")
-    if not graph.is_connected():
-        raise ValueError("graph must be connected")
-    verts, partner = _initial_state(graph, vs)
-    return _eval_state(A, verts, partner, True, {} if memo is None else memo)
+    total = Fraction(0)
+    for idx, vals in eca_functional_all_orders(graph, A).items():
+        coeff = Fraction(1)
+        for v, i in zip(vs, idx):
+            coeff *= v.coeffs[i]
+        if coeff:
+            if len(vals) != 1:
+                raise ValueError(
+                    f"contraction orders disagree on basis tuple {idx}: {sorted(vals)}")
+            total += coeff * next(iter(vals))
+    return total
 
 
 def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
                               memo: dict = None) -> dict:
     """Map every basis decoration tuple to its set of values over all
-    contraction orders.
+    contraction orders; a singleton certifies order independence.
 
     Decorations enter the contraction rules linearly, so the whole
     functional can be computed on decoration-free structural states; this
@@ -452,285 +316,51 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
     """
     if not graph.is_connected():
         raise ValueError("graph must be connected")
-    verts, partner = _initial_state(
-        graph, [AlgebraElement(A, A.counit) for _ in range(graph.n)])
-    cycles = tuple(cyc for _, cyc in verts)
-    return _functional_state(
-        A, cycles, partner, {} if memo is None else memo)
-
-
-def _functional_state(A, cycles, partner, memo):
-    from itertools import product as iproduct
-
-    key = (cycles, tuple(sorted(partner.items())))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    s = A.dim
-    n = len(cycles)
-    if all(not cyc for cyc in cycles):
-        if n != 1:
-            raise ValueError("disconnected state reached terminal evaluation")
-        out = {(i,): {A.counit[i]} for i in range(s)}
-        memo[key] = out
-        return out
-    choices = []
-    seen_edges = set()
-    for vi, cyc in enumerate(cycles):
-        for idx, tok in enumerate(cyc):
-            edge = frozenset((tok, partner[tok]))
-            if edge in seen_edges:
-                continue
-            seen_edges.add(edge)
-            choices.append((vi, idx))
-    out = {}
-    for vi, idx in choices:
-        piece = _functional_choice(A, cycles, partner, vi, idx, memo)
-        for d, vals in piece.items():
-            out.setdefault(d, set()).update(vals)
-    memo[key] = out
-    return out
-
-
-def _functional_choice(A, cycles, partner, vi, idx, memo):
-    from itertools import product as iproduct
-
-    s = A.dim
-    n = len(cycles)
-    verts = tuple((None, cyc) for cyc in cycles)
-    kind, new_verts, new_partner, info = _contract_edge(verts, partner, vi, idx)
-    new_cycles = tuple(cyc for _, cyc in new_verts)
-    zero = Fraction(0)
-    if kind == "join":
-        va, vb, lo = info
-        Tc = _functional_state(A, new_cycles, new_partner, memo)
-        pt = A.product_tensor
-        out = {}
-        for d in iproduct(range(s), repeat=n):
-            i, j = d[va], d[vb]
-            rest = [d[p] for p in range(n) if p != va and p != vb]
-            acc = None
-            for k in range(s):
-                c = pt[i][j][k]
-                if c == 0:
-                    continue
-                sub = Tc[tuple(rest[:lo] + [k] + rest[lo:])]
-                term = {c * x for x in sub}
-                acc = term if acc is None else {x + y for x in acc for y in term}
-            out[d] = acc if acc is not None else {zero}
-        return out
-    pos1, pos2 = info
-    delta = A.coproduct_tensor
-    comps = _components(new_verts, new_partner)
-    connected = len(comps) == 1
-    if connected:
-        Tc = _functional_state(A, new_cycles, new_partner, memo)
-        out = {}
-        for d in iproduct(range(s), repeat=n):
-            i = d[vi]
-            acc = None
-            for a in range(s):
-                for b in range(s):
-                    w = delta[i][a][b]
-                    if w == 0:
-                        continue
-                    sub = Tc[d[:vi] + (a, b) + d[vi + 1:]]
-                    term = {w * x for x in sub}
-                    acc = term if acc is None else {
-                        x + y for x in acc for y in term}
-            out[d] = acc if acc is not None else {zero}
-        return out
-    comp_of = {}
-    for comp in comps:
-        for v in comp:
-            comp_of[v] = tuple(sorted(comp))
-    comp1 = comp_of[pos1]
-    comp2 = comp_of[pos2]
-    if set(comp1) | set(comp2) != set(range(len(new_cycles))) or comp1 == comp2:
-        raise ValueError("unexpected component structure after loop split")
-
-    def restrict(comp):
-        sub = tuple(new_cycles[v] for v in comp)
-        toks = {tok for v in comp for tok in new_cycles[v]}
-        subp = {k2: w for k2, w in new_partner.items() if k2 in toks}
-        return sub, subp
-
-    c1, p1 = restrict(comp1)
-    c2, p2 = restrict(comp2)
-    T1 = _functional_state(A, c1, p1, memo)
-    T2 = _functional_state(A, c2, p2, memo)
-    out = {}
-    for d in iproduct(range(s), repeat=n):
-        i = d[vi]
-        acc = None
-        for a in range(s):
-            for b in range(s):
-                w = delta[i][a][b]
-                if w == 0:
-                    continue
-                full = d[:vi] + (a, b) + d[vi + 1:]
-                s1 = T1[tuple(full[p] for p in comp1)]
-                s2 = T2[tuple(full[p] for p in comp2)]
-                term = {w * x * y for x in s1 for y in s2}
-                acc = term if acc is None else {
-                    x + y for x in acc for y in term}
-        out[d] = acc if acc is not None else {zero}
-    return out
+    return _walk(A, graph._cycles(), dict(enumerate(graph.partner)),
+                 {} if memo is None else memo)
 
 
 # -- matching enumeration oracle ----------------------------------------------
 
 
-def _count_by_genus_py(degrees: Sequence[int]) -> dict:
-    """Counts of perfect matchings by genus of the resulting connected
-    graph; pure-python reference."""
-    vert = []
-    for v, d in enumerate(degrees):
-        vert.extend([v] * d)
-    H = len(vert)
-    nxt = {}
-    start = 0
-    for v, d in enumerate(degrees):
-        for s in range(d):
-            nxt[start + s] = start + (s + 1) % d
-        start += d
-    res: dict[int, int] = {}
-    n = len(degrees)
+def _matchings(degrees: Sequence[int]):
+    """Yield (partner, faces, components) for every perfect matching of the
+    half-edges, pairing the lowest unmatched half-edge with each later one
+    in turn.  ``partner`` is the enumerator's own list, valid until the
+    next step; ``components`` counts degree-0 vertices too."""
+    vert = [v for v, d in enumerate(degrees) for _ in range(d)]
+    phi = []  # rotation o matching, an unmatched half-edge fixed by the matching
+    for d in degrees:
+        off = len(phi)
+        phi.extend(off + (s + 1) % d for s in range(d))
+    partner = [0] * len(phi)
+    parent = list(range(len(degrees)))
 
-    def tally(partner):
-        parent = list(range(n))
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in partner.items():
-            ra, rb = find(vert[a]), find(vert[b])
-            if ra != rb:
-                parent[ra] = rb
-        if len({find(v) for v in range(n)}) > 1:
+    def glue(rest, faces, components):
+        if not rest:
+            yield partner, faces, components
             return
-        seen = set()
-        F = 0
-        for h in range(H):
-            if h in seen:
-                continue
-            F += 1
-            cur = h
-            while cur not in seen:
-                seen.add(cur)
-                cur = nxt[partner[cur]]
-        g = (2 - (n - H // 2 + F)) // 2
-        res[g] = res.get(g, 0) + 1
+        a = rest[0]
+        for i in range(1, len(rest)):
+            b = rest[i]
+            h = phi[a]  # does the face through a pass through b?
+            while h != a and h != b:
+                h = phi[h]
+            phi[a], phi[b] = phi[b], phi[a]
+            partner[a], partner[b] = b, a
+            ra, rb = root(vert[a]), root(vert[b])
+            parent[ra] = rb
+            yield from glue(rest[1:i] + rest[i + 1:],
+                            faces + (1 if h == b else -1), components - (ra != rb))
+            parent[ra] = ra
+            phi[a], phi[b] = phi[b], phi[a]
 
-    def rec(unmatched, partner):
-        if not unmatched:
-            tally(partner)
-            return
-        a = unmatched[0]
-        for i in range(1, len(unmatched)):
-            b = unmatched[i]
-            partner[a] = b
-            partner[b] = a
-            rec(unmatched[1:i] + unmatched[i + 1:], partner)
-            del partner[a]
-            del partner[b]
-
-    rec(list(range(H)), {})
-    return res
-
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _count_by_genus_jit(vert, nxt, n):  # pragma: no cover - jitted
-        H = vert.shape[0]
-        counts = _np.zeros(H, dtype=_np.int64)
-        partner = _np.full(H, -1, dtype=_np.int64)
-        a_stack = _np.zeros(H // 2, dtype=_np.int64)
-        b_stack = _np.zeros(H // 2, dtype=_np.int64)
-        parent = _np.zeros(n, dtype=_np.int64)
-        seen = _np.zeros(H, dtype=_np.uint8)
-        level = 0
-        b_stack[0] = 0
-        while level >= 0:
-            # find the first unmatched half-edge
-            a = -1
-            for h in range(H):
-                if partner[h] < 0:
-                    a = h
-                    break
-            if a < 0:
-                # complete matching: connectivity then face count
-                for v in range(n):
-                    parent[v] = v
-                for h in range(H):
-                    x = vert[h]
-                    while parent[x] != x:
-                        x = parent[x]
-                    y = vert[partner[h]]
-                    while parent[y] != y:
-                        y = parent[y]
-                    if x != y:
-                        parent[x] = y
-                root = 0
-                while parent[root] != root:
-                    root = parent[root]
-                connected = True
-                for v in range(n):
-                    x = v
-                    while parent[x] != x:
-                        x = parent[x]
-                    if x != root:
-                        connected = False
-                        break
-                if connected:
-                    for h in range(H):
-                        seen[h] = 0
-                    F = 0
-                    for h in range(H):
-                        if seen[h] == 1:
-                            continue
-                        F += 1
-                        cur = h
-                        while seen[cur] == 0:
-                            seen[cur] = 1
-                            cur = nxt[partner[cur]]
-                    g = (2 - (n - H // 2 + F)) // 2
-                    counts[g] += 1
-                # backtrack
-                level -= 1
-                if level >= 0:
-                    partner[a_stack[level]] = -1
-                    partner[b_stack[level]] = -1
-                    b_stack[level] += 1
-                continue
-            # advance: try candidates for a starting at b_stack[level]
-            b = b_stack[level]
-            if b <= a:
-                b = a + 1
-            found = -1
-            for h in range(b, H):
-                if partner[h] < 0 and h != a:
-                    found = h
-                    break
-            if found < 0:
-                level -= 1
-                if level >= 0:
-                    partner[a_stack[level]] = -1
-                    partner[b_stack[level]] = -1
-                    b_stack[level] += 1
-                continue
-            partner[a] = found
-            partner[found] = a
-            a_stack[level] = a
-            b_stack[level] = found
-            level += 1
-            if level < H // 2:
-                b_stack[level] = 0
-        return counts
+    yield from glue(list(range(len(phi))), sum(1 for d in degrees if d > 0), len(degrees))
 
 
 def count_matchings_by_genus(degrees: Sequence[int],
@@ -744,22 +374,13 @@ def count_matchings_by_genus(degrees: Sequence[int],
     if total > budget:
         raise BudgetError(
             f"{total} half-edges exceed budget {budget}")
-    if total == 0:
-        return {0: 1} if len(degrees) == 1 else {}
-    if _HAVE_NUMBA:
-        vert = []
-        for v, d in enumerate(degrees):
-            vert.extend([v] * d)
-        nxt = _np.zeros(total, dtype=_np.int64)
-        start = 0
-        for v, d in enumerate(degrees):
-            for s in range(d):
-                nxt[start + s] = start + (s + 1) % d
-            start += d
-        counts = _count_by_genus_jit(
-            _np.array(vert, dtype=_np.int64), nxt, len(degrees))
-        return {g: int(c) for g, c in enumerate(counts) if c}
-    return _count_by_genus_py(degrees)
+    shift = 2 - len(degrees) + total // 2  # 2g = 2 - V + E - F
+    res: dict[int, int] = {}
+    for _, faces, components in _matchings(degrees):
+        if components == 1:
+            g = (shift - faces) // 2
+            res[g] = res.get(g, 0) + 1
+    return res
 
 
 def count_arrowed_graphs(g: int, n: int, mu: Sequence[int],
@@ -781,31 +402,12 @@ def count_arrowed_graphs(g: int, n: int, mu: Sequence[int],
 def all_matchings(degrees: Sequence[int]) -> Iterator[CellGraph]:
     """All cell graphs with the given degrees (one per perfect matching),
     connected or not."""
-    total = sum(degrees)
-    if total % 2:
+    if sum(degrees) % 2:
         return
-    offsets = [0]
-    for d in degrees:
-        offsets.append(offsets[-1] + d)
-
-    def locate(gid):
-        for v in range(len(degrees)):
-            if gid < offsets[v + 1]:
-                return (v + 1, gid - offsets[v])
-        raise AssertionError
-
-    def rec(unmatched, pairs):
-        if not unmatched:
-            yield CellGraph(degrees,
-                            [(locate(a), locate(b)) for a, b in pairs])
-            return
-        a = unmatched[0]
-        for i in range(1, len(unmatched)):
-            b = unmatched[i]
-            yield from rec(unmatched[1:i] + unmatched[i + 1:],
-                           pairs + [(a, b)])
-
-    yield from rec(list(range(total)), [])
+    slots = [(v + 1, s) for v, d in enumerate(degrees) for s in range(d)]
+    for partner, _, _ in _matchings(degrees):
+        yield CellGraph(degrees, [(slots[a], slots[b])
+                                  for a, b in enumerate(partner) if a < b])
 
 
 # -- lattice-point counting oracle --------------------------------------------

@@ -290,12 +290,19 @@ def cmd_correlator(args) -> dict:
 
 # -- verify ---------------------------------------------------------------------
 
+# A suite returns None when it passes, else a short witness naming the first
+# failing case.
+
+
+def _unequal(what: str, got, want):
+    return None if got == want else "%s: %s != %s" % (what, _render_flat(got), _render_flat(want))
+
 
 def _suite_axioms(full: bool):
     names = ["trivial", "Z2", "Z3", "Z4", "Z2xZ2", "S3"] + (["Q8"] if full else [])
     for name in names:
         groups.orbifold_frobenius(groups.load_group("builtin:" + name))
-    return True
+    return None
 
 
 def _suite_omega(full: bool):
@@ -309,9 +316,10 @@ def _suite_omega(full: bool):
             for i in range(A.dim):
                 formula = omega_tqft(A, g, 1, [A.basis(i)])
                 brute = groups.omega_brute(G, g, [i], cd=cd)
-                if formula != brute:
-                    return False
-    return True
+                witness = _unequal("omega %s g=%d %s" % (name, g, A.labels[i]), formula, brute)
+                if witness:
+                    return witness
+    return None
 
 
 def _suite_catalan(full: bool):
@@ -323,9 +331,11 @@ def _suite_catalan(full: bool):
         (1, 2, (3, 3)),
     ]
     for g, n, mu in profiles:
-        if amodel.catalan(g, n, mu) != cellgraph.count_arrowed_graphs(g, n, mu):
-            return False
-    return True
+        witness = _unequal("catalan g=%d mu=%s" % (g, mu), amodel.catalan(g, n, mu),
+                           cellgraph.count_arrowed_graphs(g, n, mu))
+        if witness:
+            return witness
+    return None
 
 
 def _suite_lattice(full: bool):
@@ -335,49 +345,52 @@ def _suite_lattice(full: bool):
     if full:
         profiles += [(0, 3, (1, 2, 3)), (1, 1, (8,))]
     for g, n, mu in profiles:
-        got = amodel.lattice_twisted(g, n, mu, T, [u] * n)
-        if got != cellgraph.count_lattice_points(g, n, mu):
-            return False
-    return True
+        witness = _unequal("lattice g=%d mu=%s" % (g, mu),
+                           amodel.lattice_twisted(g, n, mu, T, [u] * n),
+                           cellgraph.count_lattice_points(g, n, mu))
+        if witness:
+            return witness
+    return None
 
 
 def _suite_bmodel(full: bool):
     if not bmodel.verify_w02_identity():
-        return False
+        return "w02 identity fails"
     if not bmodel.residue_check(1, 1)["equal"]:
-        return False
-    w11 = bmodel.wgn(1, 1)
+        return "residue check (1,1) disagrees with the recursion"
     t1 = MultiRatFun.var("t1", ("t1",))
-    target = -((t1**2 - 1) ** 3) / (t1**4 * 128)
-    if w11 != target:
-        return False
-    if full:
-        if not bmodel.verify_kernel_integral():
-            return False
-        if not bmodel.residue_check(0, 3)["equal"]:
-            return False
-        co = bmodel.inverse_laplace_coeffs(1, 1, 6)
-        for mu in ((4,), (6,)):
-            if co.get(mu, Fraction(0)) != -amodel.catalan(1, 1, mu):
-                return False
-    return True
+    witness = _unequal("w11", bmodel.wgn(1, 1), -((t1**2 - 1) ** 3) / (t1**4 * 128))
+    if witness or not full:
+        return witness
+    if not bmodel.verify_kernel_integral():
+        return "kernel integral fails"
+    if not bmodel.residue_check(0, 3)["equal"]:
+        return "residue check (0,3) disagrees with the recursion"
+    co = bmodel.inverse_laplace_coeffs(1, 1, 6)
+    for mu in ((4,), (6,)):
+        witness = _unequal("ILT g=1 mu=%s" % (mu,), co.get(mu, Fraction(0)),
+                           -amodel.catalan(1, 1, mu))
+        if witness:
+            return witness
+    return None
 
 
 def _suite_intersect(full: bool):
-    if intersect.correlator(0, 3, (0, 0, 0)) != 1:
-        return False
-    if intersect.correlator(0, 4, (1, 0, 0, 0)) != 1:
-        return False
-    if intersect.correlator(1, 1, (1,)) != Fraction(1, 24):
-        return False
+    for g, n, k, want in ((0, 3, (0, 0, 0), 1), (0, 4, (1, 0, 0, 0), 1),
+                          (1, 1, (1,), Fraction(1, 24))):
+        witness = _unequal("correlator g=%d k=%s" % (g, k), intersect.correlator(g, n, k), want)
+        if witness:
+            return witness
     names = ["Z2"] if not full else ["Z2", "Z3", "S3"]
     for name in names:
         A = groups.orbifold_frobenius(groups.load_group("builtin:" + name))
         for i in range(A.dim):
             rep = intersect.check_tauG(1, 1, (1,), A, [A.basis(i)])
-            if not rep["equal"]:
-                return False
-    return True
+            witness = _unequal("tauG %s g=1 k=(1,) %s" % (name, A.labels[i]),
+                               rep["lhs"], rep["rhs"])
+            if witness:
+                return witness
+    return None
 
 
 VERIFY_SUITES = [
@@ -395,15 +408,18 @@ def cmd_verify(args) -> dict:
     rows = []
     ok = True
     for name, suite in VERIFY_SUITES:
-        error = None
+        witness = error = None
         try:
-            passed = bool(suite(full))
+            witness = suite(full)
         except BudgetError:
             raise
         except Exception as exc:  # a crashing suite fails, and says why
-            passed, error = False, "%s: %s" % (type(exc).__name__, exc)
+            error = "%s: %s" % (type(exc).__name__, exc)
+        passed = witness is None and error is None
         ok &= passed
         rows.append({"suite": name, "result": "pass" if passed else "FAIL"})
+        if witness is not None:
+            rows[-1]["witness"] = witness
         if error is not None:
             rows[-1]["error"] = error
     return {"level": args.level, "all_passed": ok, "rows": rows}

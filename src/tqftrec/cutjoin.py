@@ -30,6 +30,12 @@ from .frobenius import AlgebraElement, FrobeniusAlgebra, trivial_algebra
 
 TRIVIAL = trivial_algebra()
 
+# Child tensors one request may visit while it fills profiles not yet
+# memoized; a memoized request costs one.  From cold: correlator g=9 needs
+# 820181 (about 5 s), g=10 2674162, catalan mu=(1900,) 2256726; no test,
+# README example or benchmark query needs more than 13710.
+CUTJOIN_WORK_BUDGET = 1000000
+
 
 def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n: int):
     """Check n decorations against the algebra and return their coefficient rows."""
@@ -76,6 +82,7 @@ class CutJoinTable:
         self.canonicalize = canonicalize
         self._tensors = {}
         self._scalar = None
+        self._work, self._request = 0, None
         A = self.algebra
         dims = range(A.dim)
         # sparse views of the structure constants, indexed for the
@@ -129,6 +136,7 @@ class CutJoinTable:
         return self._lookup(g, mu).get((0,) * len(mu), Fraction(0))
 
     def _lookup(self, g: int, mu: Tuple[int, ...]):
+        self._work, self._request = 0, (g, list(mu))
         try:
             return self._tensor(g, mu)
         except RecursionError:
@@ -141,6 +149,11 @@ class CutJoinTable:
         The cut-and-join step on the distinguished boundary is written
         inline, so that each level of the recursion costs one Python frame.
         """
+        self._work += 1
+        if self._work > CUTJOIN_WORK_BUDGET:
+            g0, mu0 = self._request
+            raise BudgetError("profile g=%d, %s=%s needs more than %d child tensors"
+                              % (g0, self.degree_column, mu0, CUTJOIN_WORK_BUDGET))
         if g < 0 or self._vanishes(g, mu):
             return {}
         canon = tuple(sorted(mu, reverse=True)) if self.canonicalize else mu

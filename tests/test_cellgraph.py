@@ -1,5 +1,6 @@
 """Unit tests for cell graphs, edge contraction, and the enumeration oracles."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from tqftrec.cellgraph import (
     count_lattice_points,
     count_matchings_by_genus,
     eca_evaluate,
-    eca_evaluate_all_orders,
+    eca_functional_all_orders,
 )
 from tqftrec.exact import BudgetError
 from tqftrec.frobenius import omega_tqft, trivial_algebra
@@ -58,21 +59,50 @@ def test_eca_matches_surface_amplitude_spot():
 
 def test_all_orders_is_singleton():
     A = orbifold_frobenius(load_group("builtin:S3"))
-    g = crossing_loops()
-    vs = [A.basis(0)]
-    vals = eca_evaluate_all_orders(g, A, vs)
-    assert vals == {omega_tqft(A, 1, 1, vs)}
+    values = eca_functional_all_orders(crossing_loops(), A)
+    assert sorted(values) == [(i,) for i in range(A.dim)]
+    for i in range(A.dim):
+        assert values[(i,)] == {omega_tqft(A, 1, 1, [A.basis(i)])}
 
 
 def test_all_orders_shared_memo_consistent():
     A = orbifold_frobenius(load_group("builtin:Z2"))
     memo = {}
     for g in (one_vertex_loop(), crossing_loops()):
+        fresh = eca_functional_all_orders(g, A)
+        shared = eca_functional_all_orders(g, A, memo)
+        assert sorted(fresh) == [(i,) for i in range(A.dim)]
         for i in range(A.dim):
-            vs = [A.basis(i)]
-            fresh = eca_evaluate_all_orders(g, A, vs)
-            shared = eca_evaluate_all_orders(g, A, vs, memo)
-            assert fresh == shared
+            assert fresh[(i,)] == shared[(i,)]
+
+
+def _first_graph(degrees, genus):
+    return next(g for g in all_matchings(degrees)
+                if g.is_connected() and g.genus() == genus)
+
+
+@pytest.mark.parametrize("name", ["Z3", "S3"])
+def test_eca_evaluate_is_multilinear(name):
+    # rational decorations off the basis, on two-vertex graphs of genus 0 and 1
+    A = orbifold_frobenius(load_group("builtin:" + name))
+    coeffs = [Fraction(1, 2), Fraction(-3), Fraction(2, 7)][:A.dim]
+    vs = [A.element(coeffs), A.element(coeffs[::-1])]
+    for degrees, genus in (((2, 2), 0), ((3, 1), 0), ((3, 3), 1), ((4, 2), 1)):
+        graph = _first_graph(degrees, genus)
+        value = eca_evaluate(graph, A, vs)
+        assert value == omega_tqft(A, genus, 2, vs)
+        assert value != 0
+
+
+def test_eca_evaluate_refuses_disagreeing_orders(monkeypatch):
+    from tqftrec import cellgraph
+
+    A = orbifold_frobenius(load_group("builtin:Z2"))
+    split = {(0,): {Fraction(1), Fraction(2)}, (1,): {Fraction(3)}}
+    monkeypatch.setattr(cellgraph, "eca_functional_all_orders", lambda g, A: split)
+    assert eca_evaluate(crossing_loops(), A, [A.basis(1)]) == 3
+    with pytest.raises(ValueError, match="disagree"):
+        eca_evaluate(crossing_loops(), A, [A.element([1, 1])])
 
 
 def test_disconnected_graph_rejected_by_eca():
@@ -104,6 +134,40 @@ def test_matchings_by_genus_totals():
 def test_all_matchings_enumerates_double_factorial():
     graphs = list(all_matchings((4,)))
     assert len(graphs) == 3
+
+
+def _profiles(total):
+    for nverts in range(1, total + 1):
+        for degs in itertools.combinations_with_replacement(range(1, total + 1), nverts):
+            if sum(degs) == total:
+                yield degs
+
+
+@pytest.mark.parametrize("total", [2, 4, 6, 8, 10])
+def test_counts_while_gluing_match_traced_faces(total):
+    # the face and component counts kept while gluing against CellGraph's
+    # own face tracing and connectivity, on every profile
+    matchings = 1
+    for k in range(1, total, 2):
+        matchings *= k
+    for degs in _profiles(total):
+        tally = {}
+        graphs = 0
+        for graph in all_matchings(degs):
+            graphs += 1
+            if graph.is_connected():
+                tally[graph.genus()] = tally.get(graph.genus(), 0) + 1
+        assert graphs == matchings
+        assert count_matchings_by_genus(degs) == tally
+
+
+def test_matching_edge_profiles():
+    assert count_matchings_by_genus(()) == {}
+    assert count_matchings_by_genus((0,)) == {0: 1}
+    assert count_matchings_by_genus((0, 2)) == {}
+    assert count_matchings_by_genus((3,)) == {}
+    assert [g.partner for g in all_matchings((0,))] == [()]
+    assert list(all_matchings((1, 2))) == []
 
 
 def test_half_edge_budget():

@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from tqftrec import amodel, bmodel, cli
+from tqftrec import amodel, bmodel, cli, cutjoin, intersect
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -209,7 +209,7 @@ def test_verify_names_the_exception(monkeypatch):
     def crashes(full):
         raise ZeroDivisionError("no inverse")
 
-    suites = [("fine", lambda full: True), ("crashes", crashes)]
+    suites = [("fine", lambda full: None), ("crashes", crashes)]
     monkeypatch.setattr(cli, "VERIFY_SUITES", suites)
     code, out = run_cli("--format", "json", "verify")
     assert code == cli.EXIT_INTERNAL
@@ -221,6 +221,34 @@ def test_verify_names_the_exception(monkeypatch):
     assert out.splitlines() == [
         "suite,result,error", "fine,pass,", "crashes,FAIL,ZeroDivisionError: no inverse"
     ]
+
+
+def test_verify_names_the_witness(monkeypatch):
+    suites = [("fine", lambda full: None), ("wrong", lambda full: "catalan g=1 mu=(4,): 1 != 2")]
+    monkeypatch.setattr(cli, "VERIFY_SUITES", suites)
+    code, out = run_cli("--format", "json", "verify")
+    assert code == cli.EXIT_INTERNAL
+    assert json.loads(out)["rows"] == [
+        {"suite": "fine", "result": "pass"},
+        {"suite": "wrong", "result": "FAIL", "witness": "catalan g=1 mu=(4,): 1 != 2"},
+    ]
+    code, out = run_cli("--format", "csv", "verify")
+    assert out.splitlines() == [
+        "suite,result,witness", "fine,pass,", "wrong,FAIL,\"catalan g=1 mu=(4,): 1 != 2\""
+    ]
+
+
+def test_cutjoin_budget_exits_3_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 1000)
+    monkeypatch.setattr(intersect, "_SCALAR", intersect.CorrelatorTable())
+    assert cli.main(["correlator", "--g", "6", "--n", "1", "--k", "16"]) == cli.EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("budget exceeded: profile g=6, k=[16]") and "Traceback" not in err
+    assert cli.main(["catalan", "--g", "0", "--n", "1", "--mu", "200"]) == cli.EXIT_BUDGET
+    # a request within the budget still answers, and counts only its own work
+    assert run_cli("correlator", "--g", "2", "--n", "1", "--k", "4") == (0, "1/1152\n")
+    assert run_cli("correlator", "--g", "3", "--n", "1", "--k", "7") == (0, "1/82944\n")
 
 
 def _readme_commands():
