@@ -22,9 +22,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .cellgraph import count_arrowed_graphs
-from .cutjoin import CutJoinTable, check_decorations
-from .frobenius import AlgebraElement, FrobeniusAlgebra, pairing
+from .cutjoin import CutJoinTable
+from .frobenius import AlgebraElement, FrobeniusAlgebra
 
 Rational = Fraction
 
@@ -196,7 +195,7 @@ def dessin_02(mu1: int, mu2: int) -> Rational:
     """The configured unstable (0,2) dessin count; see ``D02_CONVENTION``."""
     if mu1 < 1 or mu2 < 1:
         raise ValueError("(0,2) degrees must be positive")
-    return Fraction(count_arrowed_graphs(0, 2, (mu1, mu2)), mu1 * mu2)
+    return catalan(0, 2, (mu1, mu2)) / (mu1 * mu2)
 
 
 def twisted_dessin(
@@ -210,13 +209,10 @@ def twisted_dessin(
 ) -> Rational:
     """Decorated dessin count: the Catalan count divided by the degrees.
 
-    The unstable (0,2) case returns the configured ``dessin_02`` value times
-    the pairing of the two decorations.
+    The unstable (0,2) case comes out as ``dessin_02`` times the pairing of
+    the two decorations.
     """
     mu = _validate_profile(g, n, mu)
-    if (g, n) == (0, 2):
-        check_decorations(algebra, vs, 2)
-        return dessin_02(mu[0], mu[1]) * pairing(vs[0], vs[1])
     if any(m < 1 for m in mu):
         raise ValueError("dessin counts need positive degrees, got %s" % list(mu))
     value = twisted_catalan(g, n, mu, algebra, vs, canonicalize=canonicalize)

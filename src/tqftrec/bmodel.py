@@ -15,15 +15,22 @@ sum is minus the residues there: the t^-1 coefficients of two truncated
 expansions.  No rational-function arithmetic runs on the recursion; sympy
 only wraps its results.
 
-The inverse Laplace transform back to the counting side expands each
-variable at x_i = infinity; the contract is that the coefficient of
-prod x_i^(-mu_i - 1) equals (-1)^n C_{g,n}(mu).
+Every output leaves the Laurent map through one substitution, which
+replaces t_i^e, one variable at a time, by a univariate map: the x frame
+by the Jacobian (t^2-1)^2/(8t), the z frame by the expansion of
+t^e dt/dz over a common denominator in z, and the inverse Laplace
+transform back to the counting side by the u = 1/x series of
+(t^2-1)^2/(8t) t^e at x = infinity.  The contract of the latter is that
+the coefficient of prod x_i^(-mu_i - 1) equals (-1)^n C_{g,n}(mu).  The
+unstable w_{0,2} = 1/(t1+t2)^2 is not a Laurent polynomial; it goes
+through the same transform written in the basis s = t - 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from math import comb
 from typing import Dict, Optional, Tuple
 
 import sympy as sp
@@ -344,24 +351,26 @@ def wgn(g: int, n: int) -> MultiRatFun:
 
 
 def residue_check(g: int, n: int) -> dict:
-    """Recompute w_{g,n} with sympy's residue routine and compare with production.
+    """Recompute w_{g,n} by sympy residues and compare with production.
 
     Only (1,1) and (0,3) are in budget.  Their brackets involve only w_{0,2}
-    and are written here directly, so the check shares no code with the
-    recursion.
+    and are written here directly, with the order of each pole, so the
+    check shares no code with the recursion.  A pole of order k at t = a
+    has residue d^(k-1)/dt^(k-1) [(t-a)^k f] / (k-1)! at t = a.
     """
     if (g, n) not in ((1, 1), (0, 3)):
         return {"g": g, "n": n, "in_budget": False, "equal": None}
     t, t1, t2, t3 = symbol("t_int"), _t(1), _t(2), _t(3)
     if n == 1:
-        bracket = 1 / (4 * t**2)
+        bracket, poles = 1 / (4 * t**2), {t1: 1, -t1: 1}
     else:
         bracket = 1 / ((t + t2) ** 2 * (-t + t3) ** 2) + 1 / ((t + t3) ** 2 * (-t + t2) ** 2)
-    kernel = (1 / (t + t1) + 1 / (t - t1)) * (t**2 - 1) ** 3 / t**2
-    f = sp.cancel(sp.together(kernel * bracket))
+        poles = {t1: 1, -t1: 1, t2: 2, -t2: 2, t3: 2, -t3: 2}
+    f = (1 / (t + t1) + 1 / (t - t1)) * (t**2 - 1) ** 3 / t**2 * bracket
     total = sp.Integer(0)
-    for i in range(1, n + 1):
-        total += sp.residue(f, t, _t(i)) + sp.residue(f, t, -_t(i))
+    for a, k in poles.items():
+        regular = sp.cancel(sp.together((t - a) ** k * f))
+        total += sp.diff(regular, t, k - 1).subs(t, a) / sp.factorial(k - 1)
     independent = sp.cancel(sp.together(-sp.Rational(1, 64) * total))
     production = wgn(g, n)
     equal = sp.cancel(independent - production.expr) == 0
@@ -404,15 +413,44 @@ def twisted_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> TwistedDifferentia
     return TwistedDifferential(g, n, algebra, values)
 
 
+# -- one substitution: the x and z frames and the inverse Laplace transform -
+
+_JACOBIAN = {3: Fraction(1, 8), 1: Fraction(-1, 4), -1: Fraction(1, 8)}  # (t^2-1)^2/(8t) by degree
+
+
+def _substitute(terms: Dict, n: int, image) -> Dict:
+    """Replace t_i^e by the univariate map image(i, e) = {k: c}, one variable
+    at a time, and sum: the map of sum c prod_i image(i, e_i), with slot i
+    holding the exponent k of image(i, e_i)."""
+    images: Dict = {}
+    for i in range(n):
+        out: Dict = {}
+        for e, c in terms.items():
+            if (i, e[i]) not in images:
+                images[i, e[i]] = image(i, e[i])
+            for k, v in images[i, e[i]].items():
+                key = e[:i] + (k,) + e[i + 1:]
+                out[key] = out.get(key, 0) + c * v
+        terms = {e: c for e, c in out.items() if c}
+    return terms
+
+
+def _binomials(p: int, q: int) -> Dict[int, int]:
+    """(z+1)^p (z-1)^q by degree in z."""
+    out: Dict[int, int] = {}
+    for j, k in iproduct(range(p + 1), range(q + 1)):
+        out[j + k] = out.get(j + k, 0) + comb(p, j) * comb(q, k) * (-1) ** (q - k)
+    return out
+
+
 # -- inverse Laplace --------------------------------------------------------
 
 
 def _series_tables(order: int):
-    """Truncated series u = 1/x of powers of t(x), with exact rationals.
+    """Truncated series in u = 1/x of the powers of t(x), with exact rationals.
 
-    t = (z+1)/(z-1) where z(x) solves z + 1/z = x on the large branch;
-    z/x = 1 - sum Cat_{m-1} u^{2m} is the Lagrange-inversion series, with
-    Cat the Catalan numbers.
+    On the large branch of z + 1/z = x, w = 1/z solves w = u (1 + w^2), so
+    t = (1+w)/(1-w) = 1 + 2 sum_j w^j, and 1/t is the same series in -w.
     """
 
     def smul(a, b):
@@ -424,107 +462,41 @@ def _series_tables(order: int):
                     r[k] = r.get(k, Fraction(0)) + ca * cb
         return {k: v for k, v in r.items() if v}
 
-    def sinv(a):
-        c0 = a[0]
-        r = {0: Fraction(1) / c0}
-        for k in range(1, order + 1):
-            s = sum(
-                a.get(j, Fraction(0)) * r.get(k - j, Fraction(0))
-                for j in range(1, k + 1)
-            )
-            if s:
-                r[k] = -s / c0
-        return r
-
-    cat = [1]
-    for m in range(1, order // 2 + 2):
-        cat.append(sum(cat[i] * cat[m - 1 - i] for i in range(m)))
-    zu = {0: Fraction(1)}
-    for m in range(1, order // 2 + 1):
-        zu[2 * m] = Fraction(-cat[m - 1])
-    # zu has only even degrees, so z/x -+ u just sets the degree-1 term
-    t_series = smul({**zu, 1: Fraction(1)}, sinv({**zu, 1: Fraction(-1)}))
-    powers = {0: {0: Fraction(1)}, 1: t_series}
-    t_inverse = sinv(t_series)
+    w: Dict[int, Fraction] = {}
+    for _ in range(order):  # each pass fixes one more degree of w
+        w = {1: Fraction(1), **{k + 1: c for k, c in smul(w, w).items() if k < order}}
+    powers = {k: {0: Fraction(1)} for k in (0, 1, -1)}
+    wj = powers[0]
+    for j in range(1, order + 1):
+        wj = smul(wj, w)
+        for s in (1, -1):
+            for k, c in wj.items():
+                powers[s][k] = powers[s].get(k, 0) + 2 * s**j * c
 
     def tpow(k):
         if k not in powers:
-            powers[k] = smul(tpow(k - 1), t_series) if k > 0 else smul(
-                tpow(k + 1), t_inverse
-            )
+            powers[k] = smul(tpow(k - 1), powers[1]) if k > 0 else smul(tpow(k + 1), powers[-1])
         return powers[k]
 
     return tpow
 
 
-def _ilt_02(mu_max: int) -> Dict[Tuple[int, int], Rational]:
-    """Inverse Laplace of the (0,2) function by direct bivariate series.
+def _ilt(terms: Dict, n: int, mu_max: int, basis) -> Dict[Tuple[int, ...], Rational]:
+    """The coefficients of prod x_i^(-mu_i-1), 1 <= mu_i <= mu_max, in the
+    u = 1/x expansion of sum c prod_i J(t_i) basis(e_i) over the map
+    {e: c}, where J(t) = (t^2-1)^2/(8t) and basis(e) is a Laurent map in t."""
+    tpow = _series_tables(mu_max + 1)
 
-    1/(t1+t2)^2 has no monomial denominator, but t_i -> 1 at x_i ->
-    infinity, so the substituted series is regular and can be expanded
-    directly.
-    """
-    order = mu_max + 1
-    tpow = _series_tables(order)
-    t_series = tpow(1)
+    def image(i, e):
+        out: Dict[int, Fraction] = {}
+        for j, b in basis(e).items():
+            for d, c in _JACOBIAN.items():
+                for k, v in tpow(j + d).items():
+                    if k >= 2:  # mu = k - 1 must be at least 1
+                        out[k] = out.get(k, 0) + b * c * v
+        return out
 
-    def bi(series, pos):
-        return {(k, 0) if pos == 0 else (0, k): v for k, v in series.items()}
-
-    def bmul(a, b):
-        r = {}
-        for (i1, j1), ca in a.items():
-            for (i2, j2), cb in b.items():
-                i, j = i1 + i2, j1 + j2
-                if i <= order and j <= order:
-                    key = (i, j)
-                    r[key] = r.get(key, Fraction(0)) + ca * cb
-        return {k: v for k, v in r.items() if v}
-
-    def badd(a, b):
-        r = dict(a)
-        for k, v in b.items():
-            r[k] = r.get(k, Fraction(0)) + v
-            if r[k] == 0:
-                del r[k]
-        return r
-
-    def binv(a):
-        c0 = a[(0, 0)]
-        r = {(0, 0): Fraction(1) / c0}
-        by_total = {}
-        for k, v in a.items():
-            if k != (0, 0):
-                by_total.setdefault(k[0] + k[1], []).append((k, v))
-        for total in range(1, 2 * order + 1):
-            layer = {}
-            for d in range(1, total + 1):
-                for k, v in by_total.get(d, []):
-                    for rk, rv in list(r.items()):
-                        if rk[0] + rk[1] == total - d:
-                            key = (k[0] + rk[0], k[1] + rk[1])
-                            if key[0] <= order and key[1] <= order:
-                                layer[key] = layer.get(key, Fraction(0)) - v * rv / c0
-            for k, v in layer.items():
-                if v:
-                    r[k] = r.get(k, Fraction(0)) + v
-        return {k: v for k, v in r.items() if v}
-
-    t1s, t2s = bi(t_series, 0), bi(t_series, 1)
-    s_inv = binv(badd(t1s, t2s))
-    core = bmul(s_inv, s_inv)
-    for ts in (t1s, t2s):
-        tsq = bmul(ts, ts)
-        factor = bmul(
-            bmul(badd(tsq, {(0, 0): Fraction(-1)}), badd(tsq, {(0, 0): Fraction(-1)})),
-            binv(bmul({(0, 0): Fraction(8)}, ts)),
-        )
-        core = bmul(core, factor)
-    out = {}
-    for (a, b), v in core.items():
-        if 2 <= a <= order and 2 <= b <= order:
-            out[(a - 1, b - 1)] = v
-    return out
+    return {tuple(k - 1 for k in key): v for key, v in _substitute(terms, n, image).items()}
 
 
 def inverse_laplace_coeffs(g: int, n: int, mu_max: int) -> Dict[Tuple[int, ...], Rational]:
@@ -541,22 +513,13 @@ def inverse_laplace_coeffs(g: int, n: int, mu_max: int) -> Dict[Tuple[int, ...],
             "series order %d exceeds budget %d" % (order, SERIES_ORDER_BUDGET)
         )
     if (g, n) == (0, 2):
-        return _ilt_02(mu_max)
+        # 1/(t1+t2)^2 = 1/(2+s1+s2)^2 in the basis s = t - 1; s is O(1/x)
+        # at x = oo, so s^a with a > order cannot reach u^order
+        terms = {(a, b): Fraction((-1) ** (a + b) * (a + b + 1) * comb(a + b, a), 2 ** (a + b + 2))
+                 for a in range(order + 1) for b in range(order + 1)}
+        return _ilt(terms, 2, mu_max, lambda a: _binomials(0, a))
     _require_stable(g, n)
-    # the x frame: times (t_i^2-1)^2 / (8 t_i) in every variable
-    terms = _laurent_wgn(g, n, TRIVIAL).get((0,) * n, {})
-    jacobian = {(3,): Fraction(1, 8), (1,): Fraction(-1, 4), (-1,): Fraction(1, 8)}
-    for i in range(n):
-        terms = _mul(terms, _place(jacobian, [(i, 1)], n))
-    tpow = _series_tables(order)
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for mon, c in terms.items():
-        term = {(0,) * n: c}
-        for i, e in enumerate(mon):  # mu_i = k - 1 must be at least 1
-            series = {(k,): v for k, v in tpow(e).items() if 2 <= k <= order}
-            term = _mul(term, _place(series, [(i, 1)], n))
-        _add_into(out, term)
-    return {tuple(k - 1 for k in key): v for key, v in out.items() if v}
+    return _ilt(_laurent_wgn(g, n, TRIVIAL).get((0,) * n, {}), n, mu_max, lambda e: {e: 1})
 
 
 # -- coordinate frames ------------------------------------------------------
@@ -570,25 +533,24 @@ def convert_frame(fn: MultiRatFun, n: int, coords: str) -> MultiRatFun:
     (the orientation of each dx against dt is absorbed here); the result
     stays written in the t variables since x does not invert rationally.
     "z" substitutes t = (z+1)/(z-1) and multiplies by dt/dz = -2/(z-1)^2
-    per variable.
+    per variable.  Both need a Laurent polynomial (ValueError otherwise),
+    as every stable and twisted w is.
     """
     if coords == "t":
         return fn
+    if coords not in ("x", "z"):
+        raise ValueError("unknown coordinate frame %r" % coords)
+    terms = fn._laurent()
     if coords == "x":
-        out = fn
-        for i in range(1, n + 1):
-            ti = MultiRatFun.var("t%d" % i, tvars(n))
-            out = out * (ti**2 - 1) ** 2 / (ti * 8)
-        return out
-    if coords == "z":
-        zvars = tuple("z%d" % (i + 1) for i in range(n))
-        expr = fn.expr
-        subs = []
-        jac = sp.Integer(1)
-        for i in range(1, n + 1):
-            zi = symbol("z%d" % i)
-            subs.append((_t(i), (zi + 1) / (zi - 1)))
-            jac *= -2 / (zi - 1) ** 2
-        expr = expr.subs(subs, simultaneous=True) * jac
-        return MultiRatFun(sp.cancel(sp.together(expr)), zvars)
-    raise ValueError("unknown coordinate frame %r" % coords)
+        jacobian = lambda i, e: {e + d: c for d, c in _JACOBIAN.items()}
+        return MultiRatFun._from_laurent(_substitute(terms, n, jacobian), fn.vars)
+    # t^e dt = -2 (z+1)^e (z-1)^(-e-2) dz, put over the denominator
+    # (z+1)^low (z-1)^(high+2) in each variable.  Only z_i +- 1 could divide
+    # numerator and denominator, and the least and greatest powers of t_i
+    # survive at z_i = -1 and z_i = 1; the monic denominator is canonical.
+    low = [-min([0] + [e[i] for e in terms]) for i in range(n)]
+    high = [max([-2] + [e[i] for e in terms]) for i in range(n)]
+    num = _substitute(terms, n, lambda i, e: {
+        k: -2 * c for k, c in _binomials(e + low[i], high[i] - e).items()})
+    den = _substitute({(0,) * n: 1}, n, lambda i, e: _binomials(low[i], high[i] + 2))
+    return MultiRatFun._from_reduced(num, den, tuple("z%d" % (i + 1) for i in range(n)))

@@ -126,22 +126,40 @@ class MultiRatFun:
         return cls(symbol(name), vars)
 
     @classmethod
+    def _from_reduced(cls, num: Mapping[tuple, Scalar], den: Mapping[tuple, Scalar],
+                      vars: Sequence[str]) -> "MultiRatFun":
+        """Numerator and denominator {exponent tuple: coefficient} taken as
+        they are: the caller guarantees they share no factor and that the
+        denominator's graded-lex leading coefficient is 1."""
+        syms = [symbol(v) for v in vars]
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", tuple(vars))
+        for name, terms in (("num", num), ("den", den)):
+            object.__setattr__(self, name, sp.Poly.from_dict(
+                {e: _frac_to_sym(c) for e, c in terms.items() if c}, *syms, domain="QQ"))
+        return self
+
+    @classmethod
     def _from_laurent(cls, terms: Mapping[tuple, Scalar], vars: Sequence[str]) -> "MultiRatFun":
         """A Laurent polynomial {exponent tuple: coefficient}, built in
         canonical form without cancelling: the denominator is the monomial
         clearing every negative exponent, and the numerator then has a
         monomial free of each variable that monomial contains."""
-        syms = [symbol(v) for v in vars]
         terms = {e: c for e, c in terms.items() if c}
-        low = [min([0] + [e[i] for e in terms]) for i in range(len(syms))]
-        self = object.__new__(cls)
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "num", sp.Poly.from_dict(
-            {tuple(x - l for x, l in zip(e, low)): _frac_to_sym(c) for e, c in terms.items()},
-            *syms, domain="QQ"))
-        object.__setattr__(self, "den", sp.Poly.from_dict(
-            {tuple(-l for l in low): 1}, *syms, domain="QQ"))
-        return self
+        low = [min([0] + [e[i] for e in terms]) for i in range(len(vars))]
+        return cls._from_reduced(
+            {tuple(x - l for x, l in zip(e, low)): c for e, c in terms.items()},
+            {tuple(-l for l in low): 1}, vars)
+
+    def _laurent(self) -> dict:
+        """The {exponent tuple: Fraction} map of a function whose
+        denominator is a monomial; ValueError for any other function."""
+        den = self.den.as_dict()
+        if len(den) != 1:
+            raise ValueError("not a Laurent polynomial: the denominator is not a monomial")
+        ((shift, lead),) = den.items()
+        return {tuple(x - s for x, s in zip(e, shift)): _sym_to_frac(c / lead)
+                for e, c in self.num.as_dict().items()}
 
     # -- basic views -----------------------------------------------------
 

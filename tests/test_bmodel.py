@@ -18,6 +18,7 @@ from tqftrec.bmodel import (
     verify_kernel_integral,
     verify_w02_identity,
     w02,
+    w02_coefficient,
     wgn,
 )
 from tqftrec.exact import BudgetError, MultiRatFun, symbol
@@ -126,7 +127,8 @@ def test_inverse_laplace_budget_gate():
 
 
 def test_inverse_laplace_matches_catalan_spot():
-    for g, n, mu_max in [(1, 1, 6), (2, 1, 10), (2, 2, 6), (1, 3, 4), (0, 5, 2)]:
+    for g, n, mu_max in [(1, 1, 6), (2, 1, 10), (2, 2, 6), (1, 3, 4), (0, 5, 2),
+                         (0, 4, 6), (0, 2, 10)]:
         coeffs = inverse_laplace_coeffs(g, n, mu_max)
         profiles = list(itertools.product(range(1, mu_max + 1), repeat=n))
         assert set(coeffs) <= set(profiles)
@@ -154,6 +156,46 @@ def test_convert_frame_t_is_identity():
 def test_convert_frame_unknown_coords():
     with pytest.raises(ValueError):
         convert_frame(wgn(1, 1), 1, "q")
+
+
+def _direct_frame(fn: MultiRatFun, n: int, coords: str) -> MultiRatFun:
+    """The frame change by sympy substitution and cancellation."""
+    ts = [symbol("t%d" % (i + 1)) for i in range(n)]
+    if coords == "x":
+        return MultiRatFun(fn.expr * sp.prod([(t**2 - 1) ** 2 / (8 * t) for t in ts]), fn.vars)
+    zs = [symbol("z%d" % (i + 1)) for i in range(n)]
+    sub = fn.expr.subs({t: (z + 1) / (z - 1) for t, z in zip(ts, zs)}, simultaneous=True)
+    return MultiRatFun(sub * sp.prod([-2 / (z - 1) ** 2 for z in zs]), [str(z) for z in zs])
+
+
+def test_frames_match_direct_substitution():
+    cases = [(wgn(g, n), n) for g, n in [(1, 1), (0, 3), (2, 1), (1, 2)]]
+    S3 = orbifold_frobenius(load_group("builtin:S3"))
+    cases += [(fn, 3) for fn in twisted_wgn(0, 3, S3).values.values()]
+    assert any(fn.is_zero() for fn, _ in cases)
+    direct = {}
+    for fn, n in cases:
+        for coords in ("x", "z"):
+            if (fn, coords) not in direct:
+                direct[fn, coords] = _direct_frame(fn, n, coords).to_json()
+            assert convert_frame(fn, n, coords).to_json() == direct[fn, coords], (fn, coords)
+
+
+def test_z_frame_w04_at_rational_points():
+    w, fz = wgn(0, 4), convert_frame(wgn(0, 4), 4, "z")
+    for point in [(2, 3, -2, 5), (sp.Rational(1, 2), 7, sp.Rational(-5, 3), 4),
+                  (sp.Rational(9, 4), sp.Rational(-1, 3), 6, sp.Rational(2, 7))]:
+        zs = [sp.Rational(q) for q in point]
+        want = w.expr.subs({symbol("t%d" % (i + 1)): (z + 1) / (z - 1) for i, z in enumerate(zs)})
+        want *= sp.prod([-2 / (z - 1) ** 2 for z in zs])
+        got = fz.expr.subs({symbol("z%d" % (i + 1)): z for i, z in enumerate(zs)})
+        assert got == want != 0, point
+
+
+def test_convert_frame_rejects_non_laurent_input():
+    for coords in ("x", "z"):
+        with pytest.raises(ValueError):
+            convert_frame(w02_coefficient(), 2, coords)
 
 
 def test_eo_kernel_shape():

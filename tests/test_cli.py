@@ -126,6 +126,18 @@ def test_wgn_text_renders_rational_function():
     assert "t1" in out
 
 
+def test_wgn_z_frame_of_w04():
+    code, out = run_cli("--format", "json", "wgn", "--g", "0", "--n", "4", "--coords", "z")
+    assert code == 0
+    assert json.loads(out)["function"]["vars"] == ["z1", "z2", "z3", "z4"]
+
+
+def test_dessin_02_past_the_matching_oracle_budget():
+    code, out = run_cli("dessin", "--g", "0", "--n", "2", "--mu", "9", "9")
+    assert code == 0
+    assert out.strip() == "4900/9"
+
+
 def test_correlator_value():
     code, out = run_cli("correlator", "--g", "1", "--n", "1", "--k", "1")
     assert code == 0

@@ -63,6 +63,14 @@ def test_laurent_constructor_is_canonical():
         assert f == g and hash(f) == hash(g) and f.to_json() == g.to_json()
 
 
+def test_laurent_reader_inverts_the_constructor():
+    terms = {(-2, 1): Fraction(2), (1, -3): Fraction(1, 3), (0, 0): Fraction(-1)}
+    assert MultiRatFun._from_laurent(terms, ["x", "y"])._laurent() == terms
+    assert MultiRatFun("(4*x - 2)/(2*y)", ["x", "y"])._laurent() == {(1, -1): 2, (0, -1): -1}
+    with pytest.raises(ValueError):
+        MultiRatFun("1/(x + y)", ["x", "y"])._laurent()
+
+
 def test_arithmetic_matches_fraction_evaluation():
     x = symbol("x")
     f = MultiRatFun((x**2 - 1) / (x + 2), ["x"])
