@@ -96,7 +96,7 @@ class CatalanTable(CutJoinTable):
             return self._sparse(1, lambda i: self.algebra.counit[i])
         return {}
 
-    def _joins(self, m1, mj):
+    def _joins(self, m1, mj, stable):
         return ((m1 + mj - 2, mj),)
 
     def _cuts(self, m1):
@@ -273,11 +273,13 @@ class LatticeTable(CutJoinTable):
             return self._sparse(1, lambda i: scalar * A.counit[i])
         return self._sparse(2, lambda i, j: scalar * A.pairing[i][j])
 
-    def _joins(self, m1, mj):
-        # three cut ranges; the last two are empty unless one length is longer
+    def _joins(self, m1, mj, stable):
+        # three cut ranges; the last two are empty unless one length is
+        # longer, and are skipped when the child is the unstable (0,2)
+        spans = ((m1 + mj, 1), (m1 - mj, 1), (mj - m1, -1)) if stable else ((m1 + mj, 1),)
         return [
             (q, Fraction(sign * q * (span - q), 2))
-            for span, sign in ((m1 + mj, 1), (m1 - mj, 1), (mj - m1, -1))
+            for span, sign in spans
             for q in range(1, span)
         ]
 

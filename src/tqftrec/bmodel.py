@@ -12,8 +12,10 @@ Every w_{g,n} is kept as a sparse Laurent map {exponent tuple: Fraction}
 per index tuple.  Since every stable w is a Laurent polynomial, the
 integrand's only poles besides +-t_i are t = 0 and t = oo, so the residue
 sum is minus the residues there: the t^-1 coefficients of two truncated
-expansions.  No rational-function arithmetic runs on the recursion; sympy
-only wraps its results.
+expansions.  No rational-function arithmetic runs on the recursion, and
+its results become ``MultiRatFun`` values without sympy.  Sympy is loaded
+only by the spectral curve, the kernel and the symbolic checks
+(``verify_w02_identity``, ``verify_kernel_integral``, ``residue_check``).
 
 Every output leaves the Laurent map through one substitution, which
 replaces t_i^e, one variable at a time, by a univariate map: the x frame
@@ -32,8 +34,6 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb
 from typing import Dict, Optional, Tuple
-
-import sympy as sp
 
 from .cutjoin import TRIVIAL
 from .exact import BudgetError, MultiRatFun, Rational, symbol
@@ -63,7 +63,7 @@ def tvars(n: int) -> Tuple[str, ...]:
     return tuple("t%d" % (i + 1) for i in range(n))
 
 
-def _t(i: int) -> sp.Symbol:
+def _t(i: int):
     return symbol("t%d" % i)
 
 
@@ -109,7 +109,7 @@ def spectral_curve() -> SpectralCurve:
 
 def w02_coefficient() -> MultiRatFun:
     """The (0,2) coefficient function 1/(t1+t2)^2."""
-    return MultiRatFun(1 / (_t(1) + _t(2)) ** 2, tvars(2))
+    return MultiRatFun._from_reduced({(0, 0): 1}, {(2, 0): 1, (1, 1): 2, (0, 2): 1}, tvars(2))
 
 
 def verify_w02_identity() -> bool:
@@ -118,6 +118,8 @@ def verify_w02_identity() -> bool:
     dt1 dt2 / (t1-t2)^2 minus the x-frame double pole, written in t,
     must equal 1/(t1+t2)^2.
     """
+    import sympy as sp
+
     t1, t2 = _t(1), _t(2)
     x = lambda t: 2 * (t**2 + 1) / (t**2 - 1)
     dx = lambda t: sp.diff(x(t), t)
@@ -148,6 +150,8 @@ def eo_kernel() -> MultiRatFun:
     over a contour enclosing all +-t_i between two circles, which
     evaluates to minus the sum of the residues at those points.
     """
+    import sympy as sp
+
     t, t1 = symbol("t"), _t(1)
     expr = (
         sp.Rational(1, 2)
@@ -170,6 +174,8 @@ def verify_kernel_integral() -> bool:
     the sheets swapped flips the overall sign, and that sign ambiguity is
     resolved here by the oracle, not by typography).
     """
+    import sympy as sp
+
     t, t1, s = symbol("t"), _t(1), symbol("s")
     y = -(t + 1) / (t - 1)
     x = 2 * (t**2 + 1) / (t**2 - 1)
@@ -358,6 +364,8 @@ def residue_check(g: int, n: int) -> dict:
     check shares no code with the recursion.  A pole of order k at t = a
     has residue d^(k-1)/dt^(k-1) [(t-a)^k f] / (k-1)! at t = a.
     """
+    import sympy as sp
+
     if (g, n) not in ((1, 1), (0, 3)):
         return {"g": g, "n": n, "in_budget": False, "equal": None}
     t, t1, t2, t3 = symbol("t_int"), _t(1), _t(2), _t(3)

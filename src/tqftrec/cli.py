@@ -262,9 +262,14 @@ def cmd_wgn(args) -> dict:
     if args.group:
         A = groups.orbifold_frobenius(_load_group_arg(args.group))
         tw = bmodel.twisted_wgn(args.g, args.n, A)
+        # the values are a few multiples of one function: convert each once
+        converted = {}
         rows = []
         for idx in sorted(tw.values):
-            fn = bmodel.convert_frame(tw.values[idx], args.n, args.coords)
+            value = tw.values[idx]
+            if value not in converted:
+                converted[value] = bmodel.convert_frame(value, args.n, args.coords)
+            fn = converted[value]
             rows.append(
                 {
                     "decor": [A.labels[i] for i in idx],
@@ -341,7 +346,7 @@ def _suite_catalan(full: bool):
 def _suite_lattice(full: bool):
     T = trivial_algebra()
     u = T.unit_element()
-    profiles = [(0, 3, (2, 2, 2)), (0, 3, (1, 1, 2)), (1, 1, (4,)), (1, 1, (6,))]
+    profiles = [(0, 3, (2, 2, 2)), (0, 3, (1, 1, 2)), (0, 3, (1, 1, 4)), (1, 1, (4,)), (1, 1, (6,))]
     if full:
         profiles += [(0, 3, (1, 2, 3)), (1, 1, (8,))]
     for g, n, mu in profiles:

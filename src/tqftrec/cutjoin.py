@@ -66,9 +66,11 @@ class CutJoinTable:
     A family subclass supplies ``_validate(g, mu)``, returning the checked
     profile; ``_vanishes(g, mu)``, a symmetric rule checked before the memo
     so that zero profiles are never stored; ``_base_case(g, mu)``, the
-    tensor of a profile that is not reduced, else None; ``_joins(m1, mj)``,
-    the (child degree, weight) pairs for absorbing a boundary of degree mj
-    into the distinguished one; and ``_cuts(m1)``, the (degree a, degree b,
+    tensor of a profile that is not reduced, else None; ``_joins(m1, mj,
+    stable)``, the (child degree, weight) pairs for absorbing a boundary of
+    degree mj into the distinguished one, where ``stable`` says whether the
+    child, of type (g, n - 1), has 2g - 2 + (n - 1) > 0; and
+    ``_cuts(m1)``, the (degree a, degree b,
     weight) triples for cutting the distinguished boundary.  It may
     override ``_scale`` (a factor on the reduced tensor) and ``stable_splits``.
     """
@@ -173,9 +175,10 @@ class CutJoinTable:
                 acc[k] = acc.get(k, 0) + w
 
             # joins: boundary j is absorbed, the decorations multiply
+            stable = 2 * g - 3 + len(canon) > 0
             for j, mj in enumerate(rest):
                 others = rest[:j] + rest[j + 1 :]
-                for c, w in self._joins(m1, mj):
+                for c, w in self._joins(m1, mj, stable):
                     for cidx, val in self._tensor(g, (c,) + others).items():
                         val = w * val
                         head, tail = cidx[1 : j + 1], cidx[j + 1 :]

@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 from typing import Callable, Mapping, Sequence, Union
 
-import sympy as sp
-
 from .exact import MultiRatFun, Rational, rat_from_str, rat_to_str
 
 Value = Union[Rational, MultiRatFun]
@@ -45,6 +43,28 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         return rat_from_str(x)
     return Fraction(x)
+
+
+def _solve(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
+    """The unique X with a X = b, by Gauss-Jordan elimination over the
+    rationals; None when a has rank below its column count or the system
+    has no solution."""
+    s = len(a[0])
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(s):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = [x / rows[col][col] for x in rows[col]]
+        rows[col] = top
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                f = row[col]
+                rows[r] = [x - f * y for x, y in zip(row, top)]
+    if any(any(row[s:]) for row in rows[s:]):
+        return None
+    return [row[s:] for row in rows[:s]]
 
 
 class FrobeniusAlgebra:
@@ -83,39 +103,20 @@ class FrobeniusAlgebra:
     def _derive(self, check: bool) -> None:
         s = self.dim
         c = self.product_tensor
-        eta = sp.Matrix(s, s, lambda i, j: sp.Rational(
-            self.pairing[i][j].numerator, self.pairing[i][j].denominator))
-        if check and not eta.is_symmetric():
+        eta = self.pairing
+        if check and any(eta[i][j] != eta[j][i] for i in range(s) for j in range(i)):
             raise AxiomError("symmetric pairing")
-        if eta.det() == 0:
+        inv = _solve(eta, [[Fraction(int(i == j)) for j in range(s)] for i in range(s)])
+        if inv is None:
             raise AxiomError("degenerate pairing")
-        inv = eta.inv()
-        self.pairing_inverse = tuple(
-            tuple(Fraction(int(sp.Rational(inv[i, j]).p),
-                           int(sp.Rational(inv[i, j]).q)) for j in range(s))
-            for i in range(s)
-        )
-        # unit: solve sum_i u_i c[i][j][k] = delta_{jk}
-        rows = []
-        rhs = []
-        for j in range(s):
-            for k in range(s):
-                rows.append([sp.Rational(c[i][j][k].numerator,
-                                         c[i][j][k].denominator)
-                             for i in range(s)])
-                rhs.append(sp.Integer(1 if j == k else 0))
-        M = sp.Matrix(rows)
-        b = sp.Matrix(rhs)
-        try:
-            u = M.solve_least_squares(b)
-        except Exception:
+        self.pairing_inverse = tuple(tuple(row) for row in inv)
+        # unit: solve sum_i u_i c[i][j][k] = delta_{jk}; a unit is unique
+        # when it exists, so a system without exactly one solution has none
+        u = _solve([[c[i][j][k] for i in range(s)] for j in range(s) for k in range(s)],
+                   [[Fraction(int(j == k))] for j in range(s) for k in range(s)])
+        if u is None:
             raise AxiomError("unit existence")
-        if M * u != b:
-            raise AxiomError("unit existence")
-        self.unit = tuple(
-            Fraction(int(sp.Rational(u[i]).p), int(sp.Rational(u[i]).q))
-            for i in range(s)
-        )
+        self.unit = tuple(x for (x,) in u)
         self.counit = tuple(
             sum((self.unit[a] * self.pairing[a][i] for a in range(s)),
                 Fraction(0))

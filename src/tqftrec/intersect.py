@@ -84,7 +84,7 @@ class CorrelatorTable(CutJoinTable):
             )
         return None
 
-    def _joins(self, k1, kj):
+    def _joins(self, k1, kj, stable):
         denom_k1 = 2 * k1 + 1 if self.convention == "fixed" else 2 * k1 - 1
         weight = Fraction(
             double_factorial(2 * k1 + 2 * kj - 1),

@@ -125,15 +125,14 @@ def test_lattice_pinned_values():
 
 
 def test_lattice_matches_catalog():
-    # odd perimeters vanish; the (0,3) profiles whose longest boundary
-    # exceeds the other two together are a known disagreement
+    # odd perimeters vanish, and a longest boundary exceeding the other two
+    # together counts like any other
     A = trivial_algebra()
     v = A.basis(0)
     for b in range(1, 13):
         assert lattice_twisted(1, 1, (b,), A, [v]) == count_lattice_points(1, 1, (b,)), b
     for mu in itertools.product(range(1, 6), repeat=3):
-        if 2 * max(mu) <= sum(mu):
-            assert lattice_twisted(0, 3, mu, A, [v] * 3) == count_lattice_points(0, 3, mu), mu
+        assert lattice_twisted(0, 3, mu, A, [v] * 3) == count_lattice_points(0, 3, mu), mu
 
 
 def test_lattice_long_boundary_values():
@@ -144,8 +143,48 @@ def test_lattice_long_boundary_values():
     assert lattice_twisted(1, 2, (1, 5), A, [v] * 2) == 1
     assert lattice_twisted(1, 2, (2, 4), A, [v] * 2) == Fraction(1, 2)
     assert lattice_twisted(0, 4, (2, 2, 2, 2), A, [v] * 4) == 3
-    # the recursion's value; the catalog gives 1 (a known disagreement)
-    assert lattice_twisted(0, 3, (1, 1, 4), A, [v] * 3) == Fraction(3, 2)
+    # a join from (0,3) whose child is the unstable (0,2) has no difference terms
+    assert lattice_twisted(0, 3, (1, 1, 4), A, [v] * 3) == 1
+
+
+def _scalar_lattice(g, mu):
+    A = trivial_algebra()
+    return lattice_twisted(g, len(mu), mu, A, [A.basis(0)] * len(mu))
+
+
+def test_lattice_n12_closed_form():
+    # Norbury: with s = b1^2 + b2^2, N_{1,2} = (s-4)(s-8)/384 for even
+    # lengths and (s-2)(s-10)/384 for odd ones; zero on odd perimeter
+    for b1 in range(1, 13):
+        for b2 in range(b1, 13):
+            s = b1 * b1 + b2 * b2
+            if (b1 + b2) % 2:
+                want = 0
+            elif b1 % 2 == 0:
+                want = Fraction((s - 4) * (s - 8), 384)
+            else:
+                want = Fraction((s - 2) * (s - 10), 384)
+            assert _scalar_lattice(1, (b1, b2)) == want, (b1, b2)
+
+
+def test_lattice_n04_closed_form():
+    # Norbury: N_{0,4} = sum b^2/4 - 1/2 when exactly two lengths are odd,
+    # sum b^2/4 - 1 when none or all four are, zero on odd perimeter
+    for mu in itertools.product(range(1, 7), repeat=4):
+        odd = sum(b % 2 for b in mu)
+        if odd % 2:
+            want = 0
+        else:
+            want = Fraction(sum(b * b for b in mu), 4) - (Fraction(1, 2) if odd == 2 else 1)
+        assert _scalar_lattice(0, mu) == want, mu
+
+
+def test_lattice_n21_closed_form():
+    # Norbury: N_{2,1}(b) = (b^2-4)(b^2-16)(b^2-36)(5b^2-32) / (2^16 3^3 5)
+    for b in range(2, 15, 2):
+        want = Fraction((b * b - 4) * (b * b - 16) * (b * b - 36) * (5 * b * b - 32),
+                        2**16 * 3**3 * 5)
+        assert _scalar_lattice(2, (b,)) == want, b
 
 
 def test_lattice_base_cases_get_their_own_table():

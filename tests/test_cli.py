@@ -3,14 +3,20 @@
 import io
 import json
 import contextlib
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tqftrec import amodel, bmodel, cli, cutjoin, intersect
+from tqftrec import amodel, bmodel, cli, cutjoin, groups, intersect
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(*argv):
@@ -130,6 +136,21 @@ def test_wgn_z_frame_of_w04():
     code, out = run_cli("--format", "json", "wgn", "--g", "0", "--n", "4", "--coords", "z")
     assert code == 0
     assert json.loads(out)["function"]["vars"] == ["z1", "z2", "z3", "z4"]
+
+
+def test_wgn_group_rows_are_the_converted_twisted_values():
+    code, out = run_cli("--format", "json", "wgn", "--g", "0", "--n", "4",
+                        "--group", "builtin:S3", "--coords", "z")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    A = groups.orbifold_frobenius(groups.load_group("builtin:S3"))
+    tw = bmodel.twisted_wgn(0, 4, A)
+    keys = sorted(tw.values)
+    assert len(rows) == len(keys) == 81
+    nonzero = [i for i, idx in enumerate(keys) if not tw.values[idx].is_zero()]
+    for i in (nonzero[0], nonzero[-1]):
+        assert rows[i]["decor"] == [A.labels[j] for j in keys[i]]
+        assert rows[i]["function"] == bmodel.convert_frame(tw.values[keys[i]], 4, "z").to_json()
 
 
 def test_dessin_02_past_the_matching_oracle_budget():
@@ -273,3 +294,108 @@ def _readme_commands():
 def test_readme_examples_run(argv):
     code, out = run_cli(*argv)
     assert code == 0 and out
+
+
+def test_counting_commands_never_load_sympy(tmp_path):
+    # a fresh interpreter: sympy is loaded only by symbolic work, so the
+    # counting commands and the JSON form of w_{g,n} run without it
+    cache = str(tmp_path / "cache.json")
+    commands = [
+        ["catalan", "--g", "1", "--n", "2", "--mu", "4", "4"],
+        ["catalan", "--g", "1", "--n", "1", "--mu", "6", "--group", "builtin:S3", "--decor", "[(1 2)]"],
+        ["dessin", "--g", "1", "--n", "1", "--mu", "4"],
+        ["correlator", "--g", "1", "--n", "1", "--k", "1", "--group", "builtin:Z2", "--decor", "[1]"],
+        ["omega", "--group", "builtin:S3", "--g", "1", "--n", "2", "--decor", "[(1 2)]", "--method", "both"],
+        ["group-info", "--group", "builtin:Q8"],
+        ["--format", "json", "wgn", "--g", "1", "--n", "1", "--coords", "z"],
+        ["catalan", "--g", "0", "--n", "2", "--mu", "4", "6", "--cache", cache],
+        ["catalan", "--g", "0", "--n", "2", "--mu", "6", "4", "--cache", cache],
+    ]
+    script = (
+        "import sys\n"
+        "import tqftrec.cli\n"
+        "for argv in %r:\n"
+        "    assert tqftrec.cli.main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
+        "assert not loaded, loaded[:5]\n" % (commands,)
+    )
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert os.path.exists(cache) and "ignoring cache" not in proc.stderr
+
+
+# -- argv fuzzing: every input ends in a documented exit code -----------------
+
+def _mostly(valid, invalid):
+    """Valid values three times in four, else invalid ones."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else invalid)
+
+
+_INT = _mostly(st.integers(1, 4), st.integers(-12, 12)).map(str)
+_GROUPS = _mostly(
+    st.sampled_from(["builtin:trivial", "builtin:Z2", "builtin:Z3", "builtin:S3", "builtin:Q8"]),
+    st.sampled_from(["builtin:nosuch", "Z5", "", "builtin:", "(1 2", "(1 2)(3", "(1 2 3)"]))
+_DECORS = _mostly(
+    st.sampled_from(["[1]", "[(1 2)]", "[(1 2 3)]", "[-1]", "[g1]", "1,0", "1/2,-1/3,2"]),
+    st.sampled_from(["1/0,1", "a,b", "", "-3", "0", "[nope]", "1,2,3,4,5,6,7,8,9"]))
+_FLAGS = {
+    "group-info": ["--group"],
+    "frobenius": ["--group"],
+    "omega": ["--group", "--g", "--n", "--decor", "--method"],
+    "catalan": ["--g", "--n", "--mu", "--group", "--decor"],
+    "dessin": ["--g", "--n", "--mu", "--group", "--decor"],
+    "wgn": ["--g", "--n", "--coords", "--group"],
+    "correlator": ["--g", "--n", "--k", "--group", "--decor"],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with most of its own flags, now and then a foreign one,
+    and sometimes a --format, valid or not; list values mostly have one
+    entry per boundary."""
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", draw(_mostly(st.sampled_from(["json", "csv", "text"]), st.just("xml")))]
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv.append(command)
+    n = draw(_INT)
+    size = int(n) if 0 <= int(n) <= 4 and draw(st.integers(0, 4)) else draw(st.integers(0, 4))
+    values = {
+        "--g": _INT.map(lambda x: [x]),
+        "--n": st.just([n]),
+        "--mu": st.lists(_INT, min_size=size, max_size=size),
+        "--k": st.lists(_INT, min_size=size, max_size=size),
+        "--group": _GROUPS.map(lambda x: [x]),
+        "--decor": st.one_of(_DECORS.map(lambda x: [x]),
+                             st.lists(_DECORS, min_size=size, max_size=size)),
+        "--method": _mostly(st.sampled_from(["formula", "brute", "both"]), st.just("nope")).map(lambda x: [x]),
+        "--coords": _mostly(st.sampled_from(["t", "x", "z"]), st.just("w")).map(lambda x: [x]),
+    }
+    flags = [f for f in _FLAGS[command] if draw(st.integers(0, 9))]
+    if not draw(st.integers(0, 5)):
+        flags.append(draw(st.sampled_from(sorted(values))))
+    for flag in draw(st.permutations(flags)):
+        vals = draw(values[flag])
+        if flag == "--decor":  # a repeatable flag: one --decor per token
+            argv += [x for v in vals for x in ("--decor", v)]
+        else:
+            argv += [flag] + vals
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    # small budgets make every budget stop quick; its exit code is the same
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 20000)
+        mp.setattr(bmodel, "WGN_WORK_BUDGET", 5000)
+        mp.setenv("TQFT_BUDGET", "20000")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_BUDGET), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,8 +1,10 @@
 """Unit tests for the exact rational-function layer."""
 
+import json
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,3 +144,93 @@ def test_add_mul_agree_with_rationals(coeffs_f, coeffs_g, point):
     fv = sum(Fraction(c) * a**i for i, c in enumerate(coeffs_f)) / (a**2 + 1)
     gv = sum(Fraction(c) * a**i for i, c in enumerate(coeffs_g)) / (a + 9)
     assert _ev(f * g + f, a) == fv * gv + fv
+
+
+# -- the field arithmetic against the expression constructor's cancel path --
+
+
+def _cancel_path(expr, vars):
+    """The canonical form sympy.cancel gives, through the expression constructor."""
+    return MultiRatFun(expr, vars)
+
+
+def _same(got, want):
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert got == want and hash(got) == hash(want)
+
+
+def test_w04_operations_match_the_cancel_path():
+    # the benchmark's six rational-function operations on w_{0,4}
+    from tqftrec.bmodel import wgn
+
+    f = wgn(0, 4)
+    e, vs = f.expr, f.vars
+    _same(f + f, _cancel_path(e + e, vs))
+    _same(f * f, _cancel_path(e * e, vs))
+    _same((f + 1) * (f - 1), _cancel_path((e + 1) * (e - 1), vs))
+    _same(f / (f + 1), _cancel_path(e / (e + 1), vs))
+    u = sp.Symbol("u")
+    for var in ("t1", "t2"):
+        rest = tuple(v for v in vs if v != var)
+        # w_{0,4} is a Laurent polynomial: its expansion at infinity is its
+        # terms of negative degree in var
+        expanded = sp.expand(e.subs(symbol(var), 1 / u))
+        series = f.series_at_infinity(var, 4)
+        assert sorted(series) == [1, 2, 3, 4]
+        for k, coeff in series.items():
+            _same(coeff, _cancel_path(expanded.coeff(u, k), rest))
+
+
+_VARS = ("x", "y", "z")
+
+
+@st.composite
+def _ratfuns(draw, nvars):
+    """(sympy expression, vars): a sum of up to three monomials with exponents
+    in [-2, 2] (a Laurent polynomial), over 1 or over 1 + c * m for a
+    monomial m of non-negative exponents (not a Laurent polynomial)."""
+    syms = [symbol(v) for v in _VARS[:nvars]]
+    monomial = lambda low: st.tuples(*[st.integers(low, 2)] * nvars)
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3), monomial(-2)), max_size=3))
+    expr = sum((c * _mono(syms, e) for c, e in terms), sp.Integer(0))
+    if draw(st.booleans()):
+        c, e = draw(st.integers(1, 3)), draw(monomial(0).filter(any))
+        expr = expr / (1 + c * _mono(syms, e))
+    return expr, _VARS[:nvars]
+
+
+def _mono(syms, exps):
+    out = 1
+    for s, e in zip(syms, exps):
+        out = out * s**e
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_ratfuns(n), _ratfuns(n))),
+       st.integers(-2, 3), st.fractions(max_denominator=5))
+def test_field_arithmetic_matches_the_cancel_path(pair, k, c):
+    (ea, vs), (eb, _) = pair
+    a, b = MultiRatFun(ea, vs), MultiRatFun(eb, vs)
+    _same(a + b, _cancel_path(ea + eb, vs))
+    _same(a - b, _cancel_path(ea - eb, vs))
+    _same(a * b, _cancel_path(ea * eb, vs))
+    _same(-a, _cancel_path(-ea, vs))
+    _same(a * c, _cancel_path(ea * sp.Rational(c.numerator, c.denominator), vs))
+    if not b.is_zero():
+        _same(a / b, _cancel_path(ea / eb, vs))
+    if k >= 0 or not a.is_zero():
+        _same(a**k, _cancel_path(ea**k, vs))
+    _same(a.partial_derivative(vs[-1]), _cancel_path(ea.diff(symbol(vs[-1])), vs))
+    _same(MultiRatFun.from_json(a.to_json()), a)
+    flipped = ea.subs(symbol(vs[0]), -symbol(vs[0]))
+    assert a.is_even_in(vs[0]) == (_cancel_path(flipped, vs) == a)
+
+
+def test_series_at_infinity_matches_sympy_series():
+    x, y, u = symbol("x"), symbol("y"), sp.Symbol("u")
+    for expr in ((x**3 + y) / (x**2 - 3 * x * y + 2), y / (x + y**2) ** 2, (x + 1) / (2 * x**4 - y)):
+        f = MultiRatFun(expr, ["x", "y"])
+        want = sp.series(expr.subs(x, 1 / u), u, 0, 6).removeO()
+        for k, coeff in f.series_at_infinity("x", 5).items():
+            _same(coeff, _cancel_path(want.coeff(u, k), ["y"]))

@@ -21,7 +21,7 @@ from tqftrec.frobenius import (
     three_point,
     trivial_algebra,
 )
-from tqftrec.groups import load_group, orbifold_frobenius
+from tqftrec.groups import BUILTIN_GROUPS, load_group, orbifold_frobenius
 
 
 def z2_algebra():
@@ -38,6 +38,38 @@ def test_trivial_algebra_amplitudes():
 def test_degenerate_pairing_rejected():
     with pytest.raises(AxiomError):
         FrobeniusAlgebra(1, ["1"], [[[1]]], [[0]])
+
+
+def test_derived_inverse_and_unit_match_sympy():
+    # the Fraction elimination against sympy's matrix inverse and solver
+    import sympy as sp
+
+    for name in BUILTIN_GROUPS:
+        A = orbifold_frobenius(load_group("builtin:" + name))
+        s = A.dim
+        eta = sp.Matrix(s, s, lambda i, j: sp.Rational(str(A.pairing[i][j])))
+        inv = eta.inv()
+        assert [[sp.Rational(str(x)) for x in row] for row in A.pairing_inverse] == \
+            [[inv[i, j] for j in range(s)] for i in range(s)], name
+        u = sp.symbols("u0:%d" % s)
+        eqs = [sum(u[i] * sp.Rational(str(A.product_tensor[i][j][k])) for i in range(s))
+               - (1 if j == k else 0) for j in range(s) for k in range(s)]
+        (sol,) = sp.linsolve(eqs, u)
+        assert [sp.Rational(str(x)) for x in A.unit] == list(sol), name
+
+
+@pytest.mark.parametrize("product_tensor, pairing_matrix, axiom", [
+    ([[[1]]], [[0]], "degenerate pairing"),
+    ([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [[1, 1], [1, 1]], "degenerate pairing"),
+    ([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [[1, 0], [2, 1]], "symmetric pairing"),
+    ([[[0]]], [[1]], "unit existence"),
+    ([[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[1, 0], [0, 1]], "unit existence"),
+])
+def test_derivation_failures_name_their_axiom(product_tensor, pairing_matrix, axiom):
+    with pytest.raises(AxiomError) as info:
+        FrobeniusAlgebra(len(pairing_matrix), [str(i) for i in range(len(pairing_matrix))],
+                         product_tensor, pairing_matrix)
+    assert info.value.axiom == axiom
 
 
 def test_non_associative_product_rejected():
