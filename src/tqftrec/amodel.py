@@ -166,7 +166,7 @@ def _table_for(algebra: FrobeniusAlgebra, canonicalize: bool, family=CatalanTabl
 def catalan(g: int, n: int, mu: Sequence[int]) -> Rational:
     """Number of connected arrowed cell graphs of genus g with degrees mu."""
     mu = _validate_profile(g, n, mu)
-    return _SCALAR_TABLE.untwisted(g, mu)
+    return _SCALAR_TABLE._untwisted(g, mu)
 
 
 def twisted_catalan(
@@ -180,7 +180,7 @@ def twisted_catalan(
 ) -> Rational:
     """Decorated Catalan count; reduces to ``catalan`` for the trivial algebra."""
     mu = _validate_profile(g, n, mu)
-    return _table_for(algebra, canonicalize).twisted(g, mu, vs)
+    return _table_for(algebra, canonicalize)._twisted(g, mu, vs)
 
 
 D02_CONVENTION = (
@@ -215,7 +215,7 @@ def twisted_dessin(
     mu = _validate_profile(g, n, mu)
     if any(m < 1 for m in mu):
         raise ValueError("dessin counts need positive degrees, got %s" % list(mu))
-    value = twisted_catalan(g, n, mu, algebra, vs, canonicalize=canonicalize)
+    value = _table_for(algebra, canonicalize)._twisted(g, mu, vs)
     return value / math.prod(mu)
 
 
@@ -314,4 +314,4 @@ def lattice_twisted(
         table = _table_for(algebra, canonicalize, LatticeTable)
     else:
         table = LatticeTable(algebra, base_cases, canonicalize=canonicalize)
-    return table.value(g, mu, vs)
+    return table._twisted(g, mu, vs)

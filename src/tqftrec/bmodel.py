@@ -284,9 +284,8 @@ class _Recursion:
         out: Dict = {}
 
         def put(rest, a, b, poles, terms):
-            for i1, delta in enumerate(A.coproduct_tensor):
-                if delta[a][b]:
-                    _add_into(out.setdefault(((i1,) + rest, poles), {}), terms, delta[a][b])
+            for i1, w in A.coproduct_by_legs[a][b]:
+                _add_into(out.setdefault(((i1,) + rest, poles), {}), terms, w)
 
         if (g, n) == (1, 1):  # the (0,2) loop term at (t,-t), regularized
             for a, b in iproduct(range(A.dim), repeat=2):

@@ -245,12 +245,11 @@ def _contract(A: FrobeniusAlgebra, cycles, partner, vi, idx, memo) -> dict:
     if vj is not None:  # the decorations of vi and vj multiply
         lo = min(vi, vj)
         T = _walk(A, new_cycles, new_partner, memo)
-        pt = A.product_tensor
+        pairs = A.product_by_pair
 
         def terms(d):
             rest = [d[p] for p in range(n) if p != vi and p != vj]
-            return [(c, T[tuple(rest[:lo] + [k] + rest[lo:])])
-                    for k, c in enumerate(pt[d[vi]][d[vj]]) if c]
+            return [(c, T[tuple(rest[:lo] + [k] + rest[lo:])]) for k, c in pairs[d[vi]][d[vj]]]
     else:  # the decoration of vi is coproduced onto the two pieces
         comps = _components(new_cycles, new_partner)
         if len(comps) == 1:
@@ -268,11 +267,10 @@ def _contract(A: FrobeniusAlgebra, cycles, partner, vi, idx, memo) -> dict:
             def sub(full):
                 return {x * y for x in T1[tuple(full[p] for p in c1)]
                         for y in T2[tuple(full[p] for p in c2)]}
-        delta = A.coproduct_tensor
+        delta = A.coproduct_by_input
 
         def terms(d):
-            return [(w, sub(d[:vi] + (a, b) + d[vi + 1:]))
-                    for a in basis for b in basis if (w := delta[d[vi]][a][b])]
+            return [(w, sub(d[:vi] + (a, b) + d[vi + 1:])) for a, b, w in delta[d[vi]]]
     out = {}
     for d in product(basis, repeat=n):
         acc = None

@@ -47,34 +47,44 @@ def _budget(default: int) -> int:
 # -- rendering ---------------------------------------------------------------
 
 
-def _render(value):
+def _render(value, memo):
+    """The JSON form of a report value.  ``memo`` maps the id of each
+    MultiRatFun already rendered to its form: a report often repeats a few
+    functions many times, and each is rendered once."""
     if isinstance(value, Fraction):
         return rat_to_str(value)
     if isinstance(value, MultiRatFun):
-        return value.to_json()
+        key = ("json", id(value))
+        if key not in memo:
+            memo[key] = value.to_json()
+        return memo[key]
     if isinstance(value, dict):
-        return {k: _render(v) for k, v in value.items()}
+        return {k: _render(v, memo) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_render(v) for v in value]
+        return [_render(v, memo) for v in value]
     return value
 
 
-def _render_flat(value):
+def _render_flat(value, memo):
     if isinstance(value, Fraction):
         return rat_to_str(value)
     if isinstance(value, MultiRatFun):
-        return str(value)
+        key = ("flat", id(value))
+        if key not in memo:
+            memo[key] = str(value)
+        return memo[key]
     if isinstance(value, (list, tuple)):
-        return " ".join(str(_render_flat(v)) for v in value)
+        return " ".join(str(_render_flat(v, memo)) for v in value)
     if isinstance(value, dict):
-        return json.dumps(_render(value), sort_keys=True)
+        return json.dumps(_render(value, memo), sort_keys=True)
     return value
 
 
 def emit(report: dict, fmt: str) -> str:
     """Serialize a report with stable field order; rationals as "p/q"."""
+    memo = {}  # the report is alive throughout, so the ids in it stay unique
     if fmt == "json":
-        return json.dumps(_render(report), indent=2) + "\n"
+        return json.dumps(_render(report, memo), indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -83,19 +93,19 @@ def emit(report: dict, fmt: str) -> str:
             header = list(dict.fromkeys(k for row in rows for k in row))
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_render_flat(row.get(h)) for h in header])
+                writer.writerow([_render_flat(row.get(h), memo) for h in header])
         else:
             writer.writerow(["field", "value"])
             for key, value in report.items():
-                writer.writerow([key, _render_flat(value)])
+                writer.writerow([key, _render_flat(value, memo)])
         return buf.getvalue()
     if fmt == "text":
         keys = [k for k in report if k != "rows"]
         if keys == ["value"]:
-            return "%s\n" % _render_flat(report["value"])
-        lines = ["%s: %s" % (k, _render_flat(report[k])) for k in keys]
+            return "%s\n" % _render_flat(report["value"], memo)
+        lines = ["%s: %s" % (k, _render_flat(report[k], memo)) for k in keys]
         for row in report.get("rows", ()):
-            lines.append(_render_flat(row))
+            lines.append(_render_flat(row, memo))
         return "\n".join(lines) + "\n"
     raise UsageError("unknown format %r (choose json, csv, or text)" % fmt)
 
@@ -300,7 +310,7 @@ def cmd_correlator(args) -> dict:
 
 
 def _unequal(what: str, got, want):
-    return None if got == want else "%s: %s != %s" % (what, _render_flat(got), _render_flat(want))
+    return None if got == want else "%s: %s != %s" % (what, _render_flat(got, {}), _render_flat(want, {}))
 
 
 def _suite_axioms(full: bool):

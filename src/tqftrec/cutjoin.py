@@ -6,12 +6,14 @@ exact rationals.  A profile (g, mu) is reduced on its distinguished
 boundary, the largest degree (ties: lowest position).  Join terms absorb
 another boundary and multiply the two decorations through the product
 tensor; loop terms (genus g - 1) and split terms (genera g1 + g2 = g) cut
-it in two and route its decoration through the coproduct.  The scalar
-counts are the same recursion over the one-dimensional trivial algebra.
+it in two and route its decoration through the coproduct.  Both tensors
+are read through the algebra's sparse views.  The scalar counts are the
+same recursion over the one-dimensional trivial algebra.
 
-Tensors are memoized on the profile sorted in decreasing order and
-realigned to the order a caller asks for, which the permutation symmetry
-of the counts justifies; ``canonicalize=False`` turns that off so the
+Tensors are memoized on the profile sorted in decreasing order, which the
+permutation symmetry of the counts justifies: a query reorders its
+decoration rows into that order, and a child tensor is realigned to the
+order its parent asks for.  ``canonicalize=False`` turns that off so the
 symmetry can be tested honestly.  An entry is stored only when complete.
 """
 
@@ -44,7 +46,7 @@ def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n
     for v in vs:
         if not isinstance(v, AlgebraElement):
             raise TypeError("decorations must be algebra elements, got %r" % (v,))
-        if v.algebra != algebra:
+        if v.algebra is not algebra and v.algebra != algebra:
             raise ValueError("decoration does not belong to the given algebra")
     return [v.coeffs for v in vs]
 
@@ -85,20 +87,6 @@ class CutJoinTable:
         self._tensors = {}
         self._scalar = None
         self._work, self._request = 0, None
-        A = self.algebra
-        dims = range(A.dim)
-        # sparse views of the structure constants, indexed for the
-        # direction the recursion consumes them in
-        self._prod_by_k = [
-            [(i, j, A.product_tensor[i][j][k]) for i in dims for j in dims
-             if A.product_tensor[i][j][k]]
-            for k in dims
-        ]
-        self._delta_by_ab = {}
-        for i, a, b in product(dims, repeat=3):
-            w = A.coproduct_tensor[i][a][b]
-            if w:
-                self._delta_by_ab.setdefault((a, b), []).append((i, w))
 
     def _scale(self, m1: int):
         return None
@@ -113,36 +101,50 @@ class CutJoinTable:
 
     def twisted(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement]) -> Fraction:
         """The count with decoration vs[i] on boundary i."""
-        if not self.decorated:
-            raise ValueError("this table was built without an algebra")
-        mu = self._validate(g, mu)
-        rows = check_decorations(self.algebra, vs, len(mu))
-        total = Fraction(0)
-        for idx, val in self._lookup(g, mu).items():
-            for row, i in zip(rows, idx):
-                if not row[i]:
-                    break
-                val = val * row[i]
-            else:
-                total += val
-        return total
+        return self._twisted(g, self._validate(g, mu), vs)
 
     def untwisted(self, g: int, mu: Sequence[int]) -> Fraction:
         """The scalar count: the recursion over the trivial algebra."""
-        if self.algebra != TRIVIAL:
+        return self._untwisted(g, self._validate(g, mu))
+
+    def _twisted(self, g: int, mu: Tuple[int, ...], vs: Sequence[AlgebraElement]) -> Fraction:
+        """``twisted`` on a profile that ``_validate`` has already checked."""
+        if not self.decorated:
+            raise ValueError("this table was built without an algebra")
+        rows = check_decorations(self.algebra, vs, len(mu))
+        order = range(len(mu))
+        if self.canonicalize:  # the rows, not the tensor, go to the memoized order
+            order = sorted(order, key=lambda p: -mu[p])
+        tensor = self._lookup(g, tuple(mu[p] for p in order), mu)
+        rows = [rows[p] for p in order]
+        total = Fraction(0)
+        for idx in product(*[[i for i, c in enumerate(row) if c] for row in rows]):
+            val = tensor.get(idx)
+            if val:
+                for row, i in zip(rows, idx):
+                    if row[i] != 1:
+                        val = val * row[i]
+                total += val
+        return total
+
+    def _untwisted(self, g: int, mu: Tuple[int, ...]) -> Fraction:
+        """``untwisted`` on a profile that ``_validate`` has already checked."""
+        if self.algebra is not TRIVIAL and self.algebra != TRIVIAL:
             if self._scalar is None:  # same family and options, trivial algebra
                 self._scalar = copy.copy(self)
                 CutJoinTable.__init__(self._scalar, canonicalize=self.canonicalize)
-            return self._scalar.untwisted(g, mu)
-        mu = self._validate(g, mu)
-        return self._lookup(g, mu).get((0,) * len(mu), Fraction(0))
+            return self._scalar._untwisted(g, mu)
+        ordered = tuple(sorted(mu, reverse=True)) if self.canonicalize else mu
+        return self._lookup(g, ordered, mu).get((0,) * len(mu), Fraction(0))
 
-    def _lookup(self, g: int, mu: Tuple[int, ...]):
-        self._work, self._request = 0, (g, list(mu))
+    def _lookup(self, g: int, mu: Tuple[int, ...], asked: Sequence[int]):
+        """The tensor of (g, mu); ``asked`` is the profile as the caller
+        gave it, which a budget error names."""
+        self._work, self._request = 0, (g, list(asked))
         try:
             return self._tensor(g, mu)
         except RecursionError:
-            msg = "recursion too deep for profile g=%d, mu=%s" % (g, list(mu))
+            msg = "recursion too deep for profile g=%d, mu=%s" % (g, list(asked))
             raise BudgetError(msg) from None
 
     def _tensor(self, g: int, mu: Tuple[int, ...]):
@@ -167,7 +169,8 @@ class CutJoinTable:
             d = max(range(len(canon)), key=lambda i: (canon[i], -i))
             m1 = canon[d]
             rest = canon[:d] + canon[d + 1 :]
-            delta = self._delta_by_ab
+            by_output = self.algebra.product_by_output
+            by_legs = self.algebra.coproduct_by_legs
             acc = {}
 
             def add(i1, ridx, w):
@@ -182,12 +185,12 @@ class CutJoinTable:
                     for cidx, val in self._tensor(g, (c,) + others).items():
                         val = w * val
                         head, tail = cidx[1 : j + 1], cidx[j + 1 :]
-                        for i1, ij, p in self._prod_by_k[cidx[0]]:
+                        for i1, ij, p in by_output[cidx[0]]:
                             add(i1, head + (ij,) + tail, p * val)
             # loops and splits: the distinguished decoration is coproduced
             for a, b, w in self._cuts(m1):
                 for cidx, val in self._tensor(g - 1, (a, b) + rest).items():
-                    for i1, c in delta.get(cidx[:2], ()):
+                    for i1, c in by_legs[cidx[0]][cidx[1]]:
                         add(i1, cidx[2:], w * c * val)
                 for g1 in range(g + 1):
                     for I, J, inv in _splits(len(rest)):
@@ -199,8 +202,8 @@ class CutJoinTable:
                         T2 = self._tensor(g - g1, (b,) + tuple(rest[t] for t in J))
                         for idx1, v1 in T1.items():
                             for idx2, v2 in T2.items():
-                                lst = delta.get((idx1[0], idx2[0]))
-                                if lst is None:
+                                lst = by_legs[idx1[0]][idx2[0]]
+                                if not lst:
                                     continue
                                 both = idx1[1:] + idx2[1:]
                                 ridx = tuple(both[p] for p in inv)

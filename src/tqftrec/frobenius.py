@@ -7,11 +7,26 @@ and the Euler element.  Amplitudes Omega_{g,n}(v_1..v_n) = counit(v_1 ...
 v_n e^g) where e is the Euler element; the kernel (coproduct-side) and
 cokernel (product-side) contraction operators act on multilinear
 functionals stored densely on basis tuples.
+
+The algebra owns the data its consumers derive from the tensors, built on
+first use and cached on the instance:
+
+- four sparse views holding only the nonzero structure constants:
+  ``product_by_pair[i][j]`` lists (k, c) with c = product_tensor[i][j][k],
+  ``product_by_output[k]`` lists (i, j, c), ``coproduct_by_input[i]`` lists
+  (a, b, w) with w = coproduct_tensor[i][a][b], and
+  ``coproduct_by_legs[a][b]`` lists (i, w);
+- the basis vectors and the Euler powers e^g as coefficient tuples.
+
+Caches hold only immutable tuples of Fractions.  ``basis``,
+``euler_power`` and ``unit_element`` hand out fresh ``AlgebraElement``s
+that wrap them, so no caller can change what a later call returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product as iproduct
 from typing import Callable, Mapping, Sequence, Union
 
@@ -95,6 +110,7 @@ class FrobeniusAlgebra:
         self._derive(check)
         if check:
             self._verify()
+        self._euler_powers = [self.unit]  # e^0, e^1, ...; ``euler_power`` extends it
         # the tensors are immutable tuples, so the hash is fixed
         self._hash = hash((self.dim, self.product_tensor, self.pairing))
 
@@ -219,21 +235,64 @@ class FrobeniusAlgebra:
                         raise AxiomError(
                             "product from coproduct and pairing", (i, j, a))
 
+    # -- sparse views and caches, built on first use --------------------------
+
+    @cached_property
+    def product_by_pair(self):
+        """[i][j] -> ((k, c), ...): the nonzero c = product_tensor[i][j][k]."""
+        return tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+            for plane in self.product_tensor
+        )
+
+    @cached_property
+    def product_by_output(self):
+        """[k] -> ((i, j, c), ...): the nonzero c = product_tensor[i][j][k]."""
+        by_k = [[] for _ in range(self.dim)]
+        for i, plane in enumerate(self.product_by_pair):
+            for j, terms in enumerate(plane):
+                for k, c in terms:
+                    by_k[k].append((i, j, c))
+        return tuple(map(tuple, by_k))
+
+    @cached_property
+    def coproduct_by_input(self):
+        """[i] -> ((a, b, w), ...): the nonzero w = coproduct_tensor[i][a][b]."""
+        return tuple(
+            tuple((a, b, w) for a, row in enumerate(plane) for b, w in enumerate(row) if w)
+            for plane in self.coproduct_tensor
+        )
+
+    @cached_property
+    def coproduct_by_legs(self):
+        """[a][b] -> ((i, w), ...): the nonzero w = coproduct_tensor[i][a][b]."""
+        s = self.dim
+        by_ab = [[[] for _ in range(s)] for _ in range(s)]
+        for i, terms in enumerate(self.coproduct_by_input):
+            for a, b, w in terms:
+                by_ab[a][b].append((i, w))
+        return tuple(tuple(map(tuple, row)) for row in by_ab)
+
+    @cached_property
+    def _basis_coeffs(self):
+        one, zero = Fraction(1), Fraction(0)
+        return tuple(
+            tuple(one if i == j else zero for j in range(self.dim)) for i in range(self.dim)
+        )
+
     # -- elements -----------------------------------------------------------
 
     def element(self, coeffs: Sequence) -> "AlgebraElement":
         return AlgebraElement(self, coeffs)
 
     def basis(self, i: int) -> "AlgebraElement":
-        co = [Fraction(0)] * self.dim
-        co[i] = Fraction(1)
-        return AlgebraElement(self, co)
+        return AlgebraElement._wrap(self, self._basis_coeffs[i])
 
     def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit)
+        return AlgebraElement._wrap(self, self.unit)
 
     def euler_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.euler)
+        return AlgebraElement._wrap(self, self.euler)
 
     def label_index(self, label: str) -> int:
         try:
@@ -285,7 +344,18 @@ class AlgebraElement:
         if len(coeffs) != algebra.dim:
             raise ValueError("coefficient vector length does not match dim")
         self.algebra = algebra
-        self.coeffs = tuple(_frac(x) for x in coeffs)
+        if all(type(x) is Fraction for x in coeffs):
+            self.coeffs = coeffs if type(coeffs) is tuple else tuple(coeffs)
+        else:
+            self.coeffs = tuple(_frac(x) for x in coeffs)
+
+    @classmethod
+    def _wrap(cls, algebra: FrobeniusAlgebra, coeffs: tuple) -> "AlgebraElement":
+        """A new element over a cached tuple of dim Fractions, taken as is."""
+        el = object.__new__(cls)
+        el.algebra = algebra
+        el.coeffs = coeffs
+        return el
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_algebra(self, other)
@@ -324,20 +394,25 @@ def _same_algebra(*elems) -> FrobeniusAlgebra:
     return A
 
 
+def _multiply(A: FrobeniusAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> list:
+    """Coefficients of the product of two coefficient vectors, through the
+    pair view of the product tensor."""
+    out = [Fraction(0)] * A.dim
+    pairs = A.product_by_pair
+    for i, a in enumerate(x):
+        if a:
+            row = pairs[i]
+            for j, b in enumerate(y):
+                if b:
+                    w = a * b
+                    for k, c in row[j]:
+                        out[k] += w * c
+    return out
+
+
 def product(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     A = _same_algebra(u, v)
-    s = A.dim
-    out = [Fraction(0)] * s
-    for i in range(s):
-        if u.coeffs[i] == 0:
-            continue
-        for j in range(s):
-            w = u.coeffs[i] * v.coeffs[j]
-            if w == 0:
-                continue
-            for k in range(s):
-                out[k] += w * A.product_tensor[i][j][k]
-    return AlgebraElement(A, out)
+    return AlgebraElement(A, _multiply(A, u.coeffs, v.coeffs))
 
 
 def pairing(u: AlgebraElement, v: AlgebraElement) -> Rational:
@@ -381,36 +456,36 @@ def coproduct(v: AlgebraElement):
 def handle(v: AlgebraElement) -> AlgebraElement:
     """Multiply the two legs of the coproduct back together."""
     A = v.algebra
-    mat = coproduct(v)
-    s = A.dim
-    out = [Fraction(0)] * s
-    for a in range(s):
-        for b in range(s):
-            if mat[a][b] == 0:
-                continue
-            for k in range(s):
-                out[k] += mat[a][b] * A.product_tensor[a][b][k]
+    out = [Fraction(0)] * A.dim
+    for a, row in enumerate(coproduct(v)):
+        for b, w in enumerate(row):
+            if w:
+                for k, c in A.product_by_pair[a][b]:
+                    out[k] += w * c
     return AlgebraElement(A, out)
 
 
 def euler_power(A: FrobeniusAlgebra, g: int) -> AlgebraElement:
+    """e^g, from the algebra's cache of Euler powers."""
     if g < 0:
         raise ValueError("g must be non-negative")
-    acc = A.unit_element()
-    e = A.euler_element()
-    for _ in range(g):
-        acc = product(acc, e)
-    return acc
+    powers = A._euler_powers
+    while len(powers) <= g:
+        powers.append(tuple(_multiply(A, powers[-1], A.euler)))
+    return AlgebraElement._wrap(A, powers[g])
 
 
 def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]) -> Rational:
-    """Amplitude of a genus-g surface with n inputs."""
+    """Amplitude of a genus-g surface with n inputs: the cached e^g, each
+    decoration multiplied in through the pair view, then the counit."""
     if n < 1 or len(vs) != n:
         raise ValueError("need n >= 1 inputs")
-    acc = euler_power(A, g)
+    acc = euler_power(A, g).coeffs
     for v in vs:
-        acc = product(acc, v)
-    return counit(acc)
+        if v.algebra is not A and v.algebra != A:
+            raise ValueError("algebra mismatch")
+        acc = _multiply(A, acc, v.coeffs)
+    return sum((a * e for a, e in zip(acc, A.counit) if a), Fraction(0))
 
 
 class TwistedFunctional:
@@ -506,19 +581,14 @@ def delta_star_contract(F: TwistedFunctional) -> TwistedFunctional:
     if F.arity < 2:
         raise ValueError("need at least two slots to contract")
     A = F.algebra
-    s = A.dim
-    D = A.coproduct_tensor
+    D = A.coproduct_by_input
 
     def val(*key):
         i1, rest = key[0], key[1:]
         acc = None
-        for a in range(s):
-            for b in range(s):
-                w = D[i1][a][b]
-                if w == 0:
-                    continue
-                term = _mul_value(w, F.values[(a, b) + rest])
-                acc = term if acc is None else acc + term
+        for a, b, w in D[i1]:
+            term = _mul_value(w, F.values[(a, b) + rest])
+            acc = term if acc is None else acc + term
         return acc if acc is not None else Fraction(0)
 
     return TwistedFunctional.from_function(A, F.arity - 1, val)
@@ -532,8 +602,7 @@ def delta_star_split(
     if F1.algebra != F2.algebra:
         raise ValueError("algebra mismatch")
     A = F1.algebra
-    s = A.dim
-    D = A.coproduct_tensor
+    D = A.coproduct_by_input
     n1 = F1.arity - 1
     n2 = F2.arity - 1
 
@@ -542,15 +611,9 @@ def delta_star_split(
         r1 = key[1:1 + n1]
         r2 = key[1 + n1:]
         acc = None
-        for a in range(s):
-            for b in range(s):
-                w = D[i1][a][b]
-                if w == 0:
-                    continue
-                v1 = F1.values[(a,) + r1]
-                v2 = F2.values[(b,) + r2]
-                term = _mul_value(w, v1 * v2)
-                acc = term if acc is None else acc + term
+        for a, b, w in D[i1]:
+            term = _mul_value(w, F1.values[(a,) + r1] * F2.values[(b,) + r2])
+            acc = term if acc is None else acc + term
         return acc if acc is not None else Fraction(0)
 
     return TwistedFunctional.from_function(A, 1 + n1 + n2, val)
@@ -563,18 +626,14 @@ def m_star_contract(F: TwistedFunctional, j: int) -> TwistedFunctional:
     if not 2 <= j <= n:
         raise ValueError(f"slot {j} out of range 2..{n}")
     A = F.algebra
-    s = A.dim
-    c = A.product_tensor
+    pairs = A.product_by_pair
 
     def val(*key):
         i1 = key[0]
         ij = key[j - 1]
         rest = tuple(key[k] for k in range(1, n) if k != j - 1)
         acc = None
-        for k in range(s):
-            w = c[i1][ij][k]
-            if w == 0:
-                continue
+        for k, w in pairs[i1][ij]:
             term = _mul_value(w, F.values[(k,) + rest])
             acc = term if acc is None else acc + term
         return acc if acc is not None else Fraction(0)

@@ -188,21 +188,33 @@ def _cycle_notation(p) -> str:
 
 def parse_cycles(line: str, degree: int | None = None):
     """Parse disjoint-cycle notation like "(1 2 3)(4 5)" into a permutation
-    tuple on 0-based points.  Points in the input are 1-based."""
+    tuple on 0-based points.  Points in the input are 1-based.
+
+    Raises ValueError, naming the text, on an unclosed cycle, a point that
+    is not an integer, and a point repeated within or across cycles: the
+    cycles must be disjoint for the result to be a permutation."""
     line = line.strip()
-    pts = []
+    pts = set()
     cycles = []
     i = 0
     while i < len(line):
         if line[i] != "(":
             raise ValueError(f"bad cycle notation near {line[i:]!r}")
-        j = line.index(")", i)
+        j = line.find(")", i)
+        if j < 0:
+            raise ValueError(f"unclosed cycle in {line!r}")
         body = line[i + 1:j].replace(",", " ").split()
-        cyc = [int(x) - 1 for x in body]
+        try:
+            cyc = [int(x) - 1 for x in body]
+        except ValueError:
+            raise ValueError(f"cycle points must be integers in {line!r}") from None
         if any(x < 0 for x in cyc):
             raise ValueError("points must be positive")
+        for x in cyc:
+            if x in pts:
+                raise ValueError(f"point {x + 1} repeats in {line!r}; cycles must be disjoint")
+            pts.add(x)
         cycles.append(cyc)
-        pts.extend(cyc)
         i = j + 1
     m = degree if degree is not None else (max(pts) + 1 if pts else 1)
     p = list(range(m))

@@ -78,9 +78,9 @@ class CorrelatorTable(CutJoinTable):
             return self._sparse(3, lambda i, j, l: A.three_point[i][j][l])
         if (g, len(k)) == (1, 1):
             # the one-handle weight: the pairing of the coproduct
-            D, eta, r = A.coproduct_tensor, A.pairing, range(A.dim)
+            D, eta = A.coproduct_by_input, A.pairing
             return self._sparse(
-                1, lambda i: Fraction(1, 24) * sum(D[i][a][b] * eta[a][b] for a in r for b in r)
+                1, lambda i: Fraction(1, 24) * sum(w * eta[a][b] for a, b, w in D[i])
             )
         return None
 
@@ -110,7 +110,7 @@ def correlator(g: int, n: int, k: Sequence[int], *, convention: str = "fixed") -
     """The n-point correlator <tau_{k_1} ... tau_{k_n}>_{g,n}."""
     k = _validate(g, n, k)
     table = _SCALAR if convention == "fixed" else _PRINTED
-    return table.untwisted(g, k)
+    return table._untwisted(g, k)
 
 
 def twisted_correlator(
@@ -126,7 +126,7 @@ def twisted_correlator(
     if table is None:
         table = CorrelatorTable(algebra)
         _TWISTED[algebra] = table
-    return table.twisted(g, k, vs)
+    return table._twisted(g, k, vs)
 
 
 def check_tauG(

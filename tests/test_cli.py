@@ -3,8 +3,10 @@
 import io
 import json
 import contextlib
+import copy
 import os
 import pathlib
+import resource
 import shlex
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqftrec import amodel, bmodel, cli, cutjoin, groups, intersect
+from tqftrec.exact import MultiRatFun
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -151,6 +154,22 @@ def test_wgn_group_rows_are_the_converted_twisted_values():
     for i in (nonzero[0], nonzero[-1]):
         assert rows[i]["decor"] == [A.labels[j] for j in keys[i]]
         assert rows[i]["function"] == bmodel.convert_frame(tw.values[keys[i]], 4, "z").to_json()
+
+
+def test_emit_renders_each_repeated_function_once(monkeypatch):
+    args = cli._build_parser().parse_args(
+        ["wgn", "--g", "0", "--n", "4", "--group", "builtin:S3", "--coords", "z"])
+    report = cli.cmd_wgn(args)
+    # the same rows with a function object each, which nothing can share
+    fresh = dict(report, rows=[dict(row, function=copy.copy(row["function"]))
+                               for row in report["rows"]])
+    calls = []
+    to_json = MultiRatFun.to_json
+    monkeypatch.setattr(MultiRatFun, "to_json", lambda self: calls.append(id(self)) or to_json(self))
+    out = cli.emit(report, "json")
+    assert len(report["rows"]) == 81 and len(calls) == len(set(calls)) == 7
+    assert out == cli.emit(fresh, "json")
+    assert len(calls) == 7 + 81
 
 
 def test_dessin_02_past_the_matching_oracle_budget():
@@ -326,6 +345,24 @@ def test_counting_commands_never_load_sympy(tmp_path):
     assert os.path.exists(cache) and "ignoring cache" not in proc.stderr
 
 
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_overlapping_cycles_exit_2_in_a_capped_process():
+    # "(1 2)(2 3)" is not a permutation; read as one it once made
+    # group-info loop and grow without bound, so the process runs under a
+    # time limit and a 1 GB address-space cap
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tqftrec.cli", "group-info", "--group", "(1 2)(2 3)"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr[-2000:]
+    assert proc.stderr == "usage error: point 2 repeats in '(1 2)(2 3)'; cycles must be disjoint\n"
+
+
 # -- argv fuzzing: every input ends in a documented exit code -----------------
 
 def _mostly(valid, invalid):
@@ -336,7 +373,8 @@ def _mostly(valid, invalid):
 _INT = _mostly(st.integers(1, 4), st.integers(-12, 12)).map(str)
 _GROUPS = _mostly(
     st.sampled_from(["builtin:trivial", "builtin:Z2", "builtin:Z3", "builtin:S3", "builtin:Q8"]),
-    st.sampled_from(["builtin:nosuch", "Z5", "", "builtin:", "(1 2", "(1 2)(3", "(1 2 3)"]))
+    st.sampled_from(["builtin:nosuch", "Z5", "", "builtin:", "(1 2", "(1 2)(3", "(1 2 3)",
+                     "(1 2)(2 3)", "(1 1)"]))
 _DECORS = _mostly(
     st.sampled_from(["[1]", "[(1 2)]", "[(1 2 3)]", "[-1]", "[g1]", "1,0", "1/2,-1/3,2"]),
     st.sampled_from(["1/0,1", "a,b", "", "-3", "0", "[nope]", "1,2,3,4,5,6,7,8,9"]))

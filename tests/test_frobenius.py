@@ -173,3 +173,103 @@ def test_hash_agrees_with_equality():
     assert A.basis(1) == B.basis(1)
     assert len({A.basis(1), B.basis(1)}) == 1
     assert len({A.basis(0), B.basis(1)}) == 2
+
+
+# -- the algebra's sparse views and caches -----------------------------------
+
+
+def _algebras():
+    yield "trivial_algebra", trivial_algebra()
+    for name in BUILTIN_GROUPS:
+        yield name, orbifold_frobenius(load_group("builtin:" + name))
+
+
+def _zeros(s, depth):
+    return [_zeros(s, depth - 1) for _ in range(s)] if depth else Fraction(0)
+
+
+def test_sparse_views_equal_their_dense_tensors():
+    for name, A in _algebras():
+        s = A.dim
+        views = {
+            "product_by_pair": (A.product_tensor, [
+                ((i, j, k), c) for i in range(s) for j in range(s)
+                for k, c in A.product_by_pair[i][j]]),
+            "product_by_output": (A.product_tensor, [
+                ((i, j, k), c) for k in range(s) for i, j, c in A.product_by_output[k]]),
+            "coproduct_by_input": (A.coproduct_tensor, [
+                ((i, a, b), w) for i in range(s) for a, b, w in A.coproduct_by_input[i]]),
+            "coproduct_by_legs": (A.coproduct_tensor, [
+                ((i, a, b), w) for a in range(s) for b in range(s)
+                for i, w in A.coproduct_by_legs[a][b]]),
+        }
+        for view, (dense, entries) in views.items():
+            rebuilt = _zeros(s, 3)
+            for (x, y, z), c in entries:
+                assert c != 0 and rebuilt[x][y][z] == 0, (name, view, (x, y, z))
+                rebuilt[x][y][z] = c
+            assert rebuilt == [[list(row) for row in plane] for plane in dense], (name, view)
+
+
+def _dense_product(A, x, y):
+    s = A.dim
+    return tuple(
+        sum((x[i] * y[j] * A.product_tensor[i][j][k] for i in range(s) for j in range(s)),
+            Fraction(0))
+        for k in range(s)
+    )
+
+
+def test_euler_powers_equal_repeated_dense_products():
+    for name, A in _algebras():
+        acc = A.unit
+        for g in range(6):
+            assert euler_power(A, g).coeffs == acc, (name, g)
+            acc = _dense_product(A, acc, A.euler)
+
+
+def test_elements_from_ints_strings_and_fractions_agree():
+    A = z2_algebra()
+    assert A.element([1, -2]).coeffs == A.element(["1", "-2"]).coeffs \
+        == A.element([Fraction(1), Fraction(-2)]).coeffs == (Fraction(1), Fraction(-2))
+    half = A.element(["1/2", 0]).coeffs
+    assert half == A.element([Fraction(1, 2), Fraction(0)]).coeffs == (Fraction(1, 2), Fraction(0))
+    assert all(type(c) is Fraction for c in half + A.element([3, True]).coeffs)
+    with pytest.raises(ValueError):
+        A.element([Fraction(1)])
+
+
+def test_handed_out_elements_cannot_change_the_caches():
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    before = (A.basis(1).coeffs, euler_power(A, 2).coeffs, A.unit_element().coeffs,
+              omega_tqft(A, 2, 2, [A.basis(1), A.basis(2)]))
+    for el in (A.basis(1), euler_power(A, 2), A.unit_element()):
+        el.coeffs = (Fraction(7),) * A.dim
+    after = (A.basis(1).coeffs, euler_power(A, 2).coeffs, A.unit_element().coeffs,
+             omega_tqft(A, 2, 2, [A.basis(1), A.basis(2)]))
+    assert after == before
+
+
+def test_omega_tqft_rejects_a_foreign_algebra():
+    A, B = z2_algebra(), orbifold_frobenius(load_group("builtin:S3"))
+    with pytest.raises(ValueError):
+        omega_tqft(A, 1, 1, [B.basis(0)])
+
+
+def test_cutjoin_imports_no_contraction_routine_from_frobenius():
+    # the engine and omega_tqft may share the algebra's data views, never a
+    # contraction routine: omega_tqft is the reference the engine is checked by
+    import ast
+    import pathlib
+
+    import tqftrec.cutjoin
+
+    tree = ast.parse(pathlib.Path(tqftrec.cutjoin.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # the module itself is never imported, so no routine comes through it
+            assert not any(a.name.split(".")[-1] == "frobenius" for a in node.names)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "frobenius":
+            imported.update(alias.name for alias in node.names)
+    assert imported and imported <= {"AlgebraElement", "FrobeniusAlgebra", "trivial_algebra"}

@@ -13,6 +13,7 @@ from tqftrec.groups import (
     load_group,
     omega_brute,
     orbifold_frobenius,
+    parse_cycles,
 )
 
 
@@ -36,6 +37,20 @@ def test_group_from_permutation_generators():
     cd = conjugacy(G)
     assert len(cd.classes) == 3
     assert sorted(len(c) for c in cd.classes) == [1, 2, 3]
+
+
+def test_parse_cycles_reads_disjoint_cycles():
+    assert parse_cycles("(1 2)(3 4)") == (1, 0, 3, 2)
+    assert parse_cycles("(1,2,3)") == (1, 2, 0)
+
+
+@pytest.mark.parametrize("text", ["(1 2", "(1 1)", "(1 2)(2 3)", "(a b)"])
+def test_parse_cycles_rejects_what_is_not_a_permutation(text):
+    # an unclosed cycle, a point repeated within or across cycles, and a
+    # point that is not an integer; the message names the text
+    with pytest.raises(ValueError) as info:
+        parse_cycles(text)
+    assert repr(text) in str(info.value)
 
 
 def test_bad_cayley_table_rejected():
