@@ -83,8 +83,7 @@ class CatalanTable(CutJoinTable):
     (``twisted``).
     """
 
-    def _validate(self, g, mu):
-        return _validate_profile(g, len(mu), mu)
+    _validate = staticmethod(_validate_profile)
 
     def _vanishes(self, g, mu):
         return sum(mu) % 2 == 1
@@ -165,8 +164,7 @@ def _table_for(algebra: FrobeniusAlgebra, canonicalize: bool, family=CatalanTabl
 
 def catalan(g: int, n: int, mu: Sequence[int]) -> Rational:
     """Number of connected arrowed cell graphs of genus g with degrees mu."""
-    mu = _validate_profile(g, n, mu)
-    return _SCALAR_TABLE._untwisted(g, mu)
+    return _SCALAR_TABLE.untwisted(g, mu, n)
 
 
 def twisted_catalan(
@@ -179,8 +177,7 @@ def twisted_catalan(
     canonicalize: bool = True,
 ) -> Rational:
     """Decorated Catalan count; reduces to ``catalan`` for the trivial algebra."""
-    mu = _validate_profile(g, n, mu)
-    return _table_for(algebra, canonicalize)._twisted(g, mu, vs)
+    return _table_for(algebra, canonicalize).twisted(g, mu, vs, n)
 
 
 D02_CONVENTION = (
@@ -215,7 +212,7 @@ def twisted_dessin(
     mu = _validate_profile(g, n, mu)
     if any(m < 1 for m in mu):
         raise ValueError("dessin counts need positive degrees, got %s" % list(mu))
-    value = _table_for(algebra, canonicalize)._twisted(g, mu, vs)
+    value = _table_for(algebra, canonicalize).twisted(g, mu, vs)
     return value / math.prod(mu)
 
 
@@ -257,7 +254,7 @@ class LatticeTable(CutJoinTable):
     def value(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement]) -> Rational:
         return self.twisted(g, mu, vs)
 
-    _validate = CatalanTable._validate
+    _validate = staticmethod(_validate_profile)
     _vanishes = CatalanTable._vanishes
 
     def _base_case(self, g, mu):
@@ -309,9 +306,8 @@ def lattice_twisted(
     Calls with the default base cases share one table per algebra and
     ``canonicalize``; caller-supplied ``base_cases`` get a fresh table.
     """
-    mu = _validate_profile(g, n, mu)
     if base_cases is None:
         table = _table_for(algebra, canonicalize, LatticeTable)
     else:
         table = LatticeTable(algebra, base_cases, canonicalize=canonicalize)
-    return table._twisted(g, mu, vs)
+    return table.twisted(g, mu, vs, n)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -65,9 +66,9 @@ def _splits(r: int):
 class CutJoinTable:
     """Memoized sparse decorated counts, reduced by cut and join.
 
-    A family subclass supplies ``_validate(g, mu)``, returning the checked
-    profile; ``_vanishes(g, mu)``, a symmetric rule checked before the memo
-    so that zero profiles are never stored; ``_base_case(g, mu)``, the
+    A family subclass supplies ``_validate(g, n, mu)``, returning the
+    checked profile; ``_vanishes(g, mu)``, a symmetric rule checked before
+    the memo so that zero profiles are never stored; ``_base_case(g, mu)``, the
     tensor of a profile that is not reduced, else None; ``_joins(m1, mj,
     stable)``, the (child degree, weight) pairs for absorbing a boundary of
     degree mj into the distinguished one, where ``stable`` says whether the
@@ -99,41 +100,48 @@ class CutJoinTable:
 
     # -- evaluation ------------------------------------------------------------
 
-    def twisted(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement]) -> Fraction:
-        """The count with decoration vs[i] on boundary i."""
-        return self._twisted(g, self._validate(g, mu), vs)
-
-    def untwisted(self, g: int, mu: Sequence[int]) -> Fraction:
-        """The scalar count: the recursion over the trivial algebra."""
-        return self._untwisted(g, self._validate(g, mu))
-
-    def _twisted(self, g: int, mu: Tuple[int, ...], vs: Sequence[AlgebraElement]) -> Fraction:
-        """``twisted`` on a profile that ``_validate`` has already checked."""
+    def twisted(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement],
+                n: Optional[int] = None) -> Fraction:
+        """The count with decoration vs[i] on boundary i; a given n is
+        checked against the length of mu."""
         if not self.decorated:
             raise ValueError("this table was built without an algebra")
+        mu = self._validate(g, len(mu) if n is None else n, mu)
         rows = check_decorations(self.algebra, vs, len(mu))
         order = range(len(mu))
         if self.canonicalize:  # the rows, not the tensor, go to the memoized order
             order = sorted(order, key=lambda p: -mu[p])
         tensor = self._lookup(g, tuple(mu[p] for p in order), mu)
         rows = [rows[p] for p in order]
+        # walk the smaller side: the tensor, or the decorations' support
+        support = [[i for i, c in enumerate(row) if c] for row in rows]
+        if math.prod(map(len, support)) > len(tensor):
+            items = tensor.items()
+        else:
+            items = ((idx, tensor.get(idx)) for idx in product(*support))
         total = Fraction(0)
-        for idx in product(*[[i for i, c in enumerate(row) if c] for row in rows]):
-            val = tensor.get(idx)
-            if val:
-                for row, i in zip(rows, idx):
-                    if row[i] != 1:
-                        val = val * row[i]
+        for idx, val in items:
+            if not val:
+                continue
+            for row, i in zip(rows, idx):
+                c = row[i]
+                if not c:
+                    break
+                if c != 1:
+                    val = val * c
+            else:
                 total += val
         return total
 
-    def _untwisted(self, g: int, mu: Tuple[int, ...]) -> Fraction:
-        """``untwisted`` on a profile that ``_validate`` has already checked."""
+    def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
+        """The scalar count: the recursion over the trivial algebra; a
+        given n is checked against the length of mu."""
         if self.algebra is not TRIVIAL and self.algebra != TRIVIAL:
             if self._scalar is None:  # same family and options, trivial algebra
                 self._scalar = copy.copy(self)
                 CutJoinTable.__init__(self._scalar, canonicalize=self.canonicalize)
-            return self._scalar._untwisted(g, mu)
+            return self._scalar.untwisted(g, mu, n)
+        mu = self._validate(g, len(mu) if n is None else n, mu)
         ordered = tuple(sorted(mu, reverse=True)) if self.canonicalize else mu
         return self._lookup(g, ordered, mu).get((0,) * len(mu), Fraction(0))
 

@@ -286,13 +286,13 @@ class FrobeniusAlgebra:
         return AlgebraElement(self, coeffs)
 
     def basis(self, i: int) -> "AlgebraElement":
-        return AlgebraElement._wrap(self, self._basis_coeffs[i])
+        return AlgebraElement(self, self._basis_coeffs[i])
 
     def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement._wrap(self, self.unit)
+        return AlgebraElement(self, self.unit)
 
     def euler_element(self) -> "AlgebraElement":
-        return AlgebraElement._wrap(self, self.euler)
+        return AlgebraElement(self, self.euler)
 
     def label_index(self, label: str) -> int:
         try:
@@ -348,14 +348,6 @@ class AlgebraElement:
             self.coeffs = coeffs if type(coeffs) is tuple else tuple(coeffs)
         else:
             self.coeffs = tuple(_frac(x) for x in coeffs)
-
-    @classmethod
-    def _wrap(cls, algebra: FrobeniusAlgebra, coeffs: tuple) -> "AlgebraElement":
-        """A new element over a cached tuple of dim Fractions, taken as is."""
-        el = object.__new__(cls)
-        el.algebra = algebra
-        el.coeffs = coeffs
-        return el
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_algebra(self, other)
@@ -424,9 +416,13 @@ def pairing(u: AlgebraElement, v: AlgebraElement) -> Rational:
     )
 
 
+def _counit(A: FrobeniusAlgebra, x: Sequence[Fraction]) -> Rational:
+    """The counit of a coefficient vector."""
+    return sum((a * e for a, e in zip(x, A.counit) if a), Fraction(0))
+
+
 def counit(v: AlgebraElement) -> Rational:
-    A = v.algebra
-    return sum((v.coeffs[i] * A.counit[i] for i in range(A.dim)), Fraction(0))
+    return _counit(v.algebra, v.coeffs)
 
 
 def three_point(u: AlgebraElement, v: AlgebraElement, w: AlgebraElement) -> Rational:
@@ -472,7 +468,7 @@ def euler_power(A: FrobeniusAlgebra, g: int) -> AlgebraElement:
     powers = A._euler_powers
     while len(powers) <= g:
         powers.append(tuple(_multiply(A, powers[-1], A.euler)))
-    return AlgebraElement._wrap(A, powers[g])
+    return AlgebraElement(A, powers[g])
 
 
 def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]) -> Rational:
@@ -480,12 +476,12 @@ def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]
     decoration multiplied in through the pair view, then the counit."""
     if n < 1 or len(vs) != n:
         raise ValueError("need n >= 1 inputs")
-    acc = euler_power(A, g).coeffs
+    e_g = euler_power(A, g)
+    _same_algebra(e_g, *vs)
+    acc = e_g.coeffs
     for v in vs:
-        if v.algebra is not A and v.algebra != A:
-            raise ValueError("algebra mismatch")
         acc = _multiply(A, acc, v.coeffs)
-    return sum((a * e for a, e in zip(acc, A.counit) if a), Fraction(0))
+    return _counit(A, acc)
 
 
 class TwistedFunctional:

@@ -66,8 +66,7 @@ class CorrelatorTable(CutJoinTable):
         super().__init__(algebra)
         self.convention = convention
 
-    def _validate(self, g, k):
-        return _validate(g, len(k), k)
+    _validate = staticmethod(_validate)
 
     def _vanishes(self, g, k):
         return min(k) < 0 or sum(k) != 3 * g - 3 + len(k)
@@ -108,9 +107,8 @@ _TWISTED: Dict = {}
 
 def correlator(g: int, n: int, k: Sequence[int], *, convention: str = "fixed") -> Rational:
     """The n-point correlator <tau_{k_1} ... tau_{k_n}>_{g,n}."""
-    k = _validate(g, n, k)
     table = _SCALAR if convention == "fixed" else _PRINTED
-    return table._untwisted(g, k)
+    return table.untwisted(g, k, n)
 
 
 def twisted_correlator(
@@ -121,12 +119,11 @@ def twisted_correlator(
     vs: Sequence[AlgebraElement],
 ) -> Rational:
     """The decorated correlator, computed through genuine contractions."""
-    k = _validate(g, n, k)
     table = _TWISTED.get(algebra)
     if table is None:
         table = CorrelatorTable(algebra)
         _TWISTED[algebra] = table
-    return table._twisted(g, k, vs)
+    return table.twisted(g, k, vs, n)
 
 
 def check_tauG(

@@ -1,6 +1,7 @@
 """Unit tests for the Catalan, dessin, and lattice recursions."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,39 @@ def test_twisted_is_multilinear():
         1, 1, (4,), A, [A.basis(1)]
     )
     assert direct == expanded
+
+
+def test_dense_decorations_agree_with_their_basis_expansion():
+    # dense rows walk the tensor, basis rows walk their own support
+    A = orbifold_frobenius(load_group("builtin:Q8"))
+    u, v = A.element([1, -2, 0, "1/2", 3]), A.element([0, 1, 1, 0, -1])
+    for mu, vs in (((3, 2, 1), [u, v, u]), ((1, 2, 3), [v, u, A.basis(2)]), ((4, 2), [u, u])):
+        expanded = sum(
+            (math.prod(w.coeffs[i] for w, i in zip(vs, idx))
+             * twisted_catalan(0, len(mu), mu, A, [A.basis(i) for i in idx])
+             for idx in itertools.product(range(A.dim), repeat=len(mu))),
+            Fraction(0),
+        )
+        assert twisted_catalan(0, len(mu), mu, A, vs) == expanded, mu
+
+
+def test_dense_decorations_never_probe_more_entries_than_the_tensor_has():
+    # 5**13 support tuples against an empty tensor: probing each would take minutes
+    A = orbifold_frobenius(load_group("builtin:Q8"))
+    table = CatalanTable(A)
+    lookup = table._lookup
+
+    class Probes(dict):
+        def get(self, key, default=None):
+            self.probes = getattr(self, "probes", 0) + 1
+            assert self.probes <= len(self), "more probes than tensor entries"
+            return super().get(key, default)
+
+    table._lookup = lambda *args: Probes(lookup(*args))
+    dense = A.element([1] * A.dim)
+    assert table.twisted(0, [1] * 13, [dense] * 13) == 0
+    assert table.twisted(0, (3, 2, 1), [dense] * 3) == twisted_catalan(
+        0, 3, (3, 2, 1), A, [dense] * 3)
 
 
 def test_canonicalization_flag_agrees():
