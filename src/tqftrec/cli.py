@@ -115,7 +115,7 @@ def emit(report: dict, fmt: str) -> str:
 
 def _load_group_arg(source: str) -> groups.FiniteGroup:
     try:
-        return groups.load_group(source)
+        return groups.load_group(source, budget=_budget(groups.DEFAULT_BUDGET))
     except (ValueError, GroupAxiomError) as exc:
         raise UsageError(str(exc))
 

@@ -1,9 +1,14 @@
 """Commutative Frobenius algebras and their surface amplitudes.
 
-An algebra is built from exact structure tensors (product, pairing) and all
-axioms are verified eagerly at construction.  Derived data: the inverse
-pairing, the unit, the counit, the three-point tensor, the coproduct tensor
-and the Euler element.  Amplitudes Omega_{g,n}(v_1..v_n) = counit(v_1 ...
+An algebra is built from exact structure tensors (product, pairing).
+Construction derives the inverse pairing and the unit by Fraction
+elimination, then the counit, the three-point tensor, the coproduct tensor
+and the Euler element as sparse contractions: each sum runs over the
+nonzero product constants of ``product_by_pair`` and the nonzero rows of
+the pairing and its inverse, never over zero terms.  It then verifies every
+axiom on every index tuple in lexicographic order, comparing both sides of
+a law as a vector over its last indices, so an ``AxiomError`` names the
+least failing witness.  Amplitudes Omega_{g,n}(v_1..v_n) = counit(v_1 ...
 v_n e^g) where e is the Euler element; the kernel (coproduct-side) and
 cokernel (product-side) contraction operators act on multilinear
 functionals stored densely on basis tuples.
@@ -82,6 +87,29 @@ def _solve(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
     return [row[s:] for row in rows[:s]]
 
 
+_ZERO = Fraction(0)
+
+
+def _nonzero(vector) -> tuple:
+    """((k, x), ...) for the nonzero entries x = vector[k]."""
+    return tuple((k, x) for k, x in enumerate(vector) if x)
+
+
+def _rows(matrix) -> tuple:
+    """[i] -> ((k, x), ...): the nonzero entries of each row."""
+    return tuple(map(_nonzero, matrix))
+
+
+def _combine(terms, rows, s: int) -> list:
+    """The dense vector of length s summing x * rows[k] over (k, x) in
+    terms, where rows[k] lists the (m, y) pairs of its nonzero entries."""
+    out = [_ZERO] * s
+    for k, x in terms:
+        for m, y in rows[k]:
+            out[m] += x * y
+    return out
+
+
 class FrobeniusAlgebra:
     """Finite-dimensional commutative Frobenius algebra over the rationals."""
 
@@ -133,107 +161,93 @@ class FrobeniusAlgebra:
         if u is None:
             raise AxiomError("unit existence")
         self.unit = tuple(x for (x,) in u)
-        self.counit = tuple(
-            sum((self.unit[a] * self.pairing[a][i] for a in range(s)),
-                Fraction(0))
-            for i in range(s)
-        )
+        eta_rows = _rows(eta)
+        self.counit = tuple(_combine(_nonzero(self.unit), eta_rows, s))
+        pairs = self.product_by_pair
+        # three_point[i][j][k] = sum_l c[i][j][l] eta[l][k]
         self.three_point = tuple(
-            tuple(
-                tuple(
-                    sum((c[i][j][l] * self.pairing[l][k] for l in range(s)),
-                        Fraction(0))
-                    for k in range(s)
-                )
-                for j in range(s)
-            )
-            for i in range(s)
+            tuple(tuple(_combine(terms, eta_rows, s)) for terms in plane) for plane in pairs
         )
-        inv_f = self.pairing_inverse
+        # coproduct[i][a][b] = sum_{k,l} three_point[i][k][l] inv[k][a] inv[l][b];
+        # the pairing in three_point cancels against the inverse on the b leg,
+        # exactly, leaving sum_k inv[k][a] c[i][k][b]
+        inv_cols = _rows(zip(*inv))
         self.coproduct_tensor = tuple(
-            tuple(
-                tuple(
-                    sum(
-                        (self.three_point[i][k][l] * inv_f[k][a] * inv_f[l][b]
-                         for k in range(s) for l in range(s)),
-                        Fraction(0),
-                    )
-                    for b in range(s)
-                )
-                for a in range(s)
-            )
-            for i in range(s)
+            tuple(tuple(_combine(inv_cols[a], plane, s)) for a in range(s)) for plane in pairs
         )
         # Euler element: multiply the two coproduct legs of the unit
-        e = [Fraction(0)] * s
-        for i in range(s):
-            if self.unit[i] == 0:
-                continue
-            for a in range(s):
-                for b in range(s):
-                    w = self.unit[i] * self.coproduct_tensor[i][a][b]
-                    if w == 0:
-                        continue
-                    for k in range(s):
-                        e[k] += w * c[a][b][k]
+        e = [_ZERO] * s
+        for i, x in _nonzero(self.unit):
+            for a, b, w in self.coproduct_by_input[i]:
+                for k, y in pairs[a][b]:
+                    e[k] += x * w * y
         self.euler = tuple(e)
 
     def _verify(self) -> None:
+        """Check every axiom on every index tuple, in lexicographic order,
+        so that the first failure names the least witness.  Each law is
+        compared as a vector over its last indices, built from the nonzero
+        structure constants only."""
         s = self.dim
         c = self.product_tensor
+        eta = self.pairing
+        pairs = self.product_by_pair
         for i in range(s):
             for j in range(i + 1, s):
                 if c[i][j] != c[j][i]:
                     raise AxiomError("commutativity", (i, j))
+        # (e_i e_j) e_l against e_i (e_j e_l) over m; the product is now
+        # known commutative, so e_k e_l is row k of pairs[l]
         for i in range(s):
             for j in range(s):
                 for l in range(s):
-                    for m in range(s):
-                        lhs = sum((c[i][j][k] * c[k][l][m] for k in range(s)),
-                                  Fraction(0))
-                        rhs = sum((c[j][l][k] * c[i][k][m] for k in range(s)),
-                                  Fraction(0))
-                        if lhs != rhs:
-                            raise AxiomError("associativity", (i, j, l))
+                    if _combine(pairs[i][j], pairs[l], s) != _combine(pairs[j][l], pairs[i], s):
+                        raise AxiomError("associativity", (i, j, l))
+        # eta(e_i e_j, e_k) against eta(e_i, e_j e_k) over k
         phi = self.three_point
         for i in range(s):
+            eta_i = eta[i]
             for j in range(s):
                 for k in range(s):
-                    right = sum((c[j][k][l] * self.pairing[i][l]
-                                 for l in range(s)), Fraction(0))
+                    right = sum((x * eta_i[l] for l, x in pairs[j][k] if eta_i[l]), _ZERO)
                     if phi[i][j][k] != right:
                         raise AxiomError("Frobenius compatibility", (i, j, k))
         # counit law: (counit x id) after coproduct is the identity
+        D = self.coproduct_by_input
         for i in range(s):
+            val = [_ZERO] * s
+            for a, b, w in D[i]:
+                val[b] += w * self.counit[a]
             for b in range(s):
-                val = sum(
-                    (self.coproduct_tensor[i][a][b] * self.counit[a]
-                     for a in range(s)),
-                    Fraction(0),
-                )
-                if val != (1 if i == b else 0):
+                if val[b] != (1 if i == b else 0):
                     raise AxiomError("counit law", (i, b))
-        # coproduct of a product factors through either side
-        D = self.coproduct_tensor
+        # coproduct of a product factors through either side: the (a, b)
+        # planes of sum_k c[i][j][k] D[k] and sum_x D[i][a][x] c[x][j]
         for i in range(s):
             for j in range(s):
-                for a in range(s):
-                    for b in range(s):
-                        lhs = sum((c[i][j][k] * D[k][a][b] for k in range(s)),
-                                  Fraction(0))
-                        rhs = sum((D[i][a][x] * c[x][j][b] for x in range(s)),
-                                  Fraction(0))
-                        if lhs != rhs:
-                            raise AxiomError("Frobenius relation", (i, j, a, b))
-        # product recovered from coproduct and pairing
+                lhs = [_ZERO] * (s * s)
+                for k, x in pairs[i][j]:
+                    for a, b, w in D[k]:
+                        lhs[a * s + b] += x * w
+                rhs = [_ZERO] * (s * s)
+                for a, x, w in D[i]:
+                    for b, y in pairs[x][j]:
+                        rhs[a * s + b] += w * y
+                if lhs != rhs:
+                    ab = next(n for n, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
+                    raise AxiomError("Frobenius relation", (i, j) + divmod(ab, s))
+        # product recovered from coproduct and pairing: c[i][j][a] against
+        # sum_b D[i][a][b] eta[b][j], over (j, a)
+        eta_rows = _rows(eta)
         for i in range(s):
+            rhs = [[_ZERO] * s for _ in range(s)]
+            for a, b, w in D[i]:
+                for j, y in eta_rows[b]:
+                    rhs[j][a] += w * y
             for j in range(s):
                 for a in range(s):
-                    rhs = sum((D[i][a][b] * self.pairing[b][j]
-                               for b in range(s)), Fraction(0))
-                    if c[i][j][a] != rhs:
-                        raise AxiomError(
-                            "product from coproduct and pairing", (i, j, a))
+                    if c[i][j][a] != rhs[j][a]:
+                        raise AxiomError("product from coproduct and pairing", (i, j, a))
 
     # -- sparse views and caches, built on first use --------------------------
 

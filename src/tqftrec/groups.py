@@ -17,6 +17,9 @@ from .exact import BudgetError, Rational
 from .frobenius import FrobeniusAlgebra
 
 DEFAULT_BUDGET = 10 ** 8
+# the largest point a permutation generator may name; a permutation is
+# stored as a tuple over every point up to its largest
+MAX_DEGREE = 1000
 
 
 class GroupAxiomError(ValueError):
@@ -192,7 +195,8 @@ def parse_cycles(line: str, degree: int | None = None):
 
     Raises ValueError, naming the text, on an unclosed cycle, a point that
     is not an integer, and a point repeated within or across cycles: the
-    cycles must be disjoint for the result to be a permutation."""
+    cycles must be disjoint for the result to be a permutation.  A point
+    beyond MAX_DEGREE raises ValueError naming the point."""
     line = line.strip()
     pts = set()
     cycles = []
@@ -211,6 +215,9 @@ def parse_cycles(line: str, degree: int | None = None):
         if any(x < 0 for x in cyc):
             raise ValueError("points must be positive")
         for x in cyc:
+            if x >= MAX_DEGREE:
+                raise ValueError(
+                    f"point {x + 1} in {line!r} exceeds the largest degree {MAX_DEGREE}")
             if x in pts:
                 raise ValueError(f"point {x + 1} repeats in {line!r}; cycles must be disjoint")
             pts.add(x)
@@ -224,8 +231,21 @@ def parse_cycles(line: str, degree: int | None = None):
     return tuple(p)
 
 
+def _order_gate(n: int, budget: int) -> None:
+    """A group of order n costs an n x n table and an n^3 associativity
+    check; refuse it when n^3 exceeds the budget."""
+    if n ** 3 > budget:
+        raise BudgetError(
+            f"group of order at least {n}: {n}^3 associativity checks exceed budget {budget}")
+
+
 def group_from_permutations(lines: Sequence[str],
-                            description: str = "permutations") -> FiniteGroup:
+                            description: str = "permutations",
+                            budget: int = DEFAULT_BUDGET) -> FiniteGroup:
+    """The group generated by permutations in disjoint-cycle notation, one
+    per line; blank lines and lines starting with "#" are skipped.  The
+    closure stops with BudgetError once the order's cube exceeds the
+    budget."""
     gens = []
     degree = 0
     for line in lines:
@@ -251,6 +271,7 @@ def group_from_permutations(lines: Sequence[str],
                     index[h] = len(elems)
                     elems.append(h)
                     nxt.append(h)
+                    _order_gate(len(elems), budget)
         frontier = nxt
     n = len(elems)
     table = [[index[_perm_mul(elems[i], elems[j])] for j in range(n)]
@@ -303,14 +324,17 @@ BUILTIN_GROUPS = {
 }
 
 
-def load_group(source: Union[str, Mapping, Sequence[str]]) -> FiniteGroup:
+def load_group(source: Union[str, Mapping, Sequence[str]],
+               budget: int = DEFAULT_BUDGET) -> FiniteGroup:
     """Load a group from a builtin name ("Z2" or "builtin:Z2"), a Cayley
     table mapping {"order": N, "table": [[...]]}, or permutation generator
-    lines in disjoint-cycle notation."""
+    lines in disjoint-cycle notation.  A table or generated group whose
+    order's cube exceeds the budget raises BudgetError."""
     if isinstance(source, Mapping):
         table = source["table"]
         if "order" in source and int(source["order"]) != len(table):
             raise ValueError("declared order does not match table size")
+        _order_gate(len(table), budget)
         return FiniteGroup(table, description="table")
     if isinstance(source, str):
         name = source.strip()
@@ -319,11 +343,11 @@ def load_group(source: Union[str, Mapping, Sequence[str]]) -> FiniteGroup:
         if name in BUILTIN_GROUPS:
             return BUILTIN_GROUPS[name]()
         if "(" in name:
-            return group_from_permutations(name.splitlines())
+            return group_from_permutations(name.splitlines(), budget=budget)
         raise ValueError(
             f"unknown group source {source!r}; builtins: "
             f"{sorted(BUILTIN_GROUPS)}")
-    return group_from_permutations(list(source))
+    return group_from_permutations(list(source), budget=budget)
 
 
 def conjugacy(G: FiniteGroup) -> ConjugacyData:
@@ -336,7 +360,10 @@ def orbifold_frobenius(G: FiniteGroup,
 
     Basis is indexed by conjugacy classes; the pairing couples a class to
     its inverse class with weight 1/|centralizer|, and the product sums
-    |C(product)| / |G| over ordered pairs of class representatives."""
+    |C(product)| / |G| over ordered pairs (a, b) from classes i and j.
+    Conjugating a permutes class j, so every a in class i meets each class
+    k equally often: the pairs are counted as integers from one
+    representative a, times the size of class i."""
     if cd is None:
         cd = conjugacy(G)
     h = cd.num_classes
@@ -349,13 +376,17 @@ def orbifold_frobenius(G: FiniteGroup,
         ]
         for i in range(h)
     ]
-    prod = [[[Fraction(0)] * h for _ in range(h)] for _ in range(h)]
-    for i in range(h):
-        for j in range(h):
-            for a in cd.classes[i]:
-                for b in cd.classes[j]:
-                    k = cd.class_of[G.table[a][b]]
-                    prod[i][j][k] += Fraction(cd.centralizer_orders[k], N)
+    prod = []
+    for cl in cd.classes:
+        row = G.table[cl[0]]
+        plane = []
+        for cj in cd.classes:
+            counts = [0] * h
+            for b in cj:
+                counts[cd.class_of[row[b]]] += 1
+            plane.append([Fraction(len(cl) * n * cd.centralizer_orders[k], N)
+                          for k, n in enumerate(counts)])
+        prod.append(plane)
     return FrobeniusAlgebra(h, cd.class_names, prod, pairing)
 
 

@@ -10,6 +10,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -350,17 +351,46 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def test_overlapping_cycles_exit_2_in_a_capped_process():
-    # "(1 2)(2 3)" is not a permutation; read as one it once made
-    # group-info loop and grow without bound, so the process runs under a
-    # time limit and a 1 GB address-space cap
+def _capped_group_info(group):
+    """``tqft group-info`` in a process under a 60 s time limit and a 1 GB
+    address-space cap."""
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    proc = subprocess.run(
-        [sys.executable, "-m", "tqftrec.cli", "group-info", "--group", "(1 2)(2 3)"],
+    return subprocess.run(
+        [sys.executable, "-m", "tqftrec.cli", "group-info", "--group", group],
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+
+
+def test_overlapping_cycles_exit_2_in_a_capped_process():
+    # "(1 2)(2 3)" is not a permutation; read as one it once made
+    # group-info loop and grow without bound
+    proc = _capped_group_info("(1 2)(2 3)")
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr[-2000:]
     assert proc.stderr == "usage error: point 2 repeats in '(1 2)(2 3)'; cycles must be disjoint\n"
+
+
+def test_large_point_exits_2_in_a_capped_process():
+    # the permutation was once sized by its largest point: MemoryError, exit 1
+    proc = _capped_group_info("(1 3000000000)")
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr[-2000:]
+    assert proc.stderr == ("usage error: point 3000000000 in '(1 3000000000)' "
+                           "exceeds the largest degree %d\n" % groups.MAX_DEGREE)
+
+
+def test_large_group_exits_3_within_seconds():
+    # S6 from two generators once took 20 s in its table and associativity
+    # check; the closure now stops at order 465, whose cube passes 10^8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("TQFT_BUDGET", raising=False)
+        start = time.perf_counter()
+        proc = _capped_group_info("(1 2)\n(1 2 3 4 5 6)")
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == cli.EXIT_BUDGET, proc.stderr[-2000:]
+        assert proc.stderr.startswith("budget exceeded: group of order at least 465"), proc.stderr
+        mp.setenv("TQFT_BUDGET", "215")
+        assert run_cli("group-info", "--group", "(1 2)\n(1 2 3)")[0] == cli.EXIT_BUDGET
+        mp.setenv("TQFT_BUDGET", "216")
+        assert run_cli("group-info", "--group", "(1 2)\n(1 2 3)")[0] == cli.EXIT_OK
 
 
 # -- argv fuzzing: every input ends in a documented exit code -----------------

@@ -21,7 +21,7 @@ from tqftrec.frobenius import (
     three_point,
     trivial_algebra,
 )
-from tqftrec.groups import BUILTIN_GROUPS, load_group, orbifold_frobenius
+from tqftrec.groups import BUILTIN_GROUPS, group_from_permutations, load_group, orbifold_frobenius
 
 
 def z2_algebra():
@@ -273,3 +273,127 @@ def test_cutjoin_imports_no_contraction_routine_from_frobenius():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "frobenius":
             imported.update(alias.name for alias in node.names)
     assert imported and imported <= {"AlgebraElement", "FrobeniusAlgebra", "trivial_algebra"}
+
+
+# -- derived tensors against plain dense sums ---------------------------------
+
+
+def _change_basis(A):
+    """A's structure tensors in the basis f_i = e_0 + ... + e_i.  The
+    pairing becomes dense, and so does its inverse."""
+    s = A.dim
+    # coordinates of e_k in the new basis: e_k = f_k - f_{k-1}
+    to_f = [[Fraction(int(j == k) - int(j == k - 1)) for j in range(s)] for k in range(s)]
+
+    def f_coords(v):
+        return [sum((v[k] * to_f[k][j] for k in range(s)), Fraction(0)) for j in range(s)]
+
+    basis = [[Fraction(int(k <= i)) for k in range(s)] for i in range(s)]
+    prod = [[f_coords(_dense_product(A, x, y)) for y in basis] for x in basis]
+    pair = [[sum((x[a] * y[b] * A.pairing[a][b] for a in range(s) for b in range(s)), Fraction(0))
+             for y in basis] for x in basis]
+    return FrobeniusAlgebra(s, ["f%d" % i for i in range(s)], prod, pair)
+
+
+def _dense_reference_algebras():
+    yield from _algebras()
+    yield "S5", orbifold_frobenius(group_from_permutations(["(1 2)", "(1 2 3 4 5)"]))
+    for name in ("Z2", "S3"):
+        yield name + " in a triangular basis", _change_basis(
+            orbifold_frobenius(load_group("builtin:" + name)))
+
+
+def test_derived_tensors_equal_plain_dense_sums():
+    zero = Fraction(0)
+    seen_dense_inverse = False
+    for name, A in _dense_reference_algebras():
+        s, c, eta, inv = A.dim, A.product_tensor, A.pairing, A.pairing_inverse
+        r = range(s)
+        delta = [[int(i == j) for j in r] for i in r]
+        assert [[sum((eta[i][k] * inv[k][j] for k in r), zero) for j in r] for i in r] == delta, name
+        assert [[sum((A.unit[i] * c[i][j][k] for i in r), zero) for k in r] for j in r] == delta, name
+        assert A.counit == tuple(sum((A.unit[a] * eta[a][i] for a in r), zero) for i in r), name
+        phi = [[[sum((c[i][j][l] * eta[l][k] for l in r), zero) for k in r] for j in r] for i in r]
+        assert [[list(row) for row in plane] for plane in A.three_point] == phi, name
+        D = [[[sum((phi[i][k][l] * inv[k][a] * inv[l][b] for k in r for l in r), zero)
+               for b in r] for a in r] for i in r]
+        assert [[list(row) for row in plane] for plane in A.coproduct_tensor] == D, name
+        assert A.euler == tuple(
+            sum((A.unit[i] * D[i][a][b] * c[a][b][k] for i in r for a in r for b in r), zero)
+            for k in r), name
+        for x in (A.pairing_inverse, A.three_point, A.coproduct_tensor, [A.unit, A.counit, A.euler]):
+            assert all(type(v) is Fraction for v in _flatten(x)), name
+        seen_dense_inverse |= all(all(row) for row in inv)
+    assert seen_dense_inverse
+
+
+def _flatten(x):
+    if isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _flatten(y)
+    else:
+        yield x
+
+
+# -- the first failing witness of each axiom ----------------------------------
+
+
+def _unital(s, rest):
+    """A product tensor with e_0 as its unit and e_i e_j = rest[(i, j)] for
+    i, j >= 1."""
+    c = [[[int(k == max(i, j)) if min(i, j) == 0 else 0 for k in range(s)]
+          for j in range(s)] for i in range(s)]
+    for (i, j), v in rest.items():
+        c[i][j] = list(v)
+    return c
+
+
+_I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("product_tensor, pairing_matrix, axiom, witness", [
+    # e_1 e_2 = e_1 but e_2 e_1 = e_2
+    (_unital(3, {(1, 1): (0, 0, 1), (1, 2): (0, 1, 0), (2, 1): (0, 0, 1), (2, 2): (1, 0, 0)}),
+     _I3, "commutativity", (1, 2)),
+    # x^2 = y, xy = x, y^2 = x: (x x) y = x but x (x y) = y
+    (_unital(3, {(1, 1): (0, 0, 1), (1, 2): (0, 1, 0), (2, 1): (0, 1, 0), (2, 2): (0, 1, 0)}),
+     _I3, "associativity", (1, 1, 2)),
+    # e^2 = 1 with eta(e, e) = 2, but eta(1, e e) = eta(1, 1) = 1
+    ([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [[1, 0], [0, 2]], "Frobenius compatibility", (0, 1, 1)),
+])
+def test_axiom_failures_name_their_first_witness(product_tensor, pairing_matrix, axiom, witness):
+    s = len(pairing_matrix)
+    with pytest.raises(AxiomError) as info:
+        FrobeniusAlgebra(s, [str(i) for i in range(s)], product_tensor, pairing_matrix)
+    assert (info.value.axiom, info.value.witness) == (axiom, witness)
+
+
+def _verify_with(A, **tensors):
+    """Run the axiom checks of A over replaced derived tensors."""
+    for name, value in tensors.items():
+        setattr(A, name, value)
+    A.__dict__.pop("coproduct_by_input", None)  # rebuilt from the replaced tensor
+    with pytest.raises(AxiomError) as info:
+        A._verify()
+    return info.value.axiom, info.value.witness
+
+
+def test_coproduct_law_failures_name_their_first_witness():
+    # a genuine algebra passes the first three laws, so the later ones are
+    # reached only through corrupted derived tensors
+    for name, last in (("Z2", 1), ("S3", 2), ("Q8", 4)):
+        A = orbifold_frobenius(load_group("builtin:" + name))
+        doubled = tuple(tuple(tuple(2 * w for w in row) for row in plane)
+                        for plane in A.coproduct_tensor)
+        assert _verify_with(A, coproduct_tensor=doubled) == ("counit law", (0, 0)), name
+
+        A = orbifold_frobenius(load_group("builtin:" + name))
+        D = [[list(row) for row in plane] for plane in A.coproduct_tensor]
+        D[1][1][last] += 1  # leaves the counit law intact: counit[1] = 0
+        assert _verify_with(A, coproduct_tensor=D) == ("Frobenius relation", (0, 1, 1, last)), name
+
+        A = orbifold_frobenius(load_group("builtin:" + name))
+        eta = tuple(tuple(2 * x for x in row) for row in A.pairing)
+        phi = tuple(tuple(tuple(2 * x for x in row) for row in plane) for plane in A.three_point)
+        assert _verify_with(A, pairing=eta, three_point=phi) == \
+            ("product from coproduct and pairing", (0, 0, 0)), name

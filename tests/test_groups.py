@@ -7,6 +7,7 @@ import pytest
 from tqftrec.exact import BudgetError
 from tqftrec.groups import (
     BUILTIN_GROUPS,
+    MAX_DEGREE,
     GroupAxiomError,
     conjugacy,
     group_from_permutations,
@@ -117,3 +118,44 @@ def test_formula_equals_brute_spot_checks():
         for idx in ((0,), (1,), (2,)):
             vs = [A.basis(i) for i in idx]
             assert omega_tqft(A, g, 1, vs) == omega_brute(G, g, idx, cd=cd)
+
+
+def test_orbifold_product_equals_the_count_over_all_pairs():
+    # the production path counts from one representative per class; here
+    # every ordered pair of elements is counted
+    for G in [load_group("builtin:" + name) for name in BUILTIN_GROUPS] + [
+            group_from_permutations(["(1 2)", "(1 2 3 4)"])]:
+        cd = conjugacy(G)
+        h = cd.num_classes
+        prod = [[[Fraction(0)] * h for _ in range(h)] for _ in range(h)]
+        for i in range(h):
+            for j in range(h):
+                for a in cd.classes[i]:
+                    for b in cd.classes[j]:
+                        k = cd.class_of[G.table[a][b]]
+                        prod[i][j][k] += Fraction(cd.centralizer_orders[k], G.order)
+        assert orbifold_frobenius(G, cd).product_tensor == tuple(
+            tuple(tuple(row) for row in plane) for plane in prod), G
+
+
+def test_parse_cycles_rejects_a_point_beyond_the_largest_degree():
+    assert len(parse_cycles("(1 %d)" % MAX_DEGREE)) == MAX_DEGREE
+    for point in (MAX_DEGREE + 1, 3000000000):
+        with pytest.raises(ValueError) as info:
+            parse_cycles("(1 %d)" % point)
+        assert "point %d" % point in str(info.value)
+
+
+def test_order_gate_stops_large_groups():
+    # S5 (120^3 = 1.7M) loads; S6 (720^3 > 10^8) stops in the closure
+    assert group_from_permutations(["(1 2)", "(1 2 3 4 5)"]).order == 120
+    with pytest.raises(BudgetError):
+        load_group("(1 2)\n(1 2 3 4 5 6)")
+    # the budget is the caller's: S3 needs 6^3 = 216
+    assert load_group("(1 2)\n(1 2 3)", budget=216).order == 6
+    with pytest.raises(BudgetError):
+        load_group("(1 2)\n(1 2 3)", budget=215)
+    table = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+    assert load_group(table, budget=27).order == 3
+    with pytest.raises(BudgetError):
+        load_group(table, budget=26)
