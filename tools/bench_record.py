@@ -1,13 +1,14 @@
 """Record one point of the benchmark trajectory: BENCH_<label>.json.
 
-    python3 tools/bench_record.py [--checkout DIR] [--label LABEL] [--seed 1] [--seconds 12]
+    python3 tools/bench_record.py [--checkout DIR] [--seed 1]
 
 Runs ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` in
-the checkout (default: this repository) for each workload, one after the
-other, and writes ``BENCH_<label>.json`` at the root of this repository
-with the checkout's commit, the machine facts the benchmark recorded, and
-each workload's five end-to-end metrics and its answer counts.  The label
-defaults to the checkout's short commit hash.  Only the standard library
+the checkout (default: this repository) for each workload of the
+checkout's BENCHMARK.json, one after the other, N being its
+``run_seconds``.  Writes ``BENCH_<label>.json`` at the root of this
+repository, the label being the checkout's short commit hash, with the
+commit, the machine facts the benchmark recorded, and each workload's
+five end-to-end metrics and its answer counts.  Only the standard library
 is used; the benchmark itself is not changed.  Exits 1 if any workload
 gave a wrong answer or failed.
 """
@@ -21,7 +22,6 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
-WORKLOADS = ("recursions", "differentials", "oracles", "cli")
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -53,17 +53,17 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=HERE)
-    parser.add_argument("--label")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=12)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
+    bench = json.loads((checkout / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     commit = git(checkout, "rev-parse", "HEAD")
     dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
-    label = args.label or commit[:7]
+    label = commit[:7]
     workloads, machine = {}, None
-    for workload in WORKLOADS:
-        result = run_workload(checkout, workload, args.seed, args.seconds)
+    for workload in (w["name"] for w in bench["workloads"]):
+        result = run_workload(checkout, workload, args.seed, seconds)
         machine = result.pop("machine")  # the same facts in every run
         workloads[workload] = result
         print("%-14s correct=%s %s" % (workload, result["correct"], " ".join(
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
         "commit": commit,
         "uncommitted_changes": dirty,
         "command": "perfbench/run.py --workload W --seed %d --seconds %d --trace 0"
-                   % (args.seed, args.seconds),
+                   % (args.seed, seconds),
         "machine": machine,
         "workloads": workloads,
     }, indent=1, sort_keys=True) + "\n")
