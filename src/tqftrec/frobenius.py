@@ -13,15 +13,19 @@ v_n e^g) where e is the Euler element; the kernel (coproduct-side) and
 cokernel (product-side) contraction operators act on multilinear
 functionals stored densely on basis tuples.
 
-The algebra owns the data its consumers derive from the tensors, built on
-first use and cached on the instance:
+The algebra owns the data its consumers derive from the tensors, cached on
+the instance:
 
 - four sparse views holding only the nonzero structure constants:
   ``product_by_pair[i][j]`` lists (k, c) with c = product_tensor[i][j][k],
   ``product_by_output[k]`` lists (i, j, c), ``coproduct_by_input[i]`` lists
   (a, b, w) with w = coproduct_tensor[i][a][b], and
-  ``coproduct_by_legs[a][b]`` lists (i, w);
-- the basis vectors and the Euler powers e^g as coefficient tuples.
+  ``coproduct_by_legs[a][b]`` lists (i, w).  Construction builds
+  ``product_by_pair`` and ``coproduct_by_input``, which the derivation and
+  the verification read; ``product_by_output`` and ``coproduct_by_legs``
+  are built on first use;
+- the basis vectors and the Euler powers e^g as coefficient tuples, built
+  on first use.
 
 Caches hold only immutable tuples of Fractions.  ``basis``,
 ``euler_power`` and ``unit_element`` hand out fresh ``AlgebraElement``s
@@ -249,15 +253,13 @@ class FrobeniusAlgebra:
                     if c[i][j][a] != rhs[j][a]:
                         raise AxiomError("product from coproduct and pairing", (i, j, a))
 
-    # -- sparse views and caches, built on first use --------------------------
+    # -- sparse views and caches; construction builds product_by_pair and
+    # coproduct_by_input, the rest wait for first use -----------------------
 
     @cached_property
     def product_by_pair(self):
         """[i][j] -> ((k, c), ...): the nonzero c = product_tensor[i][j][k]."""
-        return tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-            for plane in self.product_tensor
-        )
+        return tuple(_rows(plane) for plane in self.product_tensor)
 
     @cached_property
     def product_by_output(self):

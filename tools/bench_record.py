@@ -1,11 +1,12 @@
 """Record one point of the benchmark trajectory: BENCH_<label>.json.
 
-    python3 tools/bench_record.py [--checkout DIR] [--seed 1]
+    python3 tools/bench_record.py [--checkout DIR]
 
-Runs ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` in
+Runs ``perfbench/run.py --workload W --seed 1 --seconds N --trace 0`` in
 the checkout (default: this repository) for each workload of the
 checkout's BENCHMARK.json, one after the other, N being its
-``run_seconds``.  Writes ``BENCH_<label>.json`` at the root of this
+``run_seconds``.  The seed is fixed, so that every point of the
+trajectory runs the same queries.  Writes ``BENCH_<label>.json`` at the root of this
 repository, the label being the checkout's short commit hash, with the
 commit, the machine facts the benchmark recorded, and each workload's
 five end-to-end metrics and its answer counts.  Only the standard library
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+SEED = 1  # the benchmark's default seed
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -53,7 +55,6 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=HERE)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
@@ -63,7 +64,7 @@ def main(argv=None) -> int:
     label = commit[:7]
     workloads, machine = {}, None
     for workload in (w["name"] for w in bench["workloads"]):
-        result = run_workload(checkout, workload, args.seed, seconds)
+        result = run_workload(checkout, workload, SEED, seconds)
         machine = result.pop("machine")  # the same facts in every run
         workloads[workload] = result
         print("%-14s correct=%s %s" % (workload, result["correct"], " ".join(
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
         "commit": commit,
         "uncommitted_changes": dirty,
         "command": "perfbench/run.py --workload W --seed %d --seconds %d --trace 0"
-                   % (args.seed, seconds),
+                   % (SEED, seconds),
         "machine": machine,
         "workloads": workloads,
     }, indent=1, sort_keys=True) + "\n")
