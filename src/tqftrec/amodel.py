@@ -9,8 +9,8 @@ in ``tqftrec.cutjoin``; their scalar versions are the trivial-algebra case:
   ``twisted_dessin`` divides them by the degrees.
 - ``lattice_twisted``: the decorated lattice-point count ``N_{g,n}`` of
   metric ribbon graphs with integer edge lengths, weighted by the ways of
-  cutting an integer length and resting on a caller-supplied table of
-  unstable base cases.
+  cutting an integer length, over the one unstable base
+  N_{0,2}(b1, b2) = delta_{b1,b2} / b1 times the pairing.
 
 Both vanish on odd total degree.  All values are exact rationals.
 """
@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
-from .cutjoin import CutJoinTable
+from .cutjoin import CutJoinTable, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra
 
 Rational = Fraction
@@ -30,29 +30,15 @@ Rational = Fraction
 __all__ = [
     "CatalanTable",
     "LatticeTable",
-    "MissingBaseCaseError",
     "catalan",
     "twisted_catalan",
     "twisted_dessin",
     "dessin_02",
     "lattice_twisted",
-    "default_lattice_bases",
     "D02_CONVENTION",
 ]
 
 CACHE_SCHEMA = 1
-
-
-class MissingBaseCaseError(LookupError):
-    """A lattice recursion bottomed out on a profile with no supplied base."""
-
-    def __init__(self, g: int, n: int, mu: Tuple[int, ...]):
-        self.g = g
-        self.n = n
-        self.mu = mu
-        super().__init__(
-            "no base case supplied for profile g=%d, n=%d, mu=%s" % (g, n, list(mu))
-        )
 
 
 def _validate_profile(g: int, n: int, mu: Sequence[int]) -> Tuple[int, ...]:
@@ -149,22 +135,9 @@ class CatalanTable(CutJoinTable):
         return len(body["entries"])
 
 
-_SCALAR_TABLE = CatalanTable()
-_TWISTED_TABLES = {}
-
-
-def _table_for(algebra: FrobeniusAlgebra, canonicalize: bool, family=CatalanTable):
-    """The shared table of a family over an algebra, built on first use."""
-    key = (family, algebra, canonicalize)
-    table = _TWISTED_TABLES.get(key)
-    if table is None:
-        table = _TWISTED_TABLES[key] = family(algebra, canonicalize=canonicalize)
-    return table
-
-
 def catalan(g: int, n: int, mu: Sequence[int]) -> Rational:
     """Number of connected arrowed cell graphs of genus g with degrees mu."""
-    return _SCALAR_TABLE.untwisted(g, mu, n)
+    return shared(CatalanTable).untwisted(g, mu, n)
 
 
 def twisted_catalan(
@@ -173,11 +146,9 @@ def twisted_catalan(
     mu: Sequence[int],
     algebra: FrobeniusAlgebra,
     vs: Sequence[AlgebraElement],
-    *,
-    canonicalize: bool = True,
 ) -> Rational:
     """Decorated Catalan count; reduces to ``catalan`` for the trivial algebra."""
-    return _table_for(algebra, canonicalize).twisted(g, mu, vs, n)
+    return shared(CatalanTable, algebra).twisted(g, mu, vs, n)
 
 
 D02_CONVENTION = (
@@ -201,8 +172,6 @@ def twisted_dessin(
     mu: Sequence[int],
     algebra: FrobeniusAlgebra,
     vs: Sequence[AlgebraElement],
-    *,
-    canonicalize: bool = True,
 ) -> Rational:
     """Decorated dessin count: the Catalan count divided by the degrees.
 
@@ -212,63 +181,37 @@ def twisted_dessin(
     mu = _validate_profile(g, n, mu)
     if any(m < 1 for m in mu):
         raise ValueError("dessin counts need positive degrees, got %s" % list(mu))
-    value = _table_for(algebra, canonicalize).twisted(g, mu, vs)
+    value = shared(CatalanTable, algebra).twisted(g, mu, vs)
     return value / math.prod(mu)
 
 
 # -- lattice-point recursion ----------------------------------------------
 
 
-def _shipped_02(mu: Tuple[int, ...]) -> Rational:
-    b1, b2 = mu
-    return Fraction(1, b1) if b1 == b2 and b1 > 0 else Fraction(0)
-
-
-def default_lattice_bases() -> Mapping:
-    """Shipped base-case table: only the (0,2) profile, N = delta/b1."""
-    return {(0, 2): _shipped_02}
-
-
 class LatticeTable(CutJoinTable):
     """Memoized decorated lattice-point counts driven by the cut recursion.
 
-    Unstable profiles are delegated to a caller-supplied base-case table
-    mapping (g, n) to a function of the degree tuple; the decoration weight
-    on a base profile is the counit (n = 1) or the pairing (n = 2).
+    The one unstable base is N_{0,2}(b1, b2) = delta_{b1,b2} / b1 times the
+    pairing of the two decorations; the recursion never reaches (0,1).
     """
 
     stable_splits = True
 
-    def __init__(
-        self,
-        algebra: FrobeniusAlgebra,
-        base_cases: Optional[Mapping[Tuple[int, int], Callable]] = None,
-        *,
-        canonicalize: bool = True,
-    ):
-        super().__init__(algebra, canonicalize=canonicalize)
-        self.base_cases = dict(default_lattice_bases())
-        if base_cases is not None:
-            self.base_cases.update(base_cases)
-
-    def value(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement]) -> Rational:
-        return self.twisted(g, mu, vs)
-
-    _validate = staticmethod(_validate_profile)
     _vanishes = CatalanTable._vanishes
 
+    @staticmethod
+    def _validate(g, n, mu):
+        if (g, n) == (0, 1):
+            raise ValueError("the lattice count has no (0,1) case")
+        return _validate_profile(g, n, mu)
+
     def _base_case(self, g, mu):
-        n = len(mu)
-        if 2 * g - 2 + n > 0:
+        if 2 * g - 2 + len(mu) > 0:
             return None if any(mu) else {}
-        fn = self.base_cases.get((g, n))
-        if fn is None:
-            raise MissingBaseCaseError(g, n, mu)
-        scalar = Fraction(fn(mu))
-        A = self.algebra
-        if n == 1:
-            return self._sparse(1, lambda i: scalar * A.counit[i])
-        return self._sparse(2, lambda i, j: scalar * A.pairing[i][j])
+        b1, b2 = mu
+        if b1 != b2 or b1 == 0:
+            return {}
+        return self._sparse(2, lambda i, j: Fraction(self.algebra.pairing[i][j], b1))
 
     def _joins(self, m1, mj, stable):
         # three cut ranges; the last two are empty unless one length is
@@ -297,17 +240,6 @@ def lattice_twisted(
     mu: Sequence[int],
     algebra: FrobeniusAlgebra,
     vs: Sequence[AlgebraElement],
-    *,
-    base_cases: Optional[Mapping] = None,
-    canonicalize: bool = True,
 ) -> Rational:
-    """Decorated lattice-point count of metric ribbon graphs.
-
-    Calls with the default base cases share one table per algebra and
-    ``canonicalize``; caller-supplied ``base_cases`` get a fresh table.
-    """
-    if base_cases is None:
-        table = _table_for(algebra, canonicalize, LatticeTable)
-    else:
-        table = LatticeTable(algebra, base_cases, canonicalize=canonicalize)
-    return table.twisted(g, mu, vs, n)
+    """Decorated lattice-point count of metric ribbon graphs."""
+    return shared(LatticeTable, algebra).twisted(g, mu, vs, n)

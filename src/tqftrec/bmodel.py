@@ -35,7 +35,7 @@ from itertools import combinations, product as iproduct
 from math import comb
 from typing import Dict, Optional, Tuple
 
-from .cutjoin import TRIVIAL
+from .cutjoin import TRIVIAL, shared
 from .exact import BudgetError, MultiRatFun, Rational, symbol
 from .frobenius import FrobeniusAlgebra
 
@@ -336,14 +336,9 @@ class _Recursion:
         return {idx: acc for idx, acc in out.items() if acc}
 
 
-_RECURSIONS: Dict[FrobeniusAlgebra, _Recursion] = {}
-
-
 def _laurent_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> Dict:
     """w_{g,n} over the algebra as {index tuple: Laurent map}."""
-    rec = _RECURSIONS.get(algebra)
-    if rec is None:
-        rec = _RECURSIONS[algebra] = _Recursion(algebra)
+    rec = shared(_Recursion, algebra)
     rec.work, rec.request = 0, (g, n)
     return rec.tensor(g, n)
 
@@ -396,9 +391,6 @@ class TwistedDifferential:
         self.n = n
         self.algebra = algebra
         self.values = dict(values)
-
-    def value(self, idx: Tuple[int, ...]) -> MultiRatFun:
-        return self.values[tuple(idx)]
 
     def __repr__(self):
         return "TwistedDifferential(g=%d, n=%d, dim=%d)" % (

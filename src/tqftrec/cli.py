@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import amodel, bmodel, cellgraph, groups, intersect
+from . import amodel, bmodel, cellgraph, cutjoin, groups, intersect
 from .exact import BudgetError, MultiRatFun, rat_to_str
 from .frobenius import AxiomError, FrobeniusAlgebra, omega_tqft, trivial_algebra
 from .groups import GroupAxiomError
@@ -114,10 +114,18 @@ def emit(report: dict, fmt: str) -> str:
 
 
 def _load_group_arg(source: str) -> groups.FiniteGroup:
+    """A group from a builtin name, cycle notation, or the path of a JSON
+    file holding a Cayley table ({"order": N, "table": [[...]]}) or a list
+    of generator lines.  Any fault in such a file is a usage error."""
+    budget = _budget(groups.DEFAULT_BUDGET)
+    where = "group file %s: " % source if os.path.isfile(source) else ""
     try:
-        return groups.load_group(source, budget=_budget(groups.DEFAULT_BUDGET))
-    except (ValueError, GroupAxiomError) as exc:
-        raise UsageError(str(exc))
+        if where:
+            with open(source) as fh:
+                source = json.load(fh)
+        return groups.load_group(source, budget=budget)
+    except (OSError, ValueError, TypeError, KeyError, RecursionError, GroupAxiomError) as exc:
+        raise UsageError(where + str(exc))
 
 
 def parse_decoration(token: str, algebra: FrobeniusAlgebra):
@@ -221,7 +229,9 @@ def _catalan_common(args, dessin: bool) -> dict:
         raise UsageError("profile length %d does not match n=%d" % (len(mu), args.n))
     A = _algebra_from_args(args)
     vs = _decorations(args.decor, A, args.n)
-    table = amodel.CatalanTable(A if args.group else None)
+    # the table that answers; a dessin is decorated, if only by the trivial algebra
+    family = amodel.CatalanTable
+    table = cutjoin.shared(family, A) if args.group or dessin else cutjoin.shared(family)
     if args.cache and os.path.exists(args.cache):
         _load_cache(table, args.cache)
     if dessin:

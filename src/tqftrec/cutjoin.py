@@ -15,11 +15,14 @@ permutation symmetry of the counts justifies: a query reorders its
 decoration rows into that order, and a child tensor is realigned to the
 order its parent asks for.  ``canonicalize=False`` turns that off so the
 symmetry can be tested honestly.  An entry is stored only when complete.
+
+Every table the package answers from is built once, by ``shared``: one
+per family and algebra, and one scalar table per family.
+``shared.cache_clear()`` empties them all.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import math
@@ -50,6 +53,15 @@ def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n
         if v.algebra is not algebra and v.algebra != algebra:
             raise ValueError("decoration does not belong to the given algebra")
     return [v.coeffs for v in vs]
+
+
+@lru_cache(maxsize=None)
+def shared(family, algebra: Optional[FrobeniusAlgebra] = None):
+    """The one table of a family over an algebra, built on first use; equal
+    algebras share it.  The scalar table is ``shared(family)``: pass the
+    algebra positionally and only when there is one, so that equal requests
+    meet in one entry."""
+    return family(algebra)
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +98,6 @@ class CutJoinTable:
         self.algebra = algebra if algebra is not None else TRIVIAL
         self.canonicalize = canonicalize
         self._tensors = {}
-        self._scalar = None
         self._work, self._request = 0, None
 
     def _scale(self, m1: int):
@@ -135,12 +146,10 @@ class CutJoinTable:
 
     def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
         """The scalar count: the recursion over the trivial algebra; a
-        given n is checked against the length of mu."""
-        if self.algebra is not TRIVIAL and self.algebra != TRIVIAL:
-            if self._scalar is None:  # same family and options, trivial algebra
-                self._scalar = copy.copy(self)
-                CutJoinTable.__init__(self._scalar, canonicalize=self.canonicalize)
-            return self._scalar.untwisted(g, mu, n)
+        given n is checked against the length of mu.  A decorated table
+        answers from the shared scalar table of its family."""
+        if self.decorated:
+            return shared(type(self)).untwisted(g, mu, n)
         mu = self._validate(g, len(mu) if n is None else n, mu)
         ordered = tuple(sorted(mu, reverse=True)) if self.canonicalize else mu
         return self._lookup(g, ordered, mu).get((0,) * len(mu), Fraction(0))

@@ -13,8 +13,8 @@ comparing, hashing, negating, scaling by a rational and the structural
 predicates (``is_zero``, ``is_constant``, ``as_rational``, the denominator
 tests, ``is_even_in``) never load sympy.  Sympy is imported inside the
 call, and only there, by the members whose work is symbolic: the
-expression constructors (``MultiRatFun(expr, vars)``, ``from_fraction``,
-``normalize``), ``symbol``, ``expr``, ``str``/``repr``, ``from_json``,
+expression constructors (``MultiRatFun(expr, vars)``, ``from_fraction``),
+``symbol``, ``expr``, ``str``/``repr``, ``from_json``,
 general arithmetic (``+ - * / **``, which cancels in
 ``sympy.polys.fields`` over QQ), ``partial_derivative``, ``substitute``
 and ``series_at_infinity`` in more than one variable.
@@ -469,8 +469,3 @@ class MultiRatFun:
         if not den:
             raise ZeroDenominatorError("division by zero polynomial")
         return cls._from_frac(K.new(build(data["num"]), den), vars)
-
-
-def normalize(num, den, vars: Sequence[str]) -> MultiRatFun:
-    """Public entry point for canonical reduction of a raw fraction."""
-    return MultiRatFun.from_fraction(num, den, vars)

@@ -7,19 +7,18 @@ distinguished insertion in two, and the bases are the three-point tensor
 at (0,3) and 1/24 times the pairing of the coproduct at (1,1).
 
 Double-factorial convention: the recursion here divides the pair term by
-(2 k1 + 1)!!.  The variant dividing by (2 k1 - 1)!! is selectable with
-``convention="printed"`` for comparison; under it the dilaton identity
-fails (for example <tau_1 tau_0^3> comes out 3 instead of 1), which is why
-it is not the default.  (-1)!! = 1, and any tau with negative index
-contributes zero.
+(2 k1 + 1)!!.  Dividing by (2 k1 - 1)!! instead, as some printed forms of
+the recursion do, breaks the dilaton identity (for example
+<tau_1 tau_0^3> comes out 3 instead of 1).  (-1)!! = 1, and any tau with
+negative index contributes zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .cutjoin import CutJoinTable
+from .cutjoin import CutJoinTable, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra, omega_tqft
 
 Rational = Fraction
@@ -60,12 +59,6 @@ class CorrelatorTable(CutJoinTable):
 
     degree_column = "k"
 
-    def __init__(self, algebra: FrobeniusAlgebra = None, *, convention: str = "fixed"):
-        if convention not in ("fixed", "printed"):
-            raise ValueError("convention must be 'fixed' or 'printed'")
-        super().__init__(algebra)
-        self.convention = convention
-
     _validate = staticmethod(_validate)
 
     def _vanishes(self, g, k):
@@ -84,10 +77,9 @@ class CorrelatorTable(CutJoinTable):
         return None
 
     def _joins(self, k1, kj, stable):
-        denom_k1 = 2 * k1 + 1 if self.convention == "fixed" else 2 * k1 - 1
         weight = Fraction(
             double_factorial(2 * k1 + 2 * kj - 1),
-            double_factorial(denom_k1) * double_factorial(2 * kj - 1),
+            double_factorial(2 * k1 + 1) * double_factorial(2 * kj - 1),
         )
         return ((k1 + kj - 1, weight),)
 
@@ -100,15 +92,9 @@ class CorrelatorTable(CutJoinTable):
         ]
 
 
-_SCALAR = CorrelatorTable()
-_PRINTED = CorrelatorTable(convention="printed")
-_TWISTED: Dict = {}
-
-
-def correlator(g: int, n: int, k: Sequence[int], *, convention: str = "fixed") -> Rational:
+def correlator(g: int, n: int, k: Sequence[int]) -> Rational:
     """The n-point correlator <tau_{k_1} ... tau_{k_n}>_{g,n}."""
-    table = _SCALAR if convention == "fixed" else _PRINTED
-    return table.untwisted(g, k, n)
+    return shared(CorrelatorTable).untwisted(g, k, n)
 
 
 def twisted_correlator(
@@ -119,11 +105,7 @@ def twisted_correlator(
     vs: Sequence[AlgebraElement],
 ) -> Rational:
     """The decorated correlator, computed through genuine contractions."""
-    table = _TWISTED.get(algebra)
-    if table is None:
-        table = CorrelatorTable(algebra)
-        _TWISTED[algebra] = table
-    return table.twisted(g, k, vs, n)
+    return shared(CorrelatorTable, algebra).twisted(g, k, vs, n)
 
 
 def check_tauG(

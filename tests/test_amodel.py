@@ -9,9 +9,7 @@ import pytest
 from tqftrec.amodel import (
     CatalanTable,
     LatticeTable,
-    MissingBaseCaseError,
     catalan,
-    default_lattice_bases,
     dessin_02,
     lattice_twisted,
     twisted_catalan,
@@ -221,29 +219,18 @@ def test_lattice_n21_closed_form():
         assert _scalar_lattice(2, (b,)) == want, b
 
 
-def test_lattice_base_cases_get_their_own_table():
-    # default calls share one table; caller-supplied base cases must not
-    # read from it or write to it
-    A = trivial_algebra()
-    v = A.basis(0)
-    assert lattice_twisted(1, 1, (4,), A, [v]) == Fraction(1, 4)
-    assert lattice_twisted(1, 1, (4,), A, [v], base_cases={(0, 2): lambda mu: 0}) == 0
-    assert lattice_twisted(1, 1, (4,), A, [v]) == Fraction(1, 4)
-
-
-def test_lattice_missing_base_case():
-    A = trivial_algebra()
-    table = LatticeTable(A, base_cases={}, canonicalize=True)
-    # remove the shipped (0,2) base and force the recursion to need it
-    table.base_cases.pop((0, 2))
-    with pytest.raises(MissingBaseCaseError):
-        table.value(0, (1, 1, 2), [A.basis(0)] * 3)
-
-
-def test_default_lattice_base_is_delta_over_length():
-    base = default_lattice_bases()[(0, 2)]
-    assert base((3, 3)) == Fraction(1, 3)
-    assert base((3, 4)) == 0
+def test_lattice_unstable_base_is_delta_over_length():
+    # N_{0,2}(b1, b2) = delta_{b1,b2} / b1 times the pairing; (0,1) has no count
+    A = z2_algebra()
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        vs = [A.basis(i), A.basis(j)]
+        assert lattice_twisted(0, 2, (3, 3), A, vs) == Fraction(1, 3) * A.pairing[i][j]
+        assert lattice_twisted(0, 2, (3, 4), A, vs) == 0
+    for mu in ((2,), (3,)):
+        with pytest.raises(ValueError):
+            lattice_twisted(0, 1, mu, A, [A.basis(0)])
+    with pytest.raises(ValueError):
+        LatticeTable().untwisted(0, (4,))
 
 
 def test_table_export_round_trip():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftrec import amodel, bmodel, cli, cutjoin, groups, intersect
+from tqftrec import amodel, bmodel, cli, cutjoin, groups
 from tqftrec.exact import MultiRatFun
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -242,6 +242,40 @@ def test_edited_cache_cannot_change_the_answer(tmp_path):
     assert run_cli(*argv) == (0, "2\n")
 
 
+@pytest.mark.parametrize("group, out, entry", [
+    ([], "5/3\n", "10"), (["--group", "builtin:Z2"], "10/3\n", "20"),
+], ids=["scalar", "Z2"])
+def test_dessin_cache_holds_the_answering_table(tmp_path, capsys, monkeypatch, group, out, entry):
+    cache = tmp_path / "dessin.json"
+    argv = ["dessin", "--g", "1", "--n", "1", "--mu", "6", "--cache", str(cache)] + group
+    cutjoin.shared.cache_clear()
+    assert run_cli(*argv) == (0, out)
+    entries = json.loads(cache.read_text())["entries"]
+    assert {"g": 1, "mu": [6], "decor": [0], "value": entry} in entries
+    # read back into a cold table, the answer costs one child tensor
+    cutjoin.shared.cache_clear()
+    monkeypatch.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 1)
+    capsys.readouterr()
+    assert run_cli(*argv) == (0, out)
+    assert capsys.readouterr().err == ""
+
+
+def test_group_from_a_json_table_file(tmp_path, capsys):
+    table = tmp_path / "z2.json"
+    table.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, 0]]}))
+    for fmt in ("json", "text", "csv"):
+        assert (run_cli("--format", fmt, "group-info", "--group", str(table))
+                == run_cli("--format", fmt, "group-info", "--group", "builtin:Z2"))
+    for text in ("{not json", "[" * 100000, "5", '{"order": 3, "table": [[0, 1], [1, 0]]}',
+                 '{"table": [[0, 1], [0, 1]]}', '{"rows": []}'):
+        table.write_text(text)
+        capsys.readouterr()
+        assert run_cli("group-info", "--group", str(table)) == (cli.EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: group file %s: " % table), err
+        assert "Traceback" not in err
+
+
 def test_deep_input_is_a_budget_error():
     code, out = run_cli("catalan", "--g", "0", "--n", "1", "--mu", "3000")
     assert code == cli.EXIT_BUDGET
@@ -250,7 +284,7 @@ def test_deep_input_is_a_budget_error():
 
 def test_wgn_budget_exits_3_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(bmodel, "WGN_WORK_BUDGET", 50)
-    monkeypatch.setattr(bmodel, "_RECURSIONS", {})
+    cutjoin.shared.cache_clear()
     assert cli.main(["wgn", "--g", "0", "--n", "5"]) == cli.EXIT_BUDGET
     out, err = capsys.readouterr()
     assert out == ""
@@ -293,7 +327,7 @@ def test_verify_names_the_witness(monkeypatch):
 
 def test_cutjoin_budget_exits_3_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 1000)
-    monkeypatch.setattr(intersect, "_SCALAR", intersect.CorrelatorTable())
+    cutjoin.shared.cache_clear()
     assert cli.main(["correlator", "--g", "6", "--n", "1", "--k", "16"]) == cli.EXIT_BUDGET
     out, err = capsys.readouterr()
     assert out == ""

@@ -70,10 +70,17 @@ def test_dilaton_equation_sample():
         assert lhs == rhs, (g, k)
 
 
+class PrintedTable(CorrelatorTable):
+    """The pair term divided by (2 k1 - 1)!! instead of (2 k1 + 1)!!."""
+
+    def _joins(self, k1, kj, stable):
+        ((c, w),) = super()._joins(k1, kj, stable)
+        return ((c, w * (2 * k1 + 1)),)
+
+
 def test_printed_convention_breaks_dilaton():
-    # the documented reason the printed weight is not the default
-    lhs = correlator(0, 4, (1, 0, 0, 0), convention="printed")
-    assert lhs == 3
+    # the documented reason the recursion divides by (2 k1 + 1)!!
+    assert PrintedTable().untwisted(0, (1, 0, 0, 0)) == 3
     assert correlator(0, 4, (1, 0, 0, 0)) == 1
 
 
@@ -117,15 +124,10 @@ def test_table_requires_algebra_for_twisted():
 
 
 def test_decorated_table_answers_scalar_queries():
+    # from the shared scalar table of its own family
     z2 = orbifold_frobenius(load_group("Z2"))
     assert CorrelatorTable(z2).untwisted(2, (4,)) == correlator(2, 1, (4,))
-    printed = CorrelatorTable(z2, convention="printed")
-    assert printed.untwisted(0, (1, 0, 0, 0)) == correlator(0, 4, (1, 0, 0, 0), convention="printed")
-
-
-def test_bad_convention_rejected():
-    with pytest.raises(ValueError):
-        CorrelatorTable(convention="other")
+    assert PrintedTable(z2).untwisted(0, (1, 0, 0, 0)) == 3
 
 
 def test_csv_export_header():
