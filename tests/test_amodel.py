@@ -219,18 +219,23 @@ def test_lattice_n21_closed_form():
         assert _scalar_lattice(2, (b,)) == want, b
 
 
-def test_lattice_unstable_base_is_delta_over_length():
-    # N_{0,2}(b1, b2) = delta_{b1,b2} / b1 times the pairing; (0,1) has no count
+def test_lattice_missing_base_case():
+    # the lattice count has no (0,1) case, asked for directly or untwisted
     A = z2_algebra()
-    for i, j in itertools.product(range(A.dim), repeat=2):
-        vs = [A.basis(i), A.basis(j)]
-        assert lattice_twisted(0, 2, (3, 3), A, vs) == Fraction(1, 3) * A.pairing[i][j]
-        assert lattice_twisted(0, 2, (3, 4), A, vs) == 0
     for mu in ((2,), (3,)):
         with pytest.raises(ValueError):
             lattice_twisted(0, 1, mu, A, [A.basis(0)])
     with pytest.raises(ValueError):
         LatticeTable().untwisted(0, (4,))
+
+
+def test_default_lattice_base_is_delta_over_length():
+    # N_{0,2}(b1, b2) = delta_{b1,b2} / b1 times the pairing
+    A = z2_algebra()
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        vs = [A.basis(i), A.basis(j)]
+        assert lattice_twisted(0, 2, (3, 3), A, vs) == Fraction(1, 3) * A.pairing[i][j]
+        assert lattice_twisted(0, 2, (3, 4), A, vs) == 0
 
 
 def test_table_export_round_trip():
