@@ -44,7 +44,6 @@ __all__ = [
     "TwistedDifferential",
     "spectral_curve",
     "w02",
-    "w02_coefficient",
     "verify_w02_identity",
     "eo_kernel",
     "verify_kernel_integral",
@@ -107,7 +106,7 @@ def spectral_curve() -> SpectralCurve:
 # -- unstable differentials -------------------------------------------------
 
 
-def w02_coefficient() -> MultiRatFun:
+def w02() -> MultiRatFun:
     """The (0,2) coefficient function 1/(t1+t2)^2."""
     return MultiRatFun._from_reduced({(0, 0): 1}, {(2, 0): 1, (1, 1): 2, (0, 2): 1}, tvars(2))
 
@@ -125,19 +124,6 @@ def verify_w02_identity() -> bool:
     dx = lambda t: sp.diff(x(t), t)
     lhs = 1 / (t1 - t2) ** 2 - dx(t1) * dx(t2) / (x(t1) - x(t2)) ** 2
     return sp.cancel(lhs - 1 / (t1 + t2) ** 2) == 0
-
-
-def w02(algebra: Optional[FrobeniusAlgebra] = None):
-    """The (0,2) differential; decorated values carry the pairing."""
-    coeff = w02_coefficient()
-    if algebra is None:
-        return coeff
-    values = {
-        (i, j): coeff * algebra.pairing[i][j]
-        for i in range(algebra.dim)
-        for j in range(algebra.dim)
-    }
-    return TwistedDifferential(0, 2, algebra, values)
 
 
 # -- recursion kernel -------------------------------------------------------

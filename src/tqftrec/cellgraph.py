@@ -179,10 +179,6 @@ class CellGraph:
         return f"CellGraph(degrees={self.degrees}, edges={self.edges})"
 
 
-def genus(graph: CellGraph) -> int:
-    return graph.genus()
-
-
 # -- edge-contraction evaluation ----------------------------------------------
 
 # A state is a tuple of per-vertex cycles of half-edge tokens and a dict
@@ -361,17 +357,16 @@ def _matchings(degrees: Sequence[int]):
     yield from glue(list(range(len(phi))), sum(1 for d in degrees if d > 0), len(degrees))
 
 
-def count_matchings_by_genus(degrees: Sequence[int],
-                             budget: int = DEFAULT_HALF_EDGE_BUDGET) -> dict:
+def count_matchings_by_genus(degrees: Sequence[int]) -> dict:
     """Counts of connected arrowed graphs with the given vertex degrees,
     keyed by genus.  Every perfect matching of labeled half-edges is one
     arrowed graph."""
     total = sum(degrees)
     if total % 2:
         return {}
-    if total > budget:
+    if total > DEFAULT_HALF_EDGE_BUDGET:
         raise BudgetError(
-            f"{total} half-edges exceed budget {budget}")
+            f"{total} half-edges exceed budget {DEFAULT_HALF_EDGE_BUDGET}")
     shift = 2 - len(degrees) + total // 2  # 2g = 2 - V + E - F
     res: dict[int, int] = {}
     for _, faces, components in _matchings(degrees):
@@ -381,8 +376,7 @@ def count_matchings_by_genus(degrees: Sequence[int],
     return res
 
 
-def count_arrowed_graphs(g: int, n: int, mu: Sequence[int],
-                         budget: int = DEFAULT_HALF_EDGE_BUDGET) -> int:
+def count_arrowed_graphs(g: int, n: int, mu: Sequence[int]) -> int:
     """Number of connected arrowed cell graphs of genus g with n labeled
     vertices of degrees mu (one arrow per vertex; matchings of labeled
     half-edges realize exactly that)."""
@@ -394,7 +388,7 @@ def count_arrowed_graphs(g: int, n: int, mu: Sequence[int],
         return 1 if g == 0 else 0
     if any(m == 0 for m in mu):
         return 0
-    return count_matchings_by_genus(mu, budget).get(g, 0)
+    return count_matchings_by_genus(mu).get(g, 0)
 
 
 def all_matchings(degrees: Sequence[int]) -> Iterator[CellGraph]:

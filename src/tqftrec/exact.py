@@ -331,6 +331,9 @@ class MultiRatFun:
         )
 
     def __hash__(self):
+        # a constant equals its rational value, so it hashes as that value
+        if self.is_constant():
+            return hash(self.as_rational())
         return hash((self.vars, frozenset(self.num.items()), frozenset(self.den.items())))
 
     # -- calculus ----------------------------------------------------------

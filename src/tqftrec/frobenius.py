@@ -9,9 +9,10 @@ the pairing and its inverse, never over zero terms.  It then verifies every
 axiom on every index tuple in lexicographic order, comparing both sides of
 a law as a vector over its last indices, so an ``AxiomError`` names the
 least failing witness.  Amplitudes Omega_{g,n}(v_1..v_n) = counit(v_1 ...
-v_n e^g) where e is the Euler element; the kernel (coproduct-side) and
+v_n e^g) where e is the Euler element.  The kernel (coproduct-side) and
 cokernel (product-side) contraction operators act on multilinear
-functionals stored densely on basis tuples.
+functionals held as sparse tensors {basis index tuple: Fraction} with no
+zero value, the form the cut-and-join engine stores its counts in.
 
 The algebra owns the data its consumers derive from the tensors, cached on
 the instance:
@@ -37,11 +38,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product as iproduct
-from typing import Callable, Mapping, Sequence, Union
+from typing import Sequence
 
-from .exact import MultiRatFun, Rational, rat_from_str, rat_to_str
-
-Value = Union[Rational, MultiRatFun]
+from .exact import Rational, rat_from_str, rat_to_str
 
 
 class AxiomError(ValueError):
@@ -123,7 +122,6 @@ class FrobeniusAlgebra:
         labels: Sequence[str],
         product_tensor: Sequence,
         pairing: Sequence,
-        check: bool = True,
     ):
         if dim < 1:
             raise ValueError("dim must be positive")
@@ -139,20 +137,19 @@ class FrobeniusAlgebra:
         self.pairing = tuple(
             tuple(_frac(pairing[i][j]) for j in range(dim)) for i in range(dim)
         )
-        self._derive(check)
-        if check:
-            self._verify()
+        self._derive()
+        self._verify()
         self._euler_powers = [self.unit]  # e^0, e^1, ...; ``euler_power`` extends it
         # the tensors are immutable tuples, so the hash is fixed
         self._hash = hash((self.dim, self.product_tensor, self.pairing))
 
     # -- construction ------------------------------------------------------
 
-    def _derive(self, check: bool) -> None:
+    def _derive(self) -> None:
         s = self.dim
         c = self.product_tensor
         eta = self.pairing
-        if check and any(eta[i][j] != eta[j][i] for i in range(s) for j in range(i)):
+        if any(eta[i][j] != eta[j][i] for i in range(s) for j in range(i)):
             raise AxiomError("symmetric pairing")
         inv = _solve(eta, [[Fraction(int(i == j)) for j in range(s)] for i in range(s)])
         if inv is None:
@@ -310,12 +307,6 @@ class FrobeniusAlgebra:
     def euler_element(self) -> "AlgebraElement":
         return AlgebraElement(self, self.euler)
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown basis label {label!r}; have {self.labels}")
-
     def __eq__(self, other):
         return (
             isinstance(other, FrobeniusAlgebra)
@@ -343,15 +334,6 @@ class FrobeniusAlgebra:
             "pairing": [[rat_to_str(x) for x in row] for row in self.pairing],
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "FrobeniusAlgebra":
-        return cls(
-            int(data["dim"]),
-            data["labels"],
-            data["product"],
-            data["pairing"],
-        )
-
 
 class AlgebraElement:
     __slots__ = ("algebra", "coeffs")
@@ -364,16 +346,6 @@ class AlgebraElement:
             self.coeffs = coeffs if type(coeffs) is tuple else tuple(coeffs)
         else:
             self.coeffs = tuple(_frac(x) for x in coeffs)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _same_algebra(self, other)
-        return AlgebraElement(
-            self.algebra, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def scale(self, r) -> "AlgebraElement":
-        r = _frac(r)
-        return AlgebraElement(self.algebra, [r * a for a in self.coeffs])
 
     def __eq__(self, other):
         return (
@@ -500,157 +472,70 @@ def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]
     return _counit(A, acc)
 
 
-class TwistedFunctional:
-    """A multilinear map from n algebra slots, stored densely on basis tuples.
-
-    Values are Rational or MultiRatFun; multilinear extension to general
-    elements is by expansion in the basis.
-    """
-
-    __slots__ = ("algebra", "arity", "values")
-
-    def __init__(self, algebra: FrobeniusAlgebra, arity: int, values: Mapping):
-        self.algebra = algebra
-        self.arity = arity
-        full = {}
-        for key in iproduct(range(algebra.dim), repeat=arity):
-            if key not in values:
-                raise ValueError(f"missing value for basis tuple {key}")
-            full[key] = values[key]
-        self.values = full
-
-    @classmethod
-    def from_function(
-        cls, algebra: FrobeniusAlgebra, arity: int, fn: Callable
-    ) -> "TwistedFunctional":
-        vals = {
-            key: fn(*key)
-            for key in iproduct(range(algebra.dim), repeat=arity)
-        }
-        return cls(algebra, arity, vals)
-
-    def __call__(self, *vs: AlgebraElement):
-        if len(vs) != self.arity:
-            raise ValueError("arity mismatch")
-        for v in vs:
-            if v.algebra is not self.algebra and v.algebra != self.algebra:
-                raise ValueError("algebra mismatch")
-        acc = None
-        for key, val in self.values.items():
-            w = Fraction(1)
-            for slot, i in enumerate(key):
-                w *= vs[slot].coeffs[i]
-                if w == 0:
-                    break
-            if w == 0:
-                continue
-            term = w * val if not isinstance(val, MultiRatFun) else val * w
-            acc = term if acc is None else acc + term
-        if acc is None:
-            first = next(iter(self.values.values()))
-            acc = first * 0 if isinstance(first, MultiRatFun) else Fraction(0)
-        return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedFunctional)
-            and self.arity == other.arity
-            and self.algebra == other.algebra
-            and self.values == other.values
-        )
-
-    def is_symmetric(self) -> bool:
-        for key, val in self.values.items():
-            for perm in permutations(key):
-                if self.values[perm] != val:
-                    return False
-        return True
+def _sparse(terms: dict) -> dict:
+    """terms without its zero values."""
+    return {key: x for key, x in terms.items() if x}
 
 
-def omega_functional(A: FrobeniusAlgebra, g: int, n: int) -> TwistedFunctional:
-    """Omega_{g,n} packaged on all basis tuples; for (0,1) the counit and
-    for (0,2) the pairing, matching how the contraction identities fold the
-    unstable cases in."""
+def is_symmetric(F: dict) -> bool:
+    """Whether the sparse tensor F takes one value on every permutation of
+    each of its index tuples."""
+    return all(F.get(perm) == x for key, x in F.items() for perm in permutations(key))
+
+
+def omega_functional(A: FrobeniusAlgebra, g: int, n: int) -> dict:
+    """Omega_{g,n} as a sparse tensor {basis index tuple: value}; for (0,1)
+    the counit and for (0,2) the pairing, matching how the contraction
+    identities fold the unstable cases in."""
     if (g, n) == (0, 1):
-        return TwistedFunctional.from_function(A, 1, lambda i: A.counit[i])
+        return _sparse({(i,): x for i, x in enumerate(A.counit)})
     if (g, n) == (0, 2):
-        return TwistedFunctional.from_function(
-            A, 2, lambda i, j: A.pairing[i][j])
-    return TwistedFunctional.from_function(
-        A, n, lambda *key: omega_tqft(A, g, n, [A.basis(i) for i in key])
-    )
+        return _sparse({(i, j): x for i, row in enumerate(A.pairing) for j, x in enumerate(row)})
+    return _sparse({key: omega_tqft(A, g, n, [A.basis(i) for i in key])
+                    for key in iproduct(range(A.dim), repeat=n)})
 
 
-def _mul_value(w: Fraction, val: Value) -> Value:
-    if isinstance(val, MultiRatFun):
-        return val * w
-    return w * val
-
-
-def delta_star_contract(F: TwistedFunctional) -> TwistedFunctional:
+def delta_star_contract(A: FrobeniusAlgebra, F: dict) -> dict:
     """Kernel operator, connected form: fuse the first two slots of F into
-    one slot via the coproduct of the new first argument."""
-    if F.arity < 2:
+    one slot via the coproduct of the new first argument,
+    G(i, rest) = sum_{a,b} Delta_i^{ab} F(a, b, rest)."""
+    if any(len(key) < 2 for key in F):
         raise ValueError("need at least two slots to contract")
-    A = F.algebra
-    D = A.coproduct_by_input
-
-    def val(*key):
-        i1, rest = key[0], key[1:]
-        acc = None
-        for a, b, w in D[i1]:
-            term = _mul_value(w, F.values[(a, b) + rest])
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else Fraction(0)
-
-    return TwistedFunctional.from_function(A, F.arity - 1, val)
+    out = {}
+    for (a, b, *rest), x in F.items():
+        for i, w in A.coproduct_by_legs[a][b]:
+            key = (i, *rest)
+            out[key] = out.get(key, _ZERO) + w * x
+    return _sparse(out)
 
 
-def delta_star_split(
-    F1: TwistedFunctional, F2: TwistedFunctional
-) -> TwistedFunctional:
+def delta_star_split(A: FrobeniusAlgebra, F1: dict, F2: dict) -> dict:
     """Kernel operator, split form: distribute the coproduct legs of the
-    first argument over the first slots of F1 and F2."""
-    if F1.algebra != F2.algebra:
-        raise ValueError("algebra mismatch")
-    A = F1.algebra
-    D = A.coproduct_by_input
-    n1 = F1.arity - 1
-    n2 = F2.arity - 1
-
-    def val(*key):
-        i1 = key[0]
-        r1 = key[1:1 + n1]
-        r2 = key[1 + n1:]
-        acc = None
-        for a, b, w in D[i1]:
-            term = _mul_value(w, F1.values[(a,) + r1] * F2.values[(b,) + r2])
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else Fraction(0)
-
-    return TwistedFunctional.from_function(A, 1 + n1 + n2, val)
+    first argument over the first slots of F1 and F2,
+    G(i, r1, r2) = sum_{a,b} Delta_i^{ab} F1(a, r1) F2(b, r2)."""
+    out = {}
+    for (a, *r1), x in F1.items():
+        for (b, *r2), y in F2.items():
+            for i, w in A.coproduct_by_legs[a][b]:
+                key = (i, *r1, *r2)
+                out[key] = out.get(key, _ZERO) + w * x * y
+    return _sparse(out)
 
 
-def m_star_contract(F: TwistedFunctional, j: int) -> TwistedFunctional:
+def m_star_contract(A: FrobeniusAlgebra, F: dict, j: int) -> dict:
     """Cokernel operator: insert a new slot j whose input is multiplied
-    into slot 1 before evaluating F.  Slots are 1-based; 2 <= j <= n."""
-    n = F.arity + 1
-    if not 2 <= j <= n:
-        raise ValueError(f"slot {j} out of range 2..{n}")
-    A = F.algebra
-    pairs = A.product_by_pair
-
-    def val(*key):
-        i1 = key[0]
-        ij = key[j - 1]
-        rest = tuple(key[k] for k in range(1, n) if k != j - 1)
-        acc = None
-        for k, w in pairs[i1][ij]:
-            term = _mul_value(w, F.values[(k,) + rest])
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else Fraction(0)
-
-    return TwistedFunctional.from_function(A, n, val)
+    into slot 1 before evaluating F,
+    G(i_1, .., i_n) = sum_k c_{i_1 i_j}^k F(k, i_2, .., i_n without i_j).
+    Slots are 1-based; 2 <= j <= n."""
+    for key in F:
+        if not 2 <= j <= len(key) + 1:
+            raise ValueError(f"slot {j} out of range 2..{len(key) + 1}")
+    out = {}
+    for (k, *rest), x in F.items():
+        for i1, ij, c in A.product_by_output[k]:
+            key = (i1, *rest[:j - 2], ij, *rest[j - 2:])
+            out[key] = out.get(key, _ZERO) + c * x
+    return _sparse(out)
 
 
 def trivial_algebra() -> FrobeniusAlgebra:

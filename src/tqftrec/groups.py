@@ -83,18 +83,12 @@ class FiniteGroup:
             raise ValueError("name count does not match order")
         self.names = tuple(str(x) for x in names)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def conj(self, a: int, g: int) -> int:
         """g a g^-1."""
         return self.table[self.table[g][a]][self.inverse[g]]
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, {self.description})"
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "table": [list(r) for r in self.table]}
 
 
 class ConjugacyData:
@@ -138,17 +132,6 @@ class ConjugacyData:
             f"[{group.names[cl[0]]}]" for cl in classes
         )
 
-    def class_index(self, name: str) -> int:
-        name = name.strip()
-        if name in self.class_names:
-            return self.class_names.index(name)
-        stripped = name.strip("[]")
-        for i, cn in enumerate(self.class_names):
-            if cn.strip("[]") == stripped:
-                return i
-        raise KeyError(
-            f"unknown class {name!r}; classes are {list(self.class_names)}")
-
 
 # -- builtin groups -----------------------------------------------------------
 
@@ -189,7 +172,7 @@ def _cycle_notation(p) -> str:
     return "".join(parts) if parts else "1"
 
 
-def parse_cycles(line: str, degree: int | None = None):
+def parse_cycles(line: str):
     """Parse disjoint-cycle notation like "(1 2 3)(4 5)" into a permutation
     tuple on 0-based points.  Points in the input are 1-based.
 
@@ -223,8 +206,7 @@ def parse_cycles(line: str, degree: int | None = None):
             pts.add(x)
         cycles.append(cyc)
         i = j + 1
-    m = degree if degree is not None else (max(pts) + 1 if pts else 1)
-    p = list(range(m))
+    p = list(range(max(pts) + 1 if pts else 1))
     for cyc in cycles:
         for k, x in enumerate(cyc):
             p[x] = cyc[(k + 1) % len(cyc)]

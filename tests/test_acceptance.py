@@ -295,15 +295,15 @@ def test_criterion_9_axiom_suite():
                     if routed != A.product_tensor[i][j][k]:
                         failures.append((name, "m=(1xeta)(deltax1)", i, j, k))
         # contraction operators against the surface amplitudes
-        if delta_star_contract(omega_functional(A, 0, 2)) != omega_functional(A, 1, 1):
+        if delta_star_contract(A, omega_functional(A, 0, 2)) != omega_functional(A, 1, 1):
             failures.append((name, "delta* contract (0,2)"))
-        if delta_star_contract(omega_functional(A, 0, 3)) != omega_functional(A, 1, 2):
+        if delta_star_contract(A, omega_functional(A, 0, 3)) != omega_functional(A, 1, 2):
             failures.append((name, "delta* contract (0,3)"))
         if delta_star_split(
-            omega_functional(A, 0, 2), omega_functional(A, 1, 1)
+            A, omega_functional(A, 0, 2), omega_functional(A, 1, 1)
         ) != omega_functional(A, 1, 2):
             failures.append((name, "delta* split"))
-        if m_star_contract(omega_functional(A, 1, 1), 2) != omega_functional(A, 1, 2):
+        if m_star_contract(A, omega_functional(A, 1, 1), 2) != omega_functional(A, 1, 2):
             failures.append((name, "m* contract"))
         # three-point tensor is the pairing applied to the product
         for i in range(s):

@@ -18,7 +18,6 @@ from tqftrec.bmodel import (
     verify_kernel_integral,
     verify_w02_identity,
     w02,
-    w02_coefficient,
     wgn,
 )
 from tqftrec.exact import BudgetError, MultiRatFun, symbol
@@ -195,7 +194,7 @@ def test_z_frame_w04_at_rational_points():
 def test_convert_frame_rejects_non_laurent_input():
     for coords in ("x", "z"):
         with pytest.raises(ValueError):
-            convert_frame(w02_coefficient(), 2, coords)
+            convert_frame(w02(), 2, coords)
 
 
 def test_eo_kernel_shape():

@@ -65,6 +65,14 @@ def test_laurent_constructor_is_canonical():
         assert f == g and hash(f) == hash(g) and f.to_json() == g.to_json()
 
 
+def test_constants_hash_as_the_rationals_they_equal():
+    for value in (Fraction(0), Fraction(1, 2)):
+        c = MultiRatFun.constant(value, ("t1",))
+        assert c == value and hash(c) == hash(value)
+        assert len({c, value}) == 1
+    assert len({MultiRatFun.constant(Fraction(1, 2), ("t1",)), Fraction(0)}) == 2
+
+
 def test_laurent_reader_inverts_the_constructor():
     terms = {(-2, 1): Fraction(2), (1, -3): Fraction(1, 3), (0, 0): Fraction(-1)}
     assert MultiRatFun._from_laurent(terms, ["x", "y"])._laurent() == terms
