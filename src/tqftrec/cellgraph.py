@@ -6,22 +6,33 @@ formula.
 
 ``eca_functional_all_orders`` is the one edge-contraction walk.  It
 contracts the edges in every order on decoration-free states (the cyclic
-orders and the matching), memoized on the state, and maps every basis
-decoration tuple to the set of values reached.  Contracting an edge
-between distinct vertices multiplies their decorations through the
-product; contracting a loop splits the cyclic order of its vertex in two
-and routes the decoration through the coproduct, with a product of
-component amplitudes when the loop disconnects the graph.
-``eca_evaluate`` contracts that map with the decorations.
+orders and the matching), memoized on the state up to the names of its
+half-edges, and maps every basis decoration tuple to the set of values
+reached.  Contracting an edge between distinct vertices multiplies their
+decorations through the product; contracting a loop splits the cyclic
+order of its vertex in two and routes the decoration through the
+coproduct, with a product of component amplitudes when the loop
+disconnects the graph.  ``eca_evaluate`` contracts that map with the
+decorations.
 
-``_matchings`` is the one perfect-matching enumerator, behind both
-``count_matchings_by_genus`` and ``all_matchings``.  It counts the faces
-while gluing.  The faces are the cycles of phi = rotation o matching, an
-unmatched half-edge being fixed by the matching; gluing a to b swaps
-phi[a] and phi[b], which splits their cycle in two when a and b lie on
-one cycle and merges their two cycles otherwise.  A union-find without
-path compression, whose one assignment per gluing is undone on
-backtrack, counts the components.  No complete matching is traced again.
+``count_matchings_by_genus`` (and so ``count_arrowed_graphs``) counts
+perfect matchings by a transfer over partial gluings, ``_completions``:
+the first open half-edge of a partial face is glued to every other open
+half-edge, and since the open half-edges of a face are alike, the state
+is only the multiset of components, each the multiset of the numbers of
+open half-edges on its unfinished faces.  Every matching is still counted
+once, grouped by state (Walsh and Lehman, "Counting rooted maps by genus
+I", 1972).
+
+``_matchings`` is the perfect-matching enumerator behind
+``all_matchings``, and the reference the transfer is tested against.  It
+counts the faces while gluing.  The faces are the cycles of phi =
+rotation o matching, an unmatched half-edge being fixed by the matching;
+gluing a to b swaps phi[a] and phi[b], which splits their cycle in two
+when a and b lie on one cycle and merges their two cycles otherwise.  A
+union-find without path compression, whose one assignment per gluing is
+undone on backtrack, counts the components.  No complete matching is
+traced again.
 
 The module also holds a small catalog-based lattice-point oracle.
 """
@@ -210,9 +221,13 @@ def _contract_edge(cycles, partner, vi, idx):
 
 def _walk(A: FrobeniusAlgebra, cycles, partner, memo) -> dict:
     """{basis index tuple: set of values over every contraction order} of a
-    connected state.  Orders reconverge on common states, so the walk is
-    memoized on the state."""
-    key = (cycles, tuple(sorted(partner.items())))
+    connected state.  Orders reconverge on common states, and on states that
+    differ only in their token names, so the walk is memoized on the state
+    with its tokens renumbered by first appearance, in vertex order; the
+    vertex positions stay, since they are the decoration slots."""
+    names = {h: k for k, h in enumerate(h for cyc in cycles for h in cyc)}
+    key = (tuple(map(len, cycles)),
+           tuple(names[partner[h]] for cyc in cycles for h in cyc))
     out = memo.get(key)
     if out is not None:
         return out
@@ -271,7 +286,7 @@ def _contract(A: FrobeniusAlgebra, cycles, partner, vi, idx, memo) -> dict:
     for d in product(basis, repeat=n):
         acc = None
         for w, vals in terms(d):
-            term = {w * y for y in vals}
+            term = vals if w == 1 else {w * y for y in vals}
             acc = term if acc is None else {x + y for x in acc for y in term}
         out[d] = {Fraction(0)} if acc is None else acc
     return out
@@ -314,7 +329,7 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
                  {} if memo is None else memo)
 
 
-# -- matching enumeration oracle ----------------------------------------------
+# -- matching oracles --------------------------------------------------------
 
 
 def _matchings(degrees: Sequence[int]):
@@ -357,10 +372,55 @@ def _matchings(degrees: Sequence[int]):
     yield from glue(list(range(len(phi))), sum(1 for d in degrees if d > 0), len(degrees))
 
 
+def _completions(state, memo) -> dict:
+    """{faces closed: number of ways} over the perfect matchings of the
+    open half-edges of a partial gluing that leave it connected.
+
+    ``state`` is the sorted tuple of the gluing's components, each the
+    sorted tuple of the open-half-edge counts of its unfinished faces; a
+    degree-0 vertex is an empty component.  Every open half-edge of a face
+    is alike, so the first one of the first face, of length L, is glued to
+    each other in turn: to the one j steps on in its own face it splits
+    that face into faces of lengths j - 1 and L - 1 - j, and to one of the
+    M open half-edges of another face it joins both faces into one of
+    length L + M - 2, merging their components.  A face of length 0 is
+    finished; a component with none left while others remain is cut off,
+    so it counts nothing."""
+    if not state or not state[0]:
+        return {0: 1} if state == ((),) else {}
+    out = memo.get(state)
+    if out is not None:
+        return out
+    comp, rest = state[0], state[1:]
+    length, others = comp[0], comp[1:]
+    moves: dict = {}  # (next state, faces closed) -> ways
+
+    def move(faces, rest, ways):
+        nxt = tuple(sorted(rest + (tuple(sorted(f for f in faces if f)),)))
+        key = (nxt, sum(1 for f in faces if not f))
+        moves[key] = moves.get(key, 0) + ways
+
+    for j in range(1, length):
+        move((j - 1, length - 1 - j) + others, rest, 1)
+    for k, m in enumerate(others):
+        move((length + m - 2,) + others[:k] + others[k + 1:], rest, m)
+    for c, other in enumerate(rest):
+        for k, m in enumerate(other):
+            move((length + m - 2,) + others + other[:k] + other[k + 1:],
+                 rest[:c] + rest[c + 1:], m)
+    out = {}
+    for (nxt, closed), ways in moves.items():
+        for faces, count in _completions(nxt, memo).items():
+            out[faces + closed] = out.get(faces + closed, 0) + ways * count
+    memo[state] = out
+    return out
+
+
 def count_matchings_by_genus(degrees: Sequence[int]) -> dict:
     """Counts of connected arrowed graphs with the given vertex degrees,
     keyed by genus.  Every perfect matching of labeled half-edges is one
-    arrowed graph."""
+    arrowed graph; they are counted by ``_completions``, starting from one
+    component with one face per vertex."""
     total = sum(degrees)
     if total % 2:
         return {}
@@ -368,12 +428,9 @@ def count_matchings_by_genus(degrees: Sequence[int]) -> dict:
         raise BudgetError(
             f"{total} half-edges exceed budget {DEFAULT_HALF_EDGE_BUDGET}")
     shift = 2 - len(degrees) + total // 2  # 2g = 2 - V + E - F
-    res: dict[int, int] = {}
-    for _, faces, components in _matchings(degrees):
-        if components == 1:
-            g = (shift - faces) // 2
-            res[g] = res.get(g, 0) + 1
-    return res
+    state = tuple(sorted((d,) if d else () for d in degrees))
+    return {(shift - faces) // 2: count
+            for faces, count in _completions(state, {}).items()}
 
 
 def count_arrowed_graphs(g: int, n: int, mu: Sequence[int]) -> int:

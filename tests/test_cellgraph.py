@@ -1,12 +1,12 @@
 """Unit tests for cell graphs, edge contraction, and the enumeration oracles."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
 
 from tqftrec.cellgraph import (
     CellGraph,
+    _matchings,
     all_matchings,
     count_arrowed_graphs,
     count_lattice_points,
@@ -136,17 +136,19 @@ def test_all_matchings_enumerates_double_factorial():
     assert len(graphs) == 3
 
 
-def _profiles(total):
-    for nverts in range(1, total + 1):
-        for degs in itertools.combinations_with_replacement(range(1, total + 1), nverts):
-            if sum(degs) == total:
-                yield degs
+def _profiles(total, low=1):
+    """Every non-decreasing tuple of integers >= low summing to total."""
+    if total >= low:
+        yield (total,)
+    for first in range(low, total // 2 + 1):
+        for rest in _profiles(total - first, first):
+            yield (first,) + rest
 
 
 @pytest.mark.parametrize("total", [2, 4, 6, 8, 10])
 def test_counts_while_gluing_match_traced_faces(total):
-    # the face and component counts kept while gluing against CellGraph's
-    # own face tracing and connectivity, on every profile
+    # the gluing transfer's counts against CellGraph's own face tracing and
+    # connectivity, on every profile
     matchings = 1
     for k in range(1, total, 2):
         matchings *= k
@@ -159,6 +161,32 @@ def test_counts_while_gluing_match_traced_faces(total):
                 tally[graph.genus()] = tally.get(graph.genus(), 0) + 1
         assert graphs == matchings
         assert count_matchings_by_genus(degs) == tally
+
+
+@pytest.mark.parametrize("total", [2, 4, 6, 8, 10, 12])
+def test_transfer_matches_matching_enumeration(total):
+    # the gluing transfer against a tally of the enumerated matchings, by
+    # genus and connected only, on every profile: this also checks the
+    # face and component counts the enumerator keeps while gluing
+    for degs in _profiles(total):
+        shift = 2 - len(degs) + total // 2
+        tally = {}
+        for _, faces, components in _matchings(degs):
+            if components == 1:
+                g = (shift - faces) // 2
+                tally[g] = tally.get(g, 0) + 1
+        assert count_matchings_by_genus(degs) == tally, degs
+
+
+def test_transfer_beyond_enumeration():
+    # one 16-gon glued into a surface of genus g: the Harer-Zagier numbers
+    # epsilon_g(8), which sum to 15!!
+    assert count_matchings_by_genus((16,)) == {
+        0: 1430, 1: 60060, 2: 570570, 3: 1169740, 4: 225225}
+    assert sum(count_matchings_by_genus((16,)).values()) == 2027025
+    # two 8-valent vertices, as counted once by full enumeration
+    assert count_matchings_by_genus((8, 8)) == {
+        0: 9800, 1: 215600, 2: 1009400, 3: 781200}
 
 
 def test_matching_edge_profiles():

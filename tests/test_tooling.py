@@ -51,3 +51,36 @@ def test_every_function_and_class_is_named_outside_its_definition():
     used = _scan(sorted(p for top in SEARCHED for p in (ROOT / top).rglob("*.py"))).used
     dunder = {name for name in defined if name.startswith("__") and name.endswith("__")}
     assert sorted(defined - dunder - used) == []
+
+
+def _package_imports(module):
+    """The tqftrec modules that tqftrec.<module> imports, directly or through
+    the package modules it imports."""
+    reached, todo = set(), [module]
+    while todo:
+        tree = ast.parse((ROOT / "src" / "tqftrec" / (todo.pop() + ".py")).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                if base in (".", "tqftrec"):
+                    found = {alias.name for alias in node.names}
+                elif base.startswith((".", "tqftrec.")):
+                    found = {base.split(".")[-1]}
+                else:
+                    continue
+            elif isinstance(node, ast.Import):
+                found = {alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("tqftrec.")}
+            else:
+                continue
+            todo.extend(found - reached)
+            reached |= found
+    return reached
+
+
+def test_cellgraph_oracles_and_the_recursions_share_no_module():
+    # the matching counts and the contraction walk check the cut-and-join
+    # recursions, so neither side may reach the other's code
+    assert "frobenius" in _package_imports("cellgraph")
+    assert _package_imports("cellgraph").isdisjoint({"cutjoin", "amodel", "intersect"})
+    assert "cellgraph" not in _package_imports("cutjoin")
