@@ -25,7 +25,8 @@ once, grouped by state (Walsh and Lehman, "Counting rooted maps by genus
 I", 1972).
 
 ``_matchings`` is the perfect-matching enumerator behind
-``all_matchings``, and the reference the transfer is tested against.  It
+``all_matchings`` and the lattice-point oracle, and the reference the
+transfer is tested against.  It
 counts the faces while gluing.  The faces are the cycles of phi =
 rotation o matching, an unmatched half-edge being fixed by the matching;
 gluing a to b swaps phi[a] and phi[b], which splits their cycle in two
@@ -34,13 +35,20 @@ union-find without path compression, whose one assignment per gluing is
 undone on backtrack, counts the components.  No complete matching is
 traced again.
 
-The module also holds a small catalog-based lattice-point oracle.
+``count_lattice_points`` counts lattice points (Norbury, arXiv:0801.4590)
+on the ribbon graphs ``_matchings`` enumerates with every vertex of degree
+>= 3, each weighted 1/|Aut| through its labelings: it traces their faces
+with ``_face_of``, which ``CellGraph.faces`` shares, and counts the edge
+lengths giving the perimeters by a truncated product over the edges.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 from typing import Iterator, Mapping, Sequence
 
 from .exact import BudgetError, Rational
@@ -69,6 +77,24 @@ def _components(cycles, partner) -> list:
     for v in range(len(cycles)):
         groups.setdefault(root(v), []).append(v)
     return list(groups.values())
+
+
+def _face_of(degrees, partner) -> list:
+    """The face of each half-edge, the faces numbered in the order of their
+    least half-edges: they are the cycles of h -> the slot after partner[h]
+    at its vertex."""
+    nxt = []
+    for d in degrees:
+        off = len(nxt)
+        nxt.extend(off + (s + 1) % d for s in range(d))
+    face, faces = [-1] * len(nxt), 0
+    for start in range(len(nxt)):
+        if face[start] < 0:
+            h = start
+            while face[h] < 0:
+                face[h], h = faces, nxt[partner[h]]
+            faces += 1
+    return face
 
 
 class CellGraph:
@@ -135,24 +161,7 @@ class CellGraph:
         return sum(self.degrees) // 2
 
     def faces(self) -> int:
-        total = sum(self.degrees)
-        nxt = [0] * total
-        for v in range(self.n):
-            off = self._offsets[v]
-            d = self.degrees[v]
-            for s in range(d):
-                nxt[off + s] = off + (s + 1) % d
-        seen = [False] * total
-        count = 0
-        for h in range(total):
-            if seen[h]:
-                continue
-            count += 1
-            cur = h
-            while not seen[cur]:
-                seen[cur] = True
-                cur = nxt[self.partner[cur]]
-        return count
+        return len(set(_face_of(self.degrees, self.partner)))
 
     def is_connected(self) -> bool:
         return len(_components(self._cycles(), self.partner)) == 1
@@ -461,77 +470,66 @@ def all_matchings(degrees: Sequence[int]) -> Iterator[CellGraph]:
 
 # -- lattice-point counting oracle --------------------------------------------
 
-# catalog of ribbon-graph topologies with labeled faces, per type:
-# each entry is (automorphism order, list of face-perimeter linear forms in
-# the edge lengths; a form is a tuple of per-edge multiplicities)
-_LATTICE_CATALOG = {
-    (0, 3): [
-        # two non-crossing loops at one vertex: faces l1, l2, l1+l2
-        (2, [(1, 0), (0, 1), (1, 1)]),
-        # theta graph: faces l1+l2, l2+l3, l1+l3
-        (6, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]),
-        # dumbbell: faces l1, l3, l1+2*l2+l3
-        (2, [(1, 0, 0), (0, 0, 1), (1, 2, 1)]),
-    ],
-    (1, 1): [
-        # two crossing loops at one vertex: one face of perimeter 2(l1+l2)
-        (4, [(2, 2)]),
-        # theta graph on the torus: one face of perimeter 2(l1+l2+l3)
-        (6, [(2, 2, 2)]),
-    ],
-}
+
+@lru_cache(maxsize=None)
+def _lattice_graphs(g: int, n: int) -> tuple:
+    """((sorted face pairs of the edges, weight), ...) over the connected
+    ribbon graphs of type (g,n) with every vertex of degree >= 3, which have
+    2g - 2 + n more edges than vertices and at most 6g - 6 + 3n edges.  A
+    matching with m_d vertices of degree d weighs 1/(prod m_d! prod d_v),
+    so that each graph weighs 1/|Aut| in all."""
+    excess = 2 * g - 2 + n
+    if 6 * excess > DEFAULT_HALF_EDGE_BUDGET:
+        raise BudgetError(f"type ({g},{n}) needs {6 * excess} half-edges, "
+                          f"over budget {DEFAULT_HALF_EDGE_BUDGET}")
+    graphs: dict = {}
+    for edges in range(excess + 1, 3 * excess + 1):
+        for degrees in combinations_with_replacement(range(3, 2 * edges + 1), edges - excess):
+            if sum(degrees) != 2 * edges:
+                continue
+            weight = Fraction(1, prod(map(factorial, Counter(degrees).values())) * prod(degrees))
+            for partner, faces, components in _matchings(degrees):
+                if faces == n and components == 1:
+                    face = _face_of(degrees, partner)
+                    key = tuple(sorted(tuple(sorted((face[a], face[b])))
+                                       for a, b in enumerate(partner) if a < b))
+                    graphs[key] = graphs.get(key, 0) + weight
+    return tuple(graphs.items())
+
+
+def _edge_lengths(pairs, target) -> int:
+    """The number of positive integer lengths of the edges, edge k bordering
+    the faces ``pairs[k]``, that give each face f the perimeter
+    ``target[f]``: the coefficient of x^target in the product over the
+    edges (f, h) of sum_l x_f^l x_h^l, truncated at the target.  The keys
+    are the perimeters left to cover."""
+    poly = {tuple(target): 1}
+    for f, h in pairs:
+        nxt: dict = {}
+        for rest, c in poly.items():
+            rest = list(rest)
+            while True:
+                rest[f] -= 1
+                rest[h] -= 1
+                if rest[f] < 0 or rest[h] < 0:
+                    break
+                nxt[tuple(rest)] = nxt.get(tuple(rest), 0) + c
+        poly = nxt
+    return poly.get((0,) * len(target), 0)
 
 
 def count_lattice_points(g: int, n: int, mu: Sequence[int]) -> Rational:
     """Weighted count of integral metric ribbon graphs of type (g,n) with
-    labeled face perimeters mu: sum over catalog topologies of
-    (1/|Aut|) * #{(face labeling, positive integer edge lengths)} matching
-    the perimeters.  Values are rational because of the 1/|Aut| weights."""
+    labeled face perimeters mu (Norbury): over the graphs of
+    ``_lattice_graphs`` and the labelings of their faces, the weight times
+    the number of positive integer edge lengths giving the perimeters."""
     if len(mu) != n:
         raise ValueError("need one perimeter per face")
-    if (g, n) not in _LATTICE_CATALOG:
-        raise BudgetError(
-            f"lattice catalog covers types {sorted(_LATTICE_CATALOG)}, "
-            f"not ({g},{n})")
-    if any(m > 12 for m in mu) or any(m < 1 for m in mu):
+    if 2 * g - 2 + n <= 0:
+        raise ValueError(f"type ({g},{n}) is unstable: no graph has all degrees >= 3")
+    graphs = _lattice_graphs(g, n)
+    if any(m > 12 or m < 1 for m in mu):
         raise BudgetError("perimeters must lie in 1..12")
-    total = Fraction(0)
-    for aut, forms in _LATTICE_CATALOG[(g, n)]:
-        k = len(forms[0])
-        hits = 0
-        for perm in set(permutations(range(n))):
-            target = [mu[perm[f]] for f in range(n)]
-            hits += _count_positive_solutions(forms, target, k)
-        total += Fraction(hits, aut)
-    return total
-
-
-def _count_positive_solutions(forms, target, k) -> int:
-    """Number of positive integer length vectors with the given face
-    perimeters; exhaustive over the bounded box."""
-    bound = max(target)
-    count = 0
-
-    def rec(idx, lengths):
-        nonlocal count
-        if idx == k:
-            for form, t in zip(forms, target):
-                if sum(c * l for c, l in zip(form, lengths)) != t:
-                    return
-            count += 1
-            return
-        for val in range(1, bound + 1):
-            # prune: no face perimeter may be exceeded
-            ok = True
-            for form, t in zip(forms, target):
-                partial = sum(c * l for c, l in zip(form, lengths))
-                partial += form[idx] * val
-                rest = sum(form[j] for j in range(idx + 1, k))
-                if partial + rest > t:
-                    ok = False
-                    break
-            if ok:
-                rec(idx + 1, lengths + [val])
-
-    rec(0, [])
-    return count
+    targets = Counter(tuple(mu[f] for f in perm) for perm in permutations(range(n)))
+    return sum((weight * sum(k * _edge_lengths(pairs, t) for t, k in targets.items())
+                for pairs, weight in graphs), Fraction(0))

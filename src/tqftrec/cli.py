@@ -368,7 +368,7 @@ def _suite_lattice(full: bool):
     u = T.unit_element()
     profiles = [(0, 3, (2, 2, 2)), (0, 3, (1, 1, 2)), (0, 3, (1, 1, 4)), (1, 1, (4,)), (1, 1, (6,))]
     if full:
-        profiles += [(0, 3, (1, 2, 3)), (1, 1, (8,))]
+        profiles += [(0, 3, (1, 2, 3)), (1, 1, (8,)), (1, 2, (2, 4)), (0, 4, (2, 2, 2, 2))]
     for g, n, mu in profiles:
         witness = _unequal("lattice g=%d mu=%s" % (g, mu),
                            amodel.lattice_twisted(g, n, mu, T, [u] * n),

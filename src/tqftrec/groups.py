@@ -43,7 +43,8 @@ class FiniteGroup:
 
     ``table[i][j]`` is the index of the product of elements i and j.
     Element 0 is the identity; ``names`` are display names with the
-    identity always named "1".
+    identity always named "1".  The group axioms are checked at
+    construction, associativity by Light's test on a generating set.
     """
 
     def __init__(self, table: Sequence[Sequence[int]],
@@ -71,12 +72,31 @@ class FiniteGroup:
             if inv[i] is None:
                 raise GroupAxiomError("inverses", (i,))
         self.inverse = tuple(inv)
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise GroupAxiomError("associativity", (a, b, c))
+        # Light's test: (x s) y = x (s y) for all x, y and each s of a
+        # generating set, each generator the first element outside the
+        # closure of the identity under right multiplication by the ones
+        # before.  If a and b pass, x (ab) = (xa) b and (ab) y = a (by), so
+        # ab passes: every product of generators, that is every element,
+        # passes.
+        table = self.table
+        gens, reached = [], {0}
+        for x in range(n):
+            if x not in reached:
+                gens.append(x)
+                todo = list(reached)
+                while todo:
+                    row = table[todo.pop()]
+                    for s in gens:
+                        if row[s] not in reached:
+                            reached.add(row[s])
+                            todo.append(row[s])
+        for s in gens:
+            for x in range(n):
+                row = table[x]
+                xs = table[row[s]]
+                for y, sy in enumerate(table[s]):
+                    if row[sy] != xs[y]:
+                        raise GroupAxiomError("associativity", (x, s, y))
         if names is None:
             names = ["1"] + [f"g{i}" for i in range(1, n)]
         if len(names) != n:
@@ -214,8 +234,9 @@ def parse_cycles(line: str):
 
 
 def _order_gate(n: int, budget: int) -> None:
-    """A group of order n costs an n x n table and an n^3 associativity
-    check; refuse it when n^3 exceeds the budget."""
+    """A group of order n costs an n x n table, which Light's test checks
+    in n^2 products per generator it picks: a few for a group, up to n for
+    a table that is not one.  Refuse it when n^3 exceeds the budget."""
     if n ** 3 > budget:
         raise BudgetError(
             f"group of order at least {n}: {n}^3 associativity checks exceed budget {budget}")
@@ -227,7 +248,8 @@ def group_from_permutations(lines: Sequence[str],
     """The group generated by permutations in disjoint-cycle notation, one
     per line; blank lines and lines starting with "#" are skipped.  The
     closure stops with BudgetError once the order's cube exceeds the
-    budget."""
+    budget.  It takes order times generators products of permutations; the
+    table is read off them by lookups."""
     gens = []
     degree = 0
     for line in lines:
@@ -243,21 +265,26 @@ def group_from_permutations(lines: Sequence[str],
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                h = _perm_mul(e, g)
-                if h not in index:
-                    index[h] = len(elems)
-                    elems.append(h)
-                    nxt.append(h)
-                    _order_gate(len(elems), budget)
-        frontier = nxt
-    n = len(elems)
-    table = [[index[_perm_mul(elems[i], elems[j])] for j in range(n)]
-             for i in range(n)]
+    # breadth first: element x times generator k is element right[x][k],
+    # and each element after the identity is first found as parent times k
+    right, found = [], []
+    for x, e in enumerate(elems):  # elems grows while it is walked
+        right.append([])
+        for k, g in enumerate(gens):
+            h = _perm_mul(e, g)
+            if h not in index:
+                index[h] = len(elems)
+                elems.append(h)
+                found.append((x, k))
+                _order_gate(len(elems), budget)
+            right[x].append(index[h])
+    # x (parent g_k) = (x parent) g_k, the parent coming first
+    table = []
+    for x in range(len(elems)):
+        row = [x]
+        for parent, k in found:
+            row.append(right[row[parent]][k])
+        table.append(row)
     names = [_cycle_notation(p) for p in elems]
     return FiniteGroup(table, names, description=description)
 

@@ -165,6 +165,11 @@ def test_lattice_matches_catalog():
         assert lattice_twisted(1, 1, (b,), A, [v]) == count_lattice_points(1, 1, (b,)), b
     for mu in itertools.product(range(1, 6), repeat=3):
         assert lattice_twisted(0, 3, mu, A, [v] * 3) == count_lattice_points(0, 3, mu), mu
+    # the types whose graphs reach 12 half-edges
+    for mu in itertools.product(range(1, 6), repeat=2):
+        assert lattice_twisted(1, 2, mu, A, [v] * 2) == count_lattice_points(1, 2, mu), mu
+    for mu in itertools.product(range(1, 5), repeat=4):
+        assert lattice_twisted(0, 4, mu, A, [v] * 4) == count_lattice_points(0, 4, mu), mu
 
 
 def test_lattice_long_boundary_values():

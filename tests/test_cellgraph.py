@@ -208,11 +208,26 @@ def test_lattice_catalog_values():
     assert count_lattice_points(1, 1, (4,)) == Fraction(1, 4)
     assert count_lattice_points(1, 1, (6,)) == Fraction(2, 3)
     assert count_lattice_points(0, 3, (1, 1, 2)) == 1
+    # Norbury: N_{1,1}(b) = (b^2 - 4)/48 on even b, and zero on odd b
+    for b in range(1, 13):
+        assert count_lattice_points(1, 1, (b,)) == (0 if b % 2 else Fraction(b * b - 4, 48)), b
+    # graphs with 12 half-edges
+    assert count_lattice_points(1, 2, (1, 5)) == 1
+    assert count_lattice_points(1, 2, (2, 4)) == Fraction(1, 2)
+    assert count_lattice_points(0, 4, (2, 2, 2, 2)) == 3
 
 
 def test_lattice_catalog_scope():
+    # (2,1) and (0,5) need 18 half-edges; (0,2) has no graph with every
+    # vertex of degree >= 3
     with pytest.raises(BudgetError):
-        count_lattice_points(0, 4, (1, 1, 1, 1))
+        count_lattice_points(2, 1, (2,))
+    with pytest.raises(BudgetError):
+        count_lattice_points(0, 5, (1, 1, 1, 1, 2))
+    with pytest.raises(ValueError):
+        count_lattice_points(0, 2, (1, 1))
+    with pytest.raises(BudgetError):
+        count_lattice_points(0, 3, (1, 1, 13))
 
 
 def test_cellgraph_serialization_round_trip():

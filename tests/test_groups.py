@@ -8,6 +8,7 @@ from tqftrec.exact import BudgetError
 from tqftrec.groups import (
     BUILTIN_GROUPS,
     MAX_DEGREE,
+    FiniteGroup,
     GroupAxiomError,
     conjugacy,
     group_from_permutations,
@@ -58,6 +59,85 @@ def test_bad_cayley_table_rejected():
     # not a latin square: no inverses
     with pytest.raises(GroupAxiomError):
         load_group({"order": 2, "table": [[0, 0], [0, 0]]})
+
+
+def test_non_associative_loop_rejected():
+    # a loop of the smallest order that is not a group: a Latin square with
+    # identity 0 in which every element is its own inverse
+    table = [[0, 1, 2, 3, 4],
+             [1, 0, 3, 4, 2],
+             [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1],
+             [4, 3, 1, 2, 0]]
+    for row in table + [list(col) for col in zip(*table)]:
+        assert sorted(row) == list(range(5))
+    with pytest.raises(GroupAxiomError) as info:
+        load_group({"order": 5, "table": table})
+    assert info.value.axiom == "associativity"
+    a, b, c = info.value.witness
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose first row and column are 0..n-1,
+    filled in place cell by cell."""
+    t = [[i if j == 0 else j if i == 0 else None for j in range(n)] for i in range(n)]
+
+    def fill(cell):
+        if cell == (n - 1) * (n - 1):
+            yield t
+            return
+        i, j = 1 + cell // (n - 1), 1 + cell % (n - 1)
+        used = set(t[i][:j]) | {t[k][j] for k in range(i)}
+        for x in range(n):
+            if x not in used:
+                t[i][j] = x
+                yield from fill(cell + 1)
+        t[i][j] = None
+
+    yield from fill(0)
+
+
+def test_associativity_check_agrees_with_every_triple():
+    # every table of order 6 with identity 0 and two-sided inverses: the
+    # generating-set test rejects exactly those some triple fails, naming
+    # a failing triple; Z6 and S3 make the 80 groups among them
+    n, groups, rejected = 6, 0, 0
+    for t in _reduced_latin_squares(n):
+        associative = all(t[t[a][b]][c] == t[a][t[b][c]]
+                          for a in range(n) for b in range(n) for c in range(n))
+        try:
+            FiniteGroup(t)
+        except GroupAxiomError as exc:
+            if exc.axiom == "inverses":
+                continue
+            assert exc.axiom == "associativity" and not associative
+            a, b, c = exc.witness
+            assert t[t[a][b]][c] != t[a][t[b][c]]
+            rejected += 1
+        else:
+            assert associative
+            groups += 1
+    assert (groups, rejected) == (80, 1728)
+
+
+@pytest.mark.parametrize("degree, order", [(4, 24), (5, 120)])
+def test_generated_table_is_the_table_of_products(degree, order):
+    # S4 and S5: every entry against the product of its row's and column's
+    # permutations, read back from the element names
+    G = group_from_permutations(["(1 2)", "(%s)" % " ".join(map(str, range(1, degree + 1)))])
+    assert G.order == order
+
+    def perm(name):
+        p = parse_cycles(name) if name != "1" else ()
+        return p + tuple(range(len(p), degree))
+
+    elems = [perm(name) for name in G.names]
+    index = {p: i for i, p in enumerate(elems)}
+    assert len(index) == G.order
+    for i, p in enumerate(elems):
+        assert G.table[i] == tuple(index[tuple(q[p[x]] for x in range(degree))]
+                                   for q in elems)
 
 
 def test_s3_conjugacy_data():
