@@ -12,8 +12,11 @@ reached.  Contracting an edge between distinct vertices multiplies their
 decorations through the product; contracting a loop splits the cyclic
 order of its vertex in two and routes the decoration through the
 coproduct, with a product of component amplitudes when the loop
-disconnects the graph.  ``eca_evaluate`` contracts that map with the
-decorations.
+disconnects the graph.  The walk computes in ints: a state with E edges
+holds value * D^(2E+1), D the lcm of the denominators of the algebra's
+constants, and only the returned map is divided out.  A memo belongs to
+the algebra of its first call.  ``eca_evaluate`` contracts that map with
+the decorations.
 
 ``count_matchings_by_genus`` (and so ``count_arrowed_graphs``) counts
 perfect matchings by a transfer over partial gluings, ``_completions``:
@@ -48,7 +51,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .exact import BudgetError, Rational
@@ -228,12 +231,44 @@ def _contract_edge(cycles, partner, vi, idx):
     return cycles[:lo] + (merged,) + cycles[lo + 1:hi] + cycles[hi + 1:], left, vj
 
 
-def _walk(A: FrobeniusAlgebra, cycles, partner, memo) -> dict:
+class _Scaled:
+    """An algebra's constants as ints over D, the lcm of the denominators of
+    the counit, the product constants and the coproduct weights: the counit
+    times D, the product constants times D^2, and the coproduct weights times
+    D^2 (``joined``) and times D (``split``, for a loop that separates the
+    graph)."""
+
+    def __init__(self, A: FrobeniusAlgebra):
+        pairs, delta = A.product_by_pair, A.coproduct_by_input
+        self.algebra = A
+        self.D = D = lcm(*(x.denominator for x in A.counit),
+                         *(c.denominator for plane in pairs for terms in plane for _, c in terms),
+                         *(w.denominator for terms in delta for _, _, w in terms))
+
+        def up(x, s):
+            return x.numerator * (s // x.denominator)
+
+        self.counit = tuple(up(x, D) for x in A.counit)
+        self.pairs = tuple(tuple(tuple((k, up(c, D * D)) for k, c in terms) for terms in plane)
+                           for plane in pairs)
+        self.joined, self.split = (
+            tuple(tuple((a, b, up(w, s)) for a, b, w in terms) for terms in delta)
+            for s in (D * D, D))
+
+
+def _walk(S: _Scaled, cycles, partner, memo) -> dict:
     """{basis index tuple: set of values over every contraction order} of a
-    connected state.  Orders reconverge on common states, and on states that
-    differ only in their token names, so the walk is memoized on the state
-    with its tokens renumbered by first appearance, in vertex order; the
-    vertex positions stay, since they are the decoration slots."""
+    connected state with E edges, each value held as the int value * D^(2E+1)
+    (see ``_Scaled``): 1 = 0 + 1 at a terminal state, 2 + 2(E-1) + 1 for a
+    merge or a loop that keeps the graph connected, and 1 + (2E1+1) + (2E2+1)
+    for a loop that splits it into parts of E1 + E2 = E - 1 edges.  So a
+    value set is canonical per state, and orders that disagree still give a
+    set of two or more values.  Orders reconverge on common states, and on
+    states that differ only in their token names, so the walk is memoized
+    on the state with its tokens renumbered by first appearance, in vertex
+    order; the vertex positions stay, since they are the decoration
+    slots.  A memo holds the states of one algebra, whose ``_Scaled`` it
+    keeps under the key None."""
     names = {h: k for k, h in enumerate(h for cyc in cycles for h in cyc)}
     key = (tuple(map(len, cycles)),
            tuple(names[partner[h]] for cyc in cycles for h in cyc))
@@ -243,7 +278,7 @@ def _walk(A: FrobeniusAlgebra, cycles, partner, memo) -> dict:
     if not partner:
         if len(cycles) != 1:
             raise ValueError("disconnected state reached terminal evaluation")
-        out = {(i,): {A.counit[i]} for i in range(A.dim)}
+        out = {(i,): {x} for i, x in enumerate(S.counit)}
     else:
         out = {}
         seen = set()
@@ -252,52 +287,67 @@ def _walk(A: FrobeniusAlgebra, cycles, partner, memo) -> dict:
                 if partner[h] in seen:  # the edge was taken from its other end
                     continue
                 seen.add(h)
-                for d, vals in _contract(A, cycles, partner, vi, idx, memo).items():
+                for d, vals in _contract(S, cycles, partner, vi, idx, memo).items():
                     out.setdefault(d, set()).update(vals)
     memo[key] = out
     return out
 
 
-def _contract(A: FrobeniusAlgebra, cycles, partner, vi, idx, memo) -> dict:
-    """The values of every order that contracts ``cycles[vi][idx]`` first."""
+def _total(terms) -> set:
+    """The sums of w * y over the terms (w, set of y), one y from each."""
+    acc = {0}
+    for w, vals in terms:
+        acc = {x + w * y for x in acc for y in vals}
+    return acc
+
+
+def _contract(S: _Scaled, cycles, partner, vi, idx, memo) -> dict:
+    """The scaled values of every order that contracts ``cycles[vi][idx]``
+    first.  ``t`` runs over the decorations of the vertices the edge leaves
+    alone, so each lookup that does not depend on the decorations at the
+    edge is made once per ``t``."""
     new_cycles, new_partner, vj = _contract_edge(cycles, partner, vi, idx)
-    n, basis = len(cycles), range(A.dim)
-    if vj is not None:  # the decorations of vi and vj multiply
-        lo = min(vi, vj)
-        T = _walk(A, new_cycles, new_partner, memo)
-        pairs = A.product_by_pair
-
-        def terms(d):
-            rest = [d[p] for p in range(n) if p != vi and p != vj]
-            return [(c, T[tuple(rest[:lo] + [k] + rest[lo:])]) for k, c in pairs[d[vi]][d[vj]]]
-    else:  # the decoration of vi is coproduced onto the two pieces
-        comps = _components(new_cycles, new_partner)
-        if len(comps) == 1:
-            sub = _walk(A, new_cycles, new_partner, memo).__getitem__
-        else:  # the loop separated the graph: evaluate the two parts apart
-            if len(comps) != 2:
-                raise ValueError("unexpected component structure after loop split")
-            parts = []
-            for comp in comps:
-                toks = {h for v in comp for h in new_cycles[v]}
-                part = {h: w for h, w in new_partner.items() if h in toks}
-                parts.append((comp, _walk(A, tuple(new_cycles[v] for v in comp), part, memo)))
-            (c1, T1), (c2, T2) = parts
-
-            def sub(full):
-                return {x * y for x in T1[tuple(full[p] for p in c1)]
-                        for y in T2[tuple(full[p] for p in c2)]}
-        delta = A.coproduct_by_input
-
-        def terms(d):
-            return [(w, sub(d[:vi] + (a, b) + d[vi + 1:])) for a, b, w in delta[d[vi]]]
+    n, basis = len(cycles), range(len(S.counit))
     out = {}
-    for d in product(basis, repeat=n):
-        acc = None
-        for w, vals in terms(d):
-            term = vals if w == 1 else {w * y for y in vals}
-            acc = term if acc is None else {x + y for x in acc for y in term}
-        out[d] = {Fraction(0)} if acc is None else acc
+    if vj is not None:  # the decorations of vi and vj multiply
+        lo, hi = sorted((vi, vj))
+        T = _walk(S, new_cycles, new_partner, memo)
+        for t in product(basis, repeat=n - 2):
+            row = [T[t[:lo] + (k,) + t[lo:]] for k in basis]
+            for x, y in product(basis, repeat=2):
+                out[t[:lo] + (x,) + t[lo:hi - 1] + (y,) + t[hi - 1:]] = _total(
+                    (c, row[k]) for k, c in S.pairs[x][y])
+        return out
+    # the decoration of vi is coproduced onto the pieces vi and vi + 1
+    comps = _components(new_cycles, new_partner)
+    if len(comps) == 1:
+        T = _walk(S, new_cycles, new_partner, memo)
+        for t in product(basis, repeat=n - 1):
+            for x in basis:
+                out[t[:vi] + (x,) + t[vi:]] = _total(
+                    (w, T[t[:vi] + (a, b) + t[vi:]]) for a, b, w in S.joined[x])
+        return out
+    if len(comps) != 2:
+        raise ValueError("unexpected component structure after loop split")
+    # the loop separated the graph into two parts, one piece in each, the
+    # part of vi first: the values multiply, each part read as a row over the
+    # decoration of its piece, which sits at position j among its vertices
+    parts = []
+    for comp in sorted(comps, key=lambda comp: vi not in comp):
+        toks = {h for v in comp for h in new_cycles[v]}
+        part = {h: w for h, w in new_partner.items() if h in toks}
+        j = next(k for k, v in enumerate(comp) if v in (vi, vi + 1))
+        others = [v if v < vi else v - 2 for v in comp if v not in (vi, vi + 1)]
+        parts.append((j, others, _walk(S, tuple(new_cycles[v] for v in comp), part, memo)))
+    for t in product(basis, repeat=n - 1):
+        rows = []
+        for j, others, T in parts:
+            rest = tuple(t[v] for v in others)
+            rows.append([T[rest[:j] + (k,) + rest[j:]] for k in basis])
+        ra, rb = rows
+        for x in basis:
+            out[t[:vi] + (x,) + t[vi:]] = _total(
+                (w, {u * v for u in ra[a] for v in rb[b]}) for a, b, w in S.split[x])
     return out
 
 
@@ -329,13 +379,25 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
 
     Decorations enter the contraction rules linearly, so the whole
     functional can be computed on decoration-free structural states; this
-    is how exhaustive sweeps over decorations stay affordable.  A shared
-    ``memo`` dict reuses structural states across graphs for one algebra.
+    is how exhaustive sweeps over decorations stay affordable.  The walk
+    holds each value of a graph with E edges as the int value * D^(2E+1),
+    D the algebra's common denominator (see ``_walk``), and divides once
+    here.  A shared ``memo`` dict reuses structural states across graphs;
+    it belongs to the algebra of its first call, which it keeps with its
+    scaled constants, and raises ValueError for any other algebra.
     """
     if not graph.is_connected():
         raise ValueError("graph must be connected")
-    return _walk(A, graph._cycles(), dict(enumerate(graph.partner)),
-                 {} if memo is None else memo)
+    memo = {} if memo is None else memo
+    S = memo.get(None)
+    if S is None:
+        S = memo[None] = _Scaled(A)
+    elif S.algebra != A:
+        raise ValueError(f"memo belongs to {S.algebra!r}, not {A!r}")
+    walked = _walk(S, graph._cycles(), dict(enumerate(graph.partner)), memo)
+    scale = S.D ** (2 * graph.edges + 1)
+    value = {v: Fraction(v, scale) for v in set().union(*walked.values())}
+    return {d: {value[v] for v in vals} for d, vals in walked.items()}
 
 
 # -- matching oracles --------------------------------------------------------

@@ -1,11 +1,14 @@
 """Unit tests for cell graphs, edge contraction, and the enumeration oracles."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from tqftrec.cellgraph import (
     CellGraph,
+    _components,
+    _contract_edge,
     _matchings,
     all_matchings,
     count_arrowed_graphs,
@@ -74,6 +77,85 @@ def test_all_orders_shared_memo_consistent():
         assert sorted(fresh) == [(i,) for i in range(A.dim)]
         for i in range(A.dim):
             assert fresh[(i,)] == shared[(i,)]
+
+
+def test_memo_belongs_to_one_algebra():
+    z2 = orbifold_frobenius(load_group("builtin:Z2"))
+    z3 = orbifold_frobenius(load_group("builtin:Z3"))
+    memo = {}
+    eca_functional_all_orders(crossing_loops(), z2, memo)
+    with pytest.raises(ValueError, match="memo"):
+        eca_functional_all_orders(crossing_loops(), z3, memo)
+    # an equal algebra built again answers from the same memo
+    again = orbifold_frobenius(load_group("builtin:Z2"))
+    assert eca_functional_all_orders(crossing_loops(), again, memo) == \
+        eca_functional_all_orders(crossing_loops(), z2)
+
+
+def _has_separating_loop(graph):
+    cycles, partner = graph._cycles(), dict(enumerate(graph.partner))
+    return any(len(_components(*_contract_edge(cycles, partner, v, i)[:2])) > 1
+               for v, cyc in enumerate(cycles) for i, h in enumerate(cyc) if partner[h] in cyc)
+
+
+@pytest.mark.parametrize("name", ["Z4", "Z2xZ2", "Q8"])
+def test_all_orders_over_larger_denominators(name):
+    # common denominators 4, 4 and 8, on every connected graph up to six
+    # half-edges, loops that separate the graph included
+    A = orbifold_frobenius(load_group("builtin:" + name))
+    memo, omegas, separating = {}, {}, 0
+    for total in (2, 4, 6):
+        for degrees in _profiles(total):
+            for graph in all_matchings(degrees):
+                if not graph.is_connected():
+                    continue
+                separating += _has_separating_loop(graph)
+                g, n = graph.genus(), graph.n
+                values = eca_functional_all_orders(graph, A, memo)
+                assert sorted(values) == sorted(product(range(A.dim), repeat=n))
+                for idx, vals in values.items():
+                    key = (g, n, idx)
+                    if key not in omegas:
+                        omegas[key] = omega_tqft(A, g, n, [A.basis(i) for i in idx])
+                    assert vals == {omegas[key]}
+                    assert type(next(iter(vals))) is Fraction
+    assert separating > 0
+
+
+def test_walk_holds_ints(monkeypatch):
+    from tqftrec import cellgraph
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(cellgraph, "Fraction", counting)
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    memo = {}
+    graph = CellGraph([3, 3], [((1, 0), (1, 1)), ((1, 2), (2, 0)), ((2, 1), (2, 2))])
+    values = eca_functional_all_orders(graph, A, memo)
+    assert 0 < len(built) <= sum(map(len, values.values()))
+    assert all(type(x) is int
+               for key, table in memo.items() if key is not None
+               for vals in table.values() for x in vals)
+
+
+def test_tampered_constants_show_as_disagreement(monkeypatch):
+    # an int walk over constants that break associativity still returns two
+    # values where the orders of a path's two merges disagree
+    from tqftrec import cellgraph
+
+    A = orbifold_frobenius(load_group("builtin:Z2"))
+    bad = cellgraph._Scaled(A)
+    doubled = tuple((k, 2 * c) for k, c in bad.pairs[0][0])
+    bad.pairs = ((doubled, bad.pairs[0][1]), bad.pairs[1])
+    monkeypatch.setattr(cellgraph, "_Scaled", lambda A: bad)
+    path = CellGraph([1, 2, 1], [((1, 0), (2, 0)), ((2, 1), (3, 0))])
+    values = eca_functional_all_orders(path, A)
+    assert values[(1, 1, 0)] == {Fraction(1, 2), Fraction(1)}
+    assert values[(0, 0, 0)] == {Fraction(2)}
 
 
 def _first_graph(degrees, genus):
