@@ -14,8 +14,11 @@ integrand's only poles besides +-t_i are t = 0 and t = oo, so the residue
 sum is minus the residues there: the t^-1 coefficients of two truncated
 expansions.  No rational-function arithmetic runs on the recursion, and
 its results become ``MultiRatFun`` values without sympy.  Sympy is loaded
-only by the spectral curve, the kernel and the symbolic checks
-(``verify_w02_identity``, ``verify_kernel_integral``, ``residue_check``).
+only by the spectral curve, the kernel and the symbolic checks.  The
+checks ``verify_w02_identity`` and ``residue_check`` compute in sympy's
+rational-function field over QQ (``rational_field``), whose elements are
+kept cancelled, so equality there is exact; only ``verify_kernel_integral``
+integrates symbolically.
 
 Every output leaves the Laurent map through one substitution, which
 replaces t_i^e, one variable at a time, by a univariate map: the x frame
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb
+from math import comb, factorial
 from typing import Dict, Optional, Tuple
 
 from .cutjoin import TRIVIAL, shared
@@ -50,6 +53,8 @@ __all__ = [
     "wgn",
     "twisted_wgn",
     "residue_check",
+    "rational_field",
+    "in_field",
     "inverse_laplace_coeffs",
     "convert_frame",
     "tvars",
@@ -103,6 +108,37 @@ def spectral_curve() -> SpectralCurve:
     return _CURVE
 
 
+# -- exact symbolic checks --------------------------------------------------
+
+
+def rational_field(names):
+    """Sympy's field of rational functions over QQ in the named variables,
+    followed by its generators.  Its elements are kept cancelled, so two
+    are equal exactly when their difference has a zero numerator."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.fields import field
+
+    return field(names, QQ)
+
+
+def in_field(fn: MultiRatFun, K):
+    """A coefficient function as an element of the field K, whose variables
+    include the function's by name."""
+    names = [str(s) for s in K.symbols]
+    slots = [names.index(v) for v in fn.vars]
+
+    def poly(terms):
+        out = {}
+        for e, c in terms.items():
+            key = [0] * len(names)
+            for s, x in zip(slots, e):
+                key[s] = x
+            out[tuple(key)] = K.domain(c.numerator, c.denominator)
+        return K.ring.from_dict(out)
+
+    return K.new(poly(fn.num), poly(fn.den))
+
+
 # -- unstable differentials -------------------------------------------------
 
 
@@ -112,18 +148,16 @@ def w02() -> MultiRatFun:
 
 
 def verify_w02_identity() -> bool:
-    """Symbolic check of the double-pole subtraction defining w_{0,2}.
+    """Check the double-pole subtraction defining w_{0,2}, exactly, in the
+    rational-function field QQ(t1, t2).
 
     dt1 dt2 / (t1-t2)^2 minus the x-frame double pole, written in t,
     must equal 1/(t1+t2)^2.
     """
-    import sympy as sp
-
-    t1, t2 = _t(1), _t(2)
+    _, t1, t2 = rational_field(tvars(2))
     x = lambda t: 2 * (t**2 + 1) / (t**2 - 1)
-    dx = lambda t: sp.diff(x(t), t)
-    lhs = 1 / (t1 - t2) ** 2 - dx(t1) * dx(t2) / (x(t1) - x(t2)) ** 2
-    return sp.cancel(lhs - 1 / (t1 + t2) ** 2) == 0
+    lhs = 1 / (t1 - t2) ** 2 - x(t1).diff(t1) * x(t2).diff(t2) / (x(t1) - x(t2)) ** 2
+    return not (lhs - 1 / (t1 + t2) ** 2)
 
 
 # -- recursion kernel -------------------------------------------------------
@@ -336,34 +370,40 @@ def wgn(g: int, n: int) -> MultiRatFun:
     return MultiRatFun._from_laurent(_laurent_wgn(g, n, TRIVIAL).get((0,) * n, {}), tvars(n))
 
 
+def _residue(f, t, a, k: int):
+    """The residue of f at t = a, a pole of order at most k:
+    d^(k-1)/dt^(k-1) [(t-a)^k f] / (k-1)!, evaluated at t = a by composing
+    numerator and denominator with t -> a."""
+    h = (t - a) ** k * f
+    for _ in range(k - 1):
+        h = h.diff(t)
+    at = lambda p: p.compose(t.numer, a.numer)
+    return h.field.new(at(h.numer), at(h.denom)) / factorial(k - 1)
+
+
 def residue_check(g: int, n: int) -> dict:
-    """Recompute w_{g,n} by sympy residues and compare with production.
+    """Recompute w_{g,n} by residues in the field QQ(t, t1..tn) and compare
+    it with production exactly.
 
     Only (1,1) and (0,3) are in budget.  Their brackets involve only w_{0,2}
     and are written here directly, with the order of each pole, so the
-    check shares no code with the recursion.  A pole of order k at t = a
-    has residue d^(k-1)/dt^(k-1) [(t-a)^k f] / (k-1)! at t = a.
+    check shares no code with the recursion.
     """
-    import sympy as sp
-
     if (g, n) not in ((1, 1), (0, 3)):
         return {"g": g, "n": n, "in_budget": False, "equal": None}
-    t, t1, t2, t3 = symbol("t_int"), _t(1), _t(2), _t(3)
+    K, t, *ts = rational_field(("t",) + tvars(n))
     if n == 1:
-        bracket, poles = 1 / (4 * t**2), {t1: 1, -t1: 1}
+        (t1,) = ts
+        bracket, poles = 1 / (4 * t**2), ((t1, 1), (-t1, 1))
     else:
+        t1, t2, t3 = ts
         bracket = 1 / ((t + t2) ** 2 * (-t + t3) ** 2) + 1 / ((t + t3) ** 2 * (-t + t2) ** 2)
-        poles = {t1: 1, -t1: 1, t2: 2, -t2: 2, t3: 2, -t3: 2}
+        poles = ((t1, 1), (-t1, 1), (t2, 2), (-t2, 2), (t3, 2), (-t3, 2))
     f = (1 / (t + t1) + 1 / (t - t1)) * (t**2 - 1) ** 3 / t**2 * bracket
-    total = sp.Integer(0)
-    for a, k in poles.items():
-        regular = sp.cancel(sp.together((t - a) ** k * f))
-        total += sp.diff(regular, t, k - 1).subs(t, a) / sp.factorial(k - 1)
-    independent = sp.cancel(sp.together(-sp.Rational(1, 64) * total))
+    independent = -sum(_residue(f, t, a, k) for a, k in poles) / 64
     production = wgn(g, n)
-    equal = sp.cancel(independent - production.expr) == 0
     return {"g": g, "n": n, "in_budget": True, "production": production,
-            "residue": MultiRatFun(independent, tvars(n)), "equal": equal}
+            "equal": not (independent - in_field(production, K))}
 
 
 # -- twisted differentials --------------------------------------------------

@@ -146,12 +146,14 @@ def test_criterion_4_twisted_catalan_factorization():
         _, _, A = _algebra(name)
         for g in range(3):
             for n in range(1, 4):
+                decorations = {idx: [A.basis(i) for i in idx]
+                               for idx in itertools.product(range(A.dim), repeat=n)}
+                amplitudes = {idx: omega_tqft(A, g, n, vs) for idx, vs in decorations.items()}
                 for mu in itertools.product(range(1, 7), repeat=n):
                     scalar = amodel.catalan(g, n, mu)
-                    for idx in itertools.product(range(A.dim), repeat=n):
-                        vs = [A.basis(i) for i in idx]
+                    for idx, vs in decorations.items():
                         lhs = amodel.twisted_catalan(g, n, mu, A, vs)
-                        rhs = scalar * omega_tqft(A, g, n, vs)
+                        rhs = scalar * amplitudes[idx]
                         checks += 1
                         if lhs != rhs:
                             failures.append((name, g, n, mu, idx, lhs, rhs))
@@ -162,12 +164,9 @@ def test_criterion_4_twisted_catalan_factorization():
 def test_criterion_5_differentials_desk_scale():
     started = time.time()
     failures = []
-    import sympy as sp
-    from tqftrec.exact import symbol
-
-    t1 = symbol("t1")
+    K, t1 = bmodel.rational_field(("t1",))
     pinned = -((t1**2 - 1) ** 3) / (128 * t1**4)
-    if sp.cancel(bmodel.wgn(1, 1).expr - pinned) != 0:
+    if bmodel.in_field(bmodel.wgn(1, 1), K) - pinned:
         failures.append("w_{1,1} pinned value")
     for (g, n) in ((1, 1), (0, 3)):
         report = bmodel.residue_check(g, n)
@@ -209,8 +208,6 @@ def test_criterion_7_twisted_differential_factorization():
     started = time.time()
     checks = 0
     failures = []
-    import sympy as sp
-
     for name in SMALL_GROUPS:
         _, _, A = _algebra(name)
         for (g, n) in ((1, 1), (0, 3), (0, 4), (1, 2), (2, 1)):
@@ -218,13 +215,11 @@ def test_criterion_7_twisted_differential_factorization():
             scalar = bmodel.wgn(g, n)
             for idx in itertools.product(range(A.dim), repeat=n):
                 om = omega_tqft(A, g, n, [A.basis(i) for i in idx])
-                lhs = tw.values.get(idx)
-                target = om * scalar.expr
+                # both sides are in canonical form, so == is exact equality;
+                # a missing entry is the zero function
+                lhs = tw.values.get(idx, scalar * 0)
                 checks += 1
-                if lhs is None:
-                    if sp.cancel(target) != 0:
-                        failures.append((name, g, n, idx))
-                elif not (lhs.expr - target).equals(0):
+                if lhs != scalar * om:
                     failures.append((name, g, n, idx))
     _report(7, "twisted-differential-factorization", not failures, started,
             "%d decorated coefficient functions" % checks)

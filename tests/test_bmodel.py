@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from tqftrec import bmodel
 from tqftrec.amodel import catalan
 from tqftrec.bmodel import (
     SpectralCurve,
     convert_frame,
     eo_kernel,
+    in_field,
     inverse_laplace_coeffs,
+    rational_field,
     residue_check,
     spectral_curve,
     twisted_wgn,
@@ -43,33 +46,38 @@ def test_kernel_integral():
 
 
 def test_w02_coefficient():
-    f = w02()
-    t1, t2 = symbol("t1"), symbol("t2")
-    assert sp.simplify(f.expr - 1 / (t1 + t2) ** 2) == 0
+    K, t1, t2 = rational_field(("t1", "t2"))
+    assert not in_field(w02(), K) - 1 / (t1 + t2) ** 2
 
 
 def test_w11_pinned():
-    f = wgn(1, 1)
-    t1 = symbol("t1")
+    K, t1 = rational_field(("t1",))
     target = -((t1**2 - 1) ** 3) / (128 * t1**4)
-    assert sp.simplify(f.expr - target) == 0
+    assert not in_field(wgn(1, 1), K) - target
 
 
 def test_w03_pinned():
-    f = wgn(0, 3)
-    t1, t2, t3 = (symbol("t%d" % i) for i in (1, 2, 3))
-    target = -sp.Rational(1, 16) * (1 - 1 / (t1**2 * t2**2 * t3**2))
-    assert sp.simplify(f.expr - target) == 0
+    K, t1, t2, t3 = rational_field(("t1", "t2", "t3"))
+    target = -(1 - 1 / (t1**2 * t2**2 * t3**2)) / 16
+    assert not in_field(wgn(0, 3), K) - target
 
 
 def test_w21_pinned():
-    f = wgn(2, 1)
-    t1 = symbol("t1")
+    K, t1 = rational_field(("t1",))
     target = (
         -21 * (t1**2 - 1) ** 7 * (5 * t1**4 + 6 * t1**2 + 5)
         / (524288 * t1**10)
     )
-    assert sp.simplify(f.expr - target) == 0
+    assert not in_field(wgn(2, 1), K) - target
+
+
+def test_field_comparison_sees_a_small_change():
+    K, t1 = rational_field(("t1",))
+    target = -((t1**2 - 1) ** 3) / (128 * t1**4)
+    assert in_field(wgn(1, 1), K) - (target + K.domain(1, 10**9))
+    # the variables are matched by name, not by position
+    K, u, t1 = rational_field(("u", "t1"))
+    assert not in_field(wgn(1, 1), K) - (-((t1**2 - 1) ** 3) / (128 * t1**4))
 
 
 def test_structural_invariants():
@@ -87,6 +95,23 @@ def test_residue_check_reports_agreement():
         assert report["in_budget"] and report["equal"], report
 
 
+def _perturbed(fn: MultiRatFun) -> MultiRatFun:
+    """fn with 10^-9 added to its lowest Laurent coefficient."""
+    terms = fn._laurent()
+    terms[min(terms)] += Fraction(1, 10**9)
+    return MultiRatFun._from_laurent(terms, fn.vars)
+
+
+@pytest.mark.parametrize("g, n", [(1, 1), (0, 3)])
+def test_residue_check_fails_on_a_perturbed_production(monkeypatch, g, n):
+    real = bmodel.wgn
+    wrong = _perturbed(real(g, n))
+    monkeypatch.setattr(bmodel, "wgn", lambda *gn: wrong if gn == (g, n) else real(*gn))
+    report = residue_check(g, n)
+    assert report["in_budget"] and report["production"] is wrong
+    assert report["equal"] is False
+
+
 def test_unstable_wgn_rejected():
     with pytest.raises(ValueError):
         wgn(0, 1)
@@ -96,14 +121,14 @@ def test_twisted_wgn_trivial_algebra_reduces():
     A = trivial_algebra()
     tw = twisted_wgn(1, 1, A)
     assert omega_tqft(A, 1, 1, [A.basis(0)]) == 1
-    assert (tw.values[(0,)].expr - wgn(1, 1).expr).equals(0)
+    assert tw.values[(0,)] == wgn(1, 1)
 
 
 def test_twisted_wgn_z2_pinned():
     A = orbifold_frobenius(load_group("builtin:Z2"))
     tw = twisted_wgn(1, 1, A)
     # e_[1] decoration: Omega_{1,1} = 2, so the differential doubles
-    assert (tw.values[(0,)].expr - 2 * wgn(1, 1).expr).equals(0)
+    assert tw.values[(0,)] == 2 * wgn(1, 1)
 
 
 @pytest.mark.parametrize("g, n", [(2, 2), (0, 5)])

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -373,11 +374,52 @@ def test_counting_commands_never_load_sympy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
         "assert not loaded, loaded[:5]\n" % (commands,)
     )
-    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
+                          env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert os.path.exists(cache) and "ignoring cache" not in proc.stderr
+
+
+def test_verify_quick_needs_no_sympy_simplification():
+    # a fresh interpreter in which sympy's expression simplification
+    # raises: the quick checks compute in the rational-function field
+    script = (
+        "import contextlib, io, json, sympy\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise RuntimeError('expression simplification called')\n"
+        "for name in ('cancel', 'simplify', 'together'):\n"
+        "    setattr(sympy, name, refuse)\n"
+        "sympy.Expr.equals = refuse\n"
+        "import tqftrec.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = tqftrec.cli.main(['--format', 'json', 'verify', '--level', 'quick'])\n"
+        "rows = json.loads(out.getvalue())['rows']\n"
+        "assert code == 0 and len(rows) == 6, (code, rows)\n"
+        "assert all(row['result'] == 'pass' for row in rows), rows\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_verify_fails_on_a_perturbed_w11(monkeypatch):
+    real = bmodel.wgn
+    terms = real(1, 1)._laurent()
+    terms[min(terms)] += Fraction(1, 10**9)
+    wrong = MultiRatFun._from_laurent(terms, bmodel.tvars(1))
+    monkeypatch.setattr(bmodel, "wgn", lambda *gn: wrong if gn == (1, 1) else real(*gn))
+    code, out = run_cli("--format", "json", "verify", "--level", "quick")
+    assert code == cli.EXIT_INTERNAL
+    failed = [row for row in json.loads(out)["rows"] if row["result"] != "pass"]
+    assert failed == [{"suite": "bmodel-invariants", "result": "FAIL",
+                       "witness": "residue check (1,1) disagrees with the recursion"}]
+
+
+def _src_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def _cap_address_space():
@@ -388,11 +430,10 @@ def _cap_address_space():
 def _capped_group_info(group):
     """``tqft group-info`` in a process under a 60 s time limit and a 1 GB
     address-space cap."""
-    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     return subprocess.run(
         [sys.executable, "-m", "tqftrec.cli", "group-info", "--group", group],
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+        env=_src_env())
 
 
 def test_overlapping_cycles_exit_2_in_a_capped_process():
