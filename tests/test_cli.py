@@ -406,7 +406,7 @@ def test_verify_quick_needs_no_sympy_simplification():
 def test_verify_fails_on_a_perturbed_w11(monkeypatch):
     real = bmodel.wgn
     terms = real(1, 1)._laurent()
-    terms[min(terms)] += Fraction(1, 10**9)
+    terms[min(terms)] += Fraction(1, 10**9)  # one Laurent coefficient
     wrong = MultiRatFun._from_laurent(terms, bmodel.tvars(1))
     monkeypatch.setattr(bmodel, "wgn", lambda *gn: wrong if gn == (1, 1) else real(*gn))
     code, out = run_cli("--format", "json", "verify", "--level", "quick")
