@@ -111,7 +111,7 @@ def spectral_curve() -> SpectralCurve:
 # -- exact symbolic checks --------------------------------------------------
 
 
-def rational_field(names):
+def rational_field(names: Tuple[str, ...]):
     """Sympy's field of rational functions over QQ in the named variables,
     followed by its generators.  Its elements are kept cancelled, so two
     are equal exactly when their difference has a zero numerator."""
