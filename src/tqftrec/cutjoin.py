@@ -12,8 +12,10 @@ same recursion over the one-dimensional trivial algebra.
 
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
-decoration rows into that order, and a child tensor is realigned to the
-order its parent asks for.  ``canonicalize=False`` turns that off so the
+decorations into that order, and a child tensor is realigned to the order
+its parent asks for.  A query evaluates the tensor on its decorations with
+``contract``, the engine's one contraction; ``omega_tqft``, which the
+decorated counts are checked against, keeps its own.  ``canonicalize=False`` turns that off so the
 symmetry can be tested honestly.  An entry is stored only when complete.
 
 Every table the package answers from is built once, by ``shared``: one
@@ -44,7 +46,7 @@ CUTJOIN_WORK_BUDGET = 1000000
 
 
 def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n: int):
-    """Check n decorations against the algebra and return their coefficient rows."""
+    """Check n decorations against the algebra."""
     if len(vs) != n:
         raise ValueError("need one decoration per boundary: %d for %d" % (len(vs), n))
     for v in vs:
@@ -52,7 +54,43 @@ def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n
             raise TypeError("decorations must be algebra elements, got %r" % (v,))
         if v.algebra is not algebra and v.algebra != algebra:
             raise ValueError("decoration does not belong to the given algebra")
-    return [v.coeffs for v in vs]
+
+
+def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
+    """The multilinear functional held as the sparse tensor {basis index
+    tuple: value} evaluated on one decoration per slot.
+
+    The walk takes the smaller side: the tensor's entries, or the tuples of
+    the decorations' nonzero terms, so dense decorations never expand to
+    dim^n tuples.  Terms are summed as an int numerator over a running
+    common denominator, and one Fraction is built on return."""
+    num, den = 0, 1
+    terms = [v.terms for v in vs]
+    if math.prod(map(len, terms)) > len(tensor):
+        rows = [v.coeffs for v in vs]
+        found = (
+            (val, [c for row, i in zip(rows, idx) if (c := row[i]) != 1])
+            for idx, val in tensor.items()
+        )
+    else:
+        found = (
+            (tensor.get(tuple(i for i, _ in combo)), [c for _, c in combo if c != 1])
+            for combo in product(*terms)
+        )
+    for val, cs in found:
+        if val is None:
+            continue
+        n, d = val.numerator, val.denominator
+        for c in cs:
+            n *= c.numerator
+            d *= c.denominator
+        if n:
+            if den % d:
+                lcm = math.lcm(den, d)
+                num *= lcm // den
+                den = lcm
+            num += n * (den // d)
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -118,31 +156,15 @@ class CutJoinTable:
         if not self.decorated:
             raise ValueError("this table was built without an algebra")
         mu = self._validate(g, len(mu) if n is None else n, mu)
-        rows = check_decorations(self.algebra, vs, len(mu))
+        check_decorations(self.algebra, vs, len(mu))
         order = range(len(mu))
-        if self.canonicalize:  # the rows, not the tensor, go to the memoized order
-            order = sorted(order, key=lambda p: -mu[p])
-        tensor = self._lookup(g, tuple(mu[p] for p in order), mu)
-        rows = [rows[p] for p in order]
-        # walk the smaller side: the tensor, or the decorations' support
-        support = [[i for i, c in enumerate(row) if c] for row in rows]
-        if math.prod(map(len, support)) > len(tensor):
-            items = tensor.items()
-        else:
-            items = ((idx, tensor.get(idx)) for idx in product(*support))
-        total = Fraction(0)
-        for idx, val in items:
-            if not val:
-                continue
-            for row, i in zip(rows, idx):
-                c = row[i]
-                if not c:
-                    break
-                if c != 1:
-                    val = val * c
-            else:
-                total += val
-        return total
+        if self.canonicalize:  # the decorations, not the tensor, go to the memoized order
+            order = sorted(order, key=mu.__getitem__, reverse=True)
+        ordered = tuple(mu[p] for p in order)
+        tensor = self._tensors.get((g, ordered))
+        if tensor is None:
+            tensor = self._lookup(g, ordered, mu)
+        return contract(tensor, [vs[p] for p in order])
 
     def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
         """The scalar count: the recursion over the trivial algebra; a

@@ -166,13 +166,6 @@ class MultiRatFun:
         return cls._from_reduced({one: value}, {one: 1}, vars)
 
     @classmethod
-    def var(cls, name: str, vars: Sequence[str]) -> "MultiRatFun":
-        if name not in vars:
-            raise UnknownVariableError(f"{name!r} not among {vars}")
-        e = tuple(int(v == name) for v in vars)
-        return cls._from_reduced({e: 1}, {(0,) * len(vars): 1}, vars)
-
-    @classmethod
     def _from_reduced(cls, num: Mapping[tuple, Scalar], den: Mapping[tuple, Scalar],
                       vars: Sequence[str]) -> "MultiRatFun":
         """Numerator and denominator {exponent tuple: coefficient} taken as

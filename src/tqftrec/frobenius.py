@@ -25,16 +25,23 @@ the instance:
   ``product_by_pair`` and ``coproduct_by_input``, which the derivation and
   the verification read; ``product_by_output`` and ``coproduct_by_legs``
   are built on first use;
-- the basis vectors and the Euler powers e^g as coefficient tuples, built
-  on first use.
+- the basis vectors, as coefficient tuples with their nonzero terms, and
+  the Euler powers e^g as coefficient tuples, built on first use;
+- the amplitudes of basis tuples, keyed on (g, sorted basis indices): the
+  product is commutative, so Omega_{g,n} depends only on the multiset of
+  basis classes.  Each entry is filled by the e^g e_i ... chain when first
+  asked for.
 
-Caches hold only immutable tuples of Fractions.  ``basis``,
+Caches hold only immutable tuples of Fractions, and Fractions.  ``basis``,
 ``euler_power`` and ``unit_element`` hand out fresh ``AlgebraElement``s
-that wrap them, so no caller can change what a later call returns.
+that wrap the cached tuples without checking them again, so no caller can
+change what a later call returns.  An element computes its nonzero
+``terms`` once, on first use.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product as iproduct
@@ -140,6 +147,7 @@ class FrobeniusAlgebra:
         self._derive()
         self._verify()
         self._euler_powers = [self.unit]  # e^0, e^1, ...; ``euler_power`` extends it
+        self._amplitudes = {}  # (g, sorted basis indices) -> Omega; ``_amplitude`` fills it
         # the tensors are immutable tuples, so the hash is fixed
         self._hash = hash((self.dim, self.product_tensor, self.pairing))
 
@@ -287,10 +295,12 @@ class FrobeniusAlgebra:
         return tuple(tuple(map(tuple, row)) for row in by_ab)
 
     @cached_property
-    def _basis_coeffs(self):
+    def _basis(self):
+        """(coefficient tuple, nonzero terms) of each basis vector."""
         one, zero = Fraction(1), Fraction(0)
         return tuple(
-            tuple(one if i == j else zero for j in range(self.dim)) for i in range(self.dim)
+            (tuple(one if i == j else zero for j in range(self.dim)), ((i, one),))
+            for i in range(self.dim)
         )
 
     # -- elements -----------------------------------------------------------
@@ -299,13 +309,13 @@ class FrobeniusAlgebra:
         return AlgebraElement(self, coeffs)
 
     def basis(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, self._basis_coeffs[i])
+        return AlgebraElement._wrap(self, *self._basis[i])
 
     def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit)
+        return AlgebraElement._wrap(self, self.unit)
 
     def euler_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.euler)
+        return AlgebraElement._wrap(self, self.euler)
 
     def __eq__(self, other):
         return (
@@ -336,7 +346,7 @@ class FrobeniusAlgebra:
 
 
 class AlgebraElement:
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "coeffs", "_terms")
 
     def __init__(self, algebra: FrobeniusAlgebra, coeffs: Sequence):
         if len(coeffs) != algebra.dim:
@@ -346,6 +356,22 @@ class AlgebraElement:
             self.coeffs = coeffs if type(coeffs) is tuple else tuple(coeffs)
         else:
             self.coeffs = tuple(_frac(x) for x in coeffs)
+        self._terms = None
+
+    @classmethod
+    def _wrap(cls, algebra: FrobeniusAlgebra, coeffs: tuple, terms: tuple = None):
+        """An element over a tuple of dim Fractions that the algebra has
+        already checked, taken as it is, with its terms when known."""
+        v = object.__new__(cls)
+        v.algebra, v.coeffs, v._terms = algebra, coeffs, terms
+        return v
+
+    @property
+    def terms(self) -> tuple:
+        """((i, c), ...) for the nonzero coefficients c = coeffs[i]."""
+        if self._terms is None:
+            self._terms = _nonzero(self.coeffs)
+        return self._terms
 
     def __eq__(self, other):
         return (
@@ -456,16 +482,44 @@ def euler_power(A: FrobeniusAlgebra, g: int) -> AlgebraElement:
     powers = A._euler_powers
     while len(powers) <= g:
         powers.append(tuple(_multiply(A, powers[-1], A.euler)))
-    return AlgebraElement(A, powers[g])
+    return AlgebraElement._wrap(A, powers[g])
+
+
+def _amplitude(A: FrobeniusAlgebra, g: int, idx: tuple) -> Fraction:
+    """Omega_{g,n} on the basis tuple idx, from the algebra's memo; e^g must
+    be cached already."""
+    key = (g, tuple(sorted(idx)))
+    x = A._amplitudes.get(key)
+    if x is None:
+        acc = A._euler_powers[g]
+        for i in key[1]:
+            acc = _multiply(A, acc, A._basis[i][0])
+        x = A._amplitudes[key] = _counit(A, acc)
+    return x
 
 
 def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]) -> Rational:
-    """Amplitude of a genus-g surface with n inputs: the cached e^g, each
-    decoration multiplied in through the pair view, then the counit."""
+    """Amplitude of a genus-g surface with n inputs.
+
+    While the product of the decorations' support sizes is at most
+    n * dim, the memoized basis amplitudes are summed over the supports.
+    Otherwise, so that dense decorations never expand to dim^n tuples, the
+    cached e^g has each decoration multiplied in through the pair view,
+    and the counit is taken."""
     if n < 1 or len(vs) != n:
         raise ValueError("need n >= 1 inputs")
     e_g = euler_power(A, g)
     _same_algebra(e_g, *vs)
+    terms = [v.terms for v in vs]
+    if math.prod(map(len, terms)) <= n * A.dim:
+        total = Fraction(0)
+        for combo in iproduct(*terms):
+            x = _amplitude(A, g, tuple(i for i, _ in combo))
+            for _, c in combo:
+                if c != 1:
+                    x *= c
+            total += x
+        return total
     acc = e_g.coeffs
     for v in vs:
         acc = _multiply(A, acc, v.coeffs)

@@ -102,6 +102,9 @@ class FiniteGroup:
         if len(names) != n:
             raise ValueError("name count does not match order")
         self.names = tuple(str(x) for x in names)
+        # g-fold commutator distributions, g = 0, 1, ..., filled by
+        # ``_commutator_distribution``
+        self._commutator_dists = [(1,) + (0,) * (n - 1)]
 
     def conj(self, a: int, g: int) -> int:
         """g a g^-1."""
@@ -399,6 +402,33 @@ def orbifold_frobenius(G: FiniteGroup,
     return FrobeniusAlgebra(h, cd.class_names, prod, pairing)
 
 
+def _commutator_distribution(G: FiniteGroup, g: int) -> tuple:
+    """[x] -> the number of tuples (a_1, b_1, .., a_g, b_g) whose product of
+    commutators is x.  Each genus is computed once per group, from the one
+    below and the single-commutator distribution, and kept on the group."""
+    dists = G._commutator_dists
+    if len(dists) <= g:
+        N, mul = G.order, G.table
+        if len(dists) == 1:
+            inv = G.inverse
+            comm = [0] * N
+            for a in range(N):
+                for b in range(N):
+                    comm[mul[mul[mul[a][b]][inv[a]]][inv[b]]] += 1
+            dists.append(tuple(comm))
+        comm = dists[1]
+        while len(dists) <= g:
+            dist, nxt = dists[-1], [0] * N
+            for x in range(N):
+                if dist[x] == 0:
+                    continue
+                for y in range(N):
+                    if comm[y]:
+                        nxt[mul[x][y]] += dist[x] * comm[y]
+            dists.append(tuple(nxt))
+    return dists[g]
+
+
 def omega_brute(G: FiniteGroup, g: int, class_indices: Sequence[int],
                 budget: int = DEFAULT_BUDGET,
                 cd: ConjugacyData | None = None) -> Rational:
@@ -416,26 +446,8 @@ def omega_brute(G: FiniteGroup, g: int, class_indices: Sequence[int],
             "reduce g, n, or the group order")
     if cd is None:
         cd = conjugacy(G)
+    dist = _commutator_distribution(G, g)
     mul = G.table
-    inv = G.inverse
-    # distribution of a single commutator
-    comm = [0] * N
-    for a in range(N):
-        for b in range(N):
-            x = mul[mul[mul[a][b]][inv[a]]][inv[b]]
-            comm[x] += 1
-    # g-fold product distribution
-    dist = [0] * N
-    dist[0] = 1
-    for _ in range(g):
-        nxt = [0] * N
-        for x in range(N):
-            if dist[x] == 0:
-                continue
-            for y in range(N):
-                if comm[y]:
-                    nxt[mul[x][y]] += dist[x] * comm[y]
-        dist = nxt
     count = 0
     for sigmas in iproduct(*(cd.classes[ci] for ci in class_indices)):
         p = 0

@@ -24,7 +24,14 @@ from tqftrec.frobenius import (
     three_point,
     trivial_algebra,
 )
-from tqftrec.groups import BUILTIN_GROUPS, group_from_permutations, load_group, orbifold_frobenius
+from tqftrec.groups import (
+    BUILTIN_GROUPS,
+    conjugacy,
+    group_from_permutations,
+    load_group,
+    omega_brute,
+    orbifold_frobenius,
+)
 
 
 def z2_algebra():
@@ -301,6 +308,45 @@ def test_omega_tqft_rejects_a_foreign_algebra():
     A, B = z2_algebra(), orbifold_frobenius(load_group("builtin:S3"))
     with pytest.raises(ValueError):
         omega_tqft(A, 1, 1, [B.basis(0)])
+
+
+def test_dense_decorations_never_expand_the_support_product(monkeypatch):
+    # 5**13 support tuples: summing the amplitude memo over them would take
+    # hours, so dense decorations must take the multiply-through chain
+    import tqftrec.frobenius as frobenius
+
+    def probe(*args):
+        raise AssertionError("a dense decoration probed the amplitude memo")
+
+    A = orbifold_frobenius(load_group("builtin:Q8"))
+    monkeypatch.setattr(frobenius, "_amplitude", probe)
+    dense = A.element([1] * A.dim)
+    chain = euler_power(A, 1)
+    for _ in range(13):
+        chain = product(chain, dense)
+    assert omega_tqft(A, 1, 13, [dense] * 13) == counit(chain)
+
+
+def test_scaled_and_zero_decorations_through_the_memo_equal_the_brute_count(monkeypatch):
+    import tqftrec.frobenius as frobenius
+
+    G = load_group("builtin:S3")
+    cd = conjugacy(G)
+    A = orbifold_frobenius(G, cd)
+    amplitude = frobenius._amplitude
+    seen = []
+    monkeypatch.setattr(frobenius, "_amplitude", lambda *args: seen.append(args) or amplitude(*args))
+    half, zero = Fraction(3, 2), A.element([0] * A.dim)
+    mixed = A.element([1, 0, "-2/3"])
+    for g in (0, 1):
+        for i, j in itertools.product(range(A.dim), repeat=2):
+            scaled = A.element([half * c for c in A.basis(i).coeffs])
+            assert omega_tqft(A, g, 2, [scaled, A.basis(j)]) == half * omega_brute(G, g, (i, j), cd=cd)
+            assert omega_tqft(A, g, 2, [A.basis(j), zero]) == 0
+        for j in range(A.dim):
+            assert omega_tqft(A, g, 2, [mixed, A.basis(j)]) == omega_brute(
+                G, g, (0, j), cd=cd) - Fraction(2, 3) * omega_brute(G, g, (2, j), cd=cd)
+    assert seen, "basis-sized supports take the memo path"
 
 
 def test_cutjoin_imports_no_contraction_routine_from_frobenius():

@@ -9,34 +9,41 @@ SEARCHED = ("src", "tests", "perfbench", "tools")
 
 class _Names(ast.NodeVisitor):
     """The functions and classes a module defines and the names it uses.  A
-    use inside a definition of the same name, such as a recursive call, is
-    not counted."""
+    method, a function defined directly in a class body, is used only
+    through attribute access; a bare name of the same spelling, such as a
+    parameter, does not count.  A use inside a definition of the same name,
+    such as a recursive call, is not counted."""
 
     def __init__(self):
-        self.defined, self.used, self._inside = set(), set(), []
+        self.defined, self.methods = set(), set()
+        self.used, self.attributes = set(), set()
+        self._inside, self._in_class = [], [False]
 
     def _definition(self, node):
-        self.defined.add(node.name)
+        in_class = self._in_class[-1] and not isinstance(node, ast.ClassDef)
+        (self.methods if in_class else self.defined).add(node.name)
         self._inside.append(node.name)
+        self._in_class.append(isinstance(node, ast.ClassDef))
         self.generic_visit(node)
+        self._in_class.pop()
         self._inside.pop()
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
 
-    def _use(self, name):
+    def _use(self, name, found):
         if name not in self._inside:
-            self.used.add(name)
+            found.add(name)
 
     def visit_Name(self, node):
-        self._use(node.id)
+        self._use(node.id, self.used)
 
     def visit_Attribute(self, node):
-        self._use(node.attr)
+        self._use(node.attr, self.attributes)
         self.generic_visit(node)
 
     def visit_alias(self, node):
         for part in node.name.split("."):
-            self._use(part)
+            self._use(part, self.used)
 
 
 def _scan(paths):
@@ -46,11 +53,29 @@ def _scan(paths):
     return names
 
 
+def _unused(defined, used):
+    """The scanned definitions that no scanned use names."""
+    names = defined.defined - used.used - used.attributes
+    methods = defined.methods - used.attributes
+    return sorted(n for n in names | methods if not (n.startswith("__") and n.endswith("__")))
+
+
 def test_every_function_and_class_is_named_outside_its_definition():
-    defined = _scan(sorted((ROOT / "src" / "tqftrec").glob("*.py"))).defined
-    used = _scan(sorted(p for top in SEARCHED for p in (ROOT / top).rglob("*.py"))).used
-    dunder = {name for name in defined if name.startswith("__") and name.endswith("__")}
-    assert sorted(defined - dunder - used) == []
+    defined = _scan(sorted((ROOT / "src" / "tqftrec").glob("*.py")))
+    used = _scan(sorted(p for top in SEARCHED for p in (ROOT / top).rglob("*.py")))
+    assert _unused(defined, used) == []
+
+
+def test_a_method_is_used_only_through_attribute_access():
+    source = (
+        "class T:\n"
+        "    def var(self, var): return var\n"
+        "    def kept(self, kept): return kept\n"
+        "T().kept(var)\n"
+    )
+    names = _Names()
+    names.visit(ast.parse(source))
+    assert _unused(names, names) == ["var"]
 
 
 def _package_imports(module):
