@@ -13,10 +13,11 @@ same recursion over the one-dimensional trivial algebra.
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
 decorations into that order, and a child tensor is realigned to the order
-its parent asks for.  A query evaluates the tensor on its decorations with
-``contract``, the engine's one contraction; ``omega_tqft``, which the
-decorated counts are checked against, keeps its own.  ``canonicalize=False`` turns that off so the
+its parent asks for.  ``canonicalize=False`` turns that off so the
 symmetry can be tested honestly.  An entry is stored only when complete.
+A query evaluates its tensor on its decorations with ``contract``, the
+engine's one contraction; ``omega_tqft``, which the decorated counts are
+checked against, keeps its own.
 
 Every table the package answers from is built once, by ``shared``: one
 per family and algebra, and one scalar table per family.

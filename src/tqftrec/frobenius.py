@@ -32,11 +32,11 @@ the instance:
   basis classes.  Each entry is filled by the e^g e_i ... chain when first
   asked for.
 
-Caches hold only immutable tuples of Fractions, and Fractions.  ``basis``,
-``euler_power`` and ``unit_element`` hand out fresh ``AlgebraElement``s
-that wrap the cached tuples without checking them again, so no caller can
-change what a later call returns.  An element computes its nonzero
-``terms`` once, on first use.
+Caches hold only immutable values: tuples of Fractions, and Fractions.
+``basis``, ``euler_power`` and ``unit_element`` hand out fresh
+``AlgebraElement``s that wrap the cached tuples without checking them
+again, so no caller can change what a later call returns.  An element
+computes its nonzero ``terms`` once, on first use.
 """
 
 from __future__ import annotations
