@@ -296,12 +296,14 @@ class FrobeniusAlgebra:
 
     @cached_property
     def _basis(self):
-        """(coefficient tuple, nonzero terms) of each basis vector."""
+        """(coefficient tuple, (that tuple, its nonzero terms)) of each basis
+        vector."""
         one, zero = Fraction(1), Fraction(0)
-        return tuple(
-            (tuple(one if i == j else zero for j in range(self.dim)), ((i, one),))
-            for i in range(self.dim)
-        )
+        out = []
+        for i in range(self.dim):
+            coeffs = tuple(one if i == j else zero for j in range(self.dim))
+            out.append((coeffs, (coeffs, ((i, one),))))
+        return tuple(out)
 
     # -- elements -----------------------------------------------------------
 
@@ -361,17 +363,21 @@ class AlgebraElement:
     @classmethod
     def _wrap(cls, algebra: FrobeniusAlgebra, coeffs: tuple, terms: tuple = None):
         """An element over a tuple of dim Fractions that the algebra has
-        already checked, taken as it is, with its terms when known."""
+        already checked, taken as it is; ``terms``, when known, is the
+        (coeffs, nonzero terms) pair that ``terms`` caches."""
         v = object.__new__(cls)
         v.algebra, v.coeffs, v._terms = algebra, coeffs, terms
         return v
 
     @property
     def terms(self) -> tuple:
-        """((i, c), ...) for the nonzero coefficients c = coeffs[i]."""
-        if self._terms is None:
-            self._terms = _nonzero(self.coeffs)
-        return self._terms
+        """((i, c), ...) for the nonzero coefficients c = coeffs[i], cached
+        with the tuple they were read from, so that a reassigned
+        ``coeffs`` is read again."""
+        cached = self._terms
+        if cached is None or cached[0] is not self.coeffs:
+            cached = self._terms = (self.coeffs, _nonzero(self.coeffs))
+        return cached[1]
 
     def __eq__(self, other):
         return (

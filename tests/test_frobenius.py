@@ -302,6 +302,11 @@ def test_handed_out_elements_cannot_change_the_caches():
     after = (A.basis(1).coeffs, euler_power(A, 2).coeffs, A.unit_element().coeffs,
              omega_tqft(A, 2, 2, [A.basis(1), A.basis(2)]))
     assert after == before
+    # an element's cached nonzero terms follow a reassigned coefficient tuple
+    el = A.basis(1)
+    el.coeffs = A.basis(2).coeffs
+    assert el.terms == A.basis(2).terms
+    assert omega_tqft(A, 2, 2, [el, A.basis(2)]) == omega_tqft(A, 2, 2, [A.basis(2)] * 2)
 
 
 def test_omega_tqft_rejects_a_foreign_algebra():
