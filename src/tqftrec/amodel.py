@@ -90,12 +90,11 @@ class CatalanTable(CutJoinTable):
     # -- cache files ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """The memoized entries, with the schema version, algebra and
-        canonicalize flag they belong to and a SHA-256 digest of it all."""
+        """The memoized entries, with the schema version and algebra they
+        belong to and a SHA-256 digest of it all."""
         body = {
             "schema": CACHE_SCHEMA,
             "algebra": self.algebra.to_json(),
-            "canonicalize": self.canonicalize,
             "entries": [
                 {"g": g, "mu": list(mu), "decor": list(decor), "value": str(v)}
                 for g, mu, decor, v in self.rows()
@@ -107,15 +106,13 @@ class CatalanTable(CutJoinTable):
         """Fill the table from a ``to_json`` dump; returns the entry count.
 
         Raises, and leaves the table untouched, unless the digest matches,
-        the dump was written for this schema, algebra and canonicalize flag,
-        and every entry is well formed.
+        the dump was written for this schema and algebra, and every entry is
+        well formed, its profile in decreasing order.
         """
         body = dict(data)
         if body.pop("sha256", None) != _digest(body):
             raise ValueError("cache digest does not match its contents")
-        if (body.get("schema"), body.get("algebra"), body.get("canonicalize")) != (
-            CACHE_SCHEMA, self.algebra.to_json(), self.canonicalize
-        ):
+        if (body.get("schema"), body.get("algebra")) != (CACHE_SCHEMA, self.algebra.to_json()):
             raise ValueError("cache was written for another table")
         tensors = {}
         for e in body["entries"]:
@@ -126,7 +123,7 @@ class CatalanTable(CutJoinTable):
                 isinstance(g, int) and g >= 0 and mu and len(idx) == len(mu)
                 and all(isinstance(x, int) and x >= 0 for x in mu + idx)
                 and max(idx) < self.algebra.dim and isinstance(e["value"], str)
-                and (not self.canonicalize or list(mu) == sorted(mu, reverse=True))
+                and list(mu) == sorted(mu, reverse=True)
             ):
                 raise ValueError("malformed cache entry %r" % (e,))
             tensors.setdefault((g, mu), {})[idx] = Fraction(e["value"])

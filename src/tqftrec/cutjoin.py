@@ -3,21 +3,24 @@
 Each count is a multilinear functional of Frobenius-algebra decorations,
 one per boundary, stored as a sparse tensor from basis index tuples to
 exact rationals.  A profile (g, mu) is reduced on its distinguished
-boundary, the largest degree (ties: lowest position).  Join terms absorb
-another boundary and multiply the two decorations through the product
-tensor; loop terms (genus g - 1) and split terms (genera g1 + g2 = g) cut
-it in two and route its decoration through the coproduct.  Both tensors
-are read through the algebra's sparse views.  The scalar counts are the
-same recursion over the one-dimensional trivial algebra.
+boundary, the first slot of the profile sorted in decreasing order, by
+three TQFT kernel operators, each adding w times its result into the dict
+it is given (which may then hold zeros): ``m_star_contract`` for a join,
+which absorbs another boundary and multiplies the two decorations through
+the product view; ``delta_star_contract`` for a loop (genus g - 1) and
+``delta_star_split`` for a split (genera g1 + g2 = g), which cut the
+boundary in two and route its decoration through the coproduct view.  A
+child tensor is built before its operator runs, so each level of the
+recursion still costs one Python frame.  The scalar counts are the same
+recursion over the one-dimensional trivial algebra.
 
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
 decorations into that order, and a child tensor is realigned to the order
-its parent asks for.  ``canonicalize=False`` turns that off so the
-symmetry can be tested honestly.  An entry is stored only when complete.
-A query evaluates its tensor on its decorations with ``contract``, the
-engine's one contraction; ``omega_tqft``, which the decorated counts are
-checked against, keeps its own.
+its parent asks for.  An entry is stored only when complete.  A query
+evaluates its tensor on its decorations with ``contract``, the engine's
+one contraction; ``omega_tqft``, which the decorated counts are checked
+against, keeps its own.
 
 Every table the package answers from is built once, by ``shared``: one
 per family and algebra, and one scalar table per family.
@@ -32,6 +35,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
 from .exact import BudgetError
@@ -105,13 +109,79 @@ def shared(family, algebra: Optional[FrobeniusAlgebra] = None):
 
 @lru_cache(maxsize=None)
 def _splits(r: int):
-    """Ways to share r boundaries between two halves: (I, J, slots of I + J)."""
+    """Ways to share r boundaries between two halves: (I, J, order), where
+    boundary t lands in slot order[t] of I + J, the order delta_star_split takes."""
     halves = [
         (I, tuple(t for t in range(r) if t not in I))
         for size in range(r + 1)
         for I in combinations(range(r), size)
     ]
     return [(I, J, tuple((I + J).index(t) for t in range(r))) for I, J in halves]
+
+
+@lru_cache(maxsize=4096)  # bounded: profiles with many distinct degrees have many orders
+def _reorder(perm: Tuple[int, ...]):
+    """The map taking an index tuple t to (t[p] for p in perm), or None
+    when perm is the identity."""
+    if perm == tuple(range(len(perm))):
+        return None
+    return itemgetter(*perm)  # perm has two or more entries, so this gives tuples
+
+
+def m_star_contract(A: FrobeniusAlgebra, F: dict, j: int, out: dict, w=1):
+    """Cokernel operator: add w G into out, G inserting a new slot j whose
+    input is multiplied into slot 1 before evaluating F,
+    G(i_1, .., i_n) = sum_k c_{i_1 i_j}^k F(k, i_2, .., i_n without i_j).
+    Slots are 1-based; 2 <= j <= n."""
+    if F and not 2 <= j <= len(next(iter(F))) + 1:
+        raise ValueError("slot %d out of range 2..%d" % (j, len(next(iter(F))) + 1))
+    by_output = A.product_by_output
+    for idx, x in F.items():
+        x = w * x
+        head, tail = idx[1 : j - 1], idx[j - 1 :]
+        for i1, ij, c in by_output[idx[0]]:
+            key = (i1,) + head + (ij,) + tail
+            out[key] = out.get(key, 0) + c * x
+
+
+def delta_star_contract(A: FrobeniusAlgebra, F: dict, out: dict, w=1):
+    """Kernel operator, connected form: add w G into out, G fusing the first
+    two slots of F into one via the coproduct of the new first argument,
+    G(i, rest) = sum_{a,b} Delta_i^{ab} F(a, b, rest)."""
+    if F and len(next(iter(F))) < 2:
+        raise ValueError("need at least two slots to contract")
+    by_legs = A.coproduct_by_legs
+    for idx, x in F.items():
+        x = w * x
+        rest = idx[2:]
+        for i, c in by_legs[idx[0]][idx[1]]:
+            key = (i,) + rest
+            out[key] = out.get(key, 0) + c * x
+
+
+def delta_star_split(A: FrobeniusAlgebra, F1: dict, F2: dict, out: dict, w=1,
+                     order: Tuple[int, ...] = ()):
+    """Kernel operator, split form: add w G into out, G distributing the
+    coproduct legs of the first argument over the first slots of F1 and F2,
+    G(i, r) = sum_{a,b} Delta_i^{ab} F1(a, r1) F2(b, r2),
+    where r lists the other slots r1 + r2 in ``order``: r[t] = (r1 + r2)[order[t]]."""
+    by_legs = A.coproduct_by_legs
+    permute = _reorder(order)
+    for idx1, x in F1.items():
+        legs = by_legs[idx1[0]]
+        r1 = idx1[1:]
+        x = w * x
+        for idx2, y in F2.items():
+            found = legs[idx2[0]]
+            if not found:
+                continue
+            rest = r1 + idx2[1:]
+            if permute is not None:
+                rest = permute(rest)
+            xy = x * y
+            for i, c in found:
+                key = (i,) + rest
+                out[key] = out.get(key, 0) + c * xy
 
 
 class CutJoinTable:
@@ -132,10 +202,9 @@ class CutJoinTable:
     degree_column = "mu"
     stable_splits = False  # do split terms skip children with 2g - 2 + n <= 0?
 
-    def __init__(self, algebra: Optional[FrobeniusAlgebra] = None, *, canonicalize: bool = True):
+    def __init__(self, algebra: Optional[FrobeniusAlgebra] = None):
         self.decorated = algebra is not None
         self.algebra = algebra if algebra is not None else TRIVIAL
-        self.canonicalize = canonicalize
         self._tensors = {}
         self._work, self._request = 0, None
 
@@ -158,9 +227,8 @@ class CutJoinTable:
             raise ValueError("this table was built without an algebra")
         mu = self._validate(g, len(mu) if n is None else n, mu)
         check_decorations(self.algebra, vs, len(mu))
-        order = range(len(mu))
-        if self.canonicalize:  # the decorations, not the tensor, go to the memoized order
-            order = sorted(order, key=mu.__getitem__, reverse=True)
+        # the decorations, not the tensor, go to the memoized order
+        order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
         ordered = tuple(mu[p] for p in order)
         tensor = self._tensors.get((g, ordered))
         if tensor is None:
@@ -174,8 +242,7 @@ class CutJoinTable:
         if self.decorated:
             return shared(type(self)).untwisted(g, mu, n)
         mu = self._validate(g, len(mu) if n is None else n, mu)
-        ordered = tuple(sorted(mu, reverse=True)) if self.canonicalize else mu
-        return self._lookup(g, ordered, mu).get((0,) * len(mu), Fraction(0))
+        return self._lookup(g, tuple(sorted(mu, reverse=True)), mu).get((0,) * len(mu), Fraction(0))
 
     def _lookup(self, g: int, mu: Tuple[int, ...], asked: Sequence[int]):
         """The tensor of (g, mu); ``asked`` is the profile as the caller
@@ -188,11 +255,8 @@ class CutJoinTable:
             raise BudgetError(msg) from None
 
     def _tensor(self, g: int, mu: Tuple[int, ...]):
-        """The tensor of (g, mu) with its slots in the order of mu.
-
-        The cut-and-join step on the distinguished boundary is written
-        inline, so that each level of the recursion costs one Python frame.
-        """
+        """The tensor of (g, mu) with its slots in the order of mu, built by
+        the kernel operators on slot 0 of the sorted profile."""
         self._work += 1
         if self._work > CUTJOIN_WORK_BUDGET:
             g0, mu0 = self._request
@@ -200,67 +264,42 @@ class CutJoinTable:
                               % (g0, self.degree_column, mu0, CUTJOIN_WORK_BUDGET))
         if g < 0 or self._vanishes(g, mu):
             return {}
-        canon = tuple(sorted(mu, reverse=True)) if self.canonicalize else mu
+        canon = tuple(sorted(mu, reverse=True))
         key = (g, canon)
         out = self._tensors.get(key)
         if out is None and (out := self._base_case(g, canon)) is not None:
             self._tensors[key] = out
         if out is None:
-            d = max(range(len(canon)), key=lambda i: (canon[i], -i))
-            m1 = canon[d]
-            rest = canon[:d] + canon[d + 1 :]
-            by_output = self.algebra.product_by_output
-            by_legs = self.algebra.coproduct_by_legs
+            A = self.algebra
+            m1, rest = canon[0], canon[1:]
             acc = {}
-
-            def add(i1, ridx, w):
-                k = ridx[:d] + (i1,) + ridx[d:]
-                acc[k] = acc.get(k, 0) + w
-
             # joins: boundary j is absorbed, the decorations multiply
             stable = 2 * g - 3 + len(canon) > 0
             for j, mj in enumerate(rest):
                 others = rest[:j] + rest[j + 1 :]
                 for c, w in self._joins(m1, mj, stable):
-                    for cidx, val in self._tensor(g, (c,) + others).items():
-                        val = w * val
-                        head, tail = cidx[1 : j + 1], cidx[j + 1 :]
-                        for i1, ij, p in by_output[cidx[0]]:
-                            add(i1, head + (ij,) + tail, p * val)
+                    m_star_contract(A, self._tensor(g, (c,) + others), j + 2, acc, w)
             # loops and splits: the distinguished decoration is coproduced
             for a, b, w in self._cuts(m1):
-                for cidx, val in self._tensor(g - 1, (a, b) + rest).items():
-                    for i1, c in by_legs[cidx[0]][cidx[1]]:
-                        add(i1, cidx[2:], w * c * val)
+                delta_star_contract(A, self._tensor(g - 1, (a, b) + rest), acc, w)
                 for g1 in range(g + 1):
-                    for I, J, inv in _splits(len(rest)):
+                    for I, J, order in _splits(len(rest)):
                         if self.stable_splits and min(2 * g1 + len(I), 2 * (g - g1) + len(J)) < 2:
                             continue
                         T1 = self._tensor(g1, (a,) + tuple(rest[t] for t in I))
                         if not T1:
                             continue
                         T2 = self._tensor(g - g1, (b,) + tuple(rest[t] for t in J))
-                        for idx1, v1 in T1.items():
-                            for idx2, v2 in T2.items():
-                                lst = by_legs[idx1[0]][idx2[0]]
-                                if not lst:
-                                    continue
-                                both = idx1[1:] + idx2[1:]
-                                ridx = tuple(both[p] for p in inv)
-                                vv = w * v1 * v2
-                                for i1, c in lst:
-                                    add(i1, ridx, c * vv)
+                        delta_star_split(A, T1, T2, acc, w, order)
             scale = self._scale(m1)
             out = {k: v if scale is None else v * scale for k, v in acc.items() if v}
             self._tensors[key] = out
         if canon == mu or not out:
             return out
-        # send each requested position to an unused canonical slot of its degree
-        slots = {}
-        for pos, m in enumerate(canon):
-            slots.setdefault(m, []).append(pos)
-        pi = [slots[m].pop(0) for m in mu]
-        return {tuple(cidx[p] for p in pi): v for cidx, v in out.items()}
+        # canonical slot t holds position order[t]; equal degrees keep their order
+        order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
+        permute = _reorder(tuple(sorted(range(len(mu)), key=order.__getitem__)))
+        return {permute(cidx): v for cidx, v in out.items()}
 
     # -- export ----------------------------------------------------------------
 

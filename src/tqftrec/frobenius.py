@@ -9,10 +9,11 @@ the pairing and its inverse, never over zero terms.  It then verifies every
 axiom on every index tuple in lexicographic order, comparing both sides of
 a law as a vector over its last indices, so an ``AxiomError`` names the
 least failing witness.  Amplitudes Omega_{g,n}(v_1..v_n) = counit(v_1 ...
-v_n e^g) where e is the Euler element.  The kernel (coproduct-side) and
-cokernel (product-side) contraction operators act on multilinear
-functionals held as sparse tensors {basis index tuple: Fraction} with no
-zero value, the form the cut-and-join engine stores its counts in.
+v_n e^g) where e is the Euler element.  ``omega_functional`` holds
+Omega_{g,n} as a sparse tensor {basis index tuple: Fraction} with no zero
+value, the form the cut-and-join engine stores its counts in; the kernel
+operators Delta* and m* that the engine builds its counts with live in
+``tqftrec.cutjoin``, and are checked against these tensors.
 
 The algebra owns the data its consumers derive from the tensors, cached on
 the instance:
@@ -553,49 +554,6 @@ def omega_functional(A: FrobeniusAlgebra, g: int, n: int) -> dict:
         return _sparse({(i, j): x for i, row in enumerate(A.pairing) for j, x in enumerate(row)})
     return _sparse({key: omega_tqft(A, g, n, [A.basis(i) for i in key])
                     for key in iproduct(range(A.dim), repeat=n)})
-
-
-def delta_star_contract(A: FrobeniusAlgebra, F: dict) -> dict:
-    """Kernel operator, connected form: fuse the first two slots of F into
-    one slot via the coproduct of the new first argument,
-    G(i, rest) = sum_{a,b} Delta_i^{ab} F(a, b, rest)."""
-    if any(len(key) < 2 for key in F):
-        raise ValueError("need at least two slots to contract")
-    out = {}
-    for (a, b, *rest), x in F.items():
-        for i, w in A.coproduct_by_legs[a][b]:
-            key = (i, *rest)
-            out[key] = out.get(key, _ZERO) + w * x
-    return _sparse(out)
-
-
-def delta_star_split(A: FrobeniusAlgebra, F1: dict, F2: dict) -> dict:
-    """Kernel operator, split form: distribute the coproduct legs of the
-    first argument over the first slots of F1 and F2,
-    G(i, r1, r2) = sum_{a,b} Delta_i^{ab} F1(a, r1) F2(b, r2)."""
-    out = {}
-    for (a, *r1), x in F1.items():
-        for (b, *r2), y in F2.items():
-            for i, w in A.coproduct_by_legs[a][b]:
-                key = (i, *r1, *r2)
-                out[key] = out.get(key, _ZERO) + w * x * y
-    return _sparse(out)
-
-
-def m_star_contract(A: FrobeniusAlgebra, F: dict, j: int) -> dict:
-    """Cokernel operator: insert a new slot j whose input is multiplied
-    into slot 1 before evaluating F,
-    G(i_1, .., i_n) = sum_k c_{i_1 i_j}^k F(k, i_2, .., i_n without i_j).
-    Slots are 1-based; 2 <= j <= n."""
-    for key in F:
-        if not 2 <= j <= len(key) + 1:
-            raise ValueError(f"slot {j} out of range 2..{len(key) + 1}")
-    out = {}
-    for (k, *rest), x in F.items():
-        for i1, ij, c in A.product_by_output[k]:
-            key = (i1, *rest[:j - 2], ij, *rest[j - 2:])
-            out[key] = out.get(key, _ZERO) + c * x
-    return _sparse(out)
 
 
 def trivial_algebra() -> FrobeniusAlgebra:

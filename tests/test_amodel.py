@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tqftrec import amodel
 from tqftrec.amodel import (
     CatalanTable,
     LatticeTable,
@@ -40,11 +41,19 @@ def test_catalan_odd_total_vanishes():
 
 
 def test_catalan_is_symmetric():
-    table = CatalanTable(canonicalize=False)
-    for mu in ((2, 4), (4, 2)):
-        assert table.untwisted(0, mu) == catalan(0, 2, (2, 4))
-    for mu in ((1, 2, 3), (3, 2, 1), (2, 1, 3)):
-        assert table.untwisted(0, mu) == catalan(0, 3, (1, 2, 3))
+    # every ordering of a profile against the matching count, which shares
+    # no code with the engine's sorting and realignment
+    for profile in ((2, 4), (1, 2, 3), (4, 2, 2)):
+        for mu in itertools.permutations(profile):
+            for g in (0, 1):
+                assert catalan(g, len(mu), mu) == count_arrowed_graphs(g, len(mu), mu), (g, mu)
+
+
+def test_lattice_is_symmetric():
+    table = LatticeTable()
+    for profile in ((1, 2, 3), (1, 1, 2, 2)):
+        for mu in itertools.permutations(profile):
+            assert table.untwisted(0, mu) == count_lattice_points(0, len(mu), mu), mu
 
 
 def test_catalan_matches_enumeration_sample():
@@ -123,14 +132,20 @@ def test_dense_decorations_never_probe_more_entries_than_the_tensor_has():
         0, 3, (3, 2, 1), A, [dense] * 3)
 
 
-def test_canonicalization_flag_agrees():
-    A = z2_algebra()
-    plain = CatalanTable(A, canonicalize=False)
-    canon = CatalanTable(A)
-    for mu in ((2, 4), (4, 2)):
-        for idx in ((0, 1), (1, 0), (1, 1)):
-            vs = [A.basis(i) for i in idx]
-            assert plain.twisted(0, mu, vs) == canon.twisted(0, mu, vs)
+def test_twisted_catalan_is_symmetric():
+    # permuted profiles with basis decorations over S3, unequal ones among
+    # them, against the scalar count times the surface amplitude
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    nonzero = 0
+    for profile, g in (((4, 2, 2), 0), ((4, 2, 2), 1), ((1, 2, 3), 0), ((2, 4), 1)):
+        n = len(profile)
+        for mu in itertools.permutations(profile):
+            for idx in itertools.product(range(A.dim), repeat=n):
+                vs = [A.basis(i) for i in idx]
+                want = catalan(g, n, mu) * omega_tqft(A, g, n, vs)
+                assert twisted_catalan(g, n, mu, A, vs) == want, (g, mu, idx)
+                nonzero += len(set(idx)) > 1 and want != 0
+    assert nonzero > 100
 
 
 def test_dessin_02_convention():
@@ -260,3 +275,19 @@ def test_table_export_round_trip():
     assert CatalanTable(z2_algebra()).untwisted(0, (4,)) == 2
     csv_text = table.to_csv()
     assert csv_text.splitlines()[0] == "g,n,mu,decor,value"
+
+
+def test_cache_entry_out_of_order_is_refused():
+    # tensors are memoized on decreasing profiles only, so an entry in any
+    # other order is malformed even under a valid digest
+    table = CatalanTable()
+    table.untwisted(0, (2, 4))
+    data = table.to_json()
+    assert set(data) == {"schema", "algebra", "entries", "sha256"}
+    data["entries"] = [dict(e, mu=[2, 4]) if e["mu"] == [4, 2] else e for e in data["entries"]]
+    body = {k: v for k, v in data.items() if k != "sha256"}
+    data["sha256"] = amodel._digest(body)
+    fresh = CatalanTable()
+    with pytest.raises(ValueError, match="malformed cache entry"):
+        fresh.load_json(data)
+    assert fresh.rows() == []

@@ -1,11 +1,131 @@
-"""Tests for the one registry of shared recursion tables."""
+"""Tests for the cut-and-join engine: its kernel operators and the one
+registry of shared recursion tables."""
 
 import importlib
+import itertools
 import pkgutil
+import random
+from fractions import Fraction
+
+import pytest
 
 import tqftrec
 from tqftrec import amodel, bmodel, cutjoin, intersect
+from tqftrec.cellgraph import count_arrowed_graphs
+from tqftrec.cutjoin import delta_star_contract, delta_star_split, m_star_contract
+from tqftrec.frobenius import is_symmetric, omega_functional, omega_tqft
 from tqftrec.groups import load_group, orbifold_frobenius
+
+
+def z2_algebra():
+    return orbifold_frobenius(load_group("builtin:Z2"))
+
+
+def _applied(operator, *args, **weights):
+    """What a kernel operator adds into an empty dict, zeros dropped."""
+    out = {}
+    operator(*args, out=out, **weights)
+    return {key: x for key, x in out.items() if x}
+
+
+def test_contraction_identities_match_surfaces():
+    A = z2_algebra()
+    # contracting the first two legs of Omega_{g-1,n+1} closes a handle
+    assert _applied(delta_star_contract, A, omega_functional(A, 0, 2)) == omega_functional(A, 1, 1)
+    assert _applied(delta_star_contract, A, omega_functional(A, 0, 3)) == omega_functional(A, 1, 2)
+    # splitting distributes the legs over two lower surfaces
+    assert _applied(
+        delta_star_split, A, omega_functional(A, 0, 2), omega_functional(A, 1, 1)
+    ) == omega_functional(A, 1, 2)
+    # inserting a multiplied slot adds a puncture
+    assert _applied(m_star_contract, A, omega_functional(A, 1, 1), 2) == omega_functional(A, 1, 2)
+
+
+def _random_tensor(rng, s, arity):
+    """A sparse tensor with random values on about two thirds of the basis
+    tuples; it is symmetric under no permutation of its slots."""
+    return {key: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for key in itertools.product(range(s), repeat=arity) if rng.random() < 0.7}
+
+
+def _dense(A, arity, value):
+    """The sparse tensor of value(key) over every basis tuple of the arity."""
+    out = {key: value(key) for key in itertools.product(range(A.dim), repeat=arity)}
+    return {key: x for key, x in out.items() if x}
+
+
+def test_contraction_operators_place_slots_as_dense_sums_do():
+    # the Omega tensors are symmetric, so they cannot tell which slot m*
+    # fills or where Delta*-split puts the legs of F1 and F2; random
+    # tensors against the defining sums over basis tuples can
+    rng = random.Random(1606)
+    for name in ("Z2", "S3"):
+        A = orbifold_frobenius(load_group("builtin:" + name))
+        r, c, D = range(A.dim), A.product_tensor, A.coproduct_tensor
+        for _ in range(3):
+            F = _random_tensor(rng, A.dim, 3)
+            assert not is_symmetric(F)
+            assert _applied(delta_star_contract, A, F) == _dense(A, 2, lambda key: sum(
+                D[key[0]][a][b] * F.get((a, b) + key[1:], 0) for a in r for b in r)), name
+            F1, F2 = _random_tensor(rng, A.dim, 2), _random_tensor(rng, A.dim, 3)
+            for order in itertools.permutations(range(3)):
+                def value(key):
+                    both = [None] * 3
+                    for t, p in enumerate(order):
+                        both[p] = key[1 + t]
+                    return sum(D[key[0]][a][b] * F1.get((a, both[0]), 0)
+                               * F2.get((b, *both[1:]), 0) for a in r for b in r)
+                assert _applied(delta_star_split, A, F1, F2, order=order) == _dense(
+                    A, 4, value), (name, order)
+            for arity in (1, 2, 3):
+                F = _random_tensor(rng, A.dim, arity)
+                for j in range(2, arity + 2):
+                    def value(key):
+                        rest = key[1:j - 1] + key[j:]
+                        return sum(c[key[0]][key[j - 1]][k] * F.get((k,) + rest, 0) for k in r)
+                    assert _applied(m_star_contract, A, F, j) == _dense(A, arity + 1, value), (
+                        name, arity, j)
+        with pytest.raises(ValueError):
+            _applied(delta_star_contract, A, {(0,): Fraction(1)})
+        for j in (1, 4):
+            with pytest.raises(ValueError):
+                _applied(m_star_contract, A, {(0, 1): Fraction(1)}, j)
+
+
+def test_contraction_operators_add_weighted_results_into_the_given_dict():
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    rng = random.Random(16)
+    F1, F2 = _random_tensor(rng, A.dim, 2), _random_tensor(rng, A.dim, 3)
+    calls = [
+        (m_star_contract, (A, F2, 3)),
+        (delta_star_contract, (A, F2)),
+        (delta_star_split, (A, F1, F2)),
+    ]
+    for operator, args in calls:
+        once = _applied(operator, *args)
+        assert once and _applied(operator, *args, w=Fraction(-3, 2)) == {
+            key: Fraction(-3, 2) * x for key, x in once.items()}
+        # a second call with weight -1 cancels what the first one added
+        out = {}
+        operator(*args, out=out, w=1)
+        operator(*args, out=out, w=-1)
+        assert not any(out.values()), operator.__name__
+
+
+def test_production_builds_run_through_the_kernel_operators(monkeypatch):
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    calls = {}
+    for name in ("m_star_contract", "delta_star_contract", "delta_star_split"):
+        def counted(*args, _name=name, _operator=getattr(cutjoin, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _operator(*args, **kwargs)
+        monkeypatch.setattr(cutjoin, name, counted)
+    # a cold table; (4, 2, 2) at genus 1 has join, loop and split terms
+    vs = [A.basis(i) for i in (2, 1, 1)]
+    value = amodel.CatalanTable(A).twisted(1, (4, 2, 2), vs)
+    assert set(calls) == {"m_star_contract", "delta_star_contract", "delta_star_split"}
+    assert all(calls.values()), calls
+    assert value == count_arrowed_graphs(1, 3, (4, 2, 2)) * omega_tqft(A, 1, 3, vs) != 0
 
 
 def test_equal_algebras_share_one_table():

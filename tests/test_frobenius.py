@@ -1,7 +1,6 @@
 """Unit tests for Frobenius algebras and the surface amplitudes."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +10,9 @@ from tqftrec.frobenius import (
     FrobeniusAlgebra,
     coproduct,
     counit,
-    delta_star_contract,
-    delta_star_split,
     euler_power,
     handle,
     is_symmetric,
-    m_star_contract,
     omega_functional,
     omega_tqft,
     pairing,
@@ -144,63 +140,6 @@ def test_omega_functional_unstable_cases():
     assert F01.get((0,), 0) == A.counit[0]
     assert F02.get((0, 1), 0) == A.pairing[0][1]
     assert is_symmetric(F02)
-
-
-def test_contraction_identities_match_surfaces():
-    A = z2_algebra()
-    # contracting the first two legs of Omega_{g-1,n+1} closes a handle
-    assert delta_star_contract(A, omega_functional(A, 0, 2)) == omega_functional(A, 1, 1)
-    assert delta_star_contract(A, omega_functional(A, 0, 3)) == omega_functional(A, 1, 2)
-    # splitting distributes the legs over two lower surfaces
-    assert delta_star_split(
-        A, omega_functional(A, 0, 2), omega_functional(A, 1, 1)
-    ) == omega_functional(A, 1, 2)
-    # inserting a multiplied slot adds a puncture
-    assert m_star_contract(A, omega_functional(A, 1, 1), 2) == omega_functional(A, 1, 2)
-
-
-def _random_tensor(rng, s, arity):
-    """A sparse tensor with random values on about two thirds of the basis
-    tuples; it is symmetric under no permutation of its slots."""
-    return {key: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            for key in itertools.product(range(s), repeat=arity) if rng.random() < 0.7}
-
-
-def _dense(A, arity, value):
-    """The sparse tensor of value(key) over every basis tuple of the arity."""
-    out = {key: value(key) for key in itertools.product(range(A.dim), repeat=arity)}
-    return {key: x for key, x in out.items() if x}
-
-
-def test_contraction_operators_place_slots_as_dense_sums_do():
-    # the Omega tensors are symmetric, so they cannot tell which slot m*
-    # fills or where Delta*-split puts the legs of F1 and F2; random
-    # tensors against the defining sums over basis tuples can
-    rng = random.Random(1606)
-    for name in ("Z2", "S3"):
-        A = orbifold_frobenius(load_group("builtin:" + name))
-        r, c, D = range(A.dim), A.product_tensor, A.coproduct_tensor
-        for _ in range(3):
-            F = _random_tensor(rng, A.dim, 3)
-            assert not is_symmetric(F)
-            assert delta_star_contract(A, F) == _dense(A, 2, lambda key: sum(
-                D[key[0]][a][b] * F.get((a, b) + key[1:], 0) for a in r for b in r)), name
-            F1, F2 = _random_tensor(rng, A.dim, 2), _random_tensor(rng, A.dim, 3)
-            assert delta_star_split(A, F1, F2) == _dense(A, 4, lambda key: sum(
-                D[key[0]][a][b] * F1.get((a, key[1]), 0) * F2.get((b,) + key[2:], 0)
-                for a in r for b in r)), name
-            for arity in (1, 2, 3):
-                F = _random_tensor(rng, A.dim, arity)
-                for j in range(2, arity + 2):
-                    def value(key):
-                        rest = key[1:j - 1] + key[j:]
-                        return sum(c[key[0]][key[j - 1]][k] * F.get((k,) + rest, 0) for k in r)
-                    assert m_star_contract(A, F, j) == _dense(A, arity + 1, value), (name, arity, j)
-        with pytest.raises(ValueError):
-            delta_star_contract(A, {(0,): Fraction(1)})
-        for j in (1, 4):
-            with pytest.raises(ValueError):
-                m_star_contract(A, {(0, 1): Fraction(1)}, j)
 
 
 def test_functional_symmetry():

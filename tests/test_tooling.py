@@ -109,3 +109,14 @@ def test_cellgraph_oracles_and_the_recursions_share_no_module():
     assert "frobenius" in _package_imports("cellgraph")
     assert _package_imports("cellgraph").isdisjoint({"cutjoin", "amodel", "intersect"})
     assert "cellgraph" not in _package_imports("cutjoin")
+
+
+def test_each_kernel_operator_is_defined_once_in_cutjoin():
+    # the operators that C9 checks are the ones the engine builds every table with
+    operators = {"delta_star_contract", "delta_star_split", "m_star_contract"}
+    where = {name: [] for name in operators}
+    for path in sorted(p for top in SEARCHED for p in (ROOT / top).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in where:
+                where[node.name].append(path.relative_to(ROOT).as_posix())
+    assert where == {name: ["src/tqftrec/cutjoin.py"] for name in operators}
