@@ -13,11 +13,11 @@ per index tuple.  Since every stable w is a Laurent polynomial, the
 integrand's only poles besides +-t_i are t = 0 and t = oo, so the residue
 sum is minus the residues there: the t^-1 coefficients of two truncated
 expansions.  No rational-function arithmetic runs on the recursion, and
-its results become ``MultiRatFun`` values without sympy.  Sympy is loaded
-only by the spectral curve, the kernel and the symbolic checks.  The
-checks ``verify_w02_identity`` and ``residue_check`` compute in sympy's
-rational-function field over QQ (``rational_field``), whose elements are
-kept cancelled, so equality there is exact; only ``verify_kernel_integral``
+its results become ``MultiRatFun`` values without sympy.  The checks
+``verify_w02_identity`` and ``residue_check`` load no sympy either: they
+compute in ``PolyFraction``, exact unreduced quotients of polynomial maps,
+where a value is zero exactly when its numerator is.  Sympy is loaded only
+by the spectral curve, the kernel and ``verify_kernel_integral``, which
 integrates symbolically.
 
 Every output leaves the Laurent map through one substitution, which
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb, factorial
+from math import comb
 from typing import Dict, Optional, Tuple
 
 from .cutjoin import TRIVIAL, shared
@@ -53,8 +53,7 @@ __all__ = [
     "wgn",
     "twisted_wgn",
     "residue_check",
-    "rational_field",
-    "in_field",
+    "PolyFraction",
     "inverse_laplace_coeffs",
     "convert_frame",
     "tvars",
@@ -111,32 +110,105 @@ def spectral_curve() -> SpectralCurve:
 # -- exact symbolic checks --------------------------------------------------
 
 
-def rational_field(names: Tuple[str, ...]):
-    """Sympy's field of rational functions over QQ in the named variables,
-    followed by its generators.  Its elements are kept cancelled, so two
-    are equal exactly when their difference has a zero numerator."""
-    from sympy.polys.domains import QQ
-    from sympy.polys.fields import field
+def _times(a: Dict, b: Dict) -> Dict:
+    out: Dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple([x + y for x, y in zip(ea, eb)])
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
-    return field(names, QQ)
+
+def _plus(a: Dict, b: Dict, scale=1) -> Dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
 
 
-def in_field(fn: MultiRatFun, K):
-    """A coefficient function as an element of the field K, whose variables
-    include the function's by name."""
-    names = [str(s) for s in K.symbols]
-    slots = [names.index(v) for v in fn.vars]
+class PolyFraction:
+    """A rational function over QQ in ``vars``: the unreduced quotient of two
+    {exponent tuple: Fraction} polynomial maps, zero exactly when ``num`` is
+    empty.  The monomial common to both is stripped, the denominator is made
+    monic, and equal denominators add by their numerators."""
 
-    def poly(terms):
-        out = {}
-        for e, c in terms.items():
-            key = [0] * len(names)
-            for s, x in zip(slots, e):
-                key[s] = x
-            out[tuple(key)] = K.domain(c.numerator, c.denominator)
-        return K.ring.from_dict(out)
+    def __init__(self, vars: Tuple[str, ...], num: Dict, den: Dict):
+        den = den if num else {(0,) * len(vars): 1}
+        low, lead = [min(x) for x in zip(*num, *den)], Fraction(den[max(den)])
+        shift = lambda p: {tuple([x - l for x, l in zip(e, low)]): c / lead for e, c in p.items()}
+        self.vars, self.num, self.den = vars, shift(num), shift(den)
 
-    return K.new(poly(fn.num), poly(fn.den))
+    @classmethod
+    def gens(cls, vars: Tuple[str, ...]):
+        one = (0,) * len(vars)
+        return [cls(vars, {one[:i] + (1,) + one[i + 1:]: 1}, {one: 1}) for i in range(len(vars))]
+
+    def _lift(self, other) -> "PolyFraction":
+        if isinstance(other, PolyFraction):
+            return other
+        one = (0,) * len(self.vars)
+        return PolyFraction(self.vars, {one: other} if other else {}, {one: 1})
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if self.den == o.den:
+            return PolyFraction(self.vars, _plus(self.num, o.num), self.den)
+        return PolyFraction(self.vars, _plus(_times(self.num, o.den), _times(o.num, self.den)),
+                            _times(self.den, o.den))
+
+    def __neg__(self):
+        return PolyFraction(self.vars, {e: -c for e, c in self.num.items()}, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return PolyFraction(self.vars, _times(self.num, o.num), _times(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        return PolyFraction(self.vars, _times(self.num, o.den), _times(self.den, o.num))
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __pow__(self, k: int):
+        return self * self ** (k - 1) if k else self._lift(1)
+
+    def diff(self, i: int) -> "PolyFraction":
+        """The derivative in the variable of slot i, by the quotient rule."""
+        d = lambda p: {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.items() if e[i]}
+        num = _plus(_times(d(self.num), self.den), _times(self.num, d(self.den)), -1)
+        return PolyFraction(self.vars, num, _times(self.den, self.den))
+
+    def residue(self, j: int, s: int) -> "PolyFraction":
+        """The residue in the variable of slot 0 at s = +-1 times that of slot j,
+        a function of the other variables.  Slot 0 = eps + s v_j, expanded
+        binomially, makes numerator and denominator eps^a sum N_m eps^m and
+        eps^b sum D_m eps^m with N_0, D_0 nonzero; the residue is q_k / D_0^(k+1)
+        for k = b - a - 1, where q_m = N_m D_0^m - sum_(i=1..m) D_i q_(m-i) D_0^(i-1)."""
+        def shifted(p):
+            out: Dict = {}
+            for e, c in p.items():
+                for m in range(e[0] + 1):
+                    key, term = e[1:j] + (e[j] + e[0] - m,) + e[j + 1:], out.setdefault(m, {})
+                    term[key] = term.get(key, 0) + c * comb(e[0], m) * s ** (e[0] - m)
+            return {m: term for m, term in out.items() if any(term.values())}
+
+        N, D = shifted(self.num), shifted(self.den)
+        if not N or min(D) <= min(N):
+            return PolyFraction(self.vars[1:], {}, {})
+        a, b = min(N), min(D)
+        powers, q = [{(0,) * (len(self.vars) - 1): 1}], []
+        for m in range(b - a):
+            powers.append(_times(powers[-1], D[b]))
+            q.append(_times(N.get(a + m, {}), powers[m]))
+            for i in range(1, m + 1):
+                q[m] = _plus(q[m], _times(_times(D.get(b + i, {}), q[m - i]), powers[i - 1]), -1)
+        return PolyFraction(self.vars[1:], q[-1], powers[-1])
 
 
 # -- unstable differentials -------------------------------------------------
@@ -148,16 +220,16 @@ def w02() -> MultiRatFun:
 
 
 def verify_w02_identity() -> bool:
-    """Check the double-pole subtraction defining w_{0,2}, exactly, in the
-    rational-function field QQ(t1, t2).
+    """Check the double-pole subtraction defining w_{0,2}, exactly, in
+    rational functions of t1, t2.
 
     dt1 dt2 / (t1-t2)^2 minus the x-frame double pole, written in t,
     must equal 1/(t1+t2)^2.
     """
-    _, t1, t2 = rational_field(tvars(2))
+    t1, t2 = PolyFraction.gens(tvars(2))
     x = lambda t: 2 * (t**2 + 1) / (t**2 - 1)
-    lhs = 1 / (t1 - t2) ** 2 - x(t1).diff(t1) * x(t2).diff(t2) / (x(t1) - x(t2)) ** 2
-    return not (lhs - 1 / (t1 + t2) ** 2)
+    lhs = 1 / (t1 - t2) ** 2 - x(t1).diff(0) * x(t2).diff(1) / (x(t1) - x(t2)) ** 2
+    return not (lhs - 1 / (t1 + t2) ** 2).num
 
 
 # -- recursion kernel -------------------------------------------------------
@@ -370,40 +442,28 @@ def wgn(g: int, n: int) -> MultiRatFun:
     return MultiRatFun._from_laurent(_laurent_wgn(g, n, TRIVIAL).get((0,) * n, {}), tvars(n))
 
 
-def _residue(f, t, a, k: int):
-    """The residue of f at t = a, a pole of order at most k:
-    d^(k-1)/dt^(k-1) [(t-a)^k f] / (k-1)!, evaluated at t = a by composing
-    numerator and denominator with t -> a."""
-    h = (t - a) ** k * f
-    for _ in range(k - 1):
-        h = h.diff(t)
-    at = lambda p: p.compose(t.numer, a.numer)
-    return h.field.new(at(h.numer), at(h.denom)) / factorial(k - 1)
-
-
 def residue_check(g: int, n: int) -> dict:
-    """Recompute w_{g,n} by residues in the field QQ(t, t1..tn) and compare
-    it with production exactly.
+    """Recompute w_{g,n} by residues in rational functions of t, t1..tn and
+    compare it with production exactly.
 
     Only (1,1) and (0,3) are in budget.  Their brackets involve only w_{0,2}
-    and are written here directly, with the order of each pole, so the
-    check shares no code with the recursion.
+    and are written here directly, so the check shares no code with the
+    recursion.  The residues at t = +-t_j share a denominator, so each
+    pair is summed before it is taken from production.
     """
     if (g, n) not in ((1, 1), (0, 3)):
         return {"g": g, "n": n, "in_budget": False, "equal": None}
-    K, t, *ts = rational_field(("t",) + tvars(n))
-    if n == 1:
-        (t1,) = ts
-        bracket, poles = 1 / (4 * t**2), ((t1, 1), (-t1, 1))
-    else:
-        t1, t2, t3 = ts
+    t, t1, *rest = PolyFraction.gens(("t",) + tvars(n))
+    bracket = 1 / (4 * t**2)
+    if rest:
+        t2, t3 = rest
         bracket = 1 / ((t + t2) ** 2 * (-t + t3) ** 2) + 1 / ((t + t3) ** 2 * (-t + t2) ** 2)
-        poles = ((t1, 1), (-t1, 1), (t2, 2), (-t2, 2), (t3, 2), (-t3, 2))
-    f = (1 / (t + t1) + 1 / (t - t1)) * (t**2 - 1) ** 3 / t**2 * bracket
-    independent = -sum(_residue(f, t, a, k) for a, k in poles) / 64
+    f = (1 / (t + t1) + 1 / (t - t1)) * (t**2 - 1) ** 3 / t**2 * bracket / 64
     production = wgn(g, n)
-    return {"g": g, "n": n, "in_budget": True, "production": production,
-            "equal": not (independent - in_field(production, K))}
+    rest = PolyFraction(production.vars, production.num, production.den)
+    for j in range(1, n + 1):
+        rest = rest + (f.residue(j, 1) + f.residue(j, -1))
+    return {"g": g, "n": n, "in_budget": True, "production": production, "equal": not rest.num}
 
 
 # -- twisted differentials --------------------------------------------------

@@ -1,20 +1,23 @@
 """Unit tests for the spectral-curve differentials."""
 
 import itertools
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import field
 
 from tqftrec import bmodel
 from tqftrec.amodel import catalan
 from tqftrec.bmodel import (
+    PolyFraction,
     SpectralCurve,
     convert_frame,
     eo_kernel,
-    in_field,
     inverse_laplace_coeffs,
-    rational_field,
     residue_check,
     spectral_curve,
     tvars,
@@ -27,6 +30,27 @@ from tqftrec.bmodel import (
 from tqftrec.exact import BudgetError, MultiRatFun, symbol
 from tqftrec.frobenius import omega_tqft, trivial_algebra
 from tqftrec.groups import load_group, orbifold_frobenius
+
+
+def _in_sympy_field(fn):
+    """fn as an element of sympy's field of rational functions over QQ in its
+    variables, followed by the field's generators.  The field keeps its
+    elements cancelled, so two are equal exactly when their difference is 0."""
+    K, *gens = field(fn.vars, QQ)
+    return (_to_field(K, fn), *gens)
+
+
+def _to_field(K, f):
+    """A value with ``num`` and ``den`` term maps over K's variables, in K."""
+    poly = lambda terms: K.ring.from_dict({e: QQ(c.numerator, c.denominator)
+                                           for e, c in terms.items()})
+    return K.new(poly(f.num), poly(f.den))
+
+
+def _from_field(f, vars):
+    """A sympy field element as a PolyFraction."""
+    terms = lambda p: {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in p.items()}
+    return PolyFraction(vars, terms(f.numer), terms(f.denom))
 
 
 def test_spectral_curve_parametrization():
@@ -47,29 +71,107 @@ def test_kernel_integral():
 
 
 def test_w02_coefficient():
-    K, t1, t2 = rational_field(("t1", "t2"))
-    assert not (in_field(w02(), K) - 1 / (t1 + t2) ** 2)
+    got, t1, t2 = _in_sympy_field(w02())
+    assert not (got - 1 / (t1 + t2) ** 2)
 
 
 def test_w11_pinned():
-    K, t1 = rational_field(("t1",))
+    got, t1 = _in_sympy_field(wgn(1, 1))
     target = -((t1**2 - 1) ** 3) / (128 * t1**4)
-    assert not (in_field(wgn(1, 1), K) - target)
+    assert not (got - target)
 
 
 def test_w03_pinned():
-    K, t1, t2, t3 = rational_field(("t1", "t2", "t3"))
+    got, t1, t2, t3 = _in_sympy_field(wgn(0, 3))
     target = -(1 - 1 / (t1**2 * t2**2 * t3**2)) / 16
-    assert not (in_field(wgn(0, 3), K) - target)
+    assert not (got - target)
 
 
 def test_w21_pinned():
-    K, t1 = rational_field(("t1",))
+    got, t1 = _in_sympy_field(wgn(2, 1))
     target = (
         -21 * (t1**2 - 1) ** 7 * (5 * t1**4 + 6 * t1**2 + 5)
         / (524288 * t1**10)
     )
-    assert not (in_field(wgn(2, 1), K) - target)
+    assert not (got - target)
+
+
+def _random_poly(rng, n):
+    """A nonzero polynomial map in n variables: up to three terms of degree
+    at most 2 in each variable, with small rational coefficients."""
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 2) for _ in range(n))
+            terms[e] = terms.get(e, 0) + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        terms = {e: c for e, c in terms.items() if c}
+    return terms
+
+
+def _random_fraction(rng, vars):
+    """p q / (r q) for random polynomial maps p, q, r, so that numerator and
+    denominator share a factor."""
+    one = {(0,) * len(vars): 1}
+    p, q, r = (PolyFraction(vars, _random_poly(rng, len(vars)), one) for _ in range(3))
+    return p * q / (r * q)
+
+
+@pytest.mark.parametrize("vars", [("a", "b"), ("a", "b", "c")])
+def test_poly_fraction_zero_tests_agree_with_sympy(vars):
+    # each operation's result is compared with a candidate: the field's own
+    # result, read back, or that plus a small perturbation
+    rng = random.Random(len(vars))
+    K = field(vars, QQ)[0]
+    ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y]
+    outcomes = set()
+    for _ in range(12):
+        a, b = _random_fraction(rng, vars), _random_fraction(rng, vars)
+        sa, sb = _to_field(K, a), _to_field(K, b)
+        pairs = [(op(a, b), op(sa, sb)) for op in ops]
+        pairs += [(a.diff(i), sa.diff(K.gens[i])) for i in range(len(vars))]
+        for ours, theirs in pairs:
+            for shift in (0, Fraction(1, 10**9) * K.gens[rng.randrange(len(vars))]):
+                candidate = theirs + shift
+                zero = not (ours - _from_field(candidate, vars)).num
+                assert zero == (not (theirs - candidate))
+                outcomes.add(zero)
+    assert outcomes == {True, False}
+
+
+def _sympy_residue(f, t, a, k):
+    """The residue of f at t = a, a pole of order at most k, by the limit
+    formula: d^(k-1)/dt^(k-1) [(t-a)^k f] / (k-1)! at t = a."""
+    h = (t - a) ** k * f
+    for _ in range(k - 1):
+        h = h.diff(t)
+    at = lambda p: p.compose(t.numer, a.numer)
+    return h.field.new(at(h.numer), at(h.denom)) / factorial(k - 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_poly_fraction_residue_agrees_with_sympy(order):
+    # f = p (t - a)^c / ((t - a)^(order + c) r), a = +-t_j, written unreduced
+    # with c common factors, so that the pole has the given order exactly
+    # when r and p do not vanish at a; order 0 is a regular point
+    vars = ("t", "t1", "t2")
+    rng = random.Random(order)
+    K, t, *ts = field(vars, QQ)
+    one = {(0, 0, 0): 1}
+    checked = 0
+    for j, s, c in itertools.product((1, 2), (1, -1), (0, 1)):
+        p, r = (_random_poly(rng, 3) for _ in range(2))
+        r[(0, 0, 0)] = r.get((0, 0, 0), 0) + 5  # r(a) is not the zero polynomial
+        x, *xs = PolyFraction.gens(vars)
+        f = (PolyFraction(vars, p, one) * (x - s * xs[j - 1]) ** c
+             / ((x - s * xs[j - 1]) ** (order + c) * PolyFraction(vars, r, one)))
+        ours = f.residue(j, s)
+        theirs = _sympy_residue(_to_field(K, f), t, s * ts[j - 1], order) if order else K.zero
+        assert ours.vars == vars[1:]
+        lifted = lambda terms: {(0,) + e: v for e, v in terms.items()}
+        ours = PolyFraction(vars, lifted(ours.num), lifted(ours.den))
+        assert not (ours - _from_field(theirs, vars)).num, (j, s, c)
+        checked += bool(theirs)
+    assert bool(checked) == bool(order)
 
 
 def test_structural_invariants():

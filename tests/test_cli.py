@@ -403,6 +403,26 @@ def test_verify_quick_needs_no_sympy_simplification():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_verify_quick_loads_no_sympy():
+    # a fresh interpreter: the quick checks compute in exact polynomial
+    # fractions, so only --level full imports sympy
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import tqftrec.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = tqftrec.cli.main(['--format', 'json', 'verify', '--level', 'quick'])\n"
+        "rows = json.loads(out.getvalue())['rows']\n"
+        "assert code == 0 and len(rows) == 6, (code, rows)\n"
+        "assert all(row['result'] == 'pass' for row in rows), rows\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_verify_fails_on_a_perturbed_w11(monkeypatch):
     real = bmodel.wgn
     terms = real(1, 1)._laurent()
@@ -414,6 +434,20 @@ def test_verify_fails_on_a_perturbed_w11(monkeypatch):
     failed = [row for row in json.loads(out)["rows"] if row["result"] != "pass"]
     assert failed == [{"suite": "bmodel-invariants", "result": "FAIL",
                        "witness": "residue check (1,1) disagrees with the recursion"}]
+
+
+def test_verify_names_w11_when_only_the_pinned_value_disagrees(monkeypatch):
+    real = bmodel.wgn
+    terms = real(1, 1)._laurent()
+    terms[min(terms)] += Fraction(1, 10**9)
+    wrong = MultiRatFun._from_laurent(terms, bmodel.tvars(1))
+    monkeypatch.setattr(bmodel, "wgn", lambda *gn: wrong if gn == (1, 1) else real(*gn))
+    monkeypatch.setattr(bmodel, "residue_check", lambda g, n: {"equal": True})
+    code, out = run_cli("--format", "json", "verify", "--level", "quick")
+    assert code == cli.EXIT_INTERNAL
+    failed = [row for row in json.loads(out)["rows"] if row["result"] != "pass"]
+    assert failed == [{"suite": "bmodel-invariants", "result": "FAIL",
+                       "witness": "w11: %s != -(t1**2 - 1)**3/(128*t1**4)" % wrong}]
 
 
 def _src_env():

@@ -120,3 +120,37 @@ def test_each_kernel_operator_is_defined_once_in_cutjoin():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in where:
                 where[node.name].append(path.relative_to(ROOT).as_posix())
     assert where == {name: ["src/tqftrec/cutjoin.py"] for name in operators}
+
+
+# the residue and w_{0,2} checks with the arithmetic they compute in, and the
+# recursion's own code, which they check and so may not share
+BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "PolyFraction", "_times", "_plus"}
+BMODEL_RECURSION = {"_Recursion", "_laurent_wgn", "_mul", "_add_into", "_place", "_pole", "_CUBE",
+                    "_substitute"}
+
+
+def _names_the_checks_reach(source):
+    """The module-level names of a bmodel source, other than the checks
+    themselves, that the check-side definitions name."""
+    tree = ast.parse(source)
+    definitions = {node.name: node for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    top = set(definitions)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            top |= {t.id for t in ast.walk(node)
+                    if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+    used = {node.id for name in BMODEL_CHECKS for node in ast.walk(definitions[name])
+            if isinstance(node, ast.Name)}
+    return (used & top) - BMODEL_CHECKS
+
+
+def test_bmodel_checks_reach_production_only_through_wgn():
+    source = (ROOT / "src" / "tqftrec" / "bmodel.py").read_text()
+    reached = _names_the_checks_reach(source)
+    assert reached.isdisjoint(BMODEL_RECURSION)
+    assert reached == {"wgn", "tvars"}
+    # a residue that multiplies with the recursion's _mul fails the guard
+    mutated = source.replace("powers.append(_times(", "powers.append(_mul(")
+    assert mutated != source
+    assert not _names_the_checks_reach(mutated).isdisjoint(BMODEL_RECURSION)
