@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple
 
-from .cutjoin import CutJoinTable, shared
+from .cutjoin import TRIVIAL, CutJoinTable, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra
 
 Rational = Fraction
@@ -62,11 +62,11 @@ def _digest(body: Mapping) -> str:
 
 
 class CatalanTable(CutJoinTable):
-    """Memoized generalized Catalan numbers, optionally algebra-decorated.
+    """Memoized generalized Catalan numbers decorated by an algebra.
 
-    Built without an algebra, the table holds the scalar counts
-    ``C_{g,n}(mu)`` (``untwisted``); with one, the decorated counts
-    (``twisted``).
+    Over the trivial algebra, the default, the table holds the scalar
+    counts ``C_{g,n}(mu)`` (``untwisted``); over any algebra, the decorated
+    counts (``twisted``).
     """
 
     _validate = staticmethod(_validate_profile)
@@ -116,9 +116,7 @@ class CatalanTable(CutJoinTable):
             raise ValueError("cache was written for another table")
         tensors = {}
         for e in body["entries"]:
-            g, mu, decor = e["g"], tuple(e["mu"]), tuple(e["decor"])
-            # a table built without an algebra exports empty decorations
-            idx = decor if self.decorated else (0,) * len(mu) + decor
+            g, mu, idx = e["g"], tuple(e["mu"]), tuple(e["decor"])
             if not (
                 isinstance(g, int) and g >= 0 and mu and len(idx) == len(mu)
                 and all(isinstance(x, int) and x >= 0 for x in mu + idx)
@@ -134,7 +132,7 @@ class CatalanTable(CutJoinTable):
 
 def catalan(g: int, n: int, mu: Sequence[int]) -> Rational:
     """Number of connected arrowed cell graphs of genus g with degrees mu."""
-    return shared(CatalanTable).untwisted(g, mu, n)
+    return shared(CatalanTable, TRIVIAL).untwisted(g, mu, n)
 
 
 def twisted_catalan(

@@ -229,17 +229,14 @@ def _catalan_common(args, dessin: bool) -> dict:
         raise UsageError("profile length %d does not match n=%d" % (len(mu), args.n))
     A = _algebra_from_args(args)
     vs = _decorations(args.decor, A, args.n)
-    # the table that answers; a dessin is decorated, if only by the trivial algebra
-    family = amodel.CatalanTable
-    table = cutjoin.shared(family, A) if args.group or dessin else cutjoin.shared(family)
+    # the table that answers, over the trivial algebra when no group is given
+    table = cutjoin.shared(amodel.CatalanTable, A)
     if args.cache and os.path.exists(args.cache):
         _load_cache(table, args.cache)
     if dessin:
         value = amodel.twisted_dessin(args.g, args.n, mu, A, vs)
-    elif args.group:
-        value = table.twisted(args.g, mu, vs)
     else:
-        value = table.untwisted(args.g, mu)
+        value = table.twisted(args.g, mu, vs)
     if args.cache:
         _save_cache(table, args.cache)
     return {"value": value}
@@ -306,11 +303,9 @@ def cmd_correlator(args) -> dict:
     k = tuple(args.k)
     if len(k) != args.n:
         raise UsageError("exponent length %d does not match n=%d" % (len(k), args.n))
-    if args.group:
-        A = groups.orbifold_frobenius(_load_group_arg(args.group))
-        vs = _decorations(args.decor, A, args.n)
-        return {"value": intersect.twisted_correlator(args.g, args.n, k, A, vs)}
-    return {"value": intersect.correlator(args.g, args.n, k)}
+    A = _algebra_from_args(args)
+    vs = _decorations(args.decor, A, args.n)
+    return {"value": intersect.twisted_correlator(args.g, args.n, k, A, vs)}
 
 
 # -- verify ---------------------------------------------------------------------

@@ -11,8 +11,9 @@ the product view; ``delta_star_contract`` for a loop (genus g - 1) and
 ``delta_star_split`` for a split (genera g1 + g2 = g), which cut the
 boundary in two and route its decoration through the coproduct view.  A
 child tensor is built before its operator runs, so each level of the
-recursion still costs one Python frame.  The scalar counts are the same
-recursion over the one-dimensional trivial algebra.
+recursion still costs one Python frame.  Every table is over an algebra:
+the scalar counts are the table over the one-dimensional trivial algebra,
+``TRIVIAL``.
 
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
@@ -23,14 +24,12 @@ one contraction; ``omega_tqft``, which the decorated counts are checked
 against, keeps its own.
 
 Every table the package answers from is built once, by ``shared``: one
-per family and algebra, and one scalar table per family.
-``shared.cache_clear()`` empties them all.
+per family and algebra, the scalar counts living in ``shared(family,
+TRIVIAL)``.  ``shared.cache_clear()`` empties them all.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -99,11 +98,11 @@ def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def shared(family, algebra: Optional[FrobeniusAlgebra] = None):
+def shared(family, algebra: FrobeniusAlgebra):
     """The one table of a family over an algebra, built on first use; equal
-    algebras share it.  The scalar table is ``shared(family)``: pass the
-    algebra positionally and only when there is one, so that equal requests
-    meet in one entry."""
+    algebras share it, and the scalar counts are ``shared(family, TRIVIAL)``.
+    The algebra is required and positional, so that equal requests meet in
+    one entry."""
     return family(algebra)
 
 
@@ -185,7 +184,8 @@ def delta_star_split(A: FrobeniusAlgebra, F1: dict, F2: dict, out: dict, w=1,
 
 
 class CutJoinTable:
-    """Memoized sparse decorated counts, reduced by cut and join.
+    """Memoized sparse decorated counts over one algebra, reduced by cut and
+    join; over the trivial algebra they are the scalar counts.
 
     A family subclass supplies ``_validate(g, n, mu)``, returning the
     checked profile; ``_vanishes(g, mu)``, a symmetric rule checked before
@@ -202,9 +202,8 @@ class CutJoinTable:
     degree_column = "mu"
     stable_splits = False  # do split terms skip children with 2g - 2 + n <= 0?
 
-    def __init__(self, algebra: Optional[FrobeniusAlgebra] = None):
-        self.decorated = algebra is not None
-        self.algebra = algebra if algebra is not None else TRIVIAL
+    def __init__(self, algebra: FrobeniusAlgebra = TRIVIAL):
+        self.algebra = algebra
         self._tensors = {}
         self._work, self._request = 0, None
 
@@ -223,8 +222,6 @@ class CutJoinTable:
                 n: Optional[int] = None) -> Fraction:
         """The count with decoration vs[i] on boundary i; a given n is
         checked against the length of mu."""
-        if not self.decorated:
-            raise ValueError("this table was built without an algebra")
         mu = self._validate(g, len(mu) if n is None else n, mu)
         check_decorations(self.algebra, vs, len(mu))
         # the decorations, not the tensor, go to the memoized order
@@ -236,11 +233,12 @@ class CutJoinTable:
         return contract(tensor, [vs[p] for p in order])
 
     def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
-        """The scalar count: the recursion over the trivial algebra; a
-        given n is checked against the length of mu.  A decorated table
-        answers from the shared scalar table of its family."""
-        if self.decorated:
-            return shared(type(self)).untwisted(g, mu, n)
+        """The scalar count, read off the trivial algebra's table at the
+        index tuple (0, .., 0); a given n is checked against the length of
+        mu.  A table over another algebra answers from the shared trivial
+        table of its family."""
+        if self.algebra is not TRIVIAL and self.algebra != TRIVIAL:
+            return shared(type(self), TRIVIAL).untwisted(g, mu, n)
         mu = self._validate(g, len(mu) if n is None else n, mu)
         return self._lookup(g, tuple(sorted(mu, reverse=True)), mu).get((0,) * len(mu), Fraction(0))
 
@@ -305,19 +303,7 @@ class CutJoinTable:
 
     def rows(self):
         """(g, mu, decor, value) for every memoized nonzero entry, sorted;
-        decor is empty for a table built without an algebra."""
+        decor is the entry's basis index tuple."""
         return sorted(
-            (g, mu, idx if self.decorated else (), v)
-            for (g, mu), T in self._tensors.items()
-            for idx, v in T.items()
+            (g, mu, idx, v) for (g, mu), T in self._tensors.items() for idx, v in T.items()
         )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["g", "n", self.degree_column, "decor", "value"])
-        for g, mu, decor, v in self.rows():
-            writer.writerow(
-                [g, len(mu), " ".join(map(str, mu)), " ".join(map(str, decor)), str(v)]
-            )
-        return buf.getvalue()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .cutjoin import CutJoinTable, shared
+from .cutjoin import TRIVIAL, CutJoinTable, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra, omega_tqft
 
 Rational = Fraction
@@ -55,7 +55,8 @@ def _validate(g: int, n: int, k: Sequence[int]) -> Tuple[int, ...]:
 
 
 class CorrelatorTable(CutJoinTable):
-    """Memoized correlators, optionally decorated by a Frobenius algebra."""
+    """Memoized correlators decorated by a Frobenius algebra; over the
+    trivial algebra, the default, the scalar correlators."""
 
     degree_column = "k"
 
@@ -94,7 +95,7 @@ class CorrelatorTable(CutJoinTable):
 
 def correlator(g: int, n: int, k: Sequence[int]) -> Rational:
     """The n-point correlator <tau_{k_1} ... tau_{k_n}>_{g,n}."""
-    return shared(CorrelatorTable).untwisted(g, k, n)
+    return shared(CorrelatorTable, TRIVIAL).untwisted(g, k, n)
 
 
 def twisted_correlator(

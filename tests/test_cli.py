@@ -230,7 +230,7 @@ def test_edited_cache_cannot_change_the_answer(tmp_path):
     assert run_cli(*argv) == (0, "2\n")
     # the refused file was rewritten with the recomputed value
     rewritten = json.loads(cache.read_text())
-    assert {"g": 0, "mu": [4], "decor": [], "value": "2"} in rewritten["entries"]
+    assert {"g": 0, "mu": [4], "decor": [0], "value": "2"} in rewritten["entries"]
     cache.write_text("{not json")
     assert run_cli(*argv) == (0, "2\n")
     # a zero denominator under a valid digest, and nesting too deep to parse
@@ -241,6 +241,20 @@ def test_edited_cache_cannot_change_the_answer(tmp_path):
     assert run_cli(*argv) == (0, "2\n")
     cache.write_text("[" * 100000)
     assert run_cli(*argv) == (0, "2\n")
+
+
+def test_catalan_and_dessin_share_one_cache_file(tmp_path, capsys):
+    # without --group both answer from the trivial algebra's one table
+    cache = str(tmp_path / "shared.json")
+    profile = ["--g", "1", "--n", "1", "--mu", "4", "--cache", cache]
+    for command, out in (("catalan", "1\n"), ("dessin", "1/4\n"), ("catalan", "1\n")):
+        assert run_cli(command, *profile) == (0, out)
+        assert "ignoring cache file" not in capsys.readouterr().err, command
+
+
+def test_decor_without_group_is_a_trivial_algebra_coefficient():
+    assert run_cli("catalan", "--g", "0", "--n", "1", "--mu", "4", "--decor", "2") == (0, "4\n")
+    assert run_cli("correlator", "--g", "1", "--n", "1", "--k", "1", "--decor", "2") == (0, "1/12\n")
 
 
 @pytest.mark.parametrize("group, out, entry", [
@@ -378,29 +392,6 @@ def test_counting_commands_never_load_sympy(tmp_path):
                           env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert os.path.exists(cache) and "ignoring cache" not in proc.stderr
-
-
-def test_verify_quick_needs_no_sympy_simplification():
-    # a fresh interpreter in which sympy's expression simplification
-    # raises: the quick checks compute in the rational-function field
-    script = (
-        "import contextlib, io, json, sympy\n"
-        "def refuse(*args, **kwargs):\n"
-        "    raise RuntimeError('expression simplification called')\n"
-        "for name in ('cancel', 'simplify', 'together'):\n"
-        "    setattr(sympy, name, refuse)\n"
-        "sympy.Expr.equals = refuse\n"
-        "import tqftrec.cli\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        "    code = tqftrec.cli.main(['--format', 'json', 'verify', '--level', 'quick'])\n"
-        "rows = json.loads(out.getvalue())['rows']\n"
-        "assert code == 0 and len(rows) == 6, (code, rows)\n"
-        "assert all(row['result'] == 'pass' for row in rows), rows\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=_src_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_verify_quick_loads_no_sympy():

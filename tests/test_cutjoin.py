@@ -13,7 +13,7 @@ import tqftrec
 from tqftrec import amodel, bmodel, cutjoin, intersect
 from tqftrec.cellgraph import count_arrowed_graphs
 from tqftrec.cutjoin import delta_star_contract, delta_star_split, m_star_contract
-from tqftrec.frobenius import is_symmetric, omega_functional, omega_tqft
+from tqftrec.frobenius import is_symmetric, omega_functional, omega_tqft, trivial_algebra
 from tqftrec.groups import load_group, orbifold_frobenius
 
 
@@ -135,10 +135,25 @@ def test_equal_algebras_share_one_table():
     assert cutjoin.shared(amodel.CatalanTable, first) is cutjoin.shared(amodel.CatalanTable, second)
 
 
+def test_scalar_counts_live_in_the_trivial_algebra_table():
+    cutjoin.shared.cache_clear()
+    A = trivial_algebra()
+    table = cutjoin.shared(amodel.CatalanTable, A)
+    assert table is cutjoin.shared(amodel.CatalanTable, cutjoin.TRIVIAL)
+    with pytest.raises(TypeError):
+        cutjoin.shared(amodel.CatalanTable)
+    assert amodel.catalan(1, 1, (4,)) == 1
+    built = dict(table._tensors)
+    assert built
+    # the decorated count over the trivial algebra reads the same tensors
+    assert amodel.twisted_dessin(1, 1, (4,), A, [A.basis(0)]) == Fraction(1, 4)
+    assert table._tensors == built
+
+
 def test_cleared_registry_gives_the_same_values():
     before = (amodel.catalan(1, 2, (4, 4)), intersect.correlator(2, 1, (4,)), bmodel.wgn(1, 2))
     cutjoin.shared.cache_clear()
-    assert cutjoin.shared(amodel.CatalanTable).rows() == []
+    assert cutjoin.shared(amodel.CatalanTable, cutjoin.TRIVIAL).rows() == []
     assert (amodel.catalan(1, 2, (4, 4)), intersect.correlator(2, 1, (4,)), bmodel.wgn(1, 2)) == before
 
 

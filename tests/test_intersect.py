@@ -2,9 +2,7 @@
 
 from fractions import Fraction
 
-import pytest
-
-from tqftrec.frobenius import omega_tqft, trivial_algebra
+from tqftrec.frobenius import omega_tqft
 from tqftrec.groups import load_group, orbifold_frobenius
 from tqftrec.intersect import (
     CorrelatorTable,
@@ -117,20 +115,8 @@ def test_twisted_multilinearity():
     assert direct == expanded
 
 
-def test_table_requires_algebra_for_twisted():
-    table = CorrelatorTable()
-    with pytest.raises(ValueError):
-        table.twisted(1, (1,), [trivial_algebra().basis(0)])
-
-
 def test_decorated_table_answers_scalar_queries():
-    # from the shared scalar table of its own family
+    # from the shared trivial-algebra table of its own family
     z2 = orbifold_frobenius(load_group("Z2"))
     assert CorrelatorTable(z2).untwisted(2, (4,)) == correlator(2, 1, (4,))
     assert PrintedTable(z2).untwisted(0, (1, 0, 0, 0)) == 3
-
-
-def test_csv_export_header():
-    table = CorrelatorTable()
-    table.untwisted(1, (1,))
-    assert table.to_csv().splitlines()[0] == "g,n,k,decor,value"
