@@ -106,13 +106,16 @@ class CatalanTable(CutJoinTable):
         """Fill the table from a ``to_json`` dump; returns the entry count.
 
         Raises, and leaves the table untouched, unless the digest matches,
-        the dump was written for this schema and algebra, and every entry is
-        well formed, its profile in decreasing order.
+        the dump was written for this schema and for an algebra equal to this
+        one (the labels may differ), and every entry is well formed, its
+        profile in decreasing order.
         """
         body = dict(data)
         if body.pop("sha256", None) != _digest(body):
             raise ValueError("cache digest does not match its contents")
-        if (body.get("schema"), body.get("algebra")) != (CACHE_SCHEMA, self.algebra.to_json()):
+        written = body.get("algebra")  # compared as FrobeniusAlgebra.__eq__ does, labels aside
+        if body.get("schema") != CACHE_SCHEMA or not isinstance(written, dict) or (
+                dict(written, labels=None) != dict(self.algebra.to_json(), labels=None)):
             raise ValueError("cache was written for another table")
         tensors = {}
         for e in body["entries"]:
@@ -213,20 +216,17 @@ class LatticeTable(CutJoinTable):
         # longer, and are skipped when the child is the unstable (0,2)
         spans = ((m1 + mj, 1), (m1 - mj, 1), (mj - m1, -1)) if stable else ((m1 + mj, 1),)
         return [
-            (q, Fraction(sign * q * (span - q), 2))
+            (q, Fraction(sign * q * (span - q), 2 * m1))
             for span, sign in spans
             for q in range(1, span)
         ]
 
     def _cuts(self, m1):
         return [
-            (q1, q2, Fraction(q1 * q2 * (m1 - q1 - q2), 2))
+            (q1, q2, Fraction(q1 * q2 * (m1 - q1 - q2), 2 * m1))
             for q1 in range(1, m1)
             for q2 in range(1, m1 - q1)
         ]
-
-    def _scale(self, m1):
-        return Fraction(1, m1)
 
 
 def lattice_twisted(

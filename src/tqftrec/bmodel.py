@@ -4,9 +4,10 @@ The curve is x = z + 1/z, y = -z, written in the coordinate
 t = (z+1)/(z-1).  The stable coefficient functions w_{g,n}(t_1..t_n)
 (differential frame dt_1...dt_n implicit) satisfy a residue recursion:
 the kernel times a bracket of lower differentials, summed over the poles
-t = +-t_i.  The recursion is written once, over a Frobenius algebra: the
-bracket is contracted through the coproduct, and the scalar w_{g,n} is
-the one-dimensional trivial algebra.
+t = +-t_i.  The recursion is written once, over a Frobenius algebra, and
+twisted as the counts are: the bracket is summed on the two coproduct legs
+and contracted by the engine's Delta*; its splits come from the engine's
+enumeration.  The scalar w_{g,n} is the one-dimensional trivial algebra.
 
 Every w_{g,n} is kept as a sparse Laurent map {exponent tuple: Fraction}
 per index tuple.  Since every stable w is a Laurent polynomial, the
@@ -34,11 +35,11 @@ through the same transform written in the basis s = t - 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from math import comb
 from typing import Dict, Optional, Tuple
 
-from .cutjoin import TRIVIAL, shared
+from .cutjoin import TRIVIAL, _reorder, _splits, delta_star_contract, shared
 from .exact import BudgetError, MultiRatFun, Rational, symbol
 from .frobenius import FrobeniusAlgebra
 
@@ -288,11 +289,6 @@ WGN_WORK_BUDGET = 100000
 _CUBE = {0: -1, 2: 3, 4: -3, 6: 1}  # (t^2-1)^3 by degree in t
 
 
-def _add_into(acc: Dict, terms: Dict, scale=1) -> None:
-    for e, c in terms.items():
-        acc[e] = acc.get(e, 0) + scale * c
-
-
 def _mul(a: Dict, b: Dict) -> Dict:
     """Product of two Laurent maps {exponent tuple: Fraction}."""
     out: Dict = {}
@@ -336,8 +332,9 @@ class _Recursion:
     w_{g,n} is kept as {index tuple: Laurent map}, zero entries left out.
     A bracket term is a Laurent map in (t, t2..tn), exponent slot 0 being
     the integration variable t, times the (0,2) pole factors 1/(s t + t_j)^2
-    its split carries, listed as (s, j); the residue evaluation turns slot 0
-    into t1.
+    its split carries, listed as (s, j); it is summed on the coproduct legs
+    and contracted by the engine's Delta*, and the residue evaluation turns
+    slot 0 into t1.
     """
 
     def __init__(self, algebra: FrobeniusAlgebra):
@@ -360,43 +357,46 @@ class _Recursion:
 
     def _placed(self, g: int, slots: Tuple[int, ...], sign: int, n: int):
         """(a, indices, poles, Laurent map) for w_{g,1+len(slots)} at
-        (sign*t, t_slots), written in the n slots of a bracket."""
+        (sign*t, t_{j+1} for j in slots), written in the n slots of a bracket."""
         A = self.algebra
         if (g, len(slots)) == (0, 1):
-            return [(a, (i,), ((sign, slots[0]),), {(0,) * n: A.pairing[a][i]})
+            return [(a, (i,), ((sign, slots[0] + 1),), {(0,) * n: A.pairing[a][i]})
                     for a, i in iproduct(range(A.dim), repeat=2) if A.pairing[a][i]]
-        dest = [(0, sign)] + [(j, 1) for j in slots]
+        dest = [(0, sign)] + [(j + 1, 1) for j in slots]
         return [(idx[0], idx[1:], (), _place(terms, dest, n))
                 for idx, terms in self.tensor(g, 1 + len(slots)).items()]
 
     def _bracket(self, g: int, n: int) -> Dict:
         """{(index tuple, poles): Laurent map}: the loop term and every split
-        but those with a (0,1) part, each contracted through the coproduct."""
+        but those with a (0,1) part, each monomial summed on the coproduct
+        legs, keyed (a, b, rest, poles, e), and contracted once by Delta*."""
         A = self.algebra
-        out: Dict = {}
+        legs, contracted, out = {}, {}, {}
 
-        def put(rest, a, b, poles, terms):
-            for i1, w in A.coproduct_by_legs[a][b]:
-                _add_into(out.setdefault(((i1,) + rest, poles), {}), terms, w)
+        def put(a, b, rest, poles, terms):
+            for e, c in terms.items():
+                legs[a, b, rest, poles, e] = legs.get((a, b, rest, poles, e), 0) + c
 
         if (g, n) == (1, 1):  # the (0,2) loop term at (t,-t), regularized
             for a, b in iproduct(range(A.dim), repeat=2):
-                put((), a, b, (), {(-2,): A.pairing[a][b] / 4})
+                put(a, b, (), (), {(-2,): A.pairing[a][b] / 4})
         elif g >= 1:
             dest = [(0, 1), (0, -1)] + [(j, 1) for j in range(1, n)]
             for idx, terms in self.tensor(g - 1, n + 1).items():
-                put(idx[2:], idx[0], idx[1], (), _place(terms, dest, n))
-        slots = range(1, n)
-        for g1, r in iproduct(range(g + 1), range(n)):
-            for I in combinations(slots, r):
-                J = tuple(j for j in slots if j not in I)
-                if (g1, r) == (0, 0) or (g - g1, len(J)) == (0, 0):
+                put(idx[0], idx[1], idx[2:], (), _place(terms, dest, n))
+        for g1 in range(g + 1):
+            for I, J, order in _splits(n - 1):
+                if (g1, len(I)) == (0, 0) or (g - g1, len(J)) == (0, 0):
                     continue
+                permute = _reorder(order)
                 right = self._placed(g - g1, J, -1, n)
                 for a, ia, pa, la in self._placed(g1, I, 1, n):
                     for b, ib, pb, lb in right:
-                        rest = tuple(x for _, x in sorted(zip(I + J, ia + ib)))
-                        put(rest, a, b, pa + pb, self._product(la, lb))
+                        rest = ia + ib if permute is None else permute(ia + ib)
+                        put(a, b, rest, pa + pb, self._product(la, lb))
+        delta_star_contract(A, legs, contracted)
+        for (i, rest, poles, e), c in contracted.items():
+            out.setdefault(((i,) + rest, poles), {})[e] = c
         return out
 
     def _evaluate(self, n: int, bracket: Dict) -> Dict:

@@ -13,7 +13,9 @@ boundary in two and route its decoration through the coproduct view.  A
 child tensor is built before its operator runs, so each level of the
 recursion still costs one Python frame.  Every table is over an algebra:
 the scalar counts are the table over the one-dimensional trivial algebra,
-``TRIVIAL``.
+``TRIVIAL``.  The operators and the split enumeration ``_splits`` also
+serve the B-model: ``bmodel`` sums its bracket on the coproduct legs and
+contracts it with ``delta_star_contract``.
 
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
@@ -194,9 +196,8 @@ class CutJoinTable:
     stable)``, the (child degree, weight) pairs for absorbing a boundary of
     degree mj into the distinguished one, where ``stable`` says whether the
     child, of type (g, n - 1), has 2g - 2 + (n - 1) > 0; and
-    ``_cuts(m1)``, the (degree a, degree b,
-    weight) triples for cutting the distinguished boundary.  It may
-    override ``_scale`` (a factor on the reduced tensor) and ``stable_splits``.
+    ``_cuts(m1)``, the (degree a, degree b, weight) triples for cutting the
+    distinguished boundary.  It may override ``stable_splits``.
     """
 
     degree_column = "mu"
@@ -206,9 +207,6 @@ class CutJoinTable:
         self.algebra = algebra
         self._tensors = {}
         self._work, self._request = 0, None
-
-    def _scale(self, m1: int):
-        return None
 
     def _sparse(self, n: int, fn):
         """The tensor of fn on all basis index tuples, zeros dropped."""
@@ -289,8 +287,7 @@ class CutJoinTable:
                             continue
                         T2 = self._tensor(g - g1, (b,) + tuple(rest[t] for t in J))
                         delta_star_split(A, T1, T2, acc, w, order)
-            scale = self._scale(m1)
-            out = {k: v if scale is None else v * scale for k, v in acc.items() if v}
+            out = {k: v for k, v in acc.items() if v}
             self._tensors[key] = out
         if canon == mu or not out:
             return out

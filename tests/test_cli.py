@@ -252,6 +252,18 @@ def test_catalan_and_dessin_share_one_cache_file(tmp_path, capsys):
         assert "ignoring cache file" not in capsys.readouterr().err, command
 
 
+def test_cache_file_accepts_the_trivial_algebra_under_other_labels(tmp_path, capsys):
+    # without --group the trivial algebra's label is 1, builtin:trivial's is [1];
+    # each call runs on a cold registry, as a new process would
+    cache = str(tmp_path / "trivial.json")
+    argv = ["catalan", "--g", "1", "--n", "1", "--mu", "4", "--cache", cache]
+    for group in ([], ["--group", "builtin:trivial"], []):
+        cutjoin.shared.cache_clear()
+        assert run_cli(*argv, *group) == (0, "1\n")
+        assert "ignoring cache file" not in capsys.readouterr().err, group
+
+
+
 def test_decor_without_group_is_a_trivial_algebra_coefficient():
     assert run_cli("catalan", "--g", "0", "--n", "1", "--mu", "4", "--decor", "2") == (0, "4\n")
     assert run_cli("correlator", "--g", "1", "--n", "1", "--k", "1", "--decor", "2") == (0, "1/12\n")

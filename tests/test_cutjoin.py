@@ -128,6 +128,25 @@ def test_production_builds_run_through_the_kernel_operators(monkeypatch):
     assert value == count_arrowed_graphs(1, 3, (4, 2, 2)) * omega_tqft(A, 1, 3, vs) != 0
 
 
+def test_the_twisted_differentials_contract_through_the_engine_delta_star(monkeypatch):
+    # the B-model bracket is contracted by the operator C9 checks, once per (g, n)
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return delta_star_contract(*args, **kwargs)
+
+    monkeypatch.setattr(bmodel, "delta_star_contract", counted)
+    cutjoin.shared.cache_clear()
+    tw = bmodel.twisted_wgn(0, 4, A)
+    assert calls == [A, A]  # cold w_{0,4} builds w_{0,3} first
+    scalar = bmodel.wgn(0, 4)
+    for idx, value in tw.values.items():
+        assert value == scalar * omega_tqft(A, 0, 4, [A.basis(i) for i in idx]), idx
+
+
+
 def test_equal_algebras_share_one_table():
     first = orbifold_frobenius(load_group("Z2"))
     second = orbifold_frobenius(load_group("Z2"))

@@ -125,17 +125,25 @@ def test_each_kernel_operator_is_defined_once_in_cutjoin():
 # the residue and w_{0,2} checks with the arithmetic they compute in, and the
 # recursion's own code, which they check and so may not share
 BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "PolyFraction", "_times", "_plus"}
-BMODEL_RECURSION = {"_Recursion", "_laurent_wgn", "_mul", "_add_into", "_place", "_pole", "_CUBE",
+BMODEL_RECURSION = {"_Recursion", "_laurent_wgn", "_mul", "_place", "_pole", "_CUBE",
                     "_substitute"}
 
 
+def _engine_imports(tree):
+    """The names a bmodel module imports from the cut-and-join engine."""
+    return {alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module == "cutjoin"
+            for alias in node.names}
+
+
 def _names_the_checks_reach(source):
-    """The module-level names of a bmodel source, other than the checks
-    themselves, that the check-side definitions name."""
+    """The module-level names of a bmodel source, the names it imports from
+    the engine among them, other than the checks themselves, that the
+    check-side definitions name."""
     tree = ast.parse(source)
     definitions = {node.name: node for node in tree.body
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    top = set(definitions)
+    top = set(definitions) | _engine_imports(tree)
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             top |= {t.id for t in ast.walk(node)
@@ -147,10 +155,25 @@ def _names_the_checks_reach(source):
 
 def test_bmodel_checks_reach_production_only_through_wgn():
     source = (ROOT / "src" / "tqftrec" / "bmodel.py").read_text()
+    engine = _engine_imports(ast.parse(source))
+    assert "delta_star_contract" in engine
     reached = _names_the_checks_reach(source)
-    assert reached.isdisjoint(BMODEL_RECURSION)
+    assert reached.isdisjoint(BMODEL_RECURSION | engine)
     assert reached == {"wgn", "tvars"}
-    # a residue that multiplies with the recursion's _mul fails the guard
-    mutated = source.replace("powers.append(_times(", "powers.append(_mul(")
-    assert mutated != source
-    assert not _names_the_checks_reach(mutated).isdisjoint(BMODEL_RECURSION)
+    # a residue that multiplies with the recursion's _mul fails the guard,
+    # and so does one that contracts with the engine's Delta*
+    for name in ("_mul", "delta_star_contract"):
+        mutated = source.replace("powers.append(_times(", "powers.append(%s(" % name)
+        assert mutated != source
+        assert not _names_the_checks_reach(mutated).isdisjoint(BMODEL_RECURSION | engine), name
+
+
+def test_only_the_engine_reads_the_coproduct_legs():
+    # the one Delta* on the coproduct view is cutjoin's; frobenius builds the view
+    readers = set()
+    for path in sorted((ROOT / "src" / "tqftrec").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr == "coproduct_by_legs"
+               for node in ast.walk(tree)):
+            readers.add(path.name)
+    assert readers - {"frobenius.py"} == {"cutjoin.py"}
