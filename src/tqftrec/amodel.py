@@ -33,9 +33,7 @@ __all__ = [
     "catalan",
     "twisted_catalan",
     "twisted_dessin",
-    "dessin_02",
     "lattice_twisted",
-    "D02_CONVENTION",
 ]
 
 CACHE_SCHEMA = 1
@@ -149,21 +147,6 @@ def twisted_catalan(
     return shared(CatalanTable, algebra).twisted(g, mu, vs, n)
 
 
-D02_CONVENTION = (
-    "D_{0,2}(mu1, mu2) is the number of connected genus-zero two-vertex "
-    "arrowed cell graphs with degrees (mu1, mu2), divided by mu1*mu2. "
-    "This matches the Laplace-transform normalization of the two-point "
-    "function and is excluded from acceptance claims."
-)
-
-
-def dessin_02(mu1: int, mu2: int) -> Rational:
-    """The configured unstable (0,2) dessin count; see ``D02_CONVENTION``."""
-    if mu1 < 1 or mu2 < 1:
-        raise ValueError("(0,2) degrees must be positive")
-    return catalan(0, 2, (mu1, mu2)) / (mu1 * mu2)
-
-
 def twisted_dessin(
     g: int,
     n: int,
@@ -173,8 +156,11 @@ def twisted_dessin(
 ) -> Rational:
     """Decorated dessin count: the Catalan count divided by the degrees.
 
-    The unstable (0,2) case comes out as ``dessin_02`` times the pairing of
-    the two decorations.
+    The unstable (0,2) case is the number of connected genus-zero
+    two-vertex arrowed cell graphs with degrees (mu1, mu2), divided by
+    mu1*mu2, times the pairing of the two decorations.  This matches the
+    Laplace-transform normalization of the two-point function and is
+    excluded from acceptance claims.
     """
     mu = _validate_profile(g, n, mu)
     if any(m < 1 for m in mu):

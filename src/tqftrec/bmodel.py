@@ -14,12 +14,12 @@ per index tuple.  Since every stable w is a Laurent polynomial, the
 integrand's only poles besides +-t_i are t = 0 and t = oo, so the residue
 sum is minus the residues there: the t^-1 coefficients of two truncated
 expansions.  No rational-function arithmetic runs on the recursion, and
-its results become ``MultiRatFun`` values without sympy.  The checks
-``verify_w02_identity`` and ``residue_check`` load no sympy either: they
-compute in ``PolyFraction``, exact unreduced quotients of polynomial maps,
-where a value is zero exactly when its numerator is.  Sympy is loaded only
-by the spectral curve, the kernel and ``verify_kernel_integral``, which
-integrates symbolically.
+its results become ``MultiRatFun`` values without sympy.  The checks load
+no sympy either: the curve is written once, in ``SpectralCurve``, and the
+kernel once, in ``eo_kernel``, as exact maps that the checks evaluate in
+``PolyFraction``, exact unreduced quotients of polynomial maps, where a
+value is zero exactly when its numerator is.  Of the package only
+``exact`` loads sympy.
 
 Every output leaves the Laurent map through one substitution, which
 replaces t_i^e, one variable at a time, by a univariate map: the x frame
@@ -37,16 +37,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .cutjoin import TRIVIAL, _reorder, _splits, delta_star_contract, shared
-from .exact import BudgetError, MultiRatFun, Rational, symbol
+from .exact import BudgetError, MultiRatFun, Rational
 from .frobenius import FrobeniusAlgebra
 
 __all__ = [
     "SpectralCurve",
     "TwistedDifferential",
-    "spectral_curve",
     "w02",
     "verify_w02_identity",
     "eo_kernel",
@@ -67,45 +66,9 @@ def tvars(n: int) -> Tuple[str, ...]:
     return tuple("t%d" % (i + 1) for i in range(n))
 
 
-def _t(i: int):
-    return symbol("t%d" % i)
-
-
 def _require_stable(g: int, n: int) -> None:
     if not (g >= 0 and n >= 1 and 2 * g - 2 + n > 0):
         raise ValueError("w_{%d,%d} is unstable; w02() gives (0,2)" % (g, n))
-
-
-# -- spectral curve ---------------------------------------------------------
-
-
-class SpectralCurve:
-    """The curve x = z + 1/z, y = -z with the t-coordinate maps.
-
-    All four members are verified against each other on construction:
-    x(t) must equal x(z(t)).
-    """
-
-    def __init__(self):
-        z = symbol("z")
-        t = symbol("t")
-        self.x = MultiRatFun(z + 1 / z, ["z"])
-        self.y = MultiRatFun(-z, ["z"])
-        self.z_of_t = MultiRatFun((t + 1) / (t - 1), ["t"])
-        self.x_of_t = MultiRatFun(2 * (t**2 + 1) / (t**2 - 1), ["t"])
-        composed = self.x.substitute("z", self.z_of_t)
-        if composed != self.x_of_t:
-            raise AssertionError("coordinate maps are inconsistent")
-
-
-_CURVE: Optional[SpectralCurve] = None
-
-
-def spectral_curve() -> SpectralCurve:
-    global _CURVE
-    if _CURVE is None:
-        _CURVE = SpectralCurve()
-    return _CURVE
 
 
 # -- exact symbolic checks --------------------------------------------------
@@ -212,6 +175,44 @@ class PolyFraction:
         return PolyFraction(self.vars[1:], q[-1], powers[-1])
 
 
+# -- spectral curve ---------------------------------------------------------
+
+
+class SpectralCurve:
+    """The curve x = z + 1/z, y = -z and its coordinate t = (z+1)/(z-1),
+    written once as exact maps of a ``Fraction`` or a ``PolyFraction``.
+
+    The constructor checks, in ``PolyFraction``, that x(z(t)) = x(t) and
+    y(z(t)) = y(t).
+    """
+
+    def __init__(self):
+        (t,) = PolyFraction.gens(("t",))
+        z = self.z_of_t(t)
+        if (self.x(z) - self.x_of_t(t)).num or (self.y(z) - self.y_of_t(t)).num:
+            raise AssertionError("coordinate maps are inconsistent")
+
+    @staticmethod
+    def x(z):
+        return z + 1 / z
+
+    @staticmethod
+    def y(z):
+        return -z
+
+    @staticmethod
+    def z_of_t(t):
+        return (t + 1) / (t - 1)
+
+    @staticmethod
+    def x_of_t(t):
+        return 2 * (t**2 + 1) / (t**2 - 1)
+
+    @staticmethod
+    def y_of_t(t):
+        return -(t + 1) / (t - 1)
+
+
 # -- unstable differentials -------------------------------------------------
 
 
@@ -228,7 +229,7 @@ def verify_w02_identity() -> bool:
     must equal 1/(t1+t2)^2.
     """
     t1, t2 = PolyFraction.gens(tvars(2))
-    x = lambda t: 2 * (t**2 + 1) / (t**2 - 1)
+    x = SpectralCurve().x_of_t
     lhs = 1 / (t1 - t2) ** 2 - x(t1).diff(0) * x(t2).diff(1) / (x(t1) - x(t2)) ** 2
     return not (lhs - 1 / (t1 + t2) ** 2).num
 
@@ -236,46 +237,38 @@ def verify_w02_identity() -> bool:
 # -- recursion kernel -------------------------------------------------------
 
 
-def eo_kernel() -> MultiRatFun:
-    """The recursion kernel K(t, t1), with the 1/dt * dt1 frame implicit.
+def eo_kernel(t, t1):
+    """The recursion kernel K(t, t1), with the 1/dt * dt1 frame implicit, at
+    ``Fraction`` or ``PolyFraction`` values of t and t1.
 
     The sign convention: the recursion integrates K against the bracket
     over a contour enclosing all +-t_i between two circles, which
     evaluates to minus the sum of the residues at those points.
     """
-    import sympy as sp
-
-    t, t1 = symbol("t"), _t(1)
-    expr = (
-        sp.Rational(1, 2)
-        * (1 / (t + t1) + 1 / (t - t1))
-        * sp.Rational(1, 32)
-        * (t**2 - 1) ** 3
-        / t**2
-    )
-    return MultiRatFun(expr, ["t", "t1"])
+    return (1 / (t + t1) + 1 / (t - t1)) / 2 * (t**2 - 1) ** 3 / (32 * t**2)
 
 
 def verify_kernel_integral() -> bool:
     """Check the closed kernel form against its defining integral.
 
-    K(t,t1) = (1/2) * Int_t^{-t} w_{0,2}(s,t1) ds / ((y(t) - y(-t)) dx/dt)
-    with y(t) = -(t+1)/(t-1) the t-coordinate form of y = -z.  The
-    denominator is the difference of the one-form on the two sheets in a
-    common dt frame; its orientation is the one under which the residue
-    recursion reproduces the counting oracle (writing the difference with
-    the sheets swapped flips the overall sign, and that sign ambiguity is
-    resolved here by the oracle, not by typography).
+    K(t,t1) = (1/2) * Int_t^{-t} w_{0,2}(s,t1) ds / ((y(t) - y(-t)) dx/dt),
+    in rational functions of t, t1, s: the antiderivative F(s) = -1/(s+t1)
+    must have F' = w_{0,2}(s,t1), and (F(-t) - F(t)) / (2 (y(t) - y(-t)) x'(t))
+    must equal ``eo_kernel(t, t1)``.  The denominator is the difference of
+    the one-form on the two sheets in a common dt frame; its orientation is
+    the one under which the residue recursion reproduces the counting
+    oracle (writing the difference with the sheets swapped flips the
+    overall sign, and that sign ambiguity is resolved here by the oracle,
+    not by typography).
     """
-    import sympy as sp
-
-    t, t1, s = symbol("t"), _t(1), symbol("s")
-    y = -(t + 1) / (t - 1)
-    x = 2 * (t**2 + 1) / (t**2 - 1)
-    numerator = sp.integrate(1 / (s + t1) ** 2, (s, t, -t))
-    denominator = (y - y.subs(t, -t)) * sp.diff(x, t)
-    closed = eo_kernel().expr
-    return sp.cancel(sp.Rational(1, 2) * numerator / denominator - closed) == 0
+    t, t1, s = PolyFraction.gens(("t", "t1", "s"))
+    curve = SpectralCurve()
+    F = lambda u: -1 / (u + t1)
+    if (F(s).diff(2) - 1 / (s + t1) ** 2).num:
+        return False
+    y, dx = curve.y_of_t, curve.x_of_t(t).diff(0)
+    integral = (F(-t) - F(t)) / (2 * (y(t) - y(-t)) * dx)
+    return not (integral - eo_kernel(t, t1)).num
 
 
 # -- the recursion on sparse Laurent maps -----------------------------------
@@ -400,11 +393,11 @@ class _Recursion:
         return out
 
     def _evaluate(self, n: int, bracket: Dict) -> Dict:
-        """Minus 1/64 times the residues of K * bracket at every t = +-t_i.
+        """Minus the residues of K * bracket at every t = +-t_i.
 
         Every stable w is a Laurent polynomial, so the integrand's only other
         poles are t = 0 and t = oo, and the residue sum is -(Res_0 + Res_oo).
-        K/64 = (t^2-1)^3 / (32 t (t^2-t1^2)), and 1/(t(t^2-t1^2)) is
+        K = (t^2-1)^3 / (32 t (t^2-t1^2)), and 1/(t(t^2-t1^2)) is
         -sum t^(2k-1) t1^(-2k-2) at 0 and sum t1^(2k) t^(-2k-3) at oo.  So a
         bracket term times (t^2-1)^3/32 and its poles gives -t1^(m-2) times
         each even t^m coefficient: from its expansion at 0 when m <= 0, and
@@ -448,7 +441,8 @@ def residue_check(g: int, n: int) -> dict:
 
     Only (1,1) and (0,3) are in budget.  Their brackets involve only w_{0,2}
     and are written here directly, so the check shares no code with the
-    recursion.  The residues at t = +-t_j share a denominator, so each
+    recursion; the kernel is ``eo_kernel``, the one ``verify_kernel_integral``
+    checks.  The residues at t = +-t_j share a denominator, so each
     pair is summed before it is taken from production.
     """
     if (g, n) not in ((1, 1), (0, 3)):
@@ -458,7 +452,7 @@ def residue_check(g: int, n: int) -> dict:
     if rest:
         t2, t3 = rest
         bracket = 1 / ((t + t2) ** 2 * (-t + t3) ** 2) + 1 / ((t + t3) ** 2 * (-t + t2) ** 2)
-    f = (1 / (t + t1) + 1 / (t - t1)) * (t**2 - 1) ** 3 / t**2 * bracket / 64
+    f = eo_kernel(t, t1) * bracket
     production = wgn(g, n)
     rest = PolyFraction(production.vars, production.num, production.den)
     for j in range(1, n + 1):

@@ -13,11 +13,10 @@ comparing, hashing, negating, scaling by a rational and the structural
 predicates (``is_zero``, ``is_constant``, ``as_rational``, the denominator
 tests, ``is_even_in``) never load sympy.  Sympy is imported inside the
 call, and only there, by the members whose work is symbolic: the
-expression constructors (``MultiRatFun(expr, vars)``, ``from_fraction``),
-``symbol``, ``expr``, ``str``/``repr``, ``from_json``,
-general arithmetic (``+ - * / **``, which cancels in
-``sympy.polys.fields`` over QQ), ``partial_derivative``, ``substitute``
-and ``series_at_infinity`` in more than one variable.
+expression constructor ``MultiRatFun(expr, vars)``, ``symbol``, ``expr``,
+``str``/``repr``, ``from_json``, general arithmetic (``+ - * / **``, which
+cancels in ``sympy.polys.fields`` over QQ), ``partial_derivative``,
+``substitute`` and ``series_at_infinity`` in more than one variable.
 """
 
 from __future__ import annotations
@@ -127,13 +126,12 @@ class MultiRatFun:
             raise UnknownVariableError(
                 f"expression uses undeclared variables {sorted(map(str, extra))}"
             )
-        num, den = sp.fraction(sp.cancel(sp.together(expr)))
-        den_poly = sp.Poly(den, *syms, domain="QQ")
-        if den_poly.is_zero:
+        expr = sp.cancel(sp.together(expr))
+        if expr.has(sp.zoo, sp.nan):
             raise ZeroDenominatorError("division by zero polynomial")
-        num_poly = sp.Poly(num, *syms, domain="QQ")
-        self._set(vars, *_canonical(_terms(num_poly.as_dict(native=True)),
-                                    _terms(den_poly.as_dict(native=True))))
+        num, den = (sp.Poly(p, *syms, domain="QQ") for p in sp.fraction(expr))
+        self._set(vars, *_canonical(_terms(num.as_dict(native=True)),
+                                    _terms(den.as_dict(native=True))))
 
     def _set(self, vars: Sequence[str], num: Mapping, den: Mapping) -> None:
         object.__setattr__(self, "vars", tuple(vars))
@@ -146,17 +144,6 @@ class MultiRatFun:
         object.__setattr__(self, name, value)
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, num, den, vars: Sequence[str]) -> "MultiRatFun":
-        """Normalize a raw polynomial fraction into canonical form."""
-        import sympy as sp
-
-        syms = [symbol(v) for v in vars]
-        den_expr = sp.sympify(den)
-        if sp.Poly(den_expr, *syms, domain="QQ").is_zero if vars else den_expr == 0:
-            raise ZeroDenominatorError("division by zero polynomial")
-        return cls(sp.sympify(num) / den_expr, vars)
 
     @classmethod
     def constant(cls, value: Scalar, vars: Sequence[str]) -> "MultiRatFun":

@@ -11,7 +11,6 @@ from tqftrec.amodel import (
     CatalanTable,
     LatticeTable,
     catalan,
-    dessin_02,
     lattice_twisted,
     twisted_catalan,
     twisted_dessin,
@@ -149,10 +148,13 @@ def test_twisted_catalan_is_symmetric():
 
 
 def test_dessin_02_convention():
-    assert dessin_02(1, 1) == count_arrowed_graphs(0, 2, (1, 1))
-    assert dessin_02(2, 2) == Fraction(count_arrowed_graphs(0, 2, (2, 2)), 4)
+    # the unstable (0,2) dessin is the Catalan count over mu1*mu2 times the pairing
+    A = trivial_algebra()
+    dessin = lambda mu: twisted_dessin(0, 2, mu, A, [A.unit_element()] * 2)
+    assert dessin((1, 1)) == count_arrowed_graphs(0, 2, (1, 1))
+    assert dessin((2, 2)) == Fraction(count_arrowed_graphs(0, 2, (2, 2)), 4)
     with pytest.raises(ValueError):
-        dessin_02(0, 1)
+        dessin((0, 1))
 
 
 def test_twisted_dessin_divides_by_degrees():

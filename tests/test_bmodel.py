@@ -19,7 +19,6 @@ from tqftrec.bmodel import (
     eo_kernel,
     inverse_laplace_coeffs,
     residue_check,
-    spectral_curve,
     tvars,
     twisted_wgn,
     verify_kernel_integral,
@@ -53,13 +52,16 @@ def _from_field(f, vars):
     return PolyFraction(vars, terms(f.numer), terms(f.denom))
 
 
-def test_spectral_curve_parametrization():
-    curve = spectral_curve()
-    assert isinstance(curve, SpectralCurve)
-    # x = z + 1/z and the t-parametrization agree by construction
-    assert curve.x.substitute("z", Fraction(2)).as_rational() == Fraction(5, 2)
-    assert curve.y.substitute("z", Fraction(2)).as_rational() == Fraction(-2)
-    assert curve.x.substitute("z", curve.z_of_t) == curve.x_of_t
+def test_spectral_curve_parametrization(monkeypatch):
+    curve = SpectralCurve()
+    assert curve.x(Fraction(2)) == Fraction(5, 2)
+    assert curve.y(Fraction(2)) == Fraction(-2)
+    assert curve.x(curve.z_of_t(Fraction(3))) == curve.x_of_t(Fraction(3))
+    assert curve.y(curve.z_of_t(Fraction(3))) == curve.y_of_t(Fraction(3))
+    # the constructor compares the maps as rational functions of t
+    monkeypatch.setattr(SpectralCurve, "y_of_t", staticmethod(lambda t: (t + 1) / (t - 1)))
+    with pytest.raises(AssertionError):
+        SpectralCurve()
 
 
 def test_w02_identity():
@@ -68,6 +70,16 @@ def test_w02_identity():
 
 def test_kernel_integral():
     assert verify_kernel_integral()
+
+
+def test_a_wrong_kernel_fails_both_checks(monkeypatch):
+    # the kernel checked against its defining integral is the one the
+    # residue check integrates against
+    real = bmodel.eo_kernel
+    for scale in (2, -1):
+        monkeypatch.setattr(bmodel, "eo_kernel", lambda t, t1: scale * real(t, t1))
+        assert not verify_kernel_integral(), scale
+        assert residue_check(1, 1)["equal"] is False, scale
 
 
 def test_w02_coefficient():
@@ -312,6 +324,7 @@ def test_convert_frame_rejects_non_laurent_input():
 
 
 def test_eo_kernel_shape():
-    k = eo_kernel()
-    assert isinstance(k, MultiRatFun)
-    assert set(k.vars) >= {"t", "t1"}
+    assert eo_kernel(Fraction(2), Fraction(1)) == Fraction(9, 64)
+    k = eo_kernel(*PolyFraction.gens(("t", "t1")))
+    assert isinstance(k, PolyFraction)
+    assert k.vars == ("t", "t1")

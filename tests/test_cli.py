@@ -406,20 +406,21 @@ def test_counting_commands_never_load_sympy(tmp_path):
     assert os.path.exists(cache) and "ignoring cache" not in proc.stderr
 
 
-def test_verify_quick_loads_no_sympy():
-    # a fresh interpreter: the quick checks compute in exact polynomial
-    # fractions, so only --level full imports sympy
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_verify_loads_no_sympy(level):
+    # a fresh interpreter: the B-model checks compute in exact polynomial
+    # fractions, so neither level imports sympy
     script = (
         "import contextlib, io, json, sys\n"
         "import tqftrec.cli\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        "    code = tqftrec.cli.main(['--format', 'json', 'verify', '--level', 'quick'])\n"
+        "    code = tqftrec.cli.main(['--format', 'json', 'verify', '--level', %r])\n"
         "rows = json.loads(out.getvalue())['rows']\n"
         "assert code == 0 and len(rows) == 6, (code, rows)\n"
         "assert all(row['result'] == 'pass' for row in rows), rows\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
-        "assert not loaded, loaded[:5]\n"
+        "assert not loaded, loaded[:5]\n" % level
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_src_env(), timeout=120)

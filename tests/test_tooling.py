@@ -122,9 +122,11 @@ def test_each_kernel_operator_is_defined_once_in_cutjoin():
     assert where == {name: ["src/tqftrec/cutjoin.py"] for name in operators}
 
 
-# the residue and w_{0,2} checks with the arithmetic they compute in, and the
+# the B-model checks (the curve, the kernel and its integral, the w_{0,2}
+# identity and the residues) with the arithmetic they compute in, and the
 # recursion's own code, which they check and so may not share
-BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "PolyFraction", "_times", "_plus"}
+BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "PolyFraction", "_times", "_plus",
+                 "SpectralCurve", "eo_kernel", "verify_kernel_integral"}
 BMODEL_RECURSION = {"_Recursion", "_laurent_wgn", "_mul", "_place", "_pole", "_CUBE",
                     "_substitute"}
 
@@ -166,6 +168,18 @@ def test_bmodel_checks_reach_production_only_through_wgn():
         mutated = source.replace("powers.append(_times(", "powers.append(%s(" % name)
         assert mutated != source
         assert not _names_the_checks_reach(mutated).isdisjoint(BMODEL_RECURSION | engine), name
+
+
+def test_only_exact_imports_sympy():
+    # the symbolic work is exact's; every other module computes without sympy
+    importers = set()
+    for path in sorted((ROOT / "src" / "tqftrec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "sympy" for name in names):
+                importers.add(path.name)
+    assert importers == {"exact.py"}
 
 
 def test_only_the_engine_reads_the_coproduct_legs():
