@@ -40,7 +40,7 @@ from math import comb
 from typing import Dict, Tuple
 
 from .cutjoin import TRIVIAL, _reorder, _splits, delta_star_contract, shared
-from .exact import BudgetError, MultiRatFun, Rational
+from .exact import BudgetError, MultiRatFun, Rational, _plus, _times
 from .frobenius import FrobeniusAlgebra
 
 __all__ = [
@@ -72,22 +72,6 @@ def _require_stable(g: int, n: int) -> None:
 
 
 # -- exact symbolic checks --------------------------------------------------
-
-
-def _times(a: Dict, b: Dict) -> Dict:
-    out: Dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple([x + y for x, y in zip(ea, eb)])
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _plus(a: Dict, b: Dict, scale=1) -> Dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + scale * c
-    return {e: c for e, c in out.items() if c}
 
 
 class PolyFraction:

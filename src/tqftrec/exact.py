@@ -7,22 +7,22 @@ coefficient under graded lexicographic order is 1.  Equality is therefore
 structural.  No floating point is used anywhere.
 
 A ``MultiRatFun`` stores its numerator and denominator as
-``{exponent tuple: Fraction}`` maps, so building one from a Laurent map or
-an already reduced pair, reading it back, serializing it to JSON,
-comparing, hashing, negating, scaling by a rational and the structural
-predicates (``is_zero``, ``is_constant``, ``as_rational``, the denominator
-tests, ``is_even_in``) never load sympy.  Sympy is imported inside the
-call, and only there, by the members whose work is symbolic: the
-expression constructor ``MultiRatFun(expr, vars)``, ``symbol``, ``expr``,
-``str``/``repr``, ``from_json``, general arithmetic (``+ - * / **``, which
-cancels in ``sympy.polys.fields`` over QQ), ``partial_derivative``,
-``substitute`` and ``series_at_infinity`` in more than one variable.
+``{exponent tuple: Fraction}`` maps and computes on them: arithmetic
+(``+ - * / **``), ``partial_derivative``, ``series_at_infinity`` and
+``from_json`` cancel with one multivariate polynomial GCD over Q,
+``_gcd``, and the constructors from a Laurent map or a reduced pair,
+JSON, comparison, hashing and the structural predicates need no GCD at
+all.  None of these loads sympy.  Sympy is imported inside the call, and
+only there, by the members whose work is symbolic: the expression
+constructor ``MultiRatFun(expr, vars)``, ``symbol``, ``expr``,
+``str``/``repr`` and ``substitute``.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
+from functools import reduce
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -80,27 +80,255 @@ def _grlex(e: tuple):
 def _canonical(num: Mapping, den: Mapping):
     """A reduced pair of term maps scaled so that the denominator's
     graded-lex leading coefficient is 1."""
+    if not num:
+        return {}, {(0,) * len(next(iter(den))): 1}
     lead = den[max(den, key=_grlex)]
     return {e: c / lead for e, c in num.items()}, {e: c / lead for e, c in den.items()}
 
 
-def _field(vars: Sequence[str]):
-    """The field of rational functions over QQ in the variables (sympy
-    caches one instance per variable tuple)."""
-    from sympy.polys.domains import QQ
-    from sympy.polys.fields import FracField
-
-    return FracField([symbol(v) for v in vars], QQ)
-
-
 def _terms(p) -> dict:
-    """The {exponent tuple: Fraction} map of a sympy ``PolyElement`` or of
-    a ``Poly``'s dict over QQ."""
+    """The {exponent tuple: Fraction} map of a ``Poly``'s dict over QQ."""
     return {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in p.items()}
 
 
-def _ring_element(R, terms: Mapping):
-    return R.from_dict({e: R.domain(c.numerator, c.denominator) for e, c in terms.items()})
+# -- polynomial maps ------------------------------------------------------------
+#
+# A polynomial is a {exponent tuple: coefficient} map with no zero
+# coefficient, the coefficients Fractions, or ints inside the GCD.
+
+
+def _times(a: Mapping, b: Mapping) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple([x + y for x, y in zip(ea, eb)])
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _plus(a: Mapping, b: Mapping, scale=1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _qtimes(a: Mapping, b: Mapping) -> dict:
+    """``_times`` for Fraction coefficients, the products taken in integers."""
+    if not a or not b:
+        return {}
+    (sa, a), (sb, b) = _primitive(a), _primitive(b)
+    s = sa * sb
+    return {e: s * c for e, c in _times(a, b).items()}
+
+
+def _power(p: Mapping, k: int) -> dict:
+    """p**k for k >= 1, by repeated squaring."""
+    out = None
+    while k:
+        if k & 1:
+            out = p if out is None else _qtimes(out, p)
+        k >>= 1
+        if k:
+            p = _qtimes(p, p)
+    return dict(out)
+
+
+def _shift(p: Mapping, by: Sequence[int], sign: int = -1) -> dict:
+    return {tuple([x + sign * y for x, y in zip(e, by)]): c for e, c in p.items()}
+
+
+def _low(p: Mapping) -> tuple:
+    """The monomial content: the least exponent of each variable."""
+    return tuple(map(min, zip(*p)))
+
+
+def _gcd(p: Mapping, q: Mapping):
+    """(h, p/h, q/h) for polynomials over Q, h a greatest common divisor.
+
+    The monomial contents are split off first.  What is left is settled at
+    once when one side is a single term or the two are proportional, and
+    otherwise by ``_general_gcd``.
+    """
+    if not p or not q:
+        one = (0,) * len(next(iter(p or q)))
+        return (q, {}, {one: 1}) if q else (p, {one: 1}, {})
+    lp, lq = _low(p), _low(q)
+    low = tuple(map(min, lp, lq))
+    p, q = _shift(p, lp), _shift(q, lq)
+    one = (0,) * len(low)
+    e = next(iter(p))
+    ratio = q.get(e, 0) / p[e]
+    if len(p) == 1 or len(q) == 1:
+        h, cp, cq = {one: 1}, p, q
+    elif p.keys() == q.keys() and all(q[e] == ratio * c for e, c in p.items()):
+        h, cp, cq = p, {one: 1}, {one: ratio}
+    else:
+        h, cp, cq = _general_gcd(p, q)
+    return (_shift(h, low, 1), _shift(cp, [x - y for x, y in zip(lp, low)], 1),
+            _shift(cq, [x - y for x, y in zip(lq, low)], 1))
+
+
+def _general_gcd(p: Mapping, q: Mapping):
+    """``_gcd`` past its fast paths: the exponents are deflated by their
+    common divisor in each variable, the coefficients cleared to coprime
+    integers, and the GCD found by ``_integer_gcd``."""
+    step = [gcd(*x) or 1 for x in zip(*p, *q)]
+    deflated = lambda f: {tuple([x // j for x, j in zip(e, step)]): c for e, c in f.items()}
+    (p_scale, P), (q_scale, Q) = _primitive(deflated(p)), _primitive(deflated(q))
+    h, cp, cq = _integer_gcd(P, Q)
+    inflated = lambda f, s=1: {tuple([x * j for x, j in zip(e, step)]): s * c for e, c in f.items()}
+    return inflated(h), inflated(cp, p_scale), inflated(cq, q_scale)
+
+
+def _integer_gcd(f: Mapping, g: Mapping):
+    """(h, f/h, g/h) for nonzero integer polynomials, h their GCD: the
+    heuristic's, or the remainder sequence's when the heuristic gives up."""
+    found = _heuristic_gcd(f, g)
+    if found is None:
+        h = _prs_gcd(f, g)
+        found = h, _divide(f, h), _divide(g, h)
+    return found
+
+
+def _primitive(p: Mapping):
+    """(s, P) with p = s P, P an integer polynomial of coprime coefficients."""
+    num = gcd(*(c.numerator for c in p.values()))
+    den = lcm(*(c.denominator for c in p.values()))
+    return Fraction(num, den), {e: c.numerator * (den // c.denominator) // num for e, c in p.items()}
+
+
+_HEURISTIC_TRIES = 6
+
+
+def _heuristic_gcd(f: Mapping, g: Mapping):
+    """(h, f/h, g/h) for nonzero integer polynomials, h their GCD, or None.
+
+    The heuristic GCD of Char, Geddes and Gonnet: set the first variable to
+    an integer xi, take the GCD of the images, one variable fewer (integers
+    at the bottom), and read h and its cofactors back off the balanced
+    base-xi digits of that GCD and of the image cofactors.  For
+    xi >= 2 min(|f|, |g|) + 2, with |.| the largest coefficient, the
+    primitive part of the h read back is the GCD as soon as it divides f
+    and g.  That holds at once for h = 1; otherwise it is checked by
+    multiplying out, or by dividing where a cofactor has coefficients too
+    large to be read back.  Each failure enlarges xi; after a few the
+    caller falls back to an exact method.
+    """
+    content = gcd(*f.values(), *g.values())
+    f = {e: c // content for e, c in f.items()}
+    g = {e: c // content for e, c in g.items()}
+    if not next(iter(f)):  # no variable left
+        return {(): content}, f, g
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        ff, gg = _evaluate(f, xi), _evaluate(g, xi)
+        image = _heuristic_gcd(ff, gg) if ff and gg else None
+        if image is not None:
+            h = _interpolate(image[0], xi)
+            k = gcd(*h.values())
+            h = {e: c // k for e, c in h.items()}
+            if len(h) == 1 and not any(next(iter(h))):
+                return {next(iter(h)): content}, f, g
+            cf = _cofactor(f, h, {e: c * k for e, c in image[1].items()}, xi)
+            cg = cf and _cofactor(g, h, {e: c * k for e, c in image[2].items()}, xi)
+            if cg:
+                return {e: c * content for e, c in h.items()}, cf, cg
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate(f: Mapping, xi: int) -> dict:
+    """f with its first variable set to xi."""
+    powers = [1]
+    out: dict = {}
+    for e, c in f.items():
+        while len(powers) <= e[0]:
+            powers.append(powers[-1] * xi)
+        out[e[1:]] = out.get(e[1:], 0) + c * powers[e[0]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _cofactor(f: Mapping, h: Mapping, image: Mapping, xi: int):
+    """f / h read back from its image at xi, or found by division; None
+    when h does not divide f."""
+    c = _interpolate(image, xi)
+    return c if _times(h, c) == f else _divide(f, h)
+
+
+def _interpolate(h: Mapping, xi: int) -> dict:
+    """The polynomial in one variable more, first, whose value there at xi
+    is h: the balanced base-xi digits of each coefficient of h."""
+    out = {}
+    for e, c in h.items():
+        i = 0
+        while c:
+            digit = c % xi
+            if digit > xi // 2:
+                digit -= xi
+            if digit:
+                out[(i,) + e] = digit
+            c = (c - digit) // xi
+            i += 1
+    return out
+
+
+def _prs_gcd(f: Mapping, g: Mapping) -> dict:
+    """The GCD of two nonzero integer polynomials by a primitive remainder
+    sequence in the first variable, the contents, polynomials in the
+    others, taken by ``_integer_gcd``.  Slow where the intermediate
+    coefficients grow, and right for every input."""
+    if not next(iter(f)):  # no variable left
+        return {(): gcd(f[()], g[()])}
+
+    def split(p):
+        out: dict = {}
+        for e, c in p.items():
+            out.setdefault(e[0], {})[e[1:]] = c
+        return out
+
+    def primitive(P):
+        c = reduce(lambda a, b: _integer_gcd(a, b)[0], P.values())
+        return c, {d: _divide(v, c) for d, v in P.items()}
+
+    (cf, F), (cg, G) = primitive(split(f)), primitive(split(g))
+    if max(F) < max(G):
+        F, G = G, F
+    while G:
+        m = max(G)
+        while F and max(F) >= m:  # F := lc(G) F - F's top x^(k-m) G
+            k = max(F)
+            top = F[k]
+            F = {d: _times(v, G[m]) for d, v in F.items()}
+            for j, v in G.items():
+                F[k - m + j] = _plus(F.get(k - m + j, {}), _times(top, v), -1)
+            F = {d: v for d, v in F.items() if v}
+        F, G = G, (primitive(F)[1] if F else {})
+    c = _integer_gcd(cf, cg)[0]
+    return _times({(d,) + e: v for d, p in F.items() for e, v in p.items()},
+                  {(0,) + e: v for e, v in c.items()})
+
+
+def _divide(f: Mapping, d: Mapping):
+    """f / d for integer polynomials by leading terms, or None when d does
+    not divide f."""
+    lead = max(d, key=_grlex)
+    f, q = dict(f), {}
+    while f:
+        e = max(f, key=_grlex)
+        s = tuple([x - y for x, y in zip(e, lead)])
+        c, r = divmod(f[e], d[lead])
+        if r or min(s, default=0) < 0:
+            return None
+        q[s] = c
+        for t, v in d.items():
+            t = tuple([x + y for x, y in zip(s, t)])
+            v = f.get(t, 0) - c * v
+            if v:
+                f[t] = v
+            else:
+                f.pop(t, None)
+    return q
 
 
 class MultiRatFun:
@@ -175,15 +403,10 @@ class MultiRatFun:
             {tuple(-l for l in low): 1}, vars)
 
     @classmethod
-    def _from_frac(cls, f, vars: Sequence[str]) -> "MultiRatFun":
-        """A sympy ``FracElement``, whose numerator and denominator are
-        reduced, scaled to the canonical form."""
-        return cls._from_reduced(*_canonical(_terms(f.numer), _terms(f.denom)), vars)
-
-    def _frac(self, K):
-        """This function as an element of the field ``K`` over its variables."""
-        R = K.ring
-        return K.raw_new(_ring_element(R, self.num), _ring_element(R, self.den))
+    def _from_pair(cls, num: Mapping, den: Mapping, vars: Sequence[str]) -> "MultiRatFun":
+        """num / den for polynomials with den nonzero, cancelled."""
+        _, num, den = _gcd(num, den)
+        return cls._from_reduced(*_canonical(num, den), vars)
 
     def _laurent(self) -> dict:
         """The {exponent tuple: Fraction} map of a function whose
@@ -238,13 +461,25 @@ class MultiRatFun:
             return MultiRatFun.constant(other, self.vars)
         return NotImplemented  # type: ignore[return-value]
 
-    def _binary(self, other, op):
-        """op applied in the field over the variables, with other coerced."""
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        K = _field(self.vars)
-        return MultiRatFun._from_frac(op(self._frac(K), o._frac(K)), self.vars)
+    def _sum(self, o: "MultiRatFun") -> "MultiRatFun":
+        """self + o.  With g = gcd(b, d), a/b + c/d = t / (b/g d/g g) for
+        t = a d/g + c b/g, and only g can share a factor with t."""
+        g, b, d = _gcd(self.den, o.den)
+        t = _plus(_qtimes(self.num, d), _qtimes(o.num, b))
+        _, t, g = _gcd(t, g)
+        return MultiRatFun._from_reduced(*_canonical(t, _qtimes(_qtimes(b, d), g)), self.vars)
+
+    def _product(self, o: "MultiRatFun") -> "MultiRatFun":
+        """self * o, cancelled crosswise: a/b c/d = (a/gcd(a, d) c/gcd(c, b))
+        / (b/gcd(c, b) d/gcd(a, d))."""
+        _, a, d = _gcd(self.num, o.den)
+        _, c, b = _gcd(o.num, self.den)
+        return MultiRatFun._from_reduced(*_canonical(_qtimes(a, c), _qtimes(b, d)), self.vars)
+
+    def _inverse(self) -> "MultiRatFun":
+        if self.is_zero():
+            raise ZeroDenominatorError("division by zero polynomial")
+        return MultiRatFun._from_reduced(*_canonical(self.den, self.num), self.vars)
 
     def _scaled(self, c: Fraction) -> "MultiRatFun":
         """c times self: the reduced pair with its numerator scaled."""
@@ -254,7 +489,8 @@ class MultiRatFun:
                                          self.den, self.vars)
 
     def __add__(self, other):
-        return self._binary(other, operator.add)
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._sum(o)
 
     __radd__ = __add__
 
@@ -262,7 +498,8 @@ class MultiRatFun:
         return self._scaled(Fraction(-1))
 
     def __sub__(self, other):
-        return self._binary(other, operator.sub)
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._sum(o._scaled(Fraction(-1)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -270,34 +507,28 @@ class MultiRatFun:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(Fraction(other))
-        return self._binary(other, operator.mul)
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._product(o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDenominatorError("division by zero polynomial")
-        return self._binary(o, operator.truediv)
+        return o if o is NotImplemented else self._product(o._inverse())
 
     def __rtruediv__(self, other):
-        if self.is_zero():
-            raise ZeroDenominatorError("division by zero polynomial")
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o._binary(self, operator.truediv)
+        return o if o is NotImplemented else o._product(self._inverse())
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0 and self.is_zero():
-            raise ZeroDenominatorError("division by zero polynomial")
         if k == 0:  # 0**0 is 1, as for sympy expressions
             return MultiRatFun.constant(1, self.vars)
-        return MultiRatFun._from_frac(self._frac(_field(self.vars)) ** k, self.vars)
+        # a reduced pair stays reduced, and its leading monomials multiply
+        base = self if k > 0 else self._inverse()
+        return MultiRatFun._from_reduced(_power(base.num, abs(k)), _power(base.den, abs(k)),
+                                         self.vars)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -321,9 +552,10 @@ class MultiRatFun:
     def partial_derivative(self, var: str) -> "MultiRatFun":
         if var not in self.vars:
             raise UnknownVariableError(f"{var!r} not among {self.vars}")
-        K = _field(self.vars)
-        return MultiRatFun._from_frac(self._frac(K).diff(K.gens[self.vars.index(var)]),
-                                      self.vars)
+        i = self.vars.index(var)
+        d = lambda p: {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.items() if e[i]}
+        num = _plus(_qtimes(d(self.num), self.den), _qtimes(self.num, d(self.den)), -1)
+        return MultiRatFun._from_pair(num, _qtimes(self.den, self.den), self.vars)
 
     def substitute(self, var: str, g: Union["MultiRatFun", Scalar]) -> "MultiRatFun":
         """Exact composition self(var := g), normalized.
@@ -368,14 +600,12 @@ class MultiRatFun:
         i = self.vars.index(var)
         others = self.vars[:i] + self.vars[i + 1:]
         if others:
-            K = _field(others)
-            elem = lambda terms: K.raw_new(_ring_element(K.ring, terms), K.ring.one)
-            wrap = lambda f: MultiRatFun._from_frac(f, others)
+            one = {(0,) * len(others): 1}
+            elem = lambda terms: MultiRatFun._from_reduced(terms, one, others)
         else:
             elem = lambda terms: terms.get((), Fraction(0))
-            wrap = lambda f: f
         if not self.num:
-            return {k: wrap(elem({})) for k in range(1, order + 1)}
+            return {k: elem({}) for k in range(1, order + 1)}
 
         def reversed_in_u(terms):
             """(top, {j: coefficient of u^j}) with P = u^-top sum_j P_j u^j
@@ -397,7 +627,7 @@ class MultiRatFun:
                 if 1 <= j <= k:
                     acc -= dj * c[k - j]
             c[k] = acc / D[0]
-        return {m: wrap(c.get(m - shift, elem({}))) for m in range(1, order + 1)}
+        return {m: c.get(m - shift, elem({})) for m in range(1, order + 1)}
 
     # -- structural predicates ----------------------------------------------
 
@@ -439,16 +669,15 @@ class MultiRatFun:
         vars = tuple(data["vars"])
         if not vars:
             raise ValueError("MultiRatFun needs at least one variable")
-        K = _field(vars)
 
         def build(terms: Iterable):
             acc: dict = {}
             for coeff, exps in terms:
                 e = tuple(int(x) for x in exps)
                 acc[e] = acc.get(e, 0) + rat_from_str(coeff)
-            return _ring_element(K.ring, {e: c for e, c in acc.items() if c})
+            return {e: c for e, c in acc.items() if c}
 
         den = build(data["den"])
         if not den:
             raise ZeroDenominatorError("division by zero polynomial")
-        return cls._from_frac(K.new(build(data["num"]), den), vars)
+        return cls._from_pair(build(data["num"]), den, vars)

@@ -1,13 +1,19 @@
 """Unit tests for the exact rational-function layer."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqftrec import exact
 from tqftrec.exact import (
     BudgetError,
     MultiRatFun,
@@ -190,6 +196,53 @@ def test_w04_operations_match_the_cancel_path():
             _same(coeff, _cancel_path(expanded.coeff(u, k), rest))
 
 
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (2, 1)])
+def test_operations_on_w_match_the_cancel_path(g, n):
+    # each quotient needs a general GCD; w is a Laurent polynomial, so the
+    # derivative cancels against its monomial denominator
+    from tqftrec.bmodel import wgn
+
+    f = wgn(g, n)
+    e, vs = f.expr, f.vars
+    _same(f / (f + 1), _cancel_path(e / (e + 1), vs))
+    _same((f * f + 1) / (f + 1), _cancel_path((e * e + 1) / (e + 1), vs))
+    _same((f + 1) / (f - 1) * (f - 1), _cancel_path((e + 1) / (e - 1) * (e - 1), vs))
+    _same(f.partial_derivative("t1"), _cancel_path(e.diff(symbol("t1")), vs))
+
+
+def test_native_arithmetic_never_loads_sympy():
+    # a fresh interpreter: the differentials, their frames and transforms,
+    # and the rational-function arithmetic run without sympy
+    script = """
+import sys
+from tqftrec import bmodel
+from tqftrec.exact import MultiRatFun
+from tqftrec.groups import load_group, orbifold_frobenius
+
+f = bmodel.wgn(0, 4)
+bmodel.twisted_wgn(1, 1, orbifold_frobenius(load_group("builtin:S3")))
+bmodel.inverse_laplace_coeffs(1, 2, 4)
+for coords in ("x", "z"):
+    bmodel.convert_frame(bmodel.wgn(1, 1), 1, coords)
+q = (f + 1) / (f - 2)
+g = q * f ** 2 - f ** -1
+assert MultiRatFun.from_json(g.to_json()) == g
+q.partial_derivative("t1")
+h = MultiRatFun.from_json({"vars": ["x", "y"], "num": [["1", [1, 1]]],
+                           "den": [["1", [2, 0]], ["-1", [0, 1]]]})
+assert h.series_at_infinity("x", 4)[3] == MultiRatFun.from_json(
+    {"vars": ["y"], "num": [["1", [2]]], "den": [["1", [0]]]})
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+assert not loaded, loaded[:5]
+"""
+    path = [str(pathlib.Path(__file__).resolve().parents[1] / "src")]
+    path += [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 _VARS = ("x", "y", "z")
 
 
@@ -215,11 +268,34 @@ def _mono(syms, exps):
     return out
 
 
+@st.composite
+def _operands(draw):
+    """(a, b, shared, vars): two sympy expressions from ``_ratfuns``, each
+    times the power -1, 0 or 1 of ``shared``, one polynomial of two or three
+    terms with non-negative exponents, so that cancelling may need a general
+    GCD."""
+    nvars = draw(st.integers(1, 3))
+    (ea, vs), (eb, _) = draw(_ratfuns(nvars)), draw(_ratfuns(nvars))
+    syms = [symbol(v) for v in vs]
+    terms = draw(st.lists(st.tuples(st.integers(1, 3), st.tuples(*[st.integers(0, 2)] * nvars)),
+                          min_size=2, max_size=3, unique_by=lambda t: t[1]))
+    shared = sum(c * _mono(syms, e) for c, e in terms)
+    i, j = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+    return ea * shared**i, eb * shared**j, shared, vs
+
+
+def _unreduced(expr, factor, vars):
+    """The JSON form of expr with numerator and denominator both times factor."""
+    syms = [symbol(v) for v in vars]
+    terms = lambda p: [[str(c), list(e)] for e, c in sp.Poly(p * factor, *syms, domain="QQ").terms()]
+    num, den = sp.fraction(sp.together(expr))
+    return {"vars": list(vars), "num": terms(num), "den": terms(den)}
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_ratfuns(n), _ratfuns(n))),
-       st.integers(-2, 3), st.fractions(max_denominator=5))
-def test_field_arithmetic_matches_the_cancel_path(pair, k, c):
-    (ea, vs), (eb, _) = pair
+@given(_operands(), st.integers(-2, 3), st.fractions(max_denominator=5))
+def test_field_arithmetic_matches_the_cancel_path(operands, k, c):
+    ea, eb, shared, vs = operands
     a, b = MultiRatFun(ea, vs), MultiRatFun(eb, vs)
     _same(a + b, _cancel_path(ea + eb, vs))
     _same(a - b, _cancel_path(ea - eb, vs))
@@ -232,8 +308,54 @@ def test_field_arithmetic_matches_the_cancel_path(pair, k, c):
         _same(a**k, _cancel_path(ea**k, vs))
     _same(a.partial_derivative(vs[-1]), _cancel_path(ea.diff(symbol(vs[-1])), vs))
     _same(MultiRatFun.from_json(a.to_json()), a)
+    _same(MultiRatFun.from_json(_unreduced(ea, shared, vs)), a)
     flipped = ea.subs(symbol(vs[0]), -symbol(vs[0]))
     assert a.is_even_in(vs[0]) == (_cancel_path(flipped, vs) == a)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_operands())
+def test_the_exact_gcd_fallback_matches_the_cancel_path(operands):
+    # with the heuristic GCD giving up at once, every general GCD is the
+    # remainder sequence's
+    ea, eb, shared, vs = operands
+    a, b = MultiRatFun(ea, vs), MultiRatFun(eb, vs)
+    with mock.patch("tqftrec.exact._heuristic_gcd", return_value=None):
+        _same(a + b, _cancel_path(ea + eb, vs))
+        _same(a * b, _cancel_path(ea * eb, vs))
+        _same(MultiRatFun.from_json(_unreduced(ea, shared, vs)), a)
+
+
+def test_each_gcd_path_finds_a_shared_multivariate_factor():
+    x, y = symbol("x"), symbol("y")
+    shared = (x + y + 1) * (x - y)
+    expr = (2 * x + 3) * (x - y) / (y**2 + 1)
+    want = MultiRatFun(expr, ["x", "y"])
+    real = exact._heuristic_gcd
+    heuristics = {
+        "heuristic": real,
+        "remainder sequence": lambda f, g: None,
+        # the heuristic gives up on the two-variable operands only, so the
+        # remainder sequence takes the contents, in y, from it
+        "remainder sequence over heuristic contents":
+            lambda f, g: None if len(next(iter(f))) == 2 else real(f, g),
+    }
+    for name, heuristic in heuristics.items():
+        with mock.patch("tqftrec.exact._heuristic_gcd", side_effect=heuristic), \
+                mock.patch("tqftrec.exact._prs_gcd", wraps=exact._prs_gcd) as prs:
+            _same(MultiRatFun.from_json(_unreduced(expr, shared, ["x", "y"])), want)
+        assert prs.called == (name != "heuristic"), name
+
+
+def test_heuristic_gcd_divides_where_a_cofactor_is_not_read_back():
+    # f = s^2 t and g = s: the first xi is 2 |g| + 2 = 12, and the cofactor
+    # s t has the coefficient -20 outside the digits -6..6
+    s = {(0, 0, 2): 1, (1, 1, 0): -5}  # z^2 - 5xy
+    t = {(0, 0, 1): 4, (2, 3, 0): 1}  # 4z + x^2 y^3
+    f = exact._times(exact._times(s, s), t)
+    h, cf, cg = exact._heuristic_gcd(f, s)
+    assert exact._times(h, cf) == f and exact._times(h, cg) == s
+    assert h in (s, {e: -c for e, c in s.items()})
 
 
 def test_series_at_infinity_matches_sympy_series():

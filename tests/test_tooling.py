@@ -124,9 +124,11 @@ def test_each_kernel_operator_is_defined_once_in_cutjoin():
 
 # the B-model checks (the curve, the kernel and its integral, the w_{0,2}
 # identity and the residues) with the arithmetic they compute in, and the
-# recursion's own code, which they check and so may not share
-BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "PolyFraction", "_times", "_plus",
-                 "SpectralCurve", "eo_kernel", "verify_kernel_integral"}
+# recursion's own code, which they check and so may not share.  The checks'
+# polynomial kernels, _times and _plus, are exact's, which MultiRatFun
+# shares; the recursion multiplies with its own _mul.
+BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "PolyFraction", "SpectralCurve",
+                 "eo_kernel", "verify_kernel_integral"}
 BMODEL_RECURSION = {"_Recursion", "_laurent_wgn", "_mul", "_place", "_pole", "_CUBE",
                     "_substitute"}
 
@@ -168,6 +170,22 @@ def test_bmodel_checks_reach_production_only_through_wgn():
         mutated = source.replace("powers.append(_times(", "powers.append(%s(" % name)
         assert mutated != source
         assert not _names_the_checks_reach(mutated).isdisjoint(BMODEL_RECURSION | engine), name
+    recursion = [node for node in ast.parse(source).body
+                 if getattr(node, "name", None) in BMODEL_RECURSION]
+    named = {node.id for definition in recursion for node in ast.walk(definition)
+             if isinstance(node, ast.Name)}
+    assert named.isdisjoint({"_times", "_plus"})
+
+
+def test_every_traced_member_is_a_member_of_multiratfun():
+    # the tracer wraps each member through MultiRatFun.__dict__, so a renamed
+    # or removed one stops every traced run
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (methods,) = [node.value for node in tracing.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "RATFUN_METHODS" for t in node.targets)]
+    from tqftrec.exact import MultiRatFun
+
+    assert set(ast.literal_eval(methods)) <= set(MultiRatFun.__dict__)
 
 
 def test_only_exact_imports_sympy():
