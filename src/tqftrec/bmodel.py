@@ -17,8 +17,8 @@ expansions.  No rational-function arithmetic runs on the recursion, and
 its results become ``MultiRatFun`` values without sympy.  The checks load
 no sympy either: the curve is written once, in ``SpectralCurve``, and the
 kernel once, in ``eo_kernel``, as exact maps that the checks evaluate in
-``PolyFraction``, exact unreduced quotients of polynomial maps, where a
-value is zero exactly when its numerator is.  Of the package only
+``MultiRatFun``, whose arithmetic cancels natively, so that a value is
+zero exactly when its numerator map is empty.  Of the package only
 ``exact`` loads sympy.
 
 Every output leaves the Laurent map through one substitution, which
@@ -53,7 +53,6 @@ __all__ = [
     "wgn",
     "twisted_wgn",
     "residue_check",
-    "PolyFraction",
     "inverse_laplace_coeffs",
     "convert_frame",
     "tvars",
@@ -74,89 +73,31 @@ def _require_stable(g: int, n: int) -> None:
 # -- exact symbolic checks --------------------------------------------------
 
 
-class PolyFraction:
-    """A rational function over QQ in ``vars``: the unreduced quotient of two
-    {exponent tuple: Fraction} polynomial maps, zero exactly when ``num`` is
-    empty.  The monomial common to both is stripped, the denominator is made
-    monic, and equal denominators add by their numerators."""
+def _residue(f: MultiRatFun, j: int, s: int) -> MultiRatFun:
+    """The residue of f in its first variable at s = +-1 times its variable
+    j, a function of the others.  The first variable = eps + s v_j, expanded
+    binomially, makes numerator and denominator eps^a sum N_m eps^m and
+    eps^b sum D_m eps^m with N_0, D_0 nonzero; the residue is q_k / D_0^(k+1)
+    for k = b - a - 1, where q_m = N_m D_0^m - sum_(i=1..m) D_i q_(m-i) D_0^(i-1)."""
+    def shifted(p):
+        out: Dict = {}
+        for e, c in p.items():
+            for m in range(e[0] + 1):
+                key, term = e[1:j] + (e[j] + e[0] - m,) + e[j + 1:], out.setdefault(m, {})
+                term[key] = term.get(key, 0) + c * comb(e[0], m) * s ** (e[0] - m)
+        return {m: term for m, term in out.items() if any(term.values())}
 
-    def __init__(self, vars: Tuple[str, ...], num: Dict, den: Dict):
-        den = den if num else {(0,) * len(vars): 1}
-        low, lead = [min(x) for x in zip(*num, *den)], Fraction(den[max(den)])
-        shift = lambda p: {tuple([x - l for x, l in zip(e, low)]): c / lead for e, c in p.items()}
-        self.vars, self.num, self.den = vars, shift(num), shift(den)
-
-    @classmethod
-    def gens(cls, vars: Tuple[str, ...]):
-        one = (0,) * len(vars)
-        return [cls(vars, {one[:i] + (1,) + one[i + 1:]: 1}, {one: 1}) for i in range(len(vars))]
-
-    def _lift(self, other) -> "PolyFraction":
-        if isinstance(other, PolyFraction):
-            return other
-        one = (0,) * len(self.vars)
-        return PolyFraction(self.vars, {one: other} if other else {}, {one: 1})
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if self.den == o.den:
-            return PolyFraction(self.vars, _plus(self.num, o.num), self.den)
-        return PolyFraction(self.vars, _plus(_times(self.num, o.den), _times(o.num, self.den)),
-                            _times(self.den, o.den))
-
-    def __neg__(self):
-        return PolyFraction(self.vars, {e: -c for e, c in self.num.items()}, self.den)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return PolyFraction(self.vars, _times(self.num, o.num), _times(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return PolyFraction(self.vars, _times(self.num, o.den), _times(self.den, o.num))
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __pow__(self, k: int):
-        return self * self ** (k - 1) if k else self._lift(1)
-
-    def diff(self, i: int) -> "PolyFraction":
-        """The derivative in the variable of slot i, by the quotient rule."""
-        d = lambda p: {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.items() if e[i]}
-        num = _plus(_times(d(self.num), self.den), _times(self.num, d(self.den)), -1)
-        return PolyFraction(self.vars, num, _times(self.den, self.den))
-
-    def residue(self, j: int, s: int) -> "PolyFraction":
-        """The residue in the variable of slot 0 at s = +-1 times that of slot j,
-        a function of the other variables.  Slot 0 = eps + s v_j, expanded
-        binomially, makes numerator and denominator eps^a sum N_m eps^m and
-        eps^b sum D_m eps^m with N_0, D_0 nonzero; the residue is q_k / D_0^(k+1)
-        for k = b - a - 1, where q_m = N_m D_0^m - sum_(i=1..m) D_i q_(m-i) D_0^(i-1)."""
-        def shifted(p):
-            out: Dict = {}
-            for e, c in p.items():
-                for m in range(e[0] + 1):
-                    key, term = e[1:j] + (e[j] + e[0] - m,) + e[j + 1:], out.setdefault(m, {})
-                    term[key] = term.get(key, 0) + c * comb(e[0], m) * s ** (e[0] - m)
-            return {m: term for m, term in out.items() if any(term.values())}
-
-        N, D = shifted(self.num), shifted(self.den)
-        if not N or min(D) <= min(N):
-            return PolyFraction(self.vars[1:], {}, {})
-        a, b = min(N), min(D)
-        powers, q = [{(0,) * (len(self.vars) - 1): 1}], []
-        for m in range(b - a):
-            powers.append(_times(powers[-1], D[b]))
-            q.append(_times(N.get(a + m, {}), powers[m]))
-            for i in range(1, m + 1):
-                q[m] = _plus(q[m], _times(_times(D.get(b + i, {}), q[m - i]), powers[i - 1]), -1)
-        return PolyFraction(self.vars[1:], q[-1], powers[-1])
+    N, D = shifted(f.num), shifted(f.den)
+    if not N or min(D) <= min(N):
+        return MultiRatFun.constant(0, f.vars[1:])
+    a, b = min(N), min(D)
+    powers, q = [{(0,) * (len(f.vars) - 1): 1}], []
+    for m in range(b - a):
+        powers.append(_times(powers[-1], D[b]))
+        q.append(_times(N.get(a + m, {}), powers[m]))
+        for i in range(1, m + 1):
+            q[m] = _plus(q[m], _times(_times(D.get(b + i, {}), q[m - i]), powers[i - 1]), -1)
+    return MultiRatFun._from_pair(q[-1], powers[-1], f.vars[1:])
 
 
 # -- spectral curve ---------------------------------------------------------
@@ -164,14 +105,14 @@ class PolyFraction:
 
 class SpectralCurve:
     """The curve x = z + 1/z, y = -z and its coordinate t = (z+1)/(z-1),
-    written once as exact maps of a ``Fraction`` or a ``PolyFraction``.
+    written once as exact maps of a ``Fraction`` or a ``MultiRatFun``.
 
-    The constructor checks, in ``PolyFraction``, that x(z(t)) = x(t) and
+    The constructor checks, in ``MultiRatFun``, that x(z(t)) = x(t) and
     y(z(t)) = y(t).
     """
 
     def __init__(self):
-        (t,) = PolyFraction.gens(("t",))
+        (t,) = MultiRatFun.gens(("t",))
         z = self.z_of_t(t)
         if (self.x(z) - self.x_of_t(t)).num or (self.y(z) - self.y_of_t(t)).num:
             raise AssertionError("coordinate maps are inconsistent")
@@ -212,9 +153,10 @@ def verify_w02_identity() -> bool:
     dt1 dt2 / (t1-t2)^2 minus the x-frame double pole, written in t,
     must equal 1/(t1+t2)^2.
     """
-    t1, t2 = PolyFraction.gens(tvars(2))
+    t1, t2 = MultiRatFun.gens(tvars(2))
     x = SpectralCurve().x_of_t
-    lhs = 1 / (t1 - t2) ** 2 - x(t1).diff(0) * x(t2).diff(1) / (x(t1) - x(t2)) ** 2
+    dx1, dx2 = x(t1).partial_derivative("t1"), x(t2).partial_derivative("t2")
+    lhs = 1 / (t1 - t2) ** 2 - dx1 * dx2 / (x(t1) - x(t2)) ** 2
     return not (lhs - 1 / (t1 + t2) ** 2).num
 
 
@@ -223,7 +165,7 @@ def verify_w02_identity() -> bool:
 
 def eo_kernel(t, t1):
     """The recursion kernel K(t, t1), with the 1/dt * dt1 frame implicit, at
-    ``Fraction`` or ``PolyFraction`` values of t and t1.
+    ``Fraction`` or ``MultiRatFun`` values of t and t1.
 
     The sign convention: the recursion integrates K against the bracket
     over a contour enclosing all +-t_i between two circles, which
@@ -245,12 +187,12 @@ def verify_kernel_integral() -> bool:
     overall sign, and that sign ambiguity is resolved here by the oracle,
     not by typography).
     """
-    t, t1, s = PolyFraction.gens(("t", "t1", "s"))
+    t, t1, s = MultiRatFun.gens(("t", "t1", "s"))
     curve = SpectralCurve()
     F = lambda u: -1 / (u + t1)
-    if (F(s).diff(2) - 1 / (s + t1) ** 2).num:
+    if (F(s).partial_derivative("s") - 1 / (s + t1) ** 2).num:
         return False
-    y, dx = curve.y_of_t, curve.x_of_t(t).diff(0)
+    y, dx = curve.y_of_t, curve.x_of_t(t).partial_derivative("t")
     integral = (F(-t) - F(t)) / (2 * (y(t) - y(-t)) * dx)
     return not (integral - eo_kernel(t, t1)).num
 
@@ -431,16 +373,15 @@ def residue_check(g: int, n: int) -> dict:
     """
     if (g, n) not in ((1, 1), (0, 3)):
         return {"g": g, "n": n, "in_budget": False, "equal": None}
-    t, t1, *rest = PolyFraction.gens(("t",) + tvars(n))
+    t, t1, *rest = MultiRatFun.gens(("t",) + tvars(n))
     bracket = 1 / (4 * t**2)
     if rest:
         t2, t3 = rest
         bracket = 1 / ((t + t2) ** 2 * (-t + t3) ** 2) + 1 / ((t + t3) ** 2 * (-t + t2) ** 2)
     f = eo_kernel(t, t1) * bracket
-    production = wgn(g, n)
-    rest = PolyFraction(production.vars, production.num, production.den)
+    production = rest = wgn(g, n)
     for j in range(1, n + 1):
-        rest = rest + (f.residue(j, 1) + f.residue(j, -1))
+        rest = rest + (_residue(f, j, 1) + _residue(f, j, -1))
     return {"g": g, "n": n, "in_budget": True, "production": production, "equal": not rest.num}
 
 

@@ -381,6 +381,13 @@ class MultiRatFun:
         return cls._from_reduced({one: value}, {one: 1}, vars)
 
     @classmethod
+    def gens(cls, vars: Sequence[str]) -> list:
+        """The variables themselves, as functions of ``vars``, in order."""
+        one = (0,) * len(vars)
+        return [cls._from_reduced({one[:i] + (1,) + one[i + 1:]: 1}, {one: 1}, vars)
+                for i in range(len(vars))]
+
+    @classmethod
     def _from_reduced(cls, num: Mapping[tuple, Scalar], den: Mapping[tuple, Scalar],
                       vars: Sequence[str]) -> "MultiRatFun":
         """Numerator and denominator {exponent tuple: coefficient} taken as

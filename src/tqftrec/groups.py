@@ -439,6 +439,8 @@ def omega_brute(G: FiniteGroup, g: int, class_indices: Sequence[int],
     n = len(class_indices)
     if n < 1:
         raise ValueError("need at least one class index")
+    if g < 0:
+        raise ValueError("g must be non-negative")
     N = G.order
     if N ** (2 * g + n) > budget:
         raise BudgetError(

@@ -102,6 +102,15 @@ def test_missing_argument_is_usage_error():
     assert code == cli.EXIT_USAGE
 
 
+def test_negative_genus_is_usage_error_for_every_method(capsys):
+    for method in ("brute", "formula", "both"):
+        for g in ("-1", "-2"):
+            code, out = run_cli("omega", "--group", "builtin:Z2", "--g", g, "--n", "1",
+                                "--method", method)
+            assert (code, out) == (cli.EXIT_USAGE, ""), (method, g)
+            assert capsys.readouterr().err == "usage error: g must be non-negative\n"
+
+
 def test_budget_exceeded_exit_code():
     # brute-force amplitude beyond the iteration budget
     import os

@@ -182,6 +182,16 @@ def test_omega_brute_pinned_values():
     assert omega_brute(T, 3, (0,)) == 1
 
 
+def test_omega_brute_rejects_a_negative_genus():
+    # the commutator distributions are cached by genus, so a negative g
+    # would read a cached one from the end
+    G = load_group("builtin:Z2")
+    assert omega_brute(G, 3, (0,)) == 32
+    for g in (-1, -2):
+        with pytest.raises(ValueError, match="g must be non-negative"):
+            omega_brute(G, g, (0,))
+
+
 def test_omega_brute_budget_gate():
     G = load_group("builtin:Q8")
     with pytest.raises(BudgetError):

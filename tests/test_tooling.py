@@ -122,12 +122,29 @@ def test_each_kernel_operator_is_defined_once_in_cutjoin():
     assert where == {name: ["src/tqftrec/cutjoin.py"] for name in operators}
 
 
+def test_multiratfun_is_the_one_rational_function_class():
+    # a second class with its own division would be a second rational-function
+    # arithmetic beside MultiRatFun's
+    where = []
+    for path in sorted((ROOT / "src" / "tqftrec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = {item.name for item in node.body
+                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            names |= {t.id for item in node.body if isinstance(item, ast.Assign)
+                      for t in item.targets if isinstance(t, ast.Name)}
+            if "__truediv__" in names:
+                where.append("%s:%s" % (path.name, node.name))
+    assert where == ["exact.py:MultiRatFun"]
+
+
 # the B-model checks (the curve, the kernel and its integral, the w_{0,2}
-# identity and the residues) with the arithmetic they compute in, and the
-# recursion's own code, which they check and so may not share.  The checks'
-# polynomial kernels, _times and _plus, are exact's, which MultiRatFun
-# shares; the recursion multiplies with its own _mul.
-BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "PolyFraction", "SpectralCurve",
+# identity and the residues), and the recursion's own code, which they
+# check and so may not share.  The checks compute in exact's MultiRatFun,
+# and the residues on its maps with exact's _times and _plus; the
+# recursion multiplies with its own _mul.
+BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "_residue", "SpectralCurve",
                  "eo_kernel", "verify_kernel_integral"}
 BMODEL_RECURSION = {"_Recursion", "_laurent_wgn", "_mul", "_place", "_pole", "_CUBE",
                     "_substitute"}
