@@ -44,10 +44,10 @@ def _validate_profile(g: int, n: int, mu: Sequence[int]) -> Tuple[int, ...]:
         raise ValueError("genus must be non-negative, got %d" % g)
     if n < 1:
         raise ValueError("need at least one boundary, got n=%d" % n)
-    mu = tuple(int(m) for m in mu)
+    mu = tuple(map(int, mu))
     if len(mu) != n:
         raise ValueError("profile length %d does not match n=%d" % (len(mu), n))
-    if any(m < 0 for m in mu):
+    if min(mu) < 0:
         raise ValueError("degrees must be non-negative, got %s" % list(mu))
     return mu
 
@@ -106,7 +106,8 @@ class CatalanTable(CutJoinTable):
         Raises, and leaves the table untouched, unless the digest matches,
         the dump was written for this schema and for an algebra equal to this
         one (the labels may differ), and every entry is well formed, its
-        profile in decreasing order.
+        profile in decreasing order and not one that vanishes, since a
+        query answers such a profile with zero before it reads the memo.
         """
         body = dict(data)
         if body.pop("sha256", None) != _digest(body):
@@ -122,7 +123,7 @@ class CatalanTable(CutJoinTable):
                 isinstance(g, int) and g >= 0 and mu and len(idx) == len(mu)
                 and all(isinstance(x, int) and x >= 0 for x in mu + idx)
                 and max(idx) < self.algebra.dim and isinstance(e["value"], str)
-                and list(mu) == sorted(mu, reverse=True)
+                and list(mu) == sorted(mu, reverse=True) and not self._vanishes(g, mu)
             ):
                 raise ValueError("malformed cache entry %r" % (e,))
             tensors.setdefault((g, mu), {})[idx] = Fraction(e["value"])

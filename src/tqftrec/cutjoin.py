@@ -20,10 +20,13 @@ contracts it with ``delta_star_contract``.
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
 decorations into that order, and a child tensor is realigned to the order
-its parent asks for.  An entry is stored only when complete.  A query
-evaluates its tensor on its decorations with ``contract``, the engine's
-one contraction; ``omega_tqft``, which the decorated counts are checked
-against, keeps its own.
+its parent asks for.  An entry is stored only when complete, and a
+profile the family's vanishing rule zeroes is never stored.  A query reads
+the memo first and answers a vanishing profile or an empty tensor with
+zero at once; otherwise it evaluates its tensor on its decorations with
+``contract``, the engine's one contraction, which reads a single entry
+when each decoration has one nonzero term.  ``omega_tqft``, which the
+decorated counts are checked against, keeps its own contraction.
 
 Every table the package answers from is built once, by ``shared``: one
 per family and algebra, the scalar counts living in ``shared(family,
@@ -45,10 +48,13 @@ from .frobenius import AlgebraElement, FrobeniusAlgebra, trivial_algebra
 TRIVIAL = trivial_algebra()
 
 # Child tensors one request may visit while it fills profiles not yet
-# memoized; a memoized request costs one.  From cold: correlator g=9 needs
-# 820181 (about 5 s), g=10 2674162, catalan mu=(1900,) 2256726; no test,
-# README example or benchmark query needs more than 13710.
+# memoized; a memoized or vanishing request costs none.  From cold:
+# correlator g=9 needs 820181 (about 5 s), g=10 2674162, catalan
+# mu=(1900,) 2256726; no test, README example or benchmark query needs
+# more than 13710.
 CUTJOIN_WORK_BUDGET = 1000000
+
+_ZERO = Fraction(0)
 
 
 def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n: int):
@@ -68,11 +74,22 @@ def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
 
     The walk takes the smaller side: the tensor's entries, or the tuples of
     the decorations' nonzero terms, so dense decorations never expand to
-    dim^n tuples.  Terms are summed as an int numerator over a running
+    dim^n tuples.  When each decoration has one nonzero term, as a basis
+    vector has, the one entry read is scaled by the coefficients other than
+    1.  Otherwise terms are summed as an int numerator over a running
     common denominator, and one Fraction is built on return."""
-    num, den = 0, 1
     terms = [v.terms for v in vs]
-    if math.prod(map(len, terms)) > len(tensor):
+    size = math.prod(map(len, terms))
+    if size == 1:
+        val = tensor.get(tuple([t[0][0] for t in terms]))
+        if val is None:
+            return _ZERO
+        for ((_, c),) in terms:
+            if c != 1:
+                val *= c
+        return val
+    num, den = 0, 1
+    if size > len(tensor):
         rows = [v.coeffs for v in vs]
         found = (
             (val, [c for row, i in zip(rows, idx) if (c := row[i]) != 1])
@@ -222,13 +239,15 @@ class CutJoinTable:
         checked against the length of mu."""
         mu = self._validate(g, len(mu) if n is None else n, mu)
         check_decorations(self.algebra, vs, len(mu))
-        # the decorations, not the tensor, go to the memoized order
-        order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
-        ordered = tuple(mu[p] for p in order)
-        tensor = self._tensors.get((g, ordered))
-        if tensor is None:
-            tensor = self._lookup(g, ordered, mu)
-        return contract(tensor, [vs[p] for p in order])
+        ordered = tuple(sorted(mu, reverse=True))
+        tensor = self._read(g, ordered, mu)
+        if not tensor:
+            return _ZERO
+        if ordered != mu:
+            # the decorations, not the tensor, go to the memoized order;
+            # the sort is stable, so equal degrees keep their order
+            vs = [vs[p] for p in sorted(range(len(mu)), key=mu.__getitem__, reverse=True)]
+        return contract(tensor, vs)
 
     def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
         """The scalar count, read off the trivial algebra's table at the
@@ -238,7 +257,15 @@ class CutJoinTable:
         if self.algebra is not TRIVIAL and self.algebra != TRIVIAL:
             return shared(type(self), TRIVIAL).untwisted(g, mu, n)
         mu = self._validate(g, len(mu) if n is None else n, mu)
-        return self._lookup(g, tuple(sorted(mu, reverse=True)), mu).get((0,) * len(mu), Fraction(0))
+        return self._read(g, tuple(sorted(mu, reverse=True)), mu).get((0,) * len(mu), _ZERO)
+
+    def _read(self, g: int, mu: Tuple[int, ...], asked: Sequence[int]):
+        """The tensor of (g, mu), mu in decreasing order: the memoized one,
+        else {} on a vanishing profile, else built by ``_lookup``."""
+        tensor = self._tensors.get((g, mu))
+        if tensor is None:
+            tensor = {} if self._vanishes(g, mu) else self._lookup(g, mu, asked)
+        return tensor
 
     def _lookup(self, g: int, mu: Tuple[int, ...], asked: Sequence[int]):
         """The tensor of (g, mu); ``asked`` is the profile as the caller

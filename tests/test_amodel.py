@@ -291,3 +291,17 @@ def test_cache_entry_out_of_order_is_refused():
     with pytest.raises(ValueError, match="malformed cache entry"):
         fresh.load_json(data)
     assert fresh.rows() == []
+
+
+def test_cache_entry_on_a_vanishing_profile_is_refused():
+    # a vanishing profile is answered before the memo is read, so an entry
+    # for one is malformed even under a valid digest
+    table = CatalanTable()
+    table.untwisted(0, (4, 2))
+    data = table.to_json()
+    data["entries"].append({"g": 0, "mu": [3, 2], "decor": [0, 0], "value": "5"})
+    data["sha256"] = amodel._digest({k: v for k, v in data.items() if k != "sha256"})
+    fresh = CatalanTable()
+    with pytest.raises(ValueError, match="malformed cache entry"):
+        fresh.load_json(data)
+    assert fresh.rows() == [] and fresh.untwisted(0, (3, 2)) == 0

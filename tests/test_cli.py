@@ -3,6 +3,7 @@
 import io
 import json
 import contextlib
+import hashlib
 import copy
 import os
 import pathlib
@@ -61,6 +62,23 @@ def test_omega_single_decoration_covers_every_boundary():
     assert data["decor"] == ["[(1 2)]", "[(1 2)]"]
     assert data["formula"] == data["brute"] == "18"
     assert data["match"] is True
+
+
+def test_high_genus_omega_exits_3_within_a_second(capsys):
+    start = time.perf_counter()
+    assert run_cli("omega", "--group", "builtin:S3", "--g", "20000", "--n", "1") == (
+        cli.EXIT_BUDGET, "")
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "budget exceeded: genus g=20000 needs more than 5000 Euler-element products\n")
+
+
+def test_omega_within_the_euler_power_budget_prints_its_full_value():
+    code, out = run_cli("omega", "--group", "builtin:S3", "--g", "1500", "--n", "1")
+    assert code == 0 and len(out) == 2386
+    assert out.startswith("group: builtin:S3\ng: 1500\nn: 1\ndecor: [1]\nformula: 157935094946")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3ae3db0f14bda8f17094560fbb90f062b8f47246e29c6d7f20b66d54fb76f0bb")
 
 
 def test_group_info_json():
@@ -288,9 +306,9 @@ def test_dessin_cache_holds_the_answering_table(tmp_path, capsys, monkeypatch, g
     assert run_cli(*argv) == (0, out)
     entries = json.loads(cache.read_text())["entries"]
     assert {"g": 1, "mu": [6], "decor": [0], "value": entry} in entries
-    # read back into a cold table, the answer costs one child tensor
+    # read back into a cold table, the answer costs no child tensor
     cutjoin.shared.cache_clear()
-    monkeypatch.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 1)
+    monkeypatch.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 0)
     capsys.readouterr()
     assert run_cli(*argv) == (0, out)
     assert capsys.readouterr().err == ""

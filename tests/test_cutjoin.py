@@ -3,6 +3,7 @@ registry of shared recursion tables."""
 
 import importlib
 import itertools
+import math
 import pkgutil
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ import pytest
 import tqftrec
 from tqftrec import amodel, bmodel, cutjoin, intersect
 from tqftrec.cellgraph import count_arrowed_graphs
-from tqftrec.cutjoin import delta_star_contract, delta_star_split, m_star_contract
+from tqftrec.cutjoin import contract, delta_star_contract, delta_star_split, m_star_contract
+from tqftrec.exact import BudgetError
 from tqftrec.frobenius import is_symmetric, omega_functional, omega_tqft, trivial_algebra
 from tqftrec.groups import load_group, orbifold_frobenius
 
@@ -184,3 +186,76 @@ def test_no_module_holds_a_table_of_its_own():
         for name, value in vars(module).items():
             held = list(value.values()) if isinstance(value, dict) else [value]
             assert not any(isinstance(v, tables) for v in held), (info.name, name)
+
+
+# -- warm queries: one memo read and the contraction -------------------------
+
+
+def test_warm_and_vanishing_queries_never_reenter_lookup(monkeypatch):
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    table = amodel.CatalanTable(A)
+    scalar = amodel.CatalanTable(cutjoin.TRIVIAL)
+    correlators = intersect.CorrelatorTable(A)
+    vs = [A.basis(1), A.element([0, 0, 3]), A.basis(1)]
+    profiles = set(itertools.permutations((4, 2, 2)))
+    decorated = {mu: table.twisted(1, mu, vs) for mu in profiles}
+    counts = {mu: scalar.untwisted(1, mu) for mu in profiles}
+    assert any(decorated.values()) and all(counts.values())
+    stored = (dict(table._tensors), dict(scalar._tensors), dict(correlators._tensors))
+
+    def refuse(*args):
+        raise AssertionError("a warm or vanishing query re-entered _lookup")
+
+    monkeypatch.setattr(cutjoin.CutJoinTable, "_lookup", refuse)
+    for mu in profiles:
+        assert table.twisted(1, mu, vs) == decorated[mu]
+        assert scalar.untwisted(1, mu) == counts[mu]
+        assert type(scalar.untwisted(1, mu)) is Fraction
+    # odd total degree, and a correlator off its dimension, were never built
+    answers = [table.twisted(1, (3, 2, 2), vs), scalar.untwisted(2, (5, 2)),
+               correlators.twisted(1, (2,), [A.basis(0)]),
+               intersect.CorrelatorTable().untwisted(1, (2,))]
+    assert answers == [0] * 4 and all(type(x) is Fraction for x in answers)
+    # no vanishing profile is stored
+    assert (table._tensors, scalar._tensors, correlators._tensors) == stored
+
+
+def _summed(tensor, vs):
+    """The functional as the plain sum over the tensor's entries."""
+    return sum((val * math.prod(v.coeffs[i] for v, i in zip(vs, idx))
+                for idx, val in tensor.items()), Fraction(0))
+
+
+def test_one_entry_contraction_equals_the_general_sum():
+    rng = random.Random(7)
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    singles = [A.element([c if j == i else 0 for j in range(A.dim)])
+               for c in (1, 3, Fraction(-1, 2)) for i in range(A.dim)]
+    dense = [A.element([1, -2, "1/3"]), A.element([0, "5/2", 1]), A.element([0] * A.dim)]
+    seen = set()
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        keys = list(itertools.product(range(A.dim), repeat=n))
+        tensor = {idx: Fraction(rng.choice([-7, -1, 1, 2, 5]), rng.randint(1, 6))
+                  for idx in rng.sample(keys, rng.randint(0, len(keys)))}
+        vs = [rng.choice(singles) for _ in range(n)]
+        if trial % 3 == 0:
+            vs[rng.randrange(n)] = rng.choice(dense)
+        got = contract(tensor, vs)
+        assert got == _summed(tensor, vs), (tensor, vs)
+        assert type(got) is Fraction
+        seen.add((math.prod(len(v.terms) for v in vs) == 1, got == 0))
+    # both paths, each with a zero and a nonzero answer
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_memoized_queries_need_no_budget_and_cold_ones_keep_the_message(monkeypatch):
+    table = amodel.CatalanTable(cutjoin.TRIVIAL)
+    one = [cutjoin.TRIVIAL.basis(0)] * 2
+    value = table.untwisted(1, (4, 2))
+    monkeypatch.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 0)
+    assert table.untwisted(1, (2, 4)) == table.twisted(1, (2, 4), one) == value != 0
+    assert table.untwisted(1, (3, 2)) == table.twisted(1, (2, 3), one) == 0
+    with pytest.raises(BudgetError) as err:
+        table.untwisted(1, (2, 6))
+    assert str(err.value) == "profile g=1, mu=[2, 6] needs more than 0 child tensors"

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from tqftrec.exact import BudgetError
 from tqftrec.frobenius import (
+    EULER_POWER_BUDGET,
     AxiomError,
     FrobeniusAlgebra,
     coproduct,
@@ -291,6 +293,31 @@ def test_scaled_and_zero_decorations_through_the_memo_equal_the_brute_count(monk
             assert omega_tqft(A, g, 2, [mixed, A.basis(j)]) == omega_brute(
                 G, g, (0, j), cd=cd) - Fraction(2, 3) * omega_brute(G, g, (2, j), cd=cd)
     assert seen, "basis-sized supports take the memo path"
+
+
+def test_single_term_decorations_equal_the_multiply_through_chain():
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    singles = [A.element([c if j == i else 0 for j in range(A.dim)])
+               for c in (1, 3, Fraction(-1, 2)) for i in range(A.dim)]
+    for g in (0, 1, 2):
+        for vs in itertools.product(singles, repeat=2):
+            chain = euler_power(A, g)
+            for v in vs:
+                chain = product(chain, v)
+            got = omega_tqft(A, g, 2, list(vs))
+            assert got == counit(chain) and type(got) is Fraction, (g, vs)
+
+
+def test_euler_powers_past_the_budget_are_refused_before_any_product():
+    A = z2_algebra()
+    with pytest.raises(BudgetError, match="genus g=20000 needs more than %d " % EULER_POWER_BUDGET):
+        omega_tqft(A, 20000, 1, [A.basis(0)])
+    assert len(A._euler_powers) == 1
+    # powers already cached cost nothing, so a request counts only its own products
+    assert euler_power(A, EULER_POWER_BUDGET).coeffs[0] == 4 ** EULER_POWER_BUDGET
+    assert euler_power(A, 2 * EULER_POWER_BUDGET).coeffs[0] == 4 ** (2 * EULER_POWER_BUDGET)
+    with pytest.raises(BudgetError):
+        euler_power(A, 3 * EULER_POWER_BUDGET + 1)
 
 
 def test_cutjoin_imports_no_contraction_routine_from_frobenius():
