@@ -104,15 +104,15 @@ class CatalanTable(CutJoinTable):
         """Fill the table from a ``to_json`` dump; returns the entry count.
 
         Raises, and leaves the table untouched, unless the digest matches,
-        the dump was written for this schema and for an algebra equal to this
-        one (the labels may differ), and every entry is well formed, its
-        profile in decreasing order and not one that vanishes, since a
-        query answers such a profile with zero before it reads the memo.
+        the dump was written for this schema and for an algebra with the
+        tensors of this one, under any labels, and every entry is well
+        formed: its profile in decreasing order, and not one that vanishes,
+        which a query answers with zero before it reads the memo.
         """
         body = dict(data)
         if body.pop("sha256", None) != _digest(body):
             raise ValueError("cache digest does not match its contents")
-        written = body.get("algebra")  # compared as FrobeniusAlgebra.__eq__ does, labels aside
+        written = body.get("algebra")  # its tensors, not its labels, must match this algebra's
         if body.get("schema") != CACHE_SCHEMA or not isinstance(written, dict) or (
                 dict(written, labels=None) != dict(self.algebra.to_json(), labels=None)):
             raise ValueError("cache was written for another table")

@@ -392,7 +392,7 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
     S = memo.get(None)
     if S is None:
         S = memo[None] = _Scaled(A)
-    elif S.algebra != A:
+    elif S.algebra is not A:
         raise ValueError(f"memo belongs to {S.algebra!r}, not {A!r}")
     walked = _walk(S, graph._cycles(), dict(enumerate(graph.partner)), memo)
     scale = S.D ** (2 * graph.edges + 1)

@@ -81,33 +81,41 @@ def _render_flat(value, memo):
 
 
 def emit(report: dict, fmt: str) -> str:
-    """Serialize a report with stable field order; rationals as "p/q"."""
-    memo = {}  # the report is alive throughout, so the ids in it stay unique
-    if fmt == "json":
-        return json.dumps(_render(report, memo), indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        rows = report.get("rows")
-        if isinstance(rows, list) and rows and isinstance(rows[0], dict):
-            header = list(dict.fromkeys(k for row in rows for k in row))
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_render_flat(row.get(h), memo) for h in header])
-        else:
-            writer.writerow(["field", "value"])
-            for key, value in report.items():
-                writer.writerow([key, _render_flat(value, memo)])
-        return buf.getvalue()
-    if fmt == "text":
-        keys = [k for k in report if k != "rows"]
-        if keys == ["value"]:
-            return "%s\n" % _render_flat(report["value"], memo)
-        lines = ["%s: %s" % (k, _render_flat(report[k], memo)) for k in keys]
-        for row in report.get("rows", ()):
-            lines.append(_render_flat(row, memo))
-        return "\n".join(lines) + "\n"
-    raise UsageError("unknown format %r (choose json, csv, or text)" % fmt)
+    """Serialize a report with stable field order; rationals as "p/q".  The
+    gates bound every value, so Python's cap on int digits is lifted meanwhile."""
+    cap = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap, or none to lift
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        memo = {}  # the report is alive throughout, so the ids in it stay unique
+        if fmt == "json":
+            return json.dumps(_render(report, memo), indent=2) + "\n"
+        if fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            rows = report.get("rows")
+            if isinstance(rows, list) and rows and isinstance(rows[0], dict):
+                header = list(dict.fromkeys(k for row in rows for k in row))
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([_render_flat(row.get(h), memo) for h in header])
+            else:
+                writer.writerow(["field", "value"])
+                for key, value in report.items():
+                    writer.writerow([key, _render_flat(value, memo)])
+            return buf.getvalue()
+        if fmt == "text":
+            keys = [k for k in report if k != "rows"]
+            if keys == ["value"]:
+                return "%s\n" % _render_flat(report["value"], memo)
+            lines = ["%s: %s" % (k, _render_flat(report[k], memo)) for k in keys]
+            for row in report.get("rows", ()):
+                lines.append(_render_flat(row, memo))
+            return "\n".join(lines) + "\n"
+        raise UsageError("unknown format %r (choose json, csv, or text)" % fmt)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 # -- input parsing ------------------------------------------------------------

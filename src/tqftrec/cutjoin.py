@@ -64,7 +64,7 @@ def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n
     for v in vs:
         if not isinstance(v, AlgebraElement):
             raise TypeError("decorations must be algebra elements, got %r" % (v,))
-        if v.algebra is not algebra and v.algebra != algebra:
+        if v.algebra is not algebra:
             raise ValueError("decoration does not belong to the given algebra")
 
 
@@ -119,9 +119,9 @@ def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
 @lru_cache(maxsize=None)
 def shared(family, algebra: FrobeniusAlgebra):
     """The one table of a family over an algebra, built on first use; equal
-    algebras share it, and the scalar counts are ``shared(family, TRIVIAL)``.
-    The algebra is required and positional, so that equal requests meet in
-    one entry."""
+    algebras are one interned object, so they share it, and the scalar
+    counts are ``shared(family, TRIVIAL)``.  The algebra is required and
+    positional, so that equal requests meet in one entry."""
     return family(algebra)
 
 
@@ -254,7 +254,7 @@ class CutJoinTable:
         index tuple (0, .., 0); a given n is checked against the length of
         mu.  A table over another algebra answers from the shared trivial
         table of its family."""
-        if self.algebra is not TRIVIAL and self.algebra != TRIVIAL:
+        if self.algebra is not TRIVIAL:
             return shared(type(self), TRIVIAL).untwisted(g, mu, n)
         mu = self._validate(g, len(mu) if n is None else n, mu)
         return self._read(g, tuple(sorted(mu, reverse=True)), mu).get((0,) * len(mu), _ZERO)

@@ -15,6 +15,11 @@ value, the form the cut-and-join engine stores its counts in; the kernel
 operators Delta* and m* that the engine builds its counts with live in
 ``tqftrec.cutjoin``, and are checked against these tensors.
 
+Algebras are interned on their labels and normalized tensors: building
+one that exists returns that instance, which passed the axiom checks and
+is never mutated.  So equality and hashing are identity, and every load,
+copy or unpickling of an algebra shares its caches.
+
 The algebra owns the data its consumers derive from the tensors, cached on
 the instance:
 
@@ -127,36 +132,35 @@ def _combine(terms, rows, s: int) -> list:
     return out
 
 
+_INTERNED = {}  # (labels, product, pairing) -> the algebra; entered once verified
+
+
 class FrobeniusAlgebra:
     """Finite-dimensional commutative Frobenius algebra over the rationals."""
 
-    def __init__(
-        self,
-        dim: int,
-        labels: Sequence[str],
-        product_tensor: Sequence,
-        pairing: Sequence,
-    ):
+    def __new__(cls, dim: int, labels: Sequence[str], product_tensor: Sequence, pairing: Sequence):
         if dim < 1:
             raise ValueError("dim must be positive")
         if len(labels) != dim:
             raise ValueError("label count does not match dim")
-        self.dim = dim
-        self.labels = tuple(str(l) for l in labels)
-        self.product_tensor = tuple(
-            tuple(tuple(_frac(product_tensor[i][j][k]) for k in range(dim))
-                  for j in range(dim))
-            for i in range(dim)
-        )
-        self.pairing = tuple(
-            tuple(_frac(pairing[i][j]) for j in range(dim)) for i in range(dim)
-        )
-        self._derive()
-        self._verify()
-        self._euler_powers = [self.unit]  # e^0, e^1, ...; ``euler_power`` extends it
-        self._amplitudes = {}  # (g, sorted basis indices) -> Omega; ``_amplitude`` fills it
-        # the tensors are immutable tuples, so the hash is fixed
-        self._hash = hash((self.dim, self.product_tensor, self.pairing))
+        labels = tuple(str(l) for l in labels)
+        product_tensor = tuple(tuple(tuple(_frac(product_tensor[i][j][k]) for k in range(dim))
+                                     for j in range(dim)) for i in range(dim))
+        pairing = tuple(tuple(_frac(pairing[i][j]) for j in range(dim)) for i in range(dim))
+        key = (labels, product_tensor, pairing)
+        self = _INTERNED.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.dim, self.labels, self.product_tensor, self.pairing = dim, *key
+            self._derive()
+            self._verify()
+            self._euler_powers = [self.unit]  # e^0, e^1, ...; ``euler_power`` extends it
+            self._amplitudes = {}  # (g, sorted basis indices) -> Omega; ``_amplitude`` fills it
+            self = _INTERNED.setdefault(key, self)  # the first one registered wins
+        return self
+
+    def __reduce__(self):
+        return FrobeniusAlgebra, (self.dim, self.labels, self.product_tensor, self.pairing)
 
     # -- construction ------------------------------------------------------
 
@@ -326,17 +330,6 @@ class FrobeniusAlgebra:
     def euler_element(self) -> "AlgebraElement":
         return AlgebraElement._wrap(self, self.euler)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FrobeniusAlgebra)
-            and self.dim == other.dim
-            and self.product_tensor == other.product_tensor
-            and self.pairing == other.pairing
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"FrobeniusAlgebra(dim={self.dim}, labels={self.labels})"
 
@@ -389,7 +382,7 @@ class AlgebraElement:
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)
-            and self.algebra == other.algebra
+            and self.algebra is other.algebra
             and self.coeffs == other.coeffs
         )
 
@@ -407,9 +400,8 @@ class AlgebraElement:
 
 def _same_algebra(*elems) -> FrobeniusAlgebra:
     A = elems[0].algebra
-    for e in elems[1:]:
-        if e.algebra is not A and e.algebra != A:
-            raise ValueError("algebra mismatch")
+    if any(e.algebra is not A for e in elems):
+        raise ValueError("algebra mismatch")
     return A
 
 

@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from tqftrec import amodel, bmodel, cli, cutjoin, groups
 from tqftrec.exact import MultiRatFun
+from tqftrec.frobenius import omega_tqft
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -79,6 +81,25 @@ def test_omega_within_the_euler_power_budget_prints_its_full_value():
     assert out.startswith("group: builtin:S3\ng: 1500\nn: 1\ndecor: [1]\nformula: 157935094946")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3ae3db0f14bda8f17094560fbb90f062b8f47246e29c6d7f20b66d54fb76f0bb")
+
+
+def test_omega_past_the_int_string_limit_prints_its_full_value():
+    # e^3000 over S3 has more digits than Python writes by default; Decimal
+    # reads them back exactly, with no such limit
+    cap = getattr(sys, "get_int_max_str_digits", int)()
+    code, out = run_cli("--format", "json", "omega", "--group", "builtin:S3", "--g", "3000", "--n", "1")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", int)() == cap  # restored once written
+    text = json.loads(out)["formula"]
+    A = groups.orbifold_frobenius(groups.load_group("builtin:S3"))
+    want = omega_tqft(A, 3000, 1, [A.basis(0)])
+    assert len(text) > 4300 and want.denominator == 1 and int(Decimal(text)) == want.numerator
+
+
+def test_frobenius_prints_the_labels_of_its_own_load():
+    for group, labels in (([], ["1"]), (["--group", "builtin:trivial"], ["[1]"]), ([], ["1"])):
+        code, out = run_cli("--format", "json", "frobenius", *group)
+        assert code == 0 and json.loads(out)["labels"] == labels, group
 
 
 def test_group_info_json():

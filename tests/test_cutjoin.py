@@ -152,8 +152,21 @@ def test_the_twisted_differentials_contract_through_the_engine_delta_star(monkey
 def test_equal_algebras_share_one_table():
     first = orbifold_frobenius(load_group("Z2"))
     second = orbifold_frobenius(load_group("Z2"))
-    assert first is not second
+    assert first is second
     assert cutjoin.shared(amodel.CatalanTable, first) is cutjoin.shared(amodel.CatalanTable, second)
+
+
+def test_a_second_load_answers_warm_queries_from_the_first(monkeypatch):
+    first = orbifold_frobenius(load_group("builtin:S3"))
+    mu, idx = (6, 4, 2), (1, 2, 1)
+    value = amodel.twisted_catalan(2, 3, mu, first, [first.basis(i) for i in idx])
+    tables = cutjoin.shared.cache_info().currsize
+    second = orbifold_frobenius(load_group("builtin:S3"))
+    assert second is first
+    # warm: no child tensor is built, and no table is added
+    monkeypatch.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 0)
+    assert amodel.twisted_catalan(2, 3, mu, second, [second.basis(i) for i in idx]) == value != 0
+    assert cutjoin.shared.cache_info().currsize == tables
 
 
 def test_scalar_counts_live_in_the_trivial_algebra_table():

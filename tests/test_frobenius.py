@@ -1,6 +1,8 @@
 """Unit tests for Frobenius algebras and the surface amplitudes."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -163,11 +165,31 @@ def test_to_json_has_stable_fields():
 
 
 def test_hash_agrees_with_equality():
+    # an equal algebra is the same object, so equality and hashing are identity
     A, B = z2_algebra(), z2_algebra()
-    assert A is not B and A == B and hash(A) == hash(B)
+    assert A is B
+    assert FrobeniusAlgebra.__eq__ is object.__eq__ and FrobeniusAlgebra.__hash__ is object.__hash__
     assert A.basis(1) == B.basis(1)
     assert len({A.basis(1), B.basis(1)}) == 1
     assert len({A.basis(0), B.basis(1)}) == 2
+
+
+def test_copies_and_pickles_are_the_interned_instance():
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    assert copy.copy(A) is A
+    assert copy.deepcopy(A) is A
+    assert pickle.loads(pickle.dumps(A)) is A
+    v = copy.deepcopy(A.basis(1))
+    assert v.algebra is A and v == A.basis(1)
+
+
+def test_labels_are_part_of_the_interned_key():
+    # the trivial algebra under two labels: two objects, each with its own labels
+    builtin = orbifold_frobenius(load_group("builtin:trivial"))
+    assert trivial_algebra() is trivial_algebra()
+    assert builtin is not trivial_algebra()
+    assert (builtin.labels, trivial_algebra().labels) == (("[1]",), ("1",))
+    assert builtin.product_tensor == trivial_algebra().product_tensor
 
 
 # -- the algebra's sparse views and caches -----------------------------------
@@ -310,9 +332,10 @@ def test_single_term_decorations_equal_the_multiply_through_chain():
 
 def test_euler_powers_past_the_budget_are_refused_before_any_product():
     A = z2_algebra()
+    cached = len(A._euler_powers)
     with pytest.raises(BudgetError, match="genus g=20000 needs more than %d " % EULER_POWER_BUDGET):
         omega_tqft(A, 20000, 1, [A.basis(0)])
-    assert len(A._euler_powers) == 1
+    assert len(A._euler_powers) == cached  # the interned Z2 may hold earlier powers
     # powers already cached cost nothing, so a request counts only its own products
     assert euler_power(A, EULER_POWER_BUDGET).coeffs[0] == 4 ** EULER_POWER_BUDGET
     assert euler_power(A, 2 * EULER_POWER_BUDGET).coeffs[0] == 4 ** (2 * EULER_POWER_BUDGET)
@@ -433,12 +456,15 @@ def test_axiom_failures_name_their_first_witness(product_tensor, pairing_matrix,
 
 
 def _verify_with(A, **tensors):
-    """Run the axiom checks of A over replaced derived tensors."""
+    """Run the axiom checks of a private clone of A over replaced derived
+    tensors; A itself is interned and shared, so it is never changed."""
+    clone = object.__new__(FrobeniusAlgebra)
+    clone.__dict__.update(A.__dict__)
     for name, value in tensors.items():
-        setattr(A, name, value)
-    A.__dict__.pop("coproduct_by_input", None)  # rebuilt from the replaced tensor
+        setattr(clone, name, value)
+    clone.__dict__.pop("coproduct_by_input", None)  # rebuilt from the replaced tensor
     with pytest.raises(AxiomError) as info:
-        A._verify()
+        clone._verify()
     return info.value.axiom, info.value.witness
 
 
