@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, lcm, prod
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .exact import BudgetError, Rational
 from .frobenius import AlgebraElement, FrobeniusAlgebra
@@ -153,12 +153,6 @@ class CellGraph:
         off = self._offsets
         return tuple(tuple(range(off[v], off[v + 1])) for v in range(self.n))
 
-    def vertex_of(self, gid: int) -> int:
-        for v in range(self.n):
-            if gid < self._offsets[v + 1]:
-                return v
-        raise ValueError("half-edge id out of range")
-
     @property
     def edges(self) -> int:
         return sum(self.degrees) // 2
@@ -177,26 +171,6 @@ class CellGraph:
         if g < 0:
             raise ValueError("malformed ribbon structure: negative genus")
         return g
-
-    def to_json(self) -> dict:
-        pairs = []
-        done = set()
-        total = sum(self.degrees)
-        for h in range(total):
-            p = self.partner[h]
-            if h in done or p in done:
-                continue
-            done.add(h)
-            done.add(p)
-            v1 = self.vertex_of(h)
-            v2 = self.vertex_of(p)
-            pairs.append([[v1 + 1, h - self._offsets[v1]],
-                          [v2 + 1, p - self._offsets[v2]]])
-        return {"degrees": list(self.degrees), "matching": pairs}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "CellGraph":
-        return cls(data["degrees"], data["matching"])
 
     def __repr__(self):
         return f"CellGraph(degrees={self.degrees}, edges={self.edges})"

@@ -31,18 +31,19 @@ the instance:
   ``product_by_pair`` and ``coproduct_by_input``, which the derivation and
   the verification read; ``product_by_output`` and ``coproduct_by_legs``
   are built on first use;
-- the basis vectors, as coefficient tuples with their nonzero terms, and
-  the Euler powers e^g as coefficient tuples, built on first use;
+- the basis vectors and the Euler powers e^g, as elements: e^0 with the
+  algebra, the rest on first use.  ``basis``, ``unit_element`` (e^0),
+  ``euler_element`` (e^1) and ``euler_power`` return the cached element
+  itself on every call;
 - the amplitudes of basis tuples, keyed on (g, sorted basis indices): the
   product is commutative, so Omega_{g,n} depends only on the multiset of
   basis classes.  Each entry is filled by the e^g e_i ... chain when first
   asked for.
 
-Caches hold only immutable values: tuples of Fractions, and Fractions.
-``basis``, ``euler_power`` and ``unit_element`` hand out fresh
-``AlgebraElement``s that wrap the cached tuples without checking them
-again, so no caller can change what a later call returns.  An element
-computes its nonzero ``terms`` once, on first use.
+Caches hold only immutable values: ``AlgebraElement``s, tuples of
+Fractions, and Fractions.  An element refuses attribute assignment, so
+equal elements hash alike for their whole life, and it computes its
+nonzero ``terms`` once, on first use.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ from .exact import BudgetError, Rational, rat_from_str, rat_to_str
 # Euler-element products one request may compute to extend an algebra's
 # cache of powers e^g; cached powers cost none.  The coefficients grow
 # with g: over S3, on a 2-core host, e^5000 takes 0.16 s to build and has
-# 7780-digit coefficients, and e^1500 takes 0.06 s.
+# 7780-digit coefficients, and e^1500 takes 0.06 s.  The budget bounds
+# each request, not the cache: an interned algebra keeps every power it
+# has built for the life of the process.
 EULER_POWER_BUDGET = 5000
 
 
@@ -154,7 +157,7 @@ class FrobeniusAlgebra:
             self.dim, self.labels, self.product_tensor, self.pairing = dim, *key
             self._derive()
             self._verify()
-            self._euler_powers = [self.unit]  # e^0, e^1, ...; ``euler_power`` extends it
+            self._euler_powers = [AlgebraElement(self, self.unit)]  # [g] = e^g; euler_power grows it
             self._amplitudes = {}  # (g, sorted basis indices) -> Omega; ``_amplitude`` fills it
             self = _INTERNED.setdefault(key, self)  # the first one registered wins
         return self
@@ -307,14 +310,10 @@ class FrobeniusAlgebra:
 
     @cached_property
     def _basis(self):
-        """(coefficient tuple, (that tuple, its nonzero terms)) of each basis
-        vector."""
+        """The basis vectors, as elements."""
         one, zero = Fraction(1), Fraction(0)
-        out = []
-        for i in range(self.dim):
-            coeffs = tuple(one if i == j else zero for j in range(self.dim))
-            out.append((coeffs, (coeffs, ((i, one),))))
-        return tuple(out)
+        return tuple(AlgebraElement(self, [one if i == j else zero for j in range(self.dim)])
+                     for i in range(self.dim))
 
     # -- elements -----------------------------------------------------------
 
@@ -322,13 +321,13 @@ class FrobeniusAlgebra:
         return AlgebraElement(self, coeffs)
 
     def basis(self, i: int) -> "AlgebraElement":
-        return AlgebraElement._wrap(self, *self._basis[i])
+        return self._basis[i]
 
     def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement._wrap(self, self.unit)
+        return self._euler_powers[0]
 
     def euler_element(self) -> "AlgebraElement":
-        return AlgebraElement._wrap(self, self.euler)
+        return euler_power(self, 1)
 
     def __repr__(self):
         return f"FrobeniusAlgebra(dim={self.dim}, labels={self.labels})"
@@ -348,36 +347,36 @@ class FrobeniusAlgebra:
 
 
 class AlgebraElement:
+    """An immutable element of a Frobenius algebra: ``coeffs`` holds dim Fractions."""
+
     __slots__ = ("algebra", "coeffs", "_terms")
 
     def __init__(self, algebra: FrobeniusAlgebra, coeffs: Sequence):
         if len(coeffs) != algebra.dim:
             raise ValueError("coefficient vector length does not match dim")
-        self.algebra = algebra
         if all(type(x) is Fraction for x in coeffs):
-            self.coeffs = coeffs if type(coeffs) is tuple else tuple(coeffs)
+            coeffs = coeffs if type(coeffs) is tuple else tuple(coeffs)
         else:
-            self.coeffs = tuple(_frac(x) for x in coeffs)
-        self._terms = None
+            coeffs = tuple(_frac(x) for x in coeffs)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def _wrap(cls, algebra: FrobeniusAlgebra, coeffs: tuple, terms: tuple = None):
-        """An element over a tuple of dim Fractions that the algebra has
-        already checked, taken as it is; ``terms``, when known, is the
-        (coeffs, nonzero terms) pair that ``terms`` caches."""
-        v = object.__new__(cls)
-        v.algebra, v.coeffs, v._terms = algebra, coeffs, terms
-        return v
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebraElement is immutable")
+
+    def __reduce__(self):
+        return AlgebraElement, (self.algebra, self.coeffs)
 
     @property
     def terms(self) -> tuple:
-        """((i, c), ...) for the nonzero coefficients c = coeffs[i], cached
-        with the tuple they were read from, so that a reassigned
-        ``coeffs`` is read again."""
-        cached = self._terms
-        if cached is None or cached[0] is not self.coeffs:
-            cached = self._terms = (self.coeffs, _nonzero(self.coeffs))
-        return cached[1]
+        """((i, c), ...) for the nonzero coefficients c = coeffs[i], computed
+        on first use."""
+        try:
+            return self._terms
+        except AttributeError:
+            terms = _nonzero(self.coeffs)
+            object.__setattr__(self, "_terms", terms)
+            return terms
 
     def __eq__(self, other):
         return (
@@ -489,8 +488,8 @@ def euler_power(A: FrobeniusAlgebra, g: int) -> AlgebraElement:
         raise BudgetError("genus g=%d needs more than %d Euler-element products"
                           % (g, EULER_POWER_BUDGET))
     while len(powers) <= g:
-        powers.append(tuple(_multiply(A, powers[-1], A.euler)))
-    return AlgebraElement._wrap(A, powers[g])
+        powers.append(AlgebraElement(A, _multiply(A, powers[-1].coeffs, A.euler)))
+    return powers[g]
 
 
 def _amplitude(A: FrobeniusAlgebra, g: int, idx: tuple) -> Fraction:
@@ -499,9 +498,9 @@ def _amplitude(A: FrobeniusAlgebra, g: int, idx: tuple) -> Fraction:
     key = (g, tuple(sorted(idx)))
     x = A._amplitudes.get(key)
     if x is None:
-        acc = A._euler_powers[g]
+        acc = A._euler_powers[g].coeffs
         for i in key[1]:
-            acc = _multiply(A, acc, A._basis[i][0])
+            acc = _multiply(A, acc, A._basis[i].coeffs)
         x = A._amplitudes[key] = _counit(A, acc)
     return x
 

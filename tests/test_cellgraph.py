@@ -310,11 +310,3 @@ def test_lattice_catalog_scope():
         count_lattice_points(0, 2, (1, 1))
     with pytest.raises(BudgetError):
         count_lattice_points(0, 3, (1, 1, 13))
-
-
-def test_cellgraph_serialization_round_trip():
-    g = crossing_loops()
-    h = CellGraph.from_json(g.to_json())
-    assert h.degrees == g.degrees
-    assert h.partner == g.partner
-    assert h.genus() == g.genus()

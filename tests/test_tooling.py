@@ -217,6 +217,19 @@ def test_only_exact_imports_sympy():
     assert importers == {"exact.py"}
 
 
+def test_every_hashed_class_refuses_assignment():
+    # a value whose fields can be reassigned moves under its hash, and a
+    # dict or set keyed on it loses it
+    unguarded = []
+    for path in sorted((ROOT / "src" / "tqftrec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                if "__hash__" in names and "__setattr__" not in names:
+                    unguarded.append("%s:%s" % (path.name, node.name))
+    assert unguarded == []
+
+
 def test_only_the_engine_reads_the_coproduct_legs():
     # the one Delta* on the coproduct view is cutjoin's; frobenius builds the view
     readers = set()
