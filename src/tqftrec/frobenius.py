@@ -32,9 +32,9 @@ the instance:
   the verification read; ``product_by_output`` and ``coproduct_by_legs``
   are built on first use;
 - the basis vectors and the Euler powers e^g, as elements: e^0 with the
-  algebra, the rest on first use.  ``basis``, ``unit_element`` (e^0),
-  ``euler_element`` (e^1) and ``euler_power`` return the cached element
-  itself on every call;
+  algebra, any other e^g by square-and-multiply once asked for, keeping no
+  power between.  ``basis``, ``unit_element`` (e^0), ``euler_element``
+  (e^1) and ``euler_power`` return the cached element itself on every call;
 - the amplitudes of basis tuples, keyed on (g, sorted basis indices): the
   product is commutative, so Omega_{g,n} depends only on the multiset of
   basis classes.  Each entry is filled by the e^g e_i ... chain when first
@@ -56,13 +56,13 @@ from typing import Sequence
 
 from .exact import BudgetError, Rational, rat_from_str, rat_to_str
 
-# Euler-element products one request may compute to extend an algebra's
-# cache of powers e^g; cached powers cost none.  The coefficients grow
-# with g: over S3, on a 2-core host, e^5000 takes 0.16 s to build and has
-# 7780-digit coefficients, and e^1500 takes 0.06 s.  The budget bounds
-# each request, not the cache: an interned algebra keeps every power it
-# has built for the life of the process.
-EULER_POWER_BUDGET = 5000
+# Bits the coefficients of e^g may need, checked before any product.  With
+# L x = x e, D clearing the denominators of the e_j c[i][j][k] and M = max_k
+# sum_{i,j} |e_j c[i][j][k]|, D L is an integer matrix of infinity-norm at
+# most D M and e^g = L^g unit, so e^g's numerators and denominators outgrow
+# the unit's by at most g * b(A) bits, b(A) the bit length of D * ceil(M).
+# S3 admits g <= 16666; e^16666 builds and prints in 17 ms on a 2-core host.
+EULER_POWER_BITS = 100000
 
 
 class AxiomError(ValueError):
@@ -157,7 +157,7 @@ class FrobeniusAlgebra:
             self.dim, self.labels, self.product_tensor, self.pairing = dim, *key
             self._derive()
             self._verify()
-            self._euler_powers = [AlgebraElement(self, self.unit)]  # [g] = e^g; euler_power grows it
+            self._euler_powers = {0: AlgebraElement(self, self.unit)}  # g -> e^g; euler_power fills it
             self._amplitudes = {}  # (g, sorted basis indices) -> Omega; ``_amplitude`` fills it
             self = _INTERNED.setdefault(key, self)  # the first one registered wins
         return self
@@ -205,6 +205,12 @@ class FrobeniusAlgebra:
                 for k, y in pairs[a][b]:
                     e[k] += x * w * y
         self.euler = tuple(e)
+        # b(A) of EULER_POWER_BITS, the bits e^g's coefficients may gain per genus
+        D, rows = 1, [_ZERO] * s
+        for (j, x), plane in iproduct(_nonzero(e), pairs):
+            for k, y in plane[j]:
+                D, rows[k] = math.lcm(D, (x * y).denominator), rows[k] + abs(x * y)
+        self._euler_bits = (D * math.ceil(max(rows))).bit_length()
 
     def _verify(self) -> None:
         """Check every axiom on every index tuple, in lexicographic order,
@@ -324,7 +330,7 @@ class FrobeniusAlgebra:
         return self._basis[i]
 
     def unit_element(self) -> "AlgebraElement":
-        return self._euler_powers[0]
+        return euler_power(self, 0)
 
     def euler_element(self) -> "AlgebraElement":
         return euler_power(self, 1)
@@ -480,25 +486,29 @@ def handle(v: AlgebraElement) -> AlgebraElement:
 
 
 def euler_power(A: FrobeniusAlgebra, g: int) -> AlgebraElement:
-    """e^g, from the algebra's cache of Euler powers."""
-    if g < 0:
-        raise ValueError("g must be non-negative")
-    powers = A._euler_powers
-    if g - len(powers) >= EULER_POWER_BUDGET:  # e^g needs g + 1 - len(powers) products
-        raise BudgetError("genus g=%d needs more than %d Euler-element products"
-                          % (g, EULER_POWER_BUDGET))
-    while len(powers) <= g:
-        powers.append(AlgebraElement(A, _multiply(A, powers[-1].coeffs, A.euler)))
-    return powers[g]
+    """e^g from the algebra's cache, built by square-and-multiply when first asked for."""
+    power = A._euler_powers.get(g)
+    if power is None:
+        if g < 0:
+            raise ValueError("g must be non-negative")
+        if g * A._euler_bits > EULER_POWER_BITS:
+            raise BudgetError("genus g=%d: e^g may need %d-bit coefficients, more than %d"
+                              % (g, g * A._euler_bits, EULER_POWER_BITS))
+        acc = A.euler
+        for bit in bin(g)[3:]:  # the binary digits of g after the leading 1
+            acc = _multiply(A, acc, acc)
+            if bit == "1":
+                acc = _multiply(A, acc, A.euler)
+        power = A._euler_powers[g] = AlgebraElement(A, acc)
+    return power
 
 
 def _amplitude(A: FrobeniusAlgebra, g: int, idx: tuple) -> Fraction:
-    """Omega_{g,n} on the basis tuple idx, from the algebra's memo; e^g must
-    be cached already."""
+    """Omega_{g,n} on the basis tuple idx, from the algebra's memo."""
     key = (g, tuple(sorted(idx)))
     x = A._amplitudes.get(key)
     if x is None:
-        acc = A._euler_powers[g].coeffs
+        acc = euler_power(A, g).coeffs
         for i in key[1]:
             acc = _multiply(A, acc, A._basis[i].coeffs)
         x = A._amplitudes[key] = _counit(A, acc)

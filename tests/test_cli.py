@@ -72,7 +72,10 @@ def test_high_genus_omega_exits_3_within_a_second(capsys):
         cli.EXIT_BUDGET, "")
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
-        "budget exceeded: genus g=20000 needs more than 5000 Euler-element products\n")
+        "budget exceeded: genus g=20000: e^g may need 120000-bit coefficients, more than 100000\n")
+    # the gate bounds the size of e^g: over the trivial algebra e = 1 at every genus
+    assert run_cli("omega", "--group", "builtin:trivial", "--g", "20000", "--n", "1") == (
+        cli.EXIT_OK, "group: builtin:trivial\ng: 20000\nn: 1\ndecor: [1]\nformula: 1\n")
 
 
 def test_omega_within_the_euler_power_budget_prints_its_full_value():

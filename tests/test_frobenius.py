@@ -2,14 +2,18 @@
 
 import copy
 import itertools
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from tqftrec.exact import BudgetError
 from tqftrec.frobenius import (
-    EULER_POWER_BUDGET,
+    EULER_POWER_BITS,
     AxiomError,
     FrobeniusAlgebra,
     coproduct,
@@ -238,10 +242,14 @@ def _dense_product(A, x, y):
 
 
 def test_euler_powers_equal_repeated_dense_products():
+    # 16 = 10000 and 37 = 100101 in binary: square-and-multiply takes its
+    # products in the order furthest from the chain of g products
+    checked = set(range(6)) | {16, 37}
     for name, A in _algebras():
         acc = A.unit
-        for g in range(6):
-            assert euler_power(A, g).coeffs == acc, (name, g)
+        for g in range(max(checked) + 1):
+            if g in checked:
+                assert euler_power(A, g).coeffs == acc, (name, g)
             acc = _dense_product(A, acc, A.euler)
 
 
@@ -348,17 +356,72 @@ def test_single_term_decorations_equal_the_multiply_through_chain():
             assert got == counit(chain) and type(got) is Fraction, (g, vs)
 
 
-def test_euler_powers_past_the_budget_are_refused_before_any_product():
-    A = z2_algebra()
-    cached = len(A._euler_powers)
-    with pytest.raises(BudgetError, match="genus g=20000 needs more than %d " % EULER_POWER_BUDGET):
-        omega_tqft(A, 20000, 1, [A.basis(0)])
-    assert len(A._euler_powers) == cached  # the interned Z2 may hold earlier powers
-    # powers already cached cost nothing, so a request counts only its own products
-    assert euler_power(A, EULER_POWER_BUDGET).coeffs[0] == 4 ** EULER_POWER_BUDGET
-    assert euler_power(A, 2 * EULER_POWER_BUDGET).coeffs[0] == 4 ** (2 * EULER_POWER_BUDGET)
-    with pytest.raises(BudgetError):
-        euler_power(A, 3 * EULER_POWER_BUDGET + 1)
+def test_euler_powers_past_the_budget_are_refused_before_any_product(monkeypatch):
+    import tqftrec.frobenius as frobenius
+
+    A = z2_algebra()  # e = 4 * unit: 3 bits per genus, so g <= 33333 is admitted
+    last = EULER_POWER_BITS // 3
+
+    def probe(*args):
+        raise AssertionError("a refused genus computed a product")
+
+    def refused(g):
+        with monkeypatch.context() as m:
+            m.setattr(frobenius, "_multiply", probe)
+            with pytest.raises(BudgetError, match=r"genus g=%d: e\^g may need %d-bit coefficients, "
+                               "more than %d" % (g, 3 * g, EULER_POWER_BITS)):
+                omega_tqft(A, g, 1, [A.basis(0)])
+
+    refused(last + 1)
+    refused(4 * last)
+    # the verdict depends on the genus alone, not on the powers cached before
+    assert euler_power(A, 5000).coeffs[0] == 4 ** 5000
+    assert euler_power(A, last).coeffs[0] == 4 ** last
+    refused(last + 1)
+    assert euler_power(A, 2 * 5000).coeffs[0] == 4 ** (2 * 5000)
+
+
+def test_euler_powers_stay_within_the_bit_bound_of_the_gate():
+    # e^g's numerators and denominators outgrow the unit's by at most
+    # g * b(A) bits.  A pairing weight of 1000 makes e = 1/1000, whose
+    # denominators the bound covers although D * M = 1 there
+    def bits(x):
+        return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+    third, weight = Fraction(1, 3), Fraction(5, 4)
+    algebras = list(_dense_reference_algebras()) + [
+        ("e = 1/1000", FrobeniusAlgebra(1, ["1"], [[[1]]], [[1000]])),
+        ("weighted", FrobeniusAlgebra(2, ["1", "y"], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                                      [[weight, third], [third, weight]])),
+    ]
+    for name, A in algebras:
+        unit = max(map(bits, A.unit))
+        for g in (1, 2, 3, 16, 37, 100):
+            assert max(map(bits, euler_power(A, g).coeffs)) <= unit + g * A._euler_bits, (name, g)
+
+
+def test_an_euler_power_keeps_only_the_genera_asked_for():
+    # a fresh interpreter, so the interned S3 holds no earlier powers: e^5000
+    # by square-and-multiply keeps no chain of 5001 powers
+    script = (
+        "import resource, sys\n"
+        "from tqftrec.frobenius import omega_tqft\n"
+        "from tqftrec.groups import load_group, orbifold_frobenius\n"
+        "A = orbifold_frobenius(load_group('builtin:S3'))\n"
+        "kb = 1 / 1024 if sys.platform == 'darwin' else 1\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "omega_tqft(A, 5000, 1, [A.basis(0)])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) * kb, sorted(A._euler_powers))\n"
+    )
+    path = [str(pathlib.Path(__file__).resolve().parents[1] / "src")]
+    path += [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    grown_kb, held = proc.stdout.split(" ", 1)
+    assert float(grown_kb) < 5 * 1024 and held.strip() == "[0, 5000]", proc.stdout
 
 
 def test_cutjoin_imports_no_contraction_routine_from_frobenius():
