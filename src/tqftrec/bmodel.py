@@ -511,11 +511,9 @@ def inverse_laplace_coeffs(g: int, n: int, mu_max: int) -> Dict[Tuple[int, ...],
     """
     if mu_max < 1:
         raise ValueError("mu_max must be positive")
+    if mu_max > SERIES_ORDER_BUDGET:
+        raise BudgetError("mu_max %d exceeds budget %d" % (mu_max, SERIES_ORDER_BUDGET))
     order = mu_max + 1
-    if order > SERIES_ORDER_BUDGET + 1:
-        raise BudgetError(
-            "series order %d exceeds budget %d" % (order, SERIES_ORDER_BUDGET)
-        )
     if (g, n) == (0, 2):
         # 1/(t1+t2)^2 = 1/(2+s1+s2)^2 in the basis s = t - 1; s is O(1/x)
         # at x = oo, so s^a with a > order cannot reach u^order

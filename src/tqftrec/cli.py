@@ -526,16 +526,13 @@ def main(argv=None) -> int:
     try:
         report = args.func(args)
         sys.stdout.write(emit(report, args.format))
-    except UsageError as exc:
-        sys.stderr.write("usage error: %s\n" % exc)
-        return EXIT_USAGE
     except BudgetError as exc:
         sys.stderr.write("budget exceeded: %s\n" % exc)
         return EXIT_BUDGET
     except (AxiomError, GroupAxiomError, AssertionError) as exc:
         sys.stderr.write("internal invariant violation: %s\n" % exc)
         return EXIT_INTERNAL
-    except (ValueError, TypeError, KeyError, LookupError) as exc:
+    except (ValueError, TypeError, LookupError) as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE
     if args.command == "verify" and not report["all_passed"]:

@@ -25,8 +25,9 @@ profile the family's vanishing rule zeroes is never stored.  A query reads
 the memo first and answers a vanishing profile or an empty tensor with
 zero at once; otherwise it evaluates its tensor on its decorations with
 ``contract``, the engine's one contraction, which reads a single entry
-when each decoration has one nonzero term.  ``omega_tqft``, which the
-decorated counts are checked against, keeps its own contraction.
+when each decoration has one nonzero term and otherwise walks the
+tensor's entries.  ``omega_tqft``, which the decorated counts are checked
+against, keeps its own contraction.
 
 Every table the package answers from is built once, by ``shared``: one
 per family and algebra, the scalar counts living in ``shared(family,
@@ -72,15 +73,13 @@ def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
     """The multilinear functional held as the sparse tensor {basis index
     tuple: value} evaluated on one decoration per slot.
 
-    The walk takes the smaller side: the tensor's entries, or the tuples of
-    the decorations' nonzero terms, so dense decorations never expand to
-    dim^n tuples.  When each decoration has one nonzero term, as a basis
-    vector has, the one entry read is scaled by the coefficients other than
-    1.  Otherwise terms are summed as an int numerator over a running
-    common denominator, and one Fraction is built on return."""
+    When each decoration has one nonzero term, as a basis vector has, the
+    one entry read is scaled by the coefficients other than 1.  Otherwise
+    the tensor's entries are walked, so dense decorations never expand to
+    dim^n tuples, and their terms are summed as an int numerator over a
+    running common denominator, with one Fraction built on return."""
     terms = [v.terms for v in vs]
-    size = math.prod(map(len, terms))
-    if size == 1:
+    if math.prod(map(len, terms)) == 1:
         val = tensor.get(tuple([t[0][0] for t in terms]))
         if val is None:
             return _ZERO
@@ -89,24 +88,14 @@ def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
                 val *= c
         return val
     num, den = 0, 1
-    if size > len(tensor):
-        rows = [v.coeffs for v in vs]
-        found = (
-            (val, [c for row, i in zip(rows, idx) if (c := row[i]) != 1])
-            for idx, val in tensor.items()
-        )
-    else:
-        found = (
-            (tensor.get(tuple(i for i, _ in combo)), [c for _, c in combo if c != 1])
-            for combo in product(*terms)
-        )
-    for val, cs in found:
-        if val is None:
-            continue
+    rows = [v.coeffs for v in vs]
+    for idx, val in tensor.items():
         n, d = val.numerator, val.denominator
-        for c in cs:
-            n *= c.numerator
-            d *= c.denominator
+        for row, i in zip(rows, idx):
+            c = row[i]
+            if c != 1:
+                n *= c.numerator
+                d *= c.denominator
         if n:
             if den % d:
                 lcm = math.lcm(den, d)

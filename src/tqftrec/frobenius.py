@@ -519,33 +519,21 @@ def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]
     """Amplitude of a genus-g surface with n inputs.
 
     When each decoration has one nonzero term, the memoized amplitude of
-    their basis tuple is scaled by the coefficients other than 1.  While
-    the product of the decorations' support sizes is at most n * dim, the
-    memoized basis amplitudes are summed over the supports.  Otherwise, so
-    that dense decorations never expand to dim^n tuples, the cached e^g has
-    each decoration multiplied in through the pair view, and the counit is
-    taken."""
+    their basis tuple is scaled by the coefficients other than 1; otherwise
+    the cached e^g has each decoration multiplied in through the pair view,
+    so that dense decorations never expand to dim^n tuples, and the counit
+    is taken."""
     if n < 1 or len(vs) != n:
         raise ValueError("need n >= 1 inputs")
     e_g = euler_power(A, g)
     _same_algebra(e_g, *vs)
     terms = [v.terms for v in vs]
-    size = math.prod(map(len, terms))
-    if size == 1:
+    if math.prod(map(len, terms)) == 1:
         x = _amplitude(A, g, tuple([t[0][0] for t in terms]))
         for ((_, c),) in terms:
             if c != 1:
                 x *= c
         return x
-    if size <= n * A.dim:
-        total = Fraction(0)
-        for combo in iproduct(*terms):
-            x = _amplitude(A, g, tuple(i for i, _ in combo))
-            for _, c in combo:
-                if c != 1:
-                    x *= c
-            total += x
-        return total
     acc = e_g.coeffs
     for v in vs:
         acc = _multiply(A, acc, v.coeffs)

@@ -15,6 +15,7 @@ negative index contributes zero.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -34,13 +35,7 @@ __all__ = [
 
 def double_factorial(m: int) -> int:
     """(m)!! with the convention (-1)!! = 1."""
-    if m <= 0:
-        return 1
-    out = 1
-    while m > 0:
-        out *= m
-        m -= 2
-    return out
+    return math.prod(range(m, 0, -2))
 
 
 def _validate(g: int, n: int, k: Sequence[int]) -> Tuple[int, ...]:

@@ -16,6 +16,7 @@ from tqftrec.amodel import (
     twisted_dessin,
 )
 from tqftrec.cellgraph import count_arrowed_graphs, count_lattice_points
+from tqftrec.cutjoin import shared
 from tqftrec.frobenius import omega_tqft, trivial_algebra
 from tqftrec.groups import load_group, orbifold_frobenius
 
@@ -99,10 +100,15 @@ def test_twisted_is_multilinear():
 
 
 def test_dense_decorations_agree_with_their_basis_expansion():
-    # dense rows walk the tensor, basis rows walk their own support
+    # dense rows, and two-term rows with fewer support tuples than the
+    # tensor has entries, all walk the tensor
     A = orbifold_frobenius(load_group("builtin:Q8"))
     u, v = A.element([1, -2, 0, "1/2", 3]), A.element([0, 1, 1, 0, -1])
-    for mu, vs in (((3, 2, 1), [u, v, u]), ((1, 2, 3), [v, u, A.basis(2)]), ((4, 2), [u, u])):
+    s, t = A.element(["2/3", 0, 0, 0, 1]), A.element([0, 0, -1, 2, 0])
+    tensor = shared(CatalanTable, A)._read(0, (3, 2, 1), (3, 2, 1))
+    assert math.prod(len(w.terms) for w in (s, t, s)) <= len(tensor)
+    for mu, vs in (((3, 2, 1), [u, v, u]), ((1, 2, 3), [v, u, A.basis(2)]), ((4, 2), [u, u]),
+                   ((3, 2, 1), [s, t, s])):
         expanded = sum(
             (math.prod(w.coeffs[i] for w, i in zip(vs, idx))
              * twisted_catalan(0, len(mu), mu, A, [A.basis(i) for i in idx])

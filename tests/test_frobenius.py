@@ -341,6 +341,14 @@ def test_scaled_and_zero_decorations_through_the_memo_equal_the_brute_count(monk
             assert omega_tqft(A, g, 2, [mixed, A.basis(j)]) == omega_brute(
                 G, g, (0, j), cd=cd) - Fraction(2, 3) * omega_brute(G, g, (2, j), cd=cd)
     assert seen, "basis-sized supports take the memo path"
+    # a two-term decoration among three inputs over Q8
+    Q = load_group("builtin:Q8")
+    qd = conjugacy(Q)
+    B = orbifold_frobenius(Q, qd)
+    pair = B.element([0, 1, 0, "-2/3", 0])
+    for j, k in itertools.product(range(B.dim), repeat=2):
+        assert omega_tqft(B, 1, 3, [B.basis(j), pair, B.basis(k)]) == omega_brute(
+            Q, 1, (j, 1, k), cd=qd) - Fraction(2, 3) * omega_brute(Q, 1, (j, 3, k), cd=qd)
 
 
 def test_single_term_decorations_equal_the_multiply_through_chain():
