@@ -83,7 +83,7 @@ class CatalanTable(CutJoinTable):
         return ((m1 + mj - 2, mj),)
 
     def _cuts(self, m1):
-        return [(a, m1 - 2 - a, 1) for a in range(m1 - 1)]
+        return ((a, m1 - 2 - a, 1) for a in range(m1 - 1))
 
     # -- cache files ------------------------------------------------------
 
@@ -202,18 +202,18 @@ class LatticeTable(CutJoinTable):
         # three cut ranges; the last two are empty unless one length is
         # longer, and are skipped when the child is the unstable (0,2)
         spans = ((m1 + mj, 1), (m1 - mj, 1), (mj - m1, -1)) if stable else ((m1 + mj, 1),)
-        return [
+        return (
             (q, Fraction(sign * q * (span - q), 2 * m1))
             for span, sign in spans
             for q in range(1, span)
-        ]
+        )
 
     def _cuts(self, m1):
-        return [
+        return (
             (q1, q2, Fraction(q1 * q2 * (m1 - q1 - q2), 2 * m1))
             for q1 in range(1, m1)
             for q2 in range(1, m1 - q1)
-        ]
+        )
 
 
 def lattice_twisted(

@@ -8,15 +8,18 @@ formula.
 contracts the edges in every order on decoration-free states (the cyclic
 orders and the matching), memoized on the state up to the names of its
 half-edges, and maps every basis decoration tuple to the set of values
-reached.  Contracting an edge between distinct vertices multiplies their
-decorations through the product; contracting a loop splits the cyclic
-order of its vertex in two and routes the decoration through the
-coproduct, with a product of component amplitudes when the loop
-disconnects the graph.  The walk computes in ints: a state with E edges
-holds value * D^(2E+1), D the lcm of the denominators of the algebra's
-constants, and only the returned map is divided out.  A memo belongs to
-the algebra of its first call.  ``eca_evaluate`` contracts that map with
-the decorations.
+that some order reaches.  Contracting an edge between distinct vertices
+multiplies their decorations through the product; contracting a loop
+splits the cyclic order of its vertex in two and routes the decoration
+through the coproduct, with a product of component amplitudes when the
+loop disconnects the graph.  The walk computes in ints, on whole tensors:
+a state holds the distinct tensors its orders reach (one for a Frobenius
+algebra), each a row-major tuple over the basis tuples of its vertices
+whose entries are value * D^(2E+1), E its edges and D the lcm of the
+denominators of the algebra's constants.  Only the returned map has
+per-tuple sets, and only it is divided out.  A memo belongs to the
+algebra of its first call.  ``eca_evaluate`` contracts that map with the
+decorations.
 
 ``count_matchings_by_genus`` (and so ``count_arrowed_graphs``) counts
 perfect matchings by a transfer over partial gluings, ``_completions``:
@@ -52,6 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, lcm, prod
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .exact import BudgetError, Rational
@@ -230,19 +234,68 @@ class _Scaled:
             for s in (D * D, D))
 
 
-def _walk(S: _Scaled, cycles, partner, memo) -> dict:
-    """{basis index tuple: set of values over every contraction order} of a
-    connected state with E edges, each value held as the int value * D^(2E+1)
-    (see ``_Scaled``): 1 = 0 + 1 at a terminal state, 2 + 2(E-1) + 1 for a
-    merge or a loop that keeps the graph connected, and 1 + (2E1+1) + (2E2+1)
-    for a loop that splits it into parts of E1 + E2 = E - 1 edges.  So a
-    value set is canonical per state, and orders that disagree still give a
-    set of two or more values.  Orders reconverge on common states, and on
-    states that differ only in their token names, so the walk is memoized
-    on the state with its tokens renumbered by first appearance, in vertex
-    order; the vertex positions stay, since they are the decoration
-    slots.  A memo holds the states of one algebra, whose ``_Scaled`` it
-    keeps under the key None."""
+@lru_cache(maxsize=1024)  # bounded: separating loops of many-vertex graphs give many slot orders
+def _layout(dim: int, n: int, slots: tuple):
+    """The gathers (to, back) between the row-major int tensor of n slots
+    over ``dim`` basis indices and its layout with ``slots`` first, in that
+    order, and the other slots after them in theirs; (None, None) when the
+    layouts agree."""
+    order = slots + tuple(s for s in range(n) if s not in slots)
+    strides = [dim ** (n - 1 - s) for s in order]
+    to = [sum(i * st for i, st in zip(t, strides)) for t in product(range(dim), repeat=n)]
+    if to == list(range(len(to))):
+        return None, None
+    back = [0] * len(to)
+    for j, i in enumerate(to):
+        back[i] = j
+    return itemgetter(*to), itemgetter(*back)  # two or more entries, so tuples
+
+
+def _rows(T, dim, n, slots) -> list:
+    """The tensor T of n slots cut into one row per basis tuple of
+    ``slots``, each row over the other slots in order."""
+    to = _layout(dim, n, slots)[0]
+    if to is not None:
+        T = to(T)
+    size = len(T) // dim ** len(slots)
+    return [T[r * size:(r + 1) * size] for r in range(dim ** len(slots))]
+
+
+def _combine(terms, rows) -> list:
+    """The int vector sum of c * rows[r] over the terms (r, c)."""
+    if not terms:
+        return [0] * len(rows[0])
+    (r, c), *rest = terms
+    acc = [c * y for y in rows[r]]
+    for r, c in rest:
+        acc = [a + c * y for a, y in zip(acc, rows[r])]
+    return acc
+
+
+def _assemble(dim, n, slots, vectors) -> tuple:
+    """The row-major tensor of n slots whose layout with ``slots`` first is
+    the concatenation of ``vectors``."""
+    flat = []
+    for vec in vectors:
+        flat += vec
+    back = _layout(dim, n, slots)[1]
+    return tuple(flat) if back is None else back(flat)
+
+
+def _walk(S: _Scaled, cycles, partner, memo) -> list:
+    """The distinct tensors that the contraction orders of a connected state
+    reach, each a row-major tuple of ints over the basis tuples of its
+    vertices, in vertex order.  A state with E edges holds each value as the
+    int value * D^(2E+1) (see ``_Scaled``): 1 = 0 + 1 at a terminal state,
+    2 + 2(E-1) + 1 for a merge or a loop that keeps the graph connected, and
+    1 + (2E1+1) + (2E2+1) for a loop that splits it into parts of
+    E1 + E2 = E - 1 edges.  So the tensors are canonical per state, and a
+    Frobenius algebra gives exactly one; orders that disagree give two or
+    more.  Orders reconverge on common states, and on states that differ
+    only in their token names, so the walk is memoized on the state with its
+    tokens renumbered by first appearance, in vertex order; the vertex
+    positions stay, since they are the decoration slots.  A memo holds the
+    states of one algebra, whose ``_Scaled`` it keeps under the key None."""
     names = {h: k for k, h in enumerate(h for cyc in cycles for h in cyc)}
     key = (tuple(map(len, cycles)),
            tuple(names[partner[h]] for cyc in cycles for h in cyc))
@@ -252,76 +305,62 @@ def _walk(S: _Scaled, cycles, partner, memo) -> dict:
     if not partner:
         if len(cycles) != 1:
             raise ValueError("disconnected state reached terminal evaluation")
-        out = {(i,): {x} for i, x in enumerate(S.counit)}
+        out = [tuple(S.counit)]
     else:
-        out = {}
+        out = []
         seen = set()
         for vi, cyc in enumerate(cycles):
             for idx, h in enumerate(cyc):
                 if partner[h] in seen:  # the edge was taken from its other end
                     continue
                 seen.add(h)
-                for d, vals in _contract(S, cycles, partner, vi, idx, memo).items():
-                    out.setdefault(d, set()).update(vals)
+                for T in _contract(S, cycles, partner, vi, idx, memo):
+                    if T not in out:
+                        out.append(T)
     memo[key] = out
     return out
 
 
-def _total(terms) -> set:
-    """The sums of w * y over the terms (w, set of y), one y from each."""
-    acc = {0}
-    for w, vals in terms:
-        acc = {x + w * y for x in acc for y in vals}
-    return acc
-
-
-def _contract(S: _Scaled, cycles, partner, vi, idx, memo) -> dict:
-    """The scaled values of every order that contracts ``cycles[vi][idx]``
-    first.  ``t`` runs over the decorations of the vertices the edge leaves
-    alone, so each lookup that does not depend on the decorations at the
-    edge is made once per ``t``."""
+def _contract(S: _Scaled, cycles, partner, vi, idx, memo) -> list:
+    """The scaled tensors of the orders that contract ``cycles[vi][idx]``
+    first, one per child tensor, or per pair of child tensors when a loop
+    separates the graph.  Each is assembled with the decorations at the
+    edge in the leading slots, every entry of a row of the child contracted
+    at once."""
     new_cycles, new_partner, vj = _contract_edge(cycles, partner, vi, idx)
-    n, basis = len(cycles), range(len(S.counit))
-    out = {}
+    n, dim = len(cycles), len(S.counit)
+    basis = range(dim)
     if vj is not None:  # the decorations of vi and vj multiply
         lo, hi = sorted((vi, vj))
-        T = _walk(S, new_cycles, new_partner, memo)
-        for t in product(basis, repeat=n - 2):
-            row = [T[t[:lo] + (k,) + t[lo:]] for k in basis]
-            for x, y in product(basis, repeat=2):
-                out[t[:lo] + (x,) + t[lo:hi - 1] + (y,) + t[hi - 1:]] = _total(
-                    (c, row[k]) for k, c in S.pairs[x][y])
-        return out
+        terms = [S.pairs[x][y] for x, y in product(basis, repeat=2)]
+        return [_assemble(dim, n, (lo, hi), [_combine(t, rows) for t in terms])
+                for rows in (_rows(T, dim, n - 1, (lo,))
+                             for T in _walk(S, new_cycles, new_partner, memo))]
     # the decoration of vi is coproduced onto the pieces vi and vi + 1
     comps = _components(new_cycles, new_partner)
     if len(comps) == 1:
-        T = _walk(S, new_cycles, new_partner, memo)
-        for t in product(basis, repeat=n - 1):
-            for x in basis:
-                out[t[:vi] + (x,) + t[vi:]] = _total(
-                    (w, T[t[:vi] + (a, b) + t[vi:]]) for a, b, w in S.joined[x])
-        return out
+        terms = [[(a * dim + b, w) for a, b, w in S.joined[x]] for x in basis]
+        return [_assemble(dim, n, (vi,), [_combine(t, rows) for t in terms])
+                for rows in (_rows(T, dim, n + 1, (vi, vi + 1))
+                             for T in _walk(S, new_cycles, new_partner, memo))]
     if len(comps) != 2:
         raise ValueError("unexpected component structure after loop split")
     # the loop separated the graph into two parts, one piece in each, the
-    # part of vi first: the values multiply, each part read as a row over the
+    # part of vi first: the values multiply, each part cut into rows over the
     # decoration of its piece, which sits at position j among its vertices
-    parts = []
+    slots, parts = (vi,), []
     for comp in sorted(comps, key=lambda comp: vi not in comp):
         toks = {h for v in comp for h in new_cycles[v]}
         part = {h: w for h, w in new_partner.items() if h in toks}
         j = next(k for k, v in enumerate(comp) if v in (vi, vi + 1))
-        others = [v if v < vi else v - 2 for v in comp if v not in (vi, vi + 1)]
-        parts.append((j, others, _walk(S, tuple(new_cycles[v] for v in comp), part, memo)))
-    for t in product(basis, repeat=n - 1):
-        rows = []
-        for j, others, T in parts:
-            rest = tuple(t[v] for v in others)
-            rows.append([T[rest[:j] + (k,) + rest[j:]] for k in basis])
-        ra, rb = rows
-        for x in basis:
-            out[t[:vi] + (x,) + t[vi:]] = _total(
-                (w, {u * v for u in ra[a] for v in rb[b]}) for a, b, w in S.split[x])
+        slots += tuple(v if v < vi else v - 1 for v in comp if v not in (vi, vi + 1))
+        parts.append([_rows(T, dim, len(comp), (j,))
+                      for T in _walk(S, tuple(new_cycles[v] for v in comp), part, memo)])
+    terms = [[(a * dim + b, w) for a, b, w in S.split[x]] for x in basis]
+    out = []
+    for ra, rb in product(*parts):
+        rows = [[u * v for u in ua for v in vb] for ua in ra for vb in rb]
+        out.append(_assemble(dim, n, slots, [_combine(t, rows) for t in terms]))
     return out
 
 
@@ -348,17 +387,20 @@ def eca_evaluate(graph: CellGraph, A: FrobeniusAlgebra,
 
 def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
                               memo: dict = None) -> dict:
-    """Map every basis decoration tuple to its set of values over all
-    contraction orders; a singleton certifies order independence.
+    """Map every basis decoration tuple to the set of values that the
+    contraction orders reach on it; a singleton certifies order
+    independence.
 
     Decorations enter the contraction rules linearly, so the whole
     functional can be computed on decoration-free structural states; this
     is how exhaustive sweeps over decorations stay affordable.  The walk
-    holds each value of a graph with E edges as the int value * D^(2E+1),
-    D the algebra's common denominator (see ``_walk``), and divides once
-    here.  A shared ``memo`` dict reuses structural states across graphs;
-    it belongs to the algebra of its first call, which it keeps with its
-    scaled constants, and raises ValueError for any other algebra.
+    gives the distinct int tensors of the orders, each value of a graph
+    with E edges held as value * D^(2E+1), D the algebra's common
+    denominator (see ``_walk``); here each tuple gathers its entries of
+    those tensors, and each distinct int becomes one ``Fraction``.  A shared
+    ``memo`` dict reuses structural states across graphs; it belongs to the
+    algebra of its first call, which it keeps with its scaled constants,
+    and raises ValueError for any other algebra.
     """
     if not graph.is_connected():
         raise ValueError("graph must be connected")
@@ -368,10 +410,13 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
         S = memo[None] = _Scaled(A)
     elif S.algebra is not A:
         raise ValueError(f"memo belongs to {S.algebra!r}, not {A!r}")
-    walked = _walk(S, graph._cycles(), dict(enumerate(graph.partner)), memo)
+    tensors = _walk(S, graph._cycles(), dict(enumerate(graph.partner)), memo)
     scale = S.D ** (2 * graph.edges + 1)
-    value = {v: Fraction(v, scale) for v in set().union(*walked.values())}
-    return {d: {value[v] for v in vals} for d, vals in walked.items()}
+    value = {v: {Fraction(v, scale)} for v in set().union(*tensors)}
+    cells = product(range(len(S.counit)), repeat=graph.n)
+    if len(tensors) == 1:  # order independent: copy each entry's singleton
+        return {d: value[v].copy() for d, v in zip(cells, tensors[0])}
+    return {d: set().union(*map(value.__getitem__, vals)) for d, vals in zip(cells, zip(*tensors))}
 
 
 # -- matching oracles --------------------------------------------------------

@@ -1,7 +1,8 @@
 """Unit tests for cell graphs, edge contraction, and the enumeration oracles."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -136,10 +137,12 @@ def test_walk_holds_ints(monkeypatch):
     memo = {}
     graph = CellGraph([3, 3], [((1, 0), (1, 1)), ((1, 2), (2, 0)), ((2, 1), (2, 2))])
     values = eca_functional_all_orders(graph, A, memo)
-    assert 0 < len(built) <= sum(map(len, values.values()))
+    # one Fraction per distinct value returned, and only ints in the memo,
+    # whose states each hold their distinct tensors
+    assert 0 < len(built) <= len(set().union(*values.values()))
     assert all(type(x) is int
-               for key, table in memo.items() if key is not None
-               for vals in table.values() for x in vals)
+               for key, tensors in memo.items() if key is not None
+               for tensor in tensors for x in tensor)
 
 
 def test_tampered_constants_show_as_disagreement(monkeypatch):
@@ -156,6 +159,72 @@ def test_tampered_constants_show_as_disagreement(monkeypatch):
     values = eca_functional_all_orders(path, A)
     assert values[(1, 1, 0)] == {Fraction(1, 2), Fraction(1)}
     assert values[(0, 0, 0)] == {Fraction(2)}
+
+
+def _tampered(A):
+    """The int constants of A with the product e_0 e_0 doubled, which breaks
+    associativity, and the same product terms as Fractions."""
+    from tqftrec import cellgraph
+
+    bad = cellgraph._Scaled(A)
+    doubled = tuple((k, 2 * c) for k, c in bad.pairs[0][0])
+    bad.pairs = ((doubled, bad.pairs[0][1]), bad.pairs[1])
+    pairs = [list(plane) for plane in A.product_by_pair]
+    pairs[0][0] = tuple((k, 2 * c) for k, c in pairs[0][0])
+    return bad, pairs
+
+
+def _values_order_by_order(graph, A, pairs):
+    """{basis index tuple: set of values} over every order of the graph's
+    edges, each order contracted on its own, in Fractions and without a
+    memo: an edge between two vertices multiplies their decorations through
+    ``pairs``, a loop coproduces its vertex's decoration onto the two
+    pieces, and once no edge is left every vertex gives its counit."""
+    def value(cycles, partner, order, idx):
+        if not order:
+            return prod((A.counit[i] for i in idx), start=Fraction(1))
+        h = order[0]
+        vi = next(v for v, cyc in enumerate(cycles) if h in cyc)
+        new_cycles, new_partner, vj = _contract_edge(cycles, partner, vi, cycles[vi].index(h))
+        if vj is None:
+            return sum(w * value(new_cycles, new_partner, order[1:],
+                                 idx[:vi] + (a, b) + idx[vi + 1:])
+                       for a, b, w in A.coproduct_by_input[idx[vi]])
+        lo, hi = sorted((vi, vj))
+        rest = idx[:hi] + idx[hi + 1:]
+        return sum(c * value(new_cycles, new_partner, order[1:], rest[:lo] + (k,) + rest[lo + 1:])
+                   for k, c in pairs[idx[lo]][idx[hi]])
+
+    cycles, partner = graph._cycles(), dict(enumerate(graph.partner))
+    edges = [h for h, p in partner.items() if h < p]
+    return {idx: {value(cycles, partner, order, idx) for order in permutations(edges)}
+            for idx in product(range(A.dim), repeat=graph.n)}
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_all_orders_are_the_orders_one_at_a_time(monkeypatch, tampered):
+    # the walk's value sets are exactly the values of the single orders, on
+    # every connected graph up to four half-edges, on the (1,2,1) path and on
+    # a genus-1 graph whose orders all give 3 at (1, 1) under the tampered
+    # constants, where a walk that mixed each sum's terms across orders would
+    # also give 2 and 4
+    from tqftrec import cellgraph
+
+    A = orbifold_frobenius(load_group("builtin:Z2"))
+    pairs = A.product_by_pair
+    if tampered:
+        bad, pairs = _tampered(A)
+        monkeypatch.setattr(cellgraph, "_Scaled", lambda A: bad)
+    graphs = [graph for total in (2, 4) for degrees in _profiles(total)
+              for graph in all_matchings(degrees) if graph.is_connected()]
+    graphs.append(CellGraph([1, 2, 1], [((1, 0), (2, 0)), ((2, 1), (3, 0))]))
+    graphs.append(CellGraph([2, 4], [((1, 0), (2, 0)), ((1, 1), (2, 2)), ((2, 1), (2, 3))]))
+    disagreeing = 0
+    for graph in graphs:
+        expected = _values_order_by_order(graph, A, pairs)
+        assert eca_functional_all_orders(graph, A) == expected
+        disagreeing += any(len(vals) > 1 for vals in expected.values())
+    assert (disagreeing > 0) == tampered
 
 
 def _first_graph(degrees, genus):

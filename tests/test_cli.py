@@ -557,6 +557,18 @@ def test_large_group_exits_3_within_seconds():
         assert run_cli("group-info", "--group", "(1 2)\n(1 2 3)")[0] == cli.EXIT_OK
 
 
+def test_deep_one_vertex_profile_exits_3_in_a_capped_process():
+    # the cut triples of a degree-20000 boundary were once a list in every
+    # frame of the descent: MemoryError under the cap, exit 1 with a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "tqftrec.cli", "catalan", "--g", "0", "--n", "1", "--mu", "20000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+        env=_src_env())
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "budget exceeded: recursion too deep for profile g=0, mu=[20000]\n"
+
+
 # -- argv fuzzing: every input ends in a documented exit code -----------------
 
 def _mostly(valid, invalid):
