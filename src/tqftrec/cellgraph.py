@@ -414,8 +414,6 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
     scale = S.D ** (2 * graph.edges + 1)
     value = {v: {Fraction(v, scale)} for v in set().union(*tensors)}
     cells = product(range(len(S.counit)), repeat=graph.n)
-    if len(tensors) == 1:  # order independent: copy each entry's singleton
-        return {d: value[v].copy() for d, v in zip(cells, tensors[0])}
     return {d: set().union(*map(value.__getitem__, vals)) for d, vals in zip(cells, zip(*tensors))}
 
 
