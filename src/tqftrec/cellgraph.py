@@ -6,14 +6,17 @@ formula.
 
 ``eca_functional_all_orders`` is the one edge-contraction walk.  It
 contracts the edges in every order on decoration-free states (the cyclic
-orders and the matching), memoized on the state up to the names of its
-half-edges, and maps every basis decoration tuple to the set of values
-that some order reaches.  Contracting an edge between distinct vertices
-multiplies their decorations through the product; contracting a loop
-splits the cyclic order of its vertex in two and routes the decoration
-through the coproduct, with a product of component amplitudes when the
-loop disconnects the graph.  The walk computes in ints, on whole tensors:
-a state holds the distinct tensors its orders reach (one for a Frobenius
+orders and the matching, with the half-edges numbered in vertex order),
+and maps every basis decoration tuple to the set of values that some
+order reaches.  The structure of a state, the state each of its edges
+contracts to, is cached per state (``_moves``) and shared by every
+algebra; a walk's memo, one per algebra, holds only the tensors of its
+states.  Contracting an edge between distinct vertices multiplies their
+decorations through the product; contracting a loop splits the cyclic
+order of its vertex in two and routes the decoration through the
+coproduct, with a product of component amplitudes when the loop
+disconnects the graph.  The walk computes in ints, on whole tensors: a
+state holds the distinct tensors its orders reach (one for a Frobenius
 algebra), each a row-major tuple over the basis tuples of its vertices
 whose entries are value * D^(2E+1), E its edges and D the lcm of the
 denominators of the algebra's constants.  Only the returned map has
@@ -50,10 +53,11 @@ lengths giving the perimeters by a truncated product over the edges.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations_with_replacement, permutations, product
 from math import factorial, lcm, prod
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -64,26 +68,21 @@ from .frobenius import AlgebraElement, FrobeniusAlgebra
 DEFAULT_HALF_EDGE_BUDGET = 16
 
 
-def _components(cycles, partner) -> list:
-    """The vertex lists of the connected components of the graph whose
-    vertex v holds the half-edges ``cycles[v]``, half-edge h being matched
-    with ``partner[h]``."""
-    owner = {h: v for v, cyc in enumerate(cycles) for h in cyc}
-    parent = list(range(len(cycles)))
-
-    def root(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    for h, v in owner.items():
-        a, b = root(v), root(owner[partner[h]])
-        if a != b:
-            parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for v in range(len(cycles)):
-        groups.setdefault(root(v), []).append(v)
-    return list(groups.values())
+def _reach(offsets, partner, v: int) -> list:
+    """The vertices that paths of edges join to vertex v, in increasing
+    order.  Vertex u holds the half-edges offsets[u] to offsets[u + 1] - 1,
+    and half-edge h is matched with partner[h]."""
+    seen = [False] * (len(offsets) - 1)
+    seen[v] = True
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for h in range(offsets[u], offsets[u + 1]):
+            w = bisect_right(offsets, partner[h]) - 1  # the last of equal offsets owns h
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return [u for u, s in enumerate(seen) if s]
 
 
 def _face_of(degrees, partner) -> list:
@@ -152,11 +151,6 @@ class CellGraph:
             raise ValueError(f"slot {h} out of range at vertex {v}")
         return self._offsets[v - 1] + h
 
-    def _cycles(self) -> tuple:
-        """The half-edge ids at each vertex, in cyclic order."""
-        off = self._offsets
-        return tuple(tuple(range(off[v], off[v + 1])) for v in range(self.n))
-
     @property
     def edges(self) -> int:
         return sum(self.degrees) // 2
@@ -165,7 +159,7 @@ class CellGraph:
         return len(set(_face_of(self.degrees, self.partner)))
 
     def is_connected(self) -> bool:
-        return len(_components(self._cycles(), self.partner)) == 1
+        return self.n > 0 and len(_reach(self._offsets, self.partner, 0)) == self.n
 
     def genus(self) -> int:
         chi = self.n - self.edges + self.faces()
@@ -182,31 +176,60 @@ class CellGraph:
 
 # -- edge-contraction evaluation ----------------------------------------------
 
-# A state is a tuple of per-vertex cycles of half-edge tokens and a dict
-# matching token to token; decorations never enter it.
+# A state is (degrees, partner) with its half-edges numbered in vertex order,
+# each vertex's in cyclic order, as in ``CellGraph``: the names of the
+# half-edges are gone, the vertex positions stay, since they are the
+# decoration slots, and decorations never enter it.
 
 
-def _contract_edge(cycles, partner, vi, idx):
-    """Contract the edge at half-edge ``cycles[vi][idx]``.
+def _state(cycles, partner) -> tuple:
+    """The state of the vertices that hold the half-edges ``cycles[v]`` in
+    cyclic order, h being matched with partner[h]."""
+    names = {h: k for k, h in enumerate(h for cyc in cycles for h in cyc)}
+    return tuple(map(len, cycles)), tuple(names[partner[h]] for cyc in cycles for h in cyc)
 
-    Returns the contracted (cycles, partner) and the other end vj.  An edge
-    to another vertex merges vi and vj at position min(vi, vj); for a loop
-    vj is None and the two pieces of vi take positions vi and vi + 1.
-    """
-    cyc_i = cycles[vi]
-    h = cyc_i[idx]
-    p = partner[h]
-    left = {k: w for k, w in partner.items() if k not in (h, p)}
-    if p in cyc_i:
-        a, b = sorted((idx, cyc_i.index(p)))
-        pieces = (cyc_i[a + 1:b], cyc_i[b + 1:] + cyc_i[:a])
-        return cycles[:vi] + pieces + cycles[vi + 1:], left, None
-    vj = next(w for w, cyc in enumerate(cycles) if p in cyc)
-    cyc_j = cycles[vj]
-    q = cyc_j.index(p)
-    merged = cyc_i[:idx] + cyc_j[q + 1:] + cyc_j[:q] + cyc_i[idx + 1:]
-    lo, hi = sorted((vi, vj))
-    return cycles[:lo] + (merged,) + cycles[lo + 1:hi] + cycles[hi + 1:], left, vj
+
+@lru_cache(maxsize=4096)  # bounded: the 1654 states of C2 (graphs up to 8 half-edges) take 2.6 MB
+def _moves(degrees, partner) -> tuple:
+    """The contraction of each edge of a state, taken from its
+    lower-numbered half-edge, at vertex vi.  An edge to a later vertex vj
+    gives (vi, vj, child): the two merge at position vi, the cycle of vi cut
+    open at the edge around that of vj.  A loop splits the cycle of vi into
+    its pieces between the two ends, at positions vi and vi + 1 of the
+    child; if the child is connected it gives (vi, child), and otherwise
+    (vi, slots, ((child_a, j_a), (child_b, j_b))): the parts, the part of vi
+    first, each with its vertices in order and its piece at position j, and
+    ``slots``, the positions in the state of vi and then of the other
+    vertices of the parts in order.  A function of the state alone, shared
+    by every algebra's walk."""
+    offsets = (0, *accumulate(degrees))
+    cycles = [tuple(range(offsets[v], offsets[v + 1])) for v in range(len(degrees))]
+    moves = []
+    for h, p in enumerate(partner):
+        if p < h:
+            continue
+        vi, vj = bisect_right(offsets, h) - 1, bisect_right(offsets, p) - 1
+        cyc, a, b = cycles[vi], h - offsets[vi], p - offsets[vj]
+        if vi != vj:
+            merged = cyc[:a] + cycles[vj][b + 1:] + cycles[vj][:b] + cyc[a + 1:]
+            child = cycles[:vi] + [merged] + cycles[vi + 1:vj] + cycles[vj + 1:]
+            moves.append((vi, vj, _state(child, partner)))
+            continue
+        child = _state(cycles[:vi] + [cyc[a + 1:b], cyc[b + 1:] + cyc[:a]] + cycles[vi + 1:],
+                       partner)
+        cdeg, cpartner = child
+        coff = (0, *accumulate(cdeg))
+        near = _reach(coff, cpartner, vi)
+        if len(near) == len(cdeg):
+            moves.append((vi, child))
+            continue
+        slots, parts = (vi,), []
+        for part in (near, [v for v in range(len(cdeg)) if v not in near]):
+            slots += tuple(v if v < vi else v - 1 for v in part if v not in (vi, vi + 1))
+            parts.append((_state([range(coff[v], coff[v + 1]) for v in part], cpartner),
+                          next(k for k, v in enumerate(part) if v in (vi, vi + 1))))
+        moves.append((vi, slots, tuple(parts)))
+    return tuple(moves)
 
 
 class _Scaled:
@@ -232,6 +255,18 @@ class _Scaled:
         self.joined, self.split = (
             tuple(tuple((a, b, up(w, s)) for a, b, w in terms) for terms in delta)
             for s in (D * D, D))
+
+
+def _terms(S: _Scaled) -> tuple:
+    """The constants of S as the walk reads them: the dimension; the
+    counit; the product terms of each pair (x, y) of decorations, at index
+    x * dim + y; and for each decoration the coproduct terms ``joined`` and
+    ``split``, each (a * dim + b, weight) with a and b the decorations of
+    the two pieces.  Read from S's attributes when a walk starts."""
+    dim = len(S.counit)
+    return (dim, S.counit, [S.pairs[x][y] for x, y in product(range(dim), repeat=2)],
+            *([[(a * dim + b, w) for a, b, w in terms] for terms in delta]
+              for delta in (S.joined, S.split)))
 
 
 @lru_cache(maxsize=1024)  # bounded: separating loops of many-vertex graphs give many slot orders
@@ -282,7 +317,7 @@ def _assemble(dim, n, slots, vectors) -> tuple:
     return tuple(flat) if back is None else back(flat)
 
 
-def _walk(S: _Scaled, cycles, partner, memo) -> list:
+def _walk(R, state, memo) -> list:
     """The distinct tensors that the contraction orders of a connected state
     reach, each a row-major tuple of ints over the basis tuples of its
     vertices, in vertex order.  A state with E edges holds each value as the
@@ -291,76 +326,54 @@ def _walk(S: _Scaled, cycles, partner, memo) -> list:
     1 + (2E1+1) + (2E2+1) for a loop that splits it into parts of
     E1 + E2 = E - 1 edges.  So the tensors are canonical per state, and a
     Frobenius algebra gives exactly one; orders that disagree give two or
-    more.  Orders reconverge on common states, and on states that differ
-    only in their token names, so the walk is memoized on the state with its
-    tokens renumbered by first appearance, in vertex order; the vertex
-    positions stay, since they are the decoration slots.  A memo holds the
-    states of one algebra, whose ``_Scaled`` it keeps under the key None."""
-    names = {h: k for k, h in enumerate(h for cyc in cycles for h in cyc)}
-    key = (tuple(map(len, cycles)),
-           tuple(names[partner[h]] for cyc in cycles for h in cyc))
-    out = memo.get(key)
+    more.  The structure of a state, its edges and the states they contract
+    to, is ``_moves``, cached per state and shared by every algebra; the
+    walk runs the numbers over it with the constants ``R`` (see ``_terms``).
+    Orders reconverge on common states, so ``memo`` maps each state it
+    reaches to its tensors; it holds the states of one algebra, whose
+    ``_Scaled`` it keeps under the key None."""
+    out = memo.get(state)
     if out is not None:
         return out
+    degrees, partner = state
     if not partner:
-        if len(cycles) != 1:
+        if len(degrees) != 1:
             raise ValueError("disconnected state reached terminal evaluation")
-        out = [tuple(S.counit)]
+        out = [R[1]]  # the counit
     else:
         out = []
-        seen = set()
-        for vi, cyc in enumerate(cycles):
-            for idx, h in enumerate(cyc):
-                if partner[h] in seen:  # the edge was taken from its other end
-                    continue
-                seen.add(h)
-                for T in _contract(S, cycles, partner, vi, idx, memo):
-                    if T not in out:
-                        out.append(T)
-    memo[key] = out
+        for move in _moves(degrees, partner):
+            for T in _contract(R, len(degrees), move, memo):
+                if T not in out:
+                    out.append(T)
+    memo[state] = out
     return out
 
 
-def _contract(S: _Scaled, cycles, partner, vi, idx, memo) -> list:
-    """The scaled tensors of the orders that contract ``cycles[vi][idx]``
-    first, one per child tensor, or per pair of child tensors when a loop
-    separates the graph.  Each is assembled with the decorations at the
-    edge in the leading slots, every entry of a row of the child contracted
-    at once."""
-    new_cycles, new_partner, vj = _contract_edge(cycles, partner, vi, idx)
-    n, dim = len(cycles), len(S.counit)
-    basis = range(dim)
-    if vj is not None:  # the decorations of vi and vj multiply
-        lo, hi = sorted((vi, vj))
-        terms = [S.pairs[x][y] for x, y in product(basis, repeat=2)]
-        return [_assemble(dim, n, (lo, hi), [_combine(t, rows) for t in terms])
-                for rows in (_rows(T, dim, n - 1, (lo,))
-                             for T in _walk(S, new_cycles, new_partner, memo))]
-    # the decoration of vi is coproduced onto the pieces vi and vi + 1
-    comps = _components(new_cycles, new_partner)
-    if len(comps) == 1:
-        terms = [[(a * dim + b, w) for a, b, w in S.joined[x]] for x in basis]
-        return [_assemble(dim, n, (vi,), [_combine(t, rows) for t in terms])
-                for rows in (_rows(T, dim, n + 1, (vi, vi + 1))
-                             for T in _walk(S, new_cycles, new_partner, memo))]
-    if len(comps) != 2:
-        raise ValueError("unexpected component structure after loop split")
-    # the loop separated the graph into two parts, one piece in each, the
-    # part of vi first: the values multiply, each part cut into rows over the
-    # decoration of its piece, which sits at position j among its vertices
-    slots, parts = (vi,), []
-    for comp in sorted(comps, key=lambda comp: vi not in comp):
-        toks = {h for v in comp for h in new_cycles[v]}
-        part = {h: w for h, w in new_partner.items() if h in toks}
-        j = next(k for k, v in enumerate(comp) if v in (vi, vi + 1))
-        slots += tuple(v if v < vi else v - 1 for v in comp if v not in (vi, vi + 1))
-        parts.append([_rows(T, dim, len(comp), (j,))
-                      for T in _walk(S, tuple(new_cycles[v] for v in comp), part, memo)])
-    terms = [[(a * dim + b, w) for a, b, w in S.split[x]] for x in basis]
+def _contract(R, n, move, memo) -> list:
+    """The scaled tensors of the orders that start with ``move`` (see
+    ``_moves``) on a state of n vertices, one per child tensor, or per pair
+    of child tensors when a loop separates the graph.  Each is assembled
+    with the decorations at the edge in the leading slots, every entry of a
+    row of the child contracted at once."""
+    dim, _, merge, joined, split = R
+    if len(move) == 2:  # the decoration of vi is coproduced onto its pieces
+        vi, child = move
+        return [_assemble(dim, n, (vi,), [_combine(t, rows) for t in joined])
+                for rows in (_rows(T, dim, n + 1, (vi, vi + 1)) for T in _walk(R, child, memo))]
+    if type(move[1]) is int:  # the decorations of vi and vj multiply
+        vi, vj, child = move
+        return [_assemble(dim, n, (vi, vj), [_combine(t, rows) for t in merge])
+                for rows in (_rows(T, dim, n - 1, (vi,)) for T in _walk(R, child, memo))]
+    # the loop separated the graph into two parts, one piece in each: the
+    # values multiply, each part cut into rows over the decoration of its piece
+    _, slots, parts = move
+    parts = [[_rows(T, dim, len(part[0]), (j,)) for T in _walk(R, part, memo)]
+             for part, j in parts]
     out = []
     for ra, rb in product(*parts):
         rows = [[u * v for u in ua for v in vb] for ua in ra for vb in rb]
-        out.append(_assemble(dim, n, slots, [_combine(t, rows) for t in terms]))
+        out.append(_assemble(dim, n, slots, [_combine(t, rows) for t in split]))
     return out
 
 
@@ -410,11 +423,11 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
         S = memo[None] = _Scaled(A)
     elif S.algebra is not A:
         raise ValueError(f"memo belongs to {S.algebra!r}, not {A!r}")
-    tensors = _walk(S, graph._cycles(), dict(enumerate(graph.partner)), memo)
+    tensors = _walk(_terms(S), (graph.degrees, graph.partner), memo)
     scale = S.D ** (2 * graph.edges + 1)
-    value = {v: {Fraction(v, scale)} for v in set().union(*tensors)}
+    value = {v: Fraction(v, scale) for v in set().union(*tensors)}
     cells = product(range(len(S.counit)), repeat=graph.n)
-    return {d: set().union(*map(value.__getitem__, vals)) for d, vals in zip(cells, zip(*tensors))}
+    return {d: set(map(value.__getitem__, vals)) for d, vals in zip(cells, zip(*tensors))}
 
 
 # -- matching oracles --------------------------------------------------------

@@ -8,8 +8,6 @@ import pytest
 
 from tqftrec.cellgraph import (
     CellGraph,
-    _components,
-    _contract_edge,
     _matchings,
     all_matchings,
     count_arrowed_graphs,
@@ -93,8 +91,63 @@ def test_memo_belongs_to_one_algebra():
         eca_functional_all_orders(crossing_loops(), z2)
 
 
+# The test-side contraction: states are tuples of per-vertex cycles of
+# half-edge tokens and a dict matching token to token.
+
+
+def _cycles(graph):
+    """The half-edge ids at each vertex of the graph, in cyclic order."""
+    off = graph._offsets
+    return tuple(tuple(range(off[v], off[v + 1])) for v in range(graph.n))
+
+
+def _components(cycles, partner) -> list:
+    """The vertex lists of the connected components of the graph whose
+    vertex v holds the half-edges ``cycles[v]``, half-edge h being matched
+    with ``partner[h]``."""
+    owner = {h: v for v, cyc in enumerate(cycles) for h in cyc}
+    parent = list(range(len(cycles)))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for h, v in owner.items():
+        a, b = root(v), root(owner[partner[h]])
+        if a != b:
+            parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for v in range(len(cycles)):
+        groups.setdefault(root(v), []).append(v)
+    return list(groups.values())
+
+
+def _contract_edge(cycles, partner, vi, idx):
+    """Contract the edge at half-edge ``cycles[vi][idx]``.
+
+    Returns the contracted (cycles, partner) and the other end vj.  An edge
+    to another vertex merges vi and vj at position min(vi, vj); for a loop
+    vj is None and the two pieces of vi take positions vi and vi + 1.
+    """
+    cyc_i = cycles[vi]
+    h = cyc_i[idx]
+    p = partner[h]
+    left = {k: w for k, w in partner.items() if k not in (h, p)}
+    if p in cyc_i:
+        a, b = sorted((idx, cyc_i.index(p)))
+        pieces = (cyc_i[a + 1:b], cyc_i[b + 1:] + cyc_i[:a])
+        return cycles[:vi] + pieces + cycles[vi + 1:], left, None
+    vj = next(w for w, cyc in enumerate(cycles) if p in cyc)
+    cyc_j = cycles[vj]
+    q = cyc_j.index(p)
+    merged = cyc_i[:idx] + cyc_j[q + 1:] + cyc_j[:q] + cyc_i[idx + 1:]
+    lo, hi = sorted((vi, vj))
+    return cycles[:lo] + (merged,) + cycles[lo + 1:hi] + cycles[hi + 1:], left, vj
+
+
 def _has_separating_loop(graph):
-    cycles, partner = graph._cycles(), dict(enumerate(graph.partner))
+    cycles, partner = _cycles(graph), dict(enumerate(graph.partner))
     return any(len(_components(*_contract_edge(cycles, partner, v, i)[:2])) > 1
                for v, cyc in enumerate(cycles) for i, h in enumerate(cyc) if partner[h] in cyc)
 
@@ -195,7 +248,7 @@ def _values_order_by_order(graph, A, pairs):
         return sum(c * value(new_cycles, new_partner, order[1:], rest[:lo] + (k,) + rest[lo + 1:])
                    for k, c in pairs[idx[lo]][idx[hi]])
 
-    cycles, partner = graph._cycles(), dict(enumerate(graph.partner))
+    cycles, partner = _cycles(graph), dict(enumerate(graph.partner))
     edges = [h for h, p in partner.items() if h < p]
     return {idx: {value(cycles, partner, order, idx) for order in permutations(edges)}
             for idx in product(range(A.dim), repeat=graph.n)}
@@ -225,6 +278,28 @@ def test_all_orders_are_the_orders_one_at_a_time(monkeypatch, tampered):
         assert eca_functional_all_orders(graph, A) == expected
         disagreeing += any(len(vals) > 1 for vals in expected.values())
     assert (disagreeing > 0) == tampered
+
+
+def test_structure_cache_cannot_change_an_answer(monkeypatch):
+    # the structure of the path and the genus-1 witness is cached over the
+    # true Z2 constants first; the tampered constants then walk that cached
+    # structure and still show their disagreement, and a second algebra on a
+    # graph whose structure is cached adds no structural cache miss
+    from tqftrec import cellgraph
+
+    A = orbifold_frobenius(load_group("builtin:Z2"))
+    path = CellGraph([1, 2, 1], [((1, 0), (2, 0)), ((2, 1), (3, 0))])
+    witness = CellGraph([2, 4], [((1, 0), (2, 0)), ((1, 1), (2, 2)), ((2, 1), (2, 3))])
+    for graph in (path, witness):
+        assert all(len(vals) == 1 for vals in eca_functional_all_orders(graph, A).values())
+    misses = cellgraph._moves.cache_info().misses
+    eca_functional_all_orders(witness, orbifold_frobenius(load_group("builtin:S3")))
+    assert cellgraph._moves.cache_info().misses == misses
+    bad, _ = _tampered(A)
+    monkeypatch.setattr(cellgraph, "_Scaled", lambda A: bad)
+    assert eca_functional_all_orders(path, A)[(1, 1, 0)] == {Fraction(1, 2), Fraction(1)}
+    assert eca_functional_all_orders(witness, A)[(1, 1)] == {Fraction(3)}
+    assert cellgraph._moves.cache_info().misses == misses
 
 
 def _first_graph(degrees, genus):
