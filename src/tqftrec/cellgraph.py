@@ -33,6 +33,9 @@ open half-edges on its unfinished faces.  Every matching is still counted
 once, grouped by state (Walsh and Lehman, "Counting rooted maps by genus
 I", 1972).
 
+``harer_zagier`` gives the one-vertex counts in closed form, with no
+enumeration, for the depths the transfer cannot reach.
+
 ``_matchings`` is the perfect-matching enumerator behind
 ``all_matchings`` and the lattice-point oracle, and the reference the
 transfer is tested against.  It
@@ -58,7 +61,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, permutations, product
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -547,6 +550,28 @@ def count_arrowed_graphs(g: int, n: int, mu: Sequence[int]) -> int:
     if any(m == 0 for m in mu):
         return 0
     return count_matchings_by_genus(mu).get(g, 0)
+
+
+def harer_zagier(g: int, n: int) -> int:
+    """epsilon_g(n), the number of gluings of the sides of a 2n-gon into a
+    surface of genus g, which is the number of one-vertex arrowed cell
+    graphs of degree 2n and genus g: the coefficient of N^(n+1-2g) in the
+    Harer-Zagier formula (Harer and Zagier, Invent. Math. 85, 1986),
+        sum_g epsilon_g(n) N^(n+1-2g) = (2n-1)!! sum_k 2^k C(n,k) C(N,k+1),
+    in closed form, with no enumeration.  C(N,k+1) is the falling factorial
+    N(N-1)..(N-k) over (k+1)!, whose coefficients are built by multiplying
+    out its factors; the sum is taken in ints over (n+1)!."""
+    if g < 0 or n < 0:
+        raise ValueError("need g >= 0 and n >= 0, got g=%d, n=%d" % (g, n))
+    power = n + 1 - 2 * g
+    if power < 1:
+        return 0
+    total, falling = 0, [0, 1]  # N(N-1)..(N-k) by powers of N, from k = 0
+    for k in range(n + 1):
+        if power < len(falling):
+            total += 2 ** k * comb(n, k) * falling[power] * (factorial(n + 1) // factorial(k + 1))
+        falling = [a - (k + 1) * b for a, b in zip([0] + falling, falling + [0])]
+    return prod(range(2 * n - 1, 0, -2)) * total // factorial(n + 1)
 
 
 def all_matchings(degrees: Sequence[int]) -> Iterator[CellGraph]:

@@ -10,12 +10,17 @@ which absorbs another boundary and multiplies the two decorations through
 the product view; ``delta_star_contract`` for a loop (genus g - 1) and
 ``delta_star_split`` for a split (genera g1 + g2 = g), which cut the
 boundary in two and route its decoration through the coproduct view.  A
-child tensor is built before its operator runs, so each level of the
-recursion still costs one Python frame.  Every table is over an algebra:
-the scalar counts are the table over the one-dimensional trivial algebra,
-``TRIVIAL``.  The operators and the split enumeration ``_splits`` also
-serve the B-model: ``bmodel`` sums its bracket on the coproduct legs and
-contracts it with ``delta_star_contract``.
+build first gathers its terms, reading the child tensors it needs; a
+child the family's vanishing rule zeroes is never read.  It then runs the
+operators in Python ints, on the children's int forms and on the
+algebra's constants scaled to ints, with every weight scaled to one
+denominator for the whole build, and makes one Fraction per stored entry.
+Every table is over an algebra: the scalar counts are the table over the
+one-dimensional trivial algebra, ``TRIVIAL``.  The operators and the
+split enumeration ``_splits`` also serve the B-model: ``bmodel`` sums its
+bracket on the coproduct legs and contracts it with
+``delta_star_contract``; so the operators stay generic over the value
+type.
 
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
@@ -48,11 +53,12 @@ from .frobenius import AlgebraElement, FrobeniusAlgebra, trivial_algebra
 
 TRIVIAL = trivial_algebra()
 
-# Child tensors one request may visit while it fills profiles not yet
-# memoized; a memoized or vanishing request costs none.  From cold:
-# correlator g=9 needs 820181 (about 5 s), g=10 2674162, catalan
-# mu=(1900,) 2256726; no test, README example or benchmark query needs
-# more than 13710.
+# Child tensors one request may read while it fills profiles not yet
+# memoized; a memoized or vanishing request costs none, and neither does a
+# child the vanishing rule zeroes, which is never read.  From cold:
+# correlator g=9 needs 142152, g=10 432385 (about 5 s), g=11 1271081,
+# catalan mu=(1900,) 903451; no test, README example or benchmark query
+# needs more than 4122.
 CUTJOIN_WORK_BUDGET = 1000000
 
 _ZERO = Fraction(0)
@@ -191,13 +197,40 @@ def delta_star_split(A: FrobeniusAlgebra, F1: dict, F2: dict, out: dict, w=1,
                 out[key] = out.get(key, 0) + c * xy
 
 
+class _IntConstants:
+    """An algebra's kernel constants as ints: its ``product_by_output`` and
+    ``coproduct_by_legs`` views with every constant times ``scale``, the lcm
+    of their denominators, so the kernel operators run on them as they run
+    on the algebra."""
+
+    def __init__(self, A: FrobeniusAlgebra):
+        by_output, by_legs = A.product_by_output, A.coproduct_by_legs
+        self.scale = D = math.lcm(*(c.denominator for terms in by_output for _, _, c in terms),
+                                  *(c.denominator for row in by_legs for terms in row for _, c in terms))
+        self.product_by_output = tuple(
+            tuple((i, j, c.numerator * (D // c.denominator)) for i, j, c in terms)
+            for terms in by_output)
+        self.coproduct_by_legs = tuple(
+            tuple(tuple((i, c.numerator * (D // c.denominator)) for i, c in terms) for terms in row)
+            for row in by_legs)
+
+
+def _int_form(tensor: dict):
+    """(den, {index tuple: int}) with tensor[t] = ints[t] / den, den the lcm
+    of the denominators of the tensor's values: a base case or a tensor read
+    from a cache file, as a build reads its children."""
+    den = math.lcm(*(v.denominator for v in tensor.values()))
+    return den, {idx: v.numerator * (den // v.denominator) for idx, v in tensor.items()}
+
+
 class CutJoinTable:
     """Memoized sparse decorated counts over one algebra, reduced by cut and
     join; over the trivial algebra they are the scalar counts.
 
     A family subclass supplies ``_validate(g, n, mu)``, returning the
     checked profile; ``_vanishes(g, mu)``, a symmetric rule checked before
-    the memo so that zero profiles are never stored; ``_base_case(g, mu)``, the
+    the memo and before a child is read, so that zero profiles are never
+    stored or read; ``_base_case(g, mu)``, the
     tensor of a profile that is not reduced, else None; ``_joins(m1, mj,
     stable)``, the (child degree, weight) pairs for absorbing a boundary of
     degree mj into the distinguished one, where ``stable`` says whether the
@@ -212,6 +245,7 @@ class CutJoinTable:
     def __init__(self, algebra: FrobeniusAlgebra = TRIVIAL):
         self.algebra = algebra
         self._tensors = {}
+        self._ints = {}  # the int form of each stored tensor read as a child (see ``_tensor``)
         self._work, self._request = 0, None
 
     def _sparse(self, n: int, fn):
@@ -261,56 +295,93 @@ class CutJoinTable:
         gave it, which a budget error names."""
         self._work, self._request = 0, (g, list(asked))
         try:
-            return self._tensor(g, mu)
+            self._tensor(g, mu)
         except RecursionError:
             msg = "recursion too deep for profile g=%d, mu=%s" % (g, list(asked))
             raise BudgetError(msg) from None
+        return self._tensors[(g, mu)]
+
+    @cached_property
+    def _constants(self):
+        """The algebra's kernel constants as ints, built on the first build."""
+        return _IntConstants(self.algebra)
 
     def _tensor(self, g: int, mu: Tuple[int, ...]):
-        """The tensor of (g, mu) with its slots in the order of mu, built by
-        the kernel operators on slot 0 of the sorted profile."""
+        """The int form (den, {index tuple: int}) of the tensor of the
+        profile (g, mu), which does not vanish, with its slots in the order
+        of mu; the tensor itself is memoized on the sorted profile."""
         self._work += 1
         if self._work > CUTJOIN_WORK_BUDGET:
             g0, mu0 = self._request
             raise BudgetError("profile g=%d, %s=%s needs more than %d child tensors"
                               % (g0, self.degree_column, mu0, CUTJOIN_WORK_BUDGET))
-        if g < 0 or self._vanishes(g, mu):
-            return {}
         canon = tuple(sorted(mu, reverse=True))
         key = (g, canon)
-        out = self._tensors.get(key)
-        if out is None and (out := self._base_case(g, canon)) is not None:
-            self._tensors[key] = out
-        if out is None:
-            A = self.algebra
-            m1, rest = canon[0], canon[1:]
-            acc = {}
-            # joins: boundary j is absorbed, the decorations multiply
-            stable = 2 * g - 3 + len(canon) > 0
-            for j, mj in enumerate(rest):
-                others = rest[:j] + rest[j + 1 :]
-                for c, w in self._joins(m1, mj, stable):
-                    m_star_contract(A, self._tensor(g, (c,) + others), j + 2, acc, w)
-            # loops and splits: the distinguished decoration is coproduced
-            for a, b, w in self._cuts(m1):
-                delta_star_contract(A, self._tensor(g - 1, (a, b) + rest), acc, w)
-                for g1 in range(g + 1):
-                    for I, J, order in _splits(len(rest)):
-                        if self.stable_splits and min(2 * g1 + len(I), 2 * (g - g1) + len(J)) < 2:
-                            continue
-                        T1 = self._tensor(g1, (a,) + tuple(rest[t] for t in I))
-                        if not T1:
-                            continue
-                        T2 = self._tensor(g - g1, (b,) + tuple(rest[t] for t in J))
-                        delta_star_split(A, T1, T2, acc, w, order)
-            out = {k: v for k, v in acc.items() if v}
-            self._tensors[key] = out
-        if canon == mu or not out:
-            return out
+        form = self._ints.get(key)
+        if form is None:
+            out = self._tensors.get(key)
+            if out is None and (out := self._base_case(g, canon)) is not None:
+                self._tensors[key] = out
+            form = self._ints[key] = self._build(g, canon) if out is None else _int_form(out)
+        den, ints = form
+        if canon == mu or not ints:
+            return form
         # canonical slot t holds position order[t]; equal degrees keep their order
         order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
         permute = _reorder(tuple(sorted(range(len(mu)), key=order.__getitem__)))
-        return {permute(cidx): v for cidx, v in out.items()}
+        return den, {permute(cidx): v for cidx, v in ints.items()}
+
+    def _build(self, g: int, canon: Tuple[int, ...]):
+        """Store the tensor of (g, canon), reduced on slot 0 by the kernel
+        operators, and return its int form.
+
+        The terms are gathered first, each a kernel operator, its nonempty
+        int child tensors and its weight; a child the vanishing rule zeroes
+        is never read.  The operators then run on the int constants with
+        each weight scaled to one denominator L, the lcm over the terms of
+        (weight denominator) x (constant scale) x (child denominators), so
+        the sum holds L times the tensor in ints."""
+        vanishes, m1, rest = self._vanishes, canon[0], canon[1:]
+        terms = []  # (denominator, weight, operator, int child tensors, other arguments)
+        # joins: boundary j is absorbed, the decorations multiply
+        stable = 2 * g - 3 + len(canon) > 0
+        for j, mj in enumerate(rest):
+            others = rest[:j] + rest[j + 1 :]
+            for c, w in self._joins(m1, mj, stable):
+                if not vanishes(g, child := (c,) + others):
+                    den, T = self._tensor(g, child)
+                    if T:
+                        terms.append((den, w, m_star_contract, (T, j + 2), {}))
+        # loops and splits: the distinguished decoration is coproduced
+        for a, b, w in self._cuts(m1):
+            if g and not vanishes(g - 1, child := (a, b) + rest):
+                den, T = self._tensor(g - 1, child)
+                if T:
+                    terms.append((den, w, delta_star_contract, (T,), {}))
+            pairs = [((a,) + tuple(rest[t] for t in I), (b,) + tuple(rest[t] for t in J), order)
+                     for I, J, order in _splits(len(rest))]
+            for g1 in range(g + 1):
+                for mu1, mu2, order in pairs:
+                    if self.stable_splits and min(2 * g1 + len(mu1), 2 * (g - g1) + len(mu2)) < 3:
+                        continue
+                    if vanishes(g1, mu1):
+                        continue
+                    den1, T1 = self._tensor(g1, mu1)
+                    if not T1 or vanishes(g - g1, mu2):
+                        continue
+                    den2, T2 = self._tensor(g - g1, mu2)
+                    if T2:
+                        terms.append((den1 * den2, w, delta_star_split, (T1, T2), {"order": order}))
+        M = math.lcm(*(w.denominator * den for den, w, _, _, _ in terms))
+        constants, acc = self._constants, {}
+        for den, w, operator, children, other in terms:
+            operator(constants, *children, **other, out=acc,
+                     w=w.numerator * (M // (w.denominator * den)))
+        L = M * constants.scale
+        common = math.gcd(L, *acc.values())
+        den, ints = L // common, {idx: v // common for idx, v in acc.items() if v}
+        self._tensors[(g, canon)] = {idx: Fraction(v, den) for idx, v in ints.items()}
+        return den, ints
 
     # -- export ----------------------------------------------------------------
 

@@ -15,10 +15,10 @@ from tqftrec.amodel import (
     twisted_catalan,
     twisted_dessin,
 )
-from tqftrec.cellgraph import count_arrowed_graphs, count_lattice_points
+from tqftrec.cellgraph import count_arrowed_graphs, count_lattice_points, harer_zagier
 from tqftrec.cutjoin import shared
 from tqftrec.frobenius import omega_tqft, trivial_algebra
-from tqftrec.groups import load_group, orbifold_frobenius
+from tqftrec.groups import conjugacy, load_group, omega_brute, orbifold_frobenius
 
 
 def z2_algebra():
@@ -59,6 +59,23 @@ def test_lattice_is_symmetric():
 def test_catalan_matches_enumeration_sample():
     for (g, mu) in [(0, (2, 2)), (0, (3, 3)), (1, (2, 2)), (0, (1, 1, 2))]:
         assert catalan(g, len(mu), mu) == count_arrowed_graphs(g, len(mu), mu)
+
+
+def test_one_vertex_counts_match_the_harer_zagier_formula():
+    # the closed form shares no code with the engine and, unlike the
+    # matching transfer, has no half-edge cap
+    assert [harer_zagier(g, 4) for g in range(4)] == [14, 70, 21, 0]
+    for n in range(13):
+        assert sum(harer_zagier(g, n) for g in range(n // 2 + 1)) == math.prod(range(2 * n - 1, 0, -2))
+        for g in range(n // 2 + 2):
+            assert catalan(g, 1, (2 * n,)) == harer_zagier(g, n), (g, n)
+    # over an algebra, times the amplitude counted on the group
+    for name in ("Z2", "S3"):
+        G = load_group("builtin:" + name)
+        A, cd = orbifold_frobenius(G), conjugacy(G)
+        for n, g, i in itertools.product(range(1, 6), range(3), range(A.dim)):
+            assert twisted_catalan(g, 1, (2 * n,), A, [A.basis(i)]) == (
+                harer_zagier(g, n) * omega_brute(G, g, (i,), cd=cd)), (name, g, n, i)
 
 
 def test_profile_validation():

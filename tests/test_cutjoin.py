@@ -15,7 +15,8 @@ from tqftrec import amodel, bmodel, cutjoin, intersect
 from tqftrec.cellgraph import count_arrowed_graphs
 from tqftrec.cutjoin import contract, delta_star_contract, delta_star_split, m_star_contract
 from tqftrec.exact import BudgetError
-from tqftrec.frobenius import is_symmetric, omega_functional, omega_tqft, trivial_algebra
+from tqftrec.frobenius import (FrobeniusAlgebra, is_symmetric, omega_functional, omega_tqft,
+                               trivial_algebra)
 from tqftrec.groups import load_group, orbifold_frobenius
 
 
@@ -272,3 +273,91 @@ def test_memoized_queries_need_no_budget_and_cold_ones_keep_the_message(monkeypa
     with pytest.raises(BudgetError) as err:
         table.untwisted(1, (2, 6))
     assert str(err.value) == "profile g=1, mu=[2, 6] needs more than 0 child tensors"
+
+
+# -- the int build against Fraction tensors ----------------------------------
+
+def _rescaled(A, scales, factor):
+    """A in the basis scales[i] e_i with its pairing times factor: the
+    product constants become s_i s_j / s_k c_ij^k and the pairing
+    factor s_i s_j eta_ij, so the constants get denominators that no group
+    algebra has."""
+    s, r = [Fraction(x) for x in scales], range(A.dim)
+    product = [[[s[i] * s[j] / s[k] * A.product_tensor[i][j][k] for k in r] for j in r] for i in r]
+    pairing = [[factor * s[i] * s[j] * A.pairing[i][j] for j in r] for i in r]
+    return FrobeniusAlgebra(A.dim, [label + "'" for label in A.labels], product, pairing)
+
+
+def _fraction_tensor(hooks, g, mu, memo):
+    """The tensor of (g, mu), slots in the order of mu, reduced on the
+    largest degree as the engine reduces it but straight through the kernel
+    operators on Fraction tensors; hooks is a table of the family, whose
+    kernels it reads and whose build it never runs, and memo maps each
+    sorted profile to its tensor."""
+    if g < 0 or hooks._vanishes(g, mu):
+        return {}
+    canon = tuple(sorted(mu, reverse=True))
+    if (g, canon) not in memo:
+        out = hooks._base_case(g, canon)
+        if out is None:
+            A, out, (m1, *rest) = hooks.algebra, {}, canon
+            for j, mj in enumerate(rest):
+                others = tuple(rest[:j] + rest[j + 1:])
+                for c, w in hooks._joins(m1, mj, 2 * g - 3 + len(canon) > 0):
+                    m_star_contract(A, _fraction_tensor(hooks, g, (c,) + others, memo), j + 2, out, w)
+            for a, b, w in hooks._cuts(m1):
+                delta_star_contract(A, _fraction_tensor(hooks, g - 1, (a, b, *rest), memo), out, w)
+                for g1, size in itertools.product(range(g + 1), range(len(rest) + 1)):
+                    for I in itertools.combinations(range(len(rest)), size):
+                        J = tuple(t for t in range(len(rest)) if t not in I)
+                        if hooks.stable_splits and min(2 * g1 + len(I), 2 * (g - g1) + len(J)) < 2:
+                            continue
+                        delta_star_split(
+                            A, _fraction_tensor(hooks, g1, (a, *(rest[t] for t in I)), memo),
+                            _fraction_tensor(hooks, g - g1, (b, *(rest[t] for t in J)), memo),
+                            out, w, tuple((I + J).index(t) for t in range(len(rest))))
+        memo[g, canon] = {idx: x for idx, x in out.items() if x}
+    # canonical slot t is position order[t] of mu
+    order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
+    return {tuple(cidx[order.index(p)] for p in range(len(mu))): x
+            for cidx, x in memo[g, canon].items()}
+
+
+def _matches_the_fraction_build(table):
+    memo, hooks = {}, type(table)(table.algebra)
+    assert table._tensors
+    for (g, mu), tensor in table._tensors.items():
+        assert all(type(x) is Fraction for x in tensor.values()), (g, mu)
+        assert tensor == _fraction_tensor(hooks, g, mu, memo), (type(table).__name__, g, mu)
+
+
+def test_int_builds_over_constants_with_denominators_match_fraction_builds():
+    # every group algebra has integer product and coproduct constants; this
+    # one has denominators in both, and in its counit and pairing
+    B = _rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1), Fraction(5, 7))
+    assert any(c.denominator > 1 for terms in B.product_by_output for _, _, c in terms)
+    assert any(c.denominator > 1 for row in B.coproduct_by_legs for terms in row for _, c in terms)
+    profiles = [mu for n in (1, 2, 3) for mu in itertools.combinations_with_replacement(
+        range(5, -1, -1), n)]
+    catalan, lattice, correlators = (amodel.CatalanTable(B), amodel.LatticeTable(B),
+                                     intersect.CorrelatorTable(B))
+    for g, mu in itertools.product(range(3), profiles):
+        vs = [B.basis(i % B.dim) for i in range(len(mu))]
+        catalan.twisted(g, mu, vs)
+        if g < 2 and min(mu) > 0 and (g, len(mu)) != (0, 1):
+            lattice.twisted(g, mu, vs)
+        correlators.twisted(g, mu, vs)
+    for table in (catalan, lattice, correlators):
+        _matches_the_fraction_build(table)
+    # a table read from a cache file: its loaded tensors are the children of
+    # the int builds of deeper profiles
+    small = amodel.CatalanTable(B)
+    for mu in ((4,), (3, 1), (2, 2), (2, 1, 1)):
+        small.twisted(1, mu, [B.basis(1)] * len(mu))
+    loaded = amodel.CatalanTable(B)
+    assert loaded.load_json(small.to_json())
+    read = set(loaded._tensors)
+    for mu in ((6,), (5, 1), (3, 3), (4, 1, 1)):
+        loaded.twisted(2, mu, [B.basis(2)] * len(mu))
+    assert read & set(loaded._ints)
+    _matches_the_fraction_build(loaded)

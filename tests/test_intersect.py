@@ -1,5 +1,6 @@
 """Unit tests for psi-class correlators and their decorated variant."""
 
+import math
 from fractions import Fraction
 
 from tqftrec.frobenius import omega_tqft
@@ -44,6 +45,39 @@ def test_one_point_closed_form():
     for g in range(1, 7):
         factorial *= g
         assert correlator(g, 1, (3 * g - 2,)) == Fraction(1, 24**g * factorial), g
+
+
+def _dijkgraaf_two_point(g):
+    """{k1: <tau_k1 tau_k2>_g}, k1 + k2 = 3g - 1, from Dijkgraaf's two-point
+    function (hep-th/9201003):
+        sum <tau_k1 tau_k2>_g x^k1 y^k2
+            = exp((x^3 + y^3)/24) / (x + y) sum_n n!/(2n+1)! (xy(x+y)/2)^n,
+    less the unstable genus-0 term 1/(x + y).  The numerator's part of
+    degree 3g is sum_{m+n=g} (x^3+y^3)^m / (24^m m!) n!/(2n+1)! (xy(x+y)/2)^n,
+    held as {power of x: coefficient}, and is divided by x + y exactly."""
+    top = [Fraction(0)] * (3 * g + 1)  # top[i]: the coefficient of x^i y^(3g-i)
+    for n in range(g + 1):
+        m = g - n
+        scale = Fraction(math.factorial(n), math.factorial(2 * n + 1) * 2 ** n
+                         * 24 ** m * math.factorial(m))
+        # (x^3 + y^3)^m (xy)^n (x + y)^n
+        for a in range(m + 1):
+            for b in range(n + 1):
+                top[3 * a + n + b] += scale * math.comb(m, a) * math.comb(n, b)
+    quotient, carry = {}, Fraction(0)
+    for i in range(3 * g):  # top[i] = q[i - 1] + q[i] for q the quotient by x + y
+        quotient[i] = carry = top[i] - carry
+    assert top[3 * g] == carry
+    return quotient
+
+
+def test_two_point_correlators_match_dijkgraaf():
+    # a whole-table oracle for the correlator's two-point profiles, whose
+    # terms all come from the split loop and the joins
+    assert _dijkgraaf_two_point(1) == {0: Fraction(1, 24), 1: Fraction(1, 24), 2: Fraction(1, 24)}
+    for g in range(1, 5):
+        for k1, value in _dijkgraaf_two_point(g).items():
+            assert correlator(g, 2, (k1, 3 * g - 1 - k1)) == value != 0, (g, k1)
 
 
 def test_string_equation_sample():

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "perfbench", "tools")
@@ -120,6 +121,26 @@ def test_each_kernel_operator_is_defined_once_in_cutjoin():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in where:
                 where[node.name].append(path.relative_to(ROOT).as_posix())
     assert where == {name: ["src/tqftrec/cutjoin.py"] for name in operators}
+
+
+def test_the_kernel_operators_stay_generic_over_the_value_type():
+    # the engine runs the operators on ints and bmodel on MultiRatFun, so
+    # none may make a Fraction, read a module constant made from one, or
+    # call a method that only a Fraction has
+    operators = {"delta_star_contract", "delta_star_split", "m_star_contract"}
+    tree = ast.parse((ROOT / "src" / "tqftrec" / "cutjoin.py").read_text())
+    made = {"Fraction"} | {
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+        and any(isinstance(n, ast.Name) and n.id == "Fraction" for n in ast.walk(node.value))}
+    assert "_ZERO" in made
+    methods = {name for name in dir(Fraction) if not name.startswith("_")} - set(dir(dict))
+    found = {
+        node.name: sorted({n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in made}
+                          | {n.attr for n in ast.walk(node)
+                             if isinstance(n, ast.Attribute) and n.attr in methods})
+        for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in operators}
+    assert found == {name: [] for name in operators}
 
 
 def test_multiratfun_is_the_one_rational_function_class():
