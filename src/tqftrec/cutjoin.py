@@ -15,7 +15,8 @@ child the family's vanishing rule zeroes is never read.  It then runs the
 operators in Python ints, on the children's int forms and on the
 algebra's constants scaled to ints, with every weight scaled to one
 denominator for the whole build, and makes one Fraction per stored entry.
-Every table is over an algebra: the scalar counts are the table over the
+Each level of the recursion costs one Python frame, which bounds the depth
+of a profile that can be built.  Every table is over an algebra: the scalar counts are the table over the
 one-dimensional trivial algebra, ``TRIVIAL``.  The operators and the
 split enumeration ``_splits`` also serve the B-model: ``bmodel`` sums its
 bracket on the coproduct legs and contracts it with
@@ -58,7 +59,12 @@ TRIVIAL = trivial_algebra()
 # child the vanishing rule zeroes, which is never read.  From cold:
 # correlator g=9 needs 142152, g=10 432385 (about 5 s), g=11 1271081,
 # catalan mu=(1900,) 903451; no test, README example or benchmark query
-# needs more than 4122.
+# needs more than 4122.  The reads are among the children the builds
+# consider, vanishing ones included, so the budget admits every request
+# that considers at most 1000000 children.  Most considered children of
+# the correlators vanish, and a read costs more than a rejected child, so a
+# refusal takes about 6 s for the catalan counts and 10 s for the
+# correlators (correlator g=11) on a 2-core host.
 CUTJOIN_WORK_BUDGET = 1000000
 
 _ZERO = Fraction(0)
@@ -245,7 +251,9 @@ class CutJoinTable:
     def __init__(self, algebra: FrobeniusAlgebra = TRIVIAL):
         self.algebra = algebra
         self._tensors = {}
-        self._ints = {}  # the int form of each stored tensor read as a child (see ``_tensor``)
+        # the int form of every tensor built, or stored and read as a child,
+        # kept beside its Fraction tensor for the life of the table (see ``_tensor``)
+        self._ints = {}
         self._work, self._request = 0, None
 
     def _sparse(self, n: int, fn):
@@ -309,7 +317,16 @@ class CutJoinTable:
     def _tensor(self, g: int, mu: Tuple[int, ...]):
         """The int form (den, {index tuple: int}) of the tensor of the
         profile (g, mu), which does not vanish, with its slots in the order
-        of mu; the tensor itself is memoized on the sorted profile."""
+        of mu; the tensor itself is memoized on the sorted profile.
+
+        A build reduces slot 0 by the kernel operators.  It gathers its
+        terms first, each an operator, its nonempty int child tensors and
+        its weight; a child the vanishing rule zeroes is never read.  The
+        operators then run on the int constants with each weight scaled to
+        one denominator L, the lcm over the terms of (weight denominator) x
+        (constant scale) x (child denominators), so the sum holds L times
+        the tensor in ints.  The build stays in this method, so that each
+        level of the recursion costs one Python frame."""
         self._work += 1
         if self._work > CUTJOIN_WORK_BUDGET:
             g0, mu0 = self._request
@@ -322,7 +339,53 @@ class CutJoinTable:
             out = self._tensors.get(key)
             if out is None and (out := self._base_case(g, canon)) is not None:
                 self._tensors[key] = out
-            form = self._ints[key] = self._build(g, canon) if out is None else _int_form(out)
+            if out is not None:
+                form = _int_form(out)
+            else:
+                vanishes, m1, rest = self._vanishes, canon[0], canon[1:]
+                terms = []  # (denominator, weight, operator, int child tensors, other arguments)
+                # joins: boundary j is absorbed, the decorations multiply
+                stable = 2 * g - 3 + len(canon) > 0
+                for j, mj in enumerate(rest):
+                    others = rest[:j] + rest[j + 1 :]
+                    for c, w in self._joins(m1, mj, stable):
+                        if not vanishes(g, child := (c,) + others):
+                            den, T = self._tensor(g, child)
+                            if T:
+                                terms.append((den, w, m_star_contract, (T, j + 2), {}))
+                # loops and splits: the distinguished decoration is coproduced
+                for a, b, w in self._cuts(m1):
+                    if g and not vanishes(g - 1, child := (a, b) + rest):
+                        den, T = self._tensor(g - 1, child)
+                        if T:
+                            terms.append((den, w, delta_star_contract, (T,), {}))
+                    pairs = [((a,) + tuple(rest[t] for t in I), (b,) + tuple(rest[t] for t in J),
+                              order) for I, J, order in _splits(len(rest))]
+                    for g1 in range(g + 1):
+                        for mu1, mu2, order in pairs:
+                            if self.stable_splits and min(2 * g1 + len(mu1),
+                                                          2 * (g - g1) + len(mu2)) < 3:
+                                continue
+                            if vanishes(g1, mu1):
+                                continue
+                            den1, T1 = self._tensor(g1, mu1)
+                            if not T1 or vanishes(g - g1, mu2):
+                                continue
+                            den2, T2 = self._tensor(g - g1, mu2)
+                            if T2:
+                                terms.append((den1 * den2, w, delta_star_split, (T1, T2),
+                                              {"order": order}))
+                M = math.lcm(*(w.denominator * den for den, w, _, _, _ in terms))
+                constants, acc = self._constants, {}
+                for den, w, operator, children, other in terms:
+                    operator(constants, *children, **other, out=acc,
+                             w=w.numerator * (M // (w.denominator * den)))
+                L = M * constants.scale
+                common = math.gcd(L, *acc.values())
+                den, ints = L // common, {idx: v // common for idx, v in acc.items() if v}
+                self._tensors[key] = {idx: Fraction(v, den) for idx, v in ints.items()}
+                form = den, ints
+            self._ints[key] = form
         den, ints = form
         if canon == mu or not ints:
             return form
@@ -330,58 +393,6 @@ class CutJoinTable:
         order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
         permute = _reorder(tuple(sorted(range(len(mu)), key=order.__getitem__)))
         return den, {permute(cidx): v for cidx, v in ints.items()}
-
-    def _build(self, g: int, canon: Tuple[int, ...]):
-        """Store the tensor of (g, canon), reduced on slot 0 by the kernel
-        operators, and return its int form.
-
-        The terms are gathered first, each a kernel operator, its nonempty
-        int child tensors and its weight; a child the vanishing rule zeroes
-        is never read.  The operators then run on the int constants with
-        each weight scaled to one denominator L, the lcm over the terms of
-        (weight denominator) x (constant scale) x (child denominators), so
-        the sum holds L times the tensor in ints."""
-        vanishes, m1, rest = self._vanishes, canon[0], canon[1:]
-        terms = []  # (denominator, weight, operator, int child tensors, other arguments)
-        # joins: boundary j is absorbed, the decorations multiply
-        stable = 2 * g - 3 + len(canon) > 0
-        for j, mj in enumerate(rest):
-            others = rest[:j] + rest[j + 1 :]
-            for c, w in self._joins(m1, mj, stable):
-                if not vanishes(g, child := (c,) + others):
-                    den, T = self._tensor(g, child)
-                    if T:
-                        terms.append((den, w, m_star_contract, (T, j + 2), {}))
-        # loops and splits: the distinguished decoration is coproduced
-        for a, b, w in self._cuts(m1):
-            if g and not vanishes(g - 1, child := (a, b) + rest):
-                den, T = self._tensor(g - 1, child)
-                if T:
-                    terms.append((den, w, delta_star_contract, (T,), {}))
-            pairs = [((a,) + tuple(rest[t] for t in I), (b,) + tuple(rest[t] for t in J), order)
-                     for I, J, order in _splits(len(rest))]
-            for g1 in range(g + 1):
-                for mu1, mu2, order in pairs:
-                    if self.stable_splits and min(2 * g1 + len(mu1), 2 * (g - g1) + len(mu2)) < 3:
-                        continue
-                    if vanishes(g1, mu1):
-                        continue
-                    den1, T1 = self._tensor(g1, mu1)
-                    if not T1 or vanishes(g - g1, mu2):
-                        continue
-                    den2, T2 = self._tensor(g - g1, mu2)
-                    if T2:
-                        terms.append((den1 * den2, w, delta_star_split, (T1, T2), {"order": order}))
-        M = math.lcm(*(w.denominator * den for den, w, _, _, _ in terms))
-        constants, acc = self._constants, {}
-        for den, w, operator, children, other in terms:
-            operator(constants, *children, **other, out=acc,
-                     w=w.numerator * (M // (w.denominator * den)))
-        L = M * constants.scale
-        common = math.gcd(L, *acc.values())
-        den, ints = L // common, {idx: v // common for idx, v in acc.items() if v}
-        self._tensors[(g, canon)] = {idx: Fraction(v, den) for idx, v in ints.items()}
-        return den, ints
 
     # -- export ----------------------------------------------------------------
 

@@ -416,6 +416,17 @@ def test_cutjoin_budget_exits_3_without_traceback(monkeypatch, capsys):
     assert run_cli("correlator", "--g", "3", "--n", "1", "--k", "7") == (0, "1/82944\n")
 
 
+def test_cutjoin_budget_refuses_within_seconds_at_its_default(capsys):
+    # at the default budget, a request past the gate is refused in about 6 s
+    # on a 2-core host; the correlator's slowest refusal takes about 10 s
+    cutjoin.shared.cache_clear()
+    start = time.perf_counter()
+    code = cli.main(["catalan", "--g", "2", "--n", "10", "--mu", *["4"] * 10])
+    assert code == cli.EXIT_BUDGET and time.perf_counter() - start < 30
+    assert capsys.readouterr().err.startswith("budget exceeded: profile g=2, mu=[4, 4, 4")
+    cutjoin.shared.cache_clear()
+
+
 def _readme_commands():
     block = README.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
     lines = block.split("```", 1)[0].splitlines()

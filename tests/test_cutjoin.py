@@ -275,6 +275,14 @@ def test_memoized_queries_need_no_budget_and_cold_ones_keep_the_message(monkeypa
     assert str(err.value) == "profile g=1, mu=[2, 6] needs more than 0 child tensors"
 
 
+def test_each_level_of_a_build_costs_one_frame():
+    # one-vertex planar counts descend one level per cut of degree 2, so
+    # mu = (1100,) builds 550 levels deep, past half the default recursion
+    # limit, well within the work budget; the count is the Catalan number
+    table = amodel.CatalanTable(cutjoin.TRIVIAL)
+    assert table.untwisted(0, (1100,)) == math.comb(1100, 550) // 551
+
+
 # -- the int build against Fraction tensors ----------------------------------
 
 def _rescaled(A, scales, factor):
