@@ -72,6 +72,9 @@ class CatalanTable(CutJoinTable):
     def _vanishes(self, g, mu):
         return sum(mu) % 2 == 1
 
+    def _split_genera(self, g, mu1):
+        return () if sum(mu1) % 2 else range(g + 1)
+
     def _base_case(self, g, mu):
         if 0 not in mu:
             return None
@@ -183,6 +186,7 @@ class LatticeTable(CutJoinTable):
     stable_splits = True
 
     _vanishes = CatalanTable._vanishes
+    _split_genera = CatalanTable._split_genera
 
     @staticmethod
     def _validate(g, n, mu):

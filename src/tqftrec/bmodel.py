@@ -29,7 +29,12 @@ transform back to the counting side by the u = 1/x series of
 (t^2-1)^2/(8t) t^e at x = infinity.  The contract of the latter is that
 the coefficient of prod x_i^(-mu_i - 1) equals (-1)^n C_{g,n}(mu).  The
 unstable w_{0,2} = 1/(t1+t2)^2 is not a Laurent polynomial; it goes
-through the same transform written in the basis s = t - 1.
+through the same transform written in the basis s = t - 1.  The
+substitution runs in Python ints: the Laurent map is taken once to its
+int form over one denominator, every univariate image has integer
+coefficients (the u-series of t and 1/t, and 8 times the Jacobian), and
+each output coefficient becomes one Fraction over that denominator times
+8^n at the end.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from itertools import product as iproduct
 from math import comb
 from typing import Dict, Tuple
 
-from .cutjoin import TRIVIAL, _reorder, _splits, delta_star_contract, shared
+from .cutjoin import TRIVIAL, _int_form, _reorder, _splits, delta_star_contract, shared
 from .exact import BudgetError, MultiRatFun, Rational, _plus, _times
 from .frobenius import FrobeniusAlgebra
 
@@ -419,7 +424,7 @@ def twisted_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> TwistedDifferentia
 
 # -- one substitution: the x and z frames and the inverse Laplace transform -
 
-_JACOBIAN = {3: Fraction(1, 8), 1: Fraction(-1, 4), -1: Fraction(1, 8)}  # (t^2-1)^2/(8t) by degree
+_JACOBIAN = {3: 1, 1: -2, -1: 1}  # 8 (t^2-1)^2/(8t) = (t^2-1)^2/t by degree
 
 
 def _substitute(terms: Dict, n: int, image) -> Dict:
@@ -451,10 +456,12 @@ def _binomials(p: int, q: int) -> Dict[int, int]:
 
 
 def _series_tables(order: int):
-    """Truncated series in u = 1/x of the powers of t(x), with exact rationals.
+    """Truncated series in u = 1/x of the powers of t(x), in ints.
 
     On the large branch of z + 1/z = x, w = 1/z solves w = u (1 + w^2), so
-    t = (1+w)/(1-w) = 1 + 2 sum_j w^j, and 1/t is the same series in -w.
+    w is the series of the Catalan numbers, t = (1+w)/(1-w) = 1 + 2 sum_j
+    w^j, and 1/t is the same series in -w: every coefficient of every
+    power of t is an integer.
     """
 
     def smul(a, b):
@@ -463,13 +470,13 @@ def _series_tables(order: int):
             for j, cb in b.items():
                 k = i + j
                 if k <= order:
-                    r[k] = r.get(k, Fraction(0)) + ca * cb
+                    r[k] = r.get(k, 0) + ca * cb
         return {k: v for k, v in r.items() if v}
 
-    w: Dict[int, Fraction] = {}
+    w: Dict[int, int] = {}
     for _ in range(order):  # each pass fixes one more degree of w
-        w = {1: Fraction(1), **{k + 1: c for k, c in smul(w, w).items() if k < order}}
-    powers = {k: {0: Fraction(1)} for k in (0, 1, -1)}
+        w = {1: 1, **{k + 1: c for k, c in smul(w, w).items() if k < order}}
+    powers = {k: {0: 1} for k in (0, 1, -1)}
     wj = powers[0]
     for j in range(1, order + 1):
         wj = smul(wj, w)
@@ -485,14 +492,18 @@ def _series_tables(order: int):
     return tpow
 
 
-def _ilt(terms: Dict, n: int, mu_max: int, basis) -> Dict[Tuple[int, ...], Rational]:
+def _ilt(form, n: int, mu_max: int, basis) -> Dict[Tuple[int, ...], Rational]:
     """The coefficients of prod x_i^(-mu_i-1), 1 <= mu_i <= mu_max, in the
-    u = 1/x expansion of sum c prod_i J(t_i) basis(e_i) over the map
-    {e: c}, where J(t) = (t^2-1)^2/(8t) and basis(e) is a Laurent map in t."""
+    u = 1/x expansion of sum c prod_i J(t_i) basis(e_i) over the Laurent map
+    {e: c} whose int form (den, {e: int}) is ``form``, where J(t) =
+    (t^2-1)^2/(8t) and basis(e) is a Laurent map in t with int coefficients.
+    The substitution runs in ints, with 8 J(t) for J(t); each coefficient
+    becomes one Fraction over den 8^n at the end."""
+    den, ints = form
     tpow = _series_tables(mu_max + 1)
 
     def image(i, e):
-        out: Dict[int, Fraction] = {}
+        out: Dict[int, int] = {}
         for j, b in basis(e).items():
             for d, c in _JACOBIAN.items():
                 for k, v in tpow(j + d).items():
@@ -500,7 +511,9 @@ def _ilt(terms: Dict, n: int, mu_max: int, basis) -> Dict[Tuple[int, ...], Ratio
                         out[k] = out.get(k, 0) + b * c * v
         return out
 
-    return {tuple(k - 1 for k in key): v for key, v in _substitute(terms, n, image).items()}
+    den *= 8**n
+    return {tuple(k - 1 for k in key): Fraction(v, den)
+            for key, v in _substitute(ints, n, image).items()}
 
 
 def inverse_laplace_coeffs(g: int, n: int, mu_max: int) -> Dict[Tuple[int, ...], Rational]:
@@ -515,13 +528,15 @@ def inverse_laplace_coeffs(g: int, n: int, mu_max: int) -> Dict[Tuple[int, ...],
         raise BudgetError("mu_max %d exceeds budget %d" % (mu_max, SERIES_ORDER_BUDGET))
     order = mu_max + 1
     if (g, n) == (0, 2):
-        # 1/(t1+t2)^2 = 1/(2+s1+s2)^2 in the basis s = t - 1; s is O(1/x)
-        # at x = oo, so s^a with a > order cannot reach u^order
-        terms = {(a, b): Fraction((-1) ** (a + b) * (a + b + 1) * comb(a + b, a), 2 ** (a + b + 2))
-                 for a in range(order + 1) for b in range(order + 1)}
-        return _ilt(terms, 2, mu_max, lambda a: _binomials(0, a))
+        # 1/(t1+t2)^2 = 1/(2+s1+s2)^2 in the basis s = t - 1, its s1^a s2^b
+        # coefficient written over 4^(order+1); s is O(1/x) at x = oo, so
+        # s^a with a > order cannot reach u^order
+        ints = {(a, b): (-1) ** (a + b) * (a + b + 1) * comb(a + b, a) * 2 ** (2 * order - a - b)
+                for a in range(order + 1) for b in range(order + 1)}
+        return _ilt((4 ** (order + 1), ints), 2, mu_max, lambda a: _binomials(0, a))
     _require_stable(g, n)
-    return _ilt(_laurent_wgn(g, n, TRIVIAL).get((0,) * n, {}), n, mu_max, lambda e: {e: 1})
+    form = _int_form(_laurent_wgn(g, n, TRIVIAL).get((0,) * n, {}))
+    return _ilt(form, n, mu_max, lambda e: {e: 1})
 
 
 # -- coordinate frames ------------------------------------------------------
@@ -536,23 +551,28 @@ def convert_frame(fn: MultiRatFun, n: int, coords: str) -> MultiRatFun:
     stays written in the t variables since x does not invert rationally.
     "z" substitutes t = (z+1)/(z-1) and multiplies by dt/dz = -2/(z-1)^2
     per variable.  Both need a Laurent polynomial (ValueError otherwise),
-    as every stable and twisted w is.
+    as every stable and twisted w is.  Both substitute in ints, on the int
+    form (den, {e: int}) of the Laurent map, and divide by den (times 8^n
+    in the x frame) only at the end.
     """
     if coords == "t":
         return fn
     if coords not in ("x", "z"):
         raise ValueError("unknown coordinate frame %r" % coords)
-    terms = fn._laurent()
+    den, ints = _int_form(fn._laurent())
     if coords == "x":
         jacobian = lambda i, e: {e + d: c for d, c in _JACOBIAN.items()}
-        return MultiRatFun._from_laurent(_substitute(terms, n, jacobian), fn.vars)
+        den *= 8**n
+        return MultiRatFun._from_laurent(
+            {e: Fraction(v, den) for e, v in _substitute(ints, n, jacobian).items()}, fn.vars)
     # t^e dt = -2 (z+1)^e (z-1)^(-e-2) dz, put over the denominator
     # (z+1)^low (z-1)^(high+2) in each variable.  Only z_i +- 1 could divide
     # numerator and denominator, and the least and greatest powers of t_i
     # survive at z_i = -1 and z_i = 1; the monic denominator is canonical.
-    low = [-min([0] + [e[i] for e in terms]) for i in range(n)]
-    high = [max([-2] + [e[i] for e in terms]) for i in range(n)]
-    num = _substitute(terms, n, lambda i, e: {
+    low = [-min([0] + [e[i] for e in ints]) for i in range(n)]
+    high = [max([-2] + [e[i] for e in ints]) for i in range(n)]
+    num = _substitute(ints, n, lambda i, e: {
         k: -2 * c for k, c in _binomials(e + low[i], high[i] - e).items()})
-    den = _substitute({(0,) * n: 1}, n, lambda i, e: _binomials(low[i], high[i] + 2))
-    return MultiRatFun._from_reduced(num, den, tuple("z%d" % (i + 1) for i in range(n)))
+    zden = _substitute({(0,) * n: 1}, n, lambda i, e: _binomials(low[i], high[i] + 2))
+    return MultiRatFun._from_reduced({e: Fraction(v, den) for e, v in num.items()}, zden,
+                                     tuple("z%d" % (i + 1) for i in range(n)))

@@ -11,7 +11,9 @@ the product view; ``delta_star_contract`` for a loop (genus g - 1) and
 ``delta_star_split`` for a split (genera g1 + g2 = g), which cut the
 boundary in two and route its decoration through the coproduct view.  A
 build first gathers its terms, reading the child tensors it needs; a
-child the family's vanishing rule zeroes is never read.  It then runs the
+child the family's vanishing rule zeroes is never read, and the first half
+of a split is tried only at the genera the family's ``_split_genera``
+yields, those at which it does not vanish.  It then runs the
 operators in Python ints, on the children's int forms and on the
 algebra's constants scaled to ints, with every weight scaled to one
 denominator for the whole build, and makes one Fraction per stored entry.
@@ -21,7 +23,9 @@ one-dimensional trivial algebra, ``TRIVIAL``.  The operators and the
 split enumeration ``_splits`` also serve the B-model: ``bmodel`` sums its
 bracket on the coproduct legs and contracts it with
 ``delta_star_contract``; so the operators stay generic over the value
-type.
+type.  ``_int_form`` serves it too: its one substitution, for the x and z
+frames and the inverse Laplace transform, runs in ints on the int form of
+a Laurent map, over one denominator.
 
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
@@ -242,7 +246,9 @@ class CutJoinTable:
     degree mj into the distinguished one, where ``stable`` says whether the
     child, of type (g, n - 1), has 2g - 2 + (n - 1) > 0; and
     ``_cuts(m1)``, the (degree a, degree b, weight) triples for cutting the
-    distinguished boundary.  It may override ``stable_splits``.
+    distinguished boundary.  It may override ``stable_splits``, and
+    ``_split_genera(g, mu1)``, which yields the genera g1 in 0..g at which
+    the first half (g1, mu1) of a split does not vanish.
     """
 
     degree_column = "mu"
@@ -309,6 +315,11 @@ class CutJoinTable:
             raise BudgetError(msg) from None
         return self._tensors[(g, mu)]
 
+    def _split_genera(self, g: int, mu1: Tuple[int, ...]):
+        """The genera g1 in 0..g at which the first half (g1, mu1) of a split
+        does not vanish; a family whose vanishing rule fixes g1 overrides it."""
+        return (g1 for g1 in range(g + 1) if not self._vanishes(g1, mu1))
+
     @cached_property
     def _constants(self):
         """The algebra's kernel constants as ints, built on the first build."""
@@ -354,19 +365,18 @@ class CutJoinTable:
                             if T:
                                 terms.append((den, w, m_star_contract, (T, j + 2), {}))
                 # loops and splits: the distinguished decoration is coproduced
+                halves = [(tuple(rest[t] for t in I), tuple(rest[t] for t in J), order)
+                          for I, J, order in _splits(len(rest))]
                 for a, b, w in self._cuts(m1):
                     if g and not vanishes(g - 1, child := (a, b) + rest):
                         den, T = self._tensor(g - 1, child)
                         if T:
                             terms.append((den, w, delta_star_contract, (T,), {}))
-                    pairs = [((a,) + tuple(rest[t] for t in I), (b,) + tuple(rest[t] for t in J),
-                              order) for I, J, order in _splits(len(rest))]
-                    for g1 in range(g + 1):
-                        for mu1, mu2, order in pairs:
+                    for r1, r2, order in halves:
+                        mu1, mu2 = (a,) + r1, (b,) + r2
+                        for g1 in self._split_genera(g, mu1):
                             if self.stable_splits and min(2 * g1 + len(mu1),
                                                           2 * (g - g1) + len(mu2)) < 3:
-                                continue
-                            if vanishes(g1, mu1):
                                 continue
                             den1, T1 = self._tensor(g1, mu1)
                             if not T1 or vanishes(g - g1, mu2):

@@ -60,6 +60,11 @@ class CorrelatorTable(CutJoinTable):
     def _vanishes(self, g, k):
         return min(k) < 0 or sum(k) != 3 * g - 3 + len(k)
 
+    def _split_genera(self, g, k1):
+        # the one genus the dimension rule sum(k1) = 3 g1 - 3 + len(k1) admits
+        g1, rem = divmod(sum(k1) + 3 - len(k1), 3)
+        return (g1,) if not rem and 0 <= g1 <= g and min(k1) >= 0 else ()
+
     def _base_case(self, g, k):
         A = self.algebra
         if (g, len(k)) == (0, 3):

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 import sympy as sp
@@ -222,18 +222,48 @@ def test_inverse_laplace_budget_gate():
         inverse_laplace_coeffs(1, 1, 40)
 
 
+def test_series_tables_satisfy_identities_they_do_not_use():
+    # the tables build w = u (1 + w^2) by iteration and t = 1 + 2 sum w^j;
+    # (1 - W) t = 1 + W for the closed form W = sum_k Catalan(k) u^(2k+1)
+    # pins their w to W, and t^k t^-k = 1, each truncated at the order
+    order = bmodel.SERIES_ORDER_BUDGET + 1
+    tpow = bmodel._series_tables(order)
+
+    def mul(a, b):
+        out = {}
+        for (i, x), (j, y) in itertools.product(a.items(), b.items()):
+            if i + j <= order:
+                out[i + j] = out.get(i + j, 0) + x * y
+        return {k: c for k, c in out.items() if c}
+
+    W = {2 * k + 1: comb(2 * k, k) // (k + 1) for k in range(order // 2 + 1) if 2 * k + 1 <= order}
+    one_minus_W = {0: 1, **{k: -c for k, c in W.items()}}
+    assert mul(one_minus_W, tpow(1)) == {0: 1, **W}
+    for k in range(1, order + 1):
+        assert mul(tpow(k), tpow(-k)) == {0: 1}, k
+    for k in range(-order, order + 1):
+        assert tpow(k) and all(type(c) is int for c in tpow(k).values()), k
+
+
 def test_inverse_laplace_matches_catalan_spot():
     for g, n, mu_max in [(1, 1, 6), (2, 1, 10), (2, 2, 6), (1, 3, 4), (0, 5, 2),
-                         (0, 4, 6), (0, 2, 10)]:
+                         (0, 4, 6), (0, 2, 10), (0, 5, 4), (1, 4, 4)]:
         coeffs = inverse_laplace_coeffs(g, n, mu_max)
         profiles = list(itertools.product(range(1, mu_max + 1), repeat=n))
         assert set(coeffs) <= set(profiles)
+        # the values go to the CLI, which renders Fractions
+        assert all(type(v) is Fraction for v in coeffs.values()), (g, n)
         nonzero = 0
         for mu in profiles:
             expected = (-1) ** n * catalan(g, n, mu)
             assert coeffs.get(mu, Fraction(0)) == expected, (g, n, mu)
             nonzero += expected != 0
         assert nonzero, (g, n)
+    # a one-vertex genus-3 graph has at least six edges, so C_{3,1}(mu) = 0
+    # for mu <= 10: every term of w_{3,1} must cancel out of these coefficients
+    assert inverse_laplace_coeffs(3, 1, 10) == {}
+    assert not any(catalan(3, 1, (mu,)) for mu in range(1, 11))
+    assert catalan(3, 1, (12,))
 
 
 def test_inverse_laplace_02_matches_counts():
