@@ -317,7 +317,8 @@ class CutJoinTable:
 
     def _split_genera(self, g: int, mu1: Tuple[int, ...]):
         """The genera g1 in 0..g at which the first half (g1, mu1) of a split
-        does not vanish; a family whose vanishing rule fixes g1 overrides it."""
+        does not vanish, found by testing each; a family overrides it with
+        its vanishing rule solved for g1."""
         return (g1 for g1 in range(g + 1) if not self._vanishes(g1, mu1))
 
     @cached_property

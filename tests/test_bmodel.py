@@ -236,7 +236,7 @@ def test_series_tables_satisfy_identities_they_do_not_use():
                 out[i + j] = out.get(i + j, 0) + x * y
         return {k: c for k, c in out.items() if c}
 
-    W = {2 * k + 1: comb(2 * k, k) // (k + 1) for k in range(order // 2 + 1) if 2 * k + 1 <= order}
+    W = {2 * k + 1: comb(2 * k, k) // (k + 1) for k in range((order + 1) // 2)}
     one_minus_W = {0: 1, **{k: -c for k, c in W.items()}}
     assert mul(one_minus_W, tpow(1)) == {0: 1, **W}
     for k in range(1, order + 1):
