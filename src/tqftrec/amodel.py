@@ -12,7 +12,10 @@ in ``tqftrec.cutjoin``; their scalar versions are the trivial-algebra case:
   cutting an integer length, over the one unstable base
   N_{0,2}(b1, b2) = delta_{b1,b2} / b1 times the pairing.
 
-Both vanish on odd total degree.  All values are exact rationals.
+Both vanish on odd total degree.  The Catalan counts also vanish where
+Euler's formula leaves no connected cell graph: below sum(mu) = 2(n - 1 +
+2g), and on a degree 0 beside another vertex.  All values are exact
+rationals.
 """
 
 from __future__ import annotations
@@ -59,6 +62,18 @@ def _digest(body: Mapping) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _top_genus(mu: Sequence[int]) -> int:
+    """The highest genus at which the Catalan count of mu can be nonzero,
+    negative when there is none.  A connected cell graph with n vertices and
+    E = sum(mu) / 2 edges has F >= 1 faces, so Euler's formula n - E + F =
+    2 - 2g asks sum(mu) >= 2(n - 1 + 2g); the total degree is even, and a
+    vertex of degree 0 is a whole graph, so it is connected only alone."""
+    total, n = sum(mu), len(mu)
+    if total % 2 or (n > 1 and 0 in mu):
+        return -1
+    return (total // 2 - n + 1) // 2
+
+
 class CatalanTable(CutJoinTable):
     """Memoized generalized Catalan numbers decorated by an algebra.
 
@@ -70,17 +85,14 @@ class CatalanTable(CutJoinTable):
     _validate = staticmethod(_validate_profile)
 
     def _vanishes(self, g, mu):
-        return sum(mu) % 2 == 1
+        return g > _top_genus(mu)
 
-    def _split_genera(self, g, mu1):
-        return () if sum(mu1) % 2 else range(g + 1)
+    def _split_genera(self, g, mu1, mu2):
+        return range(max(0, g - _top_genus(mu2)), min(g, _top_genus(mu1)) + 1)
 
     def _base_case(self, g, mu):
-        if 0 not in mu:
-            return None
-        if (g, mu) == (0, (0,)):
-            return self._sparse(1, lambda i: self.algebra.counit[i])
-        return {}
+        # every other profile with a degree 0 vanishes
+        return self._sparse(1, lambda i: self.algebra.counit[i]) if mu == (0,) else None
 
     def _joins(self, m1, mj, stable):
         return ((m1 + mj - 2, mj),)
@@ -185,8 +197,11 @@ class LatticeTable(CutJoinTable):
 
     stable_splits = True
 
-    _vanishes = CatalanTable._vanishes
-    _split_genera = CatalanTable._split_genera
+    def _vanishes(self, g, mu):
+        return sum(mu) % 2 == 1
+
+    def _split_genera(self, g, mu1, mu2):
+        return () if sum(mu1) % 2 or sum(mu2) % 2 else range(g + 1)
 
     @staticmethod
     def _validate(g, n, mu):

@@ -21,8 +21,7 @@ algebra), each a row-major tuple over the basis tuples of its vertices
 whose entries are value * D^(2E+1), E its edges and D the lcm of the
 denominators of the algebra's constants.  Only the returned map has
 per-tuple sets, and only it is divided out.  A memo belongs to the
-algebra of its first call.  ``eca_evaluate`` contracts that map with the
-decorations.
+algebra of its first call.
 
 ``count_matchings_by_genus`` (and so ``count_arrowed_graphs``) counts
 perfect matchings by a transfer over partial gluings, ``_completions``:
@@ -66,7 +65,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .exact import BudgetError, Rational
-from .frobenius import AlgebraElement, FrobeniusAlgebra
+from .frobenius import FrobeniusAlgebra
 
 DEFAULT_HALF_EDGE_BUDGET = 16
 
@@ -378,27 +377,6 @@ def _contract(R, n, move, memo) -> list:
         rows = [[u * v for u in ua for v in vb] for ua in ra for vb in rb]
         out.append(_assemble(dim, n, slots, [_combine(t, rows) for t in split]))
     return out
-
-
-def eca_evaluate(graph: CellGraph, A: FrobeniusAlgebra,
-                 vs: Sequence[AlgebraElement]) -> Rational:
-    """Amplitude of the decorated graph by edge contraction: the map of
-    ``eca_functional_all_orders`` contracted with the decorations.  Raises
-    ValueError if contraction orders disagree on a basis tuple that the
-    decorations reach."""
-    if len(vs) != graph.n:
-        raise ValueError("need one decoration per vertex")
-    total = Fraction(0)
-    for idx, vals in eca_functional_all_orders(graph, A).items():
-        coeff = Fraction(1)
-        for v, i in zip(vs, idx):
-            coeff *= v.coeffs[i]
-        if coeff:
-            if len(vals) != 1:
-                raise ValueError(
-                    f"contraction orders disagree on basis tuple {idx}: {sorted(vals)}")
-            total += coeff * next(iter(vals))
-    return total
 
 
 def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,

@@ -9,16 +9,26 @@ it is given (which may then hold zeros): ``m_star_contract`` for a join,
 which absorbs another boundary and multiplies the two decorations through
 the product view; ``delta_star_contract`` for a loop (genus g - 1) and
 ``delta_star_split`` for a split (genera g1 + g2 = g), which cut the
-boundary in two and route its decoration through the coproduct view.  A
-build first gathers its terms, reading the child tensors it needs; a
-child the family's vanishing rule zeroes is never read, and the first half
-of a split is tried only at the genera the family's ``_split_genera``
-yields, those at which it does not vanish.  It then runs the
-operators in Python ints, on the children's int forms and on the
-algebra's constants scaled to ints, with every weight scaled to one
-denominator for the whole build, and makes one Fraction per stored entry.
-Each level of the recursion costs one Python frame, which bounds the depth
-of a profile that can be built.  Every table is over an algebra: the scalar counts are the table over the
+boundary in two and route its decoration through the coproduct view.
+
+A build first gathers its terms, reading each distinct child tensor it
+needs once.  A child the family's vanishing rule zeroes is never read, and
+a split is tried only at the genera the family's ``_split_genera`` yields,
+those at which neither half vanishes.  A cut (a, b) and its mirror (b, a)
+give equal loop terms, and a split and its mirror, the split with its two
+halves swapped, give equal split terms: the counts are symmetric in their
+boundaries, and the coproduct is cocommutative, Delta_i^{ab} =
+Delta_i^{ba}, because every algebra is checked at construction to have a
+commutative product and a symmetric pairing.  So each such pair runs once,
+with the two weights summed.  The build streams: it reads each child as
+its term comes up, so a deep descent holds only the terms of the cuts
+already passed.  It then runs the operators in Python ints, on the
+children's int forms and on the algebra's constants scaled to ints, with
+every weight scaled to one denominator for the whole build, and makes one
+Fraction per stored entry.  Each level of the recursion costs one Python
+frame, which bounds the depth of a profile that can be built.
+
+Every table is over an algebra: the scalar counts are the table over the
 one-dimensional trivial algebra, ``TRIVIAL``.  The operators and the
 split enumeration ``_splits`` also serve the B-model: ``bmodel`` sums its
 bracket on the coproduct legs and contracts it with
@@ -58,17 +68,20 @@ from .frobenius import AlgebraElement, FrobeniusAlgebra, trivial_algebra
 
 TRIVIAL = trivial_algebra()
 
-# Child tensors one request may read while it fills profiles not yet
-# memoized; a memoized or vanishing request costs none, and neither does a
-# child the vanishing rule zeroes, which is never read.  From cold:
-# correlator g=9 needs 142152, g=10 432385 (about 5 s), g=11 1271081,
-# catalan mu=(1900,) 903451; no test, README example or benchmark query
-# needs more than 4122.  The reads are among the children the builds
-# consider, vanishing ones included, so the budget admits every request
-# that considers at most 1000000 children.  Most considered children of
-# the correlators vanish, and a read costs more than a rejected child, so a
-# refusal takes about 6 s for the catalan counts and 10 s for the
-# correlators (correlator g=11) on a 2-core host.
+# Children one request may consider while it fills profiles not yet
+# memoized: each join child, loop child and split subset a build tests
+# against the vanishing rule, and each child tensor it reads, which is at
+# most once per build.  A memoized or vanishing request costs none.  The
+# time goes into the enumeration, so counting the children considered
+# bounds it better than counting reads.  From cold: catalan mu=(1900,)
+# considers 903451 children (as many as it read under the old count),
+# g=2 with mu 4x9 320823 and 4x10 768200 (about 3 s), g=3 mu=(40,) 270141;
+# correlator g=9 155942, g=10 463431 (1.5 s).  No test, README example or
+# benchmark query needs more than 9219, except the 550-level catalan
+# mu=(1100,) test at 303051.  Cold CLI processes on a 2-core host refuse
+# catalan g=2 with mu 4x11 after about 4 s and correlator g=11 after about
+# 4 s.  The count does not grow with the size of the tensors, so a
+# request over a larger algebra may take much longer within it.
 CUTJOIN_WORK_BUDGET = 1000000
 
 _ZERO = Fraction(0)
@@ -240,15 +253,17 @@ class CutJoinTable:
     A family subclass supplies ``_validate(g, n, mu)``, returning the
     checked profile; ``_vanishes(g, mu)``, a symmetric rule checked before
     the memo and before a child is read, so that zero profiles are never
-    stored or read; ``_base_case(g, mu)``, the
-    tensor of a profile that is not reduced, else None; ``_joins(m1, mj,
-    stable)``, the (child degree, weight) pairs for absorbing a boundary of
-    degree mj into the distinguished one, where ``stable`` says whether the
-    child, of type (g, n - 1), has 2g - 2 + (n - 1) > 0; and
-    ``_cuts(m1)``, the (degree a, degree b, weight) triples for cutting the
-    distinguished boundary.  It may override ``stable_splits``, and
-    ``_split_genera(g, mu1)``, which yields the genera g1 in 0..g at which
-    the first half (g1, mu1) of a split does not vanish.
+    stored or read; ``_base_case(g, mu)``, the tensor of a profile that is
+    not reduced, else None; ``_joins(m1, mj, stable)``, the (child degree,
+    weight) pairs for absorbing a boundary of degree mj into the
+    distinguished one, where ``stable`` says whether the child, of type
+    (g, n - 1), has 2g - 2 + (n - 1) > 0; ``_cuts(m1)``, the (degree a,
+    degree b, weight) triples for cutting the distinguished boundary, which
+    hold (b, a, weight) beside every (a, b, weight), since a build runs
+    only a <= b and counts the mirror's weight as equal; and
+    ``_split_genera(g, mu1, mu2)``, the genera g1 in 0..g at which neither
+    half, (g1, mu1) nor (g - g1, mu2), of a split of a profile that does
+    not vanish vanishes itself.  It may override ``stable_splits``.
     """
 
     degree_column = "mu"
@@ -315,11 +330,11 @@ class CutJoinTable:
             raise BudgetError(msg) from None
         return self._tensors[(g, mu)]
 
-    def _split_genera(self, g: int, mu1: Tuple[int, ...]):
-        """The genera g1 in 0..g at which the first half (g1, mu1) of a split
-        does not vanish, found by testing each; a family overrides it with
-        its vanishing rule solved for g1."""
-        return (g1 for g1 in range(g + 1) if not self._vanishes(g1, mu1))
+    def _refuse(self):
+        """Raise the budget error that names the request."""
+        g, mu = self._request
+        raise BudgetError("profile g=%d, %s=%s needs more than %d child tensors"
+                          % (g, self.degree_column, mu, CUTJOIN_WORK_BUDGET))
 
     @cached_property
     def _constants(self):
@@ -333,17 +348,23 @@ class CutJoinTable:
 
         A build reduces slot 0 by the kernel operators.  It gathers its
         terms first, each an operator, its nonempty int child tensors and
-        its weight; a child the vanishing rule zeroes is never read.  The
-        operators then run on the int constants with each weight scaled to
-        one denominator L, the lcm over the terms of (weight denominator) x
-        (constant scale) x (child denominators), so the sum holds L times
-        the tensor in ints.  The build stays in this method, so that each
-        level of the recursion costs one Python frame."""
+        its weight; a child the vanishing rule zeroes is never read, and
+        any other is read once, into ``read``.  A cut runs only when a <=
+        b: a loop term or a split term then stands for itself and its
+        mirror at twice the weight, except when it is its own mirror.  At
+        a = b the mirror of the split (g1, r1 | g - g1, r2) is a split of
+        the same cut, and the one kept has the lower genus g1 or, at equal
+        genera, boundary 0 of the rest in r1.  ``_work`` counts each child
+        or split subset considered and each child read.
+
+        The operators then run on the int constants with each weight
+        scaled to one denominator L, the lcm over the terms of (weight
+        denominator) x (constant scale) x (child denominators), so the sum
+        holds L times the tensor in ints.  The build stays in this method,
+        so that each level of the recursion costs one Python frame."""
         self._work += 1
         if self._work > CUTJOIN_WORK_BUDGET:
-            g0, mu0 = self._request
-            raise BudgetError("profile g=%d, %s=%s needs more than %d child tensors"
-                              % (g0, self.degree_column, mu0, CUTJOIN_WORK_BUDGET))
+            self._refuse()
         canon = tuple(sorted(mu, reverse=True))
         key = (g, canon)
         form = self._ints.get(key)
@@ -356,36 +377,61 @@ class CutJoinTable:
             else:
                 vanishes, m1, rest = self._vanishes, canon[0], canon[1:]
                 terms = []  # (denominator, weight, operator, int child tensors, other arguments)
+                read = {}  # (genus, profile) -> int form of each child this build has read
                 # joins: boundary j is absorbed, the decorations multiply
                 stable = 2 * g - 3 + len(canon) > 0
                 for j, mj in enumerate(rest):
                     others = rest[:j] + rest[j + 1 :]
                     for c, w in self._joins(m1, mj, stable):
+                        self._work += 1
                         if not vanishes(g, child := (c,) + others):
-                            den, T = self._tensor(g, child)
+                            den, T = read.get(k := (g, child)) or read.setdefault(
+                                k, self._tensor(g, child))
                             if T:
                                 terms.append((den, w, m_star_contract, (T, j + 2), {}))
-                # loops and splits: the distinguished decoration is coproduced
+                # loops and splits: the distinguished decoration is coproduced; a
+                # cut (a, b) runs for itself and its mirror (b, a), a < b
                 halves = [(tuple(rest[t] for t in I), tuple(rest[t] for t in J), order)
                           for I, J, order in _splits(len(rest))]
                 for a, b, w in self._cuts(m1):
-                    if g and not vanishes(g - 1, child := (a, b) + rest):
-                        den, T = self._tensor(g - 1, child)
-                        if T:
-                            terms.append((den, w, delta_star_contract, (T,), {}))
+                    if a > b:
+                        continue
+                    w2 = 2 * w
+                    if g:
+                        self._work += 1
+                        # no other child has n + 1 boundaries, so this one is read once
+                        if not vanishes(g - 1, child := (a, b) + rest):
+                            den, T = self._tensor(g - 1, child)
+                            if T:
+                                terms.append((den, w if a == b else w2, delta_star_contract,
+                                              (T,), {}))
                     for r1, r2, order in halves:
+                        self._work += 1
                         mu1, mu2 = (a,) + r1, (b,) + r2
-                        for g1 in self._split_genera(g, mu1):
+                        for g1 in self._split_genera(g, mu1, mu2):
+                            weight = w2
+                            if a == b and 2 * g1 >= g:
+                                # the mirror (g - g1, r2) runs instead unless g1 is the
+                                # lower genus or, at equal genera, r1 holds boundary 0; a
+                                # split of m1 alone into equal genera is its own mirror
+                                if 2 * g1 > g or rest and order[0] >= len(r1):
+                                    continue
+                                if not rest:
+                                    weight = w
                             if self.stable_splits and min(2 * g1 + len(mu1),
                                                           2 * (g - g1) + len(mu2)) < 3:
                                 continue
-                            den1, T1 = self._tensor(g1, mu1)
-                            if not T1 or vanishes(g - g1, mu2):
+                            den1, T1 = read.get(k := (g1, mu1)) or read.setdefault(
+                                k, self._tensor(g1, mu1))
+                            if not T1:
                                 continue
-                            den2, T2 = self._tensor(g - g1, mu2)
+                            den2, T2 = read.get(k := (g - g1, mu2)) or read.setdefault(
+                                k, self._tensor(g - g1, mu2))
                             if T2:
-                                terms.append((den1 * den2, w, delta_star_split, (T1, T2),
+                                terms.append((den1 * den2, weight, delta_star_split, (T1, T2),
                                               {"order": order}))
+                if self._work > CUTJOIN_WORK_BUDGET:
+                    self._refuse()
                 M = math.lcm(*(w.denominator * den for den, w, _, _, _ in terms))
                 constants, acc = self._constants, {}
                 for den, w, operator, children, other in terms:

@@ -9,11 +9,9 @@ the pairing and its inverse, never over zero terms.  It then verifies every
 axiom on every index tuple in lexicographic order, comparing both sides of
 a law as a vector over its last indices, so an ``AxiomError`` names the
 least failing witness.  Amplitudes Omega_{g,n}(v_1..v_n) = counit(v_1 ...
-v_n e^g) where e is the Euler element.  ``omega_functional`` holds
-Omega_{g,n} as a sparse tensor {basis index tuple: Fraction} with no zero
-value, the form the cut-and-join engine stores its counts in; the kernel
-operators Delta* and m* that the engine builds its counts with live in
-``tqftrec.cutjoin``, and are checked against these tensors.
+v_n e^g) where e is the Euler element.  The kernel operators Delta* and m*
+that the cut-and-join engine builds its counts with live in
+``tqftrec.cutjoin``.
 
 Algebras are interned on their labels and normalized tensors: building
 one that exists returns that instance, which passed the axiom checks and
@@ -51,7 +49,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 from typing import Sequence
 
 from .exact import BudgetError, Rational, rat_from_str, rat_to_str
@@ -538,29 +536,6 @@ def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]
     for v in vs:
         acc = _multiply(A, acc, v.coeffs)
     return _counit(A, acc)
-
-
-def _sparse(terms: dict) -> dict:
-    """terms without its zero values."""
-    return {key: x for key, x in terms.items() if x}
-
-
-def is_symmetric(F: dict) -> bool:
-    """Whether the sparse tensor F takes one value on every permutation of
-    each of its index tuples."""
-    return all(F.get(perm) == x for key, x in F.items() for perm in permutations(key))
-
-
-def omega_functional(A: FrobeniusAlgebra, g: int, n: int) -> dict:
-    """Omega_{g,n} as a sparse tensor {basis index tuple: value}; for (0,1)
-    the counit and for (0,2) the pairing, matching how the contraction
-    identities fold the unstable cases in."""
-    if (g, n) == (0, 1):
-        return _sparse({(i,): x for i, x in enumerate(A.counit)})
-    if (g, n) == (0, 2):
-        return _sparse({(i, j): x for i, row in enumerate(A.pairing) for j, x in enumerate(row)})
-    return _sparse({key: omega_tqft(A, g, n, [A.basis(i) for i in key])
-                    for key in iproduct(range(A.dim), repeat=n)})
 
 
 def trivial_algebra() -> FrobeniusAlgebra:

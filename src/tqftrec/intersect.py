@@ -60,10 +60,12 @@ class CorrelatorTable(CutJoinTable):
     def _vanishes(self, g, k):
         return min(k) < 0 or sum(k) != 3 * g - 3 + len(k)
 
-    def _split_genera(self, g, k1):
-        # the one genus the dimension rule sum(k1) = 3 g1 - 3 + len(k1) admits
+    def _split_genera(self, g, k1, k2):
+        # the one genus the dimension rule sum(k1) = 3 g1 - 3 + len(k1) admits;
+        # k2 then meets the rule at g - g1, as the profile split meets it at g,
+        # and the degrees of both halves are those of the profile or of a cut
         g1, rem = divmod(sum(k1) + 3 - len(k1), 3)
-        return (g1,) if not rem and 0 <= g1 <= g and min(k1) >= 0 else ()
+        return (g1,) if not rem and 0 <= g1 <= g else ()
 
     def _base_case(self, g, k):
         A = self.algebra

@@ -15,7 +15,9 @@ from sympy.polys.fields import field
 
 from tqftrec import amodel, bmodel, cellgraph, groups, intersect
 from tqftrec.cutjoin import delta_star_contract, delta_star_split, m_star_contract
-from tqftrec.frobenius import omega_functional, omega_tqft, trivial_algebra
+from tqftrec.frobenius import omega_tqft, trivial_algebra
+
+from functionals import omega_functional
 
 SMALL_GROUPS = ["trivial", "Z2", "Z3", "Z4", "Z2xZ2", "S3"]
 ALL_GROUPS = SMALL_GROUPS + ["Q8"]

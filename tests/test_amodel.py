@@ -15,7 +15,8 @@ from tqftrec.amodel import (
     twisted_catalan,
     twisted_dessin,
 )
-from tqftrec.cellgraph import count_arrowed_graphs, count_lattice_points, harer_zagier
+from tqftrec.cellgraph import (count_arrowed_graphs, count_lattice_points,
+                               count_matchings_by_genus, harer_zagier)
 from tqftrec.cutjoin import shared
 from tqftrec.frobenius import omega_tqft, trivial_algebra
 from tqftrec.groups import conjugacy, load_group, omega_brute, orbifold_frobenius
@@ -38,6 +39,20 @@ def test_catalan_pinned_values():
 def test_catalan_odd_total_vanishes():
     assert catalan(0, 2, (1, 2)) == 0
     assert catalan(1, 1, (5,)) == 0
+
+
+def test_euler_rule_zeroes_exactly_the_profiles_without_cell_graphs():
+    # against the matching count, which shares no code with the recursion:
+    # every profile of at most 10 half-edges, degrees 0 included, at g <= 3;
+    # a profile the rule zeroes has no connected cell graph, and in this
+    # range each profile with none is zeroed, so a build reads no zero child
+    table = CatalanTable()
+    for n in range(1, 11):
+        for mu in itertools.combinations_with_replacement(range(10, -1, -1), n):
+            if sum(mu) <= 10:
+                counts = count_matchings_by_genus(mu)
+                for g in range(4):
+                    assert table._vanishes(g, mu) == (counts.get(g, 0) == 0), (g, mu, counts)
 
 
 def test_catalan_is_symmetric():

@@ -13,12 +13,13 @@ from tqftrec.cellgraph import (
     count_arrowed_graphs,
     count_lattice_points,
     count_matchings_by_genus,
-    eca_evaluate,
     eca_functional_all_orders,
 )
 from tqftrec.exact import BudgetError
 from tqftrec.frobenius import omega_tqft, trivial_algebra
 from tqftrec.groups import load_group, orbifold_frobenius
+
+from functionals import eca_evaluate
 
 
 def one_vertex_loop():

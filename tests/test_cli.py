@@ -417,11 +417,11 @@ def test_cutjoin_budget_exits_3_without_traceback(monkeypatch, capsys):
 
 
 def test_cutjoin_budget_refuses_within_seconds_at_its_default(capsys):
-    # at the default budget, a request past the gate is refused in about 6 s
-    # on a 2-core host; the correlator's slowest refusal takes about 10 s
+    # at the default budget, a request past the gate is refused in about 4 s
+    # on a 2-core host, as is the correlator's first refusal
     cutjoin.shared.cache_clear()
     start = time.perf_counter()
-    code = cli.main(["catalan", "--g", "2", "--n", "10", "--mu", *["4"] * 10])
+    code = cli.main(["catalan", "--g", "2", "--n", "11", "--mu", *["4"] * 11])
     assert code == cli.EXIT_BUDGET and time.perf_counter() - start < 30
     assert capsys.readouterr().err.startswith("budget exceeded: profile g=2, mu=[4, 4, 4")
     cutjoin.shared.cache_clear()

@@ -15,9 +15,10 @@ from tqftrec import amodel, bmodel, cutjoin, intersect
 from tqftrec.cellgraph import count_arrowed_graphs
 from tqftrec.cutjoin import contract, delta_star_contract, delta_star_split, m_star_contract
 from tqftrec.exact import BudgetError
-from tqftrec.frobenius import (FrobeniusAlgebra, is_symmetric, omega_functional, omega_tqft,
-                               trivial_algebra)
-from tqftrec.groups import load_group, orbifold_frobenius
+from tqftrec.frobenius import FrobeniusAlgebra, omega_tqft, trivial_algebra
+from tqftrec.groups import BUILTIN_GROUPS, load_group, orbifold_frobenius
+
+from functionals import is_symmetric, omega_functional
 
 
 def z2_algebra():
@@ -123,12 +124,12 @@ def test_production_builds_run_through_the_kernel_operators(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _operator(*args, **kwargs)
         monkeypatch.setattr(cutjoin, name, counted)
-    # a cold table; (4, 2, 2) at genus 1 has join, loop and split terms
+    # a cold table; (6, 2, 2) at genus 1 has join, loop and split terms
     vs = [A.basis(i) for i in (2, 1, 1)]
-    value = amodel.CatalanTable(A).twisted(1, (4, 2, 2), vs)
+    value = amodel.CatalanTable(A).twisted(1, (6, 2, 2), vs)
     assert set(calls) == {"m_star_contract", "delta_star_contract", "delta_star_split"}
     assert all(calls.values()), calls
-    assert value == count_arrowed_graphs(1, 3, (4, 2, 2)) * omega_tqft(A, 1, 3, vs) != 0
+    assert value == count_arrowed_graphs(1, 3, (6, 2, 2)) * omega_tqft(A, 1, 3, vs) != 0
 
 
 def test_the_twisted_differentials_contract_through_the_engine_delta_star(monkeypatch):
@@ -360,12 +361,65 @@ def test_int_builds_over_constants_with_denominators_match_fraction_builds():
     # a table read from a cache file: its loaded tensors are the children of
     # the int builds of deeper profiles
     small = amodel.CatalanTable(B)
-    for mu in ((4,), (3, 1), (2, 2), (2, 1, 1)):
+    for mu in ((6,), (5, 1), (3, 3), (4, 2, 2)):
         small.twisted(1, mu, [B.basis(1)] * len(mu))
     loaded = amodel.CatalanTable(B)
     assert loaded.load_json(small.to_json())
     read = set(loaded._tensors)
-    for mu in ((6,), (5, 1), (3, 3), (4, 1, 1)):
+    for mu in ((8,), (7, 3), (5, 5), (6, 4, 2)):
         loaded.twisted(2, mu, [B.basis(2)] * len(mu))
     assert read & set(loaded._ints)
     _matches_the_fraction_build(loaded)
+
+
+# -- mirror terms run once, and each child is read once ------------------------
+
+def test_coproducts_are_cocommutative():
+    # a cut (a, b) and its mirror (b, a) give equal terms because
+    # Delta_i^{ab} = Delta_i^{ba}: the product is commutative and the pairing
+    # symmetric, which every algebra's construction checks
+    algebras = [orbifold_frobenius(load_group("builtin:" + name)) for name in BUILTIN_GROUPS]
+    algebras.append(_rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1),
+                              Fraction(5, 7)))
+    for A in algebras:
+        legs = A.coproduct_by_legs
+        assert all(legs[a][b] == legs[b][a] for a in range(A.dim) for b in range(A.dim)), A.labels
+
+
+def test_merged_builds_match_the_unmerged_fraction_build_on_repeated_degrees():
+    # mirrored cuts (a = b among them) and split subsets with equal degrees,
+    # over constants with denominators; the reference runs every term apart
+    B = _rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1), Fraction(5, 7))
+    catalan, lattice, correlators = (amodel.CatalanTable(B), amodel.LatticeTable(B),
+                                     intersect.CorrelatorTable(B))
+    for g, mu in itertools.product(range(3), ((4, 4, 2, 2), (3, 3, 3, 1), (6, 6), (5, 5, 2))):
+        vs = [B.basis(i % B.dim) for i in range(len(mu))]
+        assert catalan.twisted(g, mu, vs) == catalan.untwisted(g, mu) * omega_tqft(B, g, len(mu), vs)
+        lattice.twisted(g, mu, vs)
+    for g, k in ((0, (1, 1, 0, 0, 0)), (1, (1, 1, 1, 1)), (1, (2, 2, 0, 0)), (2, (2, 2, 2, 1)),
+                 (2, (3, 3, 0)), (2, (2, 2, 2))):
+        correlators.twisted(g, k, [B.basis(i % B.dim) for i in range(len(k))])
+    for table in (catalan, lattice, correlators):
+        assert any(len(set(mu)) < len(mu) for _, mu in table._tensors)
+        _matches_the_fraction_build(table)
+
+
+def test_a_build_reads_each_of_its_children_once(monkeypatch):
+    # the lattice cuts (q1, q2) share degrees across cuts, and equal degrees
+    # give equal children within a cut
+    reads, stack = [], []
+    build = cutjoin.CutJoinTable._tensor
+
+    def traced(self, g, mu):
+        reads.append((self, stack[-1] if stack else None, g, mu))
+        stack.append((g, mu))
+        try:
+            return build(self, g, mu)
+        finally:
+            stack.pop()
+    monkeypatch.setattr(cutjoin.CutJoinTable, "_tensor", traced)
+    A = z2_algebra()
+    amodel.LatticeTable(A).untwisted(1, (6, 4))
+    amodel.CatalanTable(A).untwisted(2, (4, 4, 2, 2))
+    intersect.CorrelatorTable(A).untwisted(2, (2, 2, 2, 1))
+    assert len(reads) == len(set(reads)) > 50

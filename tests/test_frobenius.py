@@ -20,8 +20,6 @@ from tqftrec.frobenius import (
     counit,
     euler_power,
     handle,
-    is_symmetric,
-    omega_functional,
     omega_tqft,
     pairing,
     product,
@@ -36,6 +34,8 @@ from tqftrec.groups import (
     omega_brute,
     orbifold_frobenius,
 )
+
+from functionals import is_symmetric, omega_functional
 
 
 def z2_algebra():
