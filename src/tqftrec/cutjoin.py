@@ -22,10 +22,13 @@ Delta_i^{ba}, because every algebra is checked at construction to have a
 commutative product and a symmetric pairing.  So each such pair runs once,
 with the two weights summed.  The build streams: it reads each child as
 its term comes up, so a deep descent holds only the terms of the cuts
-already passed.  It then runs the operators in Python ints, on the
-children's int forms and on the algebra's constants scaled to ints, with
-every weight scaled to one denominator for the whole build, and makes one
-Fraction per stored entry.  Each level of the recursion costs one Python
+already passed; the degrees of each split's halves are taken from the
+profile by itemgetters cached per boundary count, in ``_halves``.  It
+then runs the operators in Python ints, on the children's int forms and
+on the algebra's constants scaled to ints (``int_constants``, one cached
+view per algebra, which its amplitude memo shares), with every weight
+scaled to one denominator for the whole build, and makes one Fraction
+per stored entry.  Each level of the recursion costs one Python
 frame, which bounds the depth of a profile that can be built.
 
 Every table is over an algebra: the scalar counts are the table over the
@@ -44,9 +47,10 @@ its parent asks for.  An entry is stored only when complete, and a
 profile the family's vanishing rule zeroes is never stored.  A query reads
 the memo first and answers a vanishing profile or an empty tensor with
 zero at once; otherwise it evaluates its tensor on its decorations with
-``contract``, the engine's one contraction, which reads a single entry
-when each decoration has one nonzero term and otherwise walks the
-tensor's entries.  ``omega_tqft``, which the decorated counts are checked
+``contract``, the engine's one contraction.  When every decoration is a
+basis vector it reads the entry at their ``index`` tuple; when each has
+one nonzero term it scales the one entry it reads; otherwise it walks
+the tensor's entries.  ``omega_tqft``, which the decorated counts are checked
 against, keeps its own contraction.
 
 Every table the package answers from is built once, by ``shared``: one
@@ -58,7 +62,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
@@ -102,11 +106,15 @@ def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
     """The multilinear functional held as the sparse tensor {basis index
     tuple: value} evaluated on one decoration per slot.
 
-    When each decoration has one nonzero term, as a basis vector has, the
-    one entry read is scaled by the coefficients other than 1.  Otherwise
-    the tensor's entries are walked, so dense decorations never expand to
-    dim^n tuples, and their terms are summed as an int numerator over a
-    running common denominator, with one Fraction built on return."""
+    When every decoration is a basis vector, the entry at their ``index``
+    tuple is read.  When each has one nonzero term, the one entry read is
+    scaled by the coefficients other than 1.  Otherwise the tensor's
+    entries are walked, so dense decorations never expand to dim^n tuples,
+    and their terms are summed as an int numerator over a running common
+    denominator, with one Fraction built on return."""
+    idx = tuple([v.index for v in vs])
+    if None not in idx:
+        return tensor.get(idx, _ZERO)
     terms = [v.terms for v in vs]
     if math.prod(map(len, terms)) == 1:
         val = tensor.get(tuple([t[0][0] for t in terms]))
@@ -153,6 +161,24 @@ def _splits(r: int):
         for I in combinations(range(r), size)
     ]
     return [(I, J, tuple((I + J).index(t) for t in range(r))) for I, J in halves]
+
+
+def _picker(positions: Tuple[int, ...]):
+    """The map taking a tuple t to (t[p] for p in positions), as a tuple
+    also for fewer than two positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return itemgetter(slice(p, p + 1))
+    return itemgetter(slice(0))
+
+
+@lru_cache(maxsize=None)
+def _halves(r: int):
+    """``_splits(r)`` as (take I, take J, order), the takes mapping the r
+    other degrees of a profile to those of each half."""
+    return [(_picker(I), _picker(J), order) for I, J, order in _splits(r)]
 
 
 @lru_cache(maxsize=4096)  # bounded: profiles with many distinct degrees have many orders
@@ -220,24 +246,6 @@ def delta_star_split(A: FrobeniusAlgebra, F1: dict, F2: dict, out: dict, w=1,
                 out[key] = out.get(key, 0) + c * xy
 
 
-class _IntConstants:
-    """An algebra's kernel constants as ints: its ``product_by_output`` and
-    ``coproduct_by_legs`` views with every constant times ``scale``, the lcm
-    of their denominators, so the kernel operators run on them as they run
-    on the algebra."""
-
-    def __init__(self, A: FrobeniusAlgebra):
-        by_output, by_legs = A.product_by_output, A.coproduct_by_legs
-        self.scale = D = math.lcm(*(c.denominator for terms in by_output for _, _, c in terms),
-                                  *(c.denominator for row in by_legs for terms in row for _, c in terms))
-        self.product_by_output = tuple(
-            tuple((i, j, c.numerator * (D // c.denominator)) for i, j, c in terms)
-            for terms in by_output)
-        self.coproduct_by_legs = tuple(
-            tuple(tuple((i, c.numerator * (D // c.denominator)) for i, c in terms) for terms in row)
-            for row in by_legs)
-
-
 def _int_form(tensor: dict):
     """(den, {index tuple: int}) with tensor[t] = ints[t] / den, den the lcm
     of the denominators of the tensor's values: a base case or a tensor read
@@ -288,11 +296,16 @@ class CutJoinTable:
     def twisted(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement],
                 n: Optional[int] = None) -> Fraction:
         """The count with decoration vs[i] on boundary i; a given n is
-        checked against the length of mu."""
+        checked against the length of mu.  The memo is read before the
+        vanishing rule, as ``_read`` reads it."""
         mu = self._validate(g, len(mu) if n is None else n, mu)
         check_decorations(self.algebra, vs, len(mu))
         ordered = tuple(sorted(mu, reverse=True))
-        tensor = self._read(g, ordered, mu)
+        tensor = self._tensors.get((g, ordered))
+        if tensor is None:
+            if self._vanishes(g, ordered):
+                return _ZERO
+            tensor = self._lookup(g, ordered, mu)
         if not tensor:
             return _ZERO
         if ordered != mu:
@@ -333,13 +346,8 @@ class CutJoinTable:
     def _refuse(self):
         """Raise the budget error that names the request."""
         g, mu = self._request
-        raise BudgetError("profile g=%d, %s=%s needs more than %d child tensors"
+        raise BudgetError("profile g=%d, %s=%s considers more than %d children"
                           % (g, self.degree_column, mu, CUTJOIN_WORK_BUDGET))
-
-    @cached_property
-    def _constants(self):
-        """The algebra's kernel constants as ints, built on the first build."""
-        return _IntConstants(self.algebra)
 
     def _tensor(self, g: int, mu: Tuple[int, ...]):
         """The int form (den, {index tuple: int}) of the tensor of the
@@ -391,8 +399,8 @@ class CutJoinTable:
                                 terms.append((den, w, m_star_contract, (T, j + 2), {}))
                 # loops and splits: the distinguished decoration is coproduced; a
                 # cut (a, b) runs for itself and its mirror (b, a), a < b
-                halves = [(tuple(rest[t] for t in I), tuple(rest[t] for t in J), order)
-                          for I, J, order in _splits(len(rest))]
+                halves = [(take1(rest), take2(rest), order)
+                          for take1, take2, order in _halves(len(rest))]
                 for a, b, w in self._cuts(m1):
                     if a > b:
                         continue
@@ -433,7 +441,7 @@ class CutJoinTable:
                 if self._work > CUTJOIN_WORK_BUDGET:
                     self._refuse()
                 M = math.lcm(*(w.denominator * den for den, w, _, _, _ in terms))
-                constants, acc = self._constants, {}
+                constants, acc = self.algebra.int_constants, {}
                 for den, w, operator, children, other in terms:
                     operator(constants, *children, **other, out=acc,
                              w=w.numerator * (M // (w.denominator * den)))

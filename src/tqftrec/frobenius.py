@@ -33,15 +33,22 @@ the instance:
   algebra, any other e^g by square-and-multiply once asked for, keeping no
   power between.  ``basis``, ``unit_element`` (e^0), ``euler_element``
   (e^1) and ``euler_power`` return the cached element itself on every call;
+- ``int_constants``, the product, coproduct and pairing constants scaled
+  to ints, built on first use and shared by the amplitude fill and the
+  cut-and-join builds;
 - the amplitudes of basis tuples, keyed on (g, sorted basis indices): the
   product is commutative, so Omega_{g,n} depends only on the multiset of
-  basis classes.  Each entry is filled by the e^g e_i ... chain when first
-  asked for.
+  basis classes.  Each entry is filled when first asked for, in ints: e^g
+  e_i ... over the int product constants up to the last index, then
+  paired with the last basis vector, since counit(x y) = eta(x, y), and
+  one Fraction is made of the result.
 
 Caches hold only immutable values: ``AlgebraElement``s, tuples of
-Fractions, and Fractions.  An element refuses attribute assignment, so
-equal elements hash alike for their whole life, and it computes its
-nonzero ``terms`` once, on first use.
+Fractions and ints, and Fractions.  An element refuses attribute
+assignment, so equal elements hash alike for their whole life.  It
+computes at construction its nonzero ``terms`` and its ``index``, i when
+it is the basis vector e_i and else None, so that ``omega_tqft`` and the
+cut-and-join contraction read a basis tuple's entry by index.
 """
 
 from __future__ import annotations
@@ -313,6 +320,11 @@ class FrobeniusAlgebra:
         return tuple(tuple(map(tuple, row)) for row in by_ab)
 
     @cached_property
+    def int_constants(self) -> _IntConstants:
+        """The structure constants as ints, built on first use."""
+        return _IntConstants(self)
+
+    @cached_property
     def _basis(self):
         """The basis vectors, as elements."""
         one, zero = Fraction(1), Fraction(0)
@@ -350,10 +362,40 @@ class FrobeniusAlgebra:
         }
 
 
-class AlgebraElement:
-    """An immutable element of a Frobenius algebra: ``coeffs`` holds dim Fractions."""
+class _IntConstants:
+    """An algebra's structure constants as ints, for the int loops of
+    ``_amplitude`` and of the cut-and-join builds: its ``product_by_pair``,
+    ``product_by_output`` and ``coproduct_by_legs`` views with every
+    constant times ``scale``, the lcm of their denominators, so the kernel
+    operators run on them as they run on the algebra; and ``pairing_rows[i]``,
+    the pairs (j, eta_ij) for the nonzero eta_ij, times ``pairing_scale``."""
 
-    __slots__ = ("algebra", "coeffs", "_terms")
+    def __init__(self, A: FrobeniusAlgebra):
+        by_output, by_legs = A.product_by_output, A.coproduct_by_legs
+        self.scale = D = math.lcm(*(c.denominator for terms in by_output for _, _, c in terms),
+                                  *(c.denominator for row in by_legs for terms in row for _, c in terms))
+        self.product_by_pair = tuple(
+            tuple(tuple((k, c.numerator * (D // c.denominator)) for k, c in terms) for terms in plane)
+            for plane in A.product_by_pair)
+        self.product_by_output = tuple(
+            tuple((i, j, c.numerator * (D // c.denominator)) for i, j, c in terms)
+            for terms in by_output)
+        self.coproduct_by_legs = tuple(
+            tuple(tuple((i, c.numerator * (D // c.denominator)) for i, c in terms) for terms in row)
+            for row in by_legs)
+        rows = _rows(A.pairing)
+        self.pairing_scale = E = math.lcm(*(x.denominator for row in rows for _, x in row))
+        self.pairing_rows = tuple(tuple((j, x.numerator * (E // x.denominator)) for j, x in row)
+                                  for row in rows)
+
+
+class AlgebraElement:
+    """An immutable element of a Frobenius algebra: ``coeffs`` holds dim
+    Fractions, ``terms`` the pairs (i, c) of its nonzero coefficients c =
+    coeffs[i], and ``index`` is i when the element is the basis vector e_i,
+    else None."""
+
+    __slots__ = ("algebra", "coeffs", "terms", "index")
 
     def __init__(self, algebra: FrobeniusAlgebra, coeffs: Sequence):
         if len(coeffs) != algebra.dim:
@@ -362,25 +404,18 @@ class AlgebraElement:
             coeffs = coeffs if type(coeffs) is tuple else tuple(coeffs)
         else:
             coeffs = tuple(_frac(x) for x in coeffs)
+        terms = _nonzero(coeffs)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "index",
+                           terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
 
     def __reduce__(self):
         return AlgebraElement, (self.algebra, self.coeffs)
-
-    @property
-    def terms(self) -> tuple:
-        """((i, c), ...) for the nonzero coefficients c = coeffs[i], computed
-        on first use."""
-        try:
-            return self._terms
-        except AttributeError:
-            terms = _nonzero(self.coeffs)
-            object.__setattr__(self, "_terms", terms)
-            return terms
 
     def __eq__(self, other):
         return (
@@ -501,30 +536,53 @@ def euler_power(A: FrobeniusAlgebra, g: int) -> AlgebraElement:
     return power
 
 
-def _amplitude(A: FrobeniusAlgebra, g: int, idx: tuple) -> Fraction:
-    """Omega_{g,n} on the basis tuple idx, from the algebra's memo."""
+def _amplitude(A: FrobeniusAlgebra, g: int, idx: Sequence[int]) -> Fraction:
+    """Omega_{g,n} on the basis tuple idx, from the algebra's memo.
+
+    A missing entry is filled in ints: e^g over the lcm of its
+    denominators is multiplied by e_i for each i of the sorted tuple but
+    the last, through the int product constants, and then paired with the
+    last basis vector, since counit(x y) = eta(x, y).  One Fraction is made
+    of the result."""
     key = (g, tuple(sorted(idx)))
     x = A._amplitudes.get(key)
     if x is None:
-        acc = euler_power(A, g).coeffs
-        for i in key[1]:
-            acc = _multiply(A, acc, A._basis[i].coeffs)
-        x = A._amplitudes[key] = _counit(A, acc)
+        C = A.int_constants
+        e_g = euler_power(A, g).coeffs
+        den = math.lcm(*(c.denominator for c in e_g))
+        acc = [c.numerator * (den // c.denominator) for c in e_g]
+        *head, last = key[1]
+        for i in head:
+            row, out = C.product_by_pair[i], [0] * A.dim
+            for j, a in enumerate(acc):
+                if a:
+                    for k, c in row[j]:
+                        out[k] += a * c
+            acc = out
+        num = sum(acc[j] * y for j, y in C.pairing_rows[last])
+        x = A._amplitudes[key] = Fraction(num, den * C.scale ** len(head) * C.pairing_scale)
     return x
 
 
 def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]) -> Rational:
     """Amplitude of a genus-g surface with n inputs.
 
-    When each decoration has one nonzero term, the memoized amplitude of
-    their basis tuple is scaled by the coefficients other than 1; otherwise
-    the cached e^g has each decoration multiplied in through the pair view,
-    so that dense decorations never expand to dim^n tuples, and the counit
-    is taken."""
+    When every decoration is a basis vector, its ``index`` is set and the
+    amplitude memo is read at the sorted indices, filled by ``_amplitude``
+    on a miss.  When each decoration has one nonzero term, the memoized
+    amplitude of their basis tuple is scaled by the coefficients other than
+    1.  Otherwise the cached e^g has each decoration multiplied in through
+    the pair view, so that dense decorations never expand to dim^n tuples,
+    and the counit is taken."""
     if n < 1 or len(vs) != n:
         raise ValueError("need n >= 1 inputs")
     e_g = euler_power(A, g)
     _same_algebra(e_g, *vs)
+    idx = [v.index for v in vs]
+    if None not in idx:
+        idx.sort()
+        x = A._amplitudes.get((g, tuple(idx)))
+        return _amplitude(A, g, idx) if x is None else x
     terms = [v.terms for v in vs]
     if math.prod(map(len, terms)) == 1:
         x = _amplitude(A, g, tuple([t[0][0] for t in terms]))

@@ -11,12 +11,16 @@ Double-factorial convention: the recursion here divides the pair term by
 the recursion do, breaks the dilaton identity (for example
 <tau_1 tau_0^3> comes out 3 instead of 1).  (-1)!! = 1, and any tau with
 negative index contributes zero.
+
+The pair and cut weights depend on the degrees alone, so they are built
+once, in caches keyed on the degrees that every build of every table reads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .cutjoin import TRIVIAL, CutJoinTable, shared
@@ -80,19 +84,29 @@ class CorrelatorTable(CutJoinTable):
         return None
 
     def _joins(self, k1, kj, stable):
-        weight = Fraction(
-            double_factorial(2 * k1 + 2 * kj - 1),
-            double_factorial(2 * k1 + 1) * double_factorial(2 * kj - 1),
-        )
-        return ((k1 + kj - 1, weight),)
+        return _join_weights(k1, kj)
 
     def _cuts(self, k1):
-        return [
-            (l, m, Fraction(double_factorial(2 * l + 1) * double_factorial(2 * m + 1),
-                            2 * double_factorial(2 * k1 + 1)))
-            for l in range(k1 - 1)
-            for m in (k1 - 2 - l,)
-        ]
+        return _cut_weights(k1)
+
+
+@lru_cache(maxsize=1024)
+def _join_weights(k1: int, kj: int):
+    weight = Fraction(
+        double_factorial(2 * k1 + 2 * kj - 1),
+        double_factorial(2 * k1 + 1) * double_factorial(2 * kj - 1),
+    )
+    return ((k1 + kj - 1, weight),)
+
+
+@lru_cache(maxsize=1024)  # bounded: the weights of a degree k1 are k1 - 1 Fractions
+def _cut_weights(k1: int):
+    return tuple(
+        (l, m, Fraction(double_factorial(2 * l + 1) * double_factorial(2 * m + 1),
+                        2 * double_factorial(2 * k1 + 1)))
+        for l in range(k1 - 1)
+        for m in (k1 - 2 - l,)
+    )
 
 
 def correlator(g: int, n: int, k: Sequence[int]) -> Rational:

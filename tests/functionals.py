@@ -1,13 +1,14 @@
 """Reference functionals the tests check the package against, kept out of
 the package because only tests use them: the amplitude Omega_{g,n} as a
-sparse tensor, a symmetry check on such tensors, and the edge-contraction
-amplitude of one decorated graph."""
+sparse tensor and as the Fraction chain e^g e_i ..., a symmetry check on
+such tensors, the edge-contraction amplitude of one decorated graph, and
+an algebra rescaled so that its constants have denominators."""
 
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Sequence
 
-from tqftrec import cellgraph
+from tqftrec import cellgraph, frobenius
 from tqftrec.frobenius import AlgebraElement, FrobeniusAlgebra, omega_tqft
 
 
@@ -33,6 +34,26 @@ def omega_functional(A: FrobeniusAlgebra, g: int, n: int) -> dict:
         return _sparse({(i, j): x for i, row in enumerate(A.pairing) for j, x in enumerate(row)})
     return _sparse({key: omega_tqft(A, g, n, [A.basis(i) for i in key])
                     for key in product(range(A.dim), repeat=n)})
+
+
+def amplitude_chain(A: FrobeniusAlgebra, g: int, idx: Sequence[int]) -> Fraction:
+    """Omega_{g,n} on the basis tuple idx as the Fraction chain
+    counit(e^g e_{i_1} ... e_{i_n}), each factor multiplied in as an element."""
+    acc = frobenius.euler_power(A, g)
+    for i in sorted(idx):
+        acc = frobenius.product(acc, A.basis(i))
+    return frobenius.counit(acc)
+
+
+def rescaled(A, scales, factor):
+    """A in the basis scales[i] e_i with its pairing times factor: the
+    product constants become s_i s_j / s_k c_ij^k and the pairing
+    factor s_i s_j eta_ij, so the constants get denominators that no group
+    algebra has."""
+    s, r = [Fraction(x) for x in scales], range(A.dim)
+    product = [[[s[i] * s[j] / s[k] * A.product_tensor[i][j][k] for k in r] for j in r] for i in r]
+    pairing = [[factor * s[i] * s[j] * A.pairing[i][j] for j in r] for i in r]
+    return FrobeniusAlgebra(A.dim, [label + "'" for label in A.labels], product, pairing)
 
 
 def eca_evaluate(graph: cellgraph.CellGraph, A: FrobeniusAlgebra,

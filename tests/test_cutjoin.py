@@ -18,7 +18,7 @@ from tqftrec.exact import BudgetError
 from tqftrec.frobenius import FrobeniusAlgebra, omega_tqft, trivial_algebra
 from tqftrec.groups import BUILTIN_GROUPS, load_group, orbifold_frobenius
 
-from functionals import is_symmetric, omega_functional
+from functionals import is_symmetric, omega_functional, rescaled
 
 
 def z2_algebra():
@@ -264,6 +264,49 @@ def test_one_entry_contraction_equals_the_general_sum():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_basis_and_scaled_basis_decorations_read_one_entry():
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    tensor = {(0, 2, 1): Fraction(5, 3), (2, 2, 2): Fraction(-1, 4)}
+    half = Fraction(-3, 2)
+    for idx in itertools.product(range(A.dim), repeat=3):
+        vs = [A.basis(i) for i in idx]
+        entry = tensor.get(idx, 0)
+        assert contract(tensor, vs) == entry
+        if entry:
+            assert contract(tensor, vs) is tensor[idx]
+        for slot in range(3):
+            scaled = list(vs)
+            scaled[slot] = A.element([half * c for c in vs[slot].coeffs])
+            got = contract(tensor, scaled)
+            assert got == half * entry and type(got) is Fraction
+    assert contract(tensor, [A.basis(0), A.element([0] * A.dim), A.basis(1)]) == 0
+
+
+def test_split_halves_take_the_degrees_of_each_subset():
+    for r in range(7):
+        rest = tuple(range(10, 10 + r))
+        halves = cutjoin._halves(r)
+        assert cutjoin._halves(r) is halves and len(halves) == len(cutjoin._splits(r))
+        for (take1, take2, order), (I, J, same) in zip(halves, cutjoin._splits(r)):
+            assert order == same
+            assert take1(rest) == tuple(rest[t] for t in I)
+            assert take2(rest) == tuple(rest[t] for t in J)
+
+
+def test_memoized_correlator_weights_equal_fresh_ones():
+    df = intersect.double_factorial
+    table = intersect.CorrelatorTable()
+    for k1 in range(41):
+        fresh = [(l, k1 - 2 - l, Fraction(df(2 * l + 1) * df(2 * k1 - 2 * l - 3), 2 * df(2 * k1 + 1)))
+                 for l in range(k1 - 1)]
+        assert list(table._cuts(k1)) == fresh
+        assert table._cuts(k1) is intersect.CorrelatorTable()._cuts(k1)
+        for kj in range(41):
+            weight = Fraction(df(2 * k1 + 2 * kj - 1), df(2 * k1 + 1) * df(2 * kj - 1))
+            for stable in (False, True):
+                assert list(table._joins(k1, kj, stable)) == [(k1 + kj - 1, weight)]
+
+
 def test_memoized_queries_need_no_budget_and_cold_ones_keep_the_message(monkeypatch):
     table = amodel.CatalanTable(cutjoin.TRIVIAL)
     one = [cutjoin.TRIVIAL.basis(0)] * 2
@@ -273,7 +316,7 @@ def test_memoized_queries_need_no_budget_and_cold_ones_keep_the_message(monkeypa
     assert table.untwisted(1, (3, 2)) == table.twisted(1, (2, 3), one) == 0
     with pytest.raises(BudgetError) as err:
         table.untwisted(1, (2, 6))
-    assert str(err.value) == "profile g=1, mu=[2, 6] needs more than 0 child tensors"
+    assert str(err.value) == "profile g=1, mu=[2, 6] considers more than 0 children"
 
 
 def test_each_level_of_a_build_costs_one_frame():
@@ -285,17 +328,6 @@ def test_each_level_of_a_build_costs_one_frame():
 
 
 # -- the int build against Fraction tensors ----------------------------------
-
-def _rescaled(A, scales, factor):
-    """A in the basis scales[i] e_i with its pairing times factor: the
-    product constants become s_i s_j / s_k c_ij^k and the pairing
-    factor s_i s_j eta_ij, so the constants get denominators that no group
-    algebra has."""
-    s, r = [Fraction(x) for x in scales], range(A.dim)
-    product = [[[s[i] * s[j] / s[k] * A.product_tensor[i][j][k] for k in r] for j in r] for i in r]
-    pairing = [[factor * s[i] * s[j] * A.pairing[i][j] for j in r] for i in r]
-    return FrobeniusAlgebra(A.dim, [label + "'" for label in A.labels], product, pairing)
-
 
 def _fraction_tensor(hooks, g, mu, memo):
     """The tensor of (g, mu), slots in the order of mu, reduced on the
@@ -343,7 +375,7 @@ def _matches_the_fraction_build(table):
 def test_int_builds_over_constants_with_denominators_match_fraction_builds():
     # every group algebra has integer product and coproduct constants; this
     # one has denominators in both, and in its counit and pairing
-    B = _rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1), Fraction(5, 7))
+    B = rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1), Fraction(5, 7))
     assert any(c.denominator > 1 for terms in B.product_by_output for _, _, c in terms)
     assert any(c.denominator > 1 for row in B.coproduct_by_legs for terms in row for _, c in terms)
     profiles = [mu for n in (1, 2, 3) for mu in itertools.combinations_with_replacement(
@@ -379,7 +411,7 @@ def test_coproducts_are_cocommutative():
     # Delta_i^{ab} = Delta_i^{ba}: the product is commutative and the pairing
     # symmetric, which every algebra's construction checks
     algebras = [orbifold_frobenius(load_group("builtin:" + name)) for name in BUILTIN_GROUPS]
-    algebras.append(_rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1),
+    algebras.append(rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1),
                               Fraction(5, 7)))
     for A in algebras:
         legs = A.coproduct_by_legs
@@ -389,7 +421,7 @@ def test_coproducts_are_cocommutative():
 def test_merged_builds_match_the_unmerged_fraction_build_on_repeated_degrees():
     # mirrored cuts (a = b among them) and split subsets with equal degrees,
     # over constants with denominators; the reference runs every term apart
-    B = _rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1), Fraction(5, 7))
+    B = rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1), Fraction(5, 7))
     catalan, lattice, correlators = (amodel.CatalanTable(B), amodel.LatticeTable(B),
                                      intersect.CorrelatorTable(B))
     for g, mu in itertools.product(range(3), ((4, 4, 2, 2), (3, 3, 3, 1), (6, 6), (5, 5, 2))):

@@ -35,7 +35,7 @@ from tqftrec.groups import (
     orbifold_frobenius,
 )
 
-from functionals import is_symmetric, omega_functional
+from functionals import amplitude_chain, is_symmetric, omega_functional, rescaled
 
 
 def z2_algebra():
@@ -296,6 +296,45 @@ def test_elements_are_immutable_values_that_the_algebra_hands_out_once():
         for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert twin == v and hash(twin) == hash(v) and twin.algebra is A
             assert twin.terms == v.terms
+
+
+def test_an_element_knows_whether_it_is_a_basis_vector():
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    half = Fraction(3, 2)
+    for i in range(A.dim):
+        built = A.element([int(j == i) for j in range(A.dim)])
+        assert A.basis(i).index == built.index == i
+        assert built == A.basis(i) and built.terms == A.basis(i).terms == ((i, 1),)
+        scaled = A.element([half * c for c in A.basis(i).coeffs])
+        assert scaled.index is None and scaled.terms == ((i, half),)
+    assert A.element([0] * A.dim).index is None and A.element([0] * A.dim).terms == ()
+    two = A.element([1, 0, 1])
+    assert two.index is None and two.terms == ((0, 1), (2, 1))
+    assert trivial_algebra().unit_element().index == 0
+    for v in (A.basis(2), A.element([half, 0, 0]), A.element([0] * A.dim), two):
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert (twin.terms, twin.index) == (v.terms, v.index)
+            with pytest.raises(AttributeError):
+                twin.index = 1
+
+
+def test_int_amplitude_fill_equals_the_fraction_chain():
+    from tqftrec.frobenius import _amplitude
+
+    algebras = [orbifold_frobenius(load_group("builtin:" + name)) for name in BUILTIN_GROUPS]
+    S3 = orbifold_frobenius(load_group("builtin:S3"))
+    algebras.append(rescaled(S3, (2, 3, 1), Fraction(5, 7)))
+    algebras.append(rescaled(S3, (1, Fraction(1, 2), 3), Fraction(-4, 3)))
+    for A in algebras:
+        for g in range(4):
+            for n in range(1, 5):
+                for idx in itertools.combinations_with_replacement(range(A.dim), n):
+                    A._amplitudes.pop((g, idx), None)  # so that _amplitude fills it
+                    want = amplitude_chain(A, g, idx)
+                    got = _amplitude(A, g, idx[::-1])
+                    assert got == want and type(got) is Fraction, (A, g, idx)
+                    assert A._amplitudes[(g, idx)] is got
+                    assert omega_tqft(A, g, n, [A.basis(i) for i in reversed(idx)]) is got
 
 
 def test_omega_tqft_rejects_a_foreign_algebra():
