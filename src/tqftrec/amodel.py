@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
-from .cutjoin import TRIVIAL, CutJoinTable, shared
+from .cutjoin import TRIVIAL, CutJoinTable, profile, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra
 
 Rational = Fraction
@@ -42,17 +42,19 @@ __all__ = [
 CACHE_SCHEMA = 1
 
 
-def _validate_profile(g: int, n: int, mu: Sequence[int]) -> Tuple[int, ...]:
+def _validate_profile(g: int, n: int, mu: Sequence[int]):
+    """The checked profile's ``cutjoin.profile`` facts (ints, ordered, permute)."""
     if g < 0:
         raise ValueError("genus must be non-negative, got %d" % g)
     if n < 1:
         raise ValueError("need at least one boundary, got n=%d" % n)
-    mu = tuple(map(int, mu))
-    if len(mu) != n:
-        raise ValueError("profile length %d does not match n=%d" % (len(mu), n))
-    if min(mu) < 0:
-        raise ValueError("degrees must be non-negative, got %s" % list(mu))
-    return mu
+    checked = profile(mu)
+    ints, ordered, _ = checked
+    if len(ints) != n:
+        raise ValueError("profile length %d does not match n=%d" % (len(ints), n))
+    if ordered[-1] < 0:
+        raise ValueError("degrees must be non-negative, got %s" % list(ints))
+    return checked
 
 
 def _digest(body: Mapping) -> str:
@@ -178,11 +180,11 @@ def twisted_dessin(
     Laplace-transform normalization of the two-point function and is
     excluded from acceptance claims.
     """
-    mu = _validate_profile(g, n, mu)
-    if any(m < 1 for m in mu):
-        raise ValueError("dessin counts need positive degrees, got %s" % list(mu))
-    value = shared(CatalanTable, algebra).twisted(g, mu, vs)
-    return value / math.prod(mu)
+    checked = _validate_profile(g, n, mu)
+    ints, ordered, _ = checked
+    if ordered[-1] < 1:
+        raise ValueError("dessin counts need positive degrees, got %s" % list(ints))
+    return shared(CatalanTable, algebra)._evaluate(g, checked, vs) / math.prod(ints)
 
 
 # -- lattice-point recursion ----------------------------------------------

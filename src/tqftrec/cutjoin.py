@@ -44,13 +44,21 @@ Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
 decorations into that order, and a child tensor is realigned to the order
 its parent asks for.  An entry is stored only when complete, and a
-profile the family's vanishing rule zeroes is never stored.  A query reads
-the memo first and answers a vanishing profile or an empty tensor with
-zero at once; otherwise it evaluates its tensor on its decorations with
-``contract``, the engine's one contraction.  When every decoration is a
-basis vector it reads the entry at their ``index`` tuple; when each has
-one nonzero term it scales the one entry it reads; otherwise it walks
-the tensor's entries.  ``omega_tqft``, which the decorated counts are checked
+profile the family's vanishing rule zeroes is never stored.  A query
+canonicalizes its degree tuple once per distinct tuple: ``profile``
+caches, in a bounded cache that holds no table, the int degrees, the same
+in decreasing order and the itemgetter that takes the asked order to it.
+The checks still run on every call: the genus, the boundary count and the
+length, the family's own rule (the Catalan counts' nonnegative degrees,
+the lattice's refusal of (0,1)), and ``check_decorations``, one pass that
+checks each decoration's type and algebra and collects its ``index``.  A
+query then reads the memo and answers a vanishing profile or an empty
+tensor with zero at once.  When every decoration is a basis vector it
+reads the entry at their index tuple, put in the memoized order;
+otherwise it evaluates its tensor on its reordered decorations with
+``contract``, the engine's one contraction, which scales the one entry it
+reads when each decoration has one nonzero term, and else walks the
+tensor's entries.  ``omega_tqft``, which the decorated counts are checked
 against, keeps its own contraction.
 
 Every table the package answers from is built once, by ``shared``: one
@@ -91,30 +99,31 @@ CUTJOIN_WORK_BUDGET = 1000000
 _ZERO = Fraction(0)
 
 
-def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n: int):
-    """Check n decorations against the algebra."""
+def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n: int) -> list:
+    """Check n decorations against the algebra, in one pass that also
+    collects their ``index`` values, the list it returns."""
     if len(vs) != n:
         raise ValueError("need one decoration per boundary: %d for %d" % (len(vs), n))
+    idx = []
     for v in vs:
         if not isinstance(v, AlgebraElement):
             raise TypeError("decorations must be algebra elements, got %r" % (v,))
         if v.algebra is not algebra:
             raise ValueError("decoration does not belong to the given algebra")
+        idx.append(v.index)
+    return idx
 
 
 def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
     """The multilinear functional held as the sparse tensor {basis index
     tuple: value} evaluated on one decoration per slot.
 
-    When every decoration is a basis vector, the entry at their ``index``
-    tuple is read.  When each has one nonzero term, the one entry read is
-    scaled by the coefficients other than 1.  Otherwise the tensor's
-    entries are walked, so dense decorations never expand to dim^n tuples,
-    and their terms are summed as an int numerator over a running common
-    denominator, with one Fraction built on return."""
-    idx = tuple([v.index for v in vs])
-    if None not in idx:
-        return tensor.get(idx, _ZERO)
+    When each decoration has one nonzero term, the one entry read is
+    scaled by the coefficients other than 1, so basis vectors read their
+    entry as it is stored.  Otherwise the tensor's entries are walked, so
+    dense decorations never expand to dim^n tuples, and their terms are
+    summed as an int numerator over a running common denominator, with one
+    Fraction built on return."""
     terms = [v.terms for v in vs]
     if math.prod(map(len, terms)) == 1:
         val = tensor.get(tuple([t[0][0] for t in terms]))
@@ -190,6 +199,27 @@ def _reorder(perm: Tuple[int, ...]):
     return itemgetter(*perm)  # perm has two or more entries, so this gives tuples
 
 
+@lru_cache(maxsize=4096)  # bounded: a sweep may ask for any number of degree tuples
+def _profile(mu: tuple):
+    ints = mu if all(type(m) is int for m in mu) else tuple(map(int, mu))
+    # the sort is stable, so equal degrees keep their order
+    permute = _reorder(tuple(sorted(range(len(ints)), key=ints.__getitem__, reverse=True)))
+    return ints, ints if permute is None else permute(ints), permute
+
+
+def profile(mu: Sequence[int]):
+    """(ints, ordered, permute) for a profile as it is asked: its degrees as
+    ints, the same in decreasing order, and the map taking a tuple in the
+    asked order to the decreasing one (equal degrees keep their order), or
+    None when the two orders agree.  Cached on the asked degrees, so that a
+    warm query canonicalizes nothing; the cache holds no table."""
+    mu = mu if type(mu) is tuple else tuple(mu)
+    try:
+        return _profile(mu)
+    except TypeError:  # an unhashable degree, which int() then names
+        return _profile.__wrapped__(mu)
+
+
 def m_star_contract(A: FrobeniusAlgebra, F: dict, j: int, out: dict, w=1):
     """Cokernel operator: add w G into out, G inserting a new slot j whose
     input is multiplied into slot 1 before evaluating F,
@@ -258,20 +288,20 @@ class CutJoinTable:
     """Memoized sparse decorated counts over one algebra, reduced by cut and
     join; over the trivial algebra they are the scalar counts.
 
-    A family subclass supplies ``_validate(g, n, mu)``, returning the
-    checked profile; ``_vanishes(g, mu)``, a symmetric rule checked before
-    the memo and before a child is read, so that zero profiles are never
-    stored or read; ``_base_case(g, mu)``, the tensor of a profile that is
-    not reduced, else None; ``_joins(m1, mj, stable)``, the (child degree,
-    weight) pairs for absorbing a boundary of degree mj into the
-    distinguished one, where ``stable`` says whether the child, of type
-    (g, n - 1), has 2g - 2 + (n - 1) > 0; ``_cuts(m1)``, the (degree a,
-    degree b, weight) triples for cutting the distinguished boundary, which
-    hold (b, a, weight) beside every (a, b, weight), since a build runs
-    only a <= b and counts the mirror's weight as equal; and
+    A family subclass supplies ``_validate(g, n, mu)``, which checks the asked
+    profile on every call and returns its ``profile`` facts; ``_vanishes(g,
+    mu)``, a symmetric rule checked before the memo and before a child is read,
+    so that zero profiles are never stored or read; ``_base_case(g, mu)``, the
+    tensor of a profile that is not reduced, else None; ``_joins(m1, mj,
+    stable)``, the (child degree, weight) pairs for absorbing a boundary of
+    degree mj into the distinguished one, where ``stable`` says whether the
+    child, of type (g, n - 1), has 2g - 2 + (n - 1) > 0; ``_cuts(m1)``, the
+    (degree a, degree b, weight) triples for cutting the distinguished
+    boundary, which hold (b, a, weight) beside every (a, b, weight), since a
+    build runs only a <= b and counts the mirror's weight as equal; and
     ``_split_genera(g, mu1, mu2)``, the genera g1 in 0..g at which neither
-    half, (g1, mu1) nor (g - g1, mu2), of a split of a profile that does
-    not vanish vanishes itself.  It may override ``stable_splits``.
+    half, (g1, mu1) nor (g - g1, mu2), of a split of a profile that does not
+    vanish vanishes itself.  It may override ``stable_splits``.
     """
 
     degree_column = "mu"
@@ -296,23 +326,29 @@ class CutJoinTable:
     def twisted(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement],
                 n: Optional[int] = None) -> Fraction:
         """The count with decoration vs[i] on boundary i; a given n is
-        checked against the length of mu.  The memo is read before the
-        vanishing rule, as ``_read`` reads it."""
-        mu = self._validate(g, len(mu) if n is None else n, mu)
-        check_decorations(self.algebra, vs, len(mu))
-        ordered = tuple(sorted(mu, reverse=True))
+        checked against the length of mu.  The family's ``_validate``
+        checks the profile on every call and takes its sorted form and
+        reordering from the ``profile`` cache, so a warm read sorts
+        nothing; ``_evaluate`` checks the decorations and reads the count."""
+        return self._evaluate(g, self._validate(g, len(mu) if n is None else n, mu), vs)
+
+    def _evaluate(self, g: int, checked, vs: Sequence[AlgebraElement]) -> Fraction:
+        """The count of a profile checked by ``_validate``, as its
+        ``profile`` facts, on the decorations vs in the asked order.  The
+        memo is read before the vanishing rule, as ``_read`` reads it; the
+        decorations, not the tensor, go to the memoized order."""
+        ints, ordered, permute = checked
+        idx = check_decorations(self.algebra, vs, len(ints))
         tensor = self._tensors.get((g, ordered))
         if tensor is None:
             if self._vanishes(g, ordered):
                 return _ZERO
-            tensor = self._lookup(g, ordered, mu)
+            tensor = self._lookup(g, ordered, ints)
         if not tensor:
             return _ZERO
-        if ordered != mu:
-            # the decorations, not the tensor, go to the memoized order;
-            # the sort is stable, so equal degrees keep their order
-            vs = [vs[p] for p in sorted(range(len(mu)), key=mu.__getitem__, reverse=True)]
-        return contract(tensor, vs)
+        if None not in idx:
+            return tensor.get(tuple(idx) if permute is None else permute(idx), _ZERO)
+        return contract(tensor, vs if permute is None else permute(vs))
 
     def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
         """The scalar count, read off the trivial algebra's table at the
@@ -321,8 +357,8 @@ class CutJoinTable:
         table of its family."""
         if self.algebra is not TRIVIAL:
             return shared(type(self), TRIVIAL).untwisted(g, mu, n)
-        mu = self._validate(g, len(mu) if n is None else n, mu)
-        return self._read(g, tuple(sorted(mu, reverse=True)), mu).get((0,) * len(mu), _ZERO)
+        ints, ordered, _ = self._validate(g, len(mu) if n is None else n, mu)
+        return self._read(g, ordered, ints).get((0,) * len(ints), _ZERO)
 
     def _read(self, g: int, mu: Tuple[int, ...], asked: Sequence[int]):
         """The tensor of (g, mu), mu in decreasing order: the memoized one,

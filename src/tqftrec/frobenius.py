@@ -577,7 +577,9 @@ def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]
     if n < 1 or len(vs) != n:
         raise ValueError("need n >= 1 inputs")
     e_g = euler_power(A, g)
-    _same_algebra(e_g, *vs)
+    for v in vs:
+        if v.algebra is not A:
+            raise ValueError("algebra mismatch")
     idx = [v.index for v in vs]
     if None not in idx:
         idx.sort()

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Sequence
 
-from .cutjoin import TRIVIAL, CutJoinTable, shared
+from .cutjoin import TRIVIAL, CutJoinTable, profile, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra, omega_tqft
 
 Rational = Fraction
@@ -42,15 +42,16 @@ def double_factorial(m: int) -> int:
     return math.prod(range(m, 0, -2))
 
 
-def _validate(g: int, n: int, k: Sequence[int]) -> Tuple[int, ...]:
+def _validate(g: int, n: int, k: Sequence[int]):
+    """The checked exponents' ``cutjoin.profile`` facts (ints, ordered, permute)."""
     if g < 0:
         raise ValueError("genus must be non-negative")
     if n < 1:
         raise ValueError("need at least one insertion")
-    k = tuple(int(x) for x in k)
-    if len(k) != n:
-        raise ValueError("exponent vector length %d does not match n=%d" % (len(k), n))
-    return k
+    checked = profile(k)
+    if len(checked[0]) != n:
+        raise ValueError("exponent vector length %d does not match n=%d" % (len(checked[0]), n))
+    return checked
 
 
 class CorrelatorTable(CutJoinTable):
@@ -133,7 +134,6 @@ def check_tauG(
     vs: Sequence[AlgebraElement],
 ) -> dict:
     """Compare the decorated recursion with correlator times the surface amplitude."""
-    k = _validate(g, n, k)
     lhs = twisted_correlator(g, n, k, algebra, vs)
     rhs = correlator(g, n, k) * omega_tqft(algebra, g, n, vs)
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}

@@ -455,3 +455,180 @@ def test_a_build_reads_each_of_its_children_once(monkeypatch):
     amodel.CatalanTable(A).untwisted(2, (4, 4, 2, 2))
     intersect.CorrelatorTable(A).untwisted(2, (2, 2, 2, 1))
     assert len(reads) == len(set(reads)) > 50
+
+
+# -- warm reads: the asked profile is canonicalized once ----------------------
+
+def _reference(table, g, mu, vs):
+    """The count read the way the engine read it before the profile cache:
+    the stored tensor of the sorted profile, built by a table of its own,
+    summed on the decorations put in the memoized order by a stable sort."""
+    fresh = type(table)(table.algebra)
+    canon = tuple(sorted(mu, reverse=True))
+    if fresh._vanishes(g, canon):
+        return Fraction(0)
+    order = sorted(range(len(mu)), key=list(mu).__getitem__, reverse=True)
+    return _summed(fresh._lookup(g, canon, mu), [vs[p] for p in order])
+
+
+def test_every_order_of_a_profile_reads_as_the_cold_path():
+    S3 = orbifold_frobenius(load_group("builtin:S3"))
+    for A in (S3, cutjoin.TRIVIAL):
+        table = amodel.CatalanTable(A)
+        dense = A.element([Fraction(k + 1, 2) for k in range(A.dim)])
+        for degrees in ((4, 2, 2), (3, 3, 2, 2)):
+            n = len(degrees)
+            decorations = ([A.basis(t % A.dim) for t in range(n)],
+                           [A.basis((t + 1) % A.dim) for t in range(n - 1)] + [dense])
+            for g, mu, vs in itertools.product(range(3), itertools.permutations(degrees),
+                                               decorations):
+                cutjoin._profile.cache_clear()
+                cold = amodel.CatalanTable(A).twisted(g, mu, vs)
+                assert cold == _reference(table, g, mu, vs), (A.labels, g, mu, vs)
+                for asked, given in itertools.product((list(mu), tuple(mu)), (n, None)):
+                    got = table.twisted(g, asked, vs, given)
+                    assert got == cold and type(got) is Fraction, (A.labels, g, asked, given)
+                    if A is cutjoin.TRIVIAL and vs is decorations[0]:
+                        assert table.untwisted(g, asked, given) == cold
+            assert any(table.twisted(1, mu, decorations[1])
+                       for mu in itertools.permutations(degrees))
+    # the counts are symmetric, so a tensor symmetric under no permutation
+    # of its slots is planted to show that each slot reads its own decoration
+    rng, planted = random.Random(3), amodel.CatalanTable(S3)
+    for degrees in ((4, 2, 2), (3, 3, 2, 2)):
+        n = len(degrees)
+        tensor = planted._tensors[(1, degrees)] = _random_tensor(rng, S3.dim, n)
+        for mu in itertools.permutations(degrees):
+            order = sorted(range(n), key=mu.__getitem__, reverse=True)
+            for vs in ([S3.basis(rng.randrange(S3.dim)) for _ in range(n)],
+                       [S3.element([rng.randint(-2, 2) for _ in range(S3.dim)]) for _ in range(n)]):
+                expected = _summed(tensor, [vs[p] for p in order])
+                for asked, given in itertools.product((list(mu), mu), (n, None)):
+                    assert planted.twisted(1, asked, vs, given) == expected, (mu, vs)
+
+
+def _invalid_requests(c, l, k, A, e, x):
+    """Each invalid request to the Catalan, lattice and correlator tables c,
+    l and k over A, with the exception and message it raises; e is an
+    element of A and x one of another algebra."""
+    return [
+        (lambda: c.twisted(-1, (4, 2, 2), [e] * 3),
+         ValueError, "genus must be non-negative, got -1"),
+        (lambda: c.untwisted(-1, [2, 4, 2]),
+         ValueError, "genus must be non-negative, got -1"),
+        (lambda: c.twisted(1, (4, 2, 2), [e] * 3, 0),
+         ValueError, "need at least one boundary, got n=0"),
+        (lambda: c.twisted(1, [2, 2, 4], [e] * 3, 2),
+         ValueError, "profile length 3 does not match n=2"),
+        (lambda: c.untwisted(1, (3, 2, 2), 4),
+         ValueError, "profile length 3 does not match n=4"),
+        (lambda: c.twisted(1, (2, -4, 2), [e] * 3),
+         ValueError, "degrees must be non-negative, got [2, -4, 2]"),
+        (lambda: c.untwisted(1, [2, 2, -4]),
+         ValueError, "degrees must be non-negative, got [2, 2, -4]"),
+        (lambda: l.twisted(0, (4,), [e]),
+         ValueError, "the lattice count has no (0,1) case"),
+        (lambda: l.untwisted(0, [3]),
+         ValueError, "the lattice count has no (0,1) case"),
+        (lambda: c.twisted(1, (2, 4, 2), [e] * 2),
+         ValueError, "need one decoration per boundary: 2 for 3"),
+        (lambda: c.twisted(1, (3, 2, 2), [e] * 4),
+         ValueError, "need one decoration per boundary: 4 for 3"),
+        (lambda: c.twisted(1, [2, 2, 4], [e, 1, e]),
+         TypeError, "decorations must be algebra elements, got 1"),
+        (lambda: c.twisted(1, (2, 3, 2), [e, e, "x"]),
+         TypeError, "decorations must be algebra elements, got 'x'"),
+        (lambda: c.twisted(1, (4, 2, 2), [e, x, e]),
+         ValueError, "decoration does not belong to the given algebra"),
+        (lambda: c.twisted(1, [2, 3, 2], [x, e, e]),
+         ValueError, "decoration does not belong to the given algebra"),
+        (lambda: k.twisted(-1, (1, 1), [e] * 2),
+         ValueError, "genus must be non-negative"),
+        (lambda: k.untwisted(1, [1, 1], 0),
+         ValueError, "need at least one insertion"),
+        (lambda: k.twisted(1, (1, 1), [e] * 2, 3),
+         ValueError, "exponent vector length 2 does not match n=3"),
+        (lambda: k.twisted(1, [0, 1], [e, x]),
+         ValueError, "decoration does not belong to the given algebra"),
+        (lambda: k.twisted(1, (1, 0), [e, 2]),
+         TypeError, "decorations must be algebra elements, got 2"),
+        (lambda: amodel.twisted_dessin(1, 3, (4, 0, 2), A, [e] * 3),
+         ValueError, "dessin counts need positive degrees, got [4, 0, 2]"),
+        (lambda: amodel.twisted_dessin(1, 3, (2, 2, 4), A, [e, x, e]),
+         ValueError, "decoration does not belong to the given algebra"),
+        (lambda: intersect.check_tauG(1, 2, (0, 1), A, [e, x]),
+         ValueError, "decoration does not belong to the given algebra"),
+        (lambda: intersect.check_tauG(1, 3, (1, 1), A, [e, e]),
+         ValueError, "exponent vector length 2 does not match n=3"),
+        (lambda: omega_tqft(A, 1, 2, [e, x]),
+         ValueError, "algebra mismatch"),
+        (lambda: omega_tqft(A, 1, 2, [e, 3]),
+         AttributeError, "'int' object has no attribute 'algebra'"),
+    ]
+
+
+def test_warm_tables_refuse_each_invalid_request_as_fresh_ones_do():
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    e, x = A.basis(1), z2_algebra().basis(1)
+
+    def raised(tables):
+        out = []
+        for request, _, _ in _invalid_requests(*tables, A, e, x):
+            with pytest.raises(Exception) as err:
+                request()
+            out.append((type(err.value), str(err.value)))
+        return out
+
+    cutjoin._profile.cache_clear()
+    fresh = (amodel.CatalanTable(A), amodel.LatticeTable(A), intersect.CorrelatorTable(A))
+    expected = [(kind, message) for _, kind, message in _invalid_requests(*fresh, A, e, x)]
+    assert raised(fresh) == expected
+    # warm tables and a warm profile cache, over the same degrees and on
+    # vanishing profiles, and each request refused again
+    warm = (amodel.CatalanTable(A), amodel.LatticeTable(A), intersect.CorrelatorTable(A))
+    catalan, lattice, correlators = warm
+    for mu in itertools.chain(itertools.permutations((4, 2, 2)), itertools.permutations((3, 2, 2))):
+        for asked in (mu, list(mu)):
+            catalan.twisted(1, asked, [e] * 3)
+            catalan.untwisted(1, asked)
+            amodel.twisted_dessin(1, 3, asked, A, [e] * 3)
+    one = [A.basis(0)] * 3
+    assert catalan.twisted(1, (3, 2, 2), one) == 0 != catalan.twisted(1, (2, 4, 2), one)
+    for asked in ((4,), [3], (1, 1), [0, 1], (1, 0)):
+        lattice.twisted(1, asked, [e] * len(asked))
+        correlators.twisted(1, asked, [e] * len(asked))
+        intersect.check_tauG(1, len(asked), asked, A, [e] * len(asked))
+    for _ in range(2):
+        assert raised(warm) == expected
+
+
+def test_the_profile_cache_is_bounded_and_holds_no_table():
+    import gc
+    import weakref
+
+    limit = cutjoin._profile.cache_info().maxsize
+    assert limit is not None
+    for mu in itertools.islice(itertools.product(range(30), repeat=3), limit + 100):
+        cutjoin.profile(mu)
+    assert cutjoin._profile.cache_info().currsize == limit
+    # the facts are tuples of ints and a map on index tuples, nothing else
+    ints, ordered, permute = cutjoin.profile([2, "4", 3.0, True])
+    assert ints == (2, 4, 3, 1) and all(type(m) is int for m in ints)
+    assert ordered == (4, 3, 2, 1) and permute(ints) == ordered
+    assert cutjoin.profile((5, 3, 3)) == ((5, 3, 3), (5, 3, 3), None)
+    # a degree the cache cannot hash is refused by int(), as before the cache
+    with pytest.raises(TypeError) as err:
+        cutjoin.profile([2, [4]])
+    with pytest.raises(TypeError) as expected:
+        int([4])
+    assert str(err.value) == str(expected.value)
+    # a table is released once the caller drops it
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    table = amodel.CatalanTable(A)
+    one = [A.basis(0)] * 3
+    value = table.twisted(1, [2, 4, 2], one)
+    assert value == table.untwisted(1, (2, 2, 4)) * omega_tqft(A, 1, 3, one) != 0
+    gone = weakref.ref(table)
+    del table
+    gc.collect()
+    assert gone() is None
