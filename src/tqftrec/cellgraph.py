@@ -20,8 +20,11 @@ state holds the distinct tensors its orders reach (one for a Frobenius
 algebra), each a row-major tuple over the basis tuples of its vertices
 whose entries are value * D^(2E+1), E its edges and D the lcm of the
 denominators of the algebra's constants.  Only the returned map has
-per-tuple sets, and only it is divided out.  A memo belongs to the
-algebra of its first call.
+per-tuple sets, and only it is divided out: one set per distinct value,
+each tuple given a copy of its value's set, or the union of its values'
+sets where orders disagree, so that no ``Fraction`` is hashed per tuple.
+A memo belongs to the algebra of its first call, and keeps the scaled
+constants and the walk's term lists built then.
 
 ``count_matchings_by_genus`` (and so ``count_arrowed_graphs``) counts
 perfect matchings by a transfer over partial gluings, ``_completions``:
@@ -37,14 +40,15 @@ enumeration, for the depths the transfer cannot reach.
 
 ``_matchings`` is the perfect-matching enumerator behind
 ``all_matchings`` and the lattice-point oracle, and the reference the
-transfer is tested against.  It
-counts the faces while gluing.  The faces are the cycles of phi =
-rotation o matching, an unmatched half-edge being fixed by the matching;
-gluing a to b swaps phi[a] and phi[b], which splits their cycle in two
-when a and b lie on one cycle and merges their two cycles otherwise.  A
-union-find without path compression, whose one assignment per gluing is
-undone on backtrack, counts the components.  No complete matching is
-traced again.
+transfer is tested against; ``all_matchings`` checks the degrees once and
+builds each graph from the enumerator's ``partner`` without re-checking
+it.  The enumerator counts the faces while gluing.  The faces are the
+cycles of phi = rotation o matching, an unmatched half-edge being fixed by
+the matching; gluing a to b swaps phi[a] and phi[b], which splits their
+cycle in two when a and b lie on one cycle and merges their two cycles
+otherwise.  A union-find without path compression, whose one assignment
+per gluing is undone on backtrack, counts the components.  No complete
+matching is traced again.
 
 ``count_lattice_points`` counts lattice points (Norbury, arXiv:0801.4590)
 on the ribbon graphs ``_matchings`` enumerates with every vertex of degree
@@ -145,6 +149,18 @@ class CellGraph:
             partner[a] = b
             partner[b] = a
         self.partner = tuple(partner)
+
+    @classmethod
+    def _from_partner(cls, degrees: tuple, offsets: tuple, partner) -> CellGraph:
+        """The graph whose half-edge h, numbered in vertex order as in
+        ``partner``, is matched with partner[h], with none of the checks of
+        ``__init__``: for ``all_matchings``, whose degrees are checked once
+        and whose matchings are perfect.  ``offsets`` are those of
+        ``degrees``."""
+        graph = cls.__new__(cls)
+        graph.degrees, graph.n, graph._offsets = degrees, len(degrees), offsets
+        graph.partner = tuple(partner)
+        return graph
 
     def _gid(self, v: int, h: int) -> int:
         if not 1 <= v <= self.n:
@@ -264,7 +280,8 @@ def _terms(S: _Scaled) -> tuple:
     counit; the product terms of each pair (x, y) of decorations, at index
     x * dim + y; and for each decoration the coproduct terms ``joined`` and
     ``split``, each (a * dim + b, weight) with a and b the decorations of
-    the two pieces.  Read from S's attributes when a walk starts."""
+    the two pieces.  Read from S's attributes on a memo's first walk, and
+    kept in the memo with S."""
     dim = len(S.counit)
     return (dim, S.counit, [S.pairs[x][y] for x, y in product(range(dim), repeat=2)],
             *([[(a * dim + b, w) for a, b, w in terms] for terms in delta]
@@ -333,7 +350,7 @@ def _walk(R, state, memo) -> list:
     walk runs the numbers over it with the constants ``R`` (see ``_terms``).
     Orders reconverge on common states, so ``memo`` maps each state it
     reaches to its tensors; it holds the states of one algebra, whose
-    ``_Scaled`` it keeps under the key None."""
+    ``_Scaled`` and ``R`` it keeps under the key None."""
     out = memo.get(state)
     if out is not None:
         return out
@@ -379,6 +396,13 @@ def _contract(R, n, move, memo) -> list:
     return out
 
 
+@lru_cache(maxsize=64)  # bounded: one per (dimension, vertex count) a sweep asks
+def _cells(dim: int, n: int) -> tuple:
+    """The basis tuples of n vertices over ``dim`` basis indices, in
+    row-major order."""
+    return tuple(product(range(dim), repeat=n))
+
+
 def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
                               memo: dict = None) -> dict:
     """Map every basis decoration tuple to the set of values that the
@@ -391,24 +415,33 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
     gives the distinct int tensors of the orders, each value of a graph
     with E edges held as value * D^(2E+1), D the algebra's common
     denominator (see ``_walk``); here each tuple gathers its entries of
-    those tensors, and each distinct int becomes one ``Fraction``.  A shared
-    ``memo`` dict reuses structural states across graphs; it belongs to the
-    algebra of its first call, which it keeps with its scaled constants,
-    and raises ValueError for any other algebra.
+    those tensors, and each distinct int becomes one ``Fraction`` in one
+    set.  Each tuple gets a copy of its value's set, or the union of its
+    values' sets when it has two or more, so every returned set is its own
+    and no ``Fraction`` is hashed again.  A shared ``memo`` dict reuses
+    structural states across graphs; it belongs to the algebra of its first
+    call, which it keeps with its scaled constants and their term lists
+    (``_terms``, built on that call), and raises ValueError for any other
+    algebra.
     """
     if not graph.is_connected():
         raise ValueError("graph must be connected")
     memo = {} if memo is None else memo
-    S = memo.get(None)
-    if S is None:
-        S = memo[None] = _Scaled(A)
-    elif S.algebra is not A:
-        raise ValueError(f"memo belongs to {S.algebra!r}, not {A!r}")
-    tensors = _walk(_terms(S), (graph.degrees, graph.partner), memo)
+    owner = memo.get(None)
+    if owner is None:
+        S = _Scaled(A)
+        owner = memo[None] = S, _terms(S)
+    elif owner[0].algebra is not A:
+        raise ValueError(f"memo belongs to {owner[0].algebra!r}, not {A!r}")
+    S, R = owner
+    tensors = _walk(R, (graph.degrees, graph.partner), memo)
     scale = S.D ** (2 * graph.edges + 1)
-    value = {v: Fraction(v, scale) for v in set().union(*tensors)}
-    cells = product(range(len(S.counit)), repeat=graph.n)
-    return {d: set(map(value.__getitem__, vals)) for d, vals in zip(cells, zip(*tensors))}
+    one = {v: {Fraction(v, scale)} for v in set().union(*tensors)}
+    if len(tensors) == 1:
+        sets = map(set.copy, map(one.__getitem__, tensors[0]))
+    else:
+        sets = (set().union(*map(one.__getitem__, vals)) for vals in zip(*tensors))
+    return dict(zip(_cells(R[0], graph.n), sets))
 
 
 # -- matching oracles --------------------------------------------------------
@@ -553,14 +586,19 @@ def harer_zagier(g: int, n: int) -> int:
 
 
 def all_matchings(degrees: Sequence[int]) -> Iterator[CellGraph]:
-    """All cell graphs with the given degrees (one per perfect matching),
-    connected or not."""
+    """All cell graphs with the given degrees (one per perfect matching, in
+    the order of ``_matchings``), connected or not.  The degrees are checked
+    here, before any matching is enumerated, and each graph is built from
+    its ``partner`` tuple without the checks of ``CellGraph``, which a
+    perfect matching passes."""
+    degrees = tuple(int(d) for d in degrees)
+    if any(d < 0 for d in degrees):
+        raise ValueError("degrees must be non-negative")
     if sum(degrees) % 2:
-        return
-    slots = [(v + 1, s) for v, d in enumerate(degrees) for s in range(d)]
-    for partner, _, _ in _matchings(degrees):
-        yield CellGraph(degrees, [(slots[a], slots[b])
-                                  for a, b in enumerate(partner) if a < b])
+        return iter(())
+    offsets = (0, *accumulate(degrees))
+    return (CellGraph._from_partner(degrees, offsets, partner)
+            for partner, _, _ in _matchings(degrees))
 
 
 # -- lattice-point counting oracle --------------------------------------------
@@ -617,14 +655,18 @@ def count_lattice_points(g: int, n: int, mu: Sequence[int]) -> Rational:
     """Weighted count of integral metric ribbon graphs of type (g,n) with
     labeled face perimeters mu (Norbury): over the graphs of
     ``_lattice_graphs`` and the labelings of their faces, the weight times
-    the number of positive integer edge lengths giving the perimeters."""
+    the number of positive integer edge lengths giving the perimeters.
+    The perimeters are checked before any graph is enumerated: one below 1
+    raises ValueError, one above 12 BudgetError."""
     if len(mu) != n:
         raise ValueError("need one perimeter per face")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"type ({g},{n}) is unstable: no graph has all degrees >= 3")
-    graphs = _lattice_graphs(g, n)
-    if any(m > 12 or m < 1 for m in mu):
+    if any(m < 1 for m in mu):
+        raise ValueError("perimeters must be positive")
+    if any(m > 12 for m in mu):
         raise BudgetError("perimeters must lie in 1..12")
+    graphs = _lattice_graphs(g, n)
     targets = Counter(tuple(mu[f] for f in perm) for perm in permutations(range(n)))
     return sum((weight * sum(k * _edge_lengths(pairs, t) for t, k in targets.items())
                 for pairs, weight in graphs), Fraction(0))

@@ -180,23 +180,39 @@ def test_all_orders_over_larger_denominators(name):
 def test_walk_holds_ints(monkeypatch):
     from tqftrec import cellgraph
 
-    built = []
+    built, hashed = [], []
+
+    class Counted(Fraction):
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
 
     def counting(*args):
         built.append(args)
-        return Fraction(*args)
+        return Counted(*args)
 
     monkeypatch.setattr(cellgraph, "Fraction", counting)
     A = orbifold_frobenius(load_group("builtin:S3"))
     memo = {}
     graph = CellGraph([3, 3], [((1, 0), (1, 1)), ((1, 2), (2, 0)), ((2, 1), (2, 2))])
     values = eca_functional_all_orders(graph, A, memo)
-    # one Fraction per distinct value returned, and only ints in the memo,
-    # whose states each hold their distinct tensors
+    # one Fraction per distinct value returned, each hashed once, into the
+    # one set its tuples copy, and only ints in the memo, whose states each
+    # hold their distinct tensors
     assert 0 < len(built) <= len(set().union(*values.values()))
+    assert len(hashed) == len(built)
     assert all(type(x) is int
                for key, tensors in memo.items() if key is not None
                for tensor in tensors for x in tensor)
+    # the union of the sets of two disagreeing orders hashes nothing again
+    bad, _ = _tampered(orbifold_frobenius(load_group("builtin:Z2")))
+    monkeypatch.setattr(cellgraph, "_Scaled", lambda A: bad)
+    built.clear()
+    hashed.clear()
+    path = CellGraph([1, 2, 1], [((1, 0), (2, 0)), ((2, 1), (3, 0))])
+    values = eca_functional_all_orders(path, bad.algebra)
+    assert values[(1, 1, 0)] == {Fraction(1, 2), Fraction(1)}
+    assert 0 < len(hashed) == len(built) == len(set().union(*values.values()))
 
 
 def test_tampered_constants_show_as_disagreement(monkeypatch):
@@ -301,6 +317,38 @@ def test_structure_cache_cannot_change_an_answer(monkeypatch):
     assert eca_functional_all_orders(path, A)[(1, 1, 0)] == {Fraction(1, 2), Fraction(1)}
     assert eca_functional_all_orders(witness, A)[(1, 1)] == {Fraction(3)}
     assert cellgraph._moves.cache_info().misses == misses
+
+
+def _check_separate_sets(graph, A, memo):
+    """Mutating each returned set in turn changes no other tuple's set and
+    no later answer from the same memo."""
+    values = eca_functional_all_orders(graph, A, memo)
+    before = {idx: set(vals) for idx, vals in values.items()}
+    for idx in values:
+        values[idx].add(Fraction(-99))
+        values[idx].clear()
+        assert all(vals == before[other] for other, vals in values.items() if other != idx)
+        values[idx].update(before[idx])
+    assert eca_functional_all_orders(graph, A, memo) == before
+    return before
+
+
+def test_each_tuple_gets_its_own_value_set(monkeypatch):
+    # over a Frobenius algebra each tuple holds a copy of one shared set per
+    # value, and equal values on different tuples must not be one set
+    from tqftrec import cellgraph
+
+    A = orbifold_frobenius(load_group("builtin:Z3"))
+    memo = {}
+    for degrees, genus in (((2, 2), 0), ((3, 3), 1), ((4, 2), 1)):
+        values = _check_separate_sets(_first_graph(degrees, genus), A, memo)
+        assert len(set(map(frozenset, values.values()))) < len(values)
+    # the tampered constants give the path two tensors, whose sets are unions
+    bad, _ = _tampered(orbifold_frobenius(load_group("builtin:Z2")))
+    monkeypatch.setattr(cellgraph, "_Scaled", lambda A: bad)
+    path = CellGraph([1, 2, 1], [((1, 0), (2, 0)), ((2, 1), (3, 0))])
+    values = _check_separate_sets(path, bad.algebra, {})
+    assert values[(1, 1, 0)] == {Fraction(1, 2), Fraction(1)}
 
 
 def _first_graph(degrees, genus):
@@ -425,6 +473,59 @@ def test_matching_edge_profiles():
     assert list(all_matchings((1, 2))) == []
 
 
+def test_all_matchings_checks_degrees_before_enumerating():
+    # a negative degree is refused at the call, with CellGraph's message,
+    # whether or not the profile has a matching: [-1, 1] has none and [-2, 2]
+    # has one
+    for degrees in ([-1, 1], [-2, 2], (2, 0, -4, 2)):
+        with pytest.raises(ValueError, match="degrees must be non-negative"):
+            all_matchings(degrees)
+
+
+def _checked_matchings(degrees):
+    """The graphs of every matching of ``_matchings``, each built by the
+    public, checking ``CellGraph`` from its (vertex, slot) pairs."""
+    slots = [(v + 1, s) for v, d in enumerate(degrees) for s in range(d)]
+    for partner, _, _ in _matchings(degrees):
+        yield CellGraph(degrees, [(slots[a], slots[b]) for a, b in enumerate(partner) if a < b])
+
+
+def _genus_or_refusal(graph):
+    """The graph's genus, or the message of its ValueError (a lone vertex of
+    degree 0 has no face, and a disconnected graph can have no genus)."""
+    try:
+        return graph.genus()
+    except ValueError as e:
+        return str(e)
+
+
+def test_all_matchings_builds_the_checked_graphs():
+    # on every profile up to 8 half-edges, and on each with a degree-0 vertex
+    # put first, inside and last, the graphs that all_matchings builds
+    # without checks are those the public constructor builds, in the same
+    # order
+    assert [g.partner for g in all_matchings((4,))] == [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    profiles = [(), (0,), (0, 0)]
+    for total in (2, 4, 6, 8):
+        for degs in _profiles(total):
+            profiles += [degs, (0,) + degs, degs[:1] + (0,) + degs[1:], degs + (0,)]
+    graphs = 0
+    for degs in profiles:
+        built = list(all_matchings(degs))
+        checked = list(_checked_matchings(degs))
+        assert [g.partner for g in built] == [g.partner for g in checked], degs
+        for g, c in zip(built, checked):
+            assert type(g) is CellGraph
+            assert (g.degrees, g.n, g._offsets, g.edges) == (c.degrees, c.n, c._offsets, c.edges)
+            assert type(g.partner) is tuple
+            assert (g.faces(), g.is_connected()) == (c.faces(), c.is_connected())
+            assert _genus_or_refusal(g) == _genus_or_refusal(c)
+        graphs += len(built)
+    assert graphs == 4 * sum(
+        prod(range(total - 1, 0, -2)) * sum(1 for _ in _profiles(total)) for total in (2, 4, 6, 8)
+    ) + 3
+
+
 def test_half_edge_budget():
     with pytest.raises(BudgetError):
         count_matchings_by_genus((18,))
@@ -455,3 +556,21 @@ def test_lattice_catalog_scope():
         count_lattice_points(0, 2, (1, 1))
     with pytest.raises(BudgetError):
         count_lattice_points(0, 3, (1, 1, 13))
+
+
+def test_lattice_perimeters_are_checked_before_the_graphs(monkeypatch):
+    # a perimeter below 1 is an invalid input and one above 12 is over
+    # budget; both are refused before any graph is enumerated
+    from tqftrec import cellgraph
+
+    def enumerate_nothing(g, n):
+        raise AssertionError("graphs enumerated")
+
+    monkeypatch.setattr(cellgraph, "_lattice_graphs", enumerate_nothing)
+    for mu in ((0, 1, 2), (1, -2, 2), (0, 1, 13)):
+        with pytest.raises(ValueError, match="perimeters must be positive"):
+            count_lattice_points(0, 3, mu)
+    with pytest.raises(BudgetError, match="1..12"):
+        count_lattice_points(0, 3, (1, 1, 13))
+    with pytest.raises(ValueError, match="perimeters must be positive"):
+        count_lattice_points(2, 1, (0,))
