@@ -52,9 +52,17 @@ matching is traced again.
 
 ``count_lattice_points`` counts lattice points (Norbury, arXiv:0801.4590)
 on the ribbon graphs ``_matchings`` enumerates with every vertex of degree
->= 3, each weighted 1/|Aut| through its labelings: it traces their faces
-with ``_face_of``, which ``CellGraph.faces`` shares, and counts the edge
-lengths giving the perimeters by a truncated product over the edges.
+>= 3, each weighted 1/|Aut| through its labelings.  ``_lattice_graphs``
+traces their faces with ``_face_of``, which ``CellGraph.faces`` shares,
+and folds the n! labellings of the faces in once per type: each graph's
+face pairs relabelled by every permutation, equal pair lists merged, and
+the weights put over one denominator D.  A call then sums int weight times
+the edge lengths giving the perimeters, a truncated product over the
+edges, and makes one ``Fraction`` over D; an odd perimeter sum counts 0,
+since the perimeters sum to twice the total edge length.
+
+Degrees and perimeters go through ``operator.index``: a value that is not
+an integer raises ValueError before anything is built or enumerated.
 """
 
 from __future__ import annotations
@@ -65,13 +73,22 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, permutations, product
 from math import comb, factorial, lcm, prod
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterator, Sequence
 
 from .exact import BudgetError, Rational
 from .frobenius import FrobeniusAlgebra
 
 DEFAULT_HALF_EDGE_BUDGET = 16
+
+
+def _integers(values, what: str) -> tuple:
+    """``values`` as a tuple of ints, through ``operator.index``; ValueError
+    naming ``what`` for any value that is not an integer."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 def _reach(offsets, partner, v: int) -> list:
@@ -118,7 +135,7 @@ class CellGraph:
     """
 
     def __init__(self, degrees: Sequence[int], matching):
-        self.degrees = tuple(int(d) for d in degrees)
+        self.degrees = _integers(degrees, "degrees")
         if any(d < 0 for d in self.degrees):
             raise ValueError("degrees must be non-negative")
         total = sum(self.degrees)
@@ -591,7 +608,7 @@ def all_matchings(degrees: Sequence[int]) -> Iterator[CellGraph]:
     here, before any matching is enumerated, and each graph is built from
     its ``partner`` tuple without the checks of ``CellGraph``, which a
     perfect matching passes."""
-    degrees = tuple(int(d) for d in degrees)
+    degrees = _integers(degrees, "degrees")
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be non-negative")
     if sum(degrees) % 2:
@@ -606,11 +623,15 @@ def all_matchings(degrees: Sequence[int]) -> Iterator[CellGraph]:
 
 @lru_cache(maxsize=None)
 def _lattice_graphs(g: int, n: int) -> tuple:
-    """((sorted face pairs of the edges, weight), ...) over the connected
-    ribbon graphs of type (g,n) with every vertex of degree >= 3, which have
-    2g - 2 + n more edges than vertices and at most 6g - 6 + 3n edges.  A
-    matching with m_d vertices of degree d weighs 1/(prod m_d! prod d_v),
-    so that each graph weighs 1/|Aut| in all."""
+    """(D, ((pairs, weight), ...)): the connected ribbon graphs of type (g,n)
+    with every vertex of degree >= 3, which have 2g - 2 + n more edges than
+    vertices and at most 6g - 6 + 3n edges, folded over the labellings of
+    their faces.  A matching with m_d vertices of degree d weighs
+    1/(prod m_d! prod d_v), so that each graph weighs 1/|Aut| in all; each
+    graph's face pairs are relabelled by every permutation of the n faces,
+    and equal sorted pair lists merged.  ``pairs`` gives the sorted faces of
+    each edge, and ``weight`` is the int merged weight times D, the lcm of
+    the merged weights' denominators."""
     excess = 2 * g - 2 + n
     if 6 * excess > DEFAULT_HALF_EDGE_BUDGET:
         raise BudgetError(f"type ({g},{n}) needs {6 * excess} half-edges, "
@@ -627,7 +648,13 @@ def _lattice_graphs(g: int, n: int) -> tuple:
                     key = tuple(sorted(tuple(sorted((face[a], face[b])))
                                        for a, b in enumerate(partner) if a < b))
                     graphs[key] = graphs.get(key, 0) + weight
-    return tuple(graphs.items())
+    terms: dict = {}
+    for pairs, weight in graphs.items():
+        for perm in permutations(range(n)):
+            key = tuple(sorted(tuple(sorted((perm[f], perm[h]))) for f, h in pairs))
+            terms[key] = terms.get(key, 0) + weight
+    D = lcm(*(w.denominator for w in terms.values()))
+    return D, tuple((pairs, w.numerator * (D // w.denominator)) for pairs, w in terms.items())
 
 
 def _edge_lengths(pairs, target) -> int:
@@ -653,20 +680,24 @@ def _edge_lengths(pairs, target) -> int:
 
 def count_lattice_points(g: int, n: int, mu: Sequence[int]) -> Rational:
     """Weighted count of integral metric ribbon graphs of type (g,n) with
-    labeled face perimeters mu (Norbury): over the graphs of
-    ``_lattice_graphs`` and the labelings of their faces, the weight times
-    the number of positive integer edge lengths giving the perimeters.
-    The perimeters are checked before any graph is enumerated: one below 1
-    raises ValueError, one above 12 BudgetError."""
+    labeled face perimeters mu (Norbury): over the folded terms of
+    ``_lattice_graphs``, the int weight times the number of positive
+    integer edge lengths giving the perimeters, summed in ints and divided
+    once by the terms' D.  The perimeters are checked before any graph is
+    enumerated: one that is not an integer or is below 1 raises ValueError,
+    one above 12 BudgetError.  An odd perimeter sum counts 0, since the
+    perimeters sum to twice the total edge length; that is read only after
+    the terms, so a type over the half-edge budget is refused whatever mu."""
     if len(mu) != n:
         raise ValueError("need one perimeter per face")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"type ({g},{n}) is unstable: no graph has all degrees >= 3")
+    mu = _integers(mu, "perimeters")
     if any(m < 1 for m in mu):
         raise ValueError("perimeters must be positive")
     if any(m > 12 for m in mu):
         raise BudgetError("perimeters must lie in 1..12")
-    graphs = _lattice_graphs(g, n)
-    targets = Counter(tuple(mu[f] for f in perm) for perm in permutations(range(n)))
-    return sum((weight * sum(k * _edge_lengths(pairs, t) for t, k in targets.items())
-                for pairs, weight in graphs), Fraction(0))
+    D, terms = _lattice_graphs(g, n)
+    if sum(mu) % 2:
+        return Fraction(0)
+    return Fraction(sum(w * _edge_lengths(pairs, mu) for pairs, w in terms), D)

@@ -420,6 +420,16 @@ def _suite_intersect(full: bool):
                                rep["lhs"], rep["rhs"])
             if witness:
                 return witness
+    if not full:
+        return None
+    for N, extra, lhs, rhs in intersect.kdv_identities():
+        witness = _unequal("kdv N=%d extra=%s" % (N, extra), lhs, rhs)
+        if witness:
+            return witness
+    for k, got, want in intersect.genus_zero_profiles():
+        witness = _unequal("correlator g=0 k=%s" % (k,), got, want)
+        if witness:
+            return witness
     return None
 
 

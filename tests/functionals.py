@@ -1,11 +1,15 @@
 """Reference functionals the tests check the package against, kept out of
 the package because only tests use them: the amplitude Omega_{g,n} as a
 sparse tensor and as the Fraction chain e^g e_i ..., a symmetry check on
-such tensors, the edge-contraction amplitude of one decorated graph, and
-an algebra rescaled so that its constants have denominators."""
+such tensors, the edge-contraction amplitude of one decorated graph, an
+algebra rescaled so that its constants have denominators, and the lattice
+count summed over the labellings of each graph's faces."""
 
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 from typing import Sequence
 
 from tqftrec import cellgraph, frobenius
@@ -76,3 +80,35 @@ def eca_evaluate(graph: cellgraph.CellGraph, A: FrobeniusAlgebra,
                     f"contraction orders disagree on basis tuple {idx}: {sorted(vals)}")
             total += coeff * next(iter(vals))
     return total
+
+
+@lru_cache(maxsize=None)
+def lattice_graph_weights(g: int, n: int) -> tuple:
+    """((sorted face pairs of the edges, Fraction weight), ...) over the
+    connected ribbon graphs of type (g,n) with every vertex of degree >= 3,
+    one entry per graph with its faces as the enumerator numbers them; a
+    matching with m_d vertices of degree d weighs 1/(prod m_d! prod d_v)."""
+    excess = 2 * g - 2 + n
+    graphs: dict = {}
+    for edges in range(excess + 1, 3 * excess + 1):
+        for degrees in combinations_with_replacement(range(3, 2 * edges + 1), edges - excess):
+            if sum(degrees) != 2 * edges:
+                continue
+            weight = Fraction(1, prod(map(factorial, Counter(degrees).values())) * prod(degrees))
+            for partner, faces, components in cellgraph._matchings(degrees):
+                if faces == n and components == 1:
+                    face = cellgraph._face_of(degrees, partner)
+                    key = tuple(sorted(tuple(sorted((face[a], face[b])))
+                                       for a, b in enumerate(partner) if a < b))
+                    graphs[key] = graphs.get(key, 0) + weight
+    return tuple(graphs.items())
+
+
+def lattice_points_by_labelling(g: int, n: int, mu: Sequence[int]) -> Fraction:
+    """N_{g,n}(mu) as the sum over the graphs and over the labellings of
+    their faces, each distinct perimeter tuple counted once with its
+    multiplicity, of the Fraction weight times the edge-length count; no
+    parity shortcut, so an odd perimeter sum reaches the count too."""
+    targets = Counter(tuple(mu[f] for f in perm) for perm in permutations(range(n)))
+    return sum((weight * sum(k * cellgraph._edge_lengths(pairs, t) for t, k in targets.items())
+                for pairs, weight in lattice_graph_weights(g, n)), Fraction(0))

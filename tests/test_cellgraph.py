@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import prod
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -19,7 +19,7 @@ from tqftrec.exact import BudgetError
 from tqftrec.frobenius import omega_tqft, trivial_algebra
 from tqftrec.groups import load_group, orbifold_frobenius
 
-from functionals import eca_evaluate
+from functionals import eca_evaluate, lattice_graph_weights, lattice_points_by_labelling
 
 
 def one_vertex_loop():
@@ -574,3 +574,68 @@ def test_lattice_perimeters_are_checked_before_the_graphs(monkeypatch):
         count_lattice_points(0, 3, (1, 1, 13))
     with pytest.raises(ValueError, match="perimeters must be positive"):
         count_lattice_points(2, 1, (0,))
+
+
+def test_lattice_fold_equals_the_sum_over_labellings():
+    # the folded int terms against the old per-labelling Fraction sum, value
+    # and type, on every perimeter tuple of each box; odd sums included, so
+    # the parity shortcut is checked against the edge-length count
+    for g, n, top in ((1, 1, 12), (0, 3, 6), (1, 2, 6), (0, 4, 4)):
+        for mu in product(range(1, top + 1), repeat=n):
+            got, want = count_lattice_points(g, n, mu), lattice_points_by_labelling(g, n, mu)
+            assert (got, type(got)) == (want, type(want)), (g, mu)
+
+
+def test_lattice_terms_are_ints_over_one_denominator():
+    from tqftrec import cellgraph
+
+    for (g, n), size in {(1, 1): 2, (0, 3): 7, (1, 2): 31, (0, 4): 236}.items():
+        D, terms = cellgraph._lattice_graphs(g, n)
+        assert type(D) is int and D >= 1
+        assert all(type(w) is int and w > 0 for _, w in terms)
+        # D is the least common denominator: no prime divides it and every weight
+        assert gcd(D, *(w for _, w in terms)) == 1
+        assert len(terms) == size == len({pairs for pairs, _ in terms})
+        assert all(pairs == tuple(sorted(pairs)) and all(f <= h for f, h in pairs)
+                   for pairs, _ in terms)
+        # the n! labellings of every graph, and nothing else, are folded in
+        assert Fraction(sum(w for _, w in terms), D) == factorial(n) * sum(
+            w for _, w in lattice_graph_weights(g, n))
+
+
+def test_lattice_gates_keep_their_order():
+    # an odd perimeter sum counts 0 only after the type's half-edge budget
+    # is checked, and the unstable type is refused first
+    with pytest.raises(BudgetError, match="over budget"):
+        count_lattice_points(0, 5, (1, 1, 1, 1, 1))
+    with pytest.raises(BudgetError, match="over budget"):
+        count_lattice_points(2, 1, (3,))
+    with pytest.raises(ValueError, match="unstable"):
+        count_lattice_points(0, 2, (1, 2))
+    assert count_lattice_points(0, 3, (1, 1, 1)) == 0
+    assert type(count_lattice_points(0, 3, (1, 1, 1))) is Fraction
+
+
+def test_non_integral_degrees_and_perimeters_are_refused(monkeypatch):
+    # a degree or perimeter that is not an integer is refused before
+    # anything is enumerated, not truncated or compared as it stands
+    from tqftrec import cellgraph
+
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(cellgraph, "_lattice_graphs", enumerate_nothing)
+    monkeypatch.setattr(cellgraph, "_matchings", enumerate_nothing)
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        CellGraph((2.7,), [((1, 0), (1, 1))])
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        all_matchings((2.5, 1.9))
+    with pytest.raises(ValueError, match="perimeters must be integers"):
+        count_lattice_points(1, 1, (4.5,))
+    for mu in ((4.0,), (Fraction(4),), ("4",)):
+        with pytest.raises(ValueError, match="perimeters must be integers"):
+            count_lattice_points(1, 1, mu)
+    # ints of other types still pass through operator.index
+    monkeypatch.undo()
+    assert count_lattice_points(1, 1, (True,)) == 0
+    assert CellGraph((True, True), [((1, 0), (2, 0))]).degrees == (1, 1)

@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 
 from tqftrec.frobenius import omega_tqft
 from tqftrec.groups import load_group, orbifold_frobenius
@@ -11,6 +10,8 @@ from tqftrec.intersect import (
     check_tauG,
     correlator,
     double_factorial,
+    genus_zero_profiles,
+    kdv_identities,
     twisted_correlator,
 )
 
@@ -81,56 +82,23 @@ def test_two_point_correlators_match_dijkgraaf():
             assert correlator(g, 2, (k1, 3 * g - 1 - k1)) == value != 0, (g, k1)
 
 
-def _intersection(k) -> Fraction:
-    """<tau_k> at the one genus g with sum(k) = 3g - 3 + len(k), and 0 when
-    no genus has that dimension."""
-    g, rem = divmod(sum(k) + 3 - len(k), 3)
-    return correlator(g, len(k), k) if not rem and g >= 0 else Fraction(0)
-
-
-def _split_product(x, y, extra) -> Fraction:
-    """The coefficient of <<tau_x>> <<tau_y>> at the extra insertions: a sum
-    over the ways to split them between the two factors, each insertion
-    taken as distinct."""
-    slots = range(len(extra))
-    return sum(_intersection(x + tuple(extra[i] for i in part))
-               * _intersection(y + tuple(extra[i] for i in slots if i not in part))
-               for r in range(len(extra) + 1) for part in combinations(slots, r))
-
-
 def test_table_satisfies_kdv():
     # Witten's KdV form, read off the table coefficient by coefficient with
-    # no engine code beyond the reads: at each multiset S of extra insertions,
-    #   (2N+1) <<tau_N tau_0^2>> = <<tau_{N-1} tau_0>> <<tau_0^3>>
-    #       + 2 <<tau_{N-1} tau_0^2>> <<tau_0^2>> + 1/4 <<tau_{N-1} tau_0^4>>.
-    # KdV follows from DVV (Kontsevich's theorem) but the recursion does not
-    # use it, so a defect in a join or cut weight, or a split dropped, breaks
-    # some of these identities
+    # no engine code beyond the reads (see ``kdv_identities``)
     identities = nonzero = 0
-    for N in range(1, 8):
-        for size in range(5):
-            for extra in combinations_with_replacement(range(5), size):
-                if N + sum(extra) > 14:
-                    continue
-                lhs = (2 * N + 1) * _intersection((N, 0, 0) + extra)
-                rhs = (_split_product((N - 1, 0), (0, 0, 0), extra)
-                       + 2 * _split_product((N - 1, 0, 0), (0, 0), extra)
-                       + Fraction(1, 4) * _intersection((N - 1, 0, 0, 0, 0) + extra))
-                assert lhs == rhs, (N, extra)
-                identities += 1
-                nonzero += lhs != 0
+    for N, extra, lhs, rhs in kdv_identities():
+        assert lhs == rhs, (N, extra)
+        identities += 1
+        nonzero += lhs != 0
     assert (identities, nonzero) == (722, 236)
 
 
 def test_genus_zero_closed_form():
     # <tau_k1 ... tau_kn>_0 = (n-3)! / prod k_i!, on every profile with n <= 8
     profiles = 0
-    for n in range(3, 9):
-        for k in combinations_with_replacement(range(n - 2), n):
-            if sum(k) == n - 3:
-                expected = Fraction(math.factorial(n - 3), math.prod(map(math.factorial, k)))
-                assert correlator(0, n, k) == expected, k
-                profiles += 1
+    for k, got, expected in genus_zero_profiles():
+        assert got == expected, k
+        profiles += 1
     assert profiles == 19
 
 
