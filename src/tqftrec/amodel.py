@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cutjoin import TRIVIAL, CutJoinTable, profile, shared
+from .cutjoin import TRIVIAL, CutJoinTable, _int_form, profile, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra
 
 Rational = Fraction
@@ -143,9 +143,10 @@ class CatalanTable(CutJoinTable):
                 and list(mu) == sorted(mu, reverse=True) and not self._vanishes(g, mu)
             ):
                 raise ValueError("malformed cache entry %r" % (e,))
-            tensors.setdefault((g, mu), {})[idx] = Fraction(e["value"])
+            if value := Fraction(e["value"]):
+                tensors.setdefault((g, mu), {})[idx] = value
         for key, tensor in tensors.items():
-            self._tensors.setdefault(key, tensor)
+            self._tensors.setdefault(key, _int_form(tensor))
         return len(body["entries"])
 
 
@@ -197,13 +198,15 @@ class LatticeTable(CutJoinTable):
     pairing of the two decorations; the recursion never reaches (0,1).
     """
 
-    stable_splits = True
-
     def _vanishes(self, g, mu):
         return sum(mu) % 2 == 1
 
     def _split_genera(self, g, mu1, mu2):
-        return () if sum(mu1) % 2 or sum(mu2) % 2 else range(g + 1)
+        # a split term has no unstable half, (0,1) or (0,2): a half of genus
+        # h with k slots needs 2h + k > 2, so h >= (4 - k) // 2
+        if sum(mu1) % 2 or sum(mu2) % 2:
+            return ()
+        return range(max(0, (4 - len(mu1)) // 2), g - max(0, (4 - len(mu2)) // 2) + 1)
 
     @staticmethod
     def _validate(g, n, mu):

@@ -687,7 +687,15 @@ def count_lattice_points(g: int, n: int, mu: Sequence[int]) -> Rational:
     enumerated: one that is not an integer or is below 1 raises ValueError,
     one above 12 BudgetError.  An odd perimeter sum counts 0, since the
     perimeters sum to twice the total edge length; that is read only after
-    the terms, so a type over the half-edge budget is refused whatever mu."""
+    the terms, so a type over the half-edge budget is refused whatever mu.
+    The genus is checked first: one that is not a non-negative integer
+    raises ValueError."""
+    try:
+        g = index(g)
+    except TypeError:
+        raise ValueError(f"genus must be an integer, got {g!r}") from None
+    if g < 0:
+        raise ValueError("genus must be non-negative, got %d" % g)
     if len(mu) != n:
         raise ValueError("need one perimeter per face")
     if 2 * g - 2 + n <= 0:

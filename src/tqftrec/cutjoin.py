@@ -2,19 +2,20 @@
 
 Each count is a multilinear functional of Frobenius-algebra decorations,
 one per boundary, stored as a sparse tensor from basis index tuples to
-exact rationals.  A profile (g, mu) is reduced on its distinguished
-boundary, the first slot of the profile sorted in decreasing order, by
-three TQFT kernel operators, each adding w times its result into the dict
-it is given (which may then hold zeros): ``m_star_contract`` for a join,
-which absorbs another boundary and multiplies the two decorations through
-the product view; ``delta_star_contract`` for a loop (genus g - 1) and
+exact rationals, held as its int form (den, {index tuple: nonzero int}).
+A profile (g, mu) is reduced on its distinguished boundary, the first
+slot of the profile sorted in decreasing order, by three TQFT kernel
+operators, each adding w times its result into the dict it is given
+(which may then hold zeros): ``m_star_contract`` for a join, which
+absorbs another boundary and multiplies the two decorations through the
+product view; ``delta_star_contract`` for a loop (genus g - 1) and
 ``delta_star_split`` for a split (genera g1 + g2 = g), which cut the
 boundary in two and route its decoration through the coproduct view.
 
 A build first gathers its terms, reading each distinct child tensor it
 needs once.  A child the family's vanishing rule zeroes is never read, and
 a split is tried only at the genera the family's ``_split_genera`` yields,
-those at which neither half vanishes.  A cut (a, b) and its mirror (b, a)
+those at which the split contributes.  A cut (a, b) and its mirror (b, a)
 give equal loop terms, and a split and its mirror, the split with its two
 halves swapped, give equal split terms: the counts are symmetric in their
 boundaries, and the coproduct is cocommutative, Delta_i^{ab} =
@@ -27,9 +28,10 @@ profile by itemgetters cached per boundary count, in ``_halves``.  It
 then runs the operators in Python ints, on the children's int forms and
 on the algebra's constants scaled to ints (``int_constants``, one cached
 view per algebra, which its amplitude memo shares), with every weight
-scaled to one denominator for the whole build, and makes one Fraction
-per stored entry.  Each level of the recursion costs one Python
-frame, which bounds the depth of a profile that can be built.
+scaled to one denominator for the whole build, and stores the int form
+it computed; a base case or a loaded tensor goes through ``_int_form``
+once.  Each level of the recursion costs one Python frame, which bounds
+the depth of a profile that can be built.
 
 Every table is over an algebra: the scalar counts are the table over the
 one-dimensional trivial algebra, ``TRIVIAL``.  The operators and the
@@ -52,14 +54,14 @@ The checks still run on every call: the genus, the boundary count and the
 length, the family's own rule (the Catalan counts' nonnegative degrees,
 the lattice's refusal of (0,1)), and ``check_decorations``, one pass that
 checks each decoration's type and algebra and collects its ``index``.  A
-query then reads the memo and answers a vanishing profile or an empty
-tensor with zero at once.  When every decoration is a basis vector it
-reads the entry at their index tuple, put in the memoized order;
-otherwise it evaluates its tensor on its reordered decorations with
-``contract``, the engine's one contraction, which scales the one entry it
-reads when each decoration has one nonzero term, and else walks the
-tensor's entries.  ``omega_tqft``, which the decorated counts are checked
-against, keeps its own contraction.
+query then reads the memo and answers a vanishing profile with zero at
+once.  When every decoration is a basis vector it reads the int at their
+index tuple, put in the memoized order, and makes a Fraction only when
+it is there; otherwise it evaluates the int form on its reordered
+decorations with ``contract``, the engine's one contraction, which
+scales the one int it reads when each decoration has one nonzero term,
+and else walks the tensor's ints.  A scalar count is the read at unit
+decorations.  ``omega_tqft`` keeps its own contraction.
 
 Every table the package answers from is built once, by ``shared``: one
 per family and algebra, the scalar counts living in ``shared(family,
@@ -79,6 +81,7 @@ from .exact import BudgetError
 from .frobenius import AlgebraElement, FrobeniusAlgebra, trivial_algebra
 
 TRIVIAL = trivial_algebra()
+_UNIT = TRIVIAL.unit_element()
 
 # Children one request may consider while it fills profiles not yet
 # memoized: each join child, loop child and split subset a build tests
@@ -114,29 +117,29 @@ def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n
     return idx
 
 
-def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
-    """The multilinear functional held as the sparse tensor {basis index
-    tuple: value} evaluated on one decoration per slot.
+def contract(form: tuple, vs: Sequence[AlgebraElement]) -> Fraction:
+    """The multilinear functional held as the int form (den, {basis index
+    tuple: int}) of a sparse tensor evaluated on one decoration per slot.
 
-    When each decoration has one nonzero term, the one entry read is
-    scaled by the coefficients other than 1, so basis vectors read their
-    entry as it is stored.  Otherwise the tensor's entries are walked, so
-    dense decorations never expand to dim^n tuples, and their terms are
-    summed as an int numerator over a running common denominator, with one
-    Fraction built on return."""
+    When each decoration has one nonzero term, the one int read is scaled
+    by the coefficients other than 1.  Otherwise the tensor's ints are
+    walked, so dense decorations never expand to dim^n tuples, and summed
+    over a running common denominator.  One Fraction is built, on return."""
+    scale, tensor = form
     terms = [v.terms for v in vs]
     if math.prod(map(len, terms)) == 1:
-        val = tensor.get(tuple([t[0][0] for t in terms]))
-        if val is None:
+        num = tensor.get(tuple([t[0][0] for t in terms]))
+        if num is None:
             return _ZERO
         for ((_, c),) in terms:
             if c != 1:
-                val *= c
-        return val
+                num *= c.numerator
+                scale *= c.denominator
+        return Fraction(num, scale)
     num, den = 0, 1
     rows = [v.coeffs for v in vs]
-    for idx, val in tensor.items():
-        n, d = val.numerator, val.denominator
+    for idx, n in tensor.items():
+        d = 1
         for row, i in zip(rows, idx):
             c = row[i]
             if c != 1:
@@ -148,7 +151,7 @@ def contract(tensor: dict, vs: Sequence[AlgebraElement]) -> Fraction:
                 num *= lcm // den
                 den = lcm
             num += n * (den // d)
-    return Fraction(num, den)
+    return Fraction(num, den * scale)
 
 
 @lru_cache(maxsize=None)
@@ -278,8 +281,8 @@ def delta_star_split(A: FrobeniusAlgebra, F1: dict, F2: dict, out: dict, w=1,
 
 def _int_form(tensor: dict):
     """(den, {index tuple: int}) with tensor[t] = ints[t] / den, den the lcm
-    of the denominators of the tensor's values: a base case or a tensor read
-    from a cache file, as a build reads its children."""
+    of the denominators of the tensor's values: how a base case or a tensor
+    read from a cache file enters the memo."""
     den = math.lcm(*(v.denominator for v in tensor.values()))
     return den, {idx: v.numerator * (den // v.denominator) for idx, v in tensor.items()}
 
@@ -299,20 +302,16 @@ class CutJoinTable:
     (degree a, degree b, weight) triples for cutting the distinguished
     boundary, which hold (b, a, weight) beside every (a, b, weight), since a
     build runs only a <= b and counts the mirror's weight as equal; and
-    ``_split_genera(g, mu1, mu2)``, the genera g1 in 0..g at which neither
-    half, (g1, mu1) nor (g - g1, mu2), of a split of a profile that does not
-    vanish vanishes itself.  It may override ``stable_splits``.
+    ``_split_genera(g, mu1, mu2)``, the genera g1 in 0..g at which the
+    split into (g1, mu1) and (g - g1, mu2) contributes, by a rule that
+    does not change when the halves swap.
     """
 
     degree_column = "mu"
-    stable_splits = False  # do split terms skip children with 2g - 2 + n <= 0?
 
     def __init__(self, algebra: FrobeniusAlgebra = TRIVIAL):
         self.algebra = algebra
-        self._tensors = {}
-        # the int form of every tensor built, or stored and read as a child,
-        # kept beside its Fraction tensor for the life of the table (see ``_tensor``)
-        self._ints = {}
+        self._tensors = {}  # the one memo: sorted profile -> int form of its tensor
         self._work, self._request = 0, None
 
     def _sparse(self, n: int, fn):
@@ -335,49 +334,42 @@ class CutJoinTable:
     def _evaluate(self, g: int, checked, vs: Sequence[AlgebraElement]) -> Fraction:
         """The count of a profile checked by ``_validate``, as its
         ``profile`` facts, on the decorations vs in the asked order.  The
-        memo is read before the vanishing rule, as ``_read`` reads it; the
-        decorations, not the tensor, go to the memoized order."""
+        memo is read before the vanishing rule; the decorations, not the
+        tensor, go to the memoized order, and a basis read makes a Fraction
+        only for a nonzero entry."""
         ints, ordered, permute = checked
         idx = check_decorations(self.algebra, vs, len(ints))
-        tensor = self._tensors.get((g, ordered))
-        if tensor is None:
+        form = self._tensors.get((g, ordered))
+        if form is None:
             if self._vanishes(g, ordered):
                 return _ZERO
-            tensor = self._lookup(g, ordered, ints)
-        if not tensor:
-            return _ZERO
+            form = self._lookup(g, ordered, ints)
         if None not in idx:
-            return tensor.get(tuple(idx) if permute is None else permute(idx), _ZERO)
-        return contract(tensor, vs if permute is None else permute(vs))
+            den, tensor = form
+            num = tensor.get(tuple(idx) if permute is None else permute(idx))
+            return _ZERO if num is None else Fraction(num, den)
+        return contract(form, vs if permute is None else permute(vs))
 
     def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
-        """The scalar count, read off the trivial algebra's table at the
-        index tuple (0, .., 0); a given n is checked against the length of
-        mu.  A table over another algebra answers from the shared trivial
-        table of its family."""
+        """The scalar count: the trivial algebra's count at unit decorations;
+        a given n is checked against the length of mu.  A table over
+        another algebra answers from the shared trivial table of its
+        family."""
         if self.algebra is not TRIVIAL:
             return shared(type(self), TRIVIAL).untwisted(g, mu, n)
-        ints, ordered, _ = self._validate(g, len(mu) if n is None else n, mu)
-        return self._read(g, ordered, ints).get((0,) * len(ints), _ZERO)
-
-    def _read(self, g: int, mu: Tuple[int, ...], asked: Sequence[int]):
-        """The tensor of (g, mu), mu in decreasing order: the memoized one,
-        else {} on a vanishing profile, else built by ``_lookup``."""
-        tensor = self._tensors.get((g, mu))
-        if tensor is None:
-            tensor = {} if self._vanishes(g, mu) else self._lookup(g, mu, asked)
-        return tensor
+        checked = self._validate(g, len(mu) if n is None else n, mu)
+        return self._evaluate(g, checked, [_UNIT] * len(checked[0]))
 
     def _lookup(self, g: int, mu: Tuple[int, ...], asked: Sequence[int]):
-        """The tensor of (g, mu); ``asked`` is the profile as the caller
-        gave it, which a budget error names."""
+        """The int form of the tensor of (g, mu), mu in decreasing order;
+        ``asked`` is the profile as the caller gave it, which a budget
+        error names."""
         self._work, self._request = 0, (g, list(asked))
         try:
-            self._tensor(g, mu)
+            return self._tensor(g, mu)
         except RecursionError:
             msg = "recursion too deep for profile g=%d, mu=%s" % (g, list(asked))
             raise BudgetError(msg) from None
-        return self._tensors[(g, mu)]
 
     def _refuse(self):
         """Raise the budget error that names the request."""
@@ -388,7 +380,7 @@ class CutJoinTable:
     def _tensor(self, g: int, mu: Tuple[int, ...]):
         """The int form (den, {index tuple: int}) of the tensor of the
         profile (g, mu), which does not vanish, with its slots in the order
-        of mu; the tensor itself is memoized on the sorted profile.
+        of mu; the int form is memoized on the sorted profile.
 
         A build reduces slot 0 by the kernel operators.  It gathers its
         terms first, each an operator, its nonempty int child tensors and
@@ -404,18 +396,17 @@ class CutJoinTable:
         The operators then run on the int constants with each weight
         scaled to one denominator L, the lcm over the terms of (weight
         denominator) x (constant scale) x (child denominators), so the sum
-        holds L times the tensor in ints.  The build stays in this method,
-        so that each level of the recursion costs one Python frame."""
+        holds L times the tensor in ints; divided by their gcd, they are
+        the stored form.  The build stays in this method, so that each
+        level of the recursion costs one Python frame."""
         self._work += 1
         if self._work > CUTJOIN_WORK_BUDGET:
             self._refuse()
         canon = tuple(sorted(mu, reverse=True))
         key = (g, canon)
-        form = self._ints.get(key)
+        form = self._tensors.get(key)
         if form is None:
-            out = self._tensors.get(key)
-            if out is None and (out := self._base_case(g, canon)) is not None:
-                self._tensors[key] = out
+            out = self._base_case(g, canon)
             if out is not None:
                 form = _int_form(out)
             else:
@@ -462,9 +453,6 @@ class CutJoinTable:
                                     continue
                                 if not rest:
                                     weight = w
-                            if self.stable_splits and min(2 * g1 + len(mu1),
-                                                          2 * (g - g1) + len(mu2)) < 3:
-                                continue
                             den1, T1 = read.get(k := (g1, mu1)) or read.setdefault(
                                 k, self._tensor(g1, mu1))
                             if not T1:
@@ -483,10 +471,8 @@ class CutJoinTable:
                              w=w.numerator * (M // (w.denominator * den)))
                 L = M * constants.scale
                 common = math.gcd(L, *acc.values())
-                den, ints = L // common, {idx: v // common for idx, v in acc.items() if v}
-                self._tensors[key] = {idx: Fraction(v, den) for idx, v in ints.items()}
-                form = den, ints
-            self._ints[key] = form
+                form = L // common, {idx: v // common for idx, v in acc.items() if v}
+            self._tensors[key] = form
         den, ints = form
         if canon == mu or not ints:
             return form
@@ -498,8 +484,9 @@ class CutJoinTable:
     # -- export ----------------------------------------------------------------
 
     def rows(self):
-        """(g, mu, decor, value) for every memoized nonzero entry, sorted;
-        decor is the entry's basis index tuple."""
+        """(g, mu, decor, value) for every memoized entry, sorted; decor is
+        the entry's basis index tuple, and value its Fraction."""
         return sorted(
-            (g, mu, idx, v) for (g, mu), T in self._tensors.items() for idx, v in T.items()
+            (g, mu, idx, Fraction(v, den))
+            for (g, mu), (den, T) in self._tensors.items() for idx, v in T.items()
         )

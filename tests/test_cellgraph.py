@@ -639,3 +639,15 @@ def test_non_integral_degrees_and_perimeters_are_refused(monkeypatch):
     monkeypatch.undo()
     assert count_lattice_points(1, 1, (True,)) == 0
     assert CellGraph((True, True), [((1, 0), (2, 0))]).degrees == (1, 1)
+
+
+def test_negative_and_non_integral_genera_are_refused_before_enumeration():
+    # as lattice_twisted refuses them, and without a cache entry for the type
+    from tqftrec.cellgraph import _lattice_graphs
+
+    before = _lattice_graphs.cache_info().currsize
+    with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
+        count_lattice_points(-1, 5, (2,) * 5)
+    with pytest.raises(ValueError, match="genus must be an integer"):
+        count_lattice_points(0.5, 2, (1, 1))
+    assert _lattice_graphs.cache_info().currsize == before

@@ -256,7 +256,7 @@ def test_one_entry_contraction_equals_the_general_sum():
         vs = [rng.choice(singles) for _ in range(n)]
         if trial % 3 == 0:
             vs[rng.randrange(n)] = rng.choice(dense)
-        got = contract(tensor, vs)
+        got = contract(cutjoin._int_form(tensor), vs)
         assert got == _summed(tensor, vs), (tensor, vs)
         assert type(got) is Fraction
         seen.add((math.prod(len(v.terms) for v in vs) == 1, got == 0))
@@ -264,22 +264,30 @@ def test_one_entry_contraction_equals_the_general_sum():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+class _Unwalked(dict):
+    """A tensor's ints that may be read by key but not walked."""
+
+    def items(self):
+        raise AssertionError("the tensor was walked")
+
+
 def test_basis_and_scaled_basis_decorations_read_one_entry():
     A = orbifold_frobenius(load_group("builtin:S3"))
     tensor = {(0, 2, 1): Fraction(5, 3), (2, 2, 2): Fraction(-1, 4)}
+    den, ints = cutjoin._int_form(tensor)
+    form = den, _Unwalked(ints)
     half = Fraction(-3, 2)
     for idx in itertools.product(range(A.dim), repeat=3):
         vs = [A.basis(i) for i in idx]
         entry = tensor.get(idx, 0)
-        assert contract(tensor, vs) == entry
-        if entry:
-            assert contract(tensor, vs) is tensor[idx]
+        got = contract(form, vs)
+        assert got == entry and type(got) is Fraction
         for slot in range(3):
             scaled = list(vs)
             scaled[slot] = A.element([half * c for c in vs[slot].coeffs])
-            got = contract(tensor, scaled)
+            got = contract(form, scaled)
             assert got == half * entry and type(got) is Fraction
-    assert contract(tensor, [A.basis(0), A.element([0] * A.dim), A.basis(1)]) == 0
+    assert contract((den, ints), [A.basis(0), A.element([0] * A.dim), A.basis(1)]) == 0
 
 
 def test_split_halves_take_the_degrees_of_each_subset():
@@ -351,7 +359,9 @@ def _fraction_tensor(hooks, g, mu, memo):
                 for g1, size in itertools.product(range(g + 1), range(len(rest) + 1)):
                     for I in itertools.combinations(range(len(rest)), size):
                         J = tuple(t for t in range(len(rest)) if t not in I)
-                        if hooks.stable_splits and min(2 * g1 + len(I), 2 * (g - g1) + len(J)) < 2:
+                        # the lattice recursion has no split term with an unstable half
+                        if isinstance(hooks, amodel.LatticeTable) and min(
+                                2 * g1 + len(I), 2 * (g - g1) + len(J)) < 2:
                             continue
                         delta_star_split(
                             A, _fraction_tensor(hooks, g1, (a, *(rest[t] for t in I)), memo),
@@ -364,15 +374,22 @@ def _fraction_tensor(hooks, g, mu, memo):
             for cidx, x in memo[g, canon].items()}
 
 
+def _fractions(form):
+    """The tensor held as the int form (den, ints), as {index tuple: Fraction}."""
+    den, ints = form
+    return {idx: Fraction(v, den) for idx, v in ints.items()}
+
+
 def _matches_the_fraction_build(table):
     memo, hooks = {}, type(table)(table.algebra)
     assert table._tensors
-    for (g, mu), tensor in table._tensors.items():
-        assert all(type(x) is Fraction for x in tensor.values()), (g, mu)
-        assert tensor == _fraction_tensor(hooks, g, mu, memo), (type(table).__name__, g, mu)
+    for (g, mu), form in table._tensors.items():
+        assert all(type(x) is int for x in form[1].values()), (g, mu)
+        assert _fractions(form) == _fraction_tensor(hooks, g, mu, memo), (
+            type(table).__name__, g, mu)
 
 
-def test_int_builds_over_constants_with_denominators_match_fraction_builds():
+def test_int_builds_over_constants_with_denominators_match_fraction_builds(monkeypatch):
     # every group algebra has integer product and coproduct constants; this
     # one has denominators in both, and in its counit and pairing
     B = rescaled(orbifold_frobenius(load_group("builtin:S3")), (2, 3, 1), Fraction(5, 7))
@@ -397,11 +414,61 @@ def test_int_builds_over_constants_with_denominators_match_fraction_builds():
         small.twisted(1, mu, [B.basis(1)] * len(mu))
     loaded = amodel.CatalanTable(B)
     assert loaded.load_json(small.to_json())
-    read = set(loaded._tensors)
+    forms, reads = dict(loaded._tensors), []
+    build = cutjoin.CutJoinTable._tensor
+
+    def traced(self, g, mu):
+        reads.append((g, tuple(sorted(mu, reverse=True))))
+        return build(self, g, mu)
+    monkeypatch.setattr(cutjoin.CutJoinTable, "_tensor", traced)
     for mu in ((8,), (7, 3), (5, 5), (6, 4, 2)):
         loaded.twisted(2, mu, [B.basis(2)] * len(mu))
-    assert read & set(loaded._ints)
+    # loaded profiles are read as children, and answered from the memo as loaded
+    assert set(forms) & set(reads)
+    assert all(loaded._tensors[key] is form for key, form in forms.items())
     _matches_the_fraction_build(loaded)
+
+
+def test_each_stored_profile_is_one_int_form():
+    # builds, base cases and loaded tensors all reach the memo as (den, ints):
+    # den > 0, int entries with none zero, and no common factor left
+    S3 = orbifold_frobenius(load_group("builtin:S3"))
+    B = rescaled(S3, (2, 3, 1), Fraction(5, 7))
+    tables = []
+    for A in (cutjoin.TRIVIAL, S3, B):
+        catalan, lattice, correlators = (amodel.CatalanTable(A), amodel.LatticeTable(A),
+                                         intersect.CorrelatorTable(A))
+        for g, mu in ((0, (0,)), (1, (4, 2, 2)), (2, (6, 2))):
+            catalan.twisted(g, mu, [A.basis(0)] * len(mu))
+        for g, mu in ((0, (3, 3)), (0, (2, 2, 2)), (1, (4, 2))):
+            lattice.twisted(g, mu, [A.basis(0)] * len(mu))
+        for g, k in ((0, (0, 0, 0)), (1, (1,)), (2, (2, 2, 1))):
+            correlators.twisted(g, k, [A.basis(0)] * len(k))
+        # a zero value in a cache file is not stored
+        data = catalan.to_json()
+        data["entries"].append({"g": 0, "mu": [40], "decor": [0], "value": "0"})
+        data["sha256"] = amodel._digest({k: v for k, v in data.items() if k != "sha256"})
+        loaded = amodel.CatalanTable(A)
+        loaded.load_json(data)
+        assert (0, (40,)) not in loaded._tensors and loaded.rows() == catalan.rows()
+        tables += [catalan, lattice, correlators, loaded]
+    for table in tables:
+        assert table._tensors
+        for key, form in table._tensors.items():
+            assert type(form) is tuple and len(form) == 2, key
+            den, ints = form
+            assert type(den) is int and den > 0, key
+            assert all(type(v) is int and v for v in ints.values()), key
+            assert math.gcd(den, *ints.values()) == 1, key
+
+
+def test_lattice_splits_have_no_unstable_half():
+    table = amodel.LatticeTable()
+    for g, n1, n2 in itertools.product(range(4), range(1, 6), range(1, 6)):
+        mu1, mu2 = (2,) * n1, (2,) * n2
+        assert list(table._split_genera(g, mu1, mu2)) == [
+            g1 for g1 in range(g + 1) if 2 * g1 + n1 > 2 and 2 * (g - g1) + n2 > 2], (g, n1, n2)
+        assert not table._split_genera(g, (3,) + mu1[1:], mu2)
 
 
 # -- mirror terms run once, and each child is read once ------------------------
@@ -468,7 +535,7 @@ def _reference(table, g, mu, vs):
     if fresh._vanishes(g, canon):
         return Fraction(0)
     order = sorted(range(len(mu)), key=list(mu).__getitem__, reverse=True)
-    return _summed(fresh._lookup(g, canon, mu), [vs[p] for p in order])
+    return _summed(_fractions(fresh._lookup(g, canon, mu)), [vs[p] for p in order])
 
 
 def test_every_order_of_a_profile_reads_as_the_cold_path():
@@ -497,7 +564,8 @@ def test_every_order_of_a_profile_reads_as_the_cold_path():
     rng, planted = random.Random(3), amodel.CatalanTable(S3)
     for degrees in ((4, 2, 2), (3, 3, 2, 2)):
         n = len(degrees)
-        tensor = planted._tensors[(1, degrees)] = _random_tensor(rng, S3.dim, n)
+        tensor = {idx: x for idx, x in _random_tensor(rng, S3.dim, n).items() if x}
+        planted._tensors[(1, degrees)] = cutjoin._int_form(tensor)
         for mu in itertools.permutations(degrees):
             order = sorted(range(n), key=mu.__getitem__, reverse=True)
             for vs in ([S3.basis(rng.randrange(S3.dim)) for _ in range(n)],
