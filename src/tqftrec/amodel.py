@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cutjoin import TRIVIAL, CutJoinTable, _int_form, profile, shared
+from .cutjoin import TRIVIAL, CutJoinTable, _int_form, check_decorations, profile, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra
 
 Rational = Fraction
@@ -185,7 +185,8 @@ def twisted_dessin(
     ints, ordered, _ = checked
     if ordered[-1] < 1:
         raise ValueError("dessin counts need positive degrees, got %s" % list(ints))
-    return shared(CatalanTable, algebra)._evaluate(g, checked, vs) / math.prod(ints)
+    idx = check_decorations(algebra, vs, len(ints))
+    return shared(CatalanTable, algebra)._evaluate(g, checked, idx, vs) / math.prod(ints)
 
 
 # -- lattice-point recursion ----------------------------------------------

@@ -33,7 +33,8 @@ half-edge, and since the open half-edges of a face are alike, the state
 is only the multiset of components, each the multiset of the numbers of
 open half-edges on its unfinished faces.  Every matching is still counted
 once, grouped by state (Walsh and Lehman, "Counting rooted maps by genus
-I", 1972).
+I", 1972).  The states are memoized once per process, in a bounded cache
+shared by every call, as ``_moves`` is; each call builds its own result.
 
 ``harer_zagier`` gives the one-vertex counts in closed form, with no
 enumeration, for the depths the transfer cannot reach.
@@ -504,9 +505,15 @@ def _matchings(degrees: Sequence[int]):
     yield from glue(list(range(len(phi))), sum(1 for d in degrees if d > 0), len(degrees))
 
 
-def _completions(state, memo) -> dict:
+# bounded: the 525 profiles up to 16 half-edges reach 901 states, and each
+# profile with a degree-0 vertex adds its own
+@lru_cache(maxsize=4096)
+def _completions(state) -> dict:
     """{faces closed: number of ways} over the perfect matchings of the
-    open half-edges of a partial gluing that leave it connected.
+    open half-edges of a partial gluing that leave it connected.  States
+    are canonical and shared between profiles, so they are memoized once
+    per process, in a bounded cache shared by every call; the returned
+    dict is the cached one, which callers read and never change.
 
     ``state`` is the sorted tuple of the gluing's components, each the
     sorted tuple of the open-half-edge counts of its unfinished faces; a
@@ -520,9 +527,6 @@ def _completions(state, memo) -> dict:
     so it counts nothing."""
     if not state or not state[0]:
         return {0: 1} if state == ((),) else {}
-    out = memo.get(state)
-    if out is not None:
-        return out
     comp, rest = state[0], state[1:]
     length, others = comp[0], comp[1:]
     moves: dict = {}  # (next state, faces closed) -> ways
@@ -542,9 +546,8 @@ def _completions(state, memo) -> dict:
                  rest[:c] + rest[c + 1:], m)
     out = {}
     for (nxt, closed), ways in moves.items():
-        for faces, count in _completions(nxt, memo).items():
+        for faces, count in _completions(nxt).items():
             out[faces + closed] = out.get(faces + closed, 0) + ways * count
-    memo[state] = out
     return out
 
 
@@ -562,7 +565,7 @@ def count_matchings_by_genus(degrees: Sequence[int]) -> dict:
     shift = 2 - len(degrees) + total // 2  # 2g = 2 - V + E - F
     state = tuple(sorted((d,) if d else () for d in degrees))
     return {(shift - faces) // 2: count
-            for faces, count in _completions(state, {}).items()}
+            for faces, count in _completions(state).items()}
 
 
 def count_arrowed_graphs(g: int, n: int, mu: Sequence[int]) -> int:
@@ -621,6 +624,7 @@ def all_matchings(degrees: Sequence[int]) -> Iterator[CellGraph]:
 # -- lattice-point counting oracle --------------------------------------------
 
 
+# unbounded: only the five types within the half-edge budget, 2g - 2 + n <= 2
 @lru_cache(maxsize=None)
 def _lattice_graphs(g: int, n: int) -> tuple:
     """(D, ((pairs, weight), ...)): the connected ribbon graphs of type (g,n)

@@ -8,7 +8,8 @@ nonzero product constants of ``product_by_pair`` and the nonzero rows of
 the pairing and its inverse, never over zero terms.  It then verifies every
 axiom on every index tuple in lexicographic order, comparing both sides of
 a law as a vector over its last indices, so an ``AxiomError`` names the
-least failing witness.  Amplitudes Omega_{g,n}(v_1..v_n) = counit(v_1 ...
+least failing witness; the laws are homogeneous in the constants, so the
+check runs in ints, on each tensor times the lcm of its denominators.  Amplitudes Omega_{g,n}(v_1..v_n) = counit(v_1 ...
 v_n e^g) where e is the Euler element.  The kernel operators Delta* and m*
 that the cut-and-join engine builds its counts with live in
 ``tqftrec.cutjoin``.
@@ -130,14 +131,31 @@ def _rows(matrix) -> tuple:
     return tuple(map(_nonzero, matrix))
 
 
-def _combine(terms, rows, s: int) -> list:
+def _combine(terms, rows, s: int, zero=_ZERO) -> list:
     """The dense vector of length s summing x * rows[k] over (k, x) in
-    terms, where rows[k] lists the (m, y) pairs of its nonzero entries."""
-    out = [_ZERO] * s
+    terms, where rows[k] lists the (m, y) pairs of its nonzero entries;
+    an entry with no terms is ``zero``."""
+    out = [zero] * s
     for k, x in terms:
         for m, y in rows[k]:
             out[m] += x * y
     return out
+
+
+def _scaled(tensor) -> tuple:
+    """(L, ints): a dense tensor of rationals, nested in tuples or lists,
+    as L, the lcm of its denominators, and the ints L x, nested alike."""
+    def rows(t):
+        return [r for x in t for r in rows(x)] if isinstance(t[0], (tuple, list)) else [t]
+
+    L = math.lcm(*(x.denominator for row in rows(tensor) for x in row))
+
+    def scale(t):
+        if isinstance(t[0], (tuple, list)):
+            return tuple(map(scale, t))
+        return tuple(x.numerator * (L // x.denominator) for x in t)
+
+    return L, scale(tensor)
 
 
 _INTERNED = {}  # (labels, product, pairing) -> the algebra; entered once verified
@@ -221,11 +239,19 @@ class FrobeniusAlgebra:
         """Check every axiom on every index tuple, in lexicographic order,
         so that the first failure names the least witness.  Each law is
         compared as a vector over its last indices, built from the nonzero
-        structure constants only."""
+        structure constants only.  Every law is homogeneous in the
+        constants, so the check runs in ints: each tensor it reads is
+        scaled by the lcm of its denominators, when the check runs, and
+        each side of a comparison by the other side's scales."""
         s = self.dim
-        c = self.product_tensor
-        eta = self.pairing
-        pairs = self.product_by_pair
+        Dc, c = _scaled(self.product_tensor)
+        De, eta = _scaled(self.pairing)
+        Dp, phi = _scaled(self.three_point)
+        Du, counit = _scaled(self.counit)
+        DD, cop = _scaled(self.coproduct_tensor)
+        pairs = tuple(map(_rows, c))
+        D = tuple(tuple((a, b, w) for a, row in enumerate(plane) for b, w in enumerate(row) if w)
+                  for plane in cop)
         for i in range(s):
             for j in range(i + 1, s):
                 if c[i][j] != c[j][i]:
@@ -235,35 +261,33 @@ class FrobeniusAlgebra:
         for i in range(s):
             for j in range(s):
                 for l in range(s):
-                    if _combine(pairs[i][j], pairs[l], s) != _combine(pairs[j][l], pairs[i], s):
+                    if _combine(pairs[i][j], pairs[l], s, 0) != _combine(pairs[j][l], pairs[i], s, 0):
                         raise AxiomError("associativity", (i, j, l))
         # eta(e_i e_j, e_k) against eta(e_i, e_j e_k) over k
-        phi = self.three_point
         for i in range(s):
             eta_i = eta[i]
             for j in range(s):
                 for k in range(s):
-                    right = sum((x * eta_i[l] for l, x in pairs[j][k] if eta_i[l]), _ZERO)
-                    if phi[i][j][k] != right:
+                    right = sum(x * eta_i[l] for l, x in pairs[j][k] if eta_i[l])
+                    if phi[i][j][k] * Dc * De != right * Dp:
                         raise AxiomError("Frobenius compatibility", (i, j, k))
         # counit law: (counit x id) after coproduct is the identity
-        D = self.coproduct_by_input
         for i in range(s):
-            val = [_ZERO] * s
+            val = [0] * s
             for a, b, w in D[i]:
-                val[b] += w * self.counit[a]
+                val[b] += w * counit[a]
             for b in range(s):
-                if val[b] != (1 if i == b else 0):
+                if val[b] != (DD * Du if i == b else 0):
                     raise AxiomError("counit law", (i, b))
         # coproduct of a product factors through either side: the (a, b)
         # planes of sum_k c[i][j][k] D[k] and sum_x D[i][a][x] c[x][j]
         for i in range(s):
             for j in range(s):
-                lhs = [_ZERO] * (s * s)
+                lhs = [0] * (s * s)
                 for k, x in pairs[i][j]:
                     for a, b, w in D[k]:
                         lhs[a * s + b] += x * w
-                rhs = [_ZERO] * (s * s)
+                rhs = [0] * (s * s)
                 for a, x, w in D[i]:
                     for b, y in pairs[x][j]:
                         rhs[a * s + b] += w * y
@@ -274,13 +298,13 @@ class FrobeniusAlgebra:
         # sum_b D[i][a][b] eta[b][j], over (j, a)
         eta_rows = _rows(eta)
         for i in range(s):
-            rhs = [[_ZERO] * s for _ in range(s)]
+            rhs = [[0] * s for _ in range(s)]
             for a, b, w in D[i]:
                 for j, y in eta_rows[b]:
                     rhs[j][a] += w * y
             for j in range(s):
                 for a in range(s):
-                    if c[i][j][a] != rhs[j][a]:
+                    if c[i][j][a] * DD * De != rhs[j][a] * Dc:
                         raise AxiomError("product from coproduct and pairing", (i, j, a))
 
     # -- sparse views and caches; construction builds product_by_pair and

@@ -99,7 +99,7 @@ class CorrelatorTable(CutJoinTable):
         return _cut_weights(k1)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)  # bounded: one per pair of degrees (k1, kj) a build joins
 def _join_weights(k1: int, kj: int):
     weight = Fraction(
         double_factorial(2 * k1 + 2 * kj - 1),

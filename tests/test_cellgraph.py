@@ -1,13 +1,17 @@
 """Unit tests for cell graphs, edge contraction, and the enumeration oracles."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd, prod
 
 import pytest
 
 from tqftrec.cellgraph import (
+    DEFAULT_HALF_EDGE_BUDGET,
     CellGraph,
+    _completions,
     _matchings,
     all_matchings,
     count_arrowed_graphs,
@@ -438,19 +442,58 @@ def test_counts_while_gluing_match_traced_faces(total):
         assert count_matchings_by_genus(degs) == tally
 
 
+@lru_cache(maxsize=None)
+def _enumerated(degs):
+    """The connected matchings of the enumerator, tallied by genus."""
+    shift = 2 - len(degs) + sum(degs) // 2
+    tally = {}
+    for _, faces, components in _matchings(degs):
+        if components == 1:
+            g = (shift - faces) // 2
+            tally[g] = tally.get(g, 0) + 1
+    return tally
+
+
 @pytest.mark.parametrize("total", [2, 4, 6, 8, 10, 12])
 def test_transfer_matches_matching_enumeration(total):
     # the gluing transfer against a tally of the enumerated matchings, by
     # genus and connected only, on every profile: this also checks the
     # face and component counts the enumerator keeps while gluing
     for degs in _profiles(total):
-        shift = 2 - len(degs) + total // 2
-        tally = {}
-        for _, faces, components in _matchings(degs):
-            if components == 1:
-                g = (shift - faces) // 2
-                tally[g] = tally.get(g, 0) + 1
-        assert count_matchings_by_genus(degs) == tally, degs
+        assert count_matchings_by_genus(degs) == _enumerated(degs), degs
+
+
+def test_shared_transfer_memo_counts_alike_in_any_order():
+    # the transfer's states are memoized once per process: filled from
+    # empty in any order of the profiles, the counts are the enumeration's
+    profiles = [degs for total in range(2, 13, 2) for degs in _profiles(total)]
+    shuffled = profiles[:]
+    random.Random(40).shuffle(shuffled)
+    for order in (profiles, profiles[::-1], shuffled):
+        _completions.cache_clear()
+        counts = {degs: count_matchings_by_genus(degs) for degs in order}
+        assert counts == {degs: _enumerated(degs) for degs in profiles}
+
+
+def test_a_changed_count_does_not_reach_a_later_call():
+    counts = count_matchings_by_genus((2, 4))
+    expected = dict(counts)
+    counts[0] += 1
+    counts[7] = 1
+    assert count_matchings_by_genus((2, 4)) == expected
+    assert count_matchings_by_genus((4, 2)) == expected
+
+
+def test_a_budget_sweep_fits_the_transfer_memo():
+    # every profile the half-edge budget admits, with and without a
+    # degree-0 vertex, fills the shared memo without evicting a state
+    _completions.cache_clear()
+    for total in range(0, DEFAULT_HALF_EDGE_BUDGET + 1, 2):
+        for degs in _profiles(total):
+            count_matchings_by_genus(degs)
+            count_matchings_by_genus(degs + (0,))
+    info = _completions.cache_info()
+    assert info.misses == info.currsize < info.maxsize
 
 
 def test_transfer_beyond_enumeration():

@@ -575,6 +575,10 @@ _I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
      _I3, "associativity", (1, 1, 2)),
     # e^2 = 1 with eta(e, e) = 2, but eta(1, e e) = eta(1, 1) = 1
     ([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [[1, 0], [0, 2]], "Frobenius compatibility", (0, 1, 1)),
+    # e^2 = 1/3 with eta(e, e) = 1/4, but eta(1, e e) = 1/3: the int check
+    # scales the two sides by different denominators
+    ([[[1, 0], [0, 1]], [[0, 1], [Fraction(1, 3), 0]]], [[1, 0], [0, Fraction(1, 4)]],
+     "Frobenius compatibility", (0, 1, 1)),
 ])
 def test_axiom_failures_name_their_first_witness(product_tensor, pairing_matrix, axiom, witness):
     s = len(pairing_matrix)

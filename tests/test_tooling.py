@@ -260,3 +260,66 @@ def test_only_the_engine_reads_the_coproduct_legs():
                for node in ast.walk(tree)):
             readers.add(path.name)
     assert readers - {"frobenius.py"} == {"cutjoin.py"}
+
+
+def _unstated_caches(source):
+    """The functions of a source under an ``lru_cache`` (or ``cache``) whose
+    bound goes unstated: a finite maxsize needs a ``# bounded:`` comment
+    saying what fills the cache, and maxsize=None an ``# unbounded:`` one
+    saying what bounds it, on the decorator's line or the comment lines
+    just above it."""
+    lines = source.splitlines()
+    unstated = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name == "cache":
+                maxsize = None
+            elif name == "lru_cache":
+                given = (call.args + [k.value for k in call.keywords if k.arg == "maxsize"]
+                         if call else [])
+                maxsize = ast.literal_eval(given[0]) if given else 128
+            else:
+                continue
+            row = decorator.lineno - 1
+            comments = [lines[row].partition("#")[2]]
+            while row > 0 and lines[row - 1].lstrip().startswith("#"):
+                row -= 1
+                comments.append(lines[row].lstrip()[1:])
+            stated = " ".join(c.strip() for c in reversed(comments))
+            kind = "unbounded:" if maxsize is None else "bounded:"
+            if not stated.startswith(kind):
+                unstated.append(node.name)
+    return unstated
+
+
+def test_every_cache_states_its_bound():
+    # a memo that may grow for the life of the process says what bounds
+    # it, and a bounded one what fills it, so that neither grows unseen
+    unstated = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        unstated += ["%s:%s" % (path.name, name) for name in _unstated_caches(path.read_text())]
+    assert unstated == []
+
+
+def test_a_cache_without_its_bound_is_named():
+    source = (
+        "@lru_cache(maxsize=8)  # bounded: eight\n"
+        "def a(x): return x\n"
+        "# unbounded: two values of a flag\n"
+        "@lru_cache(maxsize=None)\n"
+        "def b(x): return x\n"
+        "@lru_cache(maxsize=None)  # bounded: mislabelled\n"
+        "def c(x): return x\n"
+        "@functools.lru_cache(16)\n"
+        "def d(x): return x\n"
+        "@lru_cache\n"
+        "def e(x): return x\n"
+        "@cache  # unbounded: the handful of names asked\n"
+        "def f(x): return x\n"
+    )
+    assert _unstated_caches(source) == ["c", "d", "e"]
