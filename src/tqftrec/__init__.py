@@ -14,6 +14,8 @@ Layers, from the bottom up:
   inverse-Laplace bridge back to the counts.
 - ``intersect``: psi-class correlators via the DVV recursion and its twisted
   variant.
+- ``verify``: the check catalogue, each checkable claim written once, which
+  ``tqft verify`` and the acceptance criteria run at their own ranges.
 - ``cli``: the ``tqft`` command-line front end.
 """
 

@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 usage error, 3 computation budget exceeded,
 4 internal invariant violation.  The env var TQFT_BUDGET overrides the
 tuple-counting budget.  Output is deterministic: identical inputs produce
 byte-identical output.
+
+``tqft verify`` runs the suites of ``tqftrec.verify``, which only it imports;
+a suite fails on its first failing case (its witness) or an exception.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import amodel, bmodel, cellgraph, cutjoin, groups, intersect
+from . import amodel, bmodel, cutjoin, groups, intersect
 from .exact import BudgetError, MultiRatFun, rat_to_str
 from .frobenius import AxiomError, FrobeniusAlgebra, omega_tqft, trivial_algebra
 from .groups import GroupAxiomError
@@ -318,151 +321,28 @@ def cmd_correlator(args) -> dict:
 
 # -- verify ---------------------------------------------------------------------
 
-# A suite returns None when it passes, else a short witness naming the first
-# failing case.
-
-
-def _unequal(what: str, got, want):
-    return None if got == want else "%s: %s != %s" % (what, _render_flat(got, {}), _render_flat(want, {}))
-
-
-def _suite_axioms(full: bool):
-    names = ["trivial", "Z2", "Z3", "Z4", "Z2xZ2", "S3"] + (["Q8"] if full else [])
-    for name in names:
-        groups.orbifold_frobenius(groups.load_group("builtin:" + name))
-    return None
-
-
-def _suite_omega(full: bool):
-    names = ["Z2", "Z3", "S3"] if not full else ["Z2", "Z3", "Z4", "Z2xZ2", "S3"]
-    gmax = 2 if full else 1
-    for name in names:
-        G = groups.load_group("builtin:" + name)
-        cd = groups.conjugacy(G)
-        A = groups.orbifold_frobenius(G, cd)
-        for g in range(gmax + 1):
-            for i in range(A.dim):
-                formula = omega_tqft(A, g, 1, [A.basis(i)])
-                brute = groups.omega_brute(G, g, [i], cd=cd)
-                witness = _unequal("omega %s g=%d %s" % (name, g, A.labels[i]), formula, brute)
-                if witness:
-                    return witness
-    return None
-
-
-def _suite_catalan(full: bool):
-    limit = 10 if full else 6
-    profiles = [
-        (0, 1, (m,)) for m in range(2, limit + 1, 2)
-    ] + [(1, 1, (m,)) for m in range(4, limit + 1, 2)] + [
-        (0, 3, (2, 2, 2)),
-        (1, 2, (3, 3)),
-    ]
-    for g, n, mu in profiles:
-        witness = _unequal("catalan g=%d mu=%s" % (g, mu), amodel.catalan(g, n, mu),
-                           cellgraph.count_arrowed_graphs(g, n, mu))
-        if witness:
-            return witness
-    return None
-
-
-def _suite_lattice(full: bool):
-    T = trivial_algebra()
-    u = T.unit_element()
-    profiles = [(0, 3, (2, 2, 2)), (0, 3, (1, 1, 2)), (0, 3, (1, 1, 4)), (1, 1, (4,)), (1, 1, (6,))]
-    if full:
-        profiles += [(0, 3, (1, 2, 3)), (1, 1, (8,)), (1, 2, (2, 4)), (0, 4, (2, 2, 2, 2))]
-    for g, n, mu in profiles:
-        witness = _unequal("lattice g=%d mu=%s" % (g, mu),
-                           amodel.lattice_twisted(g, n, mu, T, [u] * n),
-                           cellgraph.count_lattice_points(g, n, mu))
-        if witness:
-            return witness
-    return None
-
-
-def _suite_bmodel(full: bool):
-    if not bmodel.verify_w02_identity():
-        return "w02 identity fails"
-    if not bmodel.residue_check(1, 1)["equal"]:
-        return "residue check (1,1) disagrees with the recursion"
-    (t1,) = MultiRatFun.gens(("t1",))
-    got, want = bmodel.wgn(1, 1), -((t1**2 - 1) ** 3) / (t1**4 * 128)
-    if (got - want).num:
-        return "w11: %s != -(t1**2 - 1)**3/(128*t1**4)" % got
-    if not full:
-        return None
-    if not bmodel.verify_kernel_integral():
-        return "kernel integral fails"
-    if not bmodel.residue_check(0, 3)["equal"]:
-        return "residue check (0,3) disagrees with the recursion"
-    co = bmodel.inverse_laplace_coeffs(1, 1, 6)
-    for mu in ((4,), (6,)):
-        witness = _unequal("ILT g=1 mu=%s" % (mu,), co.get(mu, Fraction(0)),
-                           -amodel.catalan(1, 1, mu))
-        if witness:
-            return witness
-    return None
-
-
-def _suite_intersect(full: bool):
-    for g, n, k, want in ((0, 3, (0, 0, 0), 1), (0, 4, (1, 0, 0, 0), 1),
-                          (1, 1, (1,), Fraction(1, 24))):
-        witness = _unequal("correlator g=%d k=%s" % (g, k), intersect.correlator(g, n, k), want)
-        if witness:
-            return witness
-    names = ["Z2"] if not full else ["Z2", "Z3", "S3"]
-    for name in names:
-        A = groups.orbifold_frobenius(groups.load_group("builtin:" + name))
-        for i in range(A.dim):
-            rep = intersect.check_tauG(1, 1, (1,), A, [A.basis(i)])
-            witness = _unequal("tauG %s g=1 k=(1,) %s" % (name, A.labels[i]),
-                               rep["lhs"], rep["rhs"])
-            if witness:
-                return witness
-    if not full:
-        return None
-    for N, extra, lhs, rhs in intersect.kdv_identities():
-        witness = _unequal("kdv N=%d extra=%s" % (N, extra), lhs, rhs)
-        if witness:
-            return witness
-    for k, got, want in intersect.genus_zero_profiles():
-        witness = _unequal("correlator g=0 k=%s" % (k,), got, want)
-        if witness:
-            return witness
-    return None
-
-
-VERIFY_SUITES = [
-    ("frobenius-axioms", _suite_axioms),
-    ("omega-formula-vs-brute", _suite_omega),
-    ("catalan-vs-enumeration", _suite_catalan),
-    ("lattice-vs-catalog", _suite_lattice),
-    ("bmodel-invariants", _suite_bmodel),
-    ("correlator-identities", _suite_intersect),
-]
-
 
 def cmd_verify(args) -> dict:
-    full = args.level == "full"
+    from . import verify  # the check catalogue; no other command needs it
+
     rows = []
-    ok = True
-    for name, suite in VERIFY_SUITES:
-        witness = error = None
-        try:
-            witness = suite(full)
+    for name, checks in verify.SUITES:
+        row = {"suite": name, "result": "pass"}
+        rows.append(row)
+        try:  # the first failing case is the witness
+            case, got, want = next(((case, got, want) for check in checks
+                                    for case, got, want in check(args.level) if got != want),
+                                   (None, None, None))
         except BudgetError:
             raise
         except Exception as exc:  # a crashing suite fails, and says why
-            error = "%s: %s" % (type(exc).__name__, exc)
-        passed = witness is None and error is None
-        ok &= passed
-        rows.append({"suite": name, "result": "pass" if passed else "FAIL"})
-        if witness is not None:
-            rows[-1]["witness"] = witness
-        if error is not None:
-            rows[-1]["error"] = error
-    return {"level": args.level, "all_passed": ok, "rows": rows}
+            row.update(result="FAIL", error="%s: %s" % (type(exc).__name__, exc))
+            continue
+        if case is not None:  # a predicate's case (want True) reads as its failure
+            row.update(result="FAIL", witness=case if want is True else "%s: %s != %s" % (
+                case, _render_flat(got, {}), _render_flat(want, {})))
+    return {"level": args.level, "all_passed": all(r["result"] == "pass" for r in rows),
+            "rows": rows}
 
 
 # -- argument plumbing ------------------------------------------------------------

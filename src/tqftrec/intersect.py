@@ -15,10 +15,9 @@ negative index contributes zero.
 The pair and cut weights depend on the degrees alone, so they are built
 once, in caches keyed on the degrees that every build of every table reads.
 
-``kdv_identities`` and ``genus_zero_profiles`` check the table against
-identities the recursion does not use: Witten's KdV form and the genus-0
-closed form, read off the table with no engine code beyond the reads.
-``tqft verify --level full`` and the tests run both.
+``check_tauG`` compares the decorated correlator with the correlator times
+the surface amplitude; Witten's KdV form and the genus-0 closed form, which
+the recursion does not use, are checks in ``tqftrec.verify``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .cutjoin import TRIVIAL, CutJoinTable, profile, shared
@@ -38,8 +36,6 @@ __all__ = [
     "correlator",
     "twisted_correlator",
     "check_tauG",
-    "kdv_identities",
-    "genus_zero_profiles",
     "CorrelatorTable",
     "double_factorial",
 ]
@@ -145,53 +141,3 @@ def check_tauG(
     lhs = twisted_correlator(g, n, k, algebra, vs)
     rhs = correlator(g, n, k) * omega_tqft(algebra, g, n, vs)
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
-
-
-def _intersection(k) -> Rational:
-    """<tau_k> at the one genus g with sum(k) = 3g - 3 + len(k), and 0 when
-    no genus has that dimension."""
-    g, rem = divmod(sum(k) + 3 - len(k), 3)
-    return correlator(g, len(k), k) if not rem and g >= 0 else Fraction(0)
-
-
-def _split_product(x, y, extra) -> Rational:
-    """The coefficient of <<tau_x>> <<tau_y>> at the extra insertions: a sum
-    over the ways to split them between the two factors, each insertion
-    taken as distinct."""
-    slots = range(len(extra))
-    return sum(_intersection(x + tuple(extra[i] for i in part))
-               * _intersection(y + tuple(extra[i] for i in slots if i not in part))
-               for r in range(len(extra) + 1) for part in combinations(slots, r))
-
-
-def kdv_identities():
-    """Yield (N, extra, lhs, rhs) for Witten's KdV form read off the table
-    coefficient by coefficient: at each multiset ``extra`` of insertions,
-        (2N+1) <<tau_N tau_0^2>> = <<tau_{N-1} tau_0>> <<tau_0^3>>
-            + 2 <<tau_{N-1} tau_0^2>> <<tau_0^2>> + 1/4 <<tau_{N-1} tau_0^4>>,
-    over 1 <= N <= 7, at most 4 insertions of degree at most 4, and
-    N + sum(extra) <= 14: 722 identities, 236 with a nonzero left side, up to
-    genus 4.  KdV follows from DVV (Kontsevich's theorem) but the recursion
-    does not use it, so a defect in a join or cut weight, or a split
-    dropped, breaks some of them."""
-    for N in range(1, 8):
-        for size in range(5):
-            for extra in combinations_with_replacement(range(5), size):
-                if N + sum(extra) > 14:
-                    continue
-                lhs = (2 * N + 1) * _intersection((N, 0, 0) + extra)
-                rhs = (_split_product((N - 1, 0), (0, 0, 0), extra)
-                       + 2 * _split_product((N - 1, 0, 0), (0, 0), extra)
-                       + Fraction(1, 4) * _intersection((N - 1, 0, 0, 0, 0) + extra))
-                yield N, extra, lhs, rhs
-
-
-def genus_zero_profiles():
-    """Yield (k, <tau_k1 ... tau_kn>_0, (n-3)!/prod k_i!) for the 19 sorted
-    genus-0 profiles with 3 <= n <= 8: the table's value beside the closed
-    form."""
-    for n in range(3, 9):
-        for k in combinations_with_replacement(range(n - 2), n):
-            if sum(k) == n - 3:
-                yield k, correlator(0, n, k), Fraction(math.factorial(n - 3),
-                                                       math.prod(map(math.factorial, k)))

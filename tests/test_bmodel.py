@@ -217,6 +217,28 @@ def test_twisted_wgn_z2_factorizes_past_acceptance(g, n):
         assert value == scaled[om], idx
 
 
+def test_a_split_carries_each_index_to_its_slot():
+    # a split term joins the index tuples of its two halves and puts them in
+    # the order of the bracket's slots, as _place puts the variables; every
+    # w is Omega times a scalar, symmetric in its slots, so a lower w is
+    # planted whose Laurent map records its own index tuple: slot j of the
+    # index tuple idx carries t_j^(idx[j] + 1).  In w_{0,4} each split has a
+    # planted (0,3) half, and each slot not from the (0,2) half, which its
+    # pole names, must carry the index its exponent records
+    S3 = orbifold_frobenius(load_group("builtin:S3"))
+    rec = bmodel._Recursion(S3)
+    rec.memo[(0, 3)] = {idx: {(0,) + tuple(i + 1 for i in idx[1:]): Fraction(1)}
+                        for idx in itertools.product(range(S3.dim), repeat=3)}
+    checked = 0
+    for (idx, poles), terms in rec._bracket(0, 4).items():
+        paired = {j for _, j in poles}
+        for e in terms:
+            for j in set(range(1, 4)) - paired:
+                assert e[j] == idx[j] + 1, (idx, poles, e)
+                checked += 1
+    assert checked > 100
+
+
 def test_inverse_laplace_budget_gate():
     with pytest.raises(BudgetError):
         inverse_laplace_coeffs(1, 1, 40)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftrec import amodel, bmodel, cli, cutjoin, groups
+from tqftrec import amodel, bmodel, cli, cutjoin, groups, verify
 from tqftrec.exact import MultiRatFun
 from tqftrec.frobenius import omega_tqft
 
@@ -371,11 +371,11 @@ def test_wgn_budget_exits_3_without_traceback(monkeypatch, capsys):
 
 
 def test_verify_names_the_exception(monkeypatch):
-    def crashes(full):
+    def crashes(level):
         raise ZeroDivisionError("no inverse")
 
-    suites = [("fine", lambda full: None), ("crashes", crashes)]
-    monkeypatch.setattr(cli, "VERIFY_SUITES", suites)
+    suites = [("fine", (lambda level: [("one", 1, 1)],)), ("crashes", (crashes,))]
+    monkeypatch.setattr(verify, "SUITES", suites)
     code, out = run_cli("--format", "json", "verify")
     assert code == cli.EXIT_INTERNAL
     assert json.loads(out)["rows"] == [
@@ -389,8 +389,8 @@ def test_verify_names_the_exception(monkeypatch):
 
 
 def test_verify_names_the_witness(monkeypatch):
-    suites = [("fine", lambda full: None), ("wrong", lambda full: "catalan g=1 mu=(4,): 1 != 2")]
-    monkeypatch.setattr(cli, "VERIFY_SUITES", suites)
+    suites = [("fine", ()), ("wrong", (lambda level: [("catalan g=1 mu=(4,)", 1, 2)],))]
+    monkeypatch.setattr(verify, "SUITES", suites)
     code, out = run_cli("--format", "json", "verify")
     assert code == cli.EXIT_INTERNAL
     assert json.loads(out)["rows"] == [

@@ -575,6 +575,23 @@ def test_every_order_of_a_profile_reads_as_the_cold_path():
                     assert planted.twisted(1, asked, vs, given) == expected, (mu, vs)
 
 
+def test_a_child_read_in_another_order_carries_each_slot_with_its_degree():
+    # a build reads each child tensor with its slots in the order its parent
+    # asks for, realigned at the end of _tensor from the memoized decreasing
+    # order; the counts are symmetric, so a tensor symmetric under no
+    # permutation of its slots is planted, and every order of distinct
+    # degrees, 3-cycles among them, must find each slot's entry by its degree
+    S3 = orbifold_frobenius(load_group("builtin:S3"))
+    rng, table = random.Random(11), amodel.CatalanTable(S3)
+    for canon in ((3, 2, 1), (4, 3, 2, 1)):
+        tensor = {idx: x for idx, x in _random_tensor(rng, S3.dim, len(canon)).items() if x}
+        den, ints = table._tensors[(1, canon)] = cutjoin._int_form(tensor)
+        for mu in itertools.permutations(canon):
+            # asked slot p holds degree mu[p], canonical slot canon.index(mu[p])
+            expected = {tuple(cidx[canon.index(m)] for m in mu): v for cidx, v in ints.items()}
+            assert table._tensor(1, mu) == (den, expected), mu
+
+
 def _invalid_requests(c, l, k, A, e, x):
     """Each invalid request to the Catalan, lattice and correlator tables c,
     l and k over A, with the exception and message it raises; e is an

@@ -10,10 +10,9 @@ from tqftrec.intersect import (
     check_tauG,
     correlator,
     double_factorial,
-    genus_zero_profiles,
-    kdv_identities,
     twisted_correlator,
 )
+from tqftrec.verify import genus_zero_profiles, kdv_identities
 
 
 def test_double_factorial_convention():
@@ -84,10 +83,10 @@ def test_two_point_correlators_match_dijkgraaf():
 
 def test_table_satisfies_kdv():
     # Witten's KdV form, read off the table coefficient by coefficient with
-    # no engine code beyond the reads (see ``kdv_identities``)
+    # no engine code beyond the reads (see ``tqftrec.verify.kdv_identities``)
     identities = nonzero = 0
-    for N, extra, lhs, rhs in kdv_identities():
-        assert lhs == rhs, (N, extra)
+    for case, lhs, rhs in kdv_identities("full"):
+        assert lhs == rhs, case
         identities += 1
         nonzero += lhs != 0
     assert (identities, nonzero) == (722, 236)
@@ -96,8 +95,8 @@ def test_table_satisfies_kdv():
 def test_genus_zero_closed_form():
     # <tau_k1 ... tau_kn>_0 = (n-3)! / prod k_i!, on every profile with n <= 8
     profiles = 0
-    for k, got, expected in genus_zero_profiles():
-        assert got == expected, k
+    for case, got, expected in genus_zero_profiles("full"):
+        assert got == expected, case
         profiles += 1
     assert profiles == 19
 

@@ -112,6 +112,14 @@ def test_cellgraph_oracles_and_the_recursions_share_no_module():
     assert "cellgraph" not in _package_imports("cutjoin")
 
 
+def test_only_cli_imports_the_check_catalogue():
+    # the catalogue checks the package, so no module it checks may reach it;
+    # the CLI loads it for ``tqft verify`` alone
+    modules = sorted(p.stem for p in (ROOT / "src" / "tqftrec").glob("*.py"))
+    assert "__init__" in modules and "verify" in modules
+    assert [m for m in modules if "verify" in _package_imports(m)] == ["cli"]
+
+
 def test_each_kernel_operator_is_defined_once_in_cutjoin():
     # the operators that C9 checks are the ones the engine builds every table with
     operators = {"delta_star_contract", "delta_star_split", "m_star_contract"}
