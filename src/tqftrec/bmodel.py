@@ -9,17 +9,23 @@ twisted as the counts are: the bracket is summed on the two coproduct legs
 and contracted by the engine's Delta*; its splits come from the engine's
 enumeration.  The scalar w_{g,n} is the one-dimensional trivial algebra.
 
-Every w_{g,n} is kept as a sparse Laurent map {exponent tuple: Fraction}
-per index tuple.  Since every stable w is a Laurent polynomial, the
-integrand's only poles besides +-t_i are t = 0 and t = oo, so the residue
-sum is minus the residues there: the t^-1 coefficients of two truncated
-expansions.  No rational-function arithmetic runs on the recursion, and
-its results become ``MultiRatFun`` values without sympy.  The checks load
-no sympy either: the curve is written once, in ``SpectralCurve``, and the
-kernel once, in ``eo_kernel``, as exact maps that the checks evaluate in
-``MultiRatFun``, whose arithmetic cancels natively, so that a value is
-zero exactly when its numerator map is empty.  Of the package only
-``exact`` loads sympy.
+The recursion runs in Python ints.  Every w_{g,n} is memoized as one
+reduced int form (den, {index tuple: {exponent tuple: int}}), one sparse
+Laurent map per index tuple over one denominator, as the engine keeps its
+tensors.  A bracket's terms are gathered with their denominators and
+scaled to their lcm; Delta* runs on the algebra's ``int_constants``, the
+(0,2) factors come from its ``pairing_rows``, and the kernel's cube
+(t^2-1)^3/32 is its ints over 32.  Since every stable w is a Laurent
+polynomial, the integrand's only poles besides +-t_i are t = 0 and
+t = oo, so the residue sum is minus the residues there: the t^-1
+coefficients of two truncated expansions.  No rational-function
+arithmetic runs on the recursion, and its int forms become ``MultiRatFun``
+values and the input of the inverse Laplace transform as they are,
+without sympy and without a Fraction.  The checks load no sympy either:
+the curve is written once, in ``SpectralCurve``, and the kernel once, in
+``eo_kernel``, as exact maps that the checks evaluate in ``MultiRatFun``,
+whose arithmetic cancels natively, so that a value is zero exactly when
+its numerator map is empty.  Of the package only ``exact`` loads sympy.
 
 Every output leaves the Laurent map through one substitution, which
 replaces t_i^e, one variable at a time, by a univariate map: the x frame
@@ -30,21 +36,21 @@ transform back to the counting side by the u = 1/x series of
 the coefficient of prod x_i^(-mu_i - 1) equals (-1)^n C_{g,n}(mu).  The
 unstable w_{0,2} = 1/(t1+t2)^2 is not a Laurent polynomial; it goes
 through the same transform written in the basis s = t - 1.  The
-substitution runs in Python ints: the Laurent map is taken once to its
-int form over one denominator, every univariate image has integer
-coefficients (the u-series of t and 1/t, and 8 times the Jacobian), and
-each output coefficient becomes one Fraction over that denominator times
-8^n at the end.
+substitution runs in Python ints, on the int form of the Laurent map:
+every univariate image has integer coefficients (the u-series of t and
+1/t, and 8 times the Jacobian), and the output is divided by the
+denominator times 8^n only at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
+from math import comb, gcd, lcm
+from operator import add
 from typing import Dict, Tuple
 
-from .cutjoin import TRIVIAL, _int_form, _reorder, _splits, delta_star_contract, shared
+from .cutjoin import TRIVIAL, _reorder, _splits, delta_star_contract, shared
 from .exact import BudgetError, MultiRatFun, Rational, _plus, _times
 from .frobenius import FrobeniusAlgebra
 
@@ -92,7 +98,7 @@ def _residue(f: MultiRatFun, j: int, s: int) -> MultiRatFun:
                 term[key] = term.get(key, 0) + c * comb(e[0], m) * s ** (e[0] - m)
         return {m: term for m, term in out.items() if any(term.values())}
 
-    N, D = shifted(f.num), shifted(f.den)
+    N, D = shifted(f._num), shifted(f._den)
     if not N or min(D) <= min(N):
         return MultiRatFun.constant(0, f.vars[1:])
     a, b = min(N), min(D)
@@ -119,7 +125,7 @@ class SpectralCurve:
     def __init__(self):
         (t,) = MultiRatFun.gens(("t",))
         z = self.z_of_t(t)
-        if (self.x(z) - self.x_of_t(t)).num or (self.y(z) - self.y_of_t(t)).num:
+        if not ((self.x(z) - self.x_of_t(t)).is_zero() and (self.y(z) - self.y_of_t(t)).is_zero()):
             raise AssertionError("coordinate maps are inconsistent")
 
     @staticmethod
@@ -162,7 +168,7 @@ def verify_w02_identity() -> bool:
     x = SpectralCurve().x_of_t
     dx1, dx2 = x(t1).partial_derivative("t1"), x(t2).partial_derivative("t2")
     lhs = 1 / (t1 - t2) ** 2 - dx1 * dx2 / (x(t1) - x(t2)) ** 2
-    return not (lhs - 1 / (t1 + t2) ** 2).num
+    return (lhs - 1 / (t1 + t2) ** 2).is_zero()
 
 
 # -- recursion kernel -------------------------------------------------------
@@ -195,11 +201,11 @@ def verify_kernel_integral() -> bool:
     t, t1, s = MultiRatFun.gens(("t", "t1", "s"))
     curve = SpectralCurve()
     F = lambda u: -1 / (u + t1)
-    if (F(s).partial_derivative("s") - 1 / (s + t1) ** 2).num:
+    if not (F(s).partial_derivative("s") - 1 / (s + t1) ** 2).is_zero():
         return False
     y, dx = curve.y_of_t, curve.x_of_t(t).partial_derivative("t")
     integral = (F(-t) - F(t)) / (2 * (y(t) - y(-t)) * dx)
-    return not (integral - eo_kernel(t, t1)).num
+    return (integral - eo_kernel(t, t1)).is_zero()
 
 
 # -- the recursion on sparse Laurent maps -----------------------------------
@@ -214,11 +220,11 @@ _CUBE = {0: -1, 2: 3, 4: -3, 6: 1}  # (t^2-1)^3 by degree in t
 
 
 def _mul(a: Dict, b: Dict) -> Dict:
-    """Product of two Laurent maps {exponent tuple: Fraction}."""
+    """Product of two Laurent maps {exponent tuple: int}."""
     out: Dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple([x + y for x, y in zip(ea, eb)])
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return out
 
@@ -246,24 +252,26 @@ def _pole(s: int, j: int, n: int, terms: Dict, at_infinity: bool) -> Dict:
     for l in range(max(degrees) - 3 if at_infinity else 1 - min(degrees)):
         e = [0] * n
         e[0], e[j] = (-l - 2, l) if at_infinity else (l, -l - 2)
-        out[tuple(e)] = Fraction((l + 1) * (-s) ** l)
+        out[tuple(e)] = (l + 1) * (-s) ** l
     return out
 
 
 class _Recursion:
-    """The recursion over one algebra, memoized by (g, n).
+    """The recursion over one algebra, memoized by (g, n), in Python ints.
 
-    w_{g,n} is kept as {index tuple: Laurent map}, zero entries left out.
-    A bracket term is a Laurent map in (t, t2..tn), exponent slot 0 being
-    the integration variable t, times the (0,2) pole factors 1/(s t + t_j)^2
-    its split carries, listed as (s, j); it is summed on the coproduct legs
-    and contracted by the engine's Delta*, and the residue evaluation turns
-    slot 0 into t1.
+    w_{g,n} is kept as one reduced int form (den, {index tuple: Laurent
+    map of ints}): the map over den, den > 0 sharing no factor with all of
+    the ints, zero entries left out.  A bracket term is a Laurent map in
+    (t, t2..tn), exponent slot 0 being the integration variable t, times
+    the (0,2) pole factors 1/(s t + t_j)^2 its split carries, listed as (s,
+    j); it is summed on the coproduct legs, over one denominator for the
+    whole bracket, and contracted by the engine's Delta* on the algebra's
+    int constants, and the residue evaluation turns slot 0 into t1.
     """
 
     def __init__(self, algebra: FrobeniusAlgebra):
         self.algebra = algebra
-        self.memo: Dict[Tuple[int, int], Dict] = {}
+        self.memo: Dict[Tuple[int, int], Tuple[int, Dict]] = {}
         self.work, self.request = 0, (0, 0)
 
     def _product(self, a: Dict, b: Dict) -> Dict:
@@ -273,58 +281,69 @@ class _Recursion:
                               % (self.request + (WGN_WORK_BUDGET,)))
         return _mul(a, b)
 
-    def tensor(self, g: int, n: int) -> Dict:
+    def tensor(self, g: int, n: int) -> Tuple[int, Dict]:
         hit = self.memo.get((g, n))
         if hit is None:
-            hit = self.memo[(g, n)] = self._evaluate(n, self._bracket(g, n))
+            hit = self.memo[(g, n)] = self._evaluate(n, *self._bracket(g, n))
         return hit
 
     def _placed(self, g: int, slots: Tuple[int, ...], sign: int, n: int):
-        """(a, indices, poles, Laurent map) for w_{g,1+len(slots)} at
-        (sign*t, t_{j+1} for j in slots), written in the n slots of a bracket."""
-        A = self.algebra
+        """(den, [(a, indices, poles, Laurent map)]) for w_{g,1+len(slots)}
+        at (sign*t, t_{j+1} for j in slots), written in the n slots of a
+        bracket, each map over den."""
         if (g, len(slots)) == (0, 1):
-            return [(a, (i,), ((sign, slots[0] + 1),), {(0,) * n: A.pairing[a][i]})
-                    for a, i in iproduct(range(A.dim), repeat=2) if A.pairing[a][i]]
+            C = self.algebra.int_constants
+            return C.pairing_scale, [(a, (i,), ((sign, slots[0] + 1),), {(0,) * n: x})
+                                     for a, row in enumerate(C.pairing_rows) for i, x in row]
         dest = [(0, sign)] + [(j + 1, 1) for j in slots]
-        return [(idx[0], idx[1:], (), _place(terms, dest, n))
-                for idx, terms in self.tensor(g, 1 + len(slots)).items()]
+        den, tensor = self.tensor(g, 1 + len(slots))
+        return den, [(idx[0], idx[1:], (), _place(terms, dest, n))
+                     for idx, terms in tensor.items()]
 
-    def _bracket(self, g: int, n: int) -> Dict:
-        """{(index tuple, poles): Laurent map}: the loop term and every split
-        but those with a (0,1) part, each monomial summed on the coproduct
-        legs, keyed (a, b, rest, poles, e), and contracted once by Delta*."""
-        A = self.algebra
-        legs, contracted, out = {}, {}, {}
-
-        def put(a, b, rest, poles, terms):
-            for e, c in terms.items():
-                legs[a, b, rest, poles, e] = legs.get((a, b, rest, poles, e), 0) + c
-
+    def _bracket(self, g: int, n: int):
+        """(den, {(index tuple, poles): Laurent map}), the maps over den: the
+        loop term and every split but those with a (0,1) part, gathered
+        with their denominators, each monomial then scaled to their lcm and
+        summed on the coproduct legs, keyed (a, b, rest, poles, e), and
+        contracted once by Delta*."""
+        C = self.algebra.int_constants
+        terms = []  # (den, a, b, rest, poles, Laurent map)
         if (g, n) == (1, 1):  # the (0,2) loop term at (t,-t), regularized
-            for a, b in iproduct(range(A.dim), repeat=2):
-                put(a, b, (), (), {(-2,): A.pairing[a][b] / 4})
+            # every pair (a, b), a zero pairing too, as the work budget counts them
+            rows = [dict(row) for row in C.pairing_rows]
+            for a, b in iproduct(range(len(rows)), repeat=2):
+                terms.append((4 * C.pairing_scale, a, b, (), (), {(-2,): rows[a].get(b, 0)}))
         elif g >= 1:
             dest = [(0, 1), (0, -1)] + [(j, 1) for j in range(1, n)]
-            for idx, terms in self.tensor(g - 1, n + 1).items():
-                put(idx[0], idx[1], idx[2:], (), _place(terms, dest, n))
+            den, tensor = self.tensor(g - 1, n + 1)
+            for idx, laurent in tensor.items():
+                terms.append((den, idx[0], idx[1], idx[2:], (), _place(laurent, dest, n)))
         for g1 in range(g + 1):
             for I, J, order in _splits(n - 1):
                 if (g1, len(I)) == (0, 0) or (g - g1, len(J)) == (0, 0):
                     continue
                 permute = _reorder(order)
-                right = self._placed(g - g1, J, -1, n)
-                for a, ia, pa, la in self._placed(g1, I, 1, n):
+                den2, right = self._placed(g - g1, J, -1, n)
+                den1, left = self._placed(g1, I, 1, n)
+                for a, ia, pa, la in left:
                     for b, ib, pb, lb in right:
                         rest = ia + ib if permute is None else permute(ia + ib)
-                        put(a, b, rest, pa + pb, self._product(la, lb))
-        delta_star_contract(A, legs, contracted)
+                        terms.append((den1 * den2, a, b, rest, pa + pb, self._product(la, lb)))
+        M = lcm(*(term[0] for term in terms))
+        legs, contracted, out = {}, {}, {}
+        for den, a, b, rest, poles, laurent in terms:
+            w = M // den
+            for e, c in laurent.items():
+                key = (a, b, rest, poles, e)
+                legs[key] = legs.get(key, 0) + w * c
+        delta_star_contract(C, legs, contracted)
         for (i, rest, poles, e), c in contracted.items():
             out.setdefault(((i,) + rest, poles), {})[e] = c
-        return out
+        return M * C.scale, out
 
-    def _evaluate(self, n: int, bracket: Dict) -> Dict:
-        """Minus the residues of K * bracket at every t = +-t_i.
+    def _evaluate(self, n: int, den: int, bracket: Dict) -> Tuple[int, Dict]:
+        """Minus the residues of K * bracket at every t = +-t_i, the
+        bracket's maps over den, as a reduced int form.
 
         Every stable w is a Laurent polynomial, so the integrand's only other
         poles are t = 0 and t = oo, and the residue sum is -(Res_0 + Res_oo).
@@ -332,9 +351,9 @@ class _Recursion:
         -sum t^(2k-1) t1^(-2k-2) at 0 and sum t1^(2k) t^(-2k-3) at oo.  So a
         bracket term times (t^2-1)^3/32 and its poles gives -t1^(m-2) times
         each even t^m coefficient: from its expansion at 0 when m <= 0, and
-        from its expansion at oo when m >= 2.
+        from its expansion at oo when m >= 2.  The cube's ints go over 32.
         """
-        cube = {(d,) + (0,) * (n - 1): Fraction(c, 32) for d, c in _CUBE.items()}
+        cube = {(d,) + (0,) * (n - 1): c for d, c in _CUBE.items()}
         out: Dict = {}
         for (idx, poles), terms in bracket.items():
             base, acc = self._product(terms, cube), out.setdefault(idx, {})
@@ -349,11 +368,18 @@ class _Recursion:
                         key = (e[0] - 2,) + e[1:]
                         acc[key] = acc.get(key, 0) - c
         out = {idx: {e: c for e, c in acc.items() if c} for idx, acc in out.items()}
-        return {idx: acc for idx, acc in out.items() if acc}
+        out = {idx: acc for idx, acc in out.items() if acc}
+        den *= 32
+        common = gcd(den, *(c for acc in out.values() for c in acc.values()))
+        if common == 1:
+            return den, out
+        return den // common, {idx: {e: c // common for e, c in acc.items()}
+                               for idx, acc in out.items()}
 
 
-def _laurent_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> Dict:
-    """w_{g,n} over the algebra as {index tuple: Laurent map}."""
+def _laurent_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> Tuple[int, Dict]:
+    """w_{g,n} over the algebra as its int form (den, {index tuple:
+    Laurent map of ints})."""
     rec = shared(_Recursion, algebra)
     rec.work, rec.request = 0, (g, n)
     return rec.tensor(g, n)
@@ -363,7 +389,8 @@ def wgn(g: int, n: int) -> MultiRatFun:
     """The stable coefficient function w_{g,n}(t1..tn): the recursion over
     the trivial algebra."""
     _require_stable(g, n)
-    return MultiRatFun._from_laurent(_laurent_wgn(g, n, TRIVIAL).get((0,) * n, {}), tvars(n))
+    den, tensor = _laurent_wgn(g, n, TRIVIAL)
+    return MultiRatFun._from_laurent(tensor.get((0,) * n, {}), tvars(n), den)
 
 
 def residue_check(g: int, n: int) -> dict:
@@ -387,7 +414,7 @@ def residue_check(g: int, n: int) -> dict:
     production = rest = wgn(g, n)
     for j in range(1, n + 1):
         rest = rest + (_residue(f, j, 1) + _residue(f, j, -1))
-    return {"g": g, "n": n, "in_budget": True, "production": production, "equal": not rest.num}
+    return {"g": g, "n": n, "in_budget": True, "production": production, "equal": rest.is_zero()}
 
 
 # -- twisted differentials --------------------------------------------------
@@ -414,9 +441,9 @@ def twisted_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> TwistedDifferentia
     """The decorated differential: the recursion with its bracket contracted
     through the algebra's coproduct, one value for every index tuple."""
     _require_stable(g, n)
-    tensor = _laurent_wgn(g, n, algebra)
+    den, tensor = _laurent_wgn(g, n, algebra)
     values = {
-        idx: MultiRatFun._from_laurent(tensor.get(idx, {}), tvars(n))
+        idx: MultiRatFun._from_laurent(tensor.get(idx, {}), tvars(n), den)
         for idx in iproduct(range(algebra.dim), repeat=n)
     }
     return TwistedDifferential(g, n, algebra, values)
@@ -535,8 +562,8 @@ def inverse_laplace_coeffs(g: int, n: int, mu_max: int) -> Dict[Tuple[int, ...],
                 for a in range(order + 1) for b in range(order + 1)}
         return _ilt((4 ** (order + 1), ints), 2, mu_max, lambda a: _binomials(0, a))
     _require_stable(g, n)
-    form = _int_form(_laurent_wgn(g, n, TRIVIAL).get((0,) * n, {}))
-    return _ilt(form, n, mu_max, lambda e: {e: 1})
+    den, tensor = _laurent_wgn(g, n, TRIVIAL)
+    return _ilt((den, tensor.get((0,) * n, {})), n, mu_max, lambda e: {e: 1})
 
 
 # -- coordinate frames ------------------------------------------------------
@@ -559,20 +586,18 @@ def convert_frame(fn: MultiRatFun, n: int, coords: str) -> MultiRatFun:
         return fn
     if coords not in ("x", "z"):
         raise ValueError("unknown coordinate frame %r" % coords)
-    den, ints = _int_form(fn._laurent())
+    den, ints = fn._laurent_form()
     if coords == "x":
         jacobian = lambda i, e: {e + d: c for d, c in _JACOBIAN.items()}
-        den *= 8**n
-        return MultiRatFun._from_laurent(
-            {e: Fraction(v, den) for e, v in _substitute(ints, n, jacobian).items()}, fn.vars)
+        return MultiRatFun._from_laurent(_substitute(ints, n, jacobian), fn.vars, den * 8**n)
     # t^e dt = -2 (z+1)^e (z-1)^(-e-2) dz, put over the denominator
     # (z+1)^low (z-1)^(high+2) in each variable.  Only z_i +- 1 could divide
     # numerator and denominator, and the least and greatest powers of t_i
-    # survive at z_i = -1 and z_i = 1; the monic denominator is canonical.
+    # survive at z_i = -1 and z_i = 1, so the pair is reduced.
     low = [-min([0] + [e[i] for e in ints]) for i in range(n)]
     high = [max([-2] + [e[i] for e in ints]) for i in range(n)]
     num = _substitute(ints, n, lambda i, e: {
         k: -2 * c for k, c in _binomials(e + low[i], high[i] - e).items()})
     zden = _substitute({(0,) * n: 1}, n, lambda i, e: _binomials(low[i], high[i] + 2))
-    return MultiRatFun._from_reduced({e: Fraction(v, den) for e, v in num.items()}, zden,
+    return MultiRatFun._from_reduced(num, {e: den * c for e, c in zden.items()},
                                      tuple("z%d" % (i + 1) for i in range(n)))

@@ -29,18 +29,16 @@ then runs the operators in Python ints, on the children's int forms and
 on the algebra's constants scaled to ints (``int_constants``, one cached
 view per algebra, which its amplitude memo shares), with every weight
 scaled to one denominator for the whole build, and stores the int form
-it computed; a base case or a loaded tensor goes through ``_int_form``
-once.  Each level of the recursion costs one Python frame, which bounds
-the depth of a profile that can be built.
+it computed; a base case or a loaded tensor goes through ``exact``'s
+``_int_form`` once.  Each level of the recursion costs one Python frame,
+which bounds the depth of a profile that can be built.
 
 Every table is over an algebra: the scalar counts are the table over the
 one-dimensional trivial algebra, ``TRIVIAL``.  The operators and the
 split enumeration ``_splits`` also serve the B-model: ``bmodel`` sums its
 bracket on the coproduct legs and contracts it with
-``delta_star_contract``; so the operators stay generic over the value
-type.  ``_int_form`` serves it too: its one substitution, for the x and z
-frames and the inverse Laplace transform, runs in ints on the int form of
-a Laurent map, over one denominator.
+``delta_star_contract`` on the algebra's ``int_constants``, its Laurent
+maps held as int forms as the tensors are.
 
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
@@ -78,7 +76,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
-from .exact import BudgetError
+from .exact import BudgetError, _int_form
 from .frobenius import AlgebraElement, FrobeniusAlgebra, trivial_algebra
 
 TRIVIAL = trivial_algebra()
@@ -283,14 +281,6 @@ def delta_star_split(A: FrobeniusAlgebra, F1: dict, F2: dict, out: dict, w=1,
             for i, c in found:
                 key = (i,) + rest
                 out[key] = out.get(key, 0) + c * xy
-
-
-def _int_form(tensor: dict):
-    """(den, {index tuple: int}) with tensor[t] = ints[t] / den, den the lcm
-    of the denominators of the tensor's values: how a base case or a tensor
-    read from a cache file enters the memo."""
-    den = math.lcm(*(v.denominator for v in tensor.values()))
-    return den, {idx: v.numerator * (den // v.denominator) for idx, v in tensor.items()}
 
 
 class CutJoinTable:

@@ -2,20 +2,25 @@
 
 Scalars are ``fractions.Fraction`` (aliased ``Rational``).  Multivariate
 rational functions are kept in a canonical reduced form: numerator and
-denominator share no polynomial factor and the denominator's leading
-coefficient under graded lexicographic order is 1.  Equality is therefore
+denominator share no polynomial factor, their coefficients are ints with
+no common divisor, and the denominator's leading coefficient under graded
+lexicographic order is positive.  A reduced pair is unique up to a
+rational scalar, and these two rules fix the scalar, so equality is
 structural.  No floating point is used anywhere.
 
 A ``MultiRatFun`` stores its numerator and denominator as
-``{exponent tuple: Fraction}`` maps and computes on them: arithmetic
-(``+ - * / **``), ``partial_derivative``, ``series_at_infinity`` and
-``from_json`` cancel with one multivariate polynomial GCD over Q,
-``_gcd``, and the constructors from a Laurent map or a reduced pair,
-JSON, comparison, hashing and the structural predicates need no GCD at
-all.  None of these loads sympy.  Sympy is imported inside the call, and
-only there, by the members whose work is symbolic: the expression
-constructor ``MultiRatFun(expr, vars)``, ``symbol``, ``expr``,
-``str``/``repr`` and ``substitute``.
+``{exponent tuple: int}`` maps and computes on them in Python ints:
+arithmetic (``+ - * / **``), ``partial_derivative``,
+``series_at_infinity`` and ``from_json`` cancel with one multivariate
+polynomial GCD over Z, ``_gcd``, and the constructors from a Laurent map
+or a reduced pair, JSON, comparison, hashing and the structural
+predicates need no GCD at all.  A ``Fraction`` is made only where a value
+leaves: ``to_json``, ``as_rational``, ``_laurent``, ``expr`` and the
+read-only ``num``/``den`` views, which give the pair scaled so that the
+denominator's leading coefficient is 1.  None of these loads sympy.
+Sympy is imported inside the call, and only there, by the members whose
+work is symbolic: the expression constructor ``MultiRatFun(expr, vars)``,
+``symbol``, ``expr``, ``str``/``repr`` and ``substitute``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -77,13 +83,35 @@ def _grlex(e: tuple):
     return (sum(e), e)
 
 
+def _int_form(terms: Mapping):
+    """(den, {key: int}) with terms[k] = ints[k] / den, den the lcm of the
+    denominators of the map's values, which may be Fractions or ints: how
+    a Fraction map enters int arithmetic."""
+    den = lcm(*(v.denominator for v in terms.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+
+
+def _integral_pair(num: Mapping, den: Mapping):
+    """Int maps (p, q) with p / q = num / den, for maps of Fraction or int
+    coefficients."""
+    (dn, p), (dd, q) = _int_form(num), _int_form(den)
+    if dn == dd:
+        return p, q
+    return {e: c * dd for e, c in p.items()}, {e: c * dn for e, c in q.items()}
+
+
 def _canonical(num: Mapping, den: Mapping):
-    """A reduced pair of term maps scaled so that the denominator's
-    graded-lex leading coefficient is 1."""
+    """A reduced pair of int maps scaled to the canonical one: coefficients
+    with no common divisor, and the denominator's graded-lex leading
+    coefficient positive.  A pair already so is returned as it is."""
     if not num:
         return {}, {(0,) * len(next(iter(den))): 1}
-    lead = den[max(den, key=_grlex)]
-    return {e: c / lead for e, c in num.items()}, {e: c / lead for e, c in den.items()}
+    k = gcd(*num.values(), *den.values())
+    if den[max(den, key=_grlex)] < 0:
+        k = -k
+    if k == 1:
+        return num, den
+    return {e: c // k for e, c in num.items()}, {e: c // k for e, c in den.items()}
 
 
 def _terms(p) -> dict:
@@ -93,15 +121,14 @@ def _terms(p) -> dict:
 
 # -- polynomial maps ------------------------------------------------------------
 #
-# A polynomial is a {exponent tuple: coefficient} map with no zero
-# coefficient, the coefficients Fractions, or ints inside the GCD.
+# A polynomial is a {exponent tuple: int} map with no zero coefficient.
 
 
 def _times(a: Mapping, b: Mapping) -> dict:
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple([x + y for x, y in zip(ea, eb)])
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
@@ -113,29 +140,24 @@ def _plus(a: Mapping, b: Mapping, scale=1) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _qtimes(a: Mapping, b: Mapping) -> dict:
-    """``_times`` for Fraction coefficients, the products taken in integers."""
-    if not a or not b:
-        return {}
-    (sa, a), (sb, b) = _primitive(a), _primitive(b)
-    s = sa * sb
-    return {e: s * c for e, c in _times(a, b).items()}
-
-
 def _power(p: Mapping, k: int) -> dict:
     """p**k for k >= 1, by repeated squaring."""
     out = None
     while k:
         if k & 1:
-            out = p if out is None else _qtimes(out, p)
+            out = p if out is None else _times(out, p)
         k >>= 1
         if k:
-            p = _qtimes(p, p)
+            p = _times(p, p)
     return dict(out)
 
 
 def _shift(p: Mapping, by: Sequence[int], sign: int = -1) -> dict:
-    return {tuple([x + sign * y for x, y in zip(e, by)]): c for e, c in p.items()}
+    """p times the monomial x^(sign * by); p itself when by is zero."""
+    if not any(by):
+        return p
+    step = add if sign > 0 else sub
+    return {tuple(map(step, e, by)): c for e, c in p.items()}
 
 
 def _low(p: Mapping) -> tuple:
@@ -144,11 +166,12 @@ def _low(p: Mapping) -> tuple:
 
 
 def _gcd(p: Mapping, q: Mapping):
-    """(h, p/h, q/h) for polynomials over Q, h a greatest common divisor.
+    """(h, p/h, q/h) for integer polynomials, h a greatest common divisor,
+    the cofactors integer polynomials too.
 
     The monomial contents are split off first.  What is left is settled at
-    once when one side is a single term or the two are proportional, and
-    otherwise by ``_general_gcd``.
+    once when one side is a single term or the two are proportional, which
+    cross-multiplying tells, and otherwise by ``_general_gcd``.
     """
     if not p or not q:
         one = (0,) * len(next(iter(p or q)))
@@ -157,12 +180,14 @@ def _gcd(p: Mapping, q: Mapping):
     low = tuple(map(min, lp, lq))
     p, q = _shift(p, lp), _shift(q, lq)
     one = (0,) * len(low)
-    e = next(iter(p))
-    ratio = q.get(e, 0) / p[e]
+    first = next(iter(p))
+    p0, q0 = p[first], q.get(first, 0)
     if len(p) == 1 or len(q) == 1:
         h, cp, cq = {one: 1}, p, q
-    elif p.keys() == q.keys() and all(q[e] == ratio * c for e, c in p.items()):
-        h, cp, cq = p, {one: 1}, {one: ratio}
+    elif p.keys() == q.keys() and all(q[e] * p0 == c * q0 for e, c in p.items()):
+        # q = (q0/p0) p is an integer multiple of the primitive part h of p
+        k, h = _primitive(p)
+        cp, cq = {one: k}, {one: q0 // h[first]}
     else:
         h, cp, cq = _general_gcd(p, q)
     return (_shift(h, low, 1), _shift(cp, [x - y for x, y in zip(lp, low)], 1),
@@ -171,8 +196,8 @@ def _gcd(p: Mapping, q: Mapping):
 
 def _general_gcd(p: Mapping, q: Mapping):
     """``_gcd`` past its fast paths: the exponents are deflated by their
-    common divisor in each variable, the coefficients cleared to coprime
-    integers, and the GCD found by ``_integer_gcd``."""
+    common divisor in each variable, the contents split off, and the GCD of
+    the primitive parts found by ``_integer_gcd``."""
     step = [gcd(*x) or 1 for x in zip(*p, *q)]
     deflated = lambda f: {tuple([x // j for x, j in zip(e, step)]): c for e, c in f.items()}
     (p_scale, P), (q_scale, Q) = _primitive(deflated(p)), _primitive(deflated(q))
@@ -192,10 +217,9 @@ def _integer_gcd(f: Mapping, g: Mapping):
 
 
 def _primitive(p: Mapping):
-    """(s, P) with p = s P, P an integer polynomial of coprime coefficients."""
-    num = gcd(*(c.numerator for c in p.values()))
-    den = lcm(*(c.denominator for c in p.values()))
-    return Fraction(num, den), {e: c.numerator * (den // c.denominator) // num for e, c in p.items()}
+    """(k, P) with p = k P, k > 0 the content of an integer polynomial p."""
+    k = gcd(*p.values())
+    return k, p if k == 1 else {e: c // k for e, c in p.items()}
 
 
 _HEURISTIC_TRIES = 6
@@ -334,13 +358,15 @@ def _divide(f: Mapping, d: Mapping):
 class MultiRatFun:
     """A multivariate rational function over the rationals.
 
-    Immutable.  ``vars`` is the ordered tuple of variable names; ``num``
-    and ``den`` are the canonical reduced numerator and denominator as
-    {exponent tuple: Fraction} maps with no zero coefficient (the zero
-    function has an empty numerator and the denominator 1).
+    Immutable.  ``vars`` is the ordered tuple of variable names; ``_num``
+    and ``_den`` are the canonical reduced numerator and denominator as
+    {exponent tuple: int} maps with no zero coefficient (the zero function
+    has an empty numerator and the denominator 1).  ``num`` and ``den``
+    read them as {exponent tuple: Fraction} maps scaled so that the
+    denominator's leading coefficient is 1.
     """
 
-    __slots__ = ("vars", "num", "den")
+    __slots__ = ("vars", "_num", "_den")
 
     def __init__(self, expr, vars: Sequence[str]):
         import sympy as sp
@@ -358,16 +384,16 @@ class MultiRatFun:
         if expr.has(sp.zoo, sp.nan):
             raise ZeroDenominatorError("division by zero polynomial")
         num, den = (sp.Poly(p, *syms, domain="QQ") for p in sp.fraction(expr))
-        self._set(vars, *_canonical(_terms(num.as_dict(native=True)),
-                                    _terms(den.as_dict(native=True))))
+        self._set(vars, *_canonical(*_integral_pair(_terms(num.as_dict(native=True)),
+                                                    _terms(den.as_dict(native=True)))))
 
-    def _set(self, vars: Sequence[str], num: Mapping, den: Mapping) -> None:
+    def _set(self, vars: Sequence[str], num: dict, den: dict) -> None:
         object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "num", {e: Fraction(c) for e, c in num.items() if c})
-        object.__setattr__(self, "den", {e: Fraction(c) for e, c in den.items() if c})
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
-        if name in ("vars", "num", "den") and hasattr(self, "den"):
+        if hasattr(self, "_den"):
             raise AttributeError("MultiRatFun is immutable")
         object.__setattr__(self, name, value)
 
@@ -378,7 +404,8 @@ class MultiRatFun:
         if not vars:
             raise ValueError("MultiRatFun needs at least one variable")
         one = (0,) * len(vars)
-        return cls._from_reduced({one: value}, {one: 1}, vars)
+        return cls._from_reduced({one: value.numerator} if value else {},
+                                 {one: value.denominator}, vars)
 
     @classmethod
     def gens(cls, vars: Sequence[str]) -> list:
@@ -388,43 +415,70 @@ class MultiRatFun:
                 for i in range(len(vars))]
 
     @classmethod
-    def _from_reduced(cls, num: Mapping[tuple, Scalar], den: Mapping[tuple, Scalar],
+    def _from_reduced(cls, num: Mapping[tuple, int], den: Mapping[tuple, int],
                       vars: Sequence[str]) -> "MultiRatFun":
-        """Numerator and denominator {exponent tuple: coefficient} taken as
-        they are: the caller guarantees they share no factor and that the
-        denominator's graded-lex leading coefficient is 1."""
+        """Numerator and denominator {exponent tuple: int} with no zero
+        coefficient, scaled to the canonical pair without cancelling: the
+        caller guarantees they share no polynomial factor."""
         self = object.__new__(cls)
-        self._set(vars, num, den)
+        self._set(vars, *_canonical(num, den))
         return self
 
     @classmethod
-    def _from_laurent(cls, terms: Mapping[tuple, Scalar], vars: Sequence[str]) -> "MultiRatFun":
-        """A Laurent polynomial {exponent tuple: coefficient}, built in
-        canonical form without cancelling: the denominator is the monomial
-        clearing every negative exponent, and the numerator then has a
-        monomial free of each variable that monomial contains."""
-        terms = {e: c for e, c in terms.items() if c}
-        low = [min([0] + [e[i] for e in terms]) for i in range(len(vars))]
+    def _from_laurent(cls, terms: Mapping[tuple, Scalar], vars: Sequence[str],
+                      den: int = 1) -> "MultiRatFun":
+        """A Laurent polynomial {exponent tuple: coefficient} divided by the
+        positive int den, built in canonical form without cancelling: the
+        denominator is den times the monomial clearing every negative
+        exponent, and the numerator then has a monomial free of each
+        variable that monomial contains."""
+        scale, ints = _int_form({e: c for e, c in terms.items() if c})
+        low = [min([0] + [e[i] for e in ints]) for i in range(len(vars))]
         return cls._from_reduced(
-            {tuple(x - l for x, l in zip(e, low)): c for e, c in terms.items()},
-            {tuple(-l for l in low): 1}, vars)
+            {tuple([x - l for x, l in zip(e, low)]): c for e, c in ints.items()},
+            {tuple([-l for l in low]): den * scale}, vars)
 
     @classmethod
     def _from_pair(cls, num: Mapping, den: Mapping, vars: Sequence[str]) -> "MultiRatFun":
-        """num / den for polynomials with den nonzero, cancelled."""
-        _, num, den = _gcd(num, den)
-        return cls._from_reduced(*_canonical(num, den), vars)
+        """num / den for polynomial maps of Fraction or int coefficients,
+        den nonzero, cancelled."""
+        _, num, den = _gcd(*_integral_pair(num, den))
+        return cls._from_reduced(num, den, vars)
+
+    def _laurent_form(self):
+        """(den, {exponent tuple: int}), the int form of a function whose
+        denominator is a monomial: the function is the map over den, den > 0
+        sharing no factor with all of its ints.  ValueError for any other
+        function."""
+        if len(self._den) != 1:
+            raise ValueError("not a Laurent polynomial: the denominator is not a monomial")
+        ((shift, lead),) = self._den.items()
+        return lead, {tuple([x - s for x, s in zip(e, shift)]): c for e, c in self._num.items()}
 
     def _laurent(self) -> dict:
         """The {exponent tuple: Fraction} map of a function whose
         denominator is a monomial; ValueError for any other function."""
-        if len(self.den) != 1:
-            raise ValueError("not a Laurent polynomial: the denominator is not a monomial")
-        ((shift, lead),) = self.den.items()
-        return {tuple(x - s for x, s in zip(e, shift)): c / lead
-                for e, c in self.num.items()}
+        den, ints = self._laurent_form()
+        return {e: Fraction(c, den) for e, c in ints.items()}
 
     # -- basic views -----------------------------------------------------
+
+    def _lead(self) -> int:
+        return self._den[max(self._den, key=_grlex)]
+
+    @property
+    def num(self) -> dict:
+        """The numerator as {exponent tuple: Fraction}, over the
+        denominator's leading coefficient."""
+        lead = self._lead()
+        return {e: Fraction(c, lead) for e, c in self._num.items()}
+
+    @property
+    def den(self) -> dict:
+        """The denominator as {exponent tuple: Fraction}, its graded-lex
+        leading coefficient 1."""
+        lead = self._lead()
+        return {e: Fraction(c, lead) for e, c in self._den.items()}
 
     def _poly_expr(self, terms: Mapping):
         import sympy as sp
@@ -437,19 +491,19 @@ class MultiRatFun:
         return self._poly_expr(self.num) / self._poly_expr(self.den)
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
 
     def is_constant(self) -> bool:
-        return not any(any(e) for e in self.num) and not any(any(e) for e in self.den)
+        return not any(any(e) for e in self._num) and not any(any(e) for e in self._den)
 
     def as_rational(self) -> Rational:
         if not self.is_constant():
             raise ValueError("not a constant rational function")
-        if not self.num:
+        if not self._num:
             return Fraction(0)
-        ((_, n),) = self.num.items()
-        ((_, d),) = self.den.items()
-        return n / d
+        ((_, n),) = self._num.items()
+        ((_, d),) = self._den.items()
+        return Fraction(n, d)
 
     def __repr__(self):
         return f"MultiRatFun({self.expr}, vars={self.vars})"
@@ -471,29 +525,31 @@ class MultiRatFun:
     def _sum(self, o: "MultiRatFun") -> "MultiRatFun":
         """self + o.  With g = gcd(b, d), a/b + c/d = t / (b/g d/g g) for
         t = a d/g + c b/g, and only g can share a factor with t."""
-        g, b, d = _gcd(self.den, o.den)
-        t = _plus(_qtimes(self.num, d), _qtimes(o.num, b))
+        g, b, d = _gcd(self._den, o._den)
+        t = _plus(_times(self._num, d), _times(o._num, b))
         _, t, g = _gcd(t, g)
-        return MultiRatFun._from_reduced(*_canonical(t, _qtimes(_qtimes(b, d), g)), self.vars)
+        return MultiRatFun._from_reduced(t, _times(_times(b, d), g), self.vars)
 
     def _product(self, o: "MultiRatFun") -> "MultiRatFun":
         """self * o, cancelled crosswise: a/b c/d = (a/gcd(a, d) c/gcd(c, b))
         / (b/gcd(c, b) d/gcd(a, d))."""
-        _, a, d = _gcd(self.num, o.den)
-        _, c, b = _gcd(o.num, self.den)
-        return MultiRatFun._from_reduced(*_canonical(_qtimes(a, c), _qtimes(b, d)), self.vars)
+        _, a, d = _gcd(self._num, o._den)
+        _, c, b = _gcd(o._num, self._den)
+        return MultiRatFun._from_reduced(_times(a, c), _times(b, d), self.vars)
 
     def _inverse(self) -> "MultiRatFun":
         if self.is_zero():
             raise ZeroDenominatorError("division by zero polynomial")
-        return MultiRatFun._from_reduced(*_canonical(self.den, self.num), self.vars)
+        return MultiRatFun._from_reduced(self._den, self._num, self.vars)
 
-    def _scaled(self, c: Fraction) -> "MultiRatFun":
-        """c times self: the reduced pair with its numerator scaled."""
-        if not c:
+    def _scaled(self, c: Scalar) -> "MultiRatFun":
+        """c times self: the reduced pair with its numerator times c's
+        numerator and its denominator times c's denominator."""
+        n, d = c.numerator, c.denominator
+        if not n:
             return MultiRatFun.constant(0, self.vars)
-        return MultiRatFun._from_reduced({e: c * v for e, v in self.num.items()},
-                                         self.den, self.vars)
+        return MultiRatFun._from_reduced({e: n * v for e, v in self._num.items()},
+                                         {e: d * v for e, v in self._den.items()}, self.vars)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -502,18 +558,18 @@ class MultiRatFun:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._scaled(Fraction(-1))
+        return self._scaled(-1)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self._sum(o._scaled(Fraction(-1)))
+        return o if o is NotImplemented else self._sum(o._scaled(-1))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
+            return self._scaled(other)
         o = self._coerce(other)
         return o if o is NotImplemented else self._product(o)
 
@@ -534,7 +590,7 @@ class MultiRatFun:
             return MultiRatFun.constant(1, self.vars)
         # a reduced pair stays reduced, and its leading monomials multiply
         base = self if k > 0 else self._inverse()
-        return MultiRatFun._from_reduced(_power(base.num, abs(k)), _power(base.den, abs(k)),
+        return MultiRatFun._from_reduced(_power(base._num, abs(k)), _power(base._den, abs(k)),
                                          self.vars)
 
     def __eq__(self, other):
@@ -544,15 +600,15 @@ class MultiRatFun:
             return NotImplemented
         return (
             self.vars == other.vars
-            and self.num == other.num
-            and self.den == other.den
+            and self._num == other._num
+            and self._den == other._den
         )
 
     def __hash__(self):
         # a constant equals its rational value, so it hashes as that value
         if self.is_constant():
             return hash(self.as_rational())
-        return hash((self.vars, frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((self.vars, frozenset(self._num.items()), frozenset(self._den.items())))
 
     # -- calculus ----------------------------------------------------------
 
@@ -561,8 +617,8 @@ class MultiRatFun:
             raise UnknownVariableError(f"{var!r} not among {self.vars}")
         i = self.vars.index(var)
         d = lambda p: {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.items() if e[i]}
-        num = _plus(_qtimes(d(self.num), self.den), _qtimes(self.num, d(self.den)), -1)
-        return MultiRatFun._from_pair(num, _qtimes(self.den, self.den), self.vars)
+        num = _plus(_times(d(self._num), self._den), _times(self._num, d(self._den)), -1)
+        return MultiRatFun._from_pair(num, _times(self._den, self._den), self.vars)
 
     def substitute(self, var: str, g: Union["MultiRatFun", Scalar]) -> "MultiRatFun":
         """Exact composition self(var := g), normalized.
@@ -588,7 +644,7 @@ class MultiRatFun:
             new_vars = new_vars + (var,) if var not in new_vars else new_vars
         if not new_vars:
             new_vars = (var,)
-        den_sub = self._poly_expr(self.den).subs(symbol(var), g_expr)
+        den_sub = self._poly_expr(self._den).subs(symbol(var), g_expr)
         if sp.simplify(sp.together(den_sub)) == 0:
             raise ZeroDenominatorError("substitution makes denominator identically zero")
         return MultiRatFun(self.expr.subs(symbol(var), g_expr), new_vars)
@@ -610,8 +666,8 @@ class MultiRatFun:
             one = {(0,) * len(others): 1}
             elem = lambda terms: MultiRatFun._from_reduced(terms, one, others)
         else:
-            elem = lambda terms: terms.get((), Fraction(0))
-        if not self.num:
+            elem = lambda terms: Fraction(terms.get((), 0))
+        if not self._num:
             return {k: elem({}) for k in range(1, order + 1)}
 
         def reversed_in_u(terms):
@@ -624,8 +680,8 @@ class MultiRatFun:
             return top, {j: elem(t) for j, t in out.items()}
 
         # f = u^shift N(u)/D(u) with N(0) and D(0) nonzero; invert D as a series
-        top_n, N = reversed_in_u(self.num)
-        top_d, D = reversed_in_u(self.den)
+        top_n, N = reversed_in_u(self._num)
+        top_d, D = reversed_in_u(self._den)
         shift = top_d - top_n
         c: dict = {}
         for k in range(order - shift + 1):
@@ -639,14 +695,14 @@ class MultiRatFun:
     # -- structural predicates ----------------------------------------------
 
     def denominator_is_monomial(self) -> bool:
-        return len(self.den) == 1
+        return len(self._den) == 1
 
     def is_laurent_in_squares(self) -> bool:
         """True when the reduced denominator is a monomial in the squared
         variables, i.e. a single term with all exponents even."""
-        if len(self.den) != 1:
+        if len(self._den) != 1:
             return False
-        (exps,) = self.den
+        (exps,) = self._den
         return all(e % 2 == 0 for e in exps)
 
     def is_even_in(self, var: str) -> bool:
@@ -657,7 +713,7 @@ class MultiRatFun:
             raise UnknownVariableError(f"{var!r} not among {self.vars}")
         i = self.vars.index(var)
         flip = lambda terms: {e: -c if e[i] % 2 else c for e, c in terms.items()}
-        return (self.num, self.den) == _canonical(flip(self.num), flip(self.den))
+        return (self._num, self._den) == _canonical(flip(self._num), flip(self._den))
 
     # -- serialization --------------------------------------------------------
 

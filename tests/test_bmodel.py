@@ -1,6 +1,7 @@
 """Unit tests for the spectral-curve differentials."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -227,16 +228,40 @@ def test_a_split_carries_each_index_to_its_slot():
     # pole names, must carry the index its exponent records
     S3 = orbifold_frobenius(load_group("builtin:S3"))
     rec = bmodel._Recursion(S3)
-    rec.memo[(0, 3)] = {idx: {(0,) + tuple(i + 1 for i in idx[1:]): Fraction(1)}
-                        for idx in itertools.product(range(S3.dim), repeat=3)}
+    rec.memo[(0, 3)] = (1, {idx: {(0,) + tuple(i + 1 for i in idx[1:]): 1}
+                            for idx in itertools.product(range(S3.dim), repeat=3)})
     checked = 0
-    for (idx, poles), terms in rec._bracket(0, 4).items():
+    _, bracket = rec._bracket(0, 4)
+    for (idx, poles), terms in bracket.items():
         paired = {j for _, j in poles}
         for e in terms:
             for j in set(range(1, 4)) - paired:
                 assert e[j] == idx[j] + 1, (idx, poles, e)
                 checked += 1
     assert checked > 100
+
+
+def test_each_memo_entry_is_one_reduced_int_form():
+    # the recursion keeps each w_{g,n} as (den, {index tuple: Laurent map of
+    # ints}): den > 0, no zero int, no empty entry, and no factor common to
+    # den and every int; over the trivial algebra it is the scalar w_{g,n}
+    for A in (trivial_algebra(), orbifold_frobenius(load_group("builtin:Z3")),
+              orbifold_frobenius(load_group("builtin:S3"))):
+        rec = bmodel._Recursion(A)
+        rec.tensor(0, 4)
+        rec.tensor(2, 1)
+        assert set(rec.memo) == {(1, 1), (0, 3), (0, 4), (1, 2), (2, 1)}
+        for (g, n), form in rec.memo.items():
+            assert type(form) is tuple and len(form) == 2, (g, n)
+            den, tensor = form
+            assert type(den) is int and den > 0, (g, n)
+            assert tensor and all(tensor.values()), (g, n)
+            ints = [c for laurent in tensor.values() for c in laurent.values()]
+            assert all(type(c) is int and c for c in ints), (g, n)
+            assert math.gcd(den, *ints) == 1, (g, n)
+            if A.dim == 1:
+                (laurent,) = tensor.values()
+                assert {e: Fraction(c, den) for e, c in laurent.items()} == wgn(g, n)._laurent()
 
 
 def test_inverse_laplace_budget_gate():

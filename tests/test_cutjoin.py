@@ -144,7 +144,7 @@ def test_the_twisted_differentials_contract_through_the_engine_delta_star(monkey
     monkeypatch.setattr(bmodel, "delta_star_contract", counted)
     cutjoin.shared.cache_clear()
     tw = bmodel.twisted_wgn(0, 4, A)
-    assert calls == [A, A]  # cold w_{0,4} builds w_{0,3} first
+    assert calls == [A.int_constants] * 2  # cold w_{0,4} builds w_{0,3} first
     scalar = bmodel.wgn(0, 4)
     for idx, value in tw.values.items():
         assert value == scalar * omega_tqft(A, 0, 4, [A.basis(i) for i in idx]), idx

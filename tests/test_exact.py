@@ -1,6 +1,7 @@
 """Unit tests for the exact rational-function layer."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -365,3 +366,84 @@ def test_series_at_infinity_matches_sympy_series():
         want = sp.series(expr.subs(x, 1 / u), u, 0, 6).removeO()
         for k, coeff in f.series_at_infinity("x", 5).items():
             _same(coeff, _cancel_path(want.coeff(u, k), ["y"]))
+
+
+# -- the canonical int pair, whatever route made the value ------------------
+
+
+def _assert_canonical(f):
+    """f holds the canonical pair: int maps with no zero coefficient that
+    share no polynomial factor, their coefficients with no common divisor,
+    and the denominator's graded-lex leading coefficient positive; zero is
+    held as 0 / 1."""
+    num, den = f._num, f._den
+    assert all(type(c) is int and c for c in (*num.values(), *den.values())), f
+    if not num:
+        assert den == {(0,) * len(f.vars): 1}, f
+        return
+    assert math.gcd(*num.values(), *den.values()) == 1, f
+    assert den[max(den, key=lambda e: (sum(e), e))] > 0, f
+    poly = lambda terms: sp.Poly.from_dict(terms, *[symbol(v) for v in f.vars], domain="ZZ")
+    assert sp.gcd(poly(num), poly(den)).is_ground, f
+
+
+@st.composite
+def _laurent_maps(draw):
+    """(terms, vars): up to four monomials with exponents in [-2, 2] and
+    Fraction coefficients, zero among them, in 1 to 3 variables."""
+    nvars = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * nvars), coeff, max_size=4))
+    return terms, _VARS[:nvars]
+
+
+def _laurent_expr(terms, vars):
+    syms = [symbol(v) for v in vars]
+    return sum((sp.Rational(c.numerator, c.denominator) * _mono(syms, e)
+                for e, c in terms.items()), sp.Integer(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_operands(), _laurent_maps(), st.integers(-2, 3), st.fractions(max_denominator=5),
+       st.integers(1, 12))
+def test_every_route_returns_the_canonical_pair(operands, laurent, k, c, den):
+    ea, eb, shared, vs = operands
+    a, b = MultiRatFun(ea, vs), MultiRatFun(eb, vs)
+    made = [a, b, a + b, a - b, a * b, -a, a * c, c - a, a + c, a.partial_derivative(vs[-1]),
+            MultiRatFun.from_json(a.to_json()), MultiRatFun.from_json(_unreduced(ea, shared, vs)),
+            MultiRatFun.constant(c, vs)]
+    if not b.is_zero():
+        made += [a / b, c / b]
+    if k >= 0 or not a.is_zero():
+        made.append(a**k)
+    if len(vs) > 1:
+        made += a.series_at_infinity(vs[0], 3).values()
+    terms, lvs = laurent
+    made += [MultiRatFun._from_laurent(terms, lvs), MultiRatFun._from_laurent(terms, lvs, den)]
+    for f in made:
+        _assert_canonical(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_operands(), _laurent_maps(), st.fractions(max_denominator=5), st.integers(1, 12))
+def test_equal_values_hash_alike_whatever_their_route(operands, laurent, c, den):
+    # __eq__ is structural on the canonical pair, so each route to a value
+    # must reach the same pair, and __hash__ must agree with __eq__
+    ea, eb, _, vs = operands
+    a, b = MultiRatFun(ea, vs), MultiRatFun(eb, vs)
+    routes = [MultiRatFun.from_json(a.to_json()), (a + b) - b]
+    if not b.is_zero():
+        routes.append((a * b) / b)
+    for f in routes:
+        assert f == a and hash(f) == hash(a), f
+    terms, lvs = laurent
+    want = MultiRatFun(_laurent_expr(terms, lvs) / den, lvs)
+    got = MultiRatFun._from_laurent(terms, lvs, den)
+    assert got == want and hash(got) == hash(want), got
+    # a constant equals its Fraction and hashes as it, whatever made it
+    constants = [MultiRatFun.constant(c, vs), (a + c) - a,
+                 MultiRatFun(sp.Rational(c.numerator, c.denominator), vs)]
+    if not b.is_zero():
+        constants.append(b * c / b)
+    for f in constants:
+        assert f == c and hash(f) == hash(c), f

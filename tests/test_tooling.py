@@ -131,24 +131,34 @@ def test_each_kernel_operator_is_defined_once_in_cutjoin():
     assert where == {name: ["src/tqftrec/cutjoin.py"] for name in operators}
 
 
-def test_the_kernel_operators_stay_generic_over_the_value_type():
-    # the engine runs the operators on ints and bmodel on MultiRatFun, so
-    # none may make a Fraction, read a module constant made from one, or
-    # call a method that only a Fraction has
-    operators = {"delta_star_contract", "delta_star_split", "m_star_contract"}
-    tree = ast.parse((ROOT / "src" / "tqftrec" / "cutjoin.py").read_text())
+def _fraction_uses(source, names):
+    """{definition: the Fraction-made names and Fraction-only attributes it
+    uses} for the module-level definitions of a source in ``names``: the
+    name Fraction, a module constant made from a Fraction, or a method
+    that only a Fraction has."""
+    tree = ast.parse(source)
     made = {"Fraction"} | {
         target.id for node in tree.body if isinstance(node, ast.Assign)
         for target in node.targets if isinstance(target, ast.Name)
         and any(isinstance(n, ast.Name) and n.id == "Fraction" for n in ast.walk(node.value))}
-    assert "_ZERO" in made
     methods = {name for name in dir(Fraction) if not name.startswith("_")} - set(dir(dict))
-    found = {
+    return {
         node.name: sorted({n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in made}
                           | {n.attr for n in ast.walk(node)
                              if isinstance(n, ast.Attribute) and n.attr in methods})
-        for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in operators}
-    assert found == {name: [] for name in operators}
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}
+
+
+def test_the_kernel_operators_stay_generic_over_the_value_type():
+    # the engine and bmodel run the operators on ints, so none may make a
+    # Fraction, read a module constant made from one, or call a method that
+    # only a Fraction has
+    operators = {"delta_star_contract", "delta_star_split", "m_star_contract"}
+    source = (ROOT / "src" / "tqftrec" / "cutjoin.py").read_text()
+    assert _fraction_uses(source, operators) == {name: [] for name in operators}
+    probe = source + "\n\ndef probe(x):\n    return x.limit_denominator() or _ZERO\n"
+    assert _fraction_uses(probe, {"probe"}) == {"probe": ["_ZERO", "limit_denominator"]}
 
 
 def test_multiratfun_is_the_one_rational_function_class():
@@ -221,6 +231,19 @@ def test_bmodel_checks_reach_production_only_through_wgn():
     named = {node.id for definition in recursion for node in ast.walk(definition)
              if isinstance(node, ast.Name)}
     assert named.isdisjoint({"_times", "_plus"})
+
+
+def test_the_bmodel_recursion_computes_in_ints():
+    # the recursion keeps each w_{g,n} as an int form and runs the engine's
+    # Delta* on the int constants, as the engine's operators are guarded; a
+    # Fraction in it would make every coefficient operation a Fraction's
+    names = {"_Recursion", "_mul", "_place", "_pole"}
+    source = (ROOT / "src" / "tqftrec" / "bmodel.py").read_text()
+    assert _fraction_uses(source, names) == {name: [] for name in names}
+    mutated = source.replace("out[tuple(e)] = (l + 1) * (-s) ** l",
+                             "out[tuple(e)] = Fraction((l + 1) * (-s) ** l)")
+    assert mutated != source
+    assert _fraction_uses(mutated, names)["_pole"] == ["Fraction"]
 
 
 def test_every_traced_member_is_a_member_of_multiratfun():
