@@ -6,12 +6,19 @@ formula.
 
 ``eca_functional_all_orders`` is the one edge-contraction walk.  It
 contracts the edges in every order on decoration-free states (the cyclic
-orders and the matching, with the half-edges numbered in vertex order),
-and maps every basis decoration tuple to the set of values that some
-order reaches.  The structure of a state, the state each of its edges
-contracts to, is cached per state (``_moves``) and shared by every
-algebra; a walk's memo, one per algebra, holds only the tensors of its
-states.  Contracting an edge between distinct vertices multiplies their
+orders and the matching), and maps every basis decoration tuple to the set
+of values that some order reaches.  The edge-contraction axioms act on
+cell graphs, whose cyclic orders have no start, so a connected state is
+keyed up to the rotations of its vertices (``_state``): the half-edges are
+numbered in vertex order, each vertex from where a fixed traversal from
+vertex 0 first reaches it, for the rotation of vertex 0 that gives the
+least partner tuple.  That identification needs the coproduct weights to
+be symmetric, Delta_i^{ab} = Delta_i^{ba}, which every
+``FrobeniusAlgebra`` has, since its construction checks a commutative
+product and a symmetric pairing.  The structure of a state, the state each
+of its edges contracts to, is cached per key (``_moves``) and shared by
+every algebra; a walk's memo, one per algebra, holds only the tensors of
+its states.  Contracting an edge between distinct vertices multiplies their
 decorations through the product; contracting a loop splits the cyclic
 order of its vertex in two and routes the decoration through the
 coproduct, with a product of component amplitudes when the loop
@@ -215,17 +222,59 @@ class CellGraph:
 # A state is (degrees, partner) with its half-edges numbered in vertex order,
 # each vertex's in cyclic order, as in ``CellGraph``: the names of the
 # half-edges are gone, the vertex positions stay, since they are the
-# decoration slots, and decorations never enter it.
+# decoration slots, and decorations never enter it.  The walk keys each
+# connected state by ``_state``, one numbering for all the rotations of its
+# vertices' cyclic orders.  Why that is exact: a rotation only rotates the
+# child of a merge, but it can change which end of a loop is lower-numbered,
+# and so swap the loop's two pieces between positions vi and vi + 1, or the
+# two parts of a separating loop; the symmetric coproduct weights,
+# Delta_i^{ab} = Delta_i^{ba}, give the same tensor either way.  ``cutjoin``
+# relies on the same symmetry to run a cut and its mirror once.
 
 
-def _state(cycles, partner) -> tuple:
-    """The state of the vertices that hold the half-edges ``cycles[v]`` in
-    cyclic order, h being matched with partner[h]."""
-    names = {h: k for k, h in enumerate(h for cyc in cycles for h in cyc)}
-    return tuple(map(len, cycles)), tuple(names[partner[h]] for cyc in cycles for h in cyc)
+def _state(cycles, partner):
+    """The key of the connected state whose vertex v holds the half-edges
+    ``cycles[v]`` in cyclic order, h being matched with partner[h], or None
+    if it is not connected.  For each rotation of vertex 0, every other
+    vertex starts at the half-edge where a breadth-first traversal from
+    vertex 0, each vertex read from its start, first reaches it; the key is
+    the least partner tuple of these numberings, so it does not depend on
+    where any vertex's cyclic order starts.  The vertex positions stay."""
+    where = {h: (v, k) for v, cyc in enumerate(cycles) for k, h in enumerate(cyc)}
+    ends = [[where[partner[h]] for h in cyc] for cyc in cycles]
+    degrees = tuple(map(len, cycles))
+    offsets = (0, *accumulate(degrees))
+    n = len(cycles)
+    # the first entry of rotation r's tuple: the distance along vertex 0 to
+    # the other end of a loop, or the first half-edge of the vertex that the
+    # edge reaches first; only the rotations with the least one can win
+    firsts = [(k - r) % degrees[0] if w == 0 else offsets[w] for r, (w, k) in enumerate(ends[0])]
+    least, best = min(firsts, default=None), None
+    for r, first in enumerate(firsts):
+        if first != least:
+            continue
+        start = [-1] * n
+        start[0] = r
+        order, rotated = [0], [None] * n
+        for u in order:  # grows as the traversal reaches new vertices
+            s = start[u]
+            rotated[u] = ends[u][s:] + ends[u][:s]
+            for w, k in rotated[u]:
+                if start[w] < 0:
+                    start[w] = k
+                    order.append(w)
+        if len(order) < n:
+            return None
+        key = tuple(offsets[w] + (k - start[w]) % degrees[w]
+                    for ends_u in rotated for w, k in ends_u)
+        if best is None or key < best:
+            best = key
+    if best is None:  # vertex 0 has no half-edge
+        return None if n > 1 else (degrees, ())
+    return degrees, best
 
 
-@lru_cache(maxsize=4096)  # bounded: the 1654 states of C2 (graphs up to 8 half-edges) take 2.6 MB
+@lru_cache(maxsize=4096)  # bounded: the 220 states of C2 (graphs up to 8 half-edges) take 0.2 MB
 def _moves(degrees, partner) -> tuple:
     """The contraction of each edge of a state, taken from its
     lower-numbered half-edge, at vertex vi.  An edge to a later vertex vj
@@ -237,7 +286,9 @@ def _moves(degrees, partner) -> tuple:
     first, each with its vertices in order and its piece at position j, and
     ``slots``, the positions in the state of vi and then of the other
     vertices of the parts in order.  A function of the state alone, shared
-    by every algebra's walk."""
+    by every algebra's walk.  The state is a ``_state`` key, and so is each
+    child and each part: one cache entry per class of states up to the
+    rotations of their vertices (see above)."""
     offsets = (0, *accumulate(degrees))
     cycles = [tuple(range(offsets[v], offsets[v + 1])) for v in range(len(degrees))]
     moves = []
@@ -251,18 +302,20 @@ def _moves(degrees, partner) -> tuple:
             child = cycles[:vi] + [merged] + cycles[vi + 1:vj] + cycles[vj + 1:]
             moves.append((vi, vj, _state(child, partner)))
             continue
-        child = _state(cycles[:vi] + [cyc[a + 1:b], cyc[b + 1:] + cyc[:a]] + cycles[vi + 1:],
-                       partner)
-        cdeg, cpartner = child
-        coff = (0, *accumulate(cdeg))
-        near = _reach(coff, cpartner, vi)
-        if len(near) == len(cdeg):
+        pieces = cycles[:vi] + [cyc[a + 1:b], cyc[b + 1:] + cyc[:a]] + cycles[vi + 1:]
+        child = _state(pieces, partner)
+        if child is not None:
             moves.append((vi, child))
             continue
+        owner = {h: v for v, piece in enumerate(pieces) for h in piece}
+        near = [vi]  # the part of vi, which holds one piece
+        for u in near:
+            near += {owner[partner[h]] for h in pieces[u]}.difference(near)
+        near.sort()
         slots, parts = (vi,), []
-        for part in (near, [v for v in range(len(cdeg)) if v not in near]):
+        for part in (near, [v for v in range(len(pieces)) if v not in near]):
             slots += tuple(v if v < vi else v - 1 for v in part if v not in (vi, vi + 1))
-            parts.append((_state([range(coff[v], coff[v + 1]) for v in part], cpartner),
+            parts.append((_state([pieces[v] for v in part], partner),
                           next(k for k, v in enumerate(part) if v in (vi, vi + 1))))
         moves.append((vi, slots, tuple(parts)))
     return tuple(moves)
@@ -368,7 +421,10 @@ def _walk(R, state, memo) -> list:
     walk runs the numbers over it with the constants ``R`` (see ``_terms``).
     Orders reconverge on common states, so ``memo`` maps each state it
     reaches to its tensors; it holds the states of one algebra, whose
-    ``_Scaled`` and ``R`` it keeps under the key None."""
+    ``_Scaled`` and ``R`` it keeps under the key None.  States are
+    ``_state`` keys, so the orders that reach one cell graph with its
+    vertices' cyclic orders started at other half-edges share one entry,
+    which the symmetric coproduct weights make exact."""
     out = memo.get(state)
     if out is not None:
         return out
@@ -436,13 +492,18 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
     those tensors, and each distinct int becomes one ``Fraction`` in one
     set.  Each tuple gets a copy of its value's set, or the union of its
     values' sets when it has two or more, so every returned set is its own
-    and no ``Fraction`` is hashed again.  A shared ``memo`` dict reuses
+    and no ``Fraction`` is hashed again.  The graph is walked from its
+    ``_state`` key, so rotating the cyclic order of any of its vertices
+    gives the same map from the same entries.  A shared ``memo`` dict reuses
     structural states across graphs; it belongs to the algebra of its first
     call, which it keeps with its scaled constants and their term lists
     (``_terms``, built on that call), and raises ValueError for any other
     algebra.
     """
-    if not graph.is_connected():
+    off = graph._offsets
+    cycles = [range(off[v], off[v + 1]) for v in range(graph.n)]
+    root = _state(cycles, graph.partner) if cycles else None
+    if root is None:
         raise ValueError("graph must be connected")
     memo = {} if memo is None else memo
     owner = memo.get(None)
@@ -452,7 +513,7 @@ def eca_functional_all_orders(graph: CellGraph, A: FrobeniusAlgebra,
     elif owner[0].algebra is not A:
         raise ValueError(f"memo belongs to {owner[0].algebra!r}, not {A!r}")
     S, R = owner
-    tensors = _walk(R, (graph.degrees, graph.partner), memo)
+    tensors = _walk(R, root, memo)
     scale = S.D ** (2 * graph.edges + 1)
     one = {v: {Fraction(v, scale)} for v in set().union(*tensors)}
     if len(tensors) == 1:

@@ -1,9 +1,10 @@
 """Unit tests for cell graphs, edge contraction, and the enumeration oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import factorial, gcd, prod
 
 import pytest
@@ -21,9 +22,9 @@ from tqftrec.cellgraph import (
 )
 from tqftrec.exact import BudgetError
 from tqftrec.frobenius import omega_tqft, trivial_algebra
-from tqftrec.groups import load_group, orbifold_frobenius
+from tqftrec.groups import BUILTIN_GROUPS, load_group, orbifold_frobenius
 
-from functionals import eca_evaluate, lattice_graph_weights, lattice_points_by_labelling
+from functionals import eca_evaluate, lattice_graph_weights, lattice_points_by_labelling, rescaled
 
 
 def one_vertex_loop():
@@ -278,7 +279,7 @@ def _values_order_by_order(graph, A, pairs):
 @pytest.mark.parametrize("tampered", [False, True])
 def test_all_orders_are_the_orders_one_at_a_time(monkeypatch, tampered):
     # the walk's value sets are exactly the values of the single orders, on
-    # every connected graph up to four half-edges, on the (1,2,1) path and on
+    # every connected graph up to six half-edges, on the (1,2,1) path and on
     # a genus-1 graph whose orders all give 3 at (1, 1) under the tampered
     # constants, where a walk that mixed each sum's terms across orders would
     # also give 2 and 4
@@ -289,16 +290,22 @@ def test_all_orders_are_the_orders_one_at_a_time(monkeypatch, tampered):
     if tampered:
         bad, pairs = _tampered(A)
         monkeypatch.setattr(cellgraph, "_Scaled", lambda A: bad)
-    graphs = [graph for total in (2, 4) for degrees in _profiles(total)
-              for graph in all_matchings(degrees) if graph.is_connected()]
+    graphs = _connected_graphs(6)
+    six = [graph for graph in graphs if sum(graph.degrees) == 6]
     graphs.append(CellGraph([1, 2, 1], [((1, 0), (2, 0)), ((2, 1), (3, 0))]))
     graphs.append(CellGraph([2, 4], [((1, 0), (2, 0)), ((1, 1), (2, 2)), ((2, 1), (2, 3))]))
-    disagreeing = 0
+    disagreeing = set()
     for graph in graphs:
         expected = _values_order_by_order(graph, A, pairs)
         assert eca_functional_all_orders(graph, A) == expected
-        disagreeing += any(len(vals) > 1 for vals in expected.values())
-    assert (disagreeing > 0) == tampered
+        if any(len(vals) > 1 for vals in expected.values()):
+            disagreeing.add(graph)
+    assert bool(disagreeing) == tampered
+    # under the tampered product, 55 of the 103 graphs with six half-edges
+    # have orders that disagree, so the walk's identification of states
+    # that differ by rotations is checked where the orders' values differ
+    assert len(six) == 103
+    assert len(disagreeing.intersection(six)) == (55 if tampered else 0)
 
 
 def test_structure_cache_cannot_change_an_answer(monkeypatch):
@@ -321,6 +328,131 @@ def test_structure_cache_cannot_change_an_answer(monkeypatch):
     assert eca_functional_all_orders(path, A)[(1, 1, 0)] == {Fraction(1, 2), Fraction(1)}
     assert eca_functional_all_orders(witness, A)[(1, 1)] == {Fraction(3)}
     assert cellgraph._moves.cache_info().misses == misses
+
+
+def _connected_graphs(top):
+    """Every connected graph with at most ``top`` half-edges, in the order
+    of the profiles and of ``all_matchings``."""
+    return [graph for total in range(2, top + 1, 2) for degrees in _profiles(total)
+            for graph in all_matchings(degrees) if graph.is_connected()]
+
+
+def _swept_memo():
+    """The trivial algebra's memo after a sweep of every connected graph up
+    to eight half-edges, the structure cache cleared first."""
+    from tqftrec import cellgraph
+
+    cellgraph._moves.cache_clear()
+    A, memo = trivial_algebra(), {}
+    for graph in _connected_graphs(8):
+        eca_functional_all_orders(graph, A, memo)
+    return memo
+
+
+def _rotations(degrees):
+    """The cyclic orders of a state's vertices, half-edges numbered in
+    vertex order, under every rotation of every vertex: prod d_v of them."""
+    offsets = (0, *accumulate(degrees))
+    cycles = [tuple(range(offsets[v], offsets[v + 1])) for v in range(len(degrees))]
+    for shifts in product(*(range(d) if d else (0,) for d in degrees)):
+        yield [cyc[k:] + cyc[:k] for cyc, k in zip(cycles, shifts)]
+
+
+def _renumbered(cycles, partner):
+    """The (degrees, partner) of the vertices holding ``cycles[v]``, the
+    half-edges numbered in vertex order, each vertex from its first."""
+    names = {h: k for k, h in enumerate(h for cyc in cycles for h in cyc)}
+    return tuple(map(len, cycles)), tuple(names[partner[h]] for cyc in cycles for h in cyc)
+
+
+def test_the_state_key_is_the_rotation_class():
+    # the test-side form of a state is its least partner tuple over all
+    # prod d_v rotations of its vertices; over every state of the sweep and
+    # every root graph, the package's key is the same on every rotation, it
+    # splits the states into the same classes as the test-side form, and
+    # every cached structure is keyed by its own key, one per class
+    from tqftrec import cellgraph
+
+    memo = _swept_memo()
+    walked = [state for state in memo if state is not None]
+    roots = [(graph.degrees, graph.partner) for graph in _connected_graphs(8)]
+    by_least, by_key = {}, {}
+    for degrees, partner in walked + roots:
+        keys = {cellgraph._state(cycles, partner) for cycles in _rotations(degrees)}
+        least = min(_renumbered(cycles, partner) for cycles in _rotations(degrees))
+        assert len(keys) == 1, (degrees, partner)
+        key = keys.pop()
+        assert key[0] == degrees and sorted(key[1]) == list(range(sum(degrees)))
+        assert by_least.setdefault(least, key) == key
+        assert by_key.setdefault(key, least) == least
+    for state in walked:
+        offsets = (0, *accumulate(state[0]))
+        cycles = [range(offsets[v], offsets[v + 1]) for v in range(len(state[0]))]
+        assert cellgraph._state(cycles, state[1]) == state
+    structured = [state for state in walked if state[1]]
+    assert len(structured) == cellgraph._moves.cache_info().currsize == 220
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_a_rotated_vertex_gives_the_same_map(monkeypatch, tampered):
+    # rotating the cyclic order of any one vertex of a connected graph up to
+    # six half-edges gives an identical map, from a fresh memo, and reads
+    # only the structure that the graphs so far cached, from empty; the
+    # tampered constants give disagreeing orders, so the value sets are
+    # compared as well
+    from tqftrec import cellgraph
+
+    A = orbifold_frobenius(load_group("builtin:Z2"))
+    if tampered:
+        bad, _ = _tampered(A)
+        monkeypatch.setattr(cellgraph, "_Scaled", lambda A: bad)
+    cellgraph._moves.cache_clear()
+    rotated = 0
+    for graph in _connected_graphs(6):
+        values = eca_functional_all_orders(graph, A)
+        misses = cellgraph._moves.cache_info().misses
+        slots = [(v + 1, k) for v, d in enumerate(graph.degrees) for k in range(d)]
+        for v, d in enumerate(graph.degrees):
+            for shift in range(1, d):
+                # slot k of vertex v moves to slot k - shift
+                moved = [(u, (k - shift) % d if u == v + 1 else k) for u, k in slots]
+                turned = CellGraph(graph.degrees, [(moved[a], moved[b])
+                                                   for a, b in enumerate(graph.partner) if a < b])
+                assert eca_functional_all_orders(turned, A) == values
+                rotated += 1
+        assert cellgraph._moves.cache_info().misses == misses
+    assert rotated > 0
+
+
+def test_a_budget_sweep_fits_the_structure_cache():
+    # every connected graph up to eight half-edges fills the structure cache
+    # from empty without evicting a state
+    from tqftrec import cellgraph
+
+    _swept_memo()
+    info = cellgraph._moves.cache_info()
+    assert info.misses == info.currsize < info.maxsize
+
+
+def test_the_coproduct_weights_are_symmetric():
+    # the walk keys a state up to the rotations of its vertices, which can
+    # swap the two pieces of a loop; that is exact because each algebra's
+    # scaled coproduct weights satisfy Delta_i^{ab} = Delta_i^{ba}
+    from tqftrec import cellgraph
+
+    S3 = orbifold_frobenius(load_group("builtin:S3"))
+    algebras = [trivial_algebra(), rescaled(S3, (2, 3, 1), Fraction(5, 7))]
+    algebras += [orbifold_frobenius(load_group("builtin:" + name)) for name in BUILTIN_GROUPS]
+    for A in algebras:
+        S = cellgraph._Scaled(A)
+        for delta in (S.joined, S.split):
+            assert len(delta) == A.dim
+            for terms in delta:
+                weights = Counter()
+                for a, b, w in terms:
+                    weights[a, b] += w
+                assert weights == Counter({(b, a): w for (a, b), w in weights.items()}), A
+                assert all(type(w) is int for w in weights.values())
 
 
 def _check_separate_sets(graph, A, memo):
@@ -389,6 +521,12 @@ def test_disconnected_graph_rejected_by_eca():
     two = CellGraph([2, 2], [((1, 0), (1, 1)), ((2, 0), (2, 1))])
     with pytest.raises(ValueError):
         eca_evaluate(two, A, [A.basis(0), A.basis(0)])
+    # no vertex, and a bare vertex 0 beside the rest, are not connected
+    # either; a lone bare vertex is
+    for graph in (CellGraph([], []), CellGraph([0, 2], [((2, 0), (2, 1))])):
+        with pytest.raises(ValueError, match="connected"):
+            eca_functional_all_orders(graph, A)
+    assert eca_functional_all_orders(CellGraph([0], []), A) == {(0,): {1}}
 
 
 def test_arrowed_graph_counts_pinned():
