@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cutjoin import TRIVIAL, CutJoinTable, _int_form, check_decorations, profile, shared
+from .cutjoin import TRIVIAL, CutJoinTable, _int_form, profile, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra
 
 Rational = Fraction
@@ -181,12 +181,10 @@ def twisted_dessin(
     Laplace-transform normalization of the two-point function and is
     excluded from acceptance claims.
     """
-    checked = _validate_profile(g, n, mu)
-    ints, ordered, _ = checked
+    ints, ordered, _ = _validate_profile(g, n, mu)
     if ordered[-1] < 1:
         raise ValueError("dessin counts need positive degrees, got %s" % list(ints))
-    idx = check_decorations(algebra, vs, len(ints))
-    return shared(CatalanTable, algebra)._evaluate(g, checked, idx, vs) / math.prod(ints)
+    return shared(CatalanTable, algebra).twisted(g, ints, vs) / math.prod(ints)
 
 
 # -- lattice-point recursion ----------------------------------------------

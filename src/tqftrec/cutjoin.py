@@ -50,17 +50,16 @@ caches, in a bounded cache that holds no table, the int degrees, the same
 in decreasing order and the itemgetter that takes the asked order to it.
 The checks still run on every call: the genus, the boundary count and the
 length, the family's own rule (the Catalan counts' nonnegative degrees,
-the lattice's refusal of (0,1)), and ``check_decorations``, one pass that
-checks each decoration's type and algebra and collects its ``index``.  A
-query then reads the memo and answers a vanishing profile with zero at
-once.  When every decoration is a basis vector it reads the int at their
-index tuple, put in the memoized order, and makes a Fraction only when
-it is there; otherwise it evaluates the int form on its reordered
-decorations with ``contract``, the engine's one contraction, which
-scales the one int it reads when each decoration has one nonzero term,
-and else walks the tensor's ints.  A scalar count is the same read at
-index 0, the trivial algebra's unit, with no decoration to check.
-``omega_tqft`` keeps its own contraction.
+the lattice's refusal of (0,1)), and ``frobenius.check_decorations``, the
+one rule for a decoration list, which ``omega_tqft`` follows too.  A query
+then reads the memo and answers a vanishing profile with zero at once.  A
+list of basis vectors is read at its index tuple, put in the memoized
+order, making a Fraction only for a nonzero entry; any other list goes
+through ``contract``, the engine's one contraction, which walks the
+tensor's ints.  A scalar count is the same read at index 0, the trivial
+algebra's unit, with no decoration to check.  ``omega_tqft``, the
+reference the counts are checked against, shares no contraction with the
+engine.
 
 Every table the package answers from is built once, by ``shared``: one
 per family and algebra, the scalar counts living in ``shared(family,
@@ -77,7 +76,7 @@ from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
 from .exact import BudgetError, _int_form
-from .frobenius import AlgebraElement, FrobeniusAlgebra, trivial_algebra
+from .frobenius import AlgebraElement, FrobeniusAlgebra, check_decorations, trivial_algebra
 
 TRIVIAL = trivial_algebra()
 
@@ -100,40 +99,13 @@ CUTJOIN_WORK_BUDGET = 1000000
 _ZERO = Fraction(0)
 
 
-def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n: int) -> list:
-    """Check n decorations against the algebra, in one pass that also
-    collects their ``index`` values, the list it returns."""
-    if len(vs) != n:
-        raise ValueError("need one decoration per boundary: %d for %d" % (len(vs), n))
-    idx = []
-    for v in vs:
-        if not isinstance(v, AlgebraElement):
-            raise TypeError("decorations must be algebra elements, got %r" % (v,))
-        if v.algebra is not algebra:
-            raise ValueError("decoration does not belong to the given algebra")
-        idx.append(v.index)
-    return idx
-
-
 def contract(form: tuple, vs: Sequence[AlgebraElement]) -> Fraction:
     """The multilinear functional held as the int form (den, {basis index
-    tuple: int}) of a sparse tensor evaluated on one decoration per slot.
-
-    When each decoration has one nonzero term, the one int read is scaled
-    by the coefficients other than 1.  Otherwise the tensor's ints are
-    walked, so dense decorations never expand to dim^n tuples, and summed
-    over a running common denominator.  One Fraction is built, on return."""
+    tuple: int}) of a sparse tensor evaluated on one decoration per slot:
+    the tensor's ints are walked, so dense decorations never expand to
+    dim^n tuples, and summed over a running common denominator.  One
+    Fraction is built, on return."""
     scale, tensor = form
-    terms = [v.terms for v in vs]
-    if math.prod(map(len, terms)) == 1:
-        num = tensor.get(tuple([t[0][0] for t in terms]))
-        if num is None:
-            return _ZERO
-        for ((_, c),) in terms:
-            if c != 1:
-                num *= c.numerator
-                scale *= c.denominator
-        return Fraction(num, scale)
     num, den = 0, 1
     rows = [v.coeffs for v in vs]
     for idx, n in tensor.items():

@@ -47,9 +47,9 @@ the instance:
 Caches hold only immutable values: ``AlgebraElement``s, tuples of
 Fractions and ints, and Fractions.  An element refuses attribute
 assignment, so equal elements hash alike for their whole life.  It
-computes at construction its nonzero ``terms`` and its ``index``, i when
-it is the basis vector e_i and else None, so that ``omega_tqft`` and the
-cut-and-join contraction read a basis tuple's entry by index.
+computes at construction its ``index``, i when it is the basis vector e_i
+and else None.  ``check_decorations`` is the one rule for a decoration
+list, which the counts, the correlators and ``omega_tqft`` all follow.
 """
 
 from __future__ import annotations
@@ -415,11 +415,10 @@ class _IntConstants:
 
 class AlgebraElement:
     """An immutable element of a Frobenius algebra: ``coeffs`` holds dim
-    Fractions, ``terms`` the pairs (i, c) of its nonzero coefficients c =
-    coeffs[i], and ``index`` is i when the element is the basis vector e_i,
+    Fractions, and ``index`` is i when the element is the basis vector e_i,
     else None."""
 
-    __slots__ = ("algebra", "coeffs", "terms", "index")
+    __slots__ = ("algebra", "coeffs", "index")
 
     def __init__(self, algebra: FrobeniusAlgebra, coeffs: Sequence):
         if len(coeffs) != algebra.dim:
@@ -431,7 +430,6 @@ class AlgebraElement:
         terms = _nonzero(coeffs)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "index",
                            terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None)
 
@@ -458,6 +456,21 @@ class AlgebraElement:
             if c != 0
         ]
         return " + ".join(terms) if terms else "0"
+
+
+def check_decorations(algebra: FrobeniusAlgebra, vs: Sequence[AlgebraElement], n: int) -> list:
+    """Check n decorations against the algebra, in one pass that also
+    collects their ``index`` values, the list it returns."""
+    if len(vs) != n:
+        raise ValueError("need one decoration per boundary: %d for %d" % (len(vs), n))
+    idx = []
+    for v in vs:
+        if not isinstance(v, AlgebraElement):
+            raise TypeError("decorations must be algebra elements, got %r" % (v,))
+        if v.algebra is not algebra:
+            raise ValueError("decoration does not belong to the given algebra")
+        idx.append(v.index)
+    return idx
 
 
 def _same_algebra(*elems) -> FrobeniusAlgebra:
@@ -589,33 +602,21 @@ def _amplitude(A: FrobeniusAlgebra, g: int, idx: Sequence[int]) -> Fraction:
 
 
 def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]) -> Rational:
-    """Amplitude of a genus-g surface with n inputs.
+    """Amplitude of a genus-g surface with n inputs, decorated as
+    ``check_decorations`` requires.
 
-    When every decoration is a basis vector, its ``index`` is set and the
-    amplitude memo is read at the sorted indices, filled by ``_amplitude``
-    on a miss.  When each decoration has one nonzero term, the memoized
-    amplitude of their basis tuple is scaled by the coefficients other than
-    1.  Otherwise the cached e^g has each decoration multiplied in through
-    the pair view, so that dense decorations never expand to dim^n tuples,
-    and the counit is taken."""
-    if n < 1 or len(vs) != n:
+    A list of basis vectors is read from the amplitude memo at its sorted
+    indices, filled by ``_amplitude`` on a miss.  Any other list is
+    multiplied into the cached e^g through the pair view, so that dense
+    decorations never expand to dim^n tuples, and the counit is taken."""
+    if n < 1:
         raise ValueError("need n >= 1 inputs")
     e_g = euler_power(A, g)
-    for v in vs:
-        if v.algebra is not A:
-            raise ValueError("algebra mismatch")
-    idx = [v.index for v in vs]
+    idx = check_decorations(A, vs, n)
     if None not in idx:
         idx.sort()
         x = A._amplitudes.get((g, tuple(idx)))
         return _amplitude(A, g, idx) if x is None else x
-    terms = [v.terms for v in vs]
-    if math.prod(map(len, terms)) == 1:
-        x = _amplitude(A, g, tuple([t[0][0] for t in terms]))
-        for ((_, c),) in terms:
-            if c != 1:
-                x *= c
-        return x
     acc = e_g.coeffs
     for v in vs:
         acc = _multiply(A, acc, v.coeffs)

@@ -251,13 +251,15 @@ def tau_g(names, profiles):
 
 @_check(acceptance=(_dimension_profiles(2, 3),))
 def string_dilaton(profiles):
-    """The string equation <tau_0 tau_k> = sum_j <.. tau_{k_j - 1} ..> and
-    the dilaton equation <tau_1 tau_k> = (2g - 2 + n) <tau_k>."""
+    """At each (g, k) of degree 3g - 3 + n, the string equation at k' =
+    (k_1 + 1, k_2, .., k_n), of degree 3g - 2 + n: <tau_0 tau_k'>_{g,n+1} =
+    sum over k'_j >= 1 of <.. tau_{k'_j - 1} ..>_{g,n}; and the dilaton
+    equation <tau_1 tau_k>_{g,n+1} = (2g - 2 + n) <tau_k>_{g,n}."""
     correlator = intersect.correlator
     for g, k in profiles:
-        n = len(k)
-        yield ("string g=%d k=%s" % (g, k), correlator(g, n + 1, (0,) + k),
-               sum(correlator(g, n, k[:j] + (k[j] - 1,) + k[j + 1:]) for j in range(n) if k[j]))
+        n, up = len(k), (k[0] + 1,) + k[1:]
+        yield ("string g=%d k'=%s" % (g, up), correlator(g, n + 1, (0,) + up),
+               sum(correlator(g, n, up[:j] + (up[j] - 1,) + up[j + 1:]) for j in range(n) if up[j]))
         yield ("dilaton g=%d k=%s" % (g, k), correlator(g, n + 1, (1,) + k),
                (2 * g - 2 + n) * correlator(g, n, k))
 

@@ -158,21 +158,6 @@ def test_residue_agrees_with_sympy(order):
     assert bool(checked) == bool(order)
 
 
-def test_structural_invariants():
-    for (g, n) in [(1, 1), (0, 3), (0, 4), (1, 2), (2, 1)]:
-        f = wgn(g, n)
-        assert f.denominator_is_monomial(), (g, n)
-        assert f.is_laurent_in_squares(), (g, n)
-        for i in range(1, n + 1):
-            assert f.is_even_in("t%d" % i), (g, n, i)
-
-
-def test_residue_check_reports_agreement():
-    for (g, n) in [(1, 1), (0, 3)]:
-        report = residue_check(g, n)
-        assert report["in_budget"] and report["equal"], report
-
-
 @pytest.mark.parametrize("g, n", [(1, 1), (0, 3)])
 def test_residue_check_fails_on_a_perturbed_production(monkeypatch, g, n):
     real = bmodel.wgn

@@ -14,6 +14,7 @@ import pytest
 from tqftrec.exact import BudgetError
 from tqftrec.frobenius import (
     EULER_POWER_BITS,
+    AlgebraElement,
     AxiomError,
     FrobeniusAlgebra,
     coproduct,
@@ -295,7 +296,7 @@ def test_elements_are_immutable_values_that_the_algebra_hands_out_once():
     for v in (A.basis(1), euler_power(A, 3), mixed):
         for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert twin == v and hash(twin) == hash(v) and twin.algebra is A
-            assert twin.terms == v.terms
+            assert twin.index == v.index
 
 
 def test_an_element_knows_whether_it_is_a_basis_vector():
@@ -304,16 +305,18 @@ def test_an_element_knows_whether_it_is_a_basis_vector():
     for i in range(A.dim):
         built = A.element([int(j == i) for j in range(A.dim)])
         assert A.basis(i).index == built.index == i
-        assert built == A.basis(i) and built.terms == A.basis(i).terms == ((i, 1),)
+        assert built == A.basis(i)
         scaled = A.element([half * c for c in A.basis(i).coeffs])
-        assert scaled.index is None and scaled.terms == ((i, half),)
-    assert A.element([0] * A.dim).index is None and A.element([0] * A.dim).terms == ()
+        assert scaled.index is None
+    assert A.element([0] * A.dim).index is None
     two = A.element([1, 0, 1])
-    assert two.index is None and two.terms == ((0, 1), (2, 1))
+    assert two.index is None
     assert trivial_algebra().unit_element().index == 0
+    # the index is the one fact an element derives from its coefficients
+    assert AlgebraElement.__slots__ == ("algebra", "coeffs", "index")
     for v in (A.basis(2), A.element([half, 0, 0]), A.element([0] * A.dim), two):
         for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
-            assert (twin.terms, twin.index) == (v.terms, v.index)
+            assert twin.index == v.index
             with pytest.raises(AttributeError):
                 twin.index = 1
 
@@ -343,6 +346,36 @@ def test_omega_tqft_rejects_a_foreign_algebra():
         omega_tqft(A, 1, 1, [B.basis(0)])
 
 
+def test_every_decorated_entry_point_refuses_a_bad_decoration_list_alike():
+    # one rule, check_decorations, for the amplitude, the counts and the
+    # correlators: each refuses each bad list with one exception and message
+    from tqftrec.amodel import lattice_twisted, twisted_catalan, twisted_dessin
+    from tqftrec.intersect import twisted_correlator
+
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    e, foreign = A.basis(1), z2_algebra().basis(1)
+    entry_points = {
+        "omega_tqft": lambda vs: omega_tqft(A, 1, 2, vs),
+        "twisted_catalan": lambda vs: twisted_catalan(1, 2, (4, 2), A, vs),
+        "lattice_twisted": lambda vs: lattice_twisted(1, 2, (4, 2), A, vs),
+        "twisted_correlator": lambda vs: twisted_correlator(1, 2, (1, 1), A, vs),
+        "twisted_dessin": lambda vs: twisted_dessin(1, 2, (4, 2), A, vs),
+    }
+    bad = [
+        ([e], ValueError, "need one decoration per boundary: 1 for 2"),
+        ([e, e, e], ValueError, "need one decoration per boundary: 3 for 2"),
+        ([e, 1], TypeError, "decorations must be algebra elements, got 1"),
+        ([Fraction(1), e], TypeError, "decorations must be algebra elements, got Fraction(1, 1)"),
+        ([e, foreign], ValueError, "decoration does not belong to the given algebra"),
+    ]
+    for name, request in entry_points.items():
+        assert request([e, e]) != 0, name
+        for vs, kind, message in bad:
+            with pytest.raises(Exception) as err:
+                request(vs)
+            assert (type(err.value), str(err.value)) == (kind, message), (name, vs)
+
+
 def test_dense_decorations_never_expand_the_support_product(monkeypatch):
     # 5**13 support tuples: summing the amplitude memo over them would take
     # hours, so dense decorations must take the multiply-through chain
@@ -360,15 +393,10 @@ def test_dense_decorations_never_expand_the_support_product(monkeypatch):
     assert omega_tqft(A, 1, 13, [dense] * 13) == counit(chain)
 
 
-def test_scaled_and_zero_decorations_through_the_memo_equal_the_brute_count(monkeypatch):
-    import tqftrec.frobenius as frobenius
-
+def test_scaled_and_zero_decorations_through_the_memo_equal_the_brute_count():
     G = load_group("builtin:S3")
     cd = conjugacy(G)
     A = orbifold_frobenius(G, cd)
-    amplitude = frobenius._amplitude
-    seen = []
-    monkeypatch.setattr(frobenius, "_amplitude", lambda *args: seen.append(args) or amplitude(*args))
     half, zero = Fraction(3, 2), A.element([0] * A.dim)
     mixed = A.element([1, 0, "-2/3"])
     for g in (0, 1):
@@ -379,7 +407,6 @@ def test_scaled_and_zero_decorations_through_the_memo_equal_the_brute_count(monk
         for j in range(A.dim):
             assert omega_tqft(A, g, 2, [mixed, A.basis(j)]) == omega_brute(
                 G, g, (0, j), cd=cd) - Fraction(2, 3) * omega_brute(G, g, (2, j), cd=cd)
-    assert seen, "basis-sized supports take the memo path"
     # a two-term decoration among three inputs over Q8
     Q = load_group("builtin:Q8")
     qd = conjugacy(Q)
@@ -487,7 +514,8 @@ def test_cutjoin_imports_no_contraction_routine_from_frobenius():
             assert not any(a.name.split(".")[-1] == "frobenius" for a in node.names)
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "frobenius":
             imported.update(alias.name for alias in node.names)
-    assert imported and imported <= {"AlgebraElement", "FrobeniusAlgebra", "trivial_algebra"}
+    assert imported and imported <= {"AlgebraElement", "FrobeniusAlgebra", "check_decorations",
+                                     "trivial_algebra"}
 
 
 # -- derived tensors against plain dense sums ---------------------------------

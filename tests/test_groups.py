@@ -198,18 +198,6 @@ def test_omega_brute_budget_gate():
         omega_brute(G, 2, (0, 0, 0), budget=100)
 
 
-def test_formula_equals_brute_spot_checks():
-    from tqftrec.frobenius import omega_tqft
-
-    G = load_group("builtin:S3")
-    cd = conjugacy(G)
-    A = orbifold_frobenius(G, cd)
-    for g in (0, 1):
-        for idx in ((0,), (1,), (2,)):
-            vs = [A.basis(i) for i in idx]
-            assert omega_tqft(A, g, 1, vs) == omega_brute(G, g, idx, cd=cd)
-
-
 def test_orbifold_product_equals_the_count_over_all_pairs():
     # the production path counts from one representative per class; here
     # every ordered pair of elements is counted

@@ -12,7 +12,7 @@ from tqftrec.intersect import (
     double_factorial,
     twisted_correlator,
 )
-from tqftrec.verify import genus_zero_profiles, kdv_identities
+from tqftrec.verify import kdv_identities
 
 
 def test_double_factorial_convention():
@@ -92,18 +92,10 @@ def test_table_satisfies_kdv():
     assert (identities, nonzero) == (722, 236)
 
 
-def test_genus_zero_closed_form():
-    # <tau_k1 ... tau_kn>_0 = (n-3)! / prod k_i!, on every profile with n <= 8
-    profiles = 0
-    for case, got, expected in genus_zero_profiles("full"):
-        assert got == expected, case
-        profiles += 1
-    assert profiles == 19
-
-
 def test_string_equation_sample():
-    # <tau_0 prod tau_k> = sum_j <... tau_{k_j - 1} ...>
-    for (g, k) in [(0, (0, 0, 1)), (1, (1, 1)), (1, (2,)), (2, (4,))]:
+    # <tau_0 prod tau_k> = sum_j <... tau_{k_j - 1} ...>, at sum(k) = 3g - 2 + n,
+    # the dimension of the left side, where neither side is 0
+    for (g, k) in [(0, (0, 0, 1)), (1, (2, 1)), (1, (2,)), (2, (5,))]:
         n = len(k)
         lhs = correlator(g, n + 1, (0,) + k)
         rhs = sum(
@@ -111,7 +103,7 @@ def test_string_equation_sample():
             for j in range(n)
             if k[j] >= 1
         )
-        assert lhs == rhs, (g, k)
+        assert lhs == rhs != 0, (g, k)
 
 
 def test_dilaton_equation_sample():
