@@ -44,22 +44,33 @@ Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
 decorations into that order, and a child tensor is realigned to the order
 its parent asks for.  An entry is stored only when complete, and a
-profile the family's vanishing rule zeroes is never stored.  A query
-canonicalizes its degree tuple once per distinct tuple: ``profile``
-caches, in a bounded cache that holds no table, the int degrees, the same
-in decreasing order and the itemgetter that takes the asked order to it.
-The checks still run on every call: the genus, the boundary count and the
-length, the family's own rule (the Catalan counts' nonnegative degrees,
-the lattice's refusal of (0,1)), and ``frobenius.check_decorations``, the
-one rule for a decoration list, which ``omega_tqft`` follows too.  A query
-then reads the memo and answers a vanishing profile with zero at once.  A
-list of basis vectors is read at its index tuple, put in the memoized
-order, making a Fraction only for a nonzero entry; any other list goes
-through ``contract``, the engine's one contraction, which walks the
-tensor's ints.  A scalar count is the same read at index 0, the trivial
-algebra's unit, with no decoration to check.  ``omega_tqft``, the
-reference the counts are checked against, shares no contraction with the
-engine.
+profile the family's vanishing rule zeroes is never stored.
+
+A query reads through the table's read index, a bounded dict beside the
+memo keyed on the genus and the degrees as asked (a tuple, or a list as
+its tuple).  An entry holds the boundary count, the reordering from the
+asked order to the memoized one, and a reference to the memo's own int
+form, or None for a profile the vanishing rule zeroes; the memo stays
+the one store of tensors.  A warm read is one probe of the index and a
+call of ``frobenius.check_decorations``, the one rule for a decoration
+list, which ``omega_tqft`` follows too and which runs on every call.  A
+miss runs every check: the family's ``_validate`` (the genus, the
+boundary count and the length, and the family's own rule: the Catalan
+counts' nonnegative degrees, the lattice's refusal of (0,1)), then the
+decorations, then the memo, the vanishing rule and a build.  Only a
+request that passed them is entered, so an invalid one raises on every
+call; an n that does not match an entry's boundary count misses, and
+``_validate`` refuses it.  ``_validate`` takes its facts from
+``profile``, which caches, in a bounded cache that holds no table, the
+int degrees of an asked tuple, the same in decreasing order and the
+itemgetter that takes the asked order to it, so that tables asked for
+the same degrees canonicalize them once.  A list of basis vectors is
+read at its index tuple, put in the memoized order, making a Fraction
+only for a nonzero entry; any other list goes through ``contract``, the
+engine's one contraction, which walks the tensor's ints.  A scalar count
+is the same read at index 0, the trivial algebra's unit, with no
+decoration to check.  ``omega_tqft``, the reference the counts are
+checked against, shares no contraction with the engine.
 
 Every table the package answers from is built once, by ``shared``: one
 per family and algebra, the scalar counts living in ``shared(family,
@@ -97,6 +108,15 @@ TRIVIAL = trivial_algebra()
 CUTJOIN_WORK_BUDGET = 1000000
 
 _ZERO = Fraction(0)
+
+# bounded: entries of one table's read index, each (g, asked degree tuple)
+# -> (boundary count, reordering, the memo's own int form or None for a
+# vanishing profile), the oldest going first when it is full, since a sweep
+# may ask for any number of degree tuples.  An entry holds references, not
+# tensors: 4096 of them take about 1.5 MB beside the memo, their asked
+# tuples included.  The `recursions` benchmark's queries fill 2177 entries
+# over ten tables, 676 at most in one (the scalar Catalan table).
+READ_INDEX_SIZE = 4096
 
 
 def contract(form: tuple, vs: Sequence[AlgebraElement]) -> Fraction:
@@ -190,8 +210,11 @@ def profile(mu: Sequence[int]):
     """(ints, ordered, permute) for a profile as it is asked: its degrees as
     ints, the same in decreasing order, and the map taking a tuple in the
     asked order to the decreasing one (equal degrees keep their order), or
-    None when the two orders agree.  Cached on the asked degrees, so that a
-    warm query canonicalizes nothing; the cache holds no table."""
+    None when the two orders agree.  Cached on the asked degrees, so that
+    each distinct degree tuple is canonicalized once, whichever table or
+    check asks for it (a table's read index misses once per table, and
+    ``amodel.twisted_dessin`` checks its degrees on every call); the cache
+    holds no table."""
     mu = mu if type(mu) is tuple else tuple(mu)
     try:
         return _profile(mu)
@@ -260,12 +283,13 @@ class CutJoinTable:
     join; over the trivial algebra they are the scalar counts.
 
     A family subclass supplies ``_validate(g, n, mu)``, which checks the asked
-    profile on every call and returns its ``profile`` facts; ``_vanishes(g,
-    mu)``, a symmetric rule checked before the memo and before a child is read,
-    so that zero profiles are never stored or read; ``_base_case(g, mu)``, the
-    tensor of a profile that is not reduced, else None; ``_joins(m1, mj,
-    stable)``, the (child degree, weight) pairs for absorbing a boundary of
-    degree mj into the distinguished one, where ``stable`` says whether the
+    profile on every read that misses the read index and returns its
+    ``profile`` facts; ``_vanishes(g, mu)``, a symmetric rule checked before
+    the memo and before a child is read, so that zero profiles are never
+    stored or read; ``_base_case(g, mu)``, the tensor of a profile that is
+    not reduced, else None; ``_joins(m1, mj, stable)``, the (child degree,
+    weight) pairs for absorbing a boundary of degree mj into the
+    distinguished one, where ``stable`` says whether the
     child, of type (g, n - 1), has 2g - 2 + (n - 1) > 0; ``_cuts(m1)``, the
     (degree a, degree b, weight) triples for cutting the distinguished
     boundary, which hold (b, a, weight) beside every (a, b, weight), since a
@@ -280,6 +304,8 @@ class CutJoinTable:
     def __init__(self, algebra: FrobeniusAlgebra = TRIVIAL):
         self.algebra = algebra
         self._tensors = {}  # the one memo: sorted profile -> int form of its tensor
+        # (g, asked degrees) -> (n, permute, memo's int form or None); see READ_INDEX_SIZE
+        self._reads = {}
         self._work, self._request = 0, None
 
     def _sparse(self, n: int, fn):
@@ -293,28 +319,28 @@ class CutJoinTable:
     def twisted(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement],
                 n: Optional[int] = None) -> Fraction:
         """The count with decoration vs[i] on boundary i; a given n is
-        checked against the length of mu.  The family's ``_validate``
-        checks the profile on every call and takes its sorted form and
-        reordering from the ``profile`` cache, so a warm read sorts
-        nothing; ``check_decorations`` checks the decorations and
-        ``_evaluate`` reads the count."""
-        checked = self._validate(g, len(mu) if n is None else n, mu)
-        return self._evaluate(g, checked, check_decorations(self.algebra, vs, len(checked[0])), vs)
-
-    def _evaluate(self, g: int, checked, idx: Sequence[Optional[int]],
-                  vs: Optional[Sequence[AlgebraElement]] = None) -> Fraction:
-        """The count of a profile checked by ``_validate``, as its
-        ``profile`` facts, at the checked basis indices idx in the asked
-        order; where idx holds None, a decoration that is not a basis
-        vector, the decorations vs are contracted.  The memo is read before
-        the vanishing rule; the indices, not the tensor, go to the memoized
-        order, and a basis read makes a Fraction only for a nonzero entry."""
-        ints, ordered, permute = checked
-        form = self._tensors.get((g, ordered))
+        checked against the length of mu.  A warm read takes its checked
+        facts from the read index in one probe, and a miss runs the
+        family's ``_validate`` and fills the entry; ``check_decorations``
+        checks the decorations on every call, before anything is built.  A
+        list of basis vectors reads the int at their indices put in the
+        memoized order, making a Fraction only for a nonzero entry; any
+        other list is reordered and contracted."""
+        key = entry = None
+        if type(mu) is tuple or type(mu) is list:
+            try:
+                entry = self._reads.get(key := (g, tuple(mu)))
+            except TypeError:  # an unhashable genus or degree, which _validate refuses
+                key = None
+        if entry is None or n is not None and n != entry[0]:
+            checked = self._validate(g, len(mu) if n is None else n, mu)
+            idx = check_decorations(self.algebra, vs, len(checked[0]))
+            entry = self._enter(key, g, checked)
+        else:
+            idx = check_decorations(self.algebra, vs, entry[0])
+        _, permute, form = entry
         if form is None:
-            if self._vanishes(g, ordered):
-                return _ZERO
-            form = self._lookup(g, ordered, ints)
+            return _ZERO
         if None not in idx:
             den, tensor = form
             num = tensor.get(tuple(idx) if permute is None else permute(idx))
@@ -323,13 +349,45 @@ class CutJoinTable:
 
     def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
         """The scalar count: the trivial algebra's count at unit decorations,
-        read at index 0 with no decoration to check; a given n is checked
-        against the length of mu.  A table over another algebra answers
-        from the shared trivial table of its family."""
+        read at index 0 with no decoration to check, through the same read
+        index; a given n is checked against the length of mu.  A table over
+        another algebra answers from the shared trivial table of its family."""
         if self.algebra is not TRIVIAL:
             return shared(type(self), TRIVIAL).untwisted(g, mu, n)
-        checked = self._validate(g, len(mu) if n is None else n, mu)
-        return self._evaluate(g, checked, (0,) * len(checked[0]))
+        key = entry = None
+        if type(mu) is tuple or type(mu) is list:
+            try:
+                entry = self._reads.get(key := (g, tuple(mu)))
+            except TypeError:  # an unhashable genus or degree, which _validate refuses
+                key = None
+        if entry is None or n is not None and n != entry[0]:
+            entry = self._enter(key, g, self._validate(g, len(mu) if n is None else n, mu))
+        size, _, form = entry
+        if form is None:
+            return _ZERO
+        den, tensor = form
+        num = tensor.get((0,) * size)
+        return _ZERO if num is None else Fraction(num, den)
+
+    def _enter(self, key, g: int, checked):
+        """The entry (n, permute, form) of a profile checked by
+        ``_validate``, its ``profile`` facts given: the boundary count, the
+        reordering into the memoized order and the memo's own int form,
+        built here if need be, or None when the vanishing rule zeroes the
+        profile.  The memo is read before the vanishing rule.  The entry is
+        stored under key unless key is None, the oldest one going first
+        when the index is full."""
+        ints, ordered, permute = checked
+        form = self._tensors.get((g, ordered))
+        if form is None and not self._vanishes(g, ordered):
+            form = self._lookup(g, ordered, ints)
+        entry = len(ints), permute, form
+        if key is not None:
+            reads = self._reads
+            if len(reads) >= READ_INDEX_SIZE:
+                del reads[next(iter(reads))]
+            reads[key] = entry
+        return entry
 
     def _lookup(self, g: int, mu: Tuple[int, ...], asked: Sequence[int]):
         """The int form of the tensor of (g, mu), mu in decreasing order;

@@ -294,6 +294,36 @@ def test_edited_cache_cannot_change_the_answer(tmp_path):
     assert run_cli(*argv) == (0, "2\n")
 
 
+def test_cache_digest_is_the_sha256_of_the_canonical_body():
+    body = {
+        "schema": amodel.CACHE_SCHEMA,
+        "algebra": {"labels": ["[1]", "[(1 2)]"], "pairing": [["1/2", "0"], ["0", "1/2"]]},
+        "entries": [{"g": 1, "mu": [4, 2], "decor": [0, 1], "value": "-7/3"}],
+    }
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert amodel._digest(body) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_a_cache_run_loads_no_openssl(tmp_path):
+    # the digest comes from the builtin SHA-256, so that a --cache process
+    # neither loads _hashlib nor pays its start-up time and memory
+    cache = str(tmp_path / "cache.json")
+    argv = ["catalan", "--g", "1", "--n", "2", "--mu", "4", "6", "--cache", cache]
+    script = (
+        "import sys\n"
+        "import tqftrec.cli\n"
+        "for _ in range(2):\n"
+        "    assert tqftrec.cli.main(%r) == 0\n"
+        "assert '_hashlib' not in sys.modules\n" % (argv,)
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "600\n600\n" and "ignoring cache" not in proc.stderr
+    data = json.loads(pathlib.Path(cache).read_text())
+    assert data.pop("sha256") == amodel._digest(data)
+
+
 def test_catalan_and_dessin_share_one_cache_file(tmp_path, capsys):
     # without --group both answer from the trivial algebra's one table
     cache = str(tmp_path / "shared.json")

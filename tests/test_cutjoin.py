@@ -6,6 +6,7 @@ import itertools
 import math
 import pkgutil
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -271,7 +272,7 @@ class _Unwalked(dict):
         raise AssertionError("the tensor was walked")
 
 
-def test_basis_and_scaled_basis_decorations_read_one_entry():
+def test_basis_decorations_read_one_entry_and_scaled_ones_contract():
     # a list of basis vectors reads its one entry from the memo, which may
     # not be walked; a scaled basis vector goes through the one contraction
     A = orbifold_frobenius(load_group("builtin:S3"))
@@ -720,3 +721,119 @@ def test_the_profile_cache_is_bounded_and_holds_no_table():
     del table
     gc.collect()
     assert gone() is None
+
+
+# -- the read index: a warm read is one probe of a per-table index ------------
+
+def _asked_profiles(family):
+    """(g, degrees) for each profile with up to 3 boundaries that a warm
+    table reads: degrees up to 4 (3 for the correlators), both genera 0 and
+    1, vanishing profiles among them, and none that the family refuses."""
+    top = 3 if family is intersect.CorrelatorTable else 4
+    for g, n in itertools.product((0, 1), (1, 2, 3)):
+        if family is amodel.LatticeTable and (g, n) == (0, 1):
+            continue
+        for degrees in itertools.combinations_with_replacement(range(top + 1), n):
+            yield g, degrees
+
+
+_FAMILIES = (amodel.CatalanTable, amodel.LatticeTable, intersect.CorrelatorTable)
+
+
+@pytest.mark.parametrize("group", ["builtin:S3", "builtin:Z3"])
+def test_warm_reads_of_every_asked_order_equal_a_fresh_table(group):
+    A = orbifold_frobenius(load_group(group))
+    for family in _FAMILIES:
+        warm, scalar, nonzero = family(A), family(cutjoin.TRIVIAL), set()
+        for g, degrees in _asked_profiles(family):
+            n = len(degrees)
+            dense = [A.element([Fraction(t + 1, k + 2) for k in range(A.dim)]) for t in range(n)]
+            bases = [[A.basis(0)] * n, [A.basis((t + 1) % A.dim) for t in range(n)]]
+            for mu in set(itertools.permutations(degrees)):
+                for vs in bases + [dense]:
+                    fresh = family(A).twisted(g, mu, vs)
+                    nonzero.add((vs is dense, g, fresh != 0))
+                    for asked, given in itertools.product((mu, list(mu)), (n, None)):
+                        for _ in range(2):
+                            got = warm.twisted(g, asked, vs, given)
+                            assert got == fresh and type(got) is Fraction, (
+                                family.__name__, g, asked, given)
+                fresh = family(cutjoin.TRIVIAL).untwisted(g, mu)
+                for asked, given in itertools.product((mu, list(mu)), (n, None)):
+                    for _ in range(2):
+                        assert scalar.untwisted(g, asked, given) == fresh
+        # each entry holds the memo's own int form, or None for a profile
+        # that the vanishing rule zeroes, which the memo never holds
+        for table in (warm, scalar):
+            assert table._reads and len(table._reads) <= cutjoin.READ_INDEX_SIZE
+            for (g, asked), (n, permute, form) in table._reads.items():
+                ordered = tuple(sorted(asked, reverse=True))
+                assert n == len(asked) and (permute is None) == (ordered == asked)
+                if form is None:
+                    assert table._vanishes(g, ordered) and (g, ordered) not in table._tensors
+                else:
+                    assert form is table._tensors[(g, ordered)]
+        assert any(form is None for _, _, form in warm._reads.values())
+        # basis and dense lists, at both genera, with zero and nonzero counts
+        assert len(nonzero) == 8, (family.__name__, nonzero)
+
+
+def test_the_read_index_is_bounded_and_answers_alike_past_its_bound(monkeypatch):
+    A = orbifold_frobenius(load_group("builtin:Z3"))
+    table, limit = amodel.CatalanTable(A), cutjoin.READ_INDEX_SIZE
+    # profiles of odd total degree vanish, so filling the index builds nothing
+    odd = (mu for mu in itertools.product(range(22), repeat=3) if sum(mu) % 2)
+    for mu in itertools.islice(odd, limit + 100):
+        assert table.untwisted(0, mu) == 0 and table.twisted(0, mu, [A.basis(1)] * 3) == 0
+    assert len(table._reads) == limit and len(cutjoin.shared(
+        amodel.CatalanTable, cutjoin.TRIVIAL)._reads) <= limit
+    assert not table._tensors
+    # a small bound, passed many times over, changes no answer
+    monkeypatch.setattr(cutjoin, "READ_INDEX_SIZE", 5)
+    small, sizes, values = amodel.CatalanTable(A), set(), set()
+    for _ in range(2):
+        for g, order in itertools.product((0, 1), itertools.permutations((4, 2, 2, 0))):
+            mu = order[:3] if g else tuple(m or 2 for m in order)
+            for vs in ([A.basis(t % A.dim) for t in range(len(mu))],
+                       [A.element([1, t, "1/2"]) for t in range(len(mu))]):
+                got = small.twisted(g, mu, vs)
+                assert got == amodel.CatalanTable(A).twisted(g, mu, vs), (g, mu, vs)
+                sizes.add(len(small._reads))
+                values.add(got != 0)
+    assert max(sizes) == 5 and values == {True, False}
+
+
+def test_shared_cache_clear_leaves_no_read_index_reachable():
+    import gc
+    import weakref
+
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    gone = []
+    for family in _FAMILIES:
+        table = cutjoin.shared(family, A)
+        table.twisted(1, (3, 2, 1) if family is intersect.CorrelatorTable else (4, 2, 2),
+                      [A.basis(1)] * 3)
+        assert table._reads
+        # an entry refers to ints, an itemgetter and the memo's int form only
+        for entry in table._reads.values():
+            assert not any(isinstance(x, cutjoin.CutJoinTable) for x in gc.get_referents(entry))
+        gone.append(weakref.ref(table))
+    scalar = weakref.ref(cutjoin.shared(amodel.CatalanTable, cutjoin.TRIVIAL))
+    amodel.catalan(1, 2, (4, 2))
+    assert scalar()._reads
+    del table
+    cutjoin.shared.cache_clear()
+    gc.collect()
+    assert all(ref() is None for ref in gone + [scalar])
+
+
+def test_a_refused_request_builds_and_enters_nothing():
+    # every check runs before the memo is read or the index is entered, so
+    # a request that a check refuses leaves a fresh table empty
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    e, x = A.basis(1), z2_algebra().basis(1)
+    fresh = (amodel.CatalanTable(A), amodel.LatticeTable(A), intersect.CorrelatorTable(A))
+    for request, kind, message in _invalid_requests(*fresh, A, e, x):
+        with pytest.raises(kind, match=re.escape(message)):
+            request()
+    assert not any(table._tensors or table._reads for table in fresh)

@@ -393,7 +393,7 @@ def test_dense_decorations_never_expand_the_support_product(monkeypatch):
     assert omega_tqft(A, 1, 13, [dense] * 13) == counit(chain)
 
 
-def test_scaled_and_zero_decorations_through_the_memo_equal_the_brute_count():
+def test_scaled_and_zero_decorations_through_the_euler_power_equal_the_brute_count():
     G = load_group("builtin:S3")
     cd = conjugacy(G)
     A = orbifold_frobenius(G, cd)
