@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cutjoin import TRIVIAL, CutJoinTable, _int_form, profile, shared
+from .cutjoin import TRIVIAL, CutJoinTable, _int_form, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra
 
 Rational = Fraction
@@ -40,21 +40,6 @@ __all__ = [
 ]
 
 CACHE_SCHEMA = 1
-
-
-def _validate_profile(g: int, n: int, mu: Sequence[int]):
-    """The checked profile's ``cutjoin.profile`` facts (ints, ordered, permute)."""
-    if g < 0:
-        raise ValueError("genus must be non-negative, got %d" % g)
-    if n < 1:
-        raise ValueError("need at least one boundary, got n=%d" % n)
-    checked = profile(mu)
-    ints, ordered, _ = checked
-    if len(ints) != n:
-        raise ValueError("profile length %d does not match n=%d" % (len(ints), n))
-    if ordered[-1] < 0:
-        raise ValueError("degrees must be non-negative, got %s" % list(ints))
-    return checked
 
 
 def _sha256():
@@ -99,7 +84,10 @@ class CatalanTable(CutJoinTable):
     counts (``twisted``).
     """
 
-    _validate = staticmethod(_validate_profile)
+    def _check(self, g, checked):
+        ints, ordered, _ = checked
+        if ordered[-1] < 0:
+            raise ValueError("degrees must be non-negative, got %s" % list(ints))
 
     def _vanishes(self, g, mu):
         return g > _top_genus(mu)
@@ -196,10 +184,11 @@ def twisted_dessin(
     Laplace-transform normalization of the two-point function and is
     excluded from acceptance claims.
     """
-    ints, ordered, _ = _validate_profile(g, n, mu)
+    table = shared(CatalanTable, algebra)
+    ints, ordered, _ = table._validate(g, n, mu)
     if ordered[-1] < 1:
         raise ValueError("dessin counts need positive degrees, got %s" % list(ints))
-    return shared(CatalanTable, algebra).twisted(g, ints, vs) / math.prod(ints)
+    return table.twisted(g, ints, vs) / math.prod(ints)
 
 
 # -- lattice-point recursion ----------------------------------------------
@@ -222,11 +211,10 @@ class LatticeTable(CutJoinTable):
             return ()
         return range(max(0, (4 - len(mu1)) // 2), g - max(0, (4 - len(mu2)) // 2) + 1)
 
-    @staticmethod
-    def _validate(g, n, mu):
-        if (g, n) == (0, 1):
+    def _check(self, g, checked):
+        if (g, len(checked[0])) == (0, 1):
             raise ValueError("the lattice count has no (0,1) case")
-        return _validate_profile(g, n, mu)
+        CatalanTable._check(self, g, checked)  # the Catalan counts' degrees
 
     def _base_case(self, g, mu):
         if 2 * g - 2 + len(mu) > 0:

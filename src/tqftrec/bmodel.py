@@ -50,7 +50,7 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Dict, Tuple
 
-from .cutjoin import TRIVIAL, _reorder, _splits, delta_star_contract, shared
+from .cutjoin import TRIVIAL, _halves, _reorder, delta_star_contract, shared
 from .exact import BudgetError, MultiRatFun, Rational, _plus, _times
 from .frobenius import FrobeniusAlgebra
 
@@ -318,8 +318,10 @@ class _Recursion:
             den, tensor = self.tensor(g - 1, n + 1)
             for idx, laurent in tensor.items():
                 terms.append((den, idx[0], idx[1], idx[2:], (), _place(laurent, dest, n)))
+        slots = tuple(range(n - 1))
+        splits = [(take1(slots), take2(slots), order) for take1, take2, order in _halves(n - 1)]
         for g1 in range(g + 1):
-            for I, J, order in _splits(n - 1):
+            for I, J, order in splits:
                 if (g1, len(I)) == (0, 0) or (g - g1, len(J)) == (0, 0):
                     continue
                 permute = _reorder(order)

@@ -236,8 +236,6 @@ def cmd_omega(args) -> dict:
 
 def _catalan_common(args, dessin: bool) -> dict:
     mu = tuple(args.mu)
-    if len(mu) != args.n:
-        raise UsageError("profile length %d does not match n=%d" % (len(mu), args.n))
     A = _algebra_from_args(args)
     vs = _decorations(args.decor, A, args.n)
     # the table that answers, over the trivial algebra when no group is given
@@ -247,7 +245,7 @@ def _catalan_common(args, dessin: bool) -> dict:
     if dessin:
         value = amodel.twisted_dessin(args.g, args.n, mu, A, vs)
     else:
-        value = table.twisted(args.g, mu, vs)
+        value = table.twisted(args.g, mu, vs, args.n)
     if args.cache:
         _save_cache(table, args.cache)
     return {"value": value}
@@ -311,12 +309,9 @@ def cmd_wgn(args) -> dict:
 
 
 def cmd_correlator(args) -> dict:
-    k = tuple(args.k)
-    if len(k) != args.n:
-        raise UsageError("exponent length %d does not match n=%d" % (len(k), args.n))
     A = _algebra_from_args(args)
     vs = _decorations(args.decor, A, args.n)
-    return {"value": intersect.twisted_correlator(args.g, args.n, k, A, vs)}
+    return {"value": intersect.twisted_correlator(args.g, args.n, tuple(args.k), A, vs)}
 
 
 # -- verify ---------------------------------------------------------------------

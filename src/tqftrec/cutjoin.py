@@ -34,8 +34,7 @@ it computed; a base case or a loaded tensor goes through ``exact``'s
 which bounds the depth of a profile that can be built.
 
 Every table is over an algebra: the scalar counts are the table over the
-one-dimensional trivial algebra, ``TRIVIAL``.  The operators and the
-split enumeration ``_splits`` also serve the B-model: ``bmodel`` sums its
+one-dimensional trivial algebra, ``TRIVIAL``.  ``bmodel`` sums its
 bracket on the coproduct legs and contracts it with
 ``delta_star_contract`` on the algebra's ``int_constants``, its Laurent
 maps held as int forms as the tensors are.
@@ -46,17 +45,19 @@ decorations into that order, and a child tensor is realigned to the order
 its parent asks for.  An entry is stored only when complete, and a
 profile the family's vanishing rule zeroes is never stored.
 
-A query reads through the table's read index, a bounded dict beside the
-memo keyed on the genus and the degrees as asked (a tuple, or a list as
-its tuple).  An entry holds the boundary count, the reordering from the
+Every query, scalar or decorated, goes through one read, ``_read``,
+which probes the table's read index, a bounded dict beside the memo
+keyed on the genus and the degrees as asked (a tuple, or a list as its
+tuple).  An entry holds the boundary count, the reordering from the
 asked order to the memoized one, and a reference to the memo's own int
 form, or None for a profile the vanishing rule zeroes; the memo stays
 the one store of tensors.  A warm read is one probe of the index and a
 call of ``frobenius.check_decorations``, the one rule for a decoration
 list, which ``omega_tqft`` follows too and which runs on every call.  A
-miss runs every check: the family's ``_validate`` (the genus, the
-boundary count and the length, and the family's own rule: the Catalan
-counts' nonnegative degrees, the lattice's refusal of (0,1)), then the
+miss runs every check: ``_validate``, the one profile check of every
+family (the genus, the boundary count and the length, then the family's
+own rule through its ``_check`` hook: the Catalan and lattice counts'
+nonnegative degrees, the lattice's refusal of (0,1)), then the
 decorations, then the memo, the vanishing rule and a build.  Only a
 request that passed them is entered, so an invalid one raises on every
 call; an n that does not match an entry's boundary count misses, and
@@ -68,8 +69,8 @@ the same degrees canonicalize them once.  A list of basis vectors is
 read at its index tuple, put in the memoized order, making a Fraction
 only for a nonzero entry; any other list goes through ``contract``, the
 engine's one contraction, which walks the tensor's ints.  A scalar count
-is the same read at index 0, the trivial algebra's unit, with no
-decoration to check.  ``omega_tqft``, the reference the counts are
+is the trivial table's read at index 0, the trivial algebra's unit, with
+no decoration to check.  ``omega_tqft``, the reference the counts are
 checked against, shares no contraction with the engine.
 
 Every table the package answers from is built once, by ``shared``: one
@@ -108,6 +109,7 @@ TRIVIAL = trivial_algebra()
 CUTJOIN_WORK_BUDGET = 1000000
 
 _ZERO = Fraction(0)
+_SCALAR = object()  # the decorations of ``untwisted``'s read: index 0, none to check
 
 # bounded: entries of one table's read index, each (g, asked degree tuple)
 # -> (boundary count, reordering, the memo's own int form or None for a
@@ -155,21 +157,6 @@ def shared(family, algebra: FrobeniusAlgebra):
     return family(algebra)
 
 
-# unbounded: one entry per boundary count r asked, each of 2^r splits, built
-# before the work budget is charged; only their time bounds r (catalan with
-# 20 boundaries of degree 2 takes 13 s and 0.9 GB before its refusal)
-@lru_cache(maxsize=None)
-def _splits(r: int):
-    """Ways to share r boundaries between two halves: (I, J, order), where
-    boundary t lands in slot order[t] of I + J, the order delta_star_split takes."""
-    halves = [
-        (I, tuple(t for t in range(r) if t not in I))
-        for size in range(r + 1)
-        for I in combinations(range(r), size)
-    ]
-    return [(I, J, tuple((I + J).index(t) for t in range(r))) for I, J in halves]
-
-
 def _picker(positions: Tuple[int, ...]):
     """The map taking a tuple t to (t[p] for p in positions), as a tuple
     also for fewer than two positions."""
@@ -181,12 +168,18 @@ def _picker(positions: Tuple[int, ...]):
     return itemgetter(slice(0))
 
 
-# unbounded: one entry per boundary count, as for ``_splits``
+# unbounded: one entry per boundary count r asked, each of 2^r splits, built
+# before the work budget is charged; only their time bounds r (catalan with
+# 20 boundaries of degree 2 takes 13 s and 0.9 GB before its refusal)
 @lru_cache(maxsize=None)
 def _halves(r: int):
-    """``_splits(r)`` as (take I, take J, order), the takes mapping the r
-    other degrees of a profile to those of each half."""
-    return [(_picker(I), _picker(J), order) for I, J, order in _splits(r)]
+    """Ways to share r boundaries between two halves I and J, as (take I,
+    take J, order): the takes map the r other degrees of a profile to those
+    of each half, and boundary t lands in slot order[t] of I + J, the order
+    delta_star_split takes."""
+    return [(_picker(I), _picker(J), tuple((I + J).index(t) for t in range(r)))
+            for size in range(r + 1) for I in combinations(range(r), size)
+            for J in (tuple(t for t in range(r) if t not in I),)]
 
 
 @lru_cache(maxsize=4096)  # bounded: profiles with many distinct degrees have many orders
@@ -282,21 +275,21 @@ class CutJoinTable:
     """Memoized sparse decorated counts over one algebra, reduced by cut and
     join; over the trivial algebra they are the scalar counts.
 
-    A family subclass supplies ``_validate(g, n, mu)``, which checks the asked
-    profile on every read that misses the read index and returns its
-    ``profile`` facts; ``_vanishes(g, mu)``, a symmetric rule checked before
-    the memo and before a child is read, so that zero profiles are never
-    stored or read; ``_base_case(g, mu)``, the tensor of a profile that is
-    not reduced, else None; ``_joins(m1, mj, stable)``, the (child degree,
-    weight) pairs for absorbing a boundary of degree mj into the
-    distinguished one, where ``stable`` says whether the
-    child, of type (g, n - 1), has 2g - 2 + (n - 1) > 0; ``_cuts(m1)``, the
+    A family subclass supplies ``_vanishes(g, mu)``, a symmetric rule
+    checked before the memo and before a child is read, so that zero
+    profiles are never stored or read; ``_base_case(g, mu)``, the tensor of
+    a profile that is not reduced, else None; ``_joins(m1, mj, stable)``,
+    the (child degree, weight) pairs for absorbing a boundary of degree mj
+    into the distinguished one, where ``stable`` says whether the child, of
+    type (g, n - 1), has 2g - 2 + (n - 1) > 0; ``_cuts(m1)``, the
     (degree a, degree b, weight) triples for cutting the distinguished
     boundary, which hold (b, a, weight) beside every (a, b, weight), since a
     build runs only a <= b and counts the mirror's weight as equal; and
     ``_split_genera(g, mu1, mu2)``, the genera g1 in 0..g at which the
     split into (g1, mu1) and (g - g1, mu2) contributes, by a rule that
-    does not change when the halves swap.
+    does not change when the halves swap.  It may add its own rule for a
+    request in ``_check(g, checked)``, which ``_validate`` runs after the
+    engine's checks on every read that misses the read index.
     """
 
     degree_column = "mu"
@@ -319,13 +312,22 @@ class CutJoinTable:
     def twisted(self, g: int, mu: Sequence[int], vs: Sequence[AlgebraElement],
                 n: Optional[int] = None) -> Fraction:
         """The count with decoration vs[i] on boundary i; a given n is
-        checked against the length of mu.  A warm read takes its checked
-        facts from the read index in one probe, and a miss runs the
-        family's ``_validate`` and fills the entry; ``check_decorations``
-        checks the decorations on every call, before anything is built.  A
-        list of basis vectors reads the int at their indices put in the
-        memoized order, making a Fraction only for a nonzero entry; any
-        other list is reordered and contracted."""
+        checked against the length of mu."""
+        return self._read(g, mu, n, vs)
+
+    def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
+        """The scalar count: index 0 of the family's shared trivial table; a
+        given n is checked as for ``twisted``."""
+        table = self if self.algebra is TRIVIAL else shared(type(self), TRIVIAL)
+        return table._read(g, mu, n, _SCALAR)
+
+    def _read(self, g: int, mu: Sequence[int], n: Optional[int], vs) -> Fraction:
+        """The one read: a probe of the read index, and on a miss
+        ``_validate``, the decorations and the entry, in that order; a hit
+        checks the decorations too.  ``untwisted``'s ``_SCALAR`` has none to
+        check and reads index 0.  Basis vectors read the int at their indices
+        in the memoized order, making a Fraction only for a nonzero entry;
+        other lists are reordered and contracted."""
         key = entry = None
         if type(mu) is tuple or type(mu) is list:
             try:
@@ -334,40 +336,37 @@ class CutJoinTable:
                 key = None
         if entry is None or n is not None and n != entry[0]:
             checked = self._validate(g, len(mu) if n is None else n, mu)
-            idx = check_decorations(self.algebra, vs, len(checked[0]))
+            if vs is not _SCALAR:
+                idx = check_decorations(self.algebra, vs, len(checked[0]))
             entry = self._enter(key, g, checked)
-        else:
+        elif vs is not _SCALAR:
             idx = check_decorations(self.algebra, vs, entry[0])
-        _, permute, form = entry
+        size, permute, form = entry
         if form is None:
             return _ZERO
-        if None not in idx:
-            den, tensor = form
-            num = tensor.get(tuple(idx) if permute is None else permute(idx))
-            return _ZERO if num is None else Fraction(num, den)
-        return contract(form, vs if permute is None else permute(vs))
+        if vs is _SCALAR:
+            num = form[1].get((0,) * size)
+        elif None in idx:
+            return contract(form, vs if permute is None else permute(vs))
+        else:
+            num = form[1].get(tuple(idx) if permute is None else permute(idx))
+        return _ZERO if num is None else Fraction(num, form[0])
 
-    def untwisted(self, g: int, mu: Sequence[int], n: Optional[int] = None) -> Fraction:
-        """The scalar count: the trivial algebra's count at unit decorations,
-        read at index 0 with no decoration to check, through the same read
-        index; a given n is checked against the length of mu.  A table over
-        another algebra answers from the shared trivial table of its family."""
-        if self.algebra is not TRIVIAL:
-            return shared(type(self), TRIVIAL).untwisted(g, mu, n)
-        key = entry = None
-        if type(mu) is tuple or type(mu) is list:
-            try:
-                entry = self._reads.get(key := (g, tuple(mu)))
-            except TypeError:  # an unhashable genus or degree, which _validate refuses
-                key = None
-        if entry is None or n is not None and n != entry[0]:
-            entry = self._enter(key, g, self._validate(g, len(mu) if n is None else n, mu))
-        size, _, form = entry
-        if form is None:
-            return _ZERO
-        den, tensor = form
-        num = tensor.get((0,) * size)
-        return _ZERO if num is None else Fraction(num, den)
+    def _validate(self, g: int, n: int, mu: Sequence[int]):
+        """The ``profile`` facts (ints, ordered, permute) of a request with a
+        genus of at least 0, n >= 1 degrees and the family's ``_check``."""
+        if g < 0:
+            raise ValueError("genus must be non-negative, got %d" % g)
+        if n < 1:
+            raise ValueError("need at least one boundary, got n=%d" % n)
+        checked = profile(mu)
+        if len(checked[0]) != n:
+            raise ValueError("profile length %d does not match n=%d" % (len(checked[0]), n))
+        self._check(g, checked)
+        return checked
+
+    def _check(self, g: int, checked):
+        """The family's own rule, raising ValueError; none by default."""
 
     def _enter(self, key, g: int, checked):
         """The entry (n, permute, form) of a profile checked by

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cutjoin import TRIVIAL, CutJoinTable, profile, shared
+from .cutjoin import TRIVIAL, CutJoinTable, shared
 from .frobenius import AlgebraElement, FrobeniusAlgebra, omega_tqft
 
 Rational = Fraction
@@ -46,25 +46,11 @@ def double_factorial(m: int) -> int:
     return math.prod(range(m, 0, -2))
 
 
-def _validate(g: int, n: int, k: Sequence[int]):
-    """The checked exponents' ``cutjoin.profile`` facts (ints, ordered, permute)."""
-    if g < 0:
-        raise ValueError("genus must be non-negative")
-    if n < 1:
-        raise ValueError("need at least one insertion")
-    checked = profile(k)
-    if len(checked[0]) != n:
-        raise ValueError("exponent vector length %d does not match n=%d" % (len(checked[0]), n))
-    return checked
-
-
 class CorrelatorTable(CutJoinTable):
     """Memoized correlators decorated by a Frobenius algebra; over the
     trivial algebra, the default, the scalar correlators."""
 
     degree_column = "k"
-
-    _validate = staticmethod(_validate)
 
     def _vanishes(self, g, k):
         return min(k) < 0 or sum(k) != 3 * g - 3 + len(k)

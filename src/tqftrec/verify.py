@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 
 from . import amodel, bmodel, cellgraph, groups, intersect
@@ -211,6 +212,33 @@ def laplace_round_trip(types, degrees):
             yield "ILT g=%d mu=%s" % (g, mu), coeffs.get(mu, Fraction(0)), (-1) ** n * count
 
 
+@_check(full=(((0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)), ("Z3", "S3"),
+              _DIFFERENTIALS))
+def orbifold_dvv(scalar_types, names, twisted_types):
+    """The paper's orbifold DVV: w_{g,n}(t) has no monomial of degree above
+    2d, d = 3g - 3 + n, and its part of degree 2d is (-1)^n 16^-(2g-2+n)
+    sum_{|k|=d} <tau_k>_g prod_i (2k_i+1)!! t_i^(2k_i), over an algebra
+    entrywise on basis tuples.  The B-model and correlator recursions share
+    only Delta* and the int constants, so this ties two families together;
+    it is no oracle, but the one check of w_{g,n} at g >= 3."""
+    values = [("", g, n, bmodel.wgn(g, n), intersect.correlator) for g, n in scalar_types]
+    for name in names:
+        A = _group(name)[2]
+        values += [("%s %s " % (name, " ".join(A.labels[i] for i in idx)), g, n, value,
+                    partial(intersect.twisted_correlator, algebra=A, vs=[A.basis(i) for i in idx]))
+                   for g, n in twisted_types
+                   for idx, value in bmodel.twisted_wgn(g, n, A).values.items()]
+    df = intersect.double_factorial
+    for label, g, n, value, correlator in values:
+        d = 3 * g - 3 + n
+        got = {e: c for e, c in value._laurent().items() if sum(e) >= 2 * d}
+        want = {tuple(2 * x for x in k): correlator(g, n, k) * (-1) ** n * Fraction(
+                    math.prod(df(2 * x + 1) for x in k), 16 ** (2 * g - 2 + n))
+                for k in product(range(d + 1), repeat=n) if sum(k) == d}
+        for e in sorted(set(got) | set(want)):
+            yield "dvv %sg=%d n=%d t^%s" % (label, g, n, e), got.get(e, 0), want.get(e, 0)
+
+
 @_check(acceptance=(SMALL_GROUPS, _DIFFERENTIALS))
 def differential_factorization(names, types):
     """The twisted w_{g,n} against w_{g,n} times Omega_{g,n}, on every basis
@@ -320,7 +348,8 @@ SUITES = [
     ("omega-formula-vs-brute", (omega_formula,)),
     ("catalan-vs-enumeration", (catalan_transfer, catalan_factorization)),
     ("lattice-vs-catalog", (lattice_catalog, lattice_factorization)),
-    ("bmodel-invariants", (bmodel_invariants, laplace_round_trip, differential_factorization)),
+    ("bmodel-invariants", (bmodel_invariants, laplace_round_trip, orbifold_dvv,
+                           differential_factorization)),
     ("correlator-identities", (correlator_pins, tau_g, kdv_identities, genus_zero_profiles,
                                string_dilaton)),
 ]

@@ -333,6 +333,30 @@ def test_catalan_and_dessin_share_one_cache_file(tmp_path, capsys):
         assert "ignoring cache file" not in capsys.readouterr().err, command
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["catalan", "--g", "0", "--n", "3", "--mu", "4", "6"], "profile length 2 does not match n=3"),
+    (["dessin", "--g", "0", "--n", "3", "--mu", "4", "6"], "profile length 2 does not match n=3"),
+    (["correlator", "--g", "0", "--n", "2", "--k", "1"], "profile length 1 does not match n=2"),
+], ids=["catalan", "dessin", "correlator"])
+def test_a_profile_of_the_wrong_length_exits_2_with_the_engines_message(tmp_path, capsys,
+                                                                          argv, message):
+    assert run_cli(*argv) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == "usage error: %s\n" % message
+    if argv[0] == "correlator":
+        return
+    # a refused request writes no cache file, and leaves one it loaded as it was
+    cache = tmp_path / "catalan.json"
+    assert run_cli(*argv, "--cache", str(cache)) == (cli.EXIT_USAGE, "")
+    assert not cache.exists()
+    assert run_cli("catalan", "--g", "0", "--n", "2", "--mu", "4", "6", "--cache", str(cache)) == (
+        0, "144\n")
+    written = cache.read_bytes()
+    capsys.readouterr()
+    assert run_cli(*argv, "--cache", str(cache)) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == "usage error: %s\n" % message
+    assert cache.read_bytes() == written
+
+
 def test_cache_file_accepts_the_trivial_algebra_under_other_labels(tmp_path, capsys):
     # without --group the trivial algebra's label is 1, builtin:trivial's is [1];
     # each call runs on a cold registry, as a new process would

@@ -298,11 +298,15 @@ def test_split_halves_take_the_degrees_of_each_subset():
     for r in range(7):
         rest = tuple(range(10, 10 + r))
         halves = cutjoin._halves(r)
-        assert cutjoin._halves(r) is halves and len(halves) == len(cutjoin._splits(r))
-        for (take1, take2, order), (I, J, same) in zip(halves, cutjoin._splits(r)):
-            assert order == same
+        assert cutjoin._halves(r) is halves
+        subsets = [I for size in range(r + 1) for I in itertools.combinations(range(r), size)]
+        assert len(halves) == len(subsets) == 2 ** r
+        for (take1, take2, order), I in zip(halves, subsets):
+            J = tuple(t for t in range(r) if t not in I)
             assert take1(rest) == tuple(rest[t] for t in I)
             assert take2(rest) == tuple(rest[t] for t in J)
+            # boundary t lands in slot order[t] of the two halves joined
+            assert tuple((take1(rest) + take2(rest))[order[t]] for t in range(r)) == rest
 
 
 def test_memoized_correlator_weights_equal_fresh_ones():
@@ -627,16 +631,18 @@ def _invalid_requests(c, l, k, A, e, x):
          TypeError, "decorations must be algebra elements, got 1"),
         (lambda: c.twisted(1, (2, 3, 2), [e, e, "x"]),
          TypeError, "decorations must be algebra elements, got 'x'"),
+        (lambda: c.twisted(1, (4, 2, 2), None),
+         TypeError, "object of type 'NoneType' has no len()"),
         (lambda: c.twisted(1, (4, 2, 2), [e, x, e]),
          ValueError, "decoration does not belong to the given algebra"),
         (lambda: c.twisted(1, [2, 3, 2], [x, e, e]),
          ValueError, "decoration does not belong to the given algebra"),
         (lambda: k.twisted(-1, (1, 1), [e] * 2),
-         ValueError, "genus must be non-negative"),
+         ValueError, "genus must be non-negative, got -1"),
         (lambda: k.untwisted(1, [1, 1], 0),
-         ValueError, "need at least one insertion"),
+         ValueError, "need at least one boundary, got n=0"),
         (lambda: k.twisted(1, (1, 1), [e] * 2, 3),
-         ValueError, "exponent vector length 2 does not match n=3"),
+         ValueError, "profile length 2 does not match n=3"),
         (lambda: k.twisted(1, [0, 1], [e, x]),
          ValueError, "decoration does not belong to the given algebra"),
         (lambda: k.twisted(1, (1, 0), [e, 2]),
@@ -648,7 +654,7 @@ def _invalid_requests(c, l, k, A, e, x):
         (lambda: intersect.check_tauG(1, 2, (0, 1), A, [e, x]),
          ValueError, "decoration does not belong to the given algebra"),
         (lambda: intersect.check_tauG(1, 3, (1, 1), A, [e, e]),
-         ValueError, "exponent vector length 2 does not match n=3"),
+         ValueError, "profile length 2 does not match n=3"),
         (lambda: omega_tqft(A, 1, 2, [e, x]),
          ValueError, "decoration does not belong to the given algebra"),
         (lambda: omega_tqft(A, 1, 2, [e, 3]),

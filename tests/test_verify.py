@@ -32,4 +32,4 @@ def test_each_row_runs_its_pinned_number_of_cases():
             counts[level].append(count)
     assert [name for name, _ in verify.SUITES] == ROWS
     assert counts == {"quick": [6, 16, 7, 5, 3, 5],
-                      "full": [7, 48, 635, 609, 7, 752]}
+                      "full": [7, 48, 635, 609, 802, 752]}
