@@ -85,7 +85,7 @@ class CatalanTable(CutJoinTable):
     """
 
     def _check(self, g, checked):
-        ints, ordered, _ = checked
+        ints, ordered, _, _ = checked
         if ordered[-1] < 0:
             raise ValueError("degrees must be non-negative, got %s" % list(ints))
 
@@ -185,7 +185,7 @@ def twisted_dessin(
     excluded from acceptance claims.
     """
     table = shared(CatalanTable, algebra)
-    ints, ordered, _ = table._validate(g, n, mu)
+    g, (ints, ordered, _, _) = table._validate(g, n, mu)
     if ordered[-1] < 1:
         raise ValueError("dessin counts need positive degrees, got %s" % list(ints))
     return table.twisted(g, ints, vs) / math.prod(ints)

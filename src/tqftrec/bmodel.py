@@ -51,7 +51,7 @@ from operator import add
 from typing import Dict, Tuple
 
 from .cutjoin import TRIVIAL, _halves, _reorder, delta_star_contract, shared
-from .exact import BudgetError, MultiRatFun, Rational, _plus, _times
+from .exact import BudgetError, MultiRatFun, Rational, _as_int, _plus, _times
 from .frobenius import FrobeniusAlgebra
 
 __all__ = [
@@ -76,9 +76,14 @@ def tvars(n: int) -> Tuple[str, ...]:
     return tuple("t%d" % (i + 1) for i in range(n))
 
 
-def _require_stable(g: int, n: int) -> None:
+def _stable(g: int, n: int) -> Tuple[int, int]:
+    """(g, n) read as ints by ``exact._as_int``, the rule of every count
+    request, so that 1.0 reads as 1 and 1.5 is refused; ValueError unless
+    the type is stable."""
+    g, n = _as_int(g), _as_int(n)
     if not (g >= 0 and n >= 1 and 2 * g - 2 + n > 0):
         raise ValueError("w_{%d,%d} is unstable; w02() gives (0,2)" % (g, n))
+    return g, n
 
 
 # -- exact symbolic checks --------------------------------------------------
@@ -390,7 +395,7 @@ def _laurent_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> Tuple[int, Dict]:
 def wgn(g: int, n: int) -> MultiRatFun:
     """The stable coefficient function w_{g,n}(t1..tn): the recursion over
     the trivial algebra."""
-    _require_stable(g, n)
+    g, n = _stable(g, n)
     den, tensor = _laurent_wgn(g, n, TRIVIAL)
     return MultiRatFun._from_laurent(tensor.get((0,) * n, {}), tvars(n), den)
 
@@ -442,7 +447,7 @@ class TwistedDifferential:
 def twisted_wgn(g: int, n: int, algebra: FrobeniusAlgebra) -> TwistedDifferential:
     """The decorated differential: the recursion with its bracket contracted
     through the algebra's coproduct, one value for every index tuple."""
-    _require_stable(g, n)
+    g, n = _stable(g, n)
     den, tensor = _laurent_wgn(g, n, algebra)
     values = {
         idx: MultiRatFun._from_laurent(tensor.get(idx, {}), tvars(n), den)
@@ -551,6 +556,7 @@ def inverse_laplace_coeffs(g: int, n: int, mu_max: int) -> Dict[Tuple[int, ...],
     Returns a sparse map; absent profiles have coefficient zero.  The
     contract under test is coefficient(mu) = (-1)^n * C_{g,n}(mu).
     """
+    mu_max = _as_int(mu_max)
     if mu_max < 1:
         raise ValueError("mu_max must be positive")
     if mu_max > SERIES_ORDER_BUDGET:
@@ -563,7 +569,7 @@ def inverse_laplace_coeffs(g: int, n: int, mu_max: int) -> Dict[Tuple[int, ...],
         ints = {(a, b): (-1) ** (a + b) * (a + b + 1) * comb(a + b, a) * 2 ** (2 * order - a - b)
                 for a in range(order + 1) for b in range(order + 1)}
         return _ilt((4 ** (order + 1), ints), 2, mu_max, lambda a: _binomials(0, a))
-    _require_stable(g, n)
+    g, n = _stable(g, n)
     den, tensor = _laurent_wgn(g, n, TRIVIAL)
     return _ilt((den, tensor.get((0,) * n, {})), n, mu_max, lambda e: {e: 1})
 

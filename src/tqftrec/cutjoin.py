@@ -24,14 +24,16 @@ commutative product and a symmetric pairing.  So each such pair runs once,
 with the two weights summed.  The build streams: it reads each child as
 its term comes up, so a deep descent holds only the terms of the cuts
 already passed; the degrees of each split's halves are taken from the
-profile by itemgetters cached per boundary count, in ``_halves``.  It
-then runs the operators in Python ints, on the children's int forms and
-on the algebra's constants scaled to ints (``int_constants``, one cached
-view per algebra, which its amplitude memo shares), with every weight
-scaled to one denominator for the whole build, and stores the int form
-it computed; a base case or a loaded tensor goes through ``exact``'s
-``_int_form`` once.  Each level of the recursion costs one Python frame,
-which bounds the depth of a profile that can be built.
+profile by itemgetters cached per boundary count, in ``_halves``, which
+a build asks for at its first cut, and only when the work budget left
+pays for the 2^r splits that cut considers; a build with no cut asks for
+none.  It then runs the operators in Python ints, on the children's int
+forms and on the algebra's constants scaled to ints (``int_constants``,
+one cached view per algebra, which its amplitude memo shares), with
+every weight scaled to one denominator for the whole build, and stores
+the int form it computed; a base case or a loaded tensor goes through
+``exact``'s ``_int_form`` once.  Each level of the recursion costs one
+Python frame, which bounds the depth of a profile that can be built.
 
 Every table is over an algebra: the scalar counts are the table over the
 one-dimensional trivial algebra, ``TRIVIAL``.  ``bmodel`` sums its
@@ -42,36 +44,43 @@ maps held as int forms as the tensors are.
 Tensors are memoized on the profile sorted in decreasing order, which the
 permutation symmetry of the counts justifies: a query reorders its
 decorations into that order, and a child tensor is realigned to the order
-its parent asks for.  An entry is stored only when complete, and a
-profile the family's vanishing rule zeroes is never stored.
+its parent asks for.  Both orders come from one place, the cached facts
+of ``profile``, for reads and builds alike.  An entry is stored only when
+complete, and a profile the family's vanishing rule zeroes is never
+stored.
 
 Every query, scalar or decorated, goes through one read, ``_read``,
 which probes the table's read index, a bounded dict beside the memo
 keyed on the genus and the degrees as asked (a tuple, or a list as its
-tuple).  An entry holds the boundary count, the reordering from the
-asked order to the memoized one, and a reference to the memo's own int
-form, or None for a profile the vanishing rule zeroes; the memo stays
-the one store of tensors.  A warm read is one probe of the index and a
-call of ``frobenius.check_decorations``, the one rule for a decoration
-list, which ``omega_tqft`` follows too and which runs on every call.  A
-miss runs every check: ``_validate``, the one profile check of every
-family (the genus, the boundary count and the length, then the family's
-own rule through its ``_check`` hook: the Catalan and lattice counts'
-nonnegative degrees, the lattice's refusal of (0,1)), then the
-decorations, then the memo, the vanishing rule and a build.  Only a
-request that passed them is entered, so an invalid one raises on every
-call; an n that does not match an entry's boundary count misses, and
-``_validate`` refuses it.  ``_validate`` takes its facts from
-``profile``, which caches, in a bounded cache that holds no table, the
-int degrees of an asked tuple, the same in decreasing order and the
-itemgetter that takes the asked order to it, so that tables asked for
-the same degrees canonicalize them once.  A list of basis vectors is
-read at its index tuple, put in the memoized order, making a Fraction
-only for a nonzero entry; any other list goes through ``contract``, the
-engine's one contraction, which walks the tensor's ints.  A scalar count
-is the trivial table's read at index 0, the trivial algebra's unit, with
-no decoration to check.  ``omega_tqft``, the reference the counts are
-checked against, shares no contraction with the engine.
+tuple).  Such a key equals a stored one only when its numbers equal
+ints, so a hit needs no check of them.  An entry holds the boundary
+count, the reordering from the asked order to the memoized one, and a
+reference to the memo's own int form, or None for a profile the
+vanishing rule zeroes; the memo stays the one store of tensors.  A warm
+read is one probe of the index and a call of
+``frobenius.check_decorations``, the one rule for a decoration list,
+which ``omega_tqft`` follows too and which runs on every call.  A miss
+runs every check: ``_validate``, the one profile check of every family,
+then the decorations, then the memo, the vanishing rule and a build.
+``_validate`` reads the genus, the boundary count and each degree by one
+rule, ``exact._as_int``, which reads 4.0 as 4 and refuses 4.5 rather
+than truncating it; then it checks the genus, the boundary count and the
+length, then the family's own rule through its ``_check`` hook: the
+Catalan and lattice counts' nonnegative degrees, the lattice's refusal
+of (0,1).  Only a request that passed them is entered, so an invalid one
+raises on every call; an n that does not match an entry's boundary count
+misses, and ``_validate`` refuses it.  ``_validate`` takes its facts
+from ``profile``, which caches on the int degrees, in a bounded cache
+that holds no table, the same in decreasing order, the itemgetter that
+takes the asked order to it and the one that takes it back, so that the
+tables, checks and builds that ask for the same degrees order them once.
+A list of basis vectors is read at its index tuple, put in the memoized
+order, making a Fraction only for a nonzero entry; any other list goes
+through ``contract``, the engine's one contraction, which walks the
+tensor's ints.  A scalar count is the trivial table's read at index 0,
+the trivial algebra's unit, with no decoration to check.
+``omega_tqft``, the reference the counts are checked against, shares no
+contraction with the engine.
 
 Every table the package answers from is built once, by ``shared``: one
 per family and algebra, the scalar counts living in ``shared(family,
@@ -87,7 +96,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
-from .exact import BudgetError, _int_form
+from .exact import BudgetError, _as_int, _int_form
 from .frobenius import AlgebraElement, FrobeniusAlgebra, check_decorations, trivial_algebra
 
 TRIVIAL = trivial_algebra()
@@ -168,9 +177,10 @@ def _picker(positions: Tuple[int, ...]):
     return itemgetter(slice(0))
 
 
-# unbounded: one entry per boundary count r asked, each of 2^r splits, built
-# before the work budget is charged; only their time bounds r (catalan with
-# 20 boundaries of degree 2 takes 13 s and 0.9 GB before its refusal)
+# unbounded: one entry per boundary count r asked, each of 2^r splits; the
+# engine asks at a build's first cut, and only when the work budget left pays
+# for the 2^r splits, so r stays below log2(CUTJOIN_WORK_BUDGET); the B-model
+# asks for r = n - 1 < n, which its own budget bounds
 @lru_cache(maxsize=None)
 def _halves(r: int):
     """Ways to share r boundaries between two halves I and J, as (take I,
@@ -192,27 +202,32 @@ def _reorder(perm: Tuple[int, ...]):
 
 
 @lru_cache(maxsize=4096)  # bounded: a sweep may ask for any number of degree tuples
-def _profile(mu: tuple):
-    ints = mu if all(type(m) is int for m in mu) else tuple(map(int, mu))
-    # the sort is stable, so equal degrees keep their order
-    permute = _reorder(tuple(sorted(range(len(ints)), key=ints.__getitem__, reverse=True)))
-    return ints, ints if permute is None else permute(ints), permute
+def _profile(ints: Tuple[int, ...]):
+    # the sort is stable, so equal degrees keep their order: canonical slot t
+    # holds asked position order[t], and asked position p canonical slot back[p]
+    order = tuple(sorted(range(len(ints)), key=ints.__getitem__, reverse=True))
+    permute = _reorder(order)
+    if permute is None:
+        return ints, ints, None, None
+    back = tuple(sorted(range(len(ints)), key=order.__getitem__))
+    return ints, permute(ints), permute, _reorder(back)
 
 
 def profile(mu: Sequence[int]):
-    """(ints, ordered, permute) for a profile as it is asked: its degrees as
-    ints, the same in decreasing order, and the map taking a tuple in the
-    asked order to the decreasing one (equal degrees keep their order), or
-    None when the two orders agree.  Cached on the asked degrees, so that
-    each distinct degree tuple is canonicalized once, whichever table or
-    check asks for it (a table's read index misses once per table, and
-    ``amodel.twisted_dessin`` checks its degrees on every call); the cache
-    holds no table."""
-    mu = mu if type(mu) is tuple else tuple(mu)
-    try:
-        return _profile(mu)
-    except TypeError:  # an unhashable degree, which int() then names
-        return _profile.__wrapped__(mu)
+    """(ints, ordered, permute, realign) for a profile as it is asked: its
+    degrees read as ints by ``exact._as_int``, the same in decreasing order,
+    the map taking a tuple in the asked order to the decreasing one (equal
+    degrees keep their order), and its inverse, taking a tuple in the
+    decreasing order back to the asked one; both maps are None when the two
+    orders agree.  Cached on the int degrees, so that each distinct degree
+    tuple is put in order once, whichever table, check or build asks for it
+    (a table's read index misses once per table, ``amodel.twisted_dessin``
+    checks its degrees on every call, and ``_tensor`` orders each profile it
+    is asked for from here); the cache holds no table."""
+    # a tuple of ints is what the rule reads it as, so only other degrees go through it
+    if type(mu) is not tuple or not all(type(m) is int for m in mu):
+        mu = tuple(map(_as_int, mu))
+    return _profile(mu)
 
 
 def m_star_contract(A: FrobeniusAlgebra, F: dict, j: int, out: dict, w=1):
@@ -335,7 +350,7 @@ class CutJoinTable:
             except TypeError:  # an unhashable genus or degree, which _validate refuses
                 key = None
         if entry is None or n is not None and n != entry[0]:
-            checked = self._validate(g, len(mu) if n is None else n, mu)
+            g, checked = self._validate(g, len(mu) if n is None else n, mu)
             if vs is not _SCALAR:
                 idx = check_decorations(self.algebra, vs, len(checked[0]))
             entry = self._enter(key, g, checked)
@@ -353,8 +368,13 @@ class CutJoinTable:
         return _ZERO if num is None else Fraction(num, form[0])
 
     def _validate(self, g: int, n: int, mu: Sequence[int]):
-        """The ``profile`` facts (ints, ordered, permute) of a request with a
-        genus of at least 0, n >= 1 degrees and the family's ``_check``."""
+        """(g, facts) for a request with a genus of at least 0, n >= 1
+        degrees and the family's ``_check``: the genus as an int and the
+        ``profile`` facts (ints, ordered, permute, realign) of the degrees.
+        The genus, n and every degree are read by ``exact._as_int``, the one
+        rule, before anything is checked or cached, so that 4.0 reads as 4
+        and 4.5 is refused, cold and warm alike."""
+        g, n = _as_int(g), _as_int(n)
         if g < 0:
             raise ValueError("genus must be non-negative, got %d" % g)
         if n < 1:
@@ -363,20 +383,20 @@ class CutJoinTable:
         if len(checked[0]) != n:
             raise ValueError("profile length %d does not match n=%d" % (len(checked[0]), n))
         self._check(g, checked)
-        return checked
+        return g, checked
 
     def _check(self, g: int, checked):
         """The family's own rule, raising ValueError; none by default."""
 
     def _enter(self, key, g: int, checked):
         """The entry (n, permute, form) of a profile checked by
-        ``_validate``, its ``profile`` facts given: the boundary count, the
-        reordering into the memoized order and the memo's own int form,
-        built here if need be, or None when the vanishing rule zeroes the
-        profile.  The memo is read before the vanishing rule.  The entry is
-        stored under key unless key is None, the oldest one going first
-        when the index is full."""
-        ints, ordered, permute = checked
+        ``_validate``, its int genus and ``profile`` facts given: the
+        boundary count, the reordering into the memoized order and the
+        memo's own int form, built here if need be, or None when the
+        vanishing rule zeroes the profile.  The memo is read before the
+        vanishing rule.  The entry is stored under key unless key is None,
+        the oldest one going first when the index is full."""
+        ints, ordered, permute, _ = checked
         form = self._tensors.get((g, ordered))
         if form is None and not self._vanishes(g, ordered):
             form = self._lookup(g, ordered, ints)
@@ -408,7 +428,8 @@ class CutJoinTable:
     def _tensor(self, g: int, mu: Tuple[int, ...]):
         """The int form (den, {index tuple: int}) of the tensor of the
         profile (g, mu), which does not vanish, with its slots in the order
-        of mu; the int form is memoized on the sorted profile.
+        of mu; the int form is memoized on the sorted profile, and is
+        realigned to mu by the maps of ``_profile``, the one ordering.
 
         A build reduces slot 0 by the kernel operators.  It gathers its
         terms first, each an operator, its nonempty int child tensors and
@@ -419,7 +440,10 @@ class CutJoinTable:
         a = b the mirror of the split (g1, r1 | g - g1, r2) is a split of
         the same cut, and the one kept has the lower genus g1 or, at equal
         genera, boundary 0 of the rest in r1.  ``_work`` counts each child
-        or split subset considered and each child read.
+        or split subset considered and each child read; the first cut
+        considers all 2^r splits of the r other boundaries, so the build
+        refuses before it asks ``_halves`` for them unless the budget left
+        pays for that many.
 
         The operators then run on the int constants with each weight
         scaled to one denominator L, the lcm over the terms of (weight
@@ -430,7 +454,7 @@ class CutJoinTable:
         self._work += 1
         if self._work > CUTJOIN_WORK_BUDGET:
             self._refuse()
-        canon = tuple(sorted(mu, reverse=True))
+        _, canon, _, realign = _profile(mu)
         key = (g, canon)
         form = self._tensors.get(key)
         if form is None:
@@ -454,11 +478,17 @@ class CutJoinTable:
                                 terms.append((den, w, m_star_contract, (T, j + 2), {}))
                 # loops and splits: the distinguished decoration is coproduced; a
                 # cut (a, b) runs for itself and its mirror (b, a), a < b
-                halves = [(take1(rest), take2(rest), order)
-                          for take1, take2, order in _halves(len(rest))]
+                halves = None
                 for a, b, w in self._cuts(m1):
                     if a > b:
                         continue
+                    if halves is None:
+                        # the first cut considers each of the 2^r splits, so a
+                        # budget that cannot pay for them refuses before they are built
+                        if 1 << len(rest) > CUTJOIN_WORK_BUDGET - self._work:
+                            self._refuse()
+                        halves = [(take1(rest), take2(rest), order)
+                                  for take1, take2, order in _halves(len(rest))]
                     w2 = 2 * w
                     if g:
                         self._work += 1
@@ -502,12 +532,9 @@ class CutJoinTable:
                 form = L // common, {idx: v // common for idx, v in acc.items() if v}
             self._tensors[key] = form
         den, ints = form
-        if canon == mu or not ints:
+        if realign is None or not ints:
             return form
-        # canonical slot t holds position order[t]; equal degrees keep their order
-        order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
-        permute = _reorder(tuple(sorted(range(len(mu)), key=order.__getitem__)))
-        return den, {permute(cidx): v for cidx, v in ints.items()}
+        return den, {realign(cidx): v for cidx, v in ints.items()}
 
     # -- export ----------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
+from numbers import Number
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -46,6 +47,18 @@ class BudgetError(RuntimeError):
 
 class UnknownVariableError(ValueError):
     """Raised when an operation references a variable the function lacks."""
+
+
+def _as_int(x) -> int:
+    """x read as an int by ``int()``, the one rule for the genus, the
+    boundary count and the degrees of a count request: "4", 3.0 and True
+    read as 4, 3 and 1, and ``int()`` raises for what it cannot read, but a
+    number whose value is not that int, such as 4.5, raises ValueError
+    rather than being truncated."""
+    i = int(x)
+    if i != x and isinstance(x, Number):
+        raise ValueError("expected an integer, got %r" % (x,))
+    return i
 
 
 def rat_to_str(r: Scalar) -> str:

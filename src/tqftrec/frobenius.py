@@ -60,7 +60,7 @@ from functools import cached_property
 from itertools import product as iproduct
 from typing import Sequence
 
-from .exact import BudgetError, Rational, rat_from_str, rat_to_str
+from .exact import BudgetError, Rational, _as_int, rat_from_str, rat_to_str
 
 # Bits the coefficients of e^g may need, checked before any product.  With
 # L x = x e, D clearing the denominators of the e_j c[i][j][k] and M = max_k
@@ -556,9 +556,13 @@ def handle(v: AlgebraElement) -> AlgebraElement:
 
 
 def euler_power(A: FrobeniusAlgebra, g: int) -> AlgebraElement:
-    """e^g from the algebra's cache, built by square-and-multiply when first asked for."""
+    """e^g from the algebra's cache, built by square-and-multiply when first
+    asked for.  A genus the cache misses is read by ``exact._as_int``, the
+    rule of every count request, so that 2.0 reads as 2 and 1.5 is refused;
+    a cached key equals the genus asked only when that is an int's value."""
     power = A._euler_powers.get(g)
     if power is None:
+        g = _as_int(g)
         if g < 0:
             raise ValueError("g must be non-negative")
         if g * A._euler_bits > EULER_POWER_BITS:

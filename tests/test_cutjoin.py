@@ -309,6 +309,33 @@ def test_split_halves_take_the_degrees_of_each_subset():
             assert tuple((take1(rest) + take2(rest))[order[t]] for t in range(r)) == rest
 
 
+def test_a_build_with_no_cut_asks_for_no_splits():
+    # (1, 0) correlators have no cut, and no child of theirs has one, so no
+    # build asks for the 2^15 splits of its other boundaries
+    cutjoin._halves.cache_clear()
+    k = (1,) * 13 + (0,) * 3
+    assert intersect.CorrelatorTable().untwisted(0, k) == math.factorial(13)
+    assert cutjoin._halves.cache_info().currsize == 0
+
+
+def test_a_budget_that_cannot_pay_for_the_splits_refuses_before_they_are_built(monkeypatch):
+    # catalan g=0 with 8 boundaries of degree 2 considers 292 children: its
+    # builds reach their first cuts at 15, 17, 20, 26, 37, 57, 94 and 164,
+    # with 2^r splits for r = 0..7 to consider there, so a budget of 250
+    # pays for r = 6 but not for r = 7
+    asked, halves = [], cutjoin._halves
+    monkeypatch.setattr(cutjoin, "_halves", lambda r: asked.append(r) or halves(r))
+    monkeypatch.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 250)
+    halves.cache_clear()
+    with pytest.raises(BudgetError, match="considers more than 250 children"):
+        amodel.CatalanTable().untwisted(0, (2,) * 8)
+    assert asked == list(range(7)) and halves.cache_info().currsize == 7
+    # the same request within the default budget asks for r = 7 too
+    monkeypatch.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 10 ** 6)
+    assert amodel.CatalanTable().untwisted(0, (2,) * 8) == amodel.catalan(0, 8, (2,) * 8) != 0
+    assert asked[-1] == 7
+
+
 def test_memoized_correlator_weights_equal_fresh_ones():
     df = intersect.double_factorial
     table = intersect.CorrelatorTable()
@@ -617,6 +644,16 @@ def _invalid_requests(c, l, k, A, e, x):
          ValueError, "profile length 3 does not match n=4"),
         (lambda: c.twisted(1, (2, -4, 2), [e] * 3),
          ValueError, "degrees must be non-negative, got [2, -4, 2]"),
+        (lambda: c.twisted(1, (4.5, 2, 2), [e] * 3),
+         ValueError, "expected an integer, got 4.5"),
+        (lambda: c.untwisted(1.5, [4, 2, 2]),
+         ValueError, "expected an integer, got 1.5"),
+        (lambda: c.untwisted(1, [4, 2, 2], 3.5),
+         ValueError, "expected an integer, got 3.5"),
+        (lambda: l.twisted(1, [4, 4.5], [e] * 2),
+         ValueError, "expected an integer, got 4.5"),
+        (lambda: l.untwisted(1.5, (4,)),
+         ValueError, "expected an integer, got 1.5"),
         (lambda: c.untwisted(1, [2, 2, -4]),
          ValueError, "degrees must be non-negative, got [2, 2, -4]"),
         (lambda: l.twisted(0, (4,), [e]),
@@ -643,6 +680,10 @@ def _invalid_requests(c, l, k, A, e, x):
          ValueError, "need at least one boundary, got n=0"),
         (lambda: k.twisted(1, (1, 1), [e] * 2, 3),
          ValueError, "profile length 2 does not match n=3"),
+        (lambda: k.untwisted(1, (1.9,)),
+         ValueError, "expected an integer, got 1.9"),
+        (lambda: k.twisted(1.5, [1, 0], [e] * 2),
+         ValueError, "expected an integer, got 1.5"),
         (lambda: k.twisted(1, [0, 1], [e, x]),
          ValueError, "decoration does not belong to the given algebra"),
         (lambda: k.twisted(1, (1, 0), [e, 2]),
@@ -651,6 +692,10 @@ def _invalid_requests(c, l, k, A, e, x):
          ValueError, "dessin counts need positive degrees, got [4, 0, 2]"),
         (lambda: amodel.twisted_dessin(1, 3, (2, 2, 4), A, [e, x, e]),
          ValueError, "decoration does not belong to the given algebra"),
+        (lambda: amodel.twisted_dessin(0, 1, (4.5,), A, [e]),
+         ValueError, "expected an integer, got 4.5"),
+        (lambda: intersect.check_tauG(1.5, 2, (0, 1), A, [e, e]),
+         ValueError, "expected an integer, got 1.5"),
         (lambda: intersect.check_tauG(1, 2, (0, 1), A, [e, x]),
          ValueError, "decoration does not belong to the given algebra"),
         (lambda: intersect.check_tauG(1, 3, (1, 1), A, [e, e]),
@@ -659,7 +704,61 @@ def _invalid_requests(c, l, k, A, e, x):
          ValueError, "decoration does not belong to the given algebra"),
         (lambda: omega_tqft(A, 1, 2, [e, 3]),
          TypeError, "decorations must be algebra elements, got 3"),
+        (lambda: omega_tqft(A, 1.5, 2, [e, e]),
+         ValueError, "expected an integer, got 1.5"),
     ]
+
+
+def _count_entry_points(A, v):
+    """Each public count entry point as (call, degreed): call(g, m) asks at
+    genus g with m as a degree, or m - 1 as a differential's boundary
+    count, and answers nonzero at g = m = 2; ``omega_tqft`` takes no degree
+    (degreed False), and its call reads only g."""
+    return [
+        (lambda g, m: amodel.catalan(g, 2, (m, 8)), True),
+        (lambda g, m: amodel.twisted_catalan(g, 2, (m, 8), A, [v, v]), True),
+        (lambda g, m: amodel.twisted_dessin(g, 2, (m, 8), A, [v, v]), True),
+        (lambda g, m: amodel.lattice_twisted(g, 2, [8, m], A, [v, v]), True),
+        (lambda g, m: intersect.correlator(g, 2, [m, 3]), True),
+        (lambda g, m: intersect.twisted_correlator(g, 2, (m, 3), A, [v, v]), True),
+        (lambda g, m: intersect.check_tauG(g, 2, (3, m), A, [v, v]), True),
+        (lambda g, m: omega_tqft(A, g, 2, [v, v]), False),
+        (lambda g, m: bmodel.wgn(g, m - 1), True),
+        (lambda g, m: bmodel.twisted_wgn(g, m - 1, A).values, True),
+        (lambda g, m: bmodel.inverse_laplace_coeffs(g, m - 1, 8), True),
+    ]
+
+
+def _cold(monkeypatch, *algebras):
+    """Empty every cache a count request reads: the shared tables, the
+    profile facts and each algebra's e^g and amplitudes."""
+    cutjoin.shared.cache_clear()
+    cutjoin._profile.cache_clear()
+    for A in algebras:
+        monkeypatch.setattr(A, "_euler_powers", {0: A._euler_powers[0]})
+        monkeypatch.setattr(A, "_amplitudes", {})
+
+
+def test_every_count_entry_point_reads_its_numbers_by_one_rule_cold_and_warm(monkeypatch):
+    # a genus or degree of 1.5 or 4.5 is refused, never truncated, and 2.0
+    # reads as 2, whether the caches hold the int request or not
+    A = z2_algebra()
+    for call, degreed in _count_entry_points(A, A.basis(1)):
+        _cold(monkeypatch, A)
+        want = call(2, 2)
+        assert want and want != 0
+        bad = [(1.5, 2), (2, 4.5)] if degreed else [(1.5, 2)]
+        for g, m in bad:
+            for warm in (True, False):
+                if not warm:
+                    _cold(monkeypatch, A)
+                with pytest.raises(ValueError, match="expected an integer, got "):
+                    call(g, m)
+        for g, m in [(2.0, 2), (2, 2.0)] if degreed else [(2.0, 2)]:
+            assert call(g, m) == want
+            _cold(monkeypatch, A)
+            assert call(g, m) == want
+            assert call(2, 2) == want
 
 
 def test_warm_tables_refuse_each_invalid_request_as_fresh_ones_do():
@@ -706,12 +805,12 @@ def test_the_profile_cache_is_bounded_and_holds_no_table():
     for mu in itertools.islice(itertools.product(range(30), repeat=3), limit + 100):
         cutjoin.profile(mu)
     assert cutjoin._profile.cache_info().currsize == limit
-    # the facts are tuples of ints and a map on index tuples, nothing else
-    ints, ordered, permute = cutjoin.profile([2, "4", 3.0, True])
+    # the facts are tuples of ints and two maps on index tuples, nothing else
+    ints, ordered, permute, realign = cutjoin.profile([2, "4", 3.0, True])
     assert ints == (2, 4, 3, 1) and all(type(m) is int for m in ints)
-    assert ordered == (4, 3, 2, 1) and permute(ints) == ordered
-    assert cutjoin.profile((5, 3, 3)) == ((5, 3, 3), (5, 3, 3), None)
-    # a degree the cache cannot hash is refused by int(), as before the cache
+    assert ordered == (4, 3, 2, 1) and permute(ints) == ordered and realign(ordered) == ints
+    assert cutjoin.profile((5, 3, 3)) == ((5, 3, 3), (5, 3, 3), None, None)
+    # a degree int() cannot read is refused by int(), before the cache
     with pytest.raises(TypeError) as err:
         cutjoin.profile([2, [4]])
     with pytest.raises(TypeError) as expected:

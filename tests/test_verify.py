@@ -32,4 +32,11 @@ def test_each_row_runs_its_pinned_number_of_cases():
             counts[level].append(count)
     assert [name for name, _ in verify.SUITES] == ROWS
     assert counts == {"quick": [6, 16, 7, 5, 3, 5],
-                      "full": [7, 48, 635, 609, 802, 752]}
+                      "full": [7, 48, 635, 649, 802, 752]}
+
+
+def test_the_lattice_table_meets_the_catalan_transfer_on_the_wide_range():
+    # every profile up to 16 half-edges, n <= 7 and g <= 5 but (0,1): the
+    # sum over the lattice table against the transfer's Catalan count
+    count, failures, zero_only = catalogue.run([verify.lattice_transfer], "acceptance")
+    assert (count, failures, zero_only) == (2458, [], [])
