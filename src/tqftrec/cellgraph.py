@@ -69,8 +69,9 @@ the edge lengths giving the perimeters, a truncated product over the
 edges, and makes one ``Fraction`` over D; an odd perimeter sum counts 0,
 since the perimeters sum to twice the total edge length.
 
-Degrees and perimeters go through ``operator.index``: a value that is not
-an integer raises ValueError before anything is built or enumerated.
+Every genus, count, degree, perimeter, vertex and slot is read by
+``exact._as_int``, the rule of every entry point, before anything is built
+or enumerated: 4.0 reads as 4, and 4.5 raises ValueError.
 """
 
 from __future__ import annotations
@@ -81,22 +82,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, permutations, product
 from math import comb, factorial, lcm, prod
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .exact import BudgetError, Rational
+from .exact import BudgetError, Rational, _as_int
 from .frobenius import FrobeniusAlgebra
 
 DEFAULT_HALF_EDGE_BUDGET = 16
-
-
-def _integers(values, what: str) -> tuple:
-    """``values`` as a tuple of ints, through ``operator.index``; ValueError
-    naming ``what`` for any value that is not an integer."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise ValueError(f"{what} must be integers") from None
 
 
 def _reach(offsets, partner, v: int) -> list:
@@ -143,7 +135,7 @@ class CellGraph:
     """
 
     def __init__(self, degrees: Sequence[int], matching):
-        self.degrees = _integers(degrees, "degrees")
+        self.degrees = tuple(map(_as_int, degrees))
         if any(d < 0 for d in self.degrees):
             raise ValueError("degrees must be non-negative")
         total = sum(self.degrees)
@@ -188,6 +180,7 @@ class CellGraph:
         return graph
 
     def _gid(self, v: int, h: int) -> int:
+        v, h = _as_int(v), _as_int(h)
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
         if not 0 <= h < self.degrees[v - 1]:
@@ -617,6 +610,11 @@ def count_matchings_by_genus(degrees: Sequence[int]) -> dict:
     keyed by genus.  Every perfect matching of labeled half-edges is one
     arrowed graph; they are counted by ``_completions``, starting from one
     component with one face per vertex."""
+    # non-negative ints are what the rule reads them as, so only others go through it
+    if not all(type(d) is int and d >= 0 for d in degrees):
+        degrees = tuple(map(_as_int, degrees))
+        if any(d < 0 for d in degrees):
+            raise ValueError("degrees must be non-negative")
     total = sum(degrees)
     if total % 2:
         return {}
@@ -633,14 +631,11 @@ def count_arrowed_graphs(g: int, n: int, mu: Sequence[int]) -> int:
     """Number of connected arrowed cell graphs of genus g with n labeled
     vertices of degrees mu (one arrow per vertex; matchings of labeled
     half-edges realize exactly that)."""
+    g, n = _as_int(g), _as_int(n)
+    if g < 0:
+        raise ValueError("genus must be non-negative, got %d" % g)
     if len(mu) != n:
         raise ValueError("need one degree per vertex")
-    if sum(mu) % 2:
-        return 0
-    if n == 1 and mu[0] == 0:
-        return 1 if g == 0 else 0
-    if any(m == 0 for m in mu):
-        return 0
     return count_matchings_by_genus(mu).get(g, 0)
 
 
@@ -653,6 +648,7 @@ def harer_zagier(g: int, n: int) -> int:
     in closed form, with no enumeration.  C(N,k+1) is the falling factorial
     N(N-1)..(N-k) over (k+1)!, whose coefficients are built by multiplying
     out its factors; the sum is taken in ints over (n+1)!."""
+    g, n = _as_int(g), _as_int(n)
     if g < 0 or n < 0:
         raise ValueError("need g >= 0 and n >= 0, got g=%d, n=%d" % (g, n))
     power = n + 1 - 2 * g
@@ -672,7 +668,7 @@ def all_matchings(degrees: Sequence[int]) -> Iterator[CellGraph]:
     here, before any matching is enumerated, and each graph is built from
     its ``partner`` tuple without the checks of ``CellGraph``, which a
     perfect matching passes."""
-    degrees = _integers(degrees, "degrees")
+    degrees = tuple(map(_as_int, degrees))
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be non-negative")
     if sum(degrees) % 2:
@@ -755,17 +751,14 @@ def count_lattice_points(g: int, n: int, mu: Sequence[int]) -> Rational:
     the terms, so a type over the half-edge budget is refused whatever mu.
     The genus is checked first: one that is not a non-negative integer
     raises ValueError."""
-    try:
-        g = index(g)
-    except TypeError:
-        raise ValueError(f"genus must be an integer, got {g!r}") from None
+    g, n = _as_int(g), _as_int(n)
     if g < 0:
         raise ValueError("genus must be non-negative, got %d" % g)
     if len(mu) != n:
         raise ValueError("need one perimeter per face")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"type ({g},{n}) is unstable: no graph has all degrees >= 3")
-    mu = _integers(mu, "perimeters")
+    mu = tuple(map(_as_int, mu))
     if any(m < 1 for m in mu):
         raise ValueError("perimeters must be positive")
     if any(m > 12 for m in mu):

@@ -50,11 +50,13 @@ class UnknownVariableError(ValueError):
 
 
 def _as_int(x) -> int:
-    """x read as an int by ``int()``, the one rule for the genus, the
-    boundary count and the degrees of a count request: "4", 3.0 and True
-    read as 4, 3 and 1, and ``int()`` raises for what it cannot read, but a
-    number whose value is not that int, such as 4.5, raises ValueError
-    rather than being truncated."""
+    """x read as an int by ``int()``, the one rule for every int a public
+    entry point is given: a genus, a boundary count, a degree or perimeter,
+    a vertex or slot, a class or basis index, a dimension, a group table's
+    entries and order, and an exponent.  "4", 3.0 and True read as 4, 3 and
+    1, and ``int()`` raises for what it cannot read, but a number whose
+    value is not that int, such as 4.5, raises ValueError rather than being
+    truncated.  A hot entry point passes only a non-int through it."""
     i = int(x)
     if i != x and isinstance(x, Number):
         raise ValueError("expected an integer, got %r" % (x,))
@@ -749,7 +751,7 @@ class MultiRatFun:
         def build(terms: Iterable):
             acc: dict = {}
             for coeff, exps in terms:
-                e = tuple(int(x) for x in exps)
+                e = tuple(map(_as_int, exps))
                 acc[e] = acc.get(e, 0) + rat_from_str(coeff)
             return {e: c for e, c in acc.items() if c}
 

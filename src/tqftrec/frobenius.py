@@ -165,6 +165,7 @@ class FrobeniusAlgebra:
     """Finite-dimensional commutative Frobenius algebra over the rationals."""
 
     def __new__(cls, dim: int, labels: Sequence[str], product_tensor: Sequence, pairing: Sequence):
+        dim = _as_int(dim)
         if dim < 1:
             raise ValueError("dim must be positive")
         if len(labels) != dim:
@@ -361,7 +362,7 @@ class FrobeniusAlgebra:
         return AlgebraElement(self, coeffs)
 
     def basis(self, i: int) -> "AlgebraElement":
-        return self._basis[i]
+        return self._basis[i if type(i) is int else _as_int(i)]
 
     def unit_element(self) -> "AlgebraElement":
         return euler_power(self, 0)
@@ -613,6 +614,8 @@ def omega_tqft(A: FrobeniusAlgebra, g: int, n: int, vs: Sequence[AlgebraElement]
     indices, filled by ``_amplitude`` on a miss.  Any other list is
     multiplied into the cached e^g through the pair view, so that dense
     decorations never expand to dim^n tuples, and the counit is taken."""
+    if type(n) is not int:  # an int is what the rule reads it as
+        n = _as_int(n)
     if n < 1:
         raise ValueError("need n >= 1 inputs")
     e_g = euler_power(A, g)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Mapping, Sequence, Union
 
-from .exact import BudgetError, Rational
+from .exact import BudgetError, Rational, _as_int
 from .frobenius import FrobeniusAlgebra
 
 DEFAULT_BUDGET = 10 ** 8
@@ -52,7 +52,7 @@ class FiniteGroup:
                  description: str = "table"):
         n = len(table)
         self.order = n
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(map(_as_int, row)) for row in table)
         self.description = description
         for i, row in enumerate(self.table):
             if len(row) != n:
@@ -344,7 +344,7 @@ def load_group(source: Union[str, Mapping, Sequence[str]],
     order's cube exceeds the budget raises BudgetError."""
     if isinstance(source, Mapping):
         table = source["table"]
-        if "order" in source and int(source["order"]) != len(table):
+        if "order" in source and _as_int(source["order"]) != len(table):
             raise ValueError("declared order does not match table size")
         _order_gate(len(table), budget)
         return FiniteGroup(table, description="table")
@@ -435,7 +435,10 @@ def omega_brute(G: FiniteGroup, g: int, class_indices: Sequence[int],
     """Count tuples (a_1, b_1, .., a_g, b_g, s_1, .., s_n) with the product
     of commutators of the (a, b) pairs equal to the product of the s_j,
     each s_j running over the j-th requested conjugacy class; divide by
-    the group order.  Pure table-lookup counting."""
+    the group order.  Pure table-lookup counting; a class index outside
+    0..num_classes-1 raises ValueError."""
+    if type(g) is not int:  # an int is what the rule reads it as
+        g = _as_int(g)
     n = len(class_indices)
     if n < 1:
         raise ValueError("need at least one class index")
@@ -448,10 +451,17 @@ def omega_brute(G: FiniteGroup, g: int, class_indices: Sequence[int],
             "reduce g, n, or the group order")
     if cd is None:
         cd = conjugacy(G)
+    h, classes = cd.num_classes, []
+    for ci in class_indices:
+        if type(ci) is not int:
+            ci = _as_int(ci)
+        if not 0 <= ci < h:
+            raise ValueError(f"class index {ci} out of range 0..{h - 1}")
+        classes.append(cd.classes[ci])
     dist = _commutator_distribution(G, g)
     mul = G.table
     count = 0
-    for sigmas in iproduct(*(cd.classes[ci] for ci in class_indices)):
+    for sigmas in iproduct(*classes):
         p = 0
         for s in sigmas:
             p = mul[p][s]

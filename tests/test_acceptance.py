@@ -143,7 +143,7 @@ def test_criterion_5_differentials_desk_scale():
     if got - pinned:
         failures.append("w_{1,1} pinned value")
     _report(5, "differentials-desk-scale", not failures, started,
-            "pinned w_{1,1}, residue agreement, invariants on 5 types")
+            "pinned w_{1,1}, residue formula on 8 types and over Z3 on 4, invariants on 5 types")
 
 
 def test_criterion_6_inverse_laplace_round_trip():

@@ -158,7 +158,7 @@ def test_residue_agrees_with_sympy(order):
     assert bool(checked) == bool(order)
 
 
-@pytest.mark.parametrize("g, n", [(1, 1), (0, 3)])
+@pytest.mark.parametrize("g, n", [(1, 1), (0, 3), (3, 1)])
 def test_residue_check_fails_on_a_perturbed_production(monkeypatch, g, n):
     real = bmodel.wgn
     terms = real(g, n)._laurent()
@@ -166,8 +166,28 @@ def test_residue_check_fails_on_a_perturbed_production(monkeypatch, g, n):
     wrong = MultiRatFun._from_laurent(terms, tvars(n))
     monkeypatch.setattr(bmodel, "wgn", lambda *gn: wrong if gn == (g, n) else real(*gn))
     report = residue_check(g, n)
-    assert report["in_budget"] and report["production"] is wrong
+    assert report["production"] is wrong
     assert report["equal"] is False
+    assert residue_check(g + 1, n)["equal"] is True  # the oracle reads no production
+
+
+def test_the_twisted_residue_slice_fails_on_a_perturbed_production(monkeypatch):
+    # one basis tuple of the twisted w_{1,2} over Z3 off by 10^-9 fails
+    # tqft verify's full slice at that tuple, and only there
+    import catalogue
+    from tqftrec import verify
+
+    real = bmodel.twisted_wgn
+
+    def perturbed(g, n, A):
+        tw = real(g, n, A)
+        if (g, n) == (1, 2):
+            tw.values[1, 2] = tw.values[1, 2] + Fraction(1, 10**9)
+        return tw
+
+    monkeypatch.setattr(bmodel, "twisted_wgn", perturbed)
+    _, failures, _ = catalogue.run([verify.bmodel_invariants], "full")
+    assert [case for case, _, _ in failures] == ["residues Z3 g=1 n=2 [g1] [g2]"]
 
 
 def test_unstable_wgn_rejected():
@@ -309,6 +329,17 @@ def test_inverse_laplace_02_matches_counts():
 def test_convert_frame_t_is_identity():
     f = wgn(1, 1)
     assert convert_frame(f, 1, "t") == f
+
+
+def test_convert_frame_refuses_an_n_other_than_its_variables():
+    # n = 2 would convert t1 and t2 of w_{0,3} only, and n = 4 ran off its
+    # exponent tuples
+    f = wgn(0, 3)
+    assert convert_frame(f, 3.0, "x") == convert_frame(f, 3, "x")
+    for n in (2, 4):
+        for coords in ("t", "x", "z"):
+            with pytest.raises(ValueError, match="n=%d does not match the function's 3 variables" % n):
+                convert_frame(f, n, coords)
 
 
 def test_convert_frame_unknown_coords():

@@ -663,6 +663,18 @@ def test_all_matchings_checks_degrees_before_enumerating():
             all_matchings(degrees)
 
 
+def test_the_transfer_refuses_a_negative_degree_or_genus():
+    # with the messages of CellGraph and count_lattice_points, where they
+    # answered {} and 0
+    for degrees in ((-2,), (4, -2), (0, -2)):
+        with pytest.raises(ValueError, match="degrees must be non-negative"):
+            count_matchings_by_genus(degrees)
+        with pytest.raises(ValueError, match="degrees must be non-negative"):
+            count_arrowed_graphs(0, len(degrees), degrees)
+    with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
+        count_arrowed_graphs(-1, 1, (4,))
+
+
 def _checked_matchings(degrees):
     """The graphs of every matching of ``_matchings``, each built by the
     public, checking ``CellGraph`` from its (vertex, slot) pairs."""
@@ -807,19 +819,22 @@ def test_non_integral_degrees_and_perimeters_are_refused(monkeypatch):
 
     monkeypatch.setattr(cellgraph, "_lattice_graphs", enumerate_nothing)
     monkeypatch.setattr(cellgraph, "_matchings", enumerate_nothing)
-    with pytest.raises(ValueError, match="degrees must be integers"):
+    with pytest.raises(ValueError, match="expected an integer, got 2.7"):
         CellGraph((2.7,), [((1, 0), (1, 1))])
-    with pytest.raises(ValueError, match="degrees must be integers"):
+    with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+        CellGraph((2,), [((1, 0), (1, 1.5))])
+    with pytest.raises(ValueError, match="expected an integer, got 2.5"):
         all_matchings((2.5, 1.9))
-    with pytest.raises(ValueError, match="perimeters must be integers"):
+    with pytest.raises(ValueError, match="expected an integer, got 4.5"):
         count_lattice_points(1, 1, (4.5,))
-    for mu in ((4.0,), (Fraction(4),), ("4",)):
-        with pytest.raises(ValueError, match="perimeters must be integers"):
-            count_lattice_points(1, 1, mu)
-    # ints of other types still pass through operator.index
+    # what exact._as_int reads as an int passes as that int, as a count
+    # request's numbers do
     monkeypatch.undo()
+    for mu in ((4.0,), (Fraction(4),), ("4",)):
+        assert count_lattice_points(1, 1, mu) == count_lattice_points(1, 1, (4,)) != 0
     assert count_lattice_points(1, 1, (True,)) == 0
     assert CellGraph((True, True), [((1, 0), (2, 0))]).degrees == (1, 1)
+    assert CellGraph((2.0,), [((1.0, 0), (1, 1))]).degrees == (2,)
 
 
 def test_negative_and_non_integral_genera_are_refused_before_enumeration():
@@ -829,6 +844,6 @@ def test_negative_and_non_integral_genera_are_refused_before_enumeration():
     before = _lattice_graphs.cache_info().currsize
     with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
         count_lattice_points(-1, 5, (2,) * 5)
-    with pytest.raises(ValueError, match="genus must be an integer"):
+    with pytest.raises(ValueError, match="expected an integer, got 0.5"):
         count_lattice_points(0.5, 2, (1, 1))
     assert _lattice_graphs.cache_info().currsize == before

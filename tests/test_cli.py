@@ -408,6 +408,18 @@ def test_group_from_a_json_table_file(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_a_group_file_with_a_non_integral_entry_is_a_usage_error(tmp_path, capsys):
+    # a table entry or a declared order of 1.5 is refused, never truncated
+    table = tmp_path / "half.json"
+    for text, bad in (('{"order": 2, "table": [[0, 1.5], [1.5, 0]]}', "1.5"),
+                      ('{"order": 2.7, "table": [[0, 1], [1, 0]]}', "2.7")):
+        table.write_text(text)
+        capsys.readouterr()
+        assert run_cli("group-info", "--group", str(table)) == (cli.EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            "usage error: group file %s: expected an integer, got %s\n" % (table, bad))
+
+
 def test_deep_input_is_a_budget_error():
     code, out = run_cli("catalan", "--g", "0", "--n", "1", "--mu", "3000")
     assert code == cli.EXIT_BUDGET

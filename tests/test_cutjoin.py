@@ -12,12 +12,13 @@ from fractions import Fraction
 import pytest
 
 import tqftrec
-from tqftrec import amodel, bmodel, cutjoin, intersect
-from tqftrec.cellgraph import count_arrowed_graphs
+from tqftrec import amodel, bmodel, cellgraph, cutjoin, intersect
+from tqftrec.cellgraph import (CellGraph, all_matchings, count_arrowed_graphs, count_lattice_points,
+                               count_matchings_by_genus, harer_zagier)
 from tqftrec.cutjoin import contract, delta_star_contract, delta_star_split, m_star_contract
-from tqftrec.exact import BudgetError
+from tqftrec.exact import BudgetError, MultiRatFun
 from tqftrec.frobenius import FrobeniusAlgebra, omega_tqft, trivial_algebra
-from tqftrec.groups import BUILTIN_GROUPS, load_group, orbifold_frobenius
+from tqftrec.groups import BUILTIN_GROUPS, FiniteGroup, load_group, omega_brute, orbifold_frobenius
 
 from functionals import is_symmetric, omega_functional, rescaled
 
@@ -709,54 +710,74 @@ def _invalid_requests(c, l, k, A, e, x):
     ]
 
 
-def _count_entry_points(A, v):
-    """Each public count entry point as (call, degreed): call(g, m) asks at
-    genus g with m as a degree, or m - 1 as a differential's boundary
-    count, and answers nonzero at g = m = 2; ``omega_tqft`` takes no degree
-    (degreed False), and its call reads only g."""
+def _count_entry_points(A, v, G):
+    """Each public entry point that reads a caller's numbers, as call(g, m):
+    g is passed as a genus and m as a degree where the entry point takes
+    them, and otherwise each, or one less, as its other int arguments (a
+    boundary count, a vertex, a slot, a class index, a table entry, an
+    order, a dimension or an exponent); each answers nonzero at g = m = 2.
+    A is the Z2 algebra and G the Z2 group."""
     return [
-        (lambda g, m: amodel.catalan(g, 2, (m, 8)), True),
-        (lambda g, m: amodel.twisted_catalan(g, 2, (m, 8), A, [v, v]), True),
-        (lambda g, m: amodel.twisted_dessin(g, 2, (m, 8), A, [v, v]), True),
-        (lambda g, m: amodel.lattice_twisted(g, 2, [8, m], A, [v, v]), True),
-        (lambda g, m: intersect.correlator(g, 2, [m, 3]), True),
-        (lambda g, m: intersect.twisted_correlator(g, 2, (m, 3), A, [v, v]), True),
-        (lambda g, m: intersect.check_tauG(g, 2, (3, m), A, [v, v]), True),
-        (lambda g, m: omega_tqft(A, g, 2, [v, v]), False),
-        (lambda g, m: bmodel.wgn(g, m - 1), True),
-        (lambda g, m: bmodel.twisted_wgn(g, m - 1, A).values, True),
-        (lambda g, m: bmodel.inverse_laplace_coeffs(g, m - 1, 8), True),
+        lambda g, m: amodel.catalan(g, 2, (m, 8)),
+        lambda g, m: amodel.twisted_catalan(g, 2, (m, 8), A, [v, v]),
+        lambda g, m: amodel.twisted_dessin(g, 2, (m, 8), A, [v, v]),
+        lambda g, m: amodel.lattice_twisted(g, 2, [8, m], A, [v, v]),
+        lambda g, m: intersect.correlator(g, 2, [m, 3]),
+        lambda g, m: intersect.twisted_correlator(g, 2, (m, 3), A, [v, v]),
+        lambda g, m: intersect.check_tauG(g, 2, (3, m), A, [v, v]),
+        lambda g, m: omega_tqft(A, g, m, [v, v]),
+        lambda g, m: bmodel.wgn(g, m - 1),
+        lambda g, m: bmodel.twisted_wgn(g, m - 1, A).values,
+        lambda g, m: bmodel.inverse_laplace_coeffs(g, m - 1, 8),
+        lambda g, m: bmodel.convert_frame(bmodel.wgn(g, 1), m - 1, "x"),
+        lambda g, m: CellGraph((m, 2), [((1, 0), (g, 0)), ((1, m - 1), (2, 1))]).partner,
+        lambda g, m: [graph.partner for graph in all_matchings((m, g))],
+        lambda g, m: count_lattice_points(g - 1, m - 1, (m + 2,)),
+        lambda g, m: count_matchings_by_genus((g, m)),
+        lambda g, m: count_arrowed_graphs(g - 1, m - 1, (m + 2,)),
+        lambda g, m: harer_zagier(g - 1, m),
+        lambda g, m: FiniteGroup([[0, g - 1], [m - 1, 0]]).table,
+        lambda g, m: load_group({"order": m, "table": [[0, g - 1], [1, 0]]}).table,
+        lambda g, m: omega_brute(G, g, (m - 1, 1)),
+        lambda g, m: FrobeniusAlgebra(m, A.labels, A.product_tensor, A.pairing).basis(g - 1),
+        lambda g, m: MultiRatFun.from_json({"vars": ["t1"], "num": [["1", [g]]],
+                                            "den": [["1", [m - 1]]]}),
     ]
 
 
-def _cold(monkeypatch, *algebras):
-    """Empty every cache a count request reads: the shared tables, the
-    profile facts and each algebra's e^g and amplitudes."""
+def _cold(monkeypatch, *owners):
+    """Empty every cache a request reads: the shared tables, the profile
+    facts, the gluing transfer's states, the lattice graphs, each algebra's
+    e^g and amplitudes and each group's commutator distributions."""
     cutjoin.shared.cache_clear()
     cutjoin._profile.cache_clear()
-    for A in algebras:
-        monkeypatch.setattr(A, "_euler_powers", {0: A._euler_powers[0]})
-        monkeypatch.setattr(A, "_amplitudes", {})
+    cellgraph._completions.cache_clear()
+    cellgraph._lattice_graphs.cache_clear()
+    for owner in owners:
+        if isinstance(owner, FrobeniusAlgebra):
+            monkeypatch.setattr(owner, "_euler_powers", {0: owner._euler_powers[0]})
+            monkeypatch.setattr(owner, "_amplitudes", {})
+        else:
+            monkeypatch.setattr(owner, "_commutator_dists", owner._commutator_dists[:1])
 
 
 def test_every_count_entry_point_reads_its_numbers_by_one_rule_cold_and_warm(monkeypatch):
-    # a genus or degree of 1.5 or 4.5 is refused, never truncated, and 2.0
-    # reads as 2, whether the caches hold the int request or not
-    A = z2_algebra()
-    for call, degreed in _count_entry_points(A, A.basis(1)):
-        _cold(monkeypatch, A)
+    # a number of 1.5 or 4.5 is refused, never truncated, and 2.0 reads as
+    # 2, whether the caches hold the int request or not
+    A, G = z2_algebra(), load_group("builtin:Z2")
+    for call in _count_entry_points(A, A.basis(1), G):
+        _cold(monkeypatch, A, G)
         want = call(2, 2)
         assert want and want != 0
-        bad = [(1.5, 2), (2, 4.5)] if degreed else [(1.5, 2)]
-        for g, m in bad:
+        for g, m in [(1.5, 2), (2, 4.5)]:
             for warm in (True, False):
                 if not warm:
-                    _cold(monkeypatch, A)
+                    _cold(monkeypatch, A, G)
                 with pytest.raises(ValueError, match="expected an integer, got "):
                     call(g, m)
-        for g, m in [(2.0, 2), (2, 2.0)] if degreed else [(2.0, 2)]:
+        for g, m in [(2.0, 2), (2, 2.0)]:
             assert call(g, m) == want
-            _cold(monkeypatch, A)
+            _cold(monkeypatch, A, G)
             assert call(g, m) == want
             assert call(2, 2) == want
 

@@ -192,6 +192,15 @@ def test_omega_brute_rejects_a_negative_genus():
             omega_brute(G, g, (0,))
 
 
+def test_omega_brute_refuses_a_class_index_out_of_range():
+    # a negative index would count the classes from the end
+    G = load_group("builtin:S3")
+    assert omega_brute(G, 1, (2,)) == omega_brute(G, 1, (2.0,)) != 0
+    for idx in ((-1,), (3,), (0, -3)):
+        with pytest.raises(ValueError, match="class index %d out of range 0..2" % idx[-1]):
+            omega_brute(G, 1, idx)
+
+
 def test_omega_brute_budget_gate():
     G = load_group("builtin:Q8")
     with pytest.raises(BudgetError):

@@ -183,8 +183,8 @@ def test_multiratfun_is_the_one_rational_function_class():
 # check and so may not share.  The checks compute in exact's MultiRatFun,
 # and the residues on its maps with exact's _times and _plus; the
 # recursion multiplies with its own _mul.
-BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "_residue", "SpectralCurve",
-                 "eo_kernel", "verify_kernel_integral"}
+BMODEL_CHECKS = {"verify_w02_identity", "residue_check", "residue_recursion", "_residue",
+                 "SpectralCurve", "eo_kernel", "verify_kernel_integral"}
 BMODEL_RECURSION = {"_Recursion", "_laurent_wgn", "_mul", "_place", "_pole", "_CUBE",
                     "_substitute"}
 
@@ -219,7 +219,7 @@ def test_bmodel_checks_reach_production_only_through_wgn():
     assert "delta_star_contract" in engine
     reached = _names_the_checks_reach(source)
     assert reached.isdisjoint(BMODEL_RECURSION | engine)
-    assert reached == {"wgn", "tvars"}
+    assert reached == {"wgn", "tvars", "_stable"}
     # a residue that multiplies with the recursion's _mul fails the guard,
     # and so does one that contracts with the engine's Delta*
     for name in ("_mul", "delta_star_contract"):

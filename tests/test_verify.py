@@ -32,7 +32,7 @@ def test_each_row_runs_its_pinned_number_of_cases():
             counts[level].append(count)
     assert [name for name, _ in verify.SUITES] == ROWS
     assert counts == {"quick": [6, 16, 7, 5, 3, 5],
-                      "full": [7, 48, 635, 649, 802, 752]}
+                      "full": [7, 48, 635, 649, 814, 752]}
 
 
 def test_the_lattice_table_meets_the_catalan_transfer_on_the_wide_range():
