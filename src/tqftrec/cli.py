@@ -1,9 +1,9 @@
 """The ``tqft`` command line front end.
 
 Exit codes: 0 success, 2 usage error, 3 computation budget exceeded,
-4 internal invariant violation.  The env var TQFT_BUDGET overrides the
-tuple-counting budget.  Output is deterministic: identical inputs produce
-byte-identical output.
+4 internal invariant violation.  Every budget is a fixed constant of the
+module whose work it bounds.  Output is deterministic: identical inputs
+produce byte-identical output.
 
 ``tqft verify`` runs the suites of ``tqftrec.verify``, which only it imports;
 a suite fails on its first failing case (its witness) or an exception.
@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import amodel, bmodel, cutjoin, groups, intersect
-from .exact import BudgetError, MultiRatFun, rat_to_str
+from .exact import BudgetError, MultiRatFun
 from .frobenius import AxiomError, FrobeniusAlgebra, omega_tqft, trivial_algebra
 from .groups import GroupAxiomError
 
@@ -34,19 +34,6 @@ class UsageError(ValueError):
     pass
 
 
-def _budget(default: int) -> int:
-    raw = os.environ.get("TQFT_BUDGET")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError("TQFT_BUDGET must be an integer, got %r" % raw)
-    if value <= 0:
-        raise UsageError("TQFT_BUDGET must be positive")
-    return value
-
-
 # -- rendering ---------------------------------------------------------------
 
 
@@ -55,7 +42,7 @@ def _render(value, memo):
     MultiRatFun already rendered to its form: a report often repeats a few
     functions many times, and each is rendered once."""
     if isinstance(value, Fraction):
-        return rat_to_str(value)
+        return str(value)
     if isinstance(value, MultiRatFun):
         key = ("json", id(value))
         if key not in memo:
@@ -70,7 +57,7 @@ def _render(value, memo):
 
 def _render_flat(value, memo):
     if isinstance(value, Fraction):
-        return rat_to_str(value)
+        return str(value)
     if isinstance(value, MultiRatFun):
         key = ("flat", id(value))
         if key not in memo:
@@ -128,13 +115,12 @@ def _load_group_arg(source: str) -> groups.FiniteGroup:
     """A group from a builtin name, cycle notation, or the path of a JSON
     file holding a Cayley table ({"order": N, "table": [[...]]}) or a list
     of generator lines.  Any fault in such a file is a usage error."""
-    budget = _budget(groups.DEFAULT_BUDGET)
     where = "group file %s: " % source if os.path.isfile(source) else ""
     try:
         if where:
             with open(source) as fh:
                 source = json.load(fh)
-        return groups.load_group(source, budget=budget)
+        return groups.load_group(source)
     except (OSError, ValueError, TypeError, KeyError, RecursionError, GroupAxiomError) as exc:
         raise UsageError(where + str(exc))
 
@@ -195,8 +181,8 @@ def cmd_group_info(args) -> dict:
 def cmd_frobenius(args) -> dict:
     A = _algebra_from_args(args)
     report = A.to_json()
-    report["counit"] = [rat_to_str(c) for c in A.counit]
-    report["euler"] = [rat_to_str(c) for c in A.euler]
+    report["counit"] = [str(c) for c in A.counit]
+    report["euler"] = [str(c) for c in A.euler]
     return report
 
 
@@ -226,9 +212,7 @@ def cmd_omega(args) -> dict:
                     "brute counting needs class-label decorations, got %r" % token
                 )
             indices.append(A.labels.index(token))
-        report["brute"] = groups.omega_brute(
-            G, args.g, indices, budget=_budget(groups.DEFAULT_BUDGET), cd=cd
-        )
+        report["brute"] = groups.omega_brute(G, args.g, indices, cd=cd)
     if args.method == "both":
         report["match"] = report["formula"] == report["brute"]
     return report

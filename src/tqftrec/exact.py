@@ -63,17 +63,6 @@ def _as_int(x) -> int:
     return i
 
 
-def rat_to_str(r: Scalar) -> str:
-    r = Fraction(r)
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
-
-
-def rat_from_str(s: str) -> Rational:
-    return Fraction(s.strip())
-
-
 def _frac_to_sym(q: Scalar):
     import sympy as sp
 
@@ -734,7 +723,7 @@ class MultiRatFun:
 
     def to_json(self) -> dict:
         def poly_terms(terms: Mapping) -> list:
-            return [[rat_to_str(c), [int(x) for x in e]] for e, c in sorted(terms.items())]
+            return [[str(c), [int(x) for x in e]] for e, c in sorted(terms.items())]
 
         return {
             "vars": list(self.vars),
@@ -752,7 +741,7 @@ class MultiRatFun:
             acc: dict = {}
             for coeff, exps in terms:
                 e = tuple(map(_as_int, exps))
-                acc[e] = acc.get(e, 0) + rat_from_str(coeff)
+                acc[e] = acc.get(e, 0) + Fraction(coeff)
             return {e: c for e, c in acc.items() if c}
 
         den = build(data["den"])

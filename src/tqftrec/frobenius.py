@@ -60,7 +60,7 @@ from functools import cached_property
 from itertools import product as iproduct
 from typing import Sequence
 
-from .exact import BudgetError, Rational, _as_int, rat_from_str, rat_to_str
+from .exact import BudgetError, Rational, _as_int
 
 # Bits the coefficients of e^g may need, checked before any product.  With
 # L x = x e, D clearing the denominators of the e_j c[i][j][k] and M = max_k
@@ -88,12 +88,6 @@ class AxiomError(ValueError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, str):
-        return rat_from_str(x)
-    return Fraction(x)
 
 
 def _solve(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
@@ -171,9 +165,9 @@ class FrobeniusAlgebra:
         if len(labels) != dim:
             raise ValueError("label count does not match dim")
         labels = tuple(str(l) for l in labels)
-        product_tensor = tuple(tuple(tuple(_frac(product_tensor[i][j][k]) for k in range(dim))
+        product_tensor = tuple(tuple(tuple(Fraction(product_tensor[i][j][k]) for k in range(dim))
                                      for j in range(dim)) for i in range(dim))
-        pairing = tuple(tuple(_frac(pairing[i][j]) for j in range(dim)) for i in range(dim))
+        pairing = tuple(tuple(Fraction(pairing[i][j]) for j in range(dim)) for i in range(dim))
         key = (labels, product_tensor, pairing)
         self = _INTERNED.get(key)
         if self is None:
@@ -351,10 +345,10 @@ class FrobeniusAlgebra:
 
     @cached_property
     def _basis(self):
-        """The basis vectors, as elements."""
+        """Each index 0..dim-1 -> its basis vector, as an element."""
         one, zero = Fraction(1), Fraction(0)
-        return tuple(AlgebraElement(self, [one if i == j else zero for j in range(self.dim)])
-                     for i in range(self.dim))
+        return {i: AlgebraElement(self, [one if i == j else zero for j in range(self.dim)])
+                for i in range(self.dim)}
 
     # -- elements -----------------------------------------------------------
 
@@ -362,7 +356,13 @@ class FrobeniusAlgebra:
         return AlgebraElement(self, coeffs)
 
     def basis(self, i: int) -> "AlgebraElement":
-        return self._basis[i if type(i) is int else _as_int(i)]
+        v = self._basis.get(i)  # a number equal to an index, such as 2.0, finds it
+        if v is None:
+            i = _as_int(i)
+            if not 0 <= i < self.dim:
+                raise ValueError(f"basis index {i} out of range 0..{self.dim - 1}")
+            v = self._basis[i]
+        return v
 
     def unit_element(self) -> "AlgebraElement":
         return euler_power(self, 0)
@@ -380,10 +380,10 @@ class FrobeniusAlgebra:
             "dim": self.dim,
             "labels": list(self.labels),
             "product": [
-                [[rat_to_str(x) for x in row] for row in plane]
+                [[str(x) for x in row] for row in plane]
                 for plane in self.product_tensor
             ],
-            "pairing": [[rat_to_str(x) for x in row] for row in self.pairing],
+            "pairing": [[str(x) for x in row] for row in self.pairing],
         }
 
 
@@ -427,7 +427,7 @@ class AlgebraElement:
         if all(type(x) is Fraction for x in coeffs):
             coeffs = coeffs if type(coeffs) is tuple else tuple(coeffs)
         else:
-            coeffs = tuple(_frac(x) for x in coeffs)
+            coeffs = tuple(Fraction(x) for x in coeffs)
         terms = _nonzero(coeffs)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
@@ -452,7 +452,7 @@ class AlgebraElement:
 
     def __repr__(self):
         terms = [
-            f"{rat_to_str(c)}*{l}"
+            f"{c}*{l}"
             for c, l in zip(self.coeffs, self.algebra.labels)
             if c != 0
         ]

@@ -1,9 +1,10 @@
 """Finite groups, conjugacy data, and the class algebra of a group.
 
-Groups are multiplication tables validated at load time.  The class
-algebra carries the centralizer-weighted pairing; its surface amplitudes
-are cross-checked by ``omega_brute``, a raw tuple count of solutions of
-the product-of-commutators equation, which shares no machinery with the
+Groups are multiplication tables validated at load time, within a fixed
+budget of table entries, GROUP_WORK_BUDGET.  The class algebra carries the
+centralizer-weighted pairing; its surface amplitudes are cross-checked by
+``omega_brute``, a raw tuple count of solutions of the
+product-of-commutators equation, which shares no machinery with the
 algebraic formula it checks.
 """
 
@@ -14,12 +15,16 @@ from itertools import product as iproduct
 from typing import Mapping, Sequence, Union
 
 from .exact import BudgetError, Rational, _as_int
-from .frobenius import FrobeniusAlgebra
+from .frobenius import EULER_POWER_BITS, FrobeniusAlgebra
 
+# the table lookups one ``omega_brute`` call may make
 DEFAULT_BUDGET = 10 ** 8
 # the largest point a permutation generator may name; a permutation is
 # stored as a tuple over every point up to its largest
 MAX_DEGREE = 1000
+# the table entries one group load may fill and check (``_order_gate``): S6
+# from any generators, at most 7 x 720^2, loads in 0.2 s on a 2-core host
+GROUP_WORK_BUDGET = 4 * 10 ** 6
 
 
 class GroupAxiomError(ValueError):
@@ -44,13 +49,15 @@ class FiniteGroup:
     ``table[i][j]`` is the index of the product of elements i and j.
     Element 0 is the identity; ``names`` are display names with the
     identity always named "1".  The group axioms are checked at
-    construction, associativity by Light's test on a generating set.
+    construction, associativity by Light's test on a generating set, and
+    ``_order_gate`` charges the table and each generator before they are read.
     """
 
     def __init__(self, table: Sequence[Sequence[int]],
                  names: Sequence[str] | None = None,
                  description: str = "table"):
         n = len(table)
+        _order_gate(n, 1)
         self.order = n
         self.table = tuple(tuple(map(_as_int, row)) for row in table)
         self.description = description
@@ -83,6 +90,7 @@ class FiniteGroup:
         for x in range(n):
             if x not in reached:
                 gens.append(x)
+                _order_gate(n, len(gens) + 1)
                 todo = list(reached)
                 while todo:
                     row = table[todo.pop()]
@@ -102,9 +110,9 @@ class FiniteGroup:
         if len(names) != n:
             raise ValueError("name count does not match order")
         self.names = tuple(str(x) for x in names)
-        # g-fold commutator distributions, g = 0, 1, ..., filled by
-        # ``_commutator_distribution``
-        self._commutator_dists = [(1,) + (0,) * (n - 1)]
+        # genus -> g-fold commutator distribution, for g = 0 and the genera
+        # ``_commutator_distribution`` was asked for
+        self._commutator_dists = {0: (1,) + (0,) * (n - 1)}
 
     def conj(self, a: int, g: int) -> int:
         """g a g^-1."""
@@ -236,23 +244,25 @@ def parse_cycles(line: str):
     return tuple(p)
 
 
-def _order_gate(n: int, budget: int) -> None:
-    """A group of order n costs an n x n table, which Light's test checks
-    in n^2 products per generator it picks: a few for a group, up to n for
-    a table that is not one.  Refuse it when n^3 exceeds the budget."""
-    if n ** 3 > budget:
+def _order_gate(n: int, passes: int) -> None:
+    """A group of order n costs n^2 table entries a pass: one pass fills
+    its table, and Light's test checks one for each generator it picks, a
+    few for a group, up to n for a table that is not one.  Refuse when the
+    passes exceed GROUP_WORK_BUDGET."""
+    if n * n * passes > GROUP_WORK_BUDGET:
         raise BudgetError(
-            f"group of order at least {n}: {n}^3 associativity checks exceed budget {budget}")
+            f"group of order at least {n}: {passes} passes over its table exceed "
+            f"{GROUP_WORK_BUDGET} entries")
 
 
 def group_from_permutations(lines: Sequence[str],
-                            description: str = "permutations",
-                            budget: int = DEFAULT_BUDGET) -> FiniteGroup:
+                            description: str = "permutations") -> FiniteGroup:
     """The group generated by permutations in disjoint-cycle notation, one
     per line; blank lines and lines starting with "#" are skipped.  The
-    closure stops with BudgetError once the order's cube exceeds the
-    budget.  It takes order times generators products of permutations; the
-    table is read off them by lookups."""
+    closure stops with BudgetError once the elements found could not pass
+    the group's gate: their table and one generator of Light's test.  It
+    takes order times generators products of permutations; the table is
+    read off them by lookups."""
     gens = []
     degree = 0
     for line in lines:
@@ -279,7 +289,7 @@ def group_from_permutations(lines: Sequence[str],
                 index[h] = len(elems)
                 elems.append(h)
                 found.append((x, k))
-                _order_gate(len(elems), budget)
+                _order_gate(len(elems), 2)
             right[x].append(index[h])
     # x (parent g_k) = (x parent) g_k, the parent coming first
     table = []
@@ -336,17 +346,15 @@ BUILTIN_GROUPS = {
 }
 
 
-def load_group(source: Union[str, Mapping, Sequence[str]],
-               budget: int = DEFAULT_BUDGET) -> FiniteGroup:
+def load_group(source: Union[str, Mapping, Sequence[str]]) -> FiniteGroup:
     """Load a group from a builtin name ("Z2" or "builtin:Z2"), a Cayley
     table mapping {"order": N, "table": [[...]]}, or permutation generator
-    lines in disjoint-cycle notation.  A table or generated group whose
-    order's cube exceeds the budget raises BudgetError."""
+    lines in disjoint-cycle notation.  A group whose table and checks would
+    pass GROUP_WORK_BUDGET raises BudgetError."""
     if isinstance(source, Mapping):
         table = source["table"]
         if "order" in source and _as_int(source["order"]) != len(table):
             raise ValueError("declared order does not match table size")
-        _order_gate(len(table), budget)
         return FiniteGroup(table, description="table")
     if isinstance(source, str):
         name = source.strip()
@@ -355,11 +363,11 @@ def load_group(source: Union[str, Mapping, Sequence[str]],
         if name in BUILTIN_GROUPS:
             return BUILTIN_GROUPS[name]()
         if "(" in name:
-            return group_from_permutations(name.splitlines(), budget=budget)
+            return group_from_permutations(name.splitlines())
         raise ValueError(
             f"unknown group source {source!r}; builtins: "
             f"{sorted(BUILTIN_GROUPS)}")
-    return group_from_permutations(list(source), budget=budget)
+    return group_from_permutations(list(source))
 
 
 def conjugacy(G: FiniteGroup) -> ConjugacyData:
@@ -402,41 +410,54 @@ def orbifold_frobenius(G: FiniteGroup,
     return FrobeniusAlgebra(h, cd.class_names, prod, pairing)
 
 
+def _convolve(G: FiniteGroup, p: tuple, q: tuple) -> tuple:
+    """[z] -> the sum of p[x] q[y] over the x, y with x y = z."""
+    out = [0] * G.order
+    for x, c in enumerate(p):
+        if c:
+            for z, d in zip(G.table[x], q):
+                out[z] += c * d
+    return tuple(out)
+
+
 def _commutator_distribution(G: FiniteGroup, g: int) -> tuple:
     """[x] -> the number of tuples (a_1, b_1, .., a_g, b_g) whose product of
-    commutators is x.  Each genus is computed once per group, from the one
-    below and the single-commutator distribution, and kept on the group."""
+    commutators is x: the g-fold convolution power of the single-commutator
+    distribution, by square-and-multiply.  The group keeps the genera asked
+    for, no power between; a genus whose counts, at most N^(2g), may need
+    more than EULER_POWER_BITS bits, the bound of e^g, raises BudgetError:
+    2 (N-1).bit_length() bits a genus, or 1 for the trivial group."""
     dists = G._commutator_dists
-    if len(dists) <= g:
-        N, mul = G.order, G.table
-        if len(dists) == 1:
-            inv = G.inverse
-            comm = [0] * N
-            for a in range(N):
-                for b in range(N):
-                    comm[mul[mul[mul[a][b]][inv[a]]][inv[b]]] += 1
-            dists.append(tuple(comm))
-        comm = dists[1]
-        while len(dists) <= g:
-            dist, nxt = dists[-1], [0] * N
-            for x in range(N):
-                if dist[x] == 0:
-                    continue
-                for y in range(N):
-                    if comm[y]:
-                        nxt[mul[x][y]] += dist[x] * comm[y]
-            dists.append(tuple(nxt))
-    return dists[g]
+    dist = dists.get(g)
+    if dist is None:
+        bits = g * (2 * (G.order - 1).bit_length() or 1)
+        if bits > EULER_POWER_BITS:
+            raise BudgetError("genus g=%d: the counts may need %d bits, more than %d"
+                              % (g, bits, EULER_POWER_BITS))
+        comm = dists.get(1)
+        if comm is None:
+            mul, inv, comm = G.table, G.inverse, [0] * G.order
+            for a, b in iproduct(range(G.order), repeat=2):
+                comm[mul[mul[mul[a][b]][inv[a]]][inv[b]]] += 1
+            comm = dists[1] = tuple(comm)
+        dist = comm
+        for bit in bin(g)[3:]:  # the binary digits of g after the leading 1
+            dist = _convolve(G, dist, dist)
+            if bit == "1":
+                dist = _convolve(G, dist, comm)
+        dists[g] = dist
+    return dist
 
 
 def omega_brute(G: FiniteGroup, g: int, class_indices: Sequence[int],
-                budget: int = DEFAULT_BUDGET,
                 cd: ConjugacyData | None = None) -> Rational:
     """Count tuples (a_1, b_1, .., a_g, b_g, s_1, .., s_n) with the product
     of commutators of the (a, b) pairs equal to the product of the s_j,
     each s_j running over the j-th requested conjugacy class; divide by
     the group order.  Pure table-lookup counting; a class index outside
-    0..num_classes-1 raises ValueError."""
+    0..num_classes-1 raises ValueError.  BudgetError is raised past
+    DEFAULT_BUDGET lookups, n * prod |c_j|, or past the genus gate of
+    ``_commutator_distribution``."""
     if type(g) is not int:  # an int is what the rule reads it as
         g = _as_int(g)
     n = len(class_indices)
@@ -444,20 +465,21 @@ def omega_brute(G: FiniteGroup, g: int, class_indices: Sequence[int],
         raise ValueError("need at least one class index")
     if g < 0:
         raise ValueError("g must be non-negative")
-    N = G.order
-    if N ** (2 * g + n) > budget:
-        raise BudgetError(
-            f"{N}^{2 * g + n} tuples exceed budget {budget}; "
-            "reduce g, n, or the group order")
     if cd is None:
         cd = conjugacy(G)
-    h, classes = cd.num_classes, []
+    h, classes, lookups = cd.num_classes, [], n
     for ci in class_indices:
         if type(ci) is not int:
             ci = _as_int(ci)
         if not 0 <= ci < h:
             raise ValueError(f"class index {ci} out of range 0..{h - 1}")
-        classes.append(cd.classes[ci])
+        cl = cd.classes[ci]
+        classes.append(cl)
+        lookups *= len(cl)
+    if lookups > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"{lookups} lookups over the classes exceed budget {DEFAULT_BUDGET}; "
+            "reduce n or the class sizes")
     dist = _commutator_distribution(G, g)
     mul = G.table
     count = 0
@@ -466,4 +488,4 @@ def omega_brute(G: FiniteGroup, g: int, class_indices: Sequence[int],
         for s in sigmas:
             p = mul[p][s]
         count += dist[p]
-    return Fraction(count, N)
+    return Fraction(count, G.order)

@@ -153,23 +153,35 @@ def test_negative_genus_is_usage_error_for_every_method(capsys):
             assert capsys.readouterr().err == "usage error: g must be non-negative\n"
 
 
-def test_budget_exceeded_exit_code():
-    # brute-force amplitude beyond the iteration budget
-    import os
+def test_budget_exceeded_exit_code(monkeypatch):
+    # a brute-force amplitude past its lookup budget: three boundaries of
+    # the identity class make 3 lookups
+    argv = ("omega", "--group", "builtin:Q8", "--g", "2", "--n", "3",
+            "--decor", "[1]", "--method", "brute")
+    monkeypatch.setattr(groups, "DEFAULT_BUDGET", 3)
+    assert run_cli(*argv) == (cli.EXIT_OK, "group: builtin:Q8\ng: 2\nn: 3\n"
+                              "decor: [1] [1] [1]\nbrute: 272\n")
+    monkeypatch.setattr(groups, "DEFAULT_BUDGET", 2)
+    assert run_cli(*argv) == (cli.EXIT_BUDGET, "")
 
-    old = os.environ.get("TQFT_BUDGET")
-    os.environ["TQFT_BUDGET"] = "10"
-    try:
-        code, _ = run_cli(
-            "omega", "--group", "builtin:Q8", "--g", "2", "--n", "3",
-            "--decor", "[1]", "--method", "brute",
-        )
-    finally:
-        if old is None:
-            os.environ.pop("TQFT_BUDGET", None)
-        else:
-            os.environ["TQFT_BUDGET"] = old
-    assert code == cli.EXIT_BUDGET
+
+def test_the_environment_changes_no_output(monkeypatch):
+    # no budget is read from the environment: a TQFT_BUDGET that once
+    # refused these commands changes nothing
+    commands = [("group-info", "--group", "(1 2)\n(1 2 3)"),
+                ("omega", "--group", "builtin:Q8", "--g", "1", "--n", "2", "--method", "both")]
+    want = [run_cli(*argv) for argv in commands]
+    assert all(code == cli.EXIT_OK for code, _ in want)
+    monkeypatch.setenv("TQFT_BUDGET", "10")
+    assert [run_cli(*argv) for argv in commands] == want
+
+
+def test_brute_force_answers_past_the_old_tuple_budget():
+    # Q8 at (4, 2) walks one tuple; 8^10 tuples were once charged
+    code, out = run_cli("--format", "json", "omega", "--group", "builtin:Q8", "--g", "4",
+                        "--n", "2", "--method", "both")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["brute"] == json.loads(out)["formula"] == "1052672"
 
 
 def test_decoration_vector_parsing():
@@ -593,11 +605,11 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _capped_group_info(group):
-    """``tqft group-info`` in a process under a 60 s time limit and a 1 GB
+def _capped(*argv):
+    """``tqft`` in a process under a 60 s time limit and a 1 GB
     address-space cap."""
     return subprocess.run(
-        [sys.executable, "-m", "tqftrec.cli", "group-info", "--group", group],
+        [sys.executable, "-m", "tqftrec.cli", *argv],
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
         env=_src_env())
 
@@ -605,42 +617,53 @@ def _capped_group_info(group):
 def test_overlapping_cycles_exit_2_in_a_capped_process():
     # "(1 2)(2 3)" is not a permutation; read as one it once made
     # group-info loop and grow without bound
-    proc = _capped_group_info("(1 2)(2 3)")
+    proc = _capped("group-info", "--group", "(1 2)(2 3)")
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr[-2000:]
     assert proc.stderr == "usage error: point 2 repeats in '(1 2)(2 3)'; cycles must be disjoint\n"
 
 
 def test_large_point_exits_2_in_a_capped_process():
     # the permutation was once sized by its largest point: MemoryError, exit 1
-    proc = _capped_group_info("(1 3000000000)")
+    proc = _capped("group-info", "--group", "(1 3000000000)")
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr[-2000:]
     assert proc.stderr == ("usage error: point 3000000000 in '(1 3000000000)' "
                            "exceeds the largest degree %d\n" % groups.MAX_DEGREE)
 
 
-def test_large_group_exits_3_within_seconds():
+def test_large_group_exits_3_within_seconds(monkeypatch):
     # S6 from two generators once took 20 s in its table and associativity
-    # check; the closure now stops at order 465, whose cube passes 10^8
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("TQFT_BUDGET", raising=False)
-        start = time.perf_counter()
-        proc = _capped_group_info("(1 2)\n(1 2 3 4 5 6)")
-        assert time.perf_counter() - start < 10
-        assert proc.returncode == cli.EXIT_BUDGET, proc.stderr[-2000:]
-        assert proc.stderr.startswith("budget exceeded: group of order at least 465"), proc.stderr
-        mp.setenv("TQFT_BUDGET", "215")
-        assert run_cli("group-info", "--group", "(1 2)\n(1 2 3)")[0] == cli.EXIT_BUDGET
-        mp.setenv("TQFT_BUDGET", "216")
-        assert run_cli("group-info", "--group", "(1 2)\n(1 2 3)")[0] == cli.EXIT_OK
+    # check; it loads now, and the closure of A7 stops at order 1415, where
+    # its table and one generator of Light's test pass the budget
+    proc = _capped("group-info", "--group", "(1 2)\n(1 2 3 4 5 6)")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr[-2000:]
+    assert proc.stdout.startswith("order: 720\n")
+    start = time.perf_counter()
+    proc = _capped("group-info", "--group", "(1 2 3)\n(3 4 5 6 7)")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr[-2000:]
+    assert proc.stderr.startswith("budget exceeded: group of order at least 1415"), proc.stderr
+    monkeypatch.setattr(groups, "GROUP_WORK_BUDGET", 107)
+    assert run_cli("group-info", "--group", "(1 2)\n(1 2 3)")[0] == cli.EXIT_BUDGET
+    monkeypatch.setattr(groups, "GROUP_WORK_BUDGET", 108)
+    assert run_cli("group-info", "--group", "(1 2)\n(1 2 3)")[0] == cli.EXIT_OK
+
+
+def test_brute_force_past_its_genus_gate_exits_3_in_a_capped_process():
+    # the trivial group's tuple count was 1 at every genus, so this once
+    # kept 10^8 commutator distributions: MemoryError under the cap, exit 1
+    start = time.perf_counter()
+    proc = _capped("omega", "--group", "builtin:trivial", "--g", "100000000", "--n", "1",
+                   "--method", "brute")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr[-2000:]
+    assert proc.stderr == ("budget exceeded: genus g=100000000: the counts may need "
+                           "100000000 bits, more than 100000\n")
 
 
 def test_deep_one_vertex_profile_exits_3_in_a_capped_process():
     # the cut triples of a degree-20000 boundary were once a list in every
     # frame of the descent: MemoryError under the cap, exit 1 with a traceback
-    proc = subprocess.run(
-        [sys.executable, "-m", "tqftrec.cli", "catalan", "--g", "0", "--n", "1", "--mu", "20000"],
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
-        env=_src_env())
+    proc = _capped("catalan", "--g", "0", "--n", "1", "--mu", "20000")
     assert proc.returncode == cli.EXIT_BUDGET, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "budget exceeded: recursion too deep for profile g=0, mu=[20000]\n"
@@ -714,7 +737,7 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cutjoin, "CUTJOIN_WORK_BUDGET", 20000)
         mp.setattr(bmodel, "WGN_WORK_BUDGET", 5000)
-        mp.setenv("TQFT_BUDGET", "20000")
+        mp.setattr(groups, "DEFAULT_BUDGET", 20000)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)

@@ -758,7 +758,7 @@ def _cold(monkeypatch, *owners):
             monkeypatch.setattr(owner, "_euler_powers", {0: owner._euler_powers[0]})
             monkeypatch.setattr(owner, "_amplitudes", {})
         else:
-            monkeypatch.setattr(owner, "_commutator_dists", owner._commutator_dists[:1])
+            monkeypatch.setattr(owner, "_commutator_dists", {0: owner._commutator_dists[0]})
 
 
 def test_every_count_entry_point_reads_its_numbers_by_one_rule_cold_and_warm(monkeypatch):

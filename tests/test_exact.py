@@ -20,21 +20,12 @@ from tqftrec.exact import (
     MultiRatFun,
     UnknownVariableError,
     ZeroDenominatorError,
-    rat_from_str,
-    rat_to_str,
     symbol,
 )
 
 
 def _ev(f, a):
     return f.substitute("x", a).as_rational()
-
-
-def test_rat_str_round_trip():
-    for q in (Fraction(0), Fraction(3), Fraction(-7, 2), Fraction(22, 7)):
-        assert rat_from_str(rat_to_str(q)) == q
-    assert rat_to_str(Fraction(3)) == "3"
-    assert rat_to_str(Fraction(-1, 2)) == "-1/2"
 
 
 def test_symbol_is_cached():

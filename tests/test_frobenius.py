@@ -321,6 +321,15 @@ def test_an_element_knows_whether_it_is_a_basis_vector():
                 twin.index = 1
 
 
+def test_basis_refuses_an_index_out_of_range():
+    # a negative index once counted the classes from the end
+    A = orbifold_frobenius(load_group("builtin:S3"))
+    assert A.basis(2.0) is A.basis(2)
+    for i in (-1, 3, -4):
+        with pytest.raises(ValueError, match=r"basis index %d out of range 0\.\.2$" % i):
+            A.basis(i)
+
+
 def test_int_amplitude_fill_equals_the_fraction_chain():
     from tqftrec.frobenius import _amplitude
 

@@ -1,10 +1,13 @@
 """Unit tests for finite groups, conjugacy data, and the brute-force oracle."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from tqftrec import groups
 from tqftrec.exact import BudgetError
+from tqftrec.frobenius import EULER_POWER_BITS, omega_tqft
 from tqftrec.groups import (
     BUILTIN_GROUPS,
     MAX_DEGREE,
@@ -201,10 +204,34 @@ def test_omega_brute_refuses_a_class_index_out_of_range():
             omega_brute(G, 1, idx)
 
 
-def test_omega_brute_budget_gate():
+def test_omega_brute_budget_gate(monkeypatch):
+    # the walk makes n lookups per tuple of class elements: Q8's classes
+    # [1], [i], [i] make 3 x 1 x 2 x 2 = 12
     G = load_group("builtin:Q8")
-    with pytest.raises(BudgetError):
-        omega_brute(G, 2, (0, 0, 0), budget=100)
+    A = orbifold_frobenius(G)
+    monkeypatch.setattr(groups, "DEFAULT_BUDGET", 12)
+    assert omega_brute(G, 2, (0, 2, 2)) == omega_tqft(A, 2, 3, [A.basis(i) for i in (0, 2, 2)])
+    monkeypatch.setattr(groups, "DEFAULT_BUDGET", 11)
+    with pytest.raises(BudgetError, match="12 lookups over the classes exceed budget 11"):
+        omega_brute(G, 2, (0, 2, 2))
+
+
+def test_omega_brute_genus_gate_bounds_the_bits_of_the_counts():
+    # the counts are at most N^(2g), 2 x 3 bits a genus for S3, which admits
+    # g <= 16666 as the formula does, and agrees with it there; the trivial
+    # group is charged 1 bit a genus, as its e^g is, and at genus 10^8 it
+    # is refused before any convolution
+    G = load_group("builtin:S3")
+    A = orbifold_frobenius(G)
+    last = EULER_POWER_BITS // 6
+    assert omega_brute(G, last, (1,)) == omega_tqft(A, last, 1, [A.basis(1)])
+    with pytest.raises(BudgetError, match="genus g=%d" % (last + 1)):
+        omega_brute(G, last + 1, (1,))
+    T = load_group("builtin:trivial")
+    assert omega_brute(T, EULER_POWER_BITS, (0,)) == 1
+    for g in (EULER_POWER_BITS + 1, 10 ** 8):
+        with pytest.raises(BudgetError, match="genus g=%d" % g):
+            omega_brute(T, g, (0,))
 
 
 def test_orbifold_product_equals_the_count_over_all_pairs():
@@ -233,16 +260,41 @@ def test_parse_cycles_rejects_a_point_beyond_the_largest_degree():
         assert "point %d" % point in str(info.value)
 
 
-def test_order_gate_stops_large_groups():
-    # S5 (120^3 = 1.7M) loads; S6 (720^3 > 10^8) stops in the closure
+def test_order_gate_stops_large_groups(monkeypatch):
+    # the gate counts table entries, n^2 for the table and n^2 for each
+    # generator Light's test picks; the closure of A7 (order 2520) stops
+    # once its table and one generator would pass 4 x 10^6, at order 1415
     assert group_from_permutations(["(1 2)", "(1 2 3 4 5)"]).order == 120
+    with pytest.raises(BudgetError, match="group of order at least 1415: 2 passes"):
+        load_group("(1 2 3)\n(3 4 5 6 7)")
+    # S3 from its generators: its table and two generators, 3 x 36 entries
+    monkeypatch.setattr(groups, "GROUP_WORK_BUDGET", 108)
+    assert load_group("(1 2)\n(1 2 3)").order == 6
+    monkeypatch.setattr(groups, "GROUP_WORK_BUDGET", 107)
     with pytest.raises(BudgetError):
-        load_group("(1 2)\n(1 2 3 4 5 6)")
-    # the budget is the caller's: S3 needs 6^3 = 216
-    assert load_group("(1 2)\n(1 2 3)", budget=216).order == 6
-    with pytest.raises(BudgetError):
-        load_group("(1 2)\n(1 2 3)", budget=215)
+        load_group("(1 2)\n(1 2 3)")
+    # Z3 from its table: the table and one generator, 2 x 9 entries
     table = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
-    assert load_group(table, budget=27).order == 3
+    monkeypatch.setattr(groups, "GROUP_WORK_BUDGET", 18)
+    assert load_group(table).order == 3
+    monkeypatch.setattr(groups, "GROUP_WORK_BUDGET", 17)
     with pytest.raises(BudgetError):
-        load_group(table, budget=26)
+        load_group(table)
+
+
+def test_large_tables_stop_within_seconds():
+    # Z_1414 with one intercalate swapped: a loop, not a group, whose table
+    # and one generator take the whole budget; the group Z2^10 needs a
+    # generator a bit and is refused at its fourth pass
+    n = 1414
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    a, c = 700, 3
+    b, d = a + n // 2, c + n // 2
+    table[a][c], table[a][d] = table[a][d], table[a][c]
+    table[b][c], table[b][d] = table[b][d], table[b][c]
+    start = time.perf_counter()
+    with pytest.raises(GroupAxiomError, match="associativity"):
+        load_group({"order": n, "table": table})
+    with pytest.raises(BudgetError, match="group of order at least 1024: 4 passes"):
+        load_group({"order": 1024, "table": [[x ^ y for y in range(1024)] for x in range(1024)]})
+    assert time.perf_counter() - start < 10

@@ -269,6 +269,17 @@ def test_only_exact_imports_sympy():
     assert importers == {"exact.py"}
 
 
+def test_no_module_reads_the_environment():
+    # every budget is a constant of the module whose work it bounds, so an
+    # answer depends on the request alone
+    readers = []
+    for path in sorted((ROOT / "src" / "tqftrec").glob("*.py")):
+        names = _scan([path])
+        if {"environ", "getenv"} & (names.used | names.attributes):
+            readers.append(path.name)
+    assert readers == []
+
+
 def test_every_hashed_class_refuses_assignment():
     # a value whose fields can be reassigned moves under its hash, and a
     # dict or set keyed on it loses it
